@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -257,13 +258,8 @@ def cmd_magnify(cfg: RunConfig, outdir: Path) -> int:
     _write(outdir / f"{cfg.experiment}_summary.txt", summary)
     csv = [",".join(MAGNIFY_COLUMNS)]
     for i, r in enumerate(report.rows):
-        if r.diagnostics is None:
-            cells = [str(i), fmt(r.eps)] + ["nan"] * (len(DIAG_COLUMNS) - 4) \
-                + [str(r.iterations), "false", fmt(r.nu_measured), fmt(r.nu_bootstrap)]
-            csv.append(",".join(cells))
-        else:
-            csv.append(_diag_row(i, r.eps, r.diagnostics, r.iterations, r.converged,
-                                 extra=(r.nu_measured, r.nu_bootstrap)))
+        csv.append(_diag_row(i, r.eps, r.diagnostics, r.iterations, r.converged,
+                             extra=(r.nu_measured, r.nu_bootstrap)))
     _write(outdir / f"{cfg.experiment}_magnification.csv", csv)
     return 0 if report.verdict != "barrier" else 1
 
@@ -276,20 +272,19 @@ def cmd_multiplier(cfg: RunConfig, outdir: Path) -> int:
     if not (0.0 < tau0 < 1.0):
         raise ConfigurationError("[equation] t_target: multiplier needs 0 < t < 1")
     kind = cfg.equation(tau0)
+    # each member's RHS is built once, for the solve, the stalk and eta
+    build = functools.cache(lambda eps: cfg.build_rhs(model, epsilon=eps))
     trace, results = sweep_epsilon(model, cfg.gamma, kind, tau0, cfg.epsilon_list,
-                                   cfg.solve_config(),
-                                   rhs_builder=lambda eps: cfg.build_rhs(model, epsilon=eps))
-    entries = []
-    for eps, res in zip(cfg.epsilon_list, results):
-        if res is not None and res.converged:
-            entries.append((res.phi, tau0, cfg.build_rhs(model, epsilon=eps)))
+                                   cfg.solve_config(), rhs_builder=build)
+    entries = [(res.phi, tau0, build(eps))
+               for eps, res in zip(cfg.epsilon_list, results) if res.converged]
     if not entries:
         _write(outdir / f"{cfg.experiment}_summary.txt",
                _summary_header(cfg, "multiplier") + ["verdict = barrier",
                                                      "error = no converged members"])
         return 1
     stalk = stalk_from_sequence(PotentialSequence(model, tuple(entries)))
-    eta = check_lower_bound(cfg.build_rhs(model, epsilon=cfg.epsilon_list[0])).eta
+    eta = check_lower_bound(build(cfg.epsilon_list[0])).eta
     report = trivial_lemma_report(stalk, eta)
     summary = _summary_header(cfg, "multiplier")
     summary += [
@@ -306,7 +301,7 @@ def cmd_multiplier(cfg: RunConfig, outdir: Path) -> int:
     ]
     summary += [f"note = {note}" for note in report.notes]
     _write(outdir / f"{cfg.experiment}_summary.txt", summary)
-    return 0 if trace.verdict == "reached_target" else 1
+    return 1 if trace.verdict == "barrier" else 0
 
 
 def cmd_slope(cfg: RunConfig, outdir: Path) -> int:

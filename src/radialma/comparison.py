@@ -27,13 +27,12 @@ from .geometry import KahlerModel
 from .grid import RadialPotential
 from .rhs import build_dirac_rhs, check_lower_bound
 from .solver import (
-    EquationKind,
     SolveConfig,
-    continuity_in_t,
-    diagnostics_for,
+    family_verdict,
+    magnifying,
     neutral_oracle,
-    newton_solve,
     pole_slope_sample,
+    solve_family,
 )
 
 HOLDS_TOL = 1e-9
@@ -133,21 +132,19 @@ class MagnificationReport:
     eta: float
     eta_warning: str | None
 
-    def amplification_table(self) -> list[dict]:
-        return [row.__dict__ for row in self.rows]
-
 
 def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
                              eps_list, config: SolveConfig | None = None,
                              ) -> MagnificationReport:
     """Per-mollifier comparison of the amplifying solve against neutrality.
 
-    For each eps: solve the amplifying equation at tau0 (continuity from 0,
-    warm-started across the eps list), measure the pole slope, compare with
-    the neutral control at the same eps, and with the bootstrap bound taken
-    over the pole window [s_min, layer]. The verdict is one of
-    reached_target / barrier / average_blowup, the last when the volume
-    averages grow monotonically by at least one unit per mollifier step.
+    For each eps: solve the amplifying equation at tau0 (``solve_family``:
+    continuity from 0, warm-started across the eps list), measure the pole
+    slope, compare with the neutral control at the same eps, and with the
+    bootstrap bound taken over the pole window [s_min, layer]. The verdict
+    is ``family_verdict`` of the amplifying members: reached_target /
+    barrier / average_blowup, the last when the volume averages grow by at
+    least one unit at every mollifier step.
 
     The curvature margin eta of the family is evaluated first; tau0 >= eta
     does not stop the run (the point-mass families genuinely fail the bound,
@@ -158,52 +155,35 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ConfigurationError("eps list must be strictly decreasing")
-    cfg = config or SolveConfig()
+    rhs_list = [build_dirac_rhs(gamma, eps, model) for eps in eps_arr]
 
     eta_warning = None
     if gamma == 0.0:
         eta = float(model.n + 1)
     else:
-        eta = check_lower_bound(build_dirac_rhs(gamma, eps_arr[0], model)).eta
+        eta = check_lower_bound(rhs_list[0]).eta
         if tau0 >= eta:
             eta_warning = (
                 f"tau0 = {tau0} is not below the curvature margin eta = {eta:.3g}; "
                 "proceeding as an experimental probe")
             warnings.warn(eta_warning, stacklevel=2)
 
+    results = solve_family(model, magnifying(tau0), rhs_list, config)
     rows: list[MagnificationRow] = []
-    prev_phi = None
-    failed = False
-    for eps in eps_arr:
-        rhs = build_dirac_rhs(gamma, eps, model)
+    for eps, rhs, res in zip(eps_arr, rhs_list, results):
         control = neutral_oracle(model, rhs)
         nu_neutral = pole_slope_sample(control.values - model.psi.values, model, rhs)
-        if gamma == 0.0:
-            res = newton_solve(model, rhs, EquationKind("magnifying", tau0), cfg)
-        elif prev_phi is not None:
-            from dataclasses import replace
-            from .solver import _mass_balanced_shift
-            guess = _mass_balanced_shift(prev_phi, rhs, EquationKind("magnifying", tau0))
-            res = newton_solve(model, rhs, EquationKind("magnifying", tau0),
-                               replace(cfg, initial_guess=guess))
-            if not res.converged:
-                _, res = continuity_in_t(model, rhs, EquationKind("magnifying", tau0), tau0, cfg)
-        else:
-            _, res = continuity_in_t(model, rhs, EquationKind("magnifying", tau0), tau0, cfg)
-        if res is None or not res.converged:
-            failed = True
+        if not res.converged:
             rows.append(MagnificationRow(eps, math.nan, nu_neutral, math.nan,
                                          math.nan, math.nan, False,
-                                         diagnostics=None if res is None else res.diagnostics,
-                                         iterations=0 if res is None else res.iterations))
+                                         res.diagnostics, res.iterations))
             continue
-        prev_phi = res.phi
         layer_window = max(rhs.pole_anchor - model.grid.s_min, 4.0 * model.grid.h) \
             if rhs.pole_anchor is not None else 4.0 * model.grid.h
         layer_window = min(layer_window, model.grid.s_max - model.grid.s_min - model.grid.h)
         bound = bootstrap_lelong_bound(res.phi, tau0, gamma, layer_window, model) \
             if gamma > 0 else 0.0
-        diag = diagnostics_for(res.phi, model, rhs)
+        diag = res.diagnostics
         rows.append(MagnificationRow(
             eps=eps,
             nu_measured=pole_slope_sample(res.phi, model, rhs),
@@ -215,13 +195,4 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
             diagnostics=diag,
             iterations=res.iterations,
         ))
-
-    avgs = [r.avg_phi for r in rows if r.converged]
-    if failed:
-        verdict = "barrier"
-    elif (len(avgs) >= 2 and all(b > a for a, b in zip(avgs, avgs[1:]))
-          and avgs[-1] - avgs[0] >= 1.0 * (len(avgs) - 1)):
-        verdict = "average_blowup"
-    else:
-        verdict = "reached_target"
-    return MagnificationReport(tuple(rows), verdict, eta, eta_warning)
+    return MagnificationReport(tuple(rows), family_verdict(results), eta, eta_warning)

@@ -81,10 +81,6 @@ class KahlerModel:
     def s(self) -> np.ndarray:
         return self.grid.nodes
 
-    @property
-    def anticanonical(self) -> bool:
-        return self.degree == self.n + 1
-
     # -- discrete arrays used by the solver --------------------------------
 
     @cached_property

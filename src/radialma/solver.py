@@ -26,6 +26,7 @@ solve algebraically identical systems and must agree to solver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from .rhs import RhsFamily
 LELONG_WINDOW = 5.0
 LELONG_CAP = -1.0
 DIVERGENCE_THRESHOLD = 50.0
+BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
 
 _SIGNS = {"reducing": 1.0, "neutral": 0.0, "magnifying": -1.0}
@@ -540,58 +542,77 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     return trace, last
 
 
+def solve_family(model: KahlerModel, kind: EquationKind, rhs_list,
+                 config: SolveConfig | None = None) -> list[SolveResult]:
+    """Solve one equation kind for each right-hand side of a family, in order.
+
+    Neutral members are solved cold. A time-dependent member warm-starts
+    from the last converged member after a mass-balancing level shift; the
+    first member, and any member whose warm start fails, is continued in t
+    from its neutral base, and a member whose continuation stops short of
+    kind.t is solved cold. Every member gets a result at kind.t, converged
+    or not.
+    """
+    cfg = config or SolveConfig()
+    if kind.kind == "neutral":
+        return [newton_solve(model, rhs, kind, cfg) for rhs in rhs_list]
+    results: list[SolveResult] = []
+    prev_phi = None
+    for rhs in rhs_list:
+        res = None
+        if prev_phi is not None:
+            guess = _mass_balanced_shift(prev_phi, rhs, kind)
+            res = newton_solve(model, rhs, kind, replace(cfg, initial_guess=guess))
+        if res is None or not res.converged:
+            # the member's blow-up is judged across the family, so the
+            # continuation runs to kind.t whatever the average reaches
+            trace, res = continuity_in_t(model, rhs, kind, kind.t, cfg,
+                                         divergence_threshold=math.inf)
+            if trace.verdict != "reached_target":
+                res = newton_solve(model, rhs, kind, cfg)
+        results.append(res)
+        if res.converged:
+            prev_phi = res.phi
+    return results
+
+
+def family_verdict(results) -> str:
+    """The verdict of a family solved across a decreasing mollifier list.
+
+    ``barrier`` when some member failed; ``average_blowup`` when the volume
+    averages rise by at least BLOWUP_STEP at every step of the list;
+    otherwise ``reached_target``. The rule counts listed steps, so it
+    depends on the spacing of the list (one unit per decade in the
+    experiments).
+    """
+    if not all(res.converged for res in results):
+        return "barrier"
+    avgs = [res.diagnostics.avg_phi for res in results]
+    if len(avgs) >= 2 and all(b - a >= BLOWUP_STEP for a, b in zip(avgs, avgs[1:])):
+        return "average_blowup"
+    return "reached_target"
+
+
 def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
                   tau0: float, eps_list, config: SolveConfig | None = None,
-                  divergence_threshold: float = DIVERGENCE_THRESHOLD,
                   rhs_builder=None,
-                  ) -> tuple[ContinuityTrace, list[SolveResult | None]]:
+                  ) -> tuple[ContinuityTrace, list[SolveResult]]:
     """Solve the family at fixed time tau0 across a decreasing mollifier list.
 
     Per-eps results are recorded in input order (failures included, the
-    sweep continues). The verdict is ``average_blowup`` when the volume
-    averages increase monotonically beyond the divergence threshold,
-    ``barrier`` when some member failed, otherwise ``reached_target``.
+    sweep continues); the verdict is ``family_verdict`` of the members, and
+    a barrier is located at the first failed eps.
     """
     from .rhs import build_dirac_rhs
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ConfigurationError("eps list must be strictly decreasing")
     builder = rhs_builder or (lambda eps: build_dirac_rhs(gamma, eps, model))
-    cfg = config or SolveConfig()
-
-    entries: list[StepRecord] = []
-    results: list[SolveResult | None] = []
-    prev_phi = None
-    any_failed = None
-    for eps in eps_arr:
-        rhs = builder(eps)
-        if kind.kind == "neutral":
-            res = newton_solve(model, rhs, kind, cfg)
-        else:
-            if prev_phi is not None:
-                guess = _mass_balanced_shift(prev_phi, rhs, kind)
-                res = newton_solve(model, rhs, kind, replace(cfg, initial_guess=guess))
-                if not res.converged:
-                    _, res2 = continuity_in_t(model, rhs, kind, kind.t, cfg)
-                    res = res2 if (res2 is not None and res2.converged) else res
-            else:
-                _, res2 = continuity_in_t(model, rhs, kind, kind.t, cfg)
-                res = res2 if res2 is not None else newton_solve(model, rhs, kind, cfg)
-        entries.append(StepRecord(eps, res.diagnostics, res.converged,
-                                  res.iterations, res.residual_norm))
-        results.append(res)
-        if res.converged:
-            prev_phi = res.phi
-        elif any_failed is None:
-            any_failed = eps
-    avgs = [e.diagnostics.avg_phi for e in entries if e.converged]
-    increasing = len(avgs) >= 2 and all(b > a for a, b in zip(avgs, avgs[1:]))
-    if any_failed is not None:
-        verdict = "barrier"
-    elif increasing and avgs and avgs[-1] > divergence_threshold:
-        verdict = "average_blowup"
-    else:
-        verdict = "reached_target"
-    trace = ContinuityTrace("eps", tuple(entries), verdict,
-                            barrier_param=any_failed)
+    results = solve_family(model, kind, [builder(eps) for eps in eps_arr], config)
+    entries = tuple(StepRecord(eps, res.diagnostics, res.converged,
+                               res.iterations, res.residual_norm)
+                    for eps, res in zip(eps_arr, results))
+    failed = [eps for eps, res in zip(eps_arr, results) if not res.converged]
+    trace = ContinuityTrace("eps", entries, family_verdict(results),
+                            barrier_param=failed[0] if failed else None)
     return trace, results

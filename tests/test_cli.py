@@ -125,6 +125,8 @@ class TestMultiplier:
         status = main(["multiplier", "--config", cfg, "--out", str(tmp_path)])
         assert status == 0
         summary = (tmp_path / "mu_summary.txt").read_text()
+        # a recorded blow-up verdict still exits 0
+        assert "verdict = average_blowup" in summary
         # pole slope saturates at the model mass 2, so tau*nu -> 1.2 > n = 1:
         # a nontrivial stalk at the maximal-ideal caveat, curvature bound
         # honestly failed for the point-mass family

@@ -14,6 +14,7 @@ from radialma import (
     magnifying,
     continuity_in_t,
     neutral_oracle,
+    sweep_epsilon,
     xi_eps,
 )
 
@@ -146,6 +147,16 @@ class TestMagnificationExperiment:
         for row in report.rows:
             if row.eps <= 1e-2:
                 assert row.nu_neutral == pytest.approx(1.8, rel=0.02)
+
+    def test_agrees_with_sweep(self, model_n1):
+        # one family driver and one blow-up rule: the experiment and the
+        # sweep solve the same members and reach the same verdict
+        with pytest.warns(UserWarning):
+            report = magnification_experiment(model_n1, 1.8, 0.2, self.EPS_LIST)
+        trace, _ = sweep_epsilon(model_n1, 1.8, magnifying(0.2), 0.2, self.EPS_LIST)
+        assert [r.avg_phi for r in report.rows] == \
+            [rec.diagnostics.avg_phi for rec in trace.entries]
+        assert report.verdict == trace.verdict == "average_blowup"
 
     def test_magnifying_dominates_neutral_rowwise(self, model_n1):
         for gamma in (1.0, 1.5):

@@ -366,11 +366,18 @@ class TestSweep:
         assert abs(avgs[-1] - avgs[-2]) < 0.1 * abs(avgs[-1])
 
     def test_blowup_verdict_at_configured_threshold(self, model_n1):
-        # the amplifying averages reach ~15 by eps = 1e-2; a threshold below
-        # that flips the verdict to average_blowup
+        # the amplifying averages rise from ~5.8 to ~15 over one decade,
+        # more than the unit step of the family blow-up rule
         trace, _ = sweep_epsilon(model_n1, 1.8, magnifying(0.2), 0.2,
-                                 (1e-1, 1e-2), divergence_threshold=10.0)
+                                 (1e-1, 1e-2))
         assert trace.verdict == "average_blowup"
+
+    def test_converging_reducing_averages_are_not_blowup(self, model_n1):
+        # the reducing averages rise but level off (~2.7, 5.1, 6.0, 6.4):
+        # their mean step exceeds one unit, their last steps do not
+        trace, _ = sweep_epsilon(model_n1, 1.8, reducing(0.3), 0.3, self.EPS_LIST)
+        assert all(rec.converged for rec in trace.entries)
+        assert trace.verdict == "reached_target"
 
     def test_continuity_blowup_verdict(self, model_n1):
         rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
