@@ -248,6 +248,8 @@ def cmd_magnify(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.validate_model()
     if not cfg.epsilon_list:
         raise ConfigurationError("[rhs] epsilon_list: magnify needs a decreasing list")
+    if cfg.kind != "magnifying":
+        raise ConfigurationError("[equation] kind: magnify solves the magnifying family")
     tau0 = cfg.t_target or cfg.t
     report = magnification_experiment(model, cfg.gamma, tau0, cfg.epsilon_list,
                                       cfg.solve_config())

@@ -7,8 +7,9 @@ n-1 and u''/e^s with multiplicity 1, which is what the rest of the package
 builds on.
 
 Derivatives are second-order central differences on interior nodes with
-second-order one-sided stencils at the two ends, matching the banded
-linearisation used by the solver.
+second-order one-sided stencils at the two ends. The solver's residual and
+Jacobian use the same stencils; its Newton step folds the two one-sided rows
+into a tridiagonal system.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError
@@ -205,53 +205,81 @@ def apply_linearization(u, v: np.ndarray, model: KahlerModel, rhs: RhsFamily,
     return first + u1 ** (n - 1) * v2 - rate * ex * rhs.interior_density * v[1:-1]
 
 
-def _assemble_banded(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
-                     kind: EquationKind) -> np.ndarray:
-    """Banded Jacobian (lower/upper bandwidth 2 from the one-sided BC rows)."""
+def _assemble_jacobian(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
+                       kind: EquationKind):
+    """Jacobian as three diagonals plus the corners of the two one-sided rows.
+
+    Returns ``(dl, d, du, left, right)``: row i holds dl[i-1], d[i], du[i] in
+    columns i-1, i, i+1; ``left`` is row 0's entry in column 2 and ``right``
+    row N-1's entry in column N-3 (zero for the neutral level anchor).
+    """
     n, h = model.n, model.grid.h
     N = phi.size
-    u1 = model.psi_d1 + derivative(phi, h)
-    u2 = model.psi_d2 + second_derivative(phi, h)
+    u1 = model.psi_d1[1:-1] + derivative(phi, h)[1:-1]
+    u2 = model.psi_d2[1:-1] + second_derivative(phi, h)[1:-1]
     rate = kind.exponent_rate
-    ex = _exponent(kind, phi)
-    ab = np.zeros((5, N))
-    a = u1[1:-1] ** (n - 1) / h**2
-    b = (n - 1) * u1[1:-1] ** (n - 2) * u2[1:-1] / (2.0 * h) if n > 1 else 0.0
-    ab[2, 1:N - 1] = -2.0 * a - rate * ex[1:-1] * rhs.interior_density
-    ab[1, 2:N] = a + b
-    ab[3, 0:N - 2] = a - b
-    ab[2, 0] = -3.0 / (2.0 * h)
-    ab[1, 1] = 4.0 / (2.0 * h)
-    ab[0, 2] = -1.0 / (2.0 * h)
+    a = u1 ** (n - 1) / h**2
+    b = (n - 1) * u1 ** (n - 2) * u2 / (2.0 * h) if n > 1 else 0.0
+    dl = np.empty(N - 1)
+    d = np.empty(N)
+    du = np.empty(N - 1)
+    d[1:-1] = -2.0 * a - rate * _exponent(kind, phi[1:-1]) * rhs.interior_density
+    du[1:] = a + b
+    dl[:-1] = a - b
+    d[0] = -3.0 / (2.0 * h)
+    du[0] = 4.0 / (2.0 * h)
+    left = -1.0 / (2.0 * h)
     if rate == 0.0:
-        ab[2, N - 1] = 1.0
+        d[-1] = 1.0
+        dl[-1] = 0.0
+        right = 0.0
     else:
-        ab[2, N - 1] = 3.0 / (2.0 * h)
-        ab[3, N - 2] = -4.0 / (2.0 * h)
-        ab[4, N - 3] = 1.0 / (2.0 * h)
-    return ab
+        d[-1] = 3.0 / (2.0 * h)
+        dl[-1] = -4.0 / (2.0 * h)
+        right = 1.0 / (2.0 * h)
+    return dl, d, du, left, right
 
 
-def _solve_newton_step(ab: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Row-equilibrated banded solve for J v = -r.
+def _solve_newton_step(dl: np.ndarray, d: np.ndarray, du: np.ndarray, left: float,
+                       right: float, r: np.ndarray) -> np.ndarray:
+    """Row-equilibrated tridiagonal solve for J v = -r; overwrites the diagonals.
 
-    Equilibration keeps the far tails, where the reduced weights span many
-    orders of magnitude, from poisoning the factorisation.
+    Each row is first scaled by its largest entry (never a corner: the
+    one-sided rows are (-3, 4, -1) / 2h and (3, -4, 1) / 2h), which keeps the
+    far tails, where the reduced weights span many orders of magnitude, from
+    poisoning the factorisation. The two corners are then folded away: row 1
+    eliminates column 2 from row 0 and row N-2 eliminates column N-3 from
+    row N-1, with the same operations on the right-hand side. LAPACK
+    ``gtsv`` (Gaussian elimination with partial pivoting) solves the folded
+    tridiagonal system. A zero pivot, in a fold or in the factorisation,
+    raises ``np.linalg.LinAlgError``.
     """
-    N = r.size
-    rs = np.abs(ab[2]).copy()
-    rs[:-1] = np.maximum(rs[:-1], np.abs(ab[1, 1:]))
-    rs[:-2] = np.maximum(rs[:-2], np.abs(ab[0, 2:]))
-    rs[1:] = np.maximum(rs[1:], np.abs(ab[3, :-1]))
-    rs[2:] = np.maximum(rs[2:], np.abs(ab[4, :-2]))
+    rs = np.abs(d)
+    rs[:-1] = np.maximum(rs[:-1], np.abs(du))
+    rs[1:] = np.maximum(rs[1:], np.abs(dl))
     rs[rs == 0.0] = 1.0
-    ab2 = ab.copy()
-    ab2[2] /= rs
-    ab2[1, 1:] /= rs[:-1]
-    ab2[0, 2:] /= rs[:-2]
-    ab2[3, :-1] /= rs[1:]
-    ab2[4, :-2] /= rs[2:]
-    return solve_banded((2, 2), ab2, -r / rs)
+    d /= rs
+    du /= rs[:-1]
+    dl /= rs[1:]
+    b = -r / rs
+    left /= rs[0]
+    right /= rs[-1]
+    if du[1] == 0.0 or (right != 0.0 and dl[-2] == 0.0):
+        raise np.linalg.LinAlgError("zero pivot folding a one-sided boundary row")
+    f = left / du[1]
+    d[0] -= f * dl[0]
+    du[0] -= f * d[1]
+    b[0] -= f * b[1]
+    if right != 0.0:
+        g = right / dl[-2]
+        dl[-1] -= g * d[-2]
+        d[-1] -= g * du[-1]
+        b[-1] -= g * b[-2]
+    *_, v, info = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
+                        overwrite_du=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot at row {info}")
+    return v
 
 
 def _slope_floor(phi: np.ndarray, h: float) -> float:
@@ -290,9 +318,9 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     iters = 0
     message = ""
     while rnorm > cfg.newton_tol and iters < cfg.max_iters:
-        ab = _assemble_banded(phi, model, rhs, kind)
+        jac = _assemble_jacobian(phi, model, rhs, kind)
         try:
-            v = _solve_newton_step(ab, r)
+            v = _solve_newton_step(*jac, r)
         except np.linalg.LinAlgError as exc:
             message = f"linear solve singular: {exc}"
             break
@@ -494,6 +522,12 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     1e-6 the run is declared a barrier at the last solved time. A volume
     average beyond ``divergence_threshold`` ends the run with the
     average-blowup verdict. Exactly one verdict is recorded.
+
+    On ``barrier`` and ``average_blowup`` the returned result is the last
+    converged solve, at a t below ``t_target``, and it is flagged converged;
+    ``SolveResult`` carries no t, so callers must read ``trace.verdict``
+    before taking it for the solve at ``t_target``. The result is None only
+    when the neutral base fails.
     """
     if kind.kind == "neutral":
         raise ConfigurationError("continuity in t applies to the time-dependent families")
@@ -599,11 +633,15 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
                   ) -> tuple[ContinuityTrace, list[SolveResult]]:
     """Solve the family at fixed time tau0 across a decreasing mollifier list.
 
-    Per-eps results are recorded in input order (failures included, the
-    sweep continues); the verdict is ``family_verdict`` of the members, and
-    a barrier is located at the first failed eps.
+    For a time-dependent kind tau0 must equal kind.t. Per-eps results are
+    recorded in input order (failures included, the sweep continues); the
+    verdict is ``family_verdict`` of the members, and a barrier is located
+    at the first failed eps.
     """
     from .rhs import build_dirac_rhs
+    if kind.kind != "neutral" and tau0 != kind.t:
+        raise ConfigurationError(f"tau0 = {tau0} does not match the {kind.kind} "
+                                 f"family's t = {kind.t}")
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ConfigurationError("eps list must be strictly decreasing")

@@ -100,6 +100,12 @@ class TestMagnify:
             # measured pole slope at least the secant reading and the bound
             assert float(cells[10]) >= float(cells[11]) * 0.98
 
+    def test_reducing_kind_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, kind="reducing", rhs_kind="dirac", gamma="1.8",
+                           t="0.3", t_target="0.3", eps_list="1e-1,1e-2", name="mag")
+        assert main(["magnify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "mag_magnification.csv").exists()
+
 
 class TestContinuity:
     def test_trace_written(self, tmp_path):

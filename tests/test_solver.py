@@ -23,7 +23,13 @@ from radialma import (
     residual,
     sweep_epsilon,
 )
-from radialma.solver import apply_linearization, diagnostics_for, pole_slope_sample
+from radialma.solver import (
+    _assemble_jacobian,
+    _solve_newton_step,
+    apply_linearization,
+    diagnostics_for,
+    pole_slope_sample,
+)
 
 from conftest import gaussian_bump
 from oracles import continuum_neutral_potential
@@ -105,6 +111,65 @@ class TestResidual:
             lin = apply_linearization(u0, v, model_n1, rhs, kind)
             denom = np.max(np.abs(lin))
             assert np.max(np.abs(fd[1:-1] - lin)) / denom < 1e-6
+
+
+def _dense_jacobian(dl, d, du, left, right):
+    J = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+    J[0, 2] = left
+    J[-1, -3] = right
+    return J
+
+
+JACOBIAN_N = pytest.mark.parametrize("n", [1, 2, 3])
+JACOBIAN_KINDS = pytest.mark.parametrize(
+    "kind,t", [("reducing", 0.4), ("neutral", 0.0), ("magnifying", 0.4)])
+
+
+class TestJacobian:
+    # a dirac RHS on a small grid, at a perturbed state, for every n and kind
+    GRID = SGrid(-16.0, 16.0, 41)
+
+    def _state(self, n, kind, t):
+        m = KahlerModel(n, n + 1.0, self.GRID)
+        rhs = build_dirac_rhs(0.5 * (n + 1.0), 1e-1, m)
+        phi = gaussian_bump(m.grid, 0.1)
+        eq = EquationKind(kind, t)
+        return m, rhs, eq, phi, _assemble_jacobian(phi, m, rhs, eq)
+
+    @JACOBIAN_N
+    @JACOBIAN_KINDS
+    def test_assembly_matches_finite_differences(self, n, kind, t):
+        # every row, the two one-sided boundary rows and their corners
+        # included. The five-point difference is exact on the polynomial part
+        # of the residual (degree n <= 3 in phi), which matters in the far
+        # left tail where a step of delta / h is comparable to u' itself.
+        from radialma.solver import residual_from_perturbation
+        m, rhs, kind, phi, jac = self._state(n, kind, t)
+        J = _dense_jacobian(*jac)
+        delta = 1e-6
+
+        def res(j, k):
+            e = np.zeros(phi.size)
+            e[j] = k * delta
+            return residual_from_perturbation(phi + e, m, rhs, kind)
+
+        fd = np.empty_like(J)
+        for j in range(phi.size):
+            fd[:, j] = (8.0 * (res(j, 1) - res(j, -1)) - (res(j, 2) - res(j, -2))
+                        ) / (12.0 * delta)
+        scale = np.max(np.abs(J), axis=1, keepdims=True)
+        assert np.max(np.abs(fd - J) / scale) < 1e-6
+
+    @JACOBIAN_N
+    @JACOBIAN_KINDS
+    def test_folded_step_matches_dense_solve(self, n, kind, t):
+        from radialma.solver import residual_from_perturbation
+        m, rhs, kind, phi, jac = self._state(n, kind, t)
+        J = _dense_jacobian(*jac)
+        r = residual_from_perturbation(phi, m, rhs, kind)
+        v = _solve_newton_step(*jac, r)
+        expected = np.linalg.solve(J, -r)
+        assert np.max(np.abs(v - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 class TestFixedPoints:
@@ -349,6 +414,10 @@ class TestSweep:
     def test_eps_list_must_decrease(self, model_n1):
         with pytest.raises(ConfigurationError):
             sweep_epsilon(model_n1, 1.0, neutral(), 0.0, [1e-2, 1e-1])
+
+    def test_tau0_must_match_kind_time(self, model_n1):
+        with pytest.raises(ConfigurationError):
+            sweep_epsilon(model_n1, 1.8, magnifying(0.2), 0.7, self.EPS_LIST)
 
     def test_divisor_family_does_not_blow_up(self, model_n1):
         # the fractional pole satisfies the curvature lower bound but its
