@@ -24,7 +24,13 @@ from .errors import ConfigurationError, ConstraintViolationError
 from .geometry import KahlerModel
 from .grid import SGrid
 from .multiplier import PotentialSequence, stalk_from_sequence, trivial_lemma_report
-from .rhs import build_dirac_rhs, build_divisor_rhs, check_lower_bound, constant_rhs
+from .rhs import (
+    build_dirac_rhs,
+    build_divisor_rhs,
+    check_lower_bound,
+    constant_rhs,
+    dirac_density,
+)
 from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_line
 from .solver import (
     ContinuityTrace,
@@ -250,6 +256,8 @@ def cmd_magnify(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigurationError("[rhs] epsilon_list: magnify needs a decreasing list")
     if cfg.kind != "magnifying":
         raise ConfigurationError("[equation] kind: magnify solves the magnifying family")
+    if cfg.rhs_kind != "dirac":
+        raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
     tau0 = cfg.t_target or cfg.t
     report = magnification_experiment(model, cfg.gamma, tau0, cfg.epsilon_list,
                                       cfg.solve_config())
@@ -334,13 +342,17 @@ def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
     checks.append(("fixed_point_magnifying", res.converged and sup <= 1e-9,
                    f"sup|phi| = {fmt(sup)}"))
 
-    from .rhs import dirac_density
-    from scipy.integrate import quad
+    # composite Simpson in x = log r over [log a - 40, log 50]; the cut-off
+    # below carries mass ~ e^{-80}
+    panels = 4000
+    simpson = np.ones(panels + 1)
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
     ok = True
     worst = 0.0
     for a in (1.0, 0.1, 0.01):
-        val, _ = quad(lambda r, a=a: dirac_density(a, r * r) * 2 * np.pi * r, 0, 50.0,
-                      limit=200)
+        x = np.linspace(np.log(a) - 40.0, np.log(50.0), panels + 1)
+        r2 = np.exp(2.0 * x)
+        val = (x[1] - x[0]) / 3.0 * float(simpson @ (dirac_density(a, r2) * 2 * np.pi * r2))
         tail = a * a / (50.0**2 + a * a)
         worst = max(worst, abs(val + tail - 1.0))
         ok = ok and abs(val + tail - 1.0) <= 1e-6

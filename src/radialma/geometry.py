@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, DegenerateMetricError
 from .grid import (
@@ -43,6 +42,12 @@ from .grid import (
 def softplus(x):
     """log(1 + e^x), overflow-safe."""
     return np.logaddexp(0.0, x)
+
+
+def expit(x):
+    """Logistic 1 / (1 + e^{-x}); e^{-x} overflowing to inf gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 def fubini_study_potential(n: int, degree: float, grid: SGrid) -> RadialPotential:

@@ -26,6 +26,7 @@ from .errors import ConfigurationError
 from .geometry import KahlerModel, average
 from .grid import RadialPotential
 from .rhs import RhsFamily
+from .solver import diagnostics_for
 
 GROWTH_FACTOR = 5.0
 TAIL_EXTENSION = 10.0
@@ -41,7 +42,6 @@ def _phi_values(phi, model: KahlerModel) -> np.ndarray:
 
 def _left_slope_of(vals: np.ndarray, model: KahlerModel, rhs: RhsFamily | None) -> float:
     """Measured left slope of psi + phi, pole-anchored when rhs is singular."""
-    from .solver import diagnostics_for
     return diagnostics_for(vals, model, rhs).lelong.value
 
 

@@ -32,10 +32,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, ConstraintViolationError
-from .geometry import KahlerModel, softplus
+from .geometry import KahlerModel, expit, softplus
 from .grid import RadialPotential, derivative, second_derivative
 
 POLE_ANCHOR_OFFSET = 6.0

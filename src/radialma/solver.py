@@ -31,12 +31,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError
 from .geometry import Diagnostics, KahlerModel, average, lelong_estimate, mass
 from .grid import RadialPotential, derivative, second_derivative
-from .rhs import RhsFamily
+from .rhs import RhsFamily, build_dirac_rhs, xi_eps, xi_eps_d1
 
 LELONG_WINDOW = 5.0
 LELONG_CAP = -1.0
@@ -377,12 +376,10 @@ def _neutral_seed(model: KahlerModel, rhs: RhsFamily) -> np.ndarray:
     n = m.n
     s = m.grid.nodes
     if rhs.kind == "dirac_approx":
-        from .rhs import xi_eps_d1
         up = (rhs.gamma**n * xi_eps_d1(s, rhs.epsilon) ** n
               + rhs.c_smooth * m.psi_prime() ** n) ** (1.0 / n)
         up = 0.5 * (up[1:] + up[:-1])
     elif rhs.kind == "divisor":
-        from .rhs import xi_eps
         mid = 0.5 * (s[1:] + s[:-1])
         dens = (rhs.c_smooth * np.exp(-rhs.delta_prime * xi_eps(mid, rhs.epsilon))
                 * n * m.psi_prime(mid) ** (n - 1) * m.psi_second(mid))
@@ -421,10 +418,19 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
         return 0.5 * (3.0 * w0 - w1) - beta
 
     hi = 3.0 * abs(beta) + max(n * h * float(np.sum(R)), 0.0) ** (1.0 / n) + 1.0
-    if left_row(0.0) >= 0.0:
-        w0 = 0.0
-    else:
-        w0 = brentq(left_row, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    # left_row increases in w0: bisect [lo, hi] down to adjacent doubles,
+    # or to [0, 0] when the row already holds at slope 0
+    lo = 0.0
+    if left_row(lo) >= 0.0:
+        hi = lo
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if left_row(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    w0 = hi
     w_pow = np.maximum(w0**n + np.concatenate([[0.0], np.cumsum(n * h * R)]), 0.0)
     w = w_pow ** (1.0 / n)
     u = np.empty(m.grid.points)
@@ -638,7 +644,6 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
     verdict is ``family_verdict`` of the members, and a barrier is located
     at the first failed eps.
     """
-    from .rhs import build_dirac_rhs
     if kind.kind != "neutral" and tau0 != kind.t:
         raise ConfigurationError(f"tau0 = {tau0} does not match the {kind.kind} "
                                  f"family's t = {kind.t}")

@@ -1,5 +1,10 @@
 """CLI subcommands, config validation, deterministic output."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,6 +111,14 @@ class TestMagnify:
         assert main(["magnify", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "mag_magnification.csv").exists()
 
+    def test_divisor_rhs_rejected(self, tmp_path):
+        # magnify builds the dirac family from gamma; any other [rhs] kind
+        # would be silently replaced
+        cfg = write_config(tmp_path, rhs_kind="divisor", t="0.2", t_target="0.2",
+                           eps_list="1e-1,1e-2", name="mag")
+        assert main(["magnify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "mag_magnification.csv").exists()
+
 
 class TestContinuity:
     def test_trace_written(self, tmp_path):
@@ -161,6 +174,29 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 5
+
+
+class TestImportPath:
+    def test_no_heavy_scipy_subpackages(self, tmp_path):
+        # a fresh interpreter: importing the CLI and running verify in
+        # process loads scipy.linalg only
+        cfg = write_config(tmp_path, name="imp")
+        code = (
+            "import sys\n"
+            "heavy = ('scipy.special', 'scipy.optimize', 'scipy.integrate')\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith(heavy))\n"
+            "from radialma.cli import main\n"
+            "assert not loaded(), loaded()\n"
+            f"assert main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert not loaded(), loaded()\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:

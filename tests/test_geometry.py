@@ -1,5 +1,7 @@
 """Grid calculus, reference potential, densities, averages, pole estimates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,36 @@ from radialma import (
     neutral_oracle,
     ricci_potential,
 )
-from radialma.geometry import ma_density_formula
+from radialma.geometry import expit, ma_density_formula
 
 from oracles import complex_hessian_det, weighted_average_quad
+
+
+class TestExpit:
+    def test_agrees_with_scipy(self):
+        from scipy.special import expit as scipy_expit
+        x = np.concatenate([np.linspace(-800.0, 800.0, 1600001), [np.inf, -np.inf]])
+        ours, ref = expit(x), scipy_expit(x)
+        # the two differ only through numpy's and libm's exp: at most 4 ulp,
+        # near x = -37 where 1 + e^37 rounds to the spacing of 1e16
+        tiny = np.finfo(float).tiny
+        assert np.max(np.abs(ours - ref) / np.maximum(ref, tiny)) <= 1e-15
+        assert np.mean(ours == ref) >= 0.95
+        assert expit(np.inf) == 1.0 and expit(-np.inf) == 0.0
+        assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
+
+    def test_scalars(self):
+        from scipy.special import expit as scipy_expit
+        for v in (-37.0, -1.5, 0.0, 0.25, 3, 40.0):
+            assert isinstance(expit(v), np.float64)
+            assert expit(v) == pytest.approx(scipy_expit(v), rel=1e-15)
+        assert expit(0.0) == 0.5
+
+    def test_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expit(np.array([-1000.0, -710.0, 0.0, 710.0]))
+            expit(-1e308)
 
 
 class TestGrid:

@@ -230,6 +230,24 @@ class TestNeutralOracle:
         assert res.converged
         assert np.max(np.abs(res.u.values - oracle.values)) <= 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [None, 1e-1, 1e-3, 1e-5])
+    def test_left_flux_row_solved(self, n, eps):
+        # the scalar solve for the integration constant zeroes the left row
+        m = default_model(n, n + 1.0)
+        rhs = constant_rhs(m) if eps is None else build_dirac_rhs(1.0, eps, m)
+        assert abs(residual(neutral_oracle(m, rhs), m, rhs, neutral())[0]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_left_flux_row_solved_at_zero_slope(self, n):
+        # psi' underflows at s_min = -800, so the left row already vanishes at
+        # slope 0 and no scalar solve runs
+        m = KahlerModel(n, n + 1.0, SGrid(-800.0, 40.0, 8001))
+        rhs = constant_rhs(m)
+        u = neutral_oracle(m, rhs)
+        assert u.values[1] == u.values[0]
+        assert residual(u, m, rhs, neutral())[0] == 0.0
+
     def test_grid_convergence_second_order(self):
         # against adaptive quadrature of the continuum first integral;
         # halving h must shrink the gap by at least a factor 3
