@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import KahlerModel
-from .grid import RadialPotential
+from .grid import RadialPotential, grid_values
 from .rhs import build_dirac_rhs, check_lower_bound
 from .solver import (
     SolveConfig,
@@ -103,8 +103,8 @@ def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
         raise ConfigurationError("bootstrap needs a positive pole coefficient")
     if not (0.0 < tau0 < 1.0):
         raise ConfigurationError(f"tau0 must lie in (0, 1), got {tau0}")
-    vals = phi.values if isinstance(phi, RadialPotential) else np.asarray(phi, dtype=float)
     grid = model.grid
+    vals = grid_values(phi, grid)
     if window <= 0 or grid.s_min + window > grid.s_max:
         raise ConfigurationError("window does not fit the grid")
     j = grid.index_of(grid.s_min + window)

@@ -32,6 +32,7 @@ from .grid import (
     SGrid,
     derivative,
     derivative_o4,
+    grid_values,
     left_slope,
     right_slope,
     second_derivative,
@@ -251,11 +252,8 @@ def average(phi, model: KahlerModel) -> float:
     ends, so the trapezoid sum is accurate far below the 1e-8 comparisons
     used in tests.
     """
-    vals = phi.values if isinstance(phi, RadialPotential) else np.asarray(phi, dtype=float)
-    if vals.shape != (model.grid.points,):
-        raise ConfigurationError("perturbation does not live on the model grid")
     w = model._volume_quadrature
-    return float(np.dot(w, vals) / model.total_volume)
+    return float(np.dot(w, grid_values(phi, model.grid)) / model.total_volume)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ n-1 and u''/e^s with multiplicity 1, which is what the rest of the package
 builds on.
 
 Derivatives are second-order central differences on interior nodes with
-second-order one-sided stencils at the two ends. The solver's residual and
-Jacobian use the same stencils; its Newton step folds the two one-sided rows
-into a tridiagonal system.
+second-order one-sided stencils at the two ends. The solver holds no copy of
+them: it evaluates its discrete operator once per Newton iterate with these
+functions, builds both the residual and the Jacobian from that one
+evaluation, and folds the two one-sided rows into a tridiagonal system.
 """
 
 from __future__ import annotations
@@ -183,3 +184,13 @@ class RadialPotential:
     def is_kahler(self) -> bool:
         idx, _ = self.kahler_violation()
         return idx is None
+
+
+def grid_values(phi, grid: SGrid) -> np.ndarray:
+    """Node values of a potential or array on ``grid``; any other shape is
+    rejected rather than broadcast."""
+    vals = phi.values if isinstance(phi, RadialPotential) else np.asarray(phi, dtype=float)
+    if vals.shape != (grid.points,):
+        raise ConfigurationError(
+            f"values shape {vals.shape} does not match grid with {grid.points} points")
+    return vals

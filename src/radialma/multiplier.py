@@ -24,20 +24,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import KahlerModel, average
-from .grid import RadialPotential
+from .grid import grid_values
 from .rhs import RhsFamily
 from .solver import diagnostics_for
 
 GROWTH_FACTOR = 5.0
+K_CAP = 24
 TAIL_EXTENSION = 10.0
 BORDERLINE_TOL = 1e-9
-
-
-def _phi_values(phi, model: KahlerModel) -> np.ndarray:
-    vals = phi.values if isinstance(phi, RadialPotential) else np.asarray(phi, dtype=float)
-    if vals.shape != (model.grid.points,):
-        raise ConfigurationError("phi does not live on the model grid")
-    return vals
 
 
 def _left_slope_of(vals: np.ndarray, model: KahlerModel, rhs: RhsFamily | None) -> float:
@@ -51,7 +45,7 @@ def crucial_integral(phi, tau: float, rhs: RhsFamily, model: KahlerModel) -> flo
     Computed in mass units (the measure of the whole model is d^n) and in
     log space, so deep potential wells report inf instead of overflowing.
     """
-    vals = _phi_values(phi, model)
+    vals = grid_values(phi, model.grid)
     phat = average(vals, model)
     # the discrete density carries sign noise in the flat tails where the
     # true values underflow; their contribution is below every tolerance
@@ -83,8 +77,8 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     """
     if k < 0 or int(k) != k:
         raise ConfigurationError(f"vanishing order must be a nonnegative integer, got {k}")
-    vals = _phi_values(phi, model)
     grid = model.grid
+    vals = grid_values(phi, grid)
     nu = _left_slope_of(vals, model, rhs)
     alpha = k + model.n - tau * nu
 
@@ -140,7 +134,7 @@ class PotentialSequence:
         for vals, tau, rhs in self.entries:
             if not (0.0 < tau < 1.0):
                 raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
-            norm.append((_phi_values(vals, self.model), float(tau), rhs))
+            norm.append((grid_values(vals, self.model.grid), float(tau), rhs))
         object.__setattr__(self, "entries", tuple(norm))
 
 
@@ -160,7 +154,7 @@ class StalkDescriptor:
             raise ConfigurationError("maximal-ideal stalk is in particular nontrivial")
 
 
-def stalk_from_sequence(seq: PotentialSequence, k_cap: int = 24) -> StalkDescriptor:
+def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
     """Least vanishing order whose germ integral is bounded over the sequence.
 
     Insensitive to the ordering of the entries. The reported
@@ -171,7 +165,7 @@ def stalk_from_sequence(seq: PotentialSequence, k_cap: int = 24) -> StalkDescrip
     product = 0.0
     for vals, tau, rhs in seq.entries:
         product = max(product, tau * _left_slope_of(vals, model, rhs))
-    for k in range(k_cap + 1):
+    for k in range(K_CAP + 1):
         if all(germ_integral(k, vals, tau, model, rhs).finite
                for vals, tau, rhs in seq.entries):
             return StalkDescriptor(
@@ -180,7 +174,7 @@ def stalk_from_sequence(seq: PotentialSequence, k_cap: int = 24) -> StalkDescrip
                 equals_maximal_ideal=k == 1,
                 tau_nu_product=product,
             )
-    raise ConfigurationError(f"no integrable vanishing order up to k = {k_cap}")
+    raise ConfigurationError(f"no integrable vanishing order up to k = {K_CAP}")
 
 
 @dataclass(frozen=True)

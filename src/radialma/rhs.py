@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConstraintViolationError
 from .geometry import KahlerModel, expit, softplus
-from .grid import RadialPotential, derivative, second_derivative
+from .grid import RadialPotential, derivative, grid_values, second_derivative
 
 POLE_ANCHOR_OFFSET = 6.0
 
@@ -322,9 +322,7 @@ def check_lower_bound(rhs: RhsFamily, t: float = 0.0,
     q1, q2 = rhs.log_curvature_derivs()
     mask = None
     if phi is not None and t != 0.0:
-        vals = phi.values if isinstance(phi, RadialPotential) else np.asarray(phi, dtype=float)
-        if vals.shape != (m.grid.points,):
-            raise ConfigurationError("phi does not live on the model grid")
+        vals = grid_values(phi, m.grid)
         q1 = q1 - t * derivative(vals, m.grid.h)
         q2 = q2 - t * second_derivative(vals, m.grid.h)
         # grid curvature of phi is noise-limited; certify only where the

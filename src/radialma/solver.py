@@ -13,6 +13,12 @@ the model mass and leaves the additive level to the equation. The neutral
 family is level-invariant, so its right row is replaced by the anchor
 phi(s_max) = 0.
 
+``residual_from_perturbation`` is the one evaluation of this operator: it
+returns the residual together with the interior u', u'' and e^{sigma t phi}
+it was built from, and ``_assemble_jacobian`` linearises that same
+evaluation, so each accepted Newton iterate is differentiated and
+exponentiated once. The stencils are those of ``grid``.
+
 A key identity of the central stencils: with half-node slopes
 w_{i+1/2} = (u_{i+1} - u_i)/h,
 
@@ -28,13 +34,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError
 from .geometry import Diagnostics, KahlerModel, average, lelong_estimate, mass
-from .grid import RadialPotential, derivative, second_derivative
+from .grid import (
+    RadialPotential,
+    derivative,
+    grid_values,
+    left_slope,
+    right_slope,
+    second_derivative,
+)
 from .rhs import RhsFamily, build_dirac_rhs, xi_eps, xi_eps_d1
 
 LELONG_WINDOW = 5.0
@@ -42,6 +56,8 @@ LELONG_CAP = -1.0
 DIVERGENCE_THRESHOLD = 50.0
 BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
+MAX_HALVINGS = 20
+DT_INITIAL = 0.05
 
 _SIGNS = {"reducing": 1.0, "neutral": 0.0, "magnifying": -1.0}
 
@@ -85,14 +101,13 @@ def magnifying(t: float) -> EquationKind:
 class SolveConfig:
     newton_tol: float = 1e-10
     max_iters: int = 50
-    max_halvings: int = 20
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ConfigurationError("newton_tol must be positive")
-        if self.max_iters < 1 or self.max_halvings < 1:
-            raise ConfigurationError("iteration limits must be positive")
+        if self.max_iters < 1:
+            raise ConfigurationError("max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,16 @@ def _exponent(kind: EquationKind, phi: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(rate * phi, -700.0, 700.0))
 
 
+class Evaluation(NamedTuple):
+    """The discrete operator at one perturbation: the residual and the
+    interior terms it was built from, which the Jacobian reuses."""
+
+    residual: np.ndarray
+    u1: np.ndarray   # u' on interior nodes
+    u2: np.ndarray   # u'' on interior nodes
+    ex: np.ndarray   # e^{sigma t phi} on interior nodes
+
+
 def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
     """Nodewise residual; identically zero at exact discrete solutions.
 
@@ -152,90 +177,62 @@ def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.nd
     rounding noise scales with |phi| rather than |u| and F = 1, phi = 0 is
     an exact zero.
     """
-    if isinstance(u, RadialPotential):
-        phi = u.values - model.psi.values
-    else:
-        phi = np.asarray(u, dtype=float) - model.psi.values
-    return residual_from_perturbation(phi, model, rhs, kind)
+    phi = grid_values(u, model.grid) - model.psi.values
+    return residual_from_perturbation(phi, model, rhs, kind).residual
 
 
 def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
-                               kind: EquationKind) -> np.ndarray:
-    """Residual as a function of phi = u - psi directly.
+                               kind: EquationKind) -> Evaluation:
+    """The discrete operator as a function of phi = u - psi directly.
 
     This is the solver's native variable: representing u = psi + phi first
     would absorb small perturbations into the rounding of the large psi
-    values, so callers probing derivatives use this form.
+    values, so callers probing derivatives use this form. The returned
+    ``Evaluation`` carries the residual and the interior terms that
+    ``_assemble_jacobian`` linearises.
     """
     n, h = model.n, model.grid.h
-    p1 = derivative(phi, h)
-    p2 = second_derivative(phi, h)
-    u1 = model.psi_d1 + p1
-    u2 = model.psi_d2 + p2
+    u1 = model.psi_d1[1:-1] + derivative(phi, h)[1:-1]
+    u2 = model.psi_d2[1:-1] + second_derivative(phi, h)[1:-1]
+    ex = _exponent(kind, phi[1:-1])
     r = np.empty_like(phi)
-    ex = _exponent(kind, phi[1:-1])
-    r[1:-1] = u1[1:-1] ** (n - 1) * u2[1:-1] - ex * rhs.interior_density
-    r[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * h) - rhs.left_flux_offset
-    if kind.exponent_rate == 0.0:
-        r[-1] = phi[-1]
-    else:
-        r[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * h)
-    return r
+    r[1:-1] = u1 ** (n - 1) * u2 - ex * rhs.interior_density
+    r[0] = left_slope(phi, h) - rhs.left_flux_offset
+    r[-1] = phi[-1] if kind.exponent_rate == 0.0 else right_slope(phi, h)
+    return Evaluation(r, u1, u2, ex)
 
 
-def apply_linearization(u, v: np.ndarray, model: KahlerModel, rhs: RhsFamily,
-                        kind: EquationKind) -> np.ndarray:
-    """Directional derivative of the interior residual at u in direction v:
-
-        (n-1)(u')^{n-2} u'' v' + (u')^{n-1} v'' - sigma t e^{sigma t phi} F W v.
-
-    Returned on interior nodes; used by the Jacobian consistency checks.
-    """
-    n, h = model.n, model.grid.h
-    uv = u.values if isinstance(u, RadialPotential) else np.asarray(u, dtype=float)
-    phi = uv - model.psi.values
-    u1 = derivative(uv, h)[1:-1]
-    u2 = second_derivative(uv, h)[1:-1]
-    v1 = derivative(v, h)[1:-1]
-    v2 = second_derivative(v, h)[1:-1]
-    rate = kind.exponent_rate
-    ex = _exponent(kind, phi[1:-1])
-    first = (n - 1) * u1 ** (n - 2) * u2 * v1 if n > 1 else 0.0
-    return first + u1 ** (n - 1) * v2 - rate * ex * rhs.interior_density * v[1:-1]
-
-
-def _assemble_jacobian(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
+def _assemble_jacobian(ev: Evaluation, model: KahlerModel, rhs: RhsFamily,
                        kind: EquationKind):
-    """Jacobian as three diagonals plus the corners of the two one-sided rows.
+    """Jacobian at an evaluated iterate: three diagonals plus the corners of
+    the two one-sided rows.
 
+    Interior row i linearises (u')^{n-1} u'' - e^{sigma t phi} F W as
+    (n-1)(u')^{n-2} u'' v' + (u')^{n-1} v'' - sigma t e^{sigma t phi} F W v.
     Returns ``(dl, d, du, left, right)``: row i holds dl[i-1], d[i], du[i] in
     columns i-1, i, i+1; ``left`` is row 0's entry in column 2 and ``right``
     row N-1's entry in column N-3 (zero for the neutral level anchor).
     """
     n, h = model.n, model.grid.h
-    N = phi.size
-    u1 = model.psi_d1[1:-1] + derivative(phi, h)[1:-1]
-    u2 = model.psi_d2[1:-1] + second_derivative(phi, h)[1:-1]
+    N = ev.residual.size
+    u1, u2 = ev.u1, ev.u2
     rate = kind.exponent_rate
     a = u1 ** (n - 1) / h**2
     b = (n - 1) * u1 ** (n - 2) * u2 / (2.0 * h) if n > 1 else 0.0
     dl = np.empty(N - 1)
     d = np.empty(N)
     du = np.empty(N - 1)
-    d[1:-1] = -2.0 * a - rate * _exponent(kind, phi[1:-1]) * rhs.interior_density
+    d[1:-1] = -2.0 * a - rate * ev.ex * rhs.interior_density
     du[1:] = a + b
     dl[:-1] = a - b
-    d[0] = -3.0 / (2.0 * h)
-    du[0] = 4.0 / (2.0 * h)
-    left = -1.0 / (2.0 * h)
+    # the flux rows are linear in phi: their entries are the slopes of the
+    # unit vectors
+    unit = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    d[0], du[0], left = (left_slope(e, h) for e in unit)
     if rate == 0.0:
-        d[-1] = 1.0
-        dl[-1] = 0.0
-        right = 0.0
+        right, dl[-1], d[-1] = 0.0, 0.0, 1.0
     else:
-        d[-1] = 3.0 / (2.0 * h)
-        dl[-1] = -4.0 / (2.0 * h)
-        right = 1.0 / (2.0 * h)
+        right, dl[-1], d[-1] = (right_slope(e, h) for e in unit)
     return dl, d, du, left, right
 
 
@@ -312,14 +309,14 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
         if kind.kind == "neutral" and rhs.kind != "constant":
             phi = _neutral_seed(model, rhs)
 
-    r = residual_from_perturbation(phi, model, rhs, kind)
-    rnorm = float(np.max(np.abs(r)))
+    ev = residual_from_perturbation(phi, model, rhs, kind)
+    rnorm = float(np.max(np.abs(ev.residual)))
     iters = 0
     message = ""
     while rnorm > cfg.newton_tol and iters < cfg.max_iters:
-        jac = _assemble_jacobian(phi, model, rhs, kind)
         try:
-            v = _solve_newton_step(*jac, r)
+            # assembled inline, so the diagonals are freed before damping
+            v = _solve_newton_step(*_assemble_jacobian(ev, model, rhs, kind), ev.residual)
         except np.linalg.LinAlgError as exc:
             message = f"linear solve singular: {exc}"
             break
@@ -328,19 +325,20 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             break
         lam = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             cand = phi + lam * v
             if n > 1:
                 floor = _slope_floor(cand, h)
                 if np.min((model.psi_d1 + derivative(cand, h))[1:-1]) <= -floor:
                     lam *= 0.5
                     continue
-            rc = residual_from_perturbation(cand, model, rhs, kind)
-            rcn = float(np.max(np.abs(rc)))
+            ec = residual_from_perturbation(cand, model, rhs, kind)
+            rcn = float(np.max(np.abs(ec.residual)))
             if np.isfinite(rcn) and rcn < rnorm:
-                phi, r, rnorm = cand, rc, rcn
+                phi, ev, rnorm = cand, ec, rcn
                 accepted = True
                 break
+            del ec  # a rejected evaluation is not kept while the next is built
             lam *= 0.5
         iters += 1
         if not accepted:
@@ -409,7 +407,7 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
     n, h = m.n, m.grid.h
     R = rhs.interior_density
     psi = m.psi.values
-    beta = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h) + rhs.left_flux_offset
+    beta = left_slope(psi, h) + rhs.left_flux_offset
 
     def left_row(w0: float) -> float:
         # cumulative cell masses can dip below zero by rounding noise in the
@@ -443,8 +441,7 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
 # Diagnostics
 
 
-def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None,
-                    window: float = LELONG_WINDOW) -> Diagnostics:
+def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Diagnostics:
     """Diagnostics of a perturbation: extrema, volume average, pole data.
 
     The Lelong secant is anchored at s_min for smooth families. For the
@@ -453,21 +450,21 @@ def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None,
     (and capped away from the bulk chart boundary), where the limiting
     slope has formed.
     """
-    vals = phi.values if isinstance(phi, RadialPotential) else np.asarray(phi, dtype=float)
     grid = model.grid
+    vals = grid_values(phi, grid)
     u = RadialPotential(grid, model.psi.values + vals, model.n)
     if rhs is not None and rhs.pole_anchor is not None:
         # anchor just above the mollified layer, capped away from the bulk
         cap = min(LELONG_CAP, grid.s_max - 4.0 * grid.h)
         a0 = max(rhs.pole_anchor, grid.s_min)
-        b = min(a0 + window, cap)
+        b = min(a0 + LELONG_WINDOW, cap)
         a = max(min(a0, b - max(4.0 * grid.h, 1.0)), grid.s_min)
         if b - a >= 4.0 * grid.h:
             est = lelong_estimate(u, b - a, anchor=a)
         else:
-            est = lelong_estimate(u, window)
+            est = lelong_estimate(u, LELONG_WINDOW)
     else:
-        est = lelong_estimate(u, window)
+        est = lelong_estimate(u, LELONG_WINDOW)
     return Diagnostics(
         sup_phi=float(np.max(vals)),
         inf_phi=float(np.min(vals)),
@@ -485,12 +482,12 @@ def pole_slope_sample(phi, model: KahlerModel, rhs: RhsFamily) -> float:
     singular mass has produced; comparisons across equation kinds at equal
     eps use this common sample point.
     """
-    vals = phi.values if isinstance(phi, RadialPotential) else np.asarray(phi, dtype=float)
-    anchor = rhs.pole_anchor if rhs.pole_anchor is not None else model.grid.s_min
-    i = model.grid.index_of(min(anchor, 0.0))
-    i = min(max(i, 1), model.grid.points - 2)
-    u = model.psi.values + vals
-    return float((u[i + 1] - u[i - 1]) / (2.0 * model.grid.h))
+    grid = model.grid
+    u = model.psi.values + grid_values(phi, grid)
+    anchor = rhs.pole_anchor if rhs.pole_anchor is not None else grid.s_min
+    i = grid.index_of(min(anchor, 0.0))
+    i = min(max(i, 1), grid.points - 2)
+    return float(derivative(u[i - 1:i + 2], grid.h)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +515,6 @@ def _mass_balanced_shift(phi: np.ndarray, rhs: RhsFamily, kind: EquationKind) ->
 
 def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                     t_target: float, config: SolveConfig | None = None,
-                    dt_initial: float = 0.05,
                     divergence_threshold: float = DIVERGENCE_THRESHOLD,
                     ) -> tuple[ContinuityTrace, SolveResult | None]:
     """Adaptive continuation in t from the neutral base to ``t_target``.
@@ -550,7 +546,7 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
 
     phi = base.phi
     t = 0.0
-    dt = min(dt_initial, t_target)
+    dt = min(DT_INITIAL, t_target)
     last = base
     verdict = None
     while t < t_target - 1e-14:

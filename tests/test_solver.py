@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialma import (
     ConfigurationError,
@@ -9,6 +11,7 @@ from radialma import (
     KahlerModel,
     SGrid,
     SolveConfig,
+    bootstrap_lelong_bound,
     build_dirac_rhs,
     build_divisor_rhs,
     constant_rhs,
@@ -26,12 +29,12 @@ from radialma import (
 from radialma.solver import (
     _assemble_jacobian,
     _solve_newton_step,
-    apply_linearization,
     diagnostics_for,
     pole_slope_sample,
+    residual_from_perturbation,
 )
 
-from conftest import gaussian_bump
+from conftest import gaussian_bump, jacobian_matvec
 from oracles import continuum_neutral_potential
 
 
@@ -61,23 +64,21 @@ class TestResidual:
     def test_neutral_n1_is_linear_in_curvature(self, model_n1):
         # for n = 1 the neutral residual is u'' - F psi'': adding a bump
         # changes the residual by exactly the bump's second difference
-        from radialma.solver import residual_from_perturbation
         rhs = build_dirac_rhs(0.7, 1e-2, model_n1)
         g = model_n1.grid
         bump = gaussian_bump(g, 0.2)
-        r0 = residual_from_perturbation(np.zeros(g.points), model_n1, rhs, neutral())
-        r1 = residual_from_perturbation(bump, model_n1, rhs, neutral())
+        r0 = residual_from_perturbation(np.zeros(g.points), model_n1, rhs, neutral()).residual
+        r1 = residual_from_perturbation(bump, model_n1, rhs, neutral()).residual
         from radialma.grid import second_derivative
         expected = second_derivative(bump, g.h)
         assert np.max(np.abs((r1 - r0)[1:-1] - expected[1:-1])) < 1e-11
 
     def test_constant_shift_magnifying_closed_form(self, model_n1):
         # phi = c: interior residual is W (1 - e^{-tc} F), here F = 1
-        from radialma.solver import residual_from_perturbation
         rhs = constant_rhs(model_n1)
         c, t = 0.8, 0.5
         phi = np.full(model_n1.grid.points, c)
-        r = residual_from_perturbation(phi, model_n1, rhs, magnifying(t))
+        r = residual_from_perturbation(phi, model_n1, rhs, magnifying(t)).residual
         w = model_n1.weight[1:-1]
         expected = w * (1.0 - np.exp(-t * c))
         assert np.max(np.abs(r[1:-1] - expected)) < 1e-14
@@ -92,23 +93,23 @@ class TestResidual:
     def test_linearization_matches_finite_differences(self, model_n1):
         # acceptance: Jacobian consistency over 10 random smooth directions,
         # probed in the perturbation variable (the solver's unknown)
-        from radialma.solver import residual_from_perturbation
         rng = np.random.default_rng(42)
         rhs = build_dirac_rhs(1.0, 1e-2, model_n1)
         kind = magnifying(0.3)
         g = model_n1.grid
         phi0 = gaussian_bump(g, 0.1)
-        u0 = model_n1.psi.values + phi0
+        jac = _assemble_jacobian(residual_from_perturbation(phi0, model_n1, rhs, kind),
+                                 model_n1, rhs, kind)
         delta = 1e-5
         for _ in range(10):
             coeffs = rng.normal(size=6)
             v = sum(c * np.sin((k + 3) * np.pi * (g.nodes - g.s_min) / 80.0)
                     for k, c in enumerate(coeffs))
             v *= np.exp(-g.nodes**2 / 200.0)
-            fd = (residual_from_perturbation(phi0 + delta * v, model_n1, rhs, kind)
-                  - residual_from_perturbation(phi0 - delta * v, model_n1, rhs, kind)
+            fd = (residual_from_perturbation(phi0 + delta * v, model_n1, rhs, kind).residual
+                  - residual_from_perturbation(phi0 - delta * v, model_n1, rhs, kind).residual
                   ) / (2 * delta)
-            lin = apply_linearization(u0, v, model_n1, rhs, kind)
+            lin = jacobian_matvec(jac, v)[1:-1]
             denom = np.max(np.abs(lin))
             assert np.max(np.abs(fd[1:-1] - lin)) / denom < 1e-6
 
@@ -134,7 +135,8 @@ class TestJacobian:
         rhs = build_dirac_rhs(0.5 * (n + 1.0), 1e-1, m)
         phi = gaussian_bump(m.grid, 0.1)
         eq = EquationKind(kind, t)
-        return m, rhs, eq, phi, _assemble_jacobian(phi, m, rhs, eq)
+        ev = residual_from_perturbation(phi, m, rhs, eq)
+        return m, rhs, eq, phi, _assemble_jacobian(ev, m, rhs, eq)
 
     @JACOBIAN_N
     @JACOBIAN_KINDS
@@ -143,7 +145,6 @@ class TestJacobian:
         # included. The five-point difference is exact on the polynomial part
         # of the residual (degree n <= 3 in phi), which matters in the far
         # left tail where a step of delta / h is comparable to u' itself.
-        from radialma.solver import residual_from_perturbation
         m, rhs, kind, phi, jac = self._state(n, kind, t)
         J = _dense_jacobian(*jac)
         delta = 1e-6
@@ -151,7 +152,7 @@ class TestJacobian:
         def res(j, k):
             e = np.zeros(phi.size)
             e[j] = k * delta
-            return residual_from_perturbation(phi + e, m, rhs, kind)
+            return residual_from_perturbation(phi + e, m, rhs, kind).residual
 
         fd = np.empty_like(J)
         for j in range(phi.size):
@@ -163,13 +164,37 @@ class TestJacobian:
     @JACOBIAN_N
     @JACOBIAN_KINDS
     def test_folded_step_matches_dense_solve(self, n, kind, t):
-        from radialma.solver import residual_from_perturbation
         m, rhs, kind, phi, jac = self._state(n, kind, t)
         J = _dense_jacobian(*jac)
-        r = residual_from_perturbation(phi, m, rhs, kind)
+        r = residual_from_perturbation(phi, m, rhs, kind).residual
         v = _solve_newton_step(*jac, r)
         expected = np.linalg.solve(J, -r)
         assert np.max(np.abs(v - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 3),
+           kind=st.sampled_from(["reducing", "neutral", "magnifying"]),
+           t=st.floats(0.0, 0.95, exclude_max=True),
+           amplitude=st.floats(-0.5, 0.5),
+           center=st.floats(-5.0, 5.0),
+           width=st.floats(1.0, 4.0),
+           v_center=st.floats(-5.0, 5.0))
+    def test_matvec_matches_finite_differences(self, n, kind, t, amplitude, center,
+                                               width, v_center):
+        # J v from the evaluation's own terms against a centred difference of
+        # the residual, at a smooth bump phi, along a smooth bump direction
+        m = KahlerModel(n, n + 1.0, self.GRID)
+        rhs = build_dirac_rhs(0.5 * (n + 1.0), 1e-1, m)
+        eq = EquationKind(kind, t)
+        phi = gaussian_bump(m.grid, amplitude, center, width)
+        v = gaussian_bump(m.grid, 1.0, v_center, 2.0)
+        jv = jacobian_matvec(_assemble_jacobian(residual_from_perturbation(phi, m, rhs, eq),
+                                                m, rhs, eq), v)
+        delta = 1e-6
+        fd = (residual_from_perturbation(phi + delta * v, m, rhs, eq).residual
+              - residual_from_perturbation(phi - delta * v, m, rhs, eq).residual
+              ) / (2 * delta)
+        assert np.max(np.abs(fd - jv)) <= 1e-6 * np.max(np.abs(jv))
 
 
 class TestFixedPoints:
@@ -399,6 +424,20 @@ class TestContinuity:
         params = [rec.param for rec in trace.entries]
         assert params == sorted(params)
 
+    @pytest.mark.parametrize("n,kind,iterations,steps", [
+        (1, "magnifying", 11, 3), (1, "reducing", 12, 3),
+        (2, "magnifying", 20, 4), (2, "reducing", 13, 3)])
+    def test_work_counts(self, request, n, kind, iterations, steps):
+        # Newton iterations over the trace and accepted steps, gamma = 1,
+        # eps = 1e-3, t = 0.2: a Jacobian that lags the iterate loses
+        # quadratic convergence and needs more of both
+        m = request.getfixturevalue(f"model_n{n}")
+        rhs = build_dirac_rhs(1.0, 1e-3, m)
+        trace, _ = continuity_in_t(m, rhs, EquationKind(kind, 0.2), 0.2)
+        assert trace.verdict == "reached_target"
+        assert sum(rec.iterations for rec in trace.entries) <= iterations
+        assert len(trace.entries) - 1 <= steps
+
     def test_exactly_one_verdict(self, model_n1):
         rhs = build_dirac_rhs(1.0, 1e-2, model_n1)
         for target in (0.2, 0.6):
@@ -498,3 +537,13 @@ class TestDiagnostics:
         # the left-edge secant cannot see the pole of a finite mollifier
         assert plain.lelong.value < 0.1
         assert anchored.lelong.value == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.parametrize("points", [1, 10])
+    def test_wrong_length_phi_rejected(self, model_n1, points):
+        # a short array would broadcast against psi or be read in part
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        phi = np.full(points, 0.5)
+        with pytest.raises(ConfigurationError):
+            pole_slope_sample(phi, model_n1, rhs)
+        with pytest.raises(ConfigurationError):
+            bootstrap_lelong_bound(phi, 0.2, 1.0, 5.0, model_n1)
