@@ -38,7 +38,6 @@ from .solver import (
     SolveConfig,
     continuity_in_t,
     newton_solve,
-    neutral_oracle,
     sweep_epsilon,
 )
 
@@ -365,11 +364,9 @@ def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
 
     gam = min(1.0, model.degree)
     rhs = build_dirac_rhs(gam, 1e-3, model)
-    newton = newton_solve(model, rhs, EquationKind("neutral"), cfg.solve_config())
-    oracle = neutral_oracle(model, rhs)
-    gap = float(np.max(np.abs(newton.u.values - oracle.values)))
-    checks.append(("neutral_oracle_agreement", newton.converged and gap <= 1e-6,
-                   f"sup gap = {fmt(gap)}"))
+    neutral = newton_solve(model, rhs, EquationKind("neutral"), cfg.solve_config())
+    checks.append(("neutral_residual", neutral.converged,
+                   f"sup residual = {fmt(neutral.residual_norm)}"))
 
     ok = destabilizes(line_tangent(), tangent_on_line(5))
     checks.append(("slope_example", ok and normalized_slope(tangent_on_line(5)) ==

@@ -67,10 +67,10 @@ def fubini_study_potential(n: int, degree: float, grid: SGrid) -> RadialPotentia
 class KahlerModel:
     """Reference geometry: dimension n, polarisation degree d, grid, psi.
 
-    Carries both the discrete derivative arrays of psi (used by the solver,
-    so that F = 1 has the exact discrete fixed point phi = 0) and the
-    logistic closed forms (used for quadrature weights and curvature
-    ratios). Immutable after construction.
+    Carries both the discrete half-node slopes of psi and its cell flux
+    (used by the solver, so that F = 1 has the exact discrete fixed point
+    phi = 0) and the logistic closed forms (used for quadrature weights and
+    curvature ratios). Immutable after construction.
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
@@ -90,17 +90,19 @@ class KahlerModel:
     # -- discrete arrays used by the solver --------------------------------
 
     @cached_property
-    def psi_d1(self) -> np.ndarray:
-        return self.psi.d1
-
-    @cached_property
-    def psi_d2(self) -> np.ndarray:
-        return self.psi.d2
+    def psi_slopes(self) -> np.ndarray:
+        """Half-node slopes (psi_{i+1} - psi_i) / h, N - 1 of them."""
+        w = np.diff(self.psi.values) / self.grid.h
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def weight(self) -> np.ndarray:
-        """Discrete reduced density (psi')^{n-1} psi'' on all nodes."""
-        w = self.psi_d1 ** (self.n - 1) * self.psi_d2
+        """Discrete cell flux of psi, the reduced density (psi')^{n-1} psi''
+        of the flux form: ((W_{i+1/2})^n - (W_{i-1/2})^n) / (n h) on interior
+        nodes with W = ``psi_slopes``, and 0 on the two boundary nodes."""
+        w = np.zeros(self.grid.points)
+        w[1:-1] = np.diff(self.psi_slopes ** self.n) / (self.n * self.grid.h)
         w.flags.writeable = False
         return w
 

@@ -7,10 +7,11 @@ n-1 and u''/e^s with multiplicity 1, which is what the rest of the package
 builds on.
 
 Derivatives are second-order central differences on interior nodes with
-second-order one-sided stencils at the two ends. The solver holds no copy of
-them: it evaluates its discrete operator once per Newton iterate with these
-functions, builds both the residual and the Jacobian from that one
-evaluation, and folds the two one-sided rows into a tridiagonal system.
+second-order one-sided stencils at the two ends; they serve the diagnostics
+(Kahler positivity, dominance, pole slopes). The solver's interior rows are
+in flux form on half-node slopes (differences of neighbouring node values
+over h), and only its two boundary rows use the one-sided slopes
+``left_slope`` and ``right_slope`` defined here.
 """
 
 from __future__ import annotations

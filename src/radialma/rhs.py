@@ -21,9 +21,12 @@ Three families of positive densities F on the model are supported:
     analogue of dividing by |section|^2 of a small multi-valued power of
     the polarisation. Normalisable only for delta' < n.
 
-The singular parts are sampled through the same discrete derivative
-stencils as the solver residual, so discrete mass sums telescope exactly
-and F = 1 remains an exact fixed point at gamma = 0 / delta' = 0.
+The reduced densities are cell masses of the solver's flux form:
+differences of half-node slope powers over n h, of psi for the smooth part
+(``KahlerModel.weight``) and of xi_eps for the point-mass part. Discrete
+mass sums therefore telescope exactly, the point-mass cell masses are
+nonnegative, and F = 1 remains an exact fixed point at gamma = 0 /
+delta' = 0.
 """
 
 from __future__ import annotations
@@ -76,10 +79,10 @@ class RhsFamily:
     """A normalised positive density F on the model grid.
 
     ``values`` is F itself; ``density`` is the reduced mass density
-    R = F (psi')^{n-1} psi'' sampled with the solver's discrete stencils
-    (the object the solver actually consumes). ``left_flux_offset`` is the
-    prescribed excess of u' over psi' at s_min, nonzero only when singular
-    mass sits at or below the truncation cut.
+    R = F (psi')^{n-1} psi'' as cell masses of the solver's flux form, zero
+    on the two boundary nodes (the object the solver actually consumes).
+    ``left_flux_offset`` is the prescribed excess of u' over psi' at s_min,
+    nonzero only when singular mass sits at or below the truncation cut.
     """
 
     kind: str
@@ -194,11 +197,13 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     if gamma == 0.0:
         return constant_rhs(m)
 
+    # cell masses of the singular part: exact half-node slopes of xi_eps,
+    # (xi(s + h) - xi(s)) / h = log1p(expm1(h) xi'(s)) / h, which increase,
+    # so every cell mass is nonnegative
     h = m.grid.h
-    xi = xi_eps(m.grid.nodes, eps)
-    xi1 = derivative(xi, h)
-    xi2 = second_derivative(xi, h)
-    p_xi = xi1 ** (n - 1) * xi2
+    xi_slopes = np.log1p(np.expm1(h) * xi_eps_d1(m.grid.nodes[:-1], eps)) / h
+    p_xi = np.zeros(m.grid.points)
+    p_xi[1:-1] = np.diff(xi_slopes ** n) / (n * h)
     w = m.weight
     total = float(np.sum(w[1:-1]))
     sing = float(np.sum(p_xi[1:-1]))

@@ -6,28 +6,30 @@ reduced variables,
     (u')^{n-1} u'' = e^{sigma * t * phi} F (psi')^{n-1} psi''
 
 with sigma = +1 (pole-shrinking family), 0 (pole-neutral family) and
--1 (pole-amplifying family). Interior nodes carry the equation with central
-differences; the two boundary rows prescribe the one-sided slope of phi
-(flux conditions), which pins the total reduced mass of every solution to
-the model mass and leaves the additive level to the equation. The neutral
+-1 (pole-amplifying family). The left side is d[(u')^n] / (n ds), and
+interior node i carries it in flux form: with the half-node slopes
+w_{i+1/2} = (u_{i+1} - u_i) / h = ``psi_slopes`` + (phi_{i+1} - phi_i) / h,
+
+    ((w_{i+1/2})^n - (w_{i-1/2})^n) / (n h) = e^{sigma t phi_i} R_i,
+
+where R is the cell mass of the right-hand side (``RhsFamily.density``).
+The two boundary rows prescribe the one-sided slope of phi (flux
+conditions), which pins the total reduced mass of every solution to the
+model mass and leaves the additive level to the equation. The neutral
 family is level-invariant, so its right row is replaced by the anchor
 phi(s_max) = 0.
 
-``residual_from_perturbation`` is the one evaluation of this operator: it
-returns the residual together with the interior u', u'' and e^{sigma t phi}
-it was built from, and ``_assemble_jacobian`` linearises that same
-evaluation, so each accepted Newton iterate is differentiated and
-exponentiated once. The stencils are those of ``grid``.
+The rows telescope for every n, so the neutral equation has an exact
+discrete first integral: the slope powers accumulate the cell masses.
+``neutral_oracle`` integrates it by quadrature, and ``newton_solve``
+returns that quadrature for every kind whose exponent rate is 0, with no
+Newton iteration and ignoring ``initial_guess``.
 
-A key identity of the central stencils: with half-node slopes
-w_{i+1/2} = (u_{i+1} - u_i)/h,
-
-    u'_i u''_i = (w_{i+1/2}^2 - w_{i-1/2}^2) / (2h),
-
-and likewise u''_i telescopes for n = 1. The neutral equation therefore has
-an exact discrete first integral, which ``neutral_oracle`` integrates
-directly (no Newton iteration); for n <= 2 the oracle and the Newton path
-solve algebraically identical systems and must agree to solver tolerance.
+For the time-dependent families ``residual_from_perturbation`` is the one
+evaluation of the operator per Newton iterate: it returns the residual
+together with the half-node slopes and e^{sigma t phi} it was built from,
+and ``_assemble_jacobian`` linearises that same evaluation into a
+symmetric interior tridiagonal.
 """
 
 from __future__ import annotations
@@ -41,15 +43,8 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError
 from .geometry import Diagnostics, KahlerModel, average, lelong_estimate, mass
-from .grid import (
-    RadialPotential,
-    derivative,
-    grid_values,
-    left_slope,
-    right_slope,
-    second_derivative,
-)
-from .rhs import RhsFamily, build_dirac_rhs, xi_eps, xi_eps_d1
+from .grid import RadialPotential, derivative, grid_values, left_slope, right_slope
+from .rhs import RhsFamily, build_dirac_rhs
 
 LELONG_WINDOW = 5.0
 LELONG_CAP = -1.0
@@ -158,24 +153,24 @@ def _exponent(kind: EquationKind, phi: np.ndarray) -> np.ndarray:
 
 class Evaluation(NamedTuple):
     """The discrete operator at one perturbation: the residual and the
-    interior terms it was built from, which the Jacobian reuses."""
+    terms it was built from, which the Jacobian reuses."""
 
     residual: np.ndarray
-    u1: np.ndarray   # u' on interior nodes
-    u2: np.ndarray   # u'' on interior nodes
+    w: np.ndarray    # half-node slopes of u, N - 1 of them
     ex: np.ndarray   # e^{sigma t phi} on interior nodes
 
 
 def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
     """Nodewise residual; identically zero at exact discrete solutions.
 
-    Interior rows are (u')^{n-1} u'' - e^{sigma t phi} F (psi')^{n-1} psi'';
-    the first and last rows are the flux conditions on phi (for the neutral
-    family the last row is the level anchor phi(s_max) = 0).
+    Interior rows are the flux differences of the half-node slope powers
+    minus e^{sigma t phi} times the cell masses; the first and last rows are
+    the flux conditions on phi (for the rate-0 kinds the last row is the
+    level anchor phi(s_max) = 0).
 
-    The derivative stencils are applied to psi and to phi separately, so
-    rounding noise scales with |phi| rather than |u| and F = 1, phi = 0 is
-    an exact zero.
+    The slopes of psi and of phi are differenced separately, so rounding
+    noise scales with |phi| rather than |u| and F = 1, phi = 0 is an exact
+    zero.
     """
     phi = grid_values(u, model.grid) - model.psi.values
     return residual_from_perturbation(phi, model, rhs, kind).residual
@@ -188,51 +183,42 @@ def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFami
     This is the solver's native variable: representing u = psi + phi first
     would absorb small perturbations into the rounding of the large psi
     values, so callers probing derivatives use this form. The returned
-    ``Evaluation`` carries the residual and the interior terms that
-    ``_assemble_jacobian`` linearises.
+    ``Evaluation`` carries the residual and the half-node slopes and
+    exponentials that ``_assemble_jacobian`` linearises.
     """
     n, h = model.n, model.grid.h
-    u1 = model.psi_d1[1:-1] + derivative(phi, h)[1:-1]
-    u2 = model.psi_d2[1:-1] + second_derivative(phi, h)[1:-1]
+    w = model.psi_slopes + np.diff(phi) / h
     ex = _exponent(kind, phi[1:-1])
     r = np.empty_like(phi)
-    r[1:-1] = u1 ** (n - 1) * u2 - ex * rhs.interior_density
+    r[1:-1] = np.diff(w ** n) / (n * h) - ex * rhs.interior_density
     r[0] = left_slope(phi, h) - rhs.left_flux_offset
     r[-1] = phi[-1] if kind.exponent_rate == 0.0 else right_slope(phi, h)
-    return Evaluation(r, u1, u2, ex)
+    return Evaluation(r, w, ex)
 
 
 def _assemble_jacobian(ev: Evaluation, model: KahlerModel, rhs: RhsFamily,
                        kind: EquationKind):
-    """Jacobian at an evaluated iterate: three diagonals plus the corners of
-    the two one-sided rows.
+    """Jacobian at an evaluated iterate of a time-dependent kind: three
+    diagonals plus the corners of the two one-sided rows.
 
-    Interior row i linearises (u')^{n-1} u'' - e^{sigma t phi} F W as
-    (n-1)(u')^{n-2} u'' v' + (u')^{n-1} v'' - sigma t e^{sigma t phi} F W v.
-    Returns ``(dl, d, du, left, right)``: row i holds dl[i-1], d[i], du[i] in
-    columns i-1, i, i+1; ``left`` is row 0's entry in column 2 and ``right``
-    row N-1's entry in column N-3 (zero for the neutral level anchor).
+    Interior row i linearises the flux difference minus e^{sigma t phi} R
+    as (c_{i+1/2} (v_{i+1} - v_i) - c_{i-1/2} (v_i - v_{i-1})) / h^2
+    - sigma t e^{sigma t phi} R v_i, with c = w^{n-1}: symmetric, with the
+    conductances c / h^2 off the diagonal. Returns ``(dl, d, du, left,
+    right)``: row i holds dl[i-1], d[i], du[i] in columns i-1, i, i+1;
+    ``left`` is row 0's entry in column 2 and ``right`` row N-1's entry in
+    column N-3.
     """
     n, h = model.n, model.grid.h
-    N = ev.residual.size
-    u1, u2 = ev.u1, ev.u2
-    rate = kind.exponent_rate
-    a = u1 ** (n - 1) / h**2
-    b = (n - 1) * u1 ** (n - 2) * u2 / (2.0 * h) if n > 1 else 0.0
-    dl = np.empty(N - 1)
-    d = np.empty(N)
-    du = np.empty(N - 1)
-    d[1:-1] = -2.0 * a - rate * ev.ex * rhs.interior_density
-    du[1:] = a + b
-    dl[:-1] = a - b
+    c = ev.w ** (n - 1) / h**2
+    d = np.empty(c.size + 1)
+    d[1:-1] = -(c[1:] + c[:-1]) - kind.exponent_rate * ev.ex * rhs.interior_density
+    dl, du = c, c.copy()
     # the flux rows are linear in phi: their entries are the slopes of the
     # unit vectors
     unit = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     d[0], du[0], left = (left_slope(e, h) for e in unit)
-    if rate == 0.0:
-        right, dl[-1], d[-1] = 0.0, 0.0, 1.0
-    else:
-        right, dl[-1], d[-1] = (right_slope(e, h) for e in unit)
+    right, dl[-1], d[-1] = (right_slope(e, h) for e in unit)
     return dl, d, du, left, right
 
 
@@ -260,17 +246,16 @@ def _solve_newton_step(dl: np.ndarray, d: np.ndarray, du: np.ndarray, left: floa
     b = -r / rs
     left /= rs[0]
     right /= rs[-1]
-    if du[1] == 0.0 or (right != 0.0 and dl[-2] == 0.0):
+    if du[1] == 0.0 or dl[-2] == 0.0:
         raise np.linalg.LinAlgError("zero pivot folding a one-sided boundary row")
     f = left / du[1]
     d[0] -= f * dl[0]
     du[0] -= f * d[1]
     b[0] -= f * b[1]
-    if right != 0.0:
-        g = right / dl[-2]
-        dl[-1] -= g * d[-2]
-        d[-1] -= g * du[-1]
-        b[-1] -= g * b[-2]
+    g = right / dl[-2]
+    dl[-1] -= g * d[-2]
+    d[-1] -= g * du[-1]
+    b[-1] -= g * b[-2]
     *_, v, info = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
                         overwrite_du=True, overwrite_b=True)
     if info > 0:
@@ -291,29 +276,34 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                  config: SolveConfig | None = None) -> SolveResult:
     """Damped Newton iteration from ``config.initial_guess`` (default phi = 0).
 
+    A kind whose exponent rate is 0 (the neutral family, or t = 0) is
+    solved exactly by the quadrature of ``neutral_oracle`` instead, with 0
+    iterations; ``initial_guess`` is then ignored.
+
     Backtracking halves the step until the sup-norm residual decreases;
-    for n >= 2 candidates that lose positivity of u' beyond rounding are
-    rejected during damping. Convergence requires the sup-norm residual at
-    or below ``newton_tol``; the converged flag additionally requires the
-    discrete Kahler positivity of the final iterate.
+    for n >= 2 candidates whose half-node slopes of u lose positivity beyond
+    rounding are rejected during damping. Convergence requires the sup-norm
+    residual at or below ``newton_tol``; the converged flag additionally
+    requires the discrete Kahler positivity of the final iterate.
     """
     cfg = config or SolveConfig()
     model.grid.require_same(rhs.model.grid)
     n, h = model.n, model.grid.h
+    max_iters = cfg.max_iters
+    message = ""
     if cfg.initial_guess is not None:
         phi = np.array(cfg.initial_guess, dtype=float, copy=True)
         if phi.shape != (model.grid.points,):
             raise ConfigurationError("initial guess does not live on the model grid")
     else:
         phi = np.zeros(model.grid.points)
-        if kind.kind == "neutral" and rhs.kind != "constant":
-            phi = _neutral_seed(model, rhs)
+    if kind.exponent_rate == 0.0:
+        phi, max_iters = _neutral_perturbation(model, rhs), 0
 
     ev = residual_from_perturbation(phi, model, rhs, kind)
     rnorm = float(np.max(np.abs(ev.residual)))
     iters = 0
-    message = ""
-    while rnorm > cfg.newton_tol and iters < cfg.max_iters:
+    while rnorm > cfg.newton_tol and iters < max_iters:
         try:
             # assembled inline, so the diagonals are freed before damping
             v = _solve_newton_step(*_assemble_jacobian(ev, model, rhs, kind), ev.residual)
@@ -329,7 +319,7 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             cand = phi + lam * v
             if n > 1:
                 floor = _slope_floor(cand, h)
-                if np.min((model.psi_d1 + derivative(cand, h))[1:-1]) <= -floor:
+                if np.min(model.psi_slopes + np.diff(cand) / h) <= -floor:
                     lam *= 0.5
                     continue
             ec = residual_from_perturbation(cand, model, rhs, kind)
@@ -347,6 +337,8 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
 
     u = RadialPotential(model.grid, model.psi.values + phi, n)
     converged = rnorm <= cfg.newton_tol
+    if not converged and max_iters == 0:
+        message = "quadrature solution misses newton_tol"
     if converged and not u.is_kahler():
         idx, which = u.kahler_violation()
         converged = False
@@ -362,35 +354,6 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     )
 
 
-def _neutral_seed(model: KahlerModel, rhs: RhsFamily) -> np.ndarray:
-    """Closed-form continuum seed for singular neutral solves.
-
-    Midpoint integration of the analytic first integral; distinct from the
-    discrete oracle (which telescopes the solver's own stencils), but close
-    enough that Newton converges from it for n >= 2 where a cold start
-    stalls against the degenerate far-left weights.
-    """
-    m = model
-    n = m.n
-    s = m.grid.nodes
-    if rhs.kind == "dirac_approx":
-        up = (rhs.gamma**n * xi_eps_d1(s, rhs.epsilon) ** n
-              + rhs.c_smooth * m.psi_prime() ** n) ** (1.0 / n)
-        up = 0.5 * (up[1:] + up[:-1])
-    elif rhs.kind == "divisor":
-        mid = 0.5 * (s[1:] + s[:-1])
-        dens = (rhs.c_smooth * np.exp(-rhs.delta_prime * xi_eps(mid, rhs.epsilon))
-                * n * m.psi_prime(mid) ** (n - 1) * m.psi_second(mid))
-        cum = float(m.psi_prime(m.grid.s_min)) ** n + np.cumsum(m.grid.h * dens)
-        up = np.maximum(cum, 0.0) ** (1.0 / n)
-    else:
-        return np.zeros(s.size)
-    u = np.empty(s.size)
-    u[-1] = m.psi.values[-1]
-    u[:-1] = u[-1] - np.cumsum(m.grid.h * up[::-1])[::-1]
-    return u - m.psi.values
-
-
 # ---------------------------------------------------------------------------
 # Neutral first-integral oracle
 
@@ -398,23 +361,37 @@ def _neutral_seed(model: KahlerModel, rhs: RhsFamily) -> np.ndarray:
 def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
     """Direct quadrature solution of the neutral equation.
 
-    Telescopes the discrete first integral: the half-node slope powers
-    accumulate the cell masses n h R_i exactly, the left flux row fixes the
-    integration constant (scalar root-find), and one backward summation
-    anchored at phi(s_max) = 0 recovers u. No Newton machinery is involved.
+    The exact discrete solution of the flux-form rows for every n, which
+    ``newton_solve`` returns for the rate-0 kinds. No Newton machinery is
+    involved; see ``_neutral_perturbation``.
     """
-    m = model
-    n, h = m.n, m.grid.h
+    return RadialPotential(model.grid, model.psi.values + _neutral_perturbation(model, rhs),
+                           model.n)
+
+
+def _neutral_perturbation(model: KahlerModel, rhs: RhsFamily) -> np.ndarray:
+    """phi of the neutral quadrature, built in phi-space.
+
+    Telescopes the discrete first integral: the half-node slope powers of u
+    accumulate the cell masses n h R_i exactly, and the left flux row fixes
+    the integration constant (a bisection on the first slope). phi's own
+    half-node slopes are summed backwards from the anchor phi(s_max) = 0;
+    building u first and subtracting psi would leave the rounding of |u| in
+    phi's differences.
+    """
+    n, h = model.n, model.grid.h
     R = rhs.interior_density
-    psi = m.psi.values
-    beta = left_slope(psi, h) + rhs.left_flux_offset
+    W = model.psi_slopes
+    offset = rhs.left_flux_offset
 
     def left_row(w0: float) -> float:
         # cumulative cell masses can dip below zero by rounding noise in the
         # flat tails; the physical slope power is nonnegative
         w1 = max(w0**n + n * h * R[0], 0.0) ** (1.0 / n)
-        return 0.5 * (3.0 * w0 - w1) - beta
+        return 0.5 * (3.0 * (w0 - W[0]) - (w1 - W[1])) - offset
 
+    # left_row(w0) >= w0 - (n h R_0)^{1/n} / 2 - |beta|, so hi brackets the root
+    beta = 0.5 * (3.0 * W[0] - W[1]) + offset
     hi = 3.0 * abs(beta) + max(n * h * float(np.sum(R)), 0.0) ** (1.0 / n) + 1.0
     # left_row increases in w0: bisect [lo, hi] down to adjacent doubles,
     # or to [0, 0] when the row already holds at slope 0
@@ -428,13 +405,10 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    w0 = hi
-    w_pow = np.maximum(w0**n + np.concatenate([[0.0], np.cumsum(n * h * R)]), 0.0)
-    w = w_pow ** (1.0 / n)
-    u = np.empty(m.grid.points)
-    u[-1] = psi[-1]
-    u[:-1] = psi[-1] - np.cumsum(h * w[::-1])[::-1]
-    return RadialPotential(m.grid, u, n)
+    w_pow = np.maximum(hi**n + np.concatenate([[0.0], np.cumsum(n * h * R)]), 0.0)
+    phi = np.zeros(model.grid.points)
+    phi[:-1] = -np.cumsum(h * (w_pow ** (1.0 / n) - W)[::-1])[::-1]
+    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,17 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") == 5
 
+    def test_builtin_checks_pass_at_n3(self, tmp_path, capsys):
+        # the flux-form neutral solve is exact for every n, so the neutral
+        # residual check holds where the central stencils did not telescope
+        cfg = Path(write_config(tmp_path, name="vf3", rhs_kind="dirac", gamma="1.8"))
+        cfg.write_text(cfg.read_text().replace("n = 1\ndegree = 2.0", "n = 3\ndegree = 4.0")
+                       .replace("points = 2001", "points = 4001"))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS neutral_residual" in out
+        assert "FAIL" not in out
+
 
 class TestImportPath:
     def test_no_heavy_scipy_subpackages(self, tmp_path):

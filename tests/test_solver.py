@@ -123,11 +123,13 @@ def _dense_jacobian(dl, d, du, left, right):
 
 JACOBIAN_N = pytest.mark.parametrize("n", [1, 2, 3])
 JACOBIAN_KINDS = pytest.mark.parametrize(
-    "kind,t", [("reducing", 0.4), ("neutral", 0.0), ("magnifying", 0.4)])
+    "kind,t", [("reducing", 0.4), ("magnifying", 0.4)])
 
 
 class TestJacobian:
-    # a dirac RHS on a small grid, at a perturbed state, for every n and kind
+    # a dirac RHS on a small grid, at a perturbed state, for every n and
+    # time-dependent kind (a rate-0 kind is solved by quadrature and has no
+    # Jacobian)
     GRID = SGrid(-16.0, 16.0, 41)
 
     def _state(self, n, kind, t):
@@ -164,17 +166,20 @@ class TestJacobian:
     @JACOBIAN_N
     @JACOBIAN_KINDS
     def test_folded_step_matches_dense_solve(self, n, kind, t):
+        # against the row-equilibrated dense system: the unequilibrated
+        # dense LU loses digits to the far tails' tiny conductances at n = 3
         m, rhs, kind, phi, jac = self._state(n, kind, t)
         J = _dense_jacobian(*jac)
         r = residual_from_perturbation(phi, m, rhs, kind).residual
         v = _solve_newton_step(*jac, r)
-        expected = np.linalg.solve(J, -r)
+        rs = np.max(np.abs(J), axis=1)
+        expected = np.linalg.solve(J / rs[:, None], -r / rs)
         assert np.max(np.abs(v - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(n=st.integers(1, 3),
-           kind=st.sampled_from(["reducing", "neutral", "magnifying"]),
-           t=st.floats(0.0, 0.95, exclude_max=True),
+           kind=st.sampled_from(["reducing", "magnifying"]),
+           t=st.floats(0.01, 0.95, exclude_max=True),
            amplitude=st.floats(-0.5, 0.5),
            center=st.floats(-5.0, 5.0),
            width=st.floats(1.0, 4.0),
@@ -237,23 +242,33 @@ class TestNeutralOracle:
             nu = pole_slope_sample(u.values - model_n1.psi.values, model_n1, rhs)
             assert nu == pytest.approx(gamma, rel=rel)
 
-    @pytest.mark.parametrize("n,d,gamma", [(1, 2.0, 1.0), (2, 3.0, 1.0)])
-    def test_newton_agrees_with_oracle(self, n, d, gamma):
+    # gamma = d/2 for n in 1..4 (n = 4 only at eps = 1e-1: below it the
+    # n = 4 residual sits on the rounding floor of newton_tol), and
+    # gamma in {0.3, 0.9} d for n <= 2
+    @pytest.mark.parametrize("n,frac,eps", [
+        *((n, 0.5, eps) for n in (1, 2, 3) for eps in (1e-1, 1e-3, 1e-5)),
+        (4, 0.5, 1e-1),
+        *((n, frac, eps) for n in (1, 2) for frac in (0.3, 0.9)
+          for eps in (1e-1, 1e-3, 1e-5))])
+    def test_neutral_solve_is_the_quadrature(self, n, frac, eps):
+        # the flux-form rows telescope for every n: the quadrature is the
+        # exact discrete neutral solution, returned without iterating
+        d = n + 1.0
+        gamma = frac * d
         m = default_model(n, d)
-        rhs = build_dirac_rhs(gamma, 1e-3, m)
-        oracle = neutral_oracle(m, rhs)
-        res = newton_solve(m, rhs, neutral())
-        assert res.converged
-        assert np.max(np.abs(res.u.values - oracle.values)) <= 1e-6
-
-    def test_newton_agrees_from_independent_start(self, model_n1):
-        # start away from the oracle: same discrete solution
-        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
-        oracle = neutral_oracle(model_n1, rhs)
-        cfg = SolveConfig(initial_guess=np.zeros(model_n1.grid.points))
-        res = newton_solve(model_n1, rhs, neutral(), cfg)
-        assert res.converged
-        assert np.max(np.abs(res.u.values - oracle.values)) <= 1e-6
+        rhs = build_dirac_rhs(gamma, eps, m)
+        # the point-mass cell masses are nonnegative: adding them to the
+        # smooth part never lowers a density value
+        assert np.all(rhs.density >= rhs.c_smooth * m.weight)
+        res = newton_solve(m, rhs, neutral(),
+                           SolveConfig(initial_guess=gaussian_bump(m.grid)))
+        assert res.converged and res.iterations == 0
+        assert res.residual_norm <= 1e-10
+        assert np.array_equal(res.u.values, neutral_oracle(m, rhs).values)
+        assert abs(res.diagnostics.mass - d**n) <= 1e-9 * d**n
+        assert res.u.is_kahler()
+        if eps <= 1e-3:
+            assert abs(res.diagnostics.lelong.value - gamma) <= 0.02
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps", [None, 1e-1, 1e-3, 1e-5])
@@ -389,9 +404,9 @@ class TestSingularSolves:
     def test_divisor_neutral(self, model_n1):
         rhs = build_divisor_rhs(0.4, 1e-3, model_n1)
         res = newton_solve(model_n1, rhs, neutral())
-        oracle = neutral_oracle(model_n1, rhs)
-        assert res.converged
-        assert np.max(np.abs(res.u.values - oracle.values)) <= 1e-6
+        assert res.converged and res.iterations == 0
+        assert abs(res.diagnostics.mass - 2.0) <= 1e-9
+        assert res.u.is_kahler()
 
 
 class TestContinuity:
