@@ -233,8 +233,7 @@ def cmd_continuity(cfg: RunConfig, outdir: Path) -> int:
     trace, res = continuity_in_t(model, rhs, cfg.equation(cfg.t_target),
                                  cfg.t_target, cfg.solve_config())
     status = _trace_outputs(cfg, outdir, "continuity", trace)
-    if res is not None:
-        _write_curve(outdir / f"{cfg.experiment}_potential.dat", model.grid.nodes, res.phi)
+    _write_curve(outdir / f"{cfg.experiment}_potential.dat", model.grid.nodes, res.phi)
     return status
 
 

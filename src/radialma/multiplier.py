@@ -6,10 +6,10 @@ e^{-tau*phi}, the reduced integrand near the pole behaves like
 e^{(k + n - tau*nu) s} ds, so the germ is integrable exactly when
 k + n > tau*nu (strict; the borderline diverges logarithmically).
 
-Truncated quadratures are always finite, so divergence is operational: the
-integral is evaluated with the measured analytic tail attached on nested
-extensions of the domain, and declared divergent when the tail exponent is
-nonpositive or the nested values grow by a factor of five per extension.
+The verdict is that inequality, with the slope nu measured on the
+potential: a germ is finite iff alpha = k + n - tau*nu > BORDERLINE_TOL.
+Its value is the quadrature over the grid plus the exact integral of the
+slope-nu tail over (-inf, s_min].
 
 Germ integrals are taken over the pole-side chart s <= 0 (|z| <= 1), which
 is what makes them monotone in the vanishing order.
@@ -28,15 +28,8 @@ from .grid import grid_values
 from .rhs import RhsFamily
 from .solver import diagnostics_for
 
-GROWTH_FACTOR = 5.0
 K_CAP = 24
-TAIL_EXTENSION = 10.0
 BORDERLINE_TOL = 1e-9
-
-
-def _left_slope_of(vals: np.ndarray, model: KahlerModel, rhs: RhsFamily | None) -> float:
-    """Measured left slope of psi + phi, pole-anchored when rhs is singular."""
-    return diagnostics_for(vals, model, rhs).lelong.value
 
 
 def crucial_integral(phi, tau: float, rhs: RhsFamily, model: KahlerModel) -> float:
@@ -64,7 +57,6 @@ class GermIntegral:
     value: float                 # math.inf when divergent
     finite: bool
     tail_exponent: float         # k + n - tau * nu_measured
-    growth_factors: tuple[float, ...]
 
 
 def germ_integral(k: int, phi, tau: float, model: KahlerModel,
@@ -72,14 +64,16 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     """Integrability of a germ of vanishing order k against e^{-tau phi}.
 
     Reduced integrand e^{ks} e^{-tau phi} e^{ns} ds over the pole-side
-    chart s <= 0, with the analytic tail e^{(k+n-tau*nu)s} attached below
-    s_min on two nested extensions. Finite iff k + n > tau*nu strictly.
+    chart s <= 0: the trapezoid rule on the grid plus the analytic tail
+    e^{(k+n-tau*nu)s}, continued from phi(s_min) with the measured pole
+    slope nu, on (-inf, s_min]. Finite iff k + n > tau*nu strictly (by
+    BORDERLINE_TOL) and neither part overflows.
     """
     if k < 0 or int(k) != k:
         raise ConfigurationError(f"vanishing order must be a nonnegative integer, got {k}")
     grid = model.grid
     vals = grid_values(phi, grid)
-    nu = _left_slope_of(vals, model, rhs)
+    nu = diagnostics_for(vals, model, rhs).lelong.value
     alpha = k + model.n - tau * nu
 
     s = grid.nodes
@@ -93,31 +87,12 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     w[-1] *= 0.5
     base = float(np.exp(peak) * np.sum(w * np.exp(exponents - peak))) if peak <= 700.0 else math.inf
 
-    # analytic tail on [s_min - j*10, s_min], slope nu continuation of phi
-    phi0 = float(vals[0])
-    tail_peak = (k + model.n) * grid.s_min - tau * phi0
-    values = [base]
-    for j in (1, 2):
-        width = j * TAIL_EXTENSION
-        if abs(alpha) < 1e-14:
-            tail = math.exp(tail_peak) * width if tail_peak <= 700.0 else math.inf
-        else:
-            tail = math.exp(tail_peak) * (1.0 - math.exp(-alpha * width)) / alpha \
-                if tail_peak <= 700.0 else math.inf
-        values.append(base + tail)
-    growth = tuple(
-        (values[j] / values[j - 1]) if 0.0 < values[j - 1] < math.inf else math.inf
-        for j in (1, 2)
-    )
-    divergent = (alpha <= BORDERLINE_TOL
-                 or not math.isfinite(base)
-                 or any(g >= GROWTH_FACTOR for g in growth))
-    return GermIntegral(
-        value=math.inf if divergent else values[-1],
-        finite=not divergent,
-        tail_exponent=alpha,
-        growth_factors=growth,
-    )
+    # exact tail on (-inf, s_min] of the slope-nu continuation of phi
+    tail_peak = (k + model.n) * grid.s_min - tau * float(vals[0])
+    tail = math.exp(tail_peak) / alpha \
+        if alpha > BORDERLINE_TOL and tail_peak <= 700.0 else math.inf
+    value = base + tail
+    return GermIntegral(value=value, finite=math.isfinite(value), tail_exponent=alpha)
 
 
 @dataclass(frozen=True)
@@ -164,7 +139,7 @@ def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
     model = seq.model
     product = 0.0
     for vals, tau, rhs in seq.entries:
-        product = max(product, tau * _left_slope_of(vals, model, rhs))
+        product = max(product, tau * diagnostics_for(vals, model, rhs).lelong.value)
     for k in range(K_CAP + 1):
         if all(germ_integral(k, vals, tau, model, rhs).finite
                for vals, tau, rhs in seq.entries):

@@ -89,7 +89,6 @@ class RhsFamily:
     model: KahlerModel
     values: np.ndarray
     density: np.ndarray
-    normalized: bool
     gamma: float = 0.0
     epsilon: float = 0.0
     delta_prime: float = 0.0
@@ -165,7 +164,6 @@ def constant_rhs(model: KahlerModel) -> RhsFamily:
         model=model,
         values=np.ones(model.grid.points),
         density=model.weight.copy(),
-        normalized=True,
     )
 
 
@@ -221,7 +219,6 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
         model=m,
         values=values,
         density=density,
-        normalized=True,
         gamma=float(gamma),
         epsilon=float(eps),
         c_smooth=c,
@@ -271,7 +268,6 @@ def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> Rhs
         model=m,
         values=values,
         density=values * w,
-        normalized=True,
         delta_prime=float(delta_prime),
         epsilon=float(eps),
         c_smooth=scale,

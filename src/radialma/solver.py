@@ -30,11 +30,16 @@ evaluation of the operator per Newton iterate: it returns the residual
 together with the half-node slopes and e^{sigma t phi} it was built from,
 and ``_assemble_jacobian`` linearises that same evaluation into a
 symmetric interior tridiagonal.
+
+Each continuation routine decides by one rule. ``continuity_in_t``
+reaches its target or ends in a barrier when its step underflows, and
+returns the last solve it attempted. ``solve_family`` takes a member's
+warm start or else its continuation, and ``family_verdict`` judges
+blow-up across the family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -48,7 +53,6 @@ from .rhs import RhsFamily, build_dirac_rhs
 
 LELONG_WINDOW = 5.0
 LELONG_CAP = -1.0
-DIVERGENCE_THRESHOLD = 50.0
 BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
 MAX_HALVINGS = 20
@@ -127,9 +131,8 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class ContinuityTrace:
-    parameter: str                       # "t" or "eps"
     entries: tuple[StepRecord, ...]
-    verdict: str                         # reached_target / barrier / average_blowup
+    verdict: str                         # reached_target / barrier; families also average_blowup
     t_star: float | None = None
     barrier_param: float | None = None
 
@@ -489,21 +492,18 @@ def _mass_balanced_shift(phi: np.ndarray, rhs: RhsFamily, kind: EquationKind) ->
 
 def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                     t_target: float, config: SolveConfig | None = None,
-                    divergence_threshold: float = DIVERGENCE_THRESHOLD,
-                    ) -> tuple[ContinuityTrace, SolveResult | None]:
+                    ) -> tuple[ContinuityTrace, SolveResult]:
     """Adaptive continuation in t from the neutral base to ``t_target``.
 
     Each accepted step warm-starts the next after a mass-balancing level
     shift. Newton failure halves the step; when the step underflows below
-    1e-6 the run is declared a barrier at the last solved time. A volume
-    average beyond ``divergence_threshold`` ends the run with the
-    average-blowup verdict. Exactly one verdict is recorded.
+    BARRIER_STEP_FLOOR the run is declared a barrier at the last solved
+    time. The verdict is ``reached_target`` or ``barrier``.
 
-    On ``barrier`` and ``average_blowup`` the returned result is the last
-    converged solve, at a t below ``t_target``, and it is flagged converged;
-    ``SolveResult`` carries no t, so callers must read ``trace.verdict``
-    before taking it for the solve at ``t_target``. The result is None only
-    when the neutral base fails.
+    The returned result is the last solve attempted: the solve at
+    ``t_target``, the failed attempt recorded as ``trace.entries[-1]`` on a
+    barrier, or the failed neutral base. So it is converged exactly when
+    the verdict is ``reached_target``.
     """
     if kind.kind == "neutral":
         raise ConfigurationError("continuity in t applies to the time-dependent families")
@@ -511,57 +511,42 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
         raise ConfigurationError(f"t_target must lie in (0, 1), got {t_target}")
     cfg = config or SolveConfig()
 
-    base = newton_solve(model, rhs, neutral(), cfg)
-    entries = [StepRecord(0.0, base.diagnostics, base.converged,
-                          base.iterations, base.residual_norm)]
-    if not base.converged:
-        trace = ContinuityTrace("t", tuple(entries), "barrier", t_star=0.0)
-        return trace, None
-
-    phi = base.phi
+    step = newton_solve(model, rhs, neutral(), cfg)
+    entries = [StepRecord(0.0, step.diagnostics, step.converged,
+                          step.iterations, step.residual_norm)]
     t = 0.0
     dt = min(DT_INITIAL, t_target)
-    last = base
-    verdict = None
-    while t < t_target - 1e-14:
+    while step.converged and t < t_target - 1e-14:
         t_try = min(t + dt, t_target)
-        guess = _mass_balanced_shift(phi, rhs, EquationKind(kind.kind, t_try))
-        step = newton_solve(model, rhs, EquationKind(kind.kind, t_try),
-                            replace(cfg, initial_guess=guess))
-        if step.converged:
-            phi, t, last = step.phi, t_try, step
+        guess = _mass_balanced_shift(step.phi, rhs, EquationKind(kind.kind, t_try))
+        attempt = newton_solve(model, rhs, EquationKind(kind.kind, t_try),
+                               replace(cfg, initial_guess=guess))
+        if attempt.converged:
+            step, t = attempt, t_try
             entries.append(StepRecord(t, step.diagnostics, True,
                                       step.iterations, step.residual_norm))
-            if step.diagnostics.avg_phi > divergence_threshold:
-                verdict = "average_blowup"
-                break
             dt = min(dt * 1.5, 0.1, max(t_target - t, dt))
         else:
             dt *= 0.5
             if dt < BARRIER_STEP_FLOOR:
+                step = attempt
                 entries.append(StepRecord(t_try, step.diagnostics, False,
                                           step.iterations, step.residual_norm))
-                verdict = "barrier"
-                break
-    if verdict is None:
-        verdict = "reached_target" if t >= t_target - 1e-14 else "barrier"
-    trace = ContinuityTrace(
-        "t", tuple(entries), verdict,
-        t_star=(t if verdict == "barrier" else None),
-    )
-    return trace, last
+    verdict = "reached_target" if step.converged else "barrier"
+    trace = ContinuityTrace(tuple(entries), verdict,
+                            t_star=(t if verdict == "barrier" else None))
+    return trace, step
 
 
 def solve_family(model: KahlerModel, kind: EquationKind, rhs_list,
                  config: SolveConfig | None = None) -> list[SolveResult]:
     """Solve one equation kind for each right-hand side of a family, in order.
 
-    Neutral members are solved cold. A time-dependent member warm-starts
-    from the last converged member after a mass-balancing level shift; the
-    first member, and any member whose warm start fails, is continued in t
-    from its neutral base, and a member whose continuation stops short of
-    kind.t is solved cold. Every member gets a result at kind.t, converged
-    or not.
+    Neutral members are solved cold. A time-dependent member is its warm
+    start from the last converged member, after a mass-balancing level
+    shift, or, for the first member and when the warm start fails, the
+    result of continuing in t from its neutral base. Every member gets a
+    result, converged at kind.t or not.
     """
     cfg = config or SolveConfig()
     if kind.kind == "neutral":
@@ -574,12 +559,7 @@ def solve_family(model: KahlerModel, kind: EquationKind, rhs_list,
             guess = _mass_balanced_shift(prev_phi, rhs, kind)
             res = newton_solve(model, rhs, kind, replace(cfg, initial_guess=guess))
         if res is None or not res.converged:
-            # the member's blow-up is judged across the family, so the
-            # continuation runs to kind.t whatever the average reaches
-            trace, res = continuity_in_t(model, rhs, kind, kind.t, cfg,
-                                         divergence_threshold=math.inf)
-            if trace.verdict != "reached_target":
-                res = newton_solve(model, rhs, kind, cfg)
+            _, res = continuity_in_t(model, rhs, kind, kind.t, cfg)
         results.append(res)
         if res.converged:
             prev_phi = res.phi
@@ -626,6 +606,6 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
                                res.iterations, res.residual_norm)
                     for eps, res in zip(eps_arr, results))
     failed = [eps for eps, res in zip(eps_arr, results) if not res.converged]
-    trace = ContinuityTrace("eps", entries, family_verdict(results),
+    trace = ContinuityTrace(entries, family_verdict(results),
                             barrier_param=failed[0] if failed else None)
     return trace, results

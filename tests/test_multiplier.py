@@ -110,11 +110,16 @@ class TestGermIntegral:
             g = germ_integral(k, phi, tau, model_n1)
             assert g.finite == (k + 1 > p), (k, p)
 
-    def test_growth_factors_reported(self, model_n1):
-        phi = slope_potential(model_n1, 3.0)
-        g = germ_integral(0, phi, 0.9, model_n1)  # alpha = 1 - 2.7 < 0
-        assert not g.finite
-        assert all(f >= 5.0 for f in g.growth_factors)
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5])
+    def test_value_includes_whole_tail(self, model_n1, alpha):
+        # phi = nu min(s, 0): the integrand is e^{alpha s} on s <= 0, whose
+        # integral is 1/alpha; at alpha = 0.05 a tail cut at s_min - 20
+        # misses e^{-3} of it
+        tau = 0.5
+        phi = slope_potential(model_n1, (model_n1.n - alpha) / tau)
+        g = germ_integral(0, phi, tau, model_n1)
+        assert g.finite
+        assert g.value == pytest.approx(1.0 / alpha, rel=1e-4)
 
 
 class TestStalk:

@@ -114,7 +114,6 @@ class TestDiracFamily:
     def test_normalised_mass_is_model_mass(self, n, d, gamma):
         m = default_model(n, d)
         rhs = build_dirac_rhs(gamma, 1e-3, m)
-        assert rhs.normalized
         assert rhs.reduced_mass() == pytest.approx(d**n, abs=1e-8)
 
     def test_positive_everywhere(self, model_n1):

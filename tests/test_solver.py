@@ -457,8 +457,28 @@ class TestContinuity:
         rhs = build_dirac_rhs(1.0, 1e-2, model_n1)
         for target in (0.2, 0.6):
             trace, _ = continuity_in_t(model_n1, rhs, magnifying(target), target)
-            assert trace.verdict in ("reached_target", "barrier", "average_blowup")
+            assert trace.verdict in ("reached_target", "barrier")
             assert (trace.verdict == "barrier") == (trace.t_star is not None)
+
+    @pytest.mark.parametrize("n,gamma,eps,t,cfg,verdict", [
+        # starved: the neutral base itself misses newton_tol
+        (1, 1.8, 1e-3, 0.5, SolveConfig(newton_tol=1e-14, max_iters=1), "barrier"),
+        # the average passes 50 on the way to t = 0.9; a solution exists
+        (1, 1.8, 1e-6, 0.9, None, "reached_target"),
+        (1, 1.0, 1e-3, 0.2, None, "reached_target"),
+        # stops at t ~ 0.042 on the rounding floor of newton_tol
+        (3, 2.0, 1e-3, 0.5, None, None)])
+    def test_returns_last_attempted_solve(self, n, gamma, eps, t, cfg, verdict):
+        m = default_model(n, n + 1.0)
+        rhs = build_dirac_rhs(gamma, eps, m)
+        trace, res = continuity_in_t(m, rhs, magnifying(t), t, cfg)
+        assert verdict is None or trace.verdict == verdict
+        assert res is not None
+        assert res.converged == (trace.verdict == "reached_target")
+        if trace.verdict == "barrier":
+            assert res.diagnostics is trace.entries[-1].diagnostics
+        else:
+            assert trace.entries[-1].param == t
 
 
 class TestSweep:
@@ -519,13 +539,6 @@ class TestSweep:
         trace, _ = sweep_epsilon(model_n1, 1.8, reducing(0.3), 0.3, self.EPS_LIST)
         assert all(rec.converged for rec in trace.entries)
         assert trace.verdict == "reached_target"
-
-    def test_continuity_blowup_verdict(self, model_n1):
-        rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
-        trace, _ = continuity_in_t(model_n1, rhs, magnifying(0.3), 0.3,
-                                   divergence_threshold=5.0)
-        assert trace.verdict == "average_blowup"
-        assert trace.t_star is None
 
     def test_deterministic_rerun(self, model_n1):
         t1, _ = sweep_epsilon(model_n1, 1.2, magnifying(0.2), 0.2, (1e-2, 1e-3))
