@@ -139,9 +139,10 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     """Per-mollifier comparison of the amplifying solve against neutrality.
 
     For each eps: solve the amplifying equation at tau0 (``solve_family``:
-    warm-started across the eps list, else continuity from 0), measure the
-    pole slope, compare with the neutral control at the same eps, and with
-    the bootstrap bound taken over the pole window [s_min, layer]. A failed
+    warm-started across the eps list from the last converged member dilated
+    to the next mollifier, else continuity from 0), measure the pole slope,
+    compare with the neutral control at the same eps, and with the
+    bootstrap bound taken over the pole window [s_min, layer]. A failed
     member's row carries the diagnostics of its last continuation attempt
     and nan slopes. The verdict is ``family_verdict`` of the amplifying
     members: reached_target / barrier / average_blowup, the last when the

@@ -35,7 +35,10 @@ Each continuation routine decides by one rule. ``continuity_in_t``
 reaches its target or ends in a barrier when its step underflows, and
 returns the last solve it attempted. ``solve_family`` takes a member's
 warm start or else its continuation, and ``family_verdict`` judges
-blow-up across the family.
+blow-up across the family. The warm start is a predictor in eps: the
+point-mass mollifier is one profile translated in s, so the last
+converged member is dilated to the new mollifier (``_dilated``) before
+its level is balanced.
 """
 
 from __future__ import annotations
@@ -287,7 +290,8 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     for n >= 2 candidates whose half-node slopes of u lose positivity beyond
     rounding are rejected during damping. Convergence requires the sup-norm
     residual at or below ``newton_tol``; the converged flag additionally
-    requires the discrete Kahler positivity of the final iterate.
+    requires the discrete Kahler positivity of the final iterate. A result
+    that is not converged always says why in ``message``.
     """
     cfg = config or SolveConfig()
     model.grid.require_same(rhs.model.grid)
@@ -340,8 +344,9 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
 
     u = RadialPotential(model.grid, model.psi.values + phi, n)
     converged = rnorm <= cfg.newton_tol
-    if not converged and max_iters == 0:
-        message = "quadrature solution misses newton_tol"
+    if not converged and not message:
+        message = ("quadrature solution misses newton_tol" if max_iters == 0
+                   else f"max_iters reached, residual {rnorm:.3g}")
     if converged and not u.is_kahler():
         idx, which = u.kahler_violation()
         converged = False
@@ -490,6 +495,32 @@ def _mass_balanced_shift(phi: np.ndarray, rhs: RhsFamily, kind: EquationKind) ->
     return phi + kappa
 
 
+def _dilated(phi: np.ndarray, model: KahlerModel, prev: RhsFamily,
+             rhs: RhsFamily) -> np.ndarray:
+    """A family member's phi carried to the next mollifier by dilation.
+
+    The point-mass mollifier is one profile under translation in s,
+    xi_eps(s) = 2 log eps + xi_1(s - 2 log eps), so the pole layer and the
+    solution above it move with ``pole_anchor``. u = psi + phi is resampled
+    at s + (prev.pole_anchor - rhs.pole_anchor), linearly between nodes,
+    with its end slope past s_max and at its first value below s_min, and
+    psi is subtracted again. Without an anchor on either side, or with
+    equal anchors, phi is returned as is.
+    """
+    if prev.pole_anchor is None or rhs.pole_anchor is None:
+        return phi
+    shift = prev.pole_anchor - rhs.pole_anchor
+    if shift == 0.0:
+        return phi
+    s, h = model.grid.nodes, model.grid.h
+    u = model.psi.values + phi
+    x = s + shift
+    moved = np.interp(x, s, u)
+    beyond = x > s[-1]
+    moved[beyond] = u[-1] + right_slope(u, h) * (x[beyond] - s[-1])
+    return moved - model.psi.values
+
+
 def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                     t_target: float, config: SolveConfig | None = None,
                     ) -> tuple[ContinuityTrace, SolveResult]:
@@ -543,26 +574,27 @@ def solve_family(model: KahlerModel, kind: EquationKind, rhs_list,
     """Solve one equation kind for each right-hand side of a family, in order.
 
     Neutral members are solved cold. A time-dependent member is its warm
-    start from the last converged member, after a mass-balancing level
-    shift, or, for the first member and when the warm start fails, the
-    result of continuing in t from its neutral base. Every member gets a
-    result, converged at kind.t or not.
+    start from the last converged member, dilated to the member's
+    mollifier and then given a mass-balancing level shift, or, for the
+    first member and when the warm start fails, the result of continuing in
+    t from its neutral base. Every member gets a result, converged at
+    kind.t or not.
     """
     cfg = config or SolveConfig()
     if kind.kind == "neutral":
         return [newton_solve(model, rhs, kind, cfg) for rhs in rhs_list]
     results: list[SolveResult] = []
-    prev_phi = None
+    prev_phi = prev_rhs = None
     for rhs in rhs_list:
         res = None
         if prev_phi is not None:
-            guess = _mass_balanced_shift(prev_phi, rhs, kind)
+            guess = _mass_balanced_shift(_dilated(prev_phi, model, prev_rhs, rhs), rhs, kind)
             res = newton_solve(model, rhs, kind, replace(cfg, initial_guess=guess))
         if res is None or not res.converged:
             _, res = continuity_in_t(model, rhs, kind, kind.t, cfg)
         results.append(res)
         if res.converged:
-            prev_phi = res.phi
+            prev_phi, prev_rhs = res.phi, rhs
     return results
 
 

@@ -1,5 +1,7 @@
 """Newton solver, neutral oracle, continuity drivers, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,11 @@ from radialma import (
     residual,
     sweep_epsilon,
 )
+from radialma import solver
+from radialma.grid import right_slope
 from radialma.solver import (
     _assemble_jacobian,
+    _dilated,
     _solve_newton_step,
     diagnostics_for,
     pole_slope_sample,
@@ -408,6 +413,12 @@ class TestSingularSolves:
         assert abs(res.diagnostics.mass - 2.0) <= 1e-9
         assert res.u.is_kahler()
 
+    def test_max_iters_stop_gives_reason(self, model_n1):
+        rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
+        res = newton_solve(model_n1, rhs, magnifying(0.5), SolveConfig(max_iters=1))
+        assert not res.converged and res.iterations == 1
+        assert res.message.startswith("max_iters reached")
+
 
 class TestContinuity:
     def test_time_zero_base_always_solvable(self, model_n1):
@@ -540,12 +551,57 @@ class TestSweep:
         assert all(rec.converged for rec in trace.entries)
         assert trace.verdict == "reached_target"
 
+    def test_family_warm_starts_dilate(self, model_n1, monkeypatch):
+        # above the stalk threshold n/d a level shift alone does not carry a
+        # member to the next eps; the dilated start does, so only the first
+        # member continues in t from its neutral base
+        kind = magnifying(0.8)
+        rhs_list = [build_dirac_rhs(1.8, eps, model_n1) for eps in self.EPS_LIST]
+        continued = []
+
+        def counting(model, rhs, *args):
+            continued.append(rhs.epsilon)
+            return continuity_in_t(model, rhs, *args)
+
+        monkeypatch.setattr(solver, "continuity_in_t", counting)
+        results = solver.solve_family(model_n1, kind, rhs_list)
+        assert continued == [self.EPS_LIST[0]]
+        assert all(res.converged and res.iterations <= 3 for res in results[1:])
+        for rhs, res in zip(rhs_list, results):
+            _, alone = continuity_in_t(model_n1, rhs, kind, kind.t)
+            assert np.max(np.abs(res.phi - alone.phi)) <= 1e-8
+
     def test_deterministic_rerun(self, model_n1):
         t1, _ = sweep_epsilon(model_n1, 1.2, magnifying(0.2), 0.2, (1e-2, 1e-3))
         t2, _ = sweep_epsilon(model_n1, 1.2, magnifying(0.2), 0.2, (1e-2, 1e-3))
         for a, b in zip(t1.entries, t2.entries):
             assert a.diagnostics.avg_phi == b.diagnostics.avg_phi
             assert a.diagnostics.lelong.value == b.diagnostics.lelong.value
+
+
+class TestDilation:
+    GRID = SGrid(-40.0, 40.0, 2561)  # h = 1/32: nodes and whole-step shifts are exact
+
+    def test_identity_without_a_shift(self, model_n1):
+        phi = gaussian_bump(model_n1.grid)
+        dirac = build_dirac_rhs(1.8, 1e-2, model_n1)
+        for prev, rhs in [(constant_rhs(model_n1), dirac),
+                          (dirac, build_divisor_rhs(0.5, 1e-3, model_n1)),
+                          (dirac, build_dirac_rhs(1.0, 1e-2, model_n1))]:
+            assert _dilated(phi, model_n1, prev, rhs) is phi
+
+    def test_whole_step_shift_resamples_nodes(self):
+        m = KahlerModel(1, 2.0, self.GRID)
+        h, psi = m.grid.h, m.psi.values
+        phi = gaussian_bump(m.grid, center=-5.0) + 0.1 * np.tanh(m.grid.nodes)
+        rhs = build_dirac_rhs(1.8, 1e-2, m)
+        steps = 16
+        prev, new = replace(rhs, pole_anchor=-8.0), replace(rhs, pole_anchor=-8.0 - steps * h)
+        moved = _dilated(phi, m, prev, new)
+        u = psi + phi
+        assert np.array_equal(moved[:-steps], u[steps:] - psi[:-steps])
+        beyond = u[-1] + right_slope(u, h) * h * np.arange(1, steps + 1)
+        np.testing.assert_allclose(moved[-steps:], beyond - psi[-steps:], rtol=0, atol=1e-12)
 
 
 class TestDiagnostics:
