@@ -32,10 +32,12 @@ and ``_assemble_jacobian`` linearises that same evaluation into a
 symmetric interior tridiagonal.
 
 Each continuation routine decides by one rule. ``continuity_in_t``
-reaches its target or ends in a barrier when its step underflows, and
-returns the last solve it attempted. ``solve_family`` takes a member's
-warm start or else its continuation, and ``family_verdict`` judges
-blow-up across the family. The warm start is a predictor in eps: the
+steps as far as Newton converges: its step in t starts at DT_INITIAL = 0.1,
+doubles after every accepted step and halves after every failed one. It
+reaches its target or ends in a barrier when the step falls below
+BARRIER_STEP_FLOOR = 1e-6, and returns the last solve it attempted.
+``solve_family`` takes a member's warm start or else its continuation, and
+``family_verdict`` judges blow-up across the family. The warm start is a predictor in eps: the
 point-mass mollifier is one profile translated in s, so the last
 converged member is dilated to the new mollifier (``_dilated``) before
 its level is balanced.
@@ -59,7 +61,7 @@ LELONG_CAP = -1.0
 BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
 MAX_HALVINGS = 20
-DT_INITIAL = 0.05
+DT_INITIAL = 0.1
 
 _SIGNS = {"reducing": 1.0, "neutral": 0.0, "magnifying": -1.0}
 
@@ -120,6 +122,7 @@ class SolveResult:
     converged: bool
     iterations: int
     residual_norm: float
+    kind: EquationKind   # the equation solved, with its t
     message: str = ""
 
 
@@ -358,6 +361,7 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
         converged=converged,
         iterations=iters,
         residual_norm=rnorm,
+        kind=kind,
         message=message,
     )
 
@@ -527,9 +531,11 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     """Adaptive continuation in t from the neutral base to ``t_target``.
 
     Each accepted step warm-starts the next after a mass-balancing level
-    shift. Newton failure halves the step; when the step underflows below
-    BARRIER_STEP_FLOOR the run is declared a barrier at the last solved
-    time. The verdict is ``reached_target`` or ``barrier``.
+    shift. The step starts at DT_INITIAL = 0.1 and doubles after every
+    accepted step, with no cap but the target; Newton failure halves it.
+    When the step falls below BARRIER_STEP_FLOOR = 1e-6 the run is declared
+    a barrier at the last solved time. The verdict is ``reached_target`` or
+    ``barrier``.
 
     The returned result is the last solve attempted: the solve at
     ``t_target``, the failed attempt recorded as ``trace.entries[-1]`` on a
@@ -556,7 +562,7 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             step, t = attempt, t_try
             entries.append(StepRecord(t, step.diagnostics, True,
                                       step.iterations, step.residual_norm))
-            dt = min(dt * 1.5, 0.1, max(t_target - t, dt))
+            dt *= 2.0
         else:
             dt *= 0.5
             if dt < BARRIER_STEP_FLOOR:

@@ -451,8 +451,8 @@ class TestContinuity:
         assert params == sorted(params)
 
     @pytest.mark.parametrize("n,kind,iterations,steps", [
-        (1, "magnifying", 11, 3), (1, "reducing", 12, 3),
-        (2, "magnifying", 20, 4), (2, "reducing", 13, 3)])
+        (1, "magnifying", 8, 2), (1, "reducing", 8, 2),
+        (2, "magnifying", 14, 3), (2, "reducing", 7, 2)])
     def test_work_counts(self, request, n, kind, iterations, steps):
         # Newton iterations over the trace and accepted steps, gamma = 1,
         # eps = 1e-3, t = 0.2: a Jacobian that lags the iterate loses
@@ -488,8 +488,41 @@ class TestContinuity:
         assert res.converged == (trace.verdict == "reached_target")
         if trace.verdict == "barrier":
             assert res.diagnostics is trace.entries[-1].diagnostics
+            assert res.kind.t == trace.entries[-1].param
         else:
             assert trace.entries[-1].param == t
+            assert res.kind.t == t
+
+    @staticmethod
+    def _chain_step(m, rhs, kind, step, t0, t1):
+        """Warm-started solve at t1 from the solve at t0; a failing interval
+        is bisected, as continuation halves a failing step."""
+        at = EquationKind(kind, t1)
+        guess = solver._mass_balanced_shift(step.phi, rhs, at)
+        res = newton_solve(m, rhs, at, SolveConfig(initial_guess=guess))
+        if res.converged or t1 - t0 < solver.BARRIER_STEP_FLOOR:
+            return res
+        mid = TestContinuity._chain_step(m, rhs, kind, step, t0, 0.5 * (t0 + t1))
+        if not mid.converged:
+            return mid
+        return TestContinuity._chain_step(m, rhs, kind, mid, 0.5 * (t0 + t1), t1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["magnifying", "reducing"])
+    def test_path_independent(self, n, kind):
+        # the doubling schedule lands on the solution of the old fine path:
+        # a chain of warm-started solves at t = 0.05, 0.10, ..., 0.6
+        m = default_model(n, n + 1.0)
+        rhs = build_dirac_rhs((n + 1.0) / 2, 1e-3, m)
+        step = newton_solve(m, rhs, neutral())
+        for k in range(1, 13):
+            if not step.converged:
+                break
+            step = self._chain_step(m, rhs, kind, step, (k - 1) / 20, k / 20)
+        trace, res = continuity_in_t(m, rhs, EquationKind(kind, 0.6), 0.6)
+        assert trace.verdict == ("reached_target" if step.converged else "barrier")
+        assert res.kind == step.kind
+        assert np.max(np.abs(res.phi - step.phi)) <= 1e-8
 
 
 class TestSweep:
