@@ -72,8 +72,7 @@ class RunConfig:
         self.s_max = float(g("model", "s_max", 40.0))
         self.points = int(g("model", "points", 4001))
         self.kind = str(g("equation", "kind", "magnifying")).strip()
-        self.t = float(g("equation", "t", 0.0))
-        self.t_target = float(g("equation", "t_target", self.t))
+        self.t_target = float(g("equation", "t_target", g("equation", "t", 0.0)))
         self.rhs_kind = str(g("rhs", "kind", "constant")).strip()
         self.gamma = float(g("rhs", "gamma", 0.0))
         self.epsilon = float(g("rhs", "epsilon", 1e-3))
@@ -115,9 +114,10 @@ class RunConfig:
             raise ConfigurationError(f"[rhs]: {exc}") from exc
         raise ConfigurationError(f"[rhs] kind: unknown family {self.rhs_kind!r}")
 
-    def equation(self, t=None) -> EquationKind:
+    def equation(self) -> EquationKind:
+        """The equation at ``t_target``, the one time of every subcommand."""
         try:
-            return EquationKind(self.kind, self.t if t is None else t)
+            return EquationKind(self.kind, self.t_target)
         except ConfigurationError as exc:
             raise ConfigurationError(f"[equation]: {exc}") from exc
 
@@ -207,7 +207,7 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _trace_outputs(cfg: RunConfig, outdir: Path, subcommand: str,
-                   trace: ContinuityTrace, extra_rows=None, extra_names=()) -> int:
+                   trace: ContinuityTrace) -> int:
     summary = _summary_header(cfg, subcommand)
     summary += [f"verdict = {trace.verdict}"]
     if trace.t_star is not None:
@@ -215,12 +215,10 @@ def _trace_outputs(cfg: RunConfig, outdir: Path, subcommand: str,
     if trace.barrier_param is not None:
         summary.append(f"barrier_param = {fmt(trace.barrier_param)}")
     _write(outdir / f"{cfg.experiment}_summary.txt", summary)
-    columns = DIAG_COLUMNS + tuple(extra_names)
-    csv = [",".join(columns)]
+    csv = [",".join(DIAG_COLUMNS)]
     for i, rec in enumerate(trace.entries):
-        extra = extra_rows[i] if extra_rows else ()
         csv.append(_diag_row(i, rec.param, rec.diagnostics, rec.iterations,
-                             rec.converged, extra))
+                             rec.converged))
     _write(outdir / f"{cfg.experiment}_diagnostics.csv", csv)
     return 1 if trace.verdict == "barrier" else 0
 
@@ -230,8 +228,8 @@ def cmd_continuity(cfg: RunConfig, outdir: Path) -> int:
     rhs = cfg.build_rhs(model)
     if cfg.kind == "neutral":
         raise ConfigurationError("[equation] kind: continuity needs a time-dependent family")
-    trace, res = continuity_in_t(model, rhs, cfg.equation(cfg.t_target),
-                                 cfg.t_target, cfg.solve_config())
+    trace, res = continuity_in_t(model, rhs, cfg.equation(), cfg.t_target,
+                                 cfg.solve_config())
     status = _trace_outputs(cfg, outdir, "continuity", trace)
     _write_curve(outdir / f"{cfg.experiment}_potential.dat", model.grid.nodes, res.phi)
     return status
@@ -241,9 +239,8 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.validate_model()
     if not cfg.epsilon_list:
         raise ConfigurationError("[rhs] epsilon_list: sweep needs a decreasing list")
-    trace, _ = sweep_epsilon(model, cfg.gamma, cfg.equation(cfg.t_target or cfg.t),
-                             cfg.t_target or cfg.t, cfg.epsilon_list,
-                             cfg.solve_config(),
+    trace, _ = sweep_epsilon(model, cfg.gamma, cfg.equation(), cfg.t_target,
+                             cfg.epsilon_list, cfg.solve_config(),
                              rhs_builder=lambda eps: cfg.build_rhs(model, epsilon=eps))
     return _trace_outputs(cfg, outdir, "sweep", trace)
 
@@ -256,8 +253,7 @@ def cmd_magnify(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigurationError("[equation] kind: magnify solves the magnifying family")
     if cfg.rhs_kind != "dirac":
         raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
-    tau0 = cfg.t_target or cfg.t
-    report = magnification_experiment(model, cfg.gamma, tau0, cfg.epsilon_list,
+    report = magnification_experiment(model, cfg.gamma, cfg.t_target, cfg.epsilon_list,
                                       cfg.solve_config())
     summary = _summary_header(cfg, "magnify")
     summary += [f"verdict = {report.verdict}", f"eta = {fmt(report.eta)}"]
@@ -276,10 +272,10 @@ def cmd_multiplier(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.validate_model()
     if not cfg.epsilon_list:
         raise ConfigurationError("[rhs] epsilon_list: multiplier needs a decreasing list")
-    tau0 = cfg.t_target or cfg.t
+    tau0 = cfg.t_target
     if not (0.0 < tau0 < 1.0):
         raise ConfigurationError("[equation] t_target: multiplier needs 0 < t < 1")
-    kind = cfg.equation(tau0)
+    kind = cfg.equation()
     # each member's RHS is built once, for the solve, the stalk and eta
     build = functools.cache(lambda eps: cfg.build_rhs(model, epsilon=eps))
     trace, results = sweep_epsilon(model, cfg.gamma, kind, tau0, cfg.epsilon_list,

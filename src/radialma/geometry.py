@@ -33,8 +33,6 @@ from .grid import (
     derivative,
     derivative_o4,
     grid_values,
-    left_slope,
-    right_slope,
     second_derivative,
     second_derivative_o4,
 )
@@ -167,11 +165,13 @@ def ma_density(u: RadialPotential) -> np.ndarray:
 def mass(u: RadialPotential) -> float:
     """Total reduced Monge-Ampere mass (u'(s_max))^n - (u'(s_min))^n.
 
-    In slope units an admissible solution on the degree-d model carries
-    mass d^n.
+    The end slopes are the first and last half-node slopes, the fluxes of
+    the solver's boundary rows, so the mass of a discrete solution is the
+    exact sum of its cell masses. In slope units an admissible solution on
+    the degree-d model carries mass d^n.
     """
-    h = u.grid.h
-    return right_slope(u.values, h) ** u.n - left_slope(u.values, h) ** u.n
+    v, h = u.values, u.grid.h
+    return ((v[-1] - v[-2]) / h) ** u.n - ((v[1] - v[0]) / h) ** u.n
 
 
 def ricci_potential(u: RadialPotential) -> np.ndarray:

@@ -8,10 +8,10 @@ builds on.
 
 Derivatives are second-order central differences on interior nodes with
 second-order one-sided stencils at the two ends; they serve the diagnostics
-(Kahler positivity, dominance, pole slopes). The solver's interior rows are
-in flux form on half-node slopes (differences of neighbouring node values
-over h), and only its two boundary rows use the one-sided slopes
-``left_slope`` and ``right_slope`` defined here.
+(Kahler positivity, dominance, pole slopes). The solver works on half-node
+slopes instead (differences of neighbouring node values over h): its
+interior rows are in flux form and its two boundary rows prescribe the
+first and last of them.
 """
 
 from __future__ import annotations
@@ -65,18 +65,6 @@ def second_derivative_o4(values: np.ndarray, h: float) -> np.ndarray:
         out[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2]
                      + 16.0 * v[3:-1] - v[4:]) / (12.0 * h**2)
     return out
-
-
-def left_slope(values: np.ndarray, h: float) -> float:
-    """One-sided second-order slope at the first node."""
-    v = values
-    return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-
-
-def right_slope(values: np.ndarray, h: float) -> float:
-    """One-sided second-order slope at the last node."""
-    v = values
-    return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ differences of half-node slope powers over n h, of psi for the smooth part
 (``KahlerModel.weight``) and of xi_eps for the point-mass part. Discrete
 mass sums therefore telescope exactly, the point-mass cell masses are
 nonnegative, and F = 1 remains an exact fixed point at gamma = 0 /
-delta' = 0.
+delta' = 0. The point-mass family's left flux comes from the same
+half-node slopes at the first face, so the discrete neutral first
+integral holds exactly on every face.
 """
 
 from __future__ import annotations
@@ -81,8 +83,9 @@ class RhsFamily:
     ``values`` is F itself; ``density`` is the reduced mass density
     R = F (psi')^{n-1} psi'' as cell masses of the solver's flux form, zero
     on the two boundary nodes (the object the solver actually consumes).
-    ``left_flux_offset`` is the prescribed excess of u' over psi' at s_min,
-    nonzero only when singular mass sits at or below the truncation cut.
+    ``left_flux_offset`` is the prescribed excess of the first half-node
+    slope of u over psi's, the flux that mass below the truncation cut
+    sends through it; nonzero only for the point-mass family.
     """
 
     kind: str
@@ -214,6 +217,12 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     ratio = (expit(a) / (d * expit(s))) ** (n - 1) * (
         expit(a) * expit(-a) / (d * expit(s) * expit(-s)))
     values = gamma**n * ratio + c
+    # the full-line first integral u'^n = gamma^n xi'^n + c psi'^n on the
+    # first face: what it already carries at s_min enters the truncated
+    # problem as a left flux, not as interior mass (negligible when the
+    # layer is well inside the domain)
+    p0 = m.psi_slopes[0]
+    offset = (gamma**n * xi_slopes[0] ** n + c * p0**n) ** (1.0 / n) - p0
     return RhsFamily(
         kind="dirac_approx",
         model=m,
@@ -222,23 +231,9 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
         gamma=float(gamma),
         epsilon=float(eps),
         c_smooth=c,
-        left_flux_offset=_left_flux_offset(m, gamma, eps, c),
+        left_flux_offset=float(offset),
         pole_anchor=2.0 * np.log(eps) + POLE_ANCHOR_OFFSET,
     )
-
-
-def _left_flux_offset(m: KahlerModel, gamma: float, eps: float, c: float) -> float:
-    """Excess slope at s_min from mass below the truncation cut.
-
-    The full-line first integral gives (u'(s))^n = gamma^n xi'(s)^n +
-    c psi'(s)^n; whatever part of it is already nonzero at s_min enters the
-    truncated problem as a left flux instead of interior mass. Negligible
-    (~1e-12) when the layer is well inside the domain.
-    """
-    s0 = m.grid.s_min
-    p0 = float(m.psi_prime(s0))
-    flux = (gamma**m.n * float(xi_eps_d1(s0, eps)) ** m.n + c * p0**m.n) ** (1.0 / m.n)
-    return flux - p0
 
 
 def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> RhsFamily:

@@ -13,23 +13,25 @@ w_{i+1/2} = (u_{i+1} - u_i) / h = ``psi_slopes`` + (phi_{i+1} - phi_i) / h,
     ((w_{i+1/2})^n - (w_{i-1/2})^n) / (n h) = e^{sigma t phi_i} R_i,
 
 where R is the cell mass of the right-hand side (``RhsFamily.density``).
-The two boundary rows prescribe the one-sided slope of phi (flux
-conditions), which pins the total reduced mass of every solution to the
-model mass and leaves the additive level to the equation. The neutral
-family is level-invariant, so its right row is replaced by the anchor
-phi(s_max) = 0.
+The two boundary rows are flux rows on the end half-node slopes of phi:
+(phi_1 - phi_0) / h = ``RhsFamily.left_flux_offset`` and
+(phi_{N-1} - phi_{N-2}) / h = 0. They pin the total reduced mass of every
+solution to the model mass and leave the additive level to the equation.
+The neutral family is level-invariant, so its right row is replaced by the
+anchor phi(s_max) = 0.
 
 The rows telescope for every n, so the neutral equation has an exact
-discrete first integral: the slope powers accumulate the cell masses.
-``neutral_oracle`` integrates it by quadrature, and ``newton_solve``
-returns that quadrature for every kind whose exponent rate is 0, with no
-Newton iteration and ignoring ``initial_guess``.
+discrete first integral: the slope powers accumulate the cell masses from
+the first slope the left row fixes. ``neutral_oracle`` integrates it by
+quadrature, and ``newton_solve`` returns that quadrature for every kind
+whose exponent rate is 0, with no Newton iteration and ignoring
+``initial_guess``.
 
 For the time-dependent families ``residual_from_perturbation`` is the one
 evaluation of the operator per Newton iterate: it returns the residual
 together with the half-node slopes and e^{sigma t phi} it was built from,
 and ``_assemble_jacobian`` linearises that same evaluation into a
-symmetric interior tridiagonal.
+tridiagonal, symmetric on its interior rows.
 
 Each continuation routine decides by one rule. ``continuity_in_t``
 steps as far as Newton converges: its step in t starts at DT_INITIAL = 0.1,
@@ -53,7 +55,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError
 from .geometry import Diagnostics, KahlerModel, average, lelong_estimate, mass
-from .grid import RadialPotential, derivative, grid_values, left_slope, right_slope
+from .grid import RadialPotential, derivative, grid_values
 from .rhs import RhsFamily, build_dirac_rhs
 
 LELONG_WINDOW = 5.0
@@ -200,50 +202,42 @@ def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFami
     ex = _exponent(kind, phi[1:-1])
     r = np.empty_like(phi)
     r[1:-1] = np.diff(w ** n) / (n * h) - ex * rhs.interior_density
-    r[0] = left_slope(phi, h) - rhs.left_flux_offset
-    r[-1] = phi[-1] if kind.exponent_rate == 0.0 else right_slope(phi, h)
+    r[0] = (phi[1] - phi[0]) / h - rhs.left_flux_offset
+    r[-1] = phi[-1] if kind.exponent_rate == 0.0 else (phi[-1] - phi[-2]) / h
     return Evaluation(r, w, ex)
 
 
 def _assemble_jacobian(ev: Evaluation, model: KahlerModel, rhs: RhsFamily,
                        kind: EquationKind):
-    """Jacobian at an evaluated iterate of a time-dependent kind: three
-    diagonals plus the corners of the two one-sided rows.
+    """Jacobian at an evaluated iterate of a time-dependent kind, as its
+    three diagonals ``(dl, d, du)``: row i holds dl[i-1], d[i], du[i] in
+    columns i-1, i, i+1.
 
     Interior row i linearises the flux difference minus e^{sigma t phi} R
     as (c_{i+1/2} (v_{i+1} - v_i) - c_{i-1/2} (v_i - v_{i-1})) / h^2
     - sigma t e^{sigma t phi} R v_i, with c = w^{n-1}: symmetric, with the
-    conductances c / h^2 off the diagonal. Returns ``(dl, d, du, left,
-    right)``: row i holds dl[i-1], d[i], du[i] in columns i-1, i, i+1;
-    ``left`` is row 0's entry in column 2 and ``right`` row N-1's entry in
-    column N-3.
+    conductances c / h^2 off the diagonal. The two flux rows are linear in
+    phi, with entries -1/h and 1/h.
     """
     n, h = model.n, model.grid.h
     c = ev.w ** (n - 1) / h**2
     d = np.empty(c.size + 1)
     d[1:-1] = -(c[1:] + c[:-1]) - kind.exponent_rate * ev.ex * rhs.interior_density
     dl, du = c, c.copy()
-    # the flux rows are linear in phi: their entries are the slopes of the
-    # unit vectors
-    unit = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    d[0], du[0], left = (left_slope(e, h) for e in unit)
-    right, dl[-1], d[-1] = (right_slope(e, h) for e in unit)
-    return dl, d, du, left, right
+    d[0], du[0] = -1.0 / h, 1.0 / h
+    dl[-1], d[-1] = -1.0 / h, 1.0 / h
+    return dl, d, du
 
 
-def _solve_newton_step(dl: np.ndarray, d: np.ndarray, du: np.ndarray, left: float,
-                       right: float, r: np.ndarray) -> np.ndarray:
+def _solve_newton_step(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                       r: np.ndarray) -> np.ndarray:
     """Row-equilibrated tridiagonal solve for J v = -r; overwrites the diagonals.
 
-    Each row is first scaled by its largest entry (never a corner: the
-    one-sided rows are (-3, 4, -1) / 2h and (3, -4, 1) / 2h), which keeps the
-    far tails, where the reduced weights span many orders of magnitude, from
-    poisoning the factorisation. The two corners are then folded away: row 1
-    eliminates column 2 from row 0 and row N-2 eliminates column N-3 from
-    row N-1, with the same operations on the right-hand side. LAPACK
-    ``gtsv`` (Gaussian elimination with partial pivoting) solves the folded
-    tridiagonal system. A zero pivot, in a fold or in the factorisation,
-    raises ``np.linalg.LinAlgError``.
+    Each row is first scaled by its largest entry, which keeps the far
+    tails, where the reduced weights span many orders of magnitude, from
+    poisoning the factorisation. LAPACK ``gtsv`` (Gaussian elimination with
+    partial pivoting) then solves the system; a zero pivot raises
+    ``np.linalg.LinAlgError``.
     """
     rs = np.abs(d)
     rs[:-1] = np.maximum(rs[:-1], np.abs(du))
@@ -252,20 +246,7 @@ def _solve_newton_step(dl: np.ndarray, d: np.ndarray, du: np.ndarray, left: floa
     d /= rs
     du /= rs[:-1]
     dl /= rs[1:]
-    b = -r / rs
-    left /= rs[0]
-    right /= rs[-1]
-    if du[1] == 0.0 or dl[-2] == 0.0:
-        raise np.linalg.LinAlgError("zero pivot folding a one-sided boundary row")
-    f = left / du[1]
-    d[0] -= f * dl[0]
-    du[0] -= f * d[1]
-    b[0] -= f * b[1]
-    g = right / dl[-2]
-    dl[-1] -= g * d[-2]
-    d[-1] -= g * du[-1]
-    b[-1] -= g * b[-2]
-    *_, v, info = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
+    *_, v, info = dgtsv(dl, d, du, -r / rs, overwrite_dl=True, overwrite_d=True,
                         overwrite_du=True, overwrite_b=True)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: zero pivot at row {info}")
@@ -384,40 +365,19 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
 def _neutral_perturbation(model: KahlerModel, rhs: RhsFamily) -> np.ndarray:
     """phi of the neutral quadrature, built in phi-space.
 
-    Telescopes the discrete first integral: the half-node slope powers of u
-    accumulate the cell masses n h R_i exactly, and the left flux row fixes
-    the integration constant (a bisection on the first slope). phi's own
+    Telescopes the discrete first integral: the left flux row fixes the
+    first half-node slope of u at psi's plus ``left_flux_offset``, and the
+    slope powers accumulate the cell masses n h R_i from there. phi's own
     half-node slopes are summed backwards from the anchor phi(s_max) = 0;
     building u first and subtracting psi would leave the rounding of |u| in
     phi's differences.
     """
     n, h = model.n, model.grid.h
-    R = rhs.interior_density
-    W = model.psi_slopes
-    offset = rhs.left_flux_offset
-
-    def left_row(w0: float) -> float:
-        # cumulative cell masses can dip below zero by rounding noise in the
-        # flat tails; the physical slope power is nonnegative
-        w1 = max(w0**n + n * h * R[0], 0.0) ** (1.0 / n)
-        return 0.5 * (3.0 * (w0 - W[0]) - (w1 - W[1])) - offset
-
-    # left_row(w0) >= w0 - (n h R_0)^{1/n} / 2 - |beta|, so hi brackets the root
-    beta = 0.5 * (3.0 * W[0] - W[1]) + offset
-    hi = 3.0 * abs(beta) + max(n * h * float(np.sum(R)), 0.0) ** (1.0 / n) + 1.0
-    # left_row increases in w0: bisect [lo, hi] down to adjacent doubles,
-    # or to [0, 0] when the row already holds at slope 0
-    lo = 0.0
-    if left_row(lo) >= 0.0:
-        hi = lo
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if left_row(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    w_pow = np.maximum(hi**n + np.concatenate([[0.0], np.cumsum(n * h * R)]), 0.0)
+    W, R = model.psi_slopes, rhs.interior_density
+    w0 = max(W[0] + rhs.left_flux_offset, 0.0)
+    # cumulative cell masses can dip below zero by rounding noise in the
+    # flat tails; the physical slope power is nonnegative
+    w_pow = np.maximum(w0**n + np.concatenate([[0.0], np.cumsum(n * h * R)]), 0.0)
     phi = np.zeros(model.grid.points)
     phi[:-1] = -np.cumsum(h * (w_pow ** (1.0 / n) - W)[::-1])[::-1]
     return phi
@@ -507,9 +467,9 @@ def _dilated(phi: np.ndarray, model: KahlerModel, prev: RhsFamily,
     xi_eps(s) = 2 log eps + xi_1(s - 2 log eps), so the pole layer and the
     solution above it move with ``pole_anchor``. u = psi + phi is resampled
     at s + (prev.pole_anchor - rhs.pole_anchor), linearly between nodes,
-    with its end slope past s_max and at its first value below s_min, and
-    psi is subtracted again. Without an anchor on either side, or with
-    equal anchors, phi is returned as is.
+    with its last half-node slope past s_max and at its first value below
+    s_min, and psi is subtracted again. Without an anchor on either side, or
+    with equal anchors, phi is returned as is.
     """
     if prev.pole_anchor is None or rhs.pole_anchor is None:
         return phi
@@ -521,7 +481,7 @@ def _dilated(phi: np.ndarray, model: KahlerModel, prev: RhsFamily,
     x = s + shift
     moved = np.interp(x, s, u)
     beyond = x > s[-1]
-    moved[beyond] = u[-1] + right_slope(u, h) * (x[beyond] - s[-1])
+    moved[beyond] = u[-1] + (u[-1] - u[-2]) / h * (x[beyond] - s[-1])
     return moved - model.psi.values
 
 

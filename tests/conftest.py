@@ -30,11 +30,9 @@ def gaussian_bump(grid, amplitude=0.3, center=0.0, width=3.0):
 
 
 def jacobian_matvec(jac, v):
-    """J v for the Jacobian ``(dl, d, du, left, right)`` of ``_assemble_jacobian``."""
-    dl, d, du, left, right = jac
+    """J v for the Jacobian ``(dl, d, du)`` of ``_assemble_jacobian``."""
+    dl, d, du = jac
     out = d * v
     out[:-1] += du * v[1:]
     out[1:] += dl * v[:-1]
-    out[0] += left * v[2]
-    out[-1] += right * v[-3]
     return out

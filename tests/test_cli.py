@@ -61,6 +61,18 @@ class TestSolve:
                           "lelong_sensitivity,mass,newton_iters,converged")
         assert (tmp_path / "fp_potential.dat").exists()
 
+    def test_t_target_alone_sets_the_time(self, tmp_path):
+        # the README's config names only t_target; solve must not fall back
+        # to the t = 0 quadrature
+        path = Path(write_config(tmp_path, rhs_kind="dirac", gamma="1.8",
+                                 t_target="0.2", name="tt"))
+        path.write_text("\n".join(line for line in path.read_text().splitlines()
+                                  if not line.startswith("t = ")) + "\n")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "tt_diagnostics.csv").read_text().splitlines()[1].split(",")
+        assert float(row[1]) == 0.2
+        assert int(row[8]) >= 1
+
     def test_invalid_field_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, t="1.5", t_target="1.5")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -29,7 +29,7 @@ from radialma import (
     sweep_epsilon,
 )
 from radialma import solver
-from radialma.grid import right_slope
+from radialma.rhs import xi_eps_d1
 from radialma.solver import (
     _assemble_jacobian,
     _dilated,
@@ -119,11 +119,8 @@ class TestResidual:
             assert np.max(np.abs(fd[1:-1] - lin)) / denom < 1e-6
 
 
-def _dense_jacobian(dl, d, du, left, right):
-    J = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-    J[0, 2] = left
-    J[-1, -3] = right
-    return J
+def _dense_jacobian(dl, d, du):
+    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
 
 
 JACOBIAN_N = pytest.mark.parametrize("n", [1, 2, 3])
@@ -148,10 +145,10 @@ class TestJacobian:
     @JACOBIAN_N
     @JACOBIAN_KINDS
     def test_assembly_matches_finite_differences(self, n, kind, t):
-        # every row, the two one-sided boundary rows and their corners
-        # included. The five-point difference is exact on the polynomial part
-        # of the residual (degree n <= 3 in phi), which matters in the far
-        # left tail where a step of delta / h is comparable to u' itself.
+        # every row, the two flux boundary rows included. The five-point
+        # difference is exact on the polynomial part of the residual (degree
+        # n <= 3 in phi), which matters in the far left tail where a step of
+        # delta / h is comparable to u' itself.
         m, rhs, kind, phi, jac = self._state(n, kind, t)
         J = _dense_jacobian(*jac)
         delta = 1e-6
@@ -170,7 +167,7 @@ class TestJacobian:
 
     @JACOBIAN_N
     @JACOBIAN_KINDS
-    def test_folded_step_matches_dense_solve(self, n, kind, t):
+    def test_step_matches_dense_solve(self, n, kind, t):
         # against the row-equilibrated dense system: the unequilibrated
         # dense LU loses digits to the far tails' tiny conductances at n = 3
         m, rhs, kind, phi, jac = self._state(n, kind, t)
@@ -274,19 +271,26 @@ class TestNeutralOracle:
         assert res.u.is_kahler()
         if eps <= 1e-3:
             assert abs(res.diagnostics.lelong.value - gamma) <= 0.02
+        # the discrete first integral the left flux makes exact: at every
+        # face the slope power is the point mass's plus the smooth part's
+        h = m.grid.h
+        xi_slopes = np.log1p(np.expm1(h) * xi_eps_d1(m.grid.nodes[:-1], eps)) / h
+        powers = gamma**n * xi_slopes**n + rhs.c_smooth * m.psi_slopes**n
+        w = np.diff(res.u.values) / h
+        assert np.max(np.abs(w**n - powers)) <= 1e-11 * np.max(powers)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps", [None, 1e-1, 1e-3, 1e-5])
     def test_left_flux_row_solved(self, n, eps):
-        # the scalar solve for the integration constant zeroes the left row
+        # the closed-form first slope zeroes the left row
         m = default_model(n, n + 1.0)
         rhs = constant_rhs(m) if eps is None else build_dirac_rhs(1.0, eps, m)
         assert abs(residual(neutral_oracle(m, rhs), m, rhs, neutral())[0]) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_left_flux_row_solved_at_zero_slope(self, n):
-        # psi' underflows at s_min = -800, so the left row already vanishes at
-        # slope 0 and no scalar solve runs
+        # psi's first half-node slope underflows at s_min = -800, so the
+        # first slope of u is 0 and the left row vanishes exactly
         m = KahlerModel(n, n + 1.0, SGrid(-800.0, 40.0, 8001))
         rhs = constant_rhs(m)
         u = neutral_oracle(m, rhs)
@@ -296,7 +300,6 @@ class TestNeutralOracle:
     def test_grid_convergence_second_order(self):
         # against adaptive quadrature of the continuum first integral;
         # halving h must shrink the gap by at least a factor 3
-        from radialma.rhs import xi_eps_d1
         n, d, gamma, eps = 2, 3.0, 1.0, 3e-2
         gaps = []
         for points in (1001, 2001):
@@ -604,6 +607,14 @@ class TestSweep:
             _, alone = continuity_in_t(model_n1, rhs, kind, kind.t)
             assert np.max(np.abs(res.phi - alone.phi)) <= 1e-8
 
+    def test_n2_far_left_tail_stays_kahler(self, model_n2):
+        # gamma close to d = 3 at tau = 0.8: the flat far-left tail of the
+        # eps = 0.1 member, where the conductances w^{n-1} / h^2 vanish, must
+        # carry no Newton noise that breaks u'' positivity
+        trace, results = sweep_epsilon(model_n2, 2.7, magnifying(0.8), 0.8, (1e-1, 1e-2))
+        assert trace.verdict != "barrier"
+        assert all(res.converged and res.u.is_kahler() for res in results)
+
     def test_deterministic_rerun(self, model_n1):
         t1, _ = sweep_epsilon(model_n1, 1.2, magnifying(0.2), 0.2, (1e-2, 1e-3))
         t2, _ = sweep_epsilon(model_n1, 1.2, magnifying(0.2), 0.2, (1e-2, 1e-3))
@@ -633,7 +644,7 @@ class TestDilation:
         moved = _dilated(phi, m, prev, new)
         u = psi + phi
         assert np.array_equal(moved[:-steps], u[steps:] - psi[:-steps])
-        beyond = u[-1] + right_slope(u, h) * h * np.arange(1, steps + 1)
+        beyond = u[-1] + (u[-1] - u[-2]) * np.arange(1, steps + 1)
         np.testing.assert_allclose(moved[-steps:], beyond - psi[-steps:], rtol=0, atol=1e-12)
 
 
