@@ -89,8 +89,11 @@ class KahlerModel:
 
     @cached_property
     def psi_slopes(self) -> np.ndarray:
-        """Half-node slopes (psi_{i+1} - psi_i) / h, N - 1 of them."""
-        w = np.diff(self.psi.values) / self.grid.h
+        """Half-node slopes (psi_{i+1} - psi_i) / h, N - 1 of them, in the
+        closed form d log1p(expm1(h) expit(s_i)) / h: free of the rounding of
+        |psi|, they increase, so every cell mass in ``weight`` is >= 0."""
+        h = self.grid.h
+        w = self.degree * np.log1p(np.expm1(h) * expit(self.grid.nodes[:-1])) / h
         w.flags.writeable = False
         return w
 

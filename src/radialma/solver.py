@@ -1,4 +1,4 @@
-"""Damped Newton solver and continuity drivers for the reduced equations.
+"""Fixed-point solver and continuity drivers for the reduced equations.
 
 The three equation families for the perturbation phi = u - psi are, in
 reduced variables,
@@ -20,38 +20,34 @@ solution to the model mass and leave the additive level to the equation.
 The neutral family is level-invariant, so its right row is replaced by the
 anchor phi(s_max) = 0.
 
-The rows telescope for every n, so the neutral equation has an exact
-discrete first integral: the slope powers accumulate the cell masses from
-the first slope the left row fixes. ``neutral_oracle`` integrates it by
-quadrature, and ``newton_solve`` returns that quadrature for every kind
-whose exponent rate is 0, with no Newton iteration and ignoring
-``initial_guess``.
-
-For the time-dependent families ``residual_from_perturbation`` is the one
-evaluation of the operator per Newton iterate: it returns the residual
-together with the half-node slopes and e^{sigma t phi} it was built from,
-and ``_assemble_jacobian`` linearises that same evaluation into a
-tridiagonal, symmetric on its interior rows.
+The rows telescope for every n: from the first slope the left row fixes,
+the slope powers accumulate the cell masses n h e^{sigma t phi_i} R_i.
+``newton_solve`` solves phi = T(phi) for the map T that integrates this
+first integral (``_first_integral_map``), with Anderson acceleration
+(Anderson, J. ACM 1965; Walker & Ni, SIAM J. Numer. Anal. 2011). At
+exponent rate 0, T does not depend on phi and one application is the
+quadrature ``neutral_oracle`` returns. ``residual_from_perturbation``
+evaluates the rows and judges the result.
 
 Each continuation routine decides by one rule. ``continuity_in_t``
-steps as far as Newton converges: its step in t starts at DT_INITIAL = 0.1,
-doubles after every accepted step and halves after every failed one. It
-reaches its target or ends in a barrier when the step falls below
-BARRIER_STEP_FLOOR = 1e-6, and returns the last solve it attempted.
+steps as far as the solver converges: its first attempt is at the target,
+and the step doubles after every accepted step and halves after every
+failed one. It reaches its target or ends in a barrier when the step falls
+below BARRIER_STEP_FLOOR = 1e-6, and returns the last solve it attempted.
 ``solve_family`` takes a member's warm start or else its continuation, and
-``family_verdict`` judges blow-up across the family. The warm start is a predictor in eps: the
-point-mass mollifier is one profile translated in s, so the last
-converged member is dilated to the new mollifier (``_dilated``) before
-its level is balanced.
+``family_verdict`` judges blow-up across the family. The warm start is a
+predictor in eps: the point-mass mollifier is one profile translated in s,
+so the last converged member is dilated to the new mollifier
+(``_dilated``) before its level is balanced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError
 from .geometry import Diagnostics, KahlerModel, average, lelong_estimate, mass
@@ -62,8 +58,7 @@ LELONG_WINDOW = 5.0
 LELONG_CAP = -1.0
 BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
-MAX_HALVINGS = 20
-DT_INITIAL = 0.1
+ANDERSON_DEPTH = 5
 
 _SIGNS = {"reducing": 1.0, "neutral": 0.0, "magnifying": -1.0}
 
@@ -152,23 +147,16 @@ class ContinuityTrace:
 
 
 # ---------------------------------------------------------------------------
-# Residual and linearisation
-
-
-def _exponent(kind: EquationKind, phi: np.ndarray) -> np.ndarray:
-    rate = kind.exponent_rate
-    if rate == 0.0:
-        return np.ones_like(phi)
-    return np.exp(np.clip(rate * phi, -700.0, 700.0))
+# Residual
 
 
 class Evaluation(NamedTuple):
     """The discrete operator at one perturbation: the residual and the
-    terms it was built from, which the Jacobian reuses."""
+    half-node slopes it was built from, which set each row's rounding
+    floor."""
 
     residual: np.ndarray
     w: np.ndarray    # half-node slopes of u, N - 1 of them
-    ex: np.ndarray   # e^{sigma t phi} on interior nodes
 
 
 def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
@@ -176,12 +164,9 @@ def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.nd
 
     Interior rows are the flux differences of the half-node slope powers
     minus e^{sigma t phi} times the cell masses; the first and last rows are
-    the flux conditions on phi (for the rate-0 kinds the last row is the
-    level anchor phi(s_max) = 0).
-
+    the flux rows on phi (at rate 0 the last is the anchor phi(s_max) = 0).
     The slopes of psi and of phi are differenced separately, so rounding
-    noise scales with |phi| rather than |u| and F = 1, phi = 0 is an exact
-    zero.
+    scales with |phi| rather than |u| and F = 1, phi = 0 is an exact zero.
     """
     phi = grid_values(u, model.grid) - model.psi.values
     return residual_from_perturbation(phi, model, rhs, kind).residual
@@ -189,198 +174,210 @@ def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.nd
 
 def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
                                kind: EquationKind) -> Evaluation:
-    """The discrete operator as a function of phi = u - psi directly.
-
-    This is the solver's native variable: representing u = psi + phi first
-    would absorb small perturbations into the rounding of the large psi
-    values, so callers probing derivatives use this form. The returned
-    ``Evaluation`` carries the residual and the half-node slopes and
-    exponentials that ``_assemble_jacobian`` linearises.
-    """
+    """The discrete operator as a function of phi = u - psi, the solver's
+    native variable: representing u = psi + phi first would absorb small
+    perturbations into the rounding of the large psi values."""
     n, h = model.n, model.grid.h
     w = model.psi_slopes + np.diff(phi) / h
-    ex = _exponent(kind, phi[1:-1])
     r = np.empty_like(phi)
-    r[1:-1] = np.diff(w ** n) / (n * h) - ex * rhs.interior_density
+    weight = np.exp(kind.exponent_rate * phi[1:-1])
+    r[1:-1] = np.diff(w ** n) / (n * h) - weight * rhs.interior_density
     r[0] = (phi[1] - phi[0]) / h - rhs.left_flux_offset
     r[-1] = phi[-1] if kind.exponent_rate == 0.0 else (phi[-1] - phi[-2]) / h
-    return Evaluation(r, w, ex)
+    return Evaluation(r, w)
 
 
-def _assemble_jacobian(ev: Evaluation, model: KahlerModel, rhs: RhsFamily,
-                       kind: EquationKind):
-    """Jacobian at an evaluated iterate of a time-dependent kind, as its
-    three diagonals ``(dl, d, du)``: row i holds dl[i-1], d[i], du[i] in
-    columns i-1, i, i+1.
-
-    Interior row i linearises the flux difference minus e^{sigma t phi} R
-    as (c_{i+1/2} (v_{i+1} - v_i) - c_{i-1/2} (v_i - v_{i-1})) / h^2
-    - sigma t e^{sigma t phi} R v_i, with c = w^{n-1}: symmetric, with the
-    conductances c / h^2 off the diagonal. The two flux rows are linear in
-    phi, with entries -1/h and 1/h.
-    """
+def _unmet_row(ev: Evaluation, phi: np.ndarray, model: KahlerModel, tol: float) -> int | None:
+    """The first row whose residual exceeds its tolerance, if any. Boundary
+    rows are held to ``tol``; interior row i to the larger of ``tol`` and its
+    rounding floor 16 eps max(1, |phi|) max(w_{i-1/2}, w_{i+1/2})^{n-1} / h^2
+    (the 16 eps of ``RadialPotential.positivity_floor``)."""
     n, h = model.n, model.grid.h
-    c = ev.w ** (n - 1) / h**2
-    d = np.empty(c.size + 1)
-    d[1:-1] = -(c[1:] + c[:-1]) - kind.exponent_rate * ev.ex * rhs.interior_density
-    dl, du = c, c.copy()
-    d[0], du[0] = -1.0 / h, 1.0 / h
-    dl[-1], d[-1] = -1.0 / h, 1.0 / h
-    return dl, d, du
-
-
-def _solve_newton_step(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                       r: np.ndarray) -> np.ndarray:
-    """Row-equilibrated tridiagonal solve for J v = -r; overwrites the diagonals.
-
-    Each row is first scaled by its largest entry, which keeps the far
-    tails, where the reduced weights span many orders of magnitude, from
-    poisoning the factorisation. LAPACK ``gtsv`` (Gaussian elimination with
-    partial pivoting) then solves the system; a zero pivot raises
-    ``np.linalg.LinAlgError``.
-    """
-    rs = np.abs(d)
-    rs[:-1] = np.maximum(rs[:-1], np.abs(du))
-    rs[1:] = np.maximum(rs[1:], np.abs(dl))
-    rs[rs == 0.0] = 1.0
-    d /= rs
-    du /= rs[:-1]
-    dl /= rs[1:]
-    *_, v, info = dgtsv(dl, d, du, -r / rs, overwrite_dl=True, overwrite_d=True,
-                        overwrite_du=True, overwrite_b=True)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: zero pivot at row {info}")
-    return v
-
-
-def _slope_floor(phi: np.ndarray, h: float) -> float:
-    """Rounding floor below which the sign of u' is not decidable."""
-    return 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(phi)))) / h
+    limit = np.full(phi.size, tol)
+    w = np.abs(ev.w)
+    scale = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(phi)))) / h**2
+    limit[1:-1] = np.maximum(tol, scale * np.maximum(w[:-1], w[1:]) ** (n - 1))
+    unmet = np.flatnonzero(~(np.abs(ev.residual) <= limit))
+    return int(unmet[0]) if unmet.size else None
 
 
 # ---------------------------------------------------------------------------
-# Newton iteration
+# First-integral fixed point
+
+
+def _flux_budget(rhs: RhsFamily):
+    """The cell masses n h R_i, the first slope power w_{1/2}^n the left row
+    fixes, and the flux W^n - w_{1/2}^n the right row asks them to carry."""
+    m = rhs.model
+    n, W = m.n, m.psi_slopes
+    q0 = max(W[0] + rhs.left_flux_offset, 0.0) ** n
+    return n * m.grid.h * rhs.interior_density, q0, W[-1] ** n - q0
+
+
+def _balanced_masses(phi: np.ndarray, cells: np.ndarray, flux: float, rate: float):
+    """The cell masses weighted by e^{rate phi}, up to a common factor, and
+    the level kappa under which e^{rate (phi + kappa)} makes them sum to
+    ``flux``."""
+    z = rate * phi[1:-1]
+    top = float(z.max())
+    z -= top  # log sum exp, stable
+    np.exp(z, out=z)
+    z *= cells
+    total = float(z.sum())
+    if not total > 0.0:
+        return z, math.nan  # a wild iterate can leave no mass: no finite level
+    return z, (math.log(flux / total) - top) / rate
+
+
+def _first_integral_map(model: KahlerModel, rhs: RhsFamily, kind: EquationKind):
+    """The map T whose fixed points are the discrete solutions; its constant
+    arrays are built once, here.
+
+    T(phi) weights the cell masses by phi at its balanced level phi + kappa
+    (the rule of ``_mass_balanced_shift``). From the first slope the left
+    row fixes, the slope powers accumulate them and end at psi's last, so
+    T(phi) meets both flux rows. phi's slopes are summed backwards in phi
+    itself, not in u, which would add the rounding of |u|, and end at the
+    level phi_{N-1} + kappa. A fixed point has kappa = 0, so all its rows
+    hold. At rate 0 the weights are 1 and the level is the anchor
+    phi(s_max) = 0: T(phi) is the neutral quadrature, whatever phi.
+    """
+    n, h, W = model.n, model.grid.h, model.psi_slopes
+    cells, q0, flux = _flux_budget(rhs)
+    rate = kind.exponent_rate
+
+    def first_integral(phi: np.ndarray) -> np.ndarray:
+        q = np.empty(W.size)
+        q[0] = 0.0
+        if rate == 0.0:
+            np.cumsum(cells, out=q[1:])
+            level = 0.0
+        else:
+            masses, kappa = _balanced_masses(phi, cells, flux, rate)
+            np.cumsum(masses, out=q[1:])
+            q *= flux / q[-1]  # scaled by their own sum: exactly balanced
+            level = phi[-1] + kappa
+        q += q0
+        if n > 1:
+            q **= 1.0 / n
+        q -= W
+        q *= -h  # before summing: a product of the sums adds its own rounding
+        out = np.empty_like(phi)
+        out[-1] = 0.0
+        np.cumsum(q[::-1], out=out[-2::-1])
+        out += level
+        return out
+
+    return first_integral
+
+
+def _mixed(g: np.ndarray, f: np.ndarray, gram: np.ndarray, dF: np.ndarray,
+           dG: np.ndarray) -> np.ndarray:
+    """The Anderson iterate g - dG^T gamma, gamma the least-squares fit of f
+    by the rows of dF from the normal equations gram gamma = dF f; g itself,
+    the plain step, when they are singular."""
+    try:
+        gamma = np.linalg.solve(gram, dF @ f)
+    except np.linalg.LinAlgError:
+        return g
+    if not np.isfinite(gamma).all():
+        return g
+    return g - gamma @ dG
+
+
+def _anderson(T, phi: np.ndarray, tol: float, max_iters: int):
+    """Anderson-accelerated iteration of phi = T(phi), depth ANDERSON_DEPTH.
+
+    Each iteration mixes the stored differences of f = T(phi) - phi and of
+    T(phi) into a new phi and applies T once. Returns
+    ``(T(phi), iterations, message)``: an empty message once ||f||_inf is at
+    or below ``tol``, else why it stopped.
+    """
+    depth = ANDERSON_DEPTH
+    dF = np.empty((depth, phi.size))
+    dG = np.empty((depth, phi.size))
+    gram = np.empty((depth, depth))
+    g = T(phi)
+    f = g - phi
+    iters = 0
+    while True:
+        step = float(np.abs(f).max())
+        if not np.isfinite(step):
+            return phi, iters, "fixed-point map produced non-finite values"
+        if step <= tol:
+            return g, iters, ""
+        if iters == max_iters:
+            return g, iters, f"max_iters reached, step {step:.3g}"
+        k = min(iters, depth)
+        phi = _mixed(g, f, gram[:k, :k], dF[:k], dG[:k]) if k else g
+        g_new = T(phi)
+        f_new = g_new - phi
+        j = iters % depth  # a ring of rows; the Gram matrix follows row j
+        np.subtract(f_new, f, out=dF[j])
+        np.subtract(g_new, g, out=dG[j])
+        k = min(iters + 1, depth)
+        gram[j, :k] = gram[:k, j] = dF[:k] @ dF[j]
+        g, f = g_new, f_new
+        iters += 1
 
 
 def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                  config: SolveConfig | None = None) -> SolveResult:
-    """Damped Newton iteration from ``config.initial_guess`` (default phi = 0).
+    """Solve phi = T(phi) for the first-integral map T from
+    ``config.initial_guess`` (default phi = 0).
 
-    A kind whose exponent rate is 0 (the neutral family, or t = 0) is
-    solved exactly by the quadrature of ``neutral_oracle`` instead, with 0
-    iterations; ``initial_guess`` is then ignored.
-
-    Backtracking halves the step until the sup-norm residual decreases;
-    for n >= 2 candidates whose half-node slopes of u lose positivity beyond
-    rounding are rejected during damping. Convergence requires the sup-norm
-    residual at or below ``newton_tol``; the converged flag additionally
-    requires the discrete Kahler positivity of the final iterate. A result
-    that is not converged always says why in ``message``.
+    At exponent rate 0 (the neutral family, or t = 0) one application of T
+    is the exact solution, whatever the guess, with 0 iterations. Otherwise
+    ``_anderson`` iterates until the step is at or below ``newton_tol``.
+    Converged also requires every row within its tolerance (``_unmet_row``)
+    and the discrete Kahler positivity of the result; otherwise ``message``
+    says why.
     """
     cfg = config or SolveConfig()
     model.grid.require_same(rhs.model.grid)
-    n, h = model.n, model.grid.h
-    max_iters = cfg.max_iters
-    message = ""
     if cfg.initial_guess is not None:
         phi = np.array(cfg.initial_guess, dtype=float, copy=True)
         if phi.shape != (model.grid.points,):
             raise ConfigurationError("initial guess does not live on the model grid")
     else:
         phi = np.zeros(model.grid.points)
-    if kind.exponent_rate == 0.0:
-        phi, max_iters = _neutral_perturbation(model, rhs), 0
-
-    ev = residual_from_perturbation(phi, model, rhs, kind)
-    rnorm = float(np.max(np.abs(ev.residual)))
-    iters = 0
-    while rnorm > cfg.newton_tol and iters < max_iters:
-        try:
-            # assembled inline, so the diagonals are freed before damping
-            v = _solve_newton_step(*_assemble_jacobian(ev, model, rhs, kind), ev.residual)
-        except np.linalg.LinAlgError as exc:
-            message = f"linear solve singular: {exc}"
-            break
-        if not np.all(np.isfinite(v)):
-            message = "linear solve produced non-finite step"
-            break
-        lam = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            cand = phi + lam * v
-            if n > 1:
-                floor = _slope_floor(cand, h)
-                if np.min(model.psi_slopes + np.diff(cand) / h) <= -floor:
-                    lam *= 0.5
-                    continue
-            ec = residual_from_perturbation(cand, model, rhs, kind)
-            rcn = float(np.max(np.abs(ec.residual)))
-            if np.isfinite(rcn) and rcn < rnorm:
-                phi, ev, rnorm = cand, ec, rcn
-                accepted = True
-                break
-            del ec  # a rejected evaluation is not kept while the next is built
-            lam *= 0.5
-        iters += 1
-        if not accepted:
-            message = "damping exhausted without residual decrease"
-            break
-
-    u = RadialPotential(model.grid, model.psi.values + phi, n)
-    converged = rnorm <= cfg.newton_tol
-    if not converged and not message:
-        message = ("quadrature solution misses newton_tol" if max_iters == 0
-                   else f"max_iters reached, residual {rnorm:.3g}")
-    if converged and not u.is_kahler():
-        idx, which = u.kahler_violation()
-        converged = False
-        message = f"residual converged but {which} fails positivity at node {idx}"
+    # a diverging iterate may overflow on its way out; the message reports it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        T = _first_integral_map(model, rhs, kind)
+        if kind.exponent_rate == 0.0:
+            phi, iters, message = T(phi), 0, ""
+        else:
+            phi, iters, message = _anderson(T, phi, cfg.newton_tol, cfg.max_iters)
+        ev = residual_from_perturbation(phi, model, rhs, kind)
+        u = RadialPotential(model.grid, model.psi.values + phi, model.n)
+        unmet = None if message else _unmet_row(ev, phi, model, cfg.newton_tol)
+        if unmet is not None:
+            message = f"row {unmet} misses its tolerance, residual {ev.residual[unmet]:.3g}"
+        if not message and not u.is_kahler():
+            idx, which = u.kahler_violation()
+            message = f"rows converged but {which} fails positivity at node {idx}"
+        diagnostics = diagnostics_for(phi, model, rhs)
     return SolveResult(
         u=u,
         phi=phi,
-        diagnostics=diagnostics_for(phi, model, rhs),
-        converged=converged,
+        diagnostics=diagnostics,
+        converged=not message,
         iterations=iters,
-        residual_norm=rnorm,
+        residual_norm=float(np.max(np.abs(ev.residual))),
         kind=kind,
         message=message,
     )
 
 
-# ---------------------------------------------------------------------------
-# Neutral first-integral oracle
-
-
 def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
     """Direct quadrature solution of the neutral equation.
 
-    The exact discrete solution of the flux-form rows for every n, which
-    ``newton_solve`` returns for the rate-0 kinds. No Newton machinery is
-    involved; see ``_neutral_perturbation``.
+    The exact discrete solution of the flux-form rows for every n: one
+    application of the first-integral map at rate 0, which ``newton_solve``
+    returns for the rate-0 kinds.
     """
-    return RadialPotential(model.grid, model.psi.values + _neutral_perturbation(model, rhs),
-                           model.n)
-
-
-def _neutral_perturbation(model: KahlerModel, rhs: RhsFamily) -> np.ndarray:
-    """phi of the neutral quadrature, built in phi-space.
-
-    Telescopes the discrete first integral: the left flux row fixes the
-    first half-node slope of u at psi's plus ``left_flux_offset``, and the
-    slope powers accumulate the cell masses n h R_i from there. phi's own
-    half-node slopes are summed backwards from the anchor phi(s_max) = 0;
-    building u first and subtracting psi would leave the rounding of |u| in
-    phi's differences.
-    """
-    n, h = model.n, model.grid.h
-    W, R = model.psi_slopes, rhs.interior_density
-    w0 = max(W[0] + rhs.left_flux_offset, 0.0)
-    # cumulative cell masses can dip below zero by rounding noise in the
-    # flat tails; the physical slope power is nonnegative
-    w_pow = np.maximum(w0**n + np.concatenate([[0.0], np.cumsum(n * h * R)]), 0.0)
-    phi = np.zeros(model.grid.points)
-    phi[:-1] = -np.cumsum(h * (w_pow ** (1.0 / n) - W)[::-1])[::-1]
-    return phi
+    phi = _first_integral_map(model, rhs, neutral())(np.zeros(model.grid.points))
+    return RadialPotential(model.grid, model.psi.values + phi, model.n)
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +438,20 @@ def pole_slope_sample(phi, model: KahlerModel, rhs: RhsFamily) -> float:
 
 
 def _mass_balanced_shift(phi: np.ndarray, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
-    """Shift phi by the constant that balances the effective mass at time t.
+    """Shift phi by the constant that balances the right flux row at time t.
 
-    The additive level of the time-dependent families moves with t; warm
-    starts converge much faster after the level is preset so that
-    sum(e^{rate*(phi+kappa)} R) equals sum(R).
+    Telescoped, the interior rows make the last slope power of u the first,
+    w_{1/2}^n, plus n h sum(e^{rate phi} R); the right row asks for psi's
+    last slope W. The shift kappa makes
+    n h sum(e^{rate (phi + kappa)} R) = W^n - w_{1/2}^n. The first-integral
+    map weights its input at this level, and every warm start is shifted by
+    it.
     """
     rate = kind.exponent_rate
     if rate == 0.0:
         return phi
-    R = rhs.interior_density
-    log_eff = float(np.max(rate * phi[1:-1]))
-    # log sum exp, stable
-    z = rate * phi[1:-1] - log_eff
-    log_sum = log_eff + np.log(np.sum(np.exp(z) * R))
-    kappa = (np.log(np.sum(R)) - log_sum) / rate
-    return phi + kappa
+    cells, _, flux = _flux_budget(rhs)
+    return phi + _balanced_masses(phi, cells, flux, rate)[1]
 
 
 def _dilated(phi: np.ndarray, model: KahlerModel, prev: RhsFamily,
@@ -491,10 +486,10 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     """Adaptive continuation in t from the neutral base to ``t_target``.
 
     Each accepted step warm-starts the next after a mass-balancing level
-    shift. The step starts at DT_INITIAL = 0.1 and doubles after every
-    accepted step, with no cap but the target; Newton failure halves it.
-    When the step falls below BARRIER_STEP_FLOOR = 1e-6 the run is declared
-    a barrier at the last solved time. The verdict is ``reached_target`` or
+    shift. The first attempt is at ``t_target``; the step doubles after
+    every accepted step, with no cap but the target, and a failed solve
+    halves it. When the step falls below BARRIER_STEP_FLOOR = 1e-6 the run
+    is declared a barrier at the last solved time. The verdict is ``reached_target`` or
     ``barrier``.
 
     The returned result is the last solve attempted: the solve at
@@ -512,7 +507,7 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     entries = [StepRecord(0.0, step.diagnostics, step.converged,
                           step.iterations, step.residual_norm)]
     t = 0.0
-    dt = min(DT_INITIAL, t_target)
+    dt = t_target
     while step.converged and t < t_target - 1e-14:
         t_try = min(t + dt, t_target)
         guess = _mass_balanced_shift(step.phi, rhs, EquationKind(kind.kind, t_try))

@@ -28,11 +28,3 @@ def gaussian_bump(grid, amplitude=0.3, center=0.0, width=3.0):
     s = grid.nodes
     return amplitude * np.exp(-((s - center) ** 2) / (2.0 * width**2))
 
-
-def jacobian_matvec(jac, v):
-    """J v for the Jacobian ``(dl, d, du)`` of ``_assemble_jacobian``."""
-    dl, d, du = jac
-    out = d * v
-    out[:-1] += du * v[1:]
-    out[1:] += dl * v[:-1]
-    return out

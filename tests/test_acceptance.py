@@ -37,9 +37,13 @@ from radialma import (
     tangent_on_line,
 )
 from radialma.grid import second_derivative
-from radialma.solver import _assemble_jacobian, residual_from_perturbation
+from radialma.solver import (
+    _first_integral_map,
+    _mass_balanced_shift,
+    residual_from_perturbation,
+)
 
-from conftest import gaussian_bump, jacobian_matvec
+from conftest import gaussian_bump
 from oracles import disc_mass_quad
 from test_geometry import resolvable_curvature
 
@@ -181,29 +185,34 @@ def test_criterion_08_multiplier_thresholds(model_n1):
               "gives vanishing order 3")
 
 
-def test_criterion_09_linearization(model_n1):
+def test_criterion_09_first_integral(model_n1):
+    # one application of the first-integral map T integrates the rows with
+    # the weights of its input at the balanced level, bal: at T(phi) each
+    # interior row is left with exactly the change of weight,
+    # (e^{sigma t bal} - e^{sigma t T(phi)}) R, and both flux rows hold
     rng = np.random.default_rng(99)
     rhs = build_dirac_rhs(1.0, 1e-2, model_n1)
     kind = magnifying(0.3)
     g = model_n1.grid
+    T = _first_integral_map(model_n1, rhs, kind)
     phi0 = gaussian_bump(g, 0.1)
-    jac = _assemble_jacobian(residual_from_perturbation(phi0, model_n1, rhs, kind),
-                             model_n1, rhs, kind)
-    delta = 1e-5
     worst = 0.0
     for _ in range(10):
         coeffs = rng.normal(size=6)
         v = sum(c * np.sin((k + 3) * np.pi * (g.nodes - g.s_min) / 80.0)
                 for k, c in enumerate(coeffs))
         v *= np.exp(-g.nodes**2 / 200.0)
-        fd = (residual_from_perturbation(phi0 + delta * v, model_n1, rhs, kind).residual
-              - residual_from_perturbation(phi0 - delta * v, model_n1, rhs, kind).residual
-              ) / (2 * delta)
-        lin = jacobian_matvec(jac, v)[1:-1]
-        rel = float(np.max(np.abs(fd[1:-1] - lin)) / np.max(np.abs(lin)))
+        phi = phi0 + 0.1 * v
+        bal = _mass_balanced_shift(phi, rhs, kind)
+        t_phi = T(phi)
+        r = residual_from_perturbation(t_phi, model_n1, rhs, kind).residual
+        rate = kind.exponent_rate
+        change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * rhs.interior_density
+        rel = float(np.max(np.abs(r[1:-1] - change)) / np.max(np.abs(change)))
         worst = max(worst, rel)
         assert rel <= 1e-6
-    report(9, f"Jacobian vs finite differences: worst relative error {worst:.2e}")
+        assert abs(r[0]) <= 1e-12 and abs(r[-1]) <= 1e-12
+    report(9, f"first integral vs rows: worst relative error {worst:.2e}")
 
 
 def test_criterion_10_slope_suite():

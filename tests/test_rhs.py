@@ -121,6 +121,25 @@ class TestDiracFamily:
             rhs = build_dirac_rhs(1.5, eps, model_n1)
             assert np.min(rhs.values) > 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cell_masses_nonnegative(self, n):
+        # the closed-form half-node slopes of psi increase, so the smooth
+        # cell masses and the point-mass family built on them are >= 0 in
+        # the flat right tail too, where differences of node values carry
+        # the rounding of |psi|
+        m = default_model(n, n + 1.0)
+        assert np.all(np.diff(m.psi_slopes) >= 0.0)
+        assert np.min(m.weight) >= 0.0
+        for eps in (1e-1, 1e-3, 1e-5):
+            assert np.min(build_dirac_rhs(0.5 * (n + 1.0), eps, m).density) >= 0.0
+
+    def test_closed_form_slopes_match_node_differences(self):
+        # the closed form moves the slopes by rounding only
+        for n in (1, 4):
+            m = default_model(n, n + 1.0)
+            diffs = np.diff(m.psi.values) / m.grid.h
+            assert np.max(np.abs(m.psi_slopes - diffs)) <= 1e-11
+
     def test_pole_mass_above_model_mass_rejected(self, model_n1):
         with pytest.raises(ConstraintViolationError):
             build_dirac_rhs(2.5, 1e-3, model_n1)

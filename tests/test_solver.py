@@ -1,4 +1,4 @@
-"""Newton solver, neutral oracle, continuity drivers, sweeps."""
+"""Fixed-point solver, neutral oracle, continuity drivers, sweeps."""
 
 from dataclasses import replace
 
@@ -31,15 +31,16 @@ from radialma import (
 from radialma import solver
 from radialma.rhs import xi_eps_d1
 from radialma.solver import (
-    _assemble_jacobian,
     _dilated,
-    _solve_newton_step,
+    _first_integral_map,
+    _mixed,
+    _unmet_row,
     diagnostics_for,
     pole_slope_sample,
     residual_from_perturbation,
 )
 
-from conftest import gaussian_bump, jacobian_matvec
+from conftest import gaussian_bump
 from oracles import continuum_neutral_potential
 
 
@@ -95,88 +96,10 @@ class TestResidual:
         r_u = residual(model_n1.psi.values + c, model_n1, rhs, magnifying(t))
         assert np.max(np.abs(r_u[1:-1] - expected)) < 1e-9
 
-    def test_linearization_matches_finite_differences(self, model_n1):
-        # acceptance: Jacobian consistency over 10 random smooth directions,
-        # probed in the perturbation variable (the solver's unknown)
-        rng = np.random.default_rng(42)
-        rhs = build_dirac_rhs(1.0, 1e-2, model_n1)
-        kind = magnifying(0.3)
-        g = model_n1.grid
-        phi0 = gaussian_bump(g, 0.1)
-        jac = _assemble_jacobian(residual_from_perturbation(phi0, model_n1, rhs, kind),
-                                 model_n1, rhs, kind)
-        delta = 1e-5
-        for _ in range(10):
-            coeffs = rng.normal(size=6)
-            v = sum(c * np.sin((k + 3) * np.pi * (g.nodes - g.s_min) / 80.0)
-                    for k, c in enumerate(coeffs))
-            v *= np.exp(-g.nodes**2 / 200.0)
-            fd = (residual_from_perturbation(phi0 + delta * v, model_n1, rhs, kind).residual
-                  - residual_from_perturbation(phi0 - delta * v, model_n1, rhs, kind).residual
-                  ) / (2 * delta)
-            lin = jacobian_matvec(jac, v)[1:-1]
-            denom = np.max(np.abs(lin))
-            assert np.max(np.abs(fd[1:-1] - lin)) / denom < 1e-6
 
-
-def _dense_jacobian(dl, d, du):
-    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-
-
-JACOBIAN_N = pytest.mark.parametrize("n", [1, 2, 3])
-JACOBIAN_KINDS = pytest.mark.parametrize(
-    "kind,t", [("reducing", 0.4), ("magnifying", 0.4)])
-
-
-class TestJacobian:
-    # a dirac RHS on a small grid, at a perturbed state, for every n and
-    # time-dependent kind (a rate-0 kind is solved by quadrature and has no
-    # Jacobian)
+class TestFirstIntegral:
+    # a dirac RHS on a small grid, for every n and time-dependent kind
     GRID = SGrid(-16.0, 16.0, 41)
-
-    def _state(self, n, kind, t):
-        m = KahlerModel(n, n + 1.0, self.GRID)
-        rhs = build_dirac_rhs(0.5 * (n + 1.0), 1e-1, m)
-        phi = gaussian_bump(m.grid, 0.1)
-        eq = EquationKind(kind, t)
-        ev = residual_from_perturbation(phi, m, rhs, eq)
-        return m, rhs, eq, phi, _assemble_jacobian(ev, m, rhs, eq)
-
-    @JACOBIAN_N
-    @JACOBIAN_KINDS
-    def test_assembly_matches_finite_differences(self, n, kind, t):
-        # every row, the two flux boundary rows included. The five-point
-        # difference is exact on the polynomial part of the residual (degree
-        # n <= 3 in phi), which matters in the far left tail where a step of
-        # delta / h is comparable to u' itself.
-        m, rhs, kind, phi, jac = self._state(n, kind, t)
-        J = _dense_jacobian(*jac)
-        delta = 1e-6
-
-        def res(j, k):
-            e = np.zeros(phi.size)
-            e[j] = k * delta
-            return residual_from_perturbation(phi + e, m, rhs, kind).residual
-
-        fd = np.empty_like(J)
-        for j in range(phi.size):
-            fd[:, j] = (8.0 * (res(j, 1) - res(j, -1)) - (res(j, 2) - res(j, -2))
-                        ) / (12.0 * delta)
-        scale = np.max(np.abs(J), axis=1, keepdims=True)
-        assert np.max(np.abs(fd - J) / scale) < 1e-6
-
-    @JACOBIAN_N
-    @JACOBIAN_KINDS
-    def test_step_matches_dense_solve(self, n, kind, t):
-        # against the row-equilibrated dense system: the unequilibrated
-        # dense LU loses digits to the far tails' tiny conductances at n = 3
-        m, rhs, kind, phi, jac = self._state(n, kind, t)
-        J = _dense_jacobian(*jac)
-        r = residual_from_perturbation(phi, m, rhs, kind).residual
-        v = _solve_newton_step(*jac, r)
-        rs = np.max(np.abs(J), axis=1)
-        expected = np.linalg.solve(J / rs[:, None], -r / rs)
-        assert np.max(np.abs(v - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(n=st.integers(1, 3),
@@ -184,24 +107,61 @@ class TestJacobian:
            t=st.floats(0.01, 0.95, exclude_max=True),
            amplitude=st.floats(-0.5, 0.5),
            center=st.floats(-5.0, 5.0),
-           width=st.floats(1.0, 4.0),
-           v_center=st.floats(-5.0, 5.0))
-    def test_matvec_matches_finite_differences(self, n, kind, t, amplitude, center,
-                                               width, v_center):
-        # J v from the evaluation's own terms against a centred difference of
-        # the residual, at a smooth bump phi, along a smooth bump direction
+           width=st.floats(1.0, 4.0))
+    def test_map_integrates_the_rows(self, n, kind, t, amplitude, center, width):
+        # T(phi) integrates the rows with the weights of phi at its balanced
+        # level: it meets both flux rows, leaves each interior row with the
+        # change of weight (e^{sigma t bal} - e^{sigma t T(phi)}) R, and keeps
+        # the balanced level at s_max
         m = KahlerModel(n, n + 1.0, self.GRID)
         rhs = build_dirac_rhs(0.5 * (n + 1.0), 1e-1, m)
         eq = EquationKind(kind, t)
         phi = gaussian_bump(m.grid, amplitude, center, width)
-        v = gaussian_bump(m.grid, 1.0, v_center, 2.0)
-        jv = jacobian_matvec(_assemble_jacobian(residual_from_perturbation(phi, m, rhs, eq),
-                                                m, rhs, eq), v)
-        delta = 1e-6
-        fd = (residual_from_perturbation(phi + delta * v, m, rhs, eq).residual
-              - residual_from_perturbation(phi - delta * v, m, rhs, eq).residual
-              ) / (2 * delta)
-        assert np.max(np.abs(fd - jv)) <= 1e-6 * np.max(np.abs(jv))
+        bal = solver._mass_balanced_shift(phi, rhs, eq)
+        W, h = m.psi_slopes, m.grid.h
+        flux = W[-1] ** n - (W[0] + rhs.left_flux_offset) ** n
+        rate, R = eq.exponent_rate, rhs.interior_density
+        assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
+        t_phi = _first_integral_map(m, rhs, eq)(phi)
+        r = residual_from_perturbation(t_phi, m, rhs, eq).residual
+        change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * R
+        assert np.max(np.abs(r[1:-1] - change)) <= 1e-12 * np.max(R)
+        assert abs(r[0]) <= 1e-12 and abs(r[-1]) <= 1e-12
+        assert t_phi[-1] == pytest.approx(bal[-1], abs=1e-12)
+
+    def test_singular_normal_equations_take_the_plain_step(self):
+        # a difference row of zeros (the residual did not change) makes the
+        # Gram matrix singular; an overflowed one makes it non-finite
+        rng = np.random.default_rng(0)
+        g, f = rng.normal(size=(2, 7))
+        dG = rng.normal(size=(2, 7))
+        for bad in (0.0, np.inf):
+            dF = np.vstack([rng.normal(size=7), np.full(7, bad)])
+            with np.errstate(invalid="ignore"):
+                assert _mixed(g, f, dF @ dF.T, dF, dG) is g
+        # a regular system mixes: gamma is the least-squares fit of f by dF
+        dF = rng.normal(size=(2, 7))
+        gamma = np.linalg.lstsq(dF.T, f, rcond=None)[0]
+        assert np.allclose(_mixed(g, f, dF @ dF.T, dF, dG), g - gamma @ dG)
+
+    def test_interior_rows_held_to_their_rounding_floor(self, model_n2):
+        # an interior row may exceed newton_tol by its rounding floor, a
+        # boundary row may not
+        m, tol = model_n2, 1e-10
+        phi = np.full(m.grid.points, 100.0)
+        w = m.psi_slopes
+        i = int(np.argmax(w[:-1])) + 1
+        floor = 16.0 * np.finfo(float).eps * 100.0 * max(w[i - 1], w[i]) / m.grid.h**2
+        assert floor > 10 * tol
+        r = np.zeros(m.grid.points)
+        r[i] = 0.5 * floor
+        assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) is None
+        r[i] = 2.0 * floor
+        assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) == i
+        r[i], r[0] = 0.0, 2.0 * tol
+        assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) == 0
+        r[0], r[-1] = 0.0, np.nan
+        assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) == m.grid.points - 1
 
 
 class TestFixedPoints:
@@ -245,8 +205,8 @@ class TestNeutralOracle:
             assert nu == pytest.approx(gamma, rel=rel)
 
     # gamma = d/2 for n in 1..4 (n = 4 only at eps = 1e-1: below it the
-    # n = 4 residual sits on the rounding floor of newton_tol), and
-    # gamma in {0.3, 0.9} d for n <= 2
+    # n = 4 residual exceeds 1e-10 within its rounding floor, see
+    # TestRoundingFloor), and gamma in {0.3, 0.9} d for n <= 2
     @pytest.mark.parametrize("n,frac,eps", [
         *((n, 0.5, eps) for n in (1, 2, 3) for eps in (1e-1, 1e-3, 1e-5)),
         (4, 0.5, 1e-1),
@@ -454,12 +414,13 @@ class TestContinuity:
         assert params == sorted(params)
 
     @pytest.mark.parametrize("n,kind,iterations,steps", [
-        (1, "magnifying", 8, 2), (1, "reducing", 8, 2),
-        (2, "magnifying", 14, 3), (2, "reducing", 7, 2)])
+        (1, "magnifying", 11, 1), (1, "reducing", 11, 1),
+        (2, "magnifying", 13, 1), (2, "reducing", 11, 1)])
     def test_work_counts(self, request, n, kind, iterations, steps):
-        # Newton iterations over the trace and accepted steps, gamma = 1,
-        # eps = 1e-3, t = 0.2: a Jacobian that lags the iterate loses
-        # quadratic convergence and needs more of both
+        # fixed-point iterations over the trace and accepted steps, gamma = 1,
+        # eps = 1e-3, t = 0.2: measured 9, 9, 11 and 9 iterations in one
+        # step. Plain iteration without the Anderson mixing needs 16, a
+        # barrier, 16 and 251.
         m = request.getfixturevalue(f"model_n{n}")
         rhs = build_dirac_rhs(1.0, 1e-3, m)
         trace, _ = continuity_in_t(m, rhs, EquationKind(kind, 0.2), 0.2)
@@ -480,13 +441,13 @@ class TestContinuity:
         # the average passes 50 on the way to t = 0.9; a solution exists
         (1, 1.8, 1e-6, 0.9, None, "reached_target"),
         (1, 1.0, 1e-3, 0.2, None, "reached_target"),
-        # stops at t ~ 0.042 on the rounding floor of newton_tol
-        (3, 2.0, 1e-3, 0.5, None, None)])
+        # n = 3: its rows meet their rounding floor, in one step
+        (3, 2.0, 1e-3, 0.5, None, "reached_target")])
     def test_returns_last_attempted_solve(self, n, gamma, eps, t, cfg, verdict):
         m = default_model(n, n + 1.0)
         rhs = build_dirac_rhs(gamma, eps, m)
         trace, res = continuity_in_t(m, rhs, magnifying(t), t, cfg)
-        assert verdict is None or trace.verdict == verdict
+        assert trace.verdict == verdict
         assert res is not None
         assert res.converged == (trace.verdict == "reached_target")
         if trace.verdict == "barrier":
@@ -526,6 +487,35 @@ class TestContinuity:
         assert trace.verdict == ("reached_target" if step.converged else "barrier")
         assert res.kind == step.kind
         assert np.max(np.abs(res.phi - step.phi)) <= 1e-8
+
+
+class TestRoundingFloor:
+    # cases whose rows sit at the rounding floor of newton_tol, where the
+    # verdict used to turn on the step path or the last bit of t
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    def test_n4_neutral_quadrature_converged(self, eps):
+        m = default_model(4, 5.0)
+        res = newton_solve(m, build_dirac_rhs(2.5, eps, m), neutral())
+        assert res.converged, res.message
+        assert abs(res.diagnostics.mass - 5.0**4) <= 1e-9 * 5.0**4
+
+    @pytest.mark.parametrize("t0", [7 / 20, 0.05 * 7])
+    def test_warm_step_converges_for_both_spellings_of_t(self, model_n2, t0):
+        rhs = build_dirac_rhs(1.5, 1e-3, model_n2)
+        trace, base = continuity_in_t(model_n2, rhs, magnifying(t0), t0)
+        assert trace.verdict == "reached_target"
+        at = magnifying(0.4)
+        guess = solver._mass_balanced_shift(base.phi, rhs, at)
+        res = newton_solve(model_n2, rhs, at, SolveConfig(initial_guess=guess))
+        assert res.converged, res.message
+
+    @pytest.mark.parametrize("t", np.linspace(0.8194, 0.8906, 8).round(4).tolist())
+    def test_n2_near_mass_bound_reaches_target(self, model_n2, t):
+        rhs = build_dirac_rhs(2.7, 0.1, model_n2)
+        trace, res = continuity_in_t(model_n2, rhs, magnifying(t), t)
+        assert trace.verdict == "reached_target", res.message
+        assert res.u.is_kahler()
 
 
 class TestSweep:
@@ -590,7 +580,8 @@ class TestSweep:
     def test_family_warm_starts_dilate(self, model_n1, monkeypatch):
         # above the stalk threshold n/d a level shift alone does not carry a
         # member to the next eps; the dilated start does, so only the first
-        # member continues in t from its neutral base
+        # member continues in t from its neutral base. The warm starts take
+        # 8, 6 and 6 iterations; level-shifted alone, 13 each.
         kind = magnifying(0.8)
         rhs_list = [build_dirac_rhs(1.8, eps, model_n1) for eps in self.EPS_LIST]
         continued = []
@@ -602,15 +593,15 @@ class TestSweep:
         monkeypatch.setattr(solver, "continuity_in_t", counting)
         results = solver.solve_family(model_n1, kind, rhs_list)
         assert continued == [self.EPS_LIST[0]]
-        assert all(res.converged and res.iterations <= 3 for res in results[1:])
+        assert all(res.converged and res.iterations <= 10 for res in results[1:])
         for rhs, res in zip(rhs_list, results):
             _, alone = continuity_in_t(model_n1, rhs, kind, kind.t)
             assert np.max(np.abs(res.phi - alone.phi)) <= 1e-8
 
     def test_n2_far_left_tail_stays_kahler(self, model_n2):
         # gamma close to d = 3 at tau = 0.8: the flat far-left tail of the
-        # eps = 0.1 member, where the conductances w^{n-1} / h^2 vanish, must
-        # carry no Newton noise that breaks u'' positivity
+        # eps = 0.1 member, where the slopes of u vanish, must carry no noise
+        # that breaks u'' positivity
         trace, results = sweep_epsilon(model_n2, 2.7, magnifying(0.8), 0.8, (1e-1, 1e-2))
         assert trace.verdict != "barrier"
         assert all(res.converged and res.u.is_kahler() for res in results)
