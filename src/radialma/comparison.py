@@ -28,6 +28,7 @@ from .grid import RadialPotential, grid_values
 from .rhs import build_dirac_rhs, check_lower_bound
 from .solver import (
     SolveConfig,
+    _eps_values,
     family_verdict,
     magnifying,
     neutral_oracle,
@@ -154,9 +155,7 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     """
     if gamma < 0:
         raise ConfigurationError("gamma must be nonnegative")
-    eps_arr = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ConfigurationError("eps list must be strictly decreasing")
+    eps_arr = _eps_values(eps_list)
     rhs_list = [build_dirac_rhs(gamma, eps, model) for eps in eps_arr]
 
     eta_warning = None

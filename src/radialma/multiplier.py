@@ -40,8 +40,8 @@ def crucial_integral(phi, tau: float, rhs: RhsFamily, model: KahlerModel) -> flo
     """
     vals = grid_values(phi, model.grid)
     phat = average(vals, model)
-    # the discrete density carries sign noise in the flat tails where the
-    # true values underflow; their contribution is below every tolerance
+    # R >= 0 is an invariant of RhsFamily; the floor only keeps exact zeros
+    # (cells where the density underflows) out of the log
     dens = np.maximum(model.n * model.grid.h * rhs.interior_density, np.finfo(float).tiny)
     logs = -tau * (vals[1:-1] - phat) + np.log(dens)
     peak = float(np.max(logs))

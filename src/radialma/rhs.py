@@ -86,6 +86,11 @@ class RhsFamily:
     ``left_flux_offset`` is the prescribed excess of the first half-node
     slope of u over psi's, the flux that mass below the truncation cut
     sends through it; nonzero only for the point-mass family.
+
+    Construction enforces what makes every solution Kahler: finite
+    nonnegative cell masses that vanish on the boundary nodes, and a first
+    half-node slope 0 <= psi_slopes[0] + left_flux_offset below psi's last,
+    so that the cell masses carry a positive flux.
     """
 
     kind: str
@@ -109,6 +114,15 @@ class RhsFamily:
             object.__setattr__(self, name, arr)
         if np.any(self.values <= 0.0):
             raise ConstraintViolationError("F must be strictly positive")
+        if not np.all(np.isfinite(self.density) & (self.density >= 0.0)):
+            raise ConstraintViolationError("cell masses must be finite and nonnegative")
+        if self.density[0] != 0.0 or self.density[-1] != 0.0:
+            raise ConstraintViolationError("cell masses must vanish on the boundary nodes")
+        W = self.model.psi_slopes
+        if not 0.0 <= W[0] + self.left_flux_offset < W[-1]:
+            raise ConstraintViolationError(
+                f"first slope {W[0] + self.left_flux_offset:.6g} must lie in "
+                f"[0, {W[-1]:.6g}), the last slope of psi")
 
     @property
     def interior_density(self) -> np.ndarray:

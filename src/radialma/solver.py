@@ -29,6 +29,16 @@ exponent rate 0, T does not depend on phi and one application is the
 quadrature ``neutral_oracle`` returns. ``residual_from_perturbation``
 evaluates the rows and judges the result.
 
+Positivity holds by construction, so no solve is judged on it. Every
+result is an image of T, whose slope powers are the first one, w_{1/2}^n
+>= 0, plus partial sums of the nonnegative cell masses e^{sigma t phi} n h
+R: its half-node slopes are nonnegative and nondecreasing, the discrete
+Kahler condition of the flux form. ``RhsFamily`` guarantees R >= 0 and
+w_{1/2} >= 0 for every family it admits. T is also invariant under adding
+a constant to phi, so the level of a start is no information:
+``newton_solve`` sets it itself (``_mass_balanced_shift``), and the
+drivers pass their predictors as they are.
+
 Each continuation routine decides by one rule. ``continuity_in_t``
 steps as far as the solver converges: its first attempt is at the target,
 and the step doubles after every accepted step and halves after every
@@ -38,7 +48,7 @@ below BARRIER_STEP_FLOOR = 1e-6, and returns the last solve it attempted.
 ``family_verdict`` judges blow-up across the family. The warm start is a
 predictor in eps: the point-mass mollifier is one profile translated in s,
 so the last converged member is dilated to the new mollifier
-(``_dilated``) before its level is balanced.
+(``_dilated``).
 """
 
 from __future__ import annotations
@@ -100,6 +110,9 @@ def magnifying(t: float) -> EquationKind:
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Stopping rule and start of ``newton_solve``. ``initial_guess`` is any
+    predictor of phi on the model grid; the solver resets its level."""
+
     newton_tol: float = 1e-10
     max_iters: int = 50
     initial_guess: np.ndarray | None = None
@@ -210,7 +223,7 @@ def _flux_budget(rhs: RhsFamily):
     fixes, and the flux W^n - w_{1/2}^n the right row asks them to carry."""
     m = rhs.model
     n, W = m.n, m.psi_slopes
-    q0 = max(W[0] + rhs.left_flux_offset, 0.0) ** n
+    q0 = (W[0] + rhs.left_flux_offset) ** n
     return n * m.grid.h * rhs.interior_density, q0, W[-1] ** n - q0
 
 
@@ -324,16 +337,22 @@ def _anderson(T, phi: np.ndarray, tol: float, max_iters: int):
 def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                  config: SolveConfig | None = None) -> SolveResult:
     """Solve phi = T(phi) for the first-integral map T from
-    ``config.initial_guess`` (default phi = 0).
+    ``config.initial_guess`` (default phi = 0), first shifted to its
+    mass-balanced level (``_mass_balanced_shift``).
 
     At exponent rate 0 (the neutral family, or t = 0) one application of T
     is the exact solution, whatever the guess, with 0 iterations. Otherwise
     ``_anderson`` iterates until the step is at or below ``newton_tol``.
-    Converged also requires every row within its tolerance (``_unmet_row``)
-    and the discrete Kahler positivity of the result; otherwise ``message``
-    says why.
+    The result is converged when that step is met and every row is within
+    its tolerance (``_unmet_row``); otherwise ``message`` says why. It is an
+    image of T, so it is Kahler in the flux form by construction (see the
+    module docstring).
     """
     cfg = config or SolveConfig()
+    if (model.n, model.degree) != (rhs.model.n, rhs.model.degree):
+        raise ConfigurationError(
+            f"right-hand side built for n = {rhs.model.n}, d = {rhs.model.degree:g}, "
+            f"solved on n = {model.n}, d = {model.degree:g}")
     model.grid.require_same(rhs.model.grid)
     if cfg.initial_guess is not None:
         phi = np.array(cfg.initial_guess, dtype=float, copy=True)
@@ -347,18 +366,15 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
         if kind.exponent_rate == 0.0:
             phi, iters, message = T(phi), 0, ""
         else:
+            phi = _mass_balanced_shift(phi, rhs, kind)
             phi, iters, message = _anderson(T, phi, cfg.newton_tol, cfg.max_iters)
         ev = residual_from_perturbation(phi, model, rhs, kind)
-        u = RadialPotential(model.grid, model.psi.values + phi, model.n)
         unmet = None if message else _unmet_row(ev, phi, model, cfg.newton_tol)
         if unmet is not None:
             message = f"row {unmet} misses its tolerance, residual {ev.residual[unmet]:.3g}"
-        if not message and not u.is_kahler():
-            idx, which = u.kahler_violation()
-            message = f"rows converged but {which} fails positivity at node {idx}"
         diagnostics = diagnostics_for(phi, model, rhs)
     return SolveResult(
-        u=u,
+        u=RadialPotential(model.grid, model.psi.values + phi, model.n),
         phi=phi,
         diagnostics=diagnostics,
         converged=not message,
@@ -444,8 +460,8 @@ def _mass_balanced_shift(phi: np.ndarray, rhs: RhsFamily, kind: EquationKind) ->
     w_{1/2}^n, plus n h sum(e^{rate phi} R); the right row asks for psi's
     last slope W. The shift kappa makes
     n h sum(e^{rate (phi + kappa)} R) = W^n - w_{1/2}^n. The first-integral
-    map weights its input at this level, and every warm start is shifted by
-    it.
+    map weights its input at this level, and ``newton_solve`` shifts every
+    start by it.
     """
     rate = kind.exponent_rate
     if rate == 0.0:
@@ -485,12 +501,11 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                     ) -> tuple[ContinuityTrace, SolveResult]:
     """Adaptive continuation in t from the neutral base to ``t_target``.
 
-    Each accepted step warm-starts the next after a mass-balancing level
-    shift. The first attempt is at ``t_target``; the step doubles after
-    every accepted step, with no cap but the target, and a failed solve
-    halves it. When the step falls below BARRIER_STEP_FLOOR = 1e-6 the run
-    is declared a barrier at the last solved time. The verdict is ``reached_target`` or
-    ``barrier``.
+    Each accepted step is the predictor of the next. The first attempt is
+    at ``t_target``; the step doubles after every accepted step, with no cap
+    but the target, and a failed solve halves it. When the step falls below
+    BARRIER_STEP_FLOOR = 1e-6 the run is declared a barrier at the last
+    solved time. The verdict is ``reached_target`` or ``barrier``.
 
     The returned result is the last solve attempted: the solve at
     ``t_target``, the failed attempt recorded as ``trace.entries[-1]`` on a
@@ -510,9 +525,8 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     dt = t_target
     while step.converged and t < t_target - 1e-14:
         t_try = min(t + dt, t_target)
-        guess = _mass_balanced_shift(step.phi, rhs, EquationKind(kind.kind, t_try))
         attempt = newton_solve(model, rhs, EquationKind(kind.kind, t_try),
-                               replace(cfg, initial_guess=guess))
+                               replace(cfg, initial_guess=step.phi))
         if attempt.converged:
             step, t = attempt, t_try
             entries.append(StepRecord(t, step.diagnostics, True,
@@ -536,10 +550,9 @@ def solve_family(model: KahlerModel, kind: EquationKind, rhs_list,
 
     Neutral members are solved cold. A time-dependent member is its warm
     start from the last converged member, dilated to the member's
-    mollifier and then given a mass-balancing level shift, or, for the
-    first member and when the warm start fails, the result of continuing in
-    t from its neutral base. Every member gets a result, converged at
-    kind.t or not.
+    mollifier, or, for the first member and when the warm start fails, the
+    result of continuing in t from its neutral base. Every member gets a
+    result, converged at kind.t or not.
     """
     cfg = config or SolveConfig()
     if kind.kind == "neutral":
@@ -549,7 +562,7 @@ def solve_family(model: KahlerModel, kind: EquationKind, rhs_list,
     for rhs in rhs_list:
         res = None
         if prev_phi is not None:
-            guess = _mass_balanced_shift(_dilated(prev_phi, model, prev_rhs, rhs), rhs, kind)
+            guess = _dilated(prev_phi, model, prev_rhs, rhs)
             res = newton_solve(model, rhs, kind, replace(cfg, initial_guess=guess))
         if res is None or not res.converged:
             _, res = continuity_in_t(model, rhs, kind, kind.t, cfg)
@@ -576,6 +589,17 @@ def family_verdict(results) -> str:
     return "reached_target"
 
 
+def _eps_values(eps_list) -> list[float]:
+    """A mollifier list as floats, required non-empty and strictly
+    decreasing."""
+    eps = [float(e) for e in eps_list]
+    if not eps:
+        raise ConfigurationError("eps list must not be empty")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ConfigurationError("eps list must be strictly decreasing")
+    return eps
+
+
 def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
                   tau0: float, eps_list, config: SolveConfig | None = None,
                   rhs_builder=None,
@@ -590,9 +614,7 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
     if kind.kind != "neutral" and tau0 != kind.t:
         raise ConfigurationError(f"tau0 = {tau0} does not match the {kind.kind} "
                                  f"family's t = {kind.t}")
-    eps_arr = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ConfigurationError("eps list must be strictly decreasing")
+    eps_arr = _eps_values(eps_list)
     builder = rhs_builder or (lambda eps: build_dirac_rhs(gamma, eps, model))
     results = solve_family(model, kind, [builder(eps) for eps in eps_arr], config)
     entries = tuple(StepRecord(eps, res.diagnostics, res.converged,

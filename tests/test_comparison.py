@@ -158,6 +158,10 @@ class TestMagnificationExperiment:
             [rec.diagnostics.avg_phi for rec in trace.entries]
         assert report.verdict == trace.verdict == "average_blowup"
 
+    def test_empty_eps_list_rejected(self, model_n1):
+        with pytest.raises(ConfigurationError, match="must not be empty"):
+            magnification_experiment(model_n1, 1.0, 0.3, [])
+
     def test_magnifying_dominates_neutral_rowwise(self, model_n1):
         for gamma in (1.0, 1.5):
             with pytest.warns(UserWarning):

@@ -1,5 +1,7 @@
 """Singular right-hand-side families: mollifiers, normalisation, margins."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,42 @@ class TestDiracFamily:
     def test_pole_mass_at_model_mass_warns(self, model_n1):
         with pytest.warns(UserWarning, match="equals the model mass"):
             build_dirac_rhs(2.0, 1e-3, model_n1)
+
+
+class TestPreconditions:
+    # what makes every solve Kahler by construction is checked on the type
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+    def test_cell_masses_finite_and_nonnegative(self, model_n1, bad):
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        density = rhs.density.copy()
+        density[2000] = bad
+        with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
+            replace(rhs, density=density)
+
+    @pytest.mark.parametrize("node", [0, -1])
+    def test_boundary_cell_masses_vanish(self, model_n1, node):
+        rhs = constant_rhs(model_n1)
+        density = rhs.density.copy()
+        density[node] = 1e-3
+        with pytest.raises(ConstraintViolationError, match="boundary nodes"):
+            replace(rhs, density=density)
+
+    def test_first_slope_within_psi_slopes(self, model_n1):
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        W = model_n1.psi_slopes
+        for offset in (-W[0] - 1e-3, W[-1] - W[0], 3.0):
+            with pytest.raises(ConstraintViolationError, match="first slope"):
+                replace(rhs, left_flux_offset=offset)
+        assert replace(rhs, left_flux_offset=-W[0]).left_flux_offset == -W[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_builders_meet_them(self, n):
+        m = default_model(n, n + 1.0)
+        for eps in (1e-1, 1e-3, 1e-5):
+            build_dirac_rhs(0.5 * (n + 1.0), eps, m)
+            build_dirac_rhs(0.99 * (n + 1.0), eps, m)
+            build_divisor_rhs(0.5 * n, eps, m)
 
 
 class TestDivisorFamily:

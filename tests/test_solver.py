@@ -128,6 +128,12 @@ class TestFirstIntegral:
         assert np.max(np.abs(r[1:-1] - change)) <= 1e-12 * np.max(R)
         assert abs(r[0]) <= 1e-12 and abs(r[-1]) <= 1e-12
         assert t_phi[-1] == pytest.approx(bal[-1], abs=1e-12)
+        # whatever phi, the slopes of T(phi) are nonnegative and
+        # nondecreasing: Kahler by construction, up to the rounding of |phi|
+        w = W + np.diff(t_phi) / h
+        slack = 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(t_phi))) / h
+        assert np.min(w) >= -slack
+        assert np.min(np.diff(w)) >= -slack
 
     def test_singular_normal_equations_take_the_plain_step(self):
         # a difference row of zeros (the residual did not change) makes the
@@ -376,6 +382,15 @@ class TestSingularSolves:
         assert abs(res.diagnostics.mass - 2.0) <= 1e-9
         assert res.u.is_kahler()
 
+    @pytest.mark.parametrize("n,d", [(2, 3.0), (1, 5.0)])
+    def test_rhs_of_another_model_rejected(self, model_n1, n, d):
+        # the grids agree; the right-hand side was built for n = 1, d = 2
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        with pytest.raises(ConfigurationError, match="right-hand side built for"):
+            newton_solve(default_model(n, d), rhs, magnifying(0.3))
+        with pytest.raises(ConfigurationError, match="right-hand side built for"):
+            continuity_in_t(default_model(n, d), rhs, magnifying(0.3), 0.3)
+
     def test_max_iters_stop_gives_reason(self, model_n1):
         rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
         res = newton_solve(model_n1, rhs, magnifying(0.5), SolveConfig(max_iters=1))
@@ -462,8 +477,7 @@ class TestContinuity:
         """Warm-started solve at t1 from the solve at t0; a failing interval
         is bisected, as continuation halves a failing step."""
         at = EquationKind(kind, t1)
-        guess = solver._mass_balanced_shift(step.phi, rhs, at)
-        res = newton_solve(m, rhs, at, SolveConfig(initial_guess=guess))
+        res = newton_solve(m, rhs, at, SolveConfig(initial_guess=step.phi))
         if res.converged or t1 - t0 < solver.BARRIER_STEP_FLOOR:
             return res
         mid = TestContinuity._chain_step(m, rhs, kind, step, t0, 0.5 * (t0 + t1))
@@ -489,6 +503,50 @@ class TestContinuity:
         assert np.max(np.abs(res.phi - step.phi)) <= 1e-8
 
 
+class TestRange:
+    # the north-star invariants over the range the validators accept, on a
+    # grid coarse enough to sample it widely
+    GRID = SGrid(-40.0, 40.0, 801)
+
+    @staticmethod
+    def _assert_kahler_by_construction(res, m):
+        n, h = m.n, m.grid.h
+        w = m.psi_slopes + np.diff(res.phi) / h
+        slack = 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(res.phi))) / h
+        assert np.min(w) >= -slack
+        assert np.min(np.diff(w)) >= -slack
+        cells = np.diff(w ** n) / (n * h)
+        assert np.min(cells) >= -slack * max(1.0, np.max(w)) ** (n - 1) / h
+        assert res.diagnostics.mass == pytest.approx(m.degree ** n, rel=1e-9)
+        assert res.u.is_kahler()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(n=st.integers(1, 4),
+           excess=st.sampled_from([1.0, 2.5]),
+           gamma=st.floats(0.01, 0.95),
+           log_eps=st.floats(-4.0, -1.0),
+           t=st.floats(0.01, 0.95),
+           kind=st.sampled_from(["reducing", "magnifying"]))
+    def test_invariants(self, n, excess, gamma, log_eps, t, kind):
+        # gamma is a fraction of d; either verdict is a valid outcome
+        m = KahlerModel(n, n + excess, self.GRID)
+        rhs = build_dirac_rhs(gamma * m.degree, 10.0 ** log_eps, m)
+        base = newton_solve(m, rhs, neutral())
+        assert base.converged, base.message
+        self._assert_kahler_by_construction(base, m)
+        trace, res = continuity_in_t(m, rhs, EquationKind(kind, t), t)
+        again, res_again = continuity_in_t(m, rhs, EquationKind(kind, t), t)
+        assert trace.verdict in ("reached_target", "barrier")
+        assert res.converged == (trace.verdict == "reached_target")
+        assert (trace.t_star is not None) == (trace.verdict == "barrier")
+        if res.converged:
+            self._assert_kahler_by_construction(res, m)
+        assert again.verdict == trace.verdict and again.t_star == trace.t_star
+        assert ([(e.param, e.iterations, e.residual_norm) for e in again.entries]
+                == [(e.param, e.iterations, e.residual_norm) for e in trace.entries])
+        assert np.array_equal(res_again.phi, res.phi)
+
+
 class TestRoundingFloor:
     # cases whose rows sit at the rounding floor of newton_tol, where the
     # verdict used to turn on the step path or the last bit of t
@@ -505,9 +563,7 @@ class TestRoundingFloor:
         rhs = build_dirac_rhs(1.5, 1e-3, model_n2)
         trace, base = continuity_in_t(model_n2, rhs, magnifying(t0), t0)
         assert trace.verdict == "reached_target"
-        at = magnifying(0.4)
-        guess = solver._mass_balanced_shift(base.phi, rhs, at)
-        res = newton_solve(model_n2, rhs, at, SolveConfig(initial_guess=guess))
+        res = newton_solve(model_n2, rhs, magnifying(0.4), SolveConfig(initial_guess=base.phi))
         assert res.converged, res.message
 
     @pytest.mark.parametrize("t", np.linspace(0.8194, 0.8906, 8).round(4).tolist())
@@ -543,6 +599,10 @@ class TestSweep:
     def test_eps_list_must_decrease(self, model_n1):
         with pytest.raises(ConfigurationError):
             sweep_epsilon(model_n1, 1.0, neutral(), 0.0, [1e-2, 1e-1])
+
+    def test_empty_eps_list_rejected(self, model_n1):
+        with pytest.raises(ConfigurationError, match="must not be empty"):
+            sweep_epsilon(model_n1, 1.0, magnifying(0.3), 0.3, [])
 
     def test_tau0_must_match_kind_time(self, model_n1):
         with pytest.raises(ConfigurationError):
