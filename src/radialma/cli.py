@@ -59,32 +59,50 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _floats(text) -> list[float]:
+    """A comma-separated list of numbers; empty entries are skipped."""
+    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+
+
+_EXPECTED = {int: "an integer", float: "a number",
+             _floats: "a comma-separated list of numbers"}
+
+
 class RunConfig:
     """Validated run parameters; raises ConfigurationError with the
     section.key location on any bad field."""
 
     def __init__(self, parser: configparser.ConfigParser):
         self._p = parser
-        g = self._get
-        self.n = int(g("model", "n", 1))
-        self.degree = float(g("model", "degree", 2.0))
-        self.s_min = float(g("model", "s_min", -40.0))
-        self.s_max = float(g("model", "s_max", 40.0))
-        self.points = int(g("model", "points", 4001))
+        g, conv = self._get, self._convert
+        self.n = conv("model", "n", 1, int)
+        self.degree = conv("model", "degree", 2.0, float)
+        self.s_min = conv("model", "s_min", -40.0, float)
+        self.s_max = conv("model", "s_max", 40.0, float)
+        self.points = conv("model", "points", 4001, int)
         self.kind = str(g("equation", "kind", "magnifying")).strip()
-        self.t_target = float(g("equation", "t_target", g("equation", "t", 0.0)))
+        t_key = "t_target" if parser.has_option("equation", "t_target") else "t"
+        self.t_target = conv("equation", t_key, 0.0, float)
         self.rhs_kind = str(g("rhs", "kind", "constant")).strip()
-        self.gamma = float(g("rhs", "gamma", 0.0))
-        self.epsilon = float(g("rhs", "epsilon", 1e-3))
-        self.delta_prime = float(g("rhs", "delta_prime", 0.0))
-        eps_list = str(g("rhs", "epsilon_list", "")).strip()
-        self.epsilon_list = [float(tok) for tok in eps_list.split(",") if tok.strip()] \
-            if eps_list else []
-        self.newton_tol = float(g("solver", "newton_tol", 1e-10))
-        self.max_iters = int(g("solver", "max_iters", 50))
+        self.gamma = conv("rhs", "gamma", 0.0, float)
+        self.epsilon = conv("rhs", "epsilon", 1e-3, float)
+        self.delta_prime = conv("rhs", "delta_prime", 0.0, float)
+        self.epsilon_list = conv("rhs", "epsilon_list", "", _floats)
+        self.newton_tol = conv("solver", "newton_tol", 1e-10, float)
+        self.max_iters = conv("solver", "max_iters", 50, int)
         self.experiment = str(g("run", "experiment", "run")).strip()
         self.output_dir = str(g("run", "output_dir", "")).strip()
-        self.slope_n = int(g("run", "slope_n", 5))
+        self.slope_n = conv("run", "slope_n", 5, int)
+
+    def _convert(self, section, key, default, kind):
+        """The option converted by ``kind`` (int, float or _floats); a value
+        it cannot read raises ConfigurationError naming section and key."""
+        raw = self._get(section, key, default)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"[{section}] {key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
 
     def _get(self, section, key, default):
         try:

@@ -49,6 +49,11 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def fubini_study_potential(n: int, degree: float, grid: SGrid) -> RadialPotential:
     """Reference potential psi(s) = degree * log(1 + e^s).
 
@@ -68,7 +73,11 @@ class KahlerModel:
     Carries both the discrete half-node slopes of psi and its cell flux
     (used by the solver, so that F = 1 has the exact discrete fixed point
     phi = 0) and the logistic closed forms (used for quadrature weights and
-    curvature ratios). Immutable after construction.
+    curvature ratios). The node-wise closed forms every right-hand side
+    reads, ``expit_s`` = expit(s), ``expit_neg_s`` = expit(-s),
+    ``softplus_s`` = softplus(s) and ``softplus_neg_s`` = softplus(-s), are
+    computed once per model, as read-only arrays. Immutable after
+    construction.
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
@@ -93,7 +102,7 @@ class KahlerModel:
         closed form d log1p(expm1(h) expit(s_i)) / h: free of the rounding of
         |psi|, they increase, so every cell mass in ``weight`` is >= 0."""
         h = self.grid.h
-        w = self.degree * np.log1p(np.expm1(h) * expit(self.grid.nodes[:-1])) / h
+        w = self.degree * np.log1p(np.expm1(h) * self.expit_s[:-1]) / h
         w.flags.writeable = False
         return w
 
@@ -108,6 +117,26 @@ class KahlerModel:
         return w
 
     # -- logistic closed forms ---------------------------------------------
+
+    @cached_property
+    def expit_s(self) -> np.ndarray:
+        """expit(s) on the nodes, psi' / d."""
+        return _frozen(expit(self.grid.nodes))
+
+    @cached_property
+    def expit_neg_s(self) -> np.ndarray:
+        """expit(-s) on the nodes; expit_s * expit_neg_s is psi'' / d."""
+        return _frozen(expit(-self.grid.nodes))
+
+    @cached_property
+    def softplus_s(self) -> np.ndarray:
+        """softplus(s) on the nodes, psi / d."""
+        return _frozen(softplus(self.grid.nodes))
+
+    @cached_property
+    def softplus_neg_s(self) -> np.ndarray:
+        """softplus(-s) on the nodes, -log(psi' / d)."""
+        return _frozen(softplus(-self.grid.nodes))
 
     def sigma(self, s=None) -> np.ndarray:
         return expit(self.s if s is None else s)
@@ -173,8 +202,13 @@ def mass(u: RadialPotential) -> float:
     exact sum of its cell masses. In slope units an admissible solution on
     the degree-d model carries mass d^n.
     """
-    v, h = u.values, u.grid.h
-    return ((v[-1] - v[-2]) / h) ** u.n - ((v[1] - v[0]) / h) ** u.n
+    return end_mass(u.values, u.grid.h, u.n)
+
+
+def end_mass(v, h: float, n: int):
+    """``mass`` of the dimension-n potential with node values v on spacing
+    h. Reads only v[:2] and v[-2:], so the four end values suffice."""
+    return ((v[-1] - v[-2]) / h) ** n - ((v[1] - v[0]) / h) ** n
 
 
 def ricci_potential(u: RadialPotential) -> np.ndarray:
@@ -278,20 +312,24 @@ def lelong_estimate(u: RadialPotential, window: float, anchor: float | None = No
     anchored at s_min. ``sensitivity`` reports the change under halving the
     window, as the resolution-limit diagnostic.
     """
-    grid = u.grid
+    return lelong_secant(u.grid, u.values.take, window, anchor)
+
+
+def lelong_secant(grid: SGrid, values_at, window: float,
+                  anchor: float | None = None) -> LelongEstimate:
+    """``lelong_estimate`` of the potential u whose values at an array of
+    node indices ``values_at`` returns: only the three secant nodes are
+    read, so u need not be formed on the whole grid."""
     if window < 4 * grid.h:
         raise ConfigurationError(f"window {window} is below 4h = {4 * grid.h}")
     a = grid.s_min if anchor is None else float(anchor)
     if a < grid.s_min or a + window > grid.s_max + 1e-12:
         raise ConfigurationError("Lelong window falls outside the grid")
-
-    def secant(width: float) -> float:
-        i = grid.index_of(a)
-        j = grid.index_of(a + width)
-        return float((u.values[j] - u.values[i]) / (grid.nodes[j] - grid.nodes[i]))
-
-    v = secant(window)
-    v_half = secant(window / 2.0)
+    nodes = np.array([grid.index_of(a), grid.index_of(a + window),
+                      grid.index_of(a + window / 2.0)])
+    u, s = values_at(nodes), grid.nodes[nodes]
+    v = float((u[1] - u[0]) / (s[1] - s[0]))
+    v_half = float((u[2] - u[0]) / (s[2] - s[0]))
     return LelongEstimate(max(v, 0.0), window, abs(v - v_half))
 
 

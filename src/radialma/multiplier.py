@@ -26,7 +26,7 @@ from .errors import ConfigurationError
 from .geometry import KahlerModel, average
 from .grid import grid_values
 from .rhs import RhsFamily
-from .solver import diagnostics_for
+from .solver import _pole_lelong
 
 K_CAP = 24
 BORDERLINE_TOL = 1e-9
@@ -73,7 +73,9 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
         raise ConfigurationError(f"vanishing order must be a nonnegative integer, got {k}")
     grid = model.grid
     vals = grid_values(phi, grid)
-    nu = diagnostics_for(vals, model, rhs).lelong.value
+    if not np.all(np.isfinite(vals)):
+        raise ConfigurationError("potential values must be finite")
+    nu = _pole_lelong(vals, model, rhs).value
     alpha = k + model.n - tau * nu
 
     s = grid.nodes
@@ -139,7 +141,7 @@ def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
     model = seq.model
     product = 0.0
     for vals, tau, rhs in seq.entries:
-        product = max(product, tau * diagnostics_for(vals, model, rhs).lelong.value)
+        product = max(product, tau * _pole_lelong(vals, model, rhs).value)
     for k in range(K_CAP + 1):
         if all(germ_integral(k, vals, tau, model, rhs).finite
                for vals, tau, rhs in seq.entries):

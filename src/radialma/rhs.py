@@ -29,6 +29,13 @@ nonnegative, and F = 1 remains an exact fixed point at gamma = 0 /
 delta' = 0. The point-mass family's left flux comes from the same
 half-node slopes at the first face, so the discrete neutral first
 integral holds exactly on every face.
+
+The node-wise closed forms of psi, ``KahlerModel.expit_s``,
+``expit_neg_s``, ``softplus_s`` and ``softplus_neg_s``, are computed once
+per model; the builders, ``RhsFamily.log_curvature_derivs``,
+``dominance_margin`` and ``check_lower_bound`` read them. What depends on
+eps, the logistic pair expit(+-(s - 2 log eps)) of the mollified layer, is
+evaluated once per call.
 """
 
 from __future__ import annotations
@@ -150,7 +157,7 @@ class RhsFamily:
         """
         m = self.model
         n, d, s = m.n, m.degree, m.grid.nodes
-        sig, sigm = expit(s), expit(-s)
+        sig, sigm = m.expit_s, m.expit_neg_s
         if self.kind == "constant":
             return (n + 1) * sig, (n + 1) * sig * sigm
         if self.kind == "divisor":
@@ -165,7 +172,7 @@ class RhsFamily:
         else:
             log_sing = n * np.log(self.gamma) - n * softplus(-a) - softplus(a)
             log_smooth = (np.log(self.c_smooth) + n * np.log(d)
-                          - n * softplus(-s) - softplus(s))
+                          - n * m.softplus_neg_s - m.softplus_s)
             theta = expit(log_sing - log_smooth)
         thp = 1.0 - theta
         q1 = (n + 1) * (thp * sig + theta * xs)
@@ -212,11 +219,15 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     if gamma == 0.0:
         return constant_rhs(m)
 
+    # xi_eps' = expit(a) and expit(-a) at the layer coordinate a, each once
+    s = m.grid.nodes
+    a = s - 2.0 * np.log(eps)
+    xa, xam = expit(a), expit(-a)
     # cell masses of the singular part: exact half-node slopes of xi_eps,
     # (xi(s + h) - xi(s)) / h = log1p(expm1(h) xi'(s)) / h, which increase,
     # so every cell mass is nonnegative
     h = m.grid.h
-    xi_slopes = np.log1p(np.expm1(h) * xi_eps_d1(m.grid.nodes[:-1], eps)) / h
+    xi_slopes = np.log1p(np.expm1(h) * xa[:-1]) / h
     p_xi = np.zeros(m.grid.points)
     p_xi[1:-1] = np.diff(xi_slopes ** n) / (n * h)
     w = m.weight
@@ -226,10 +237,8 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     density = gamma**n * p_xi + c * w
     # F itself from the logistic closed forms: the discrete weight ratio is
     # rounding noise in the far tails where both curvatures underflow
-    s = m.grid.nodes
-    a = s - 2.0 * np.log(eps)
-    ratio = (expit(a) / (d * expit(s))) ** (n - 1) * (
-        expit(a) * expit(-a) / (d * expit(s) * expit(-s)))
+    sig = m.expit_s
+    ratio = (xa / (d * sig)) ** (n - 1) * (xa * xam / (d * sig * m.expit_neg_s))
     values = gamma**n * ratio + c
     # the full-line first integral u'^n = gamma^n xi'^n + c psi'^n on the
     # first face: what it already carries at s_min enters the truncated
@@ -301,10 +310,10 @@ class LowerBoundReport:
 def dominance_margin(q1: np.ndarray, q2: np.ndarray, model: KahlerModel,
                      mask: np.ndarray | None = None) -> LowerBoundReport:
     """Largest eta with (q1, q2) >= eta * (psi_1', psi_1'') nodewise."""
-    s = model.grid.nodes
-    den1, den2 = expit(s), expit(s) * expit(-s)
+    den1 = model.expit_s
+    den2 = den1 * model.expit_neg_s
     if mask is None:
-        mask = np.ones_like(s, dtype=bool)
+        mask = np.ones_like(den1, dtype=bool)
     r1 = q1[mask] / den1[mask]
     r2 = q2[mask] / den2[mask]
     idx = np.nonzero(mask)[0]
@@ -337,6 +346,5 @@ def check_lower_bound(rhs: RhsFamily, t: float = 0.0,
         q2 = q2 - t * second_derivative(vals, m.grid.h)
         # grid curvature of phi is noise-limited; certify only where the
         # reference curvature is resolvable against it
-        s = m.grid.nodes
-        mask = expit(s) * expit(-s) >= 1e-6
+        mask = m.expit_s * m.expit_neg_s >= 1e-6
     return dominance_margin(q1, q2, m, mask)

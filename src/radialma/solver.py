@@ -54,13 +54,21 @@ so the last converged member is dilated to the new mollifier
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Diagnostics, KahlerModel, average, lelong_estimate, mass
+from .geometry import (
+    Diagnostics,
+    KahlerModel,
+    LelongEstimate,
+    average,
+    end_mass,
+    lelong_secant,
+)
 from .grid import RadialPotential, derivative, grid_values
 from .rhs import RhsFamily, build_dirac_rhs
 
@@ -110,18 +118,20 @@ def magnifying(t: float) -> EquationKind:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping rule and start of ``newton_solve``. ``initial_guess`` is any
-    predictor of phi on the model grid; the solver resets its level."""
+    """Stopping rule and start of ``newton_solve``: a finite positive
+    ``newton_tol`` and an integer ``max_iters`` >= 1. ``initial_guess`` is
+    any predictor of phi on the model grid; the solver resets its level."""
 
     newton_tol: float = 1e-10
     max_iters: int = 50
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ConfigurationError("newton_tol must be positive")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be positive")
+        tol, iters = self.newton_tol, self.max_iters
+        if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+            raise ConfigurationError(f"newton_tol must be finite and positive, got {tol!r}")
+        if not (isinstance(iters, numbers.Integral) and iters >= 1):
+            raise ConfigurationError(f"max_iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass(frozen=True)
@@ -319,7 +329,7 @@ def _anderson(T, phi: np.ndarray, tol: float, max_iters: int):
             return phi, iters, "fixed-point map produced non-finite values"
         if step <= tol:
             return g, iters, ""
-        if iters == max_iters:
+        if iters >= max_iters:
             return g, iters, f"max_iters reached, step {step:.3g}"
         k = min(iters, depth)
         phi = _mixed(g, f, gram[:k, :k], dF[:k], dG[:k]) if k else g
@@ -400,18 +410,17 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
 # Diagnostics
 
 
-def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Diagnostics:
-    """Diagnostics of a perturbation: extrema, volume average, pole data.
+def _pole_lelong(vals: np.ndarray, model: KahlerModel,
+                 rhs: RhsFamily | None) -> LelongEstimate:
+    """The Lelong secant of u = psi + phi, from u at the secant nodes only.
 
-    The Lelong secant is anchored at s_min for smooth families. For the
-    mollified point-mass families the finite-eps solution is flat below the
-    layer at 2 log(eps), so the secant is anchored just above the layer
-    (and capped away from the bulk chart boundary), where the limiting
-    slope has formed.
+    The secant is anchored at s_min for smooth families. For the mollified
+    point-mass families the finite-eps solution is flat below the layer at
+    2 log(eps), so the secant is anchored just above the layer (and capped
+    away from the bulk chart boundary), where the limiting slope has formed.
     """
-    grid = model.grid
-    vals = grid_values(phi, grid)
-    u = RadialPotential(grid, model.psi.values + vals, model.n)
+    grid, psi = model.grid, model.psi.values
+    window, anchor = LELONG_WINDOW, None
     if rhs is not None and rhs.pole_anchor is not None:
         # anchor just above the mollified layer, capped away from the bulk
         cap = min(LELONG_CAP, grid.s_max - 4.0 * grid.h)
@@ -419,17 +428,28 @@ def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Di
         b = min(a0 + LELONG_WINDOW, cap)
         a = max(min(a0, b - max(4.0 * grid.h, 1.0)), grid.s_min)
         if b - a >= 4.0 * grid.h:
-            est = lelong_estimate(u, b - a, anchor=a)
-        else:
-            est = lelong_estimate(u, LELONG_WINDOW)
-    else:
-        est = lelong_estimate(u, LELONG_WINDOW)
+            window, anchor = b - a, a
+    return lelong_secant(grid, lambda nodes: psi[nodes] + vals[nodes], window, anchor)
+
+
+_END_NODES = np.array([0, 1, -2, -1])
+
+
+def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Diagnostics:
+    """Diagnostics of a perturbation: extrema, volume average, pole data
+    (``_pole_lelong``) and the mass of u = psi + phi, read from its end
+    slopes. Raises ConfigurationError when phi is not finite."""
+    vals = grid_values(phi, model.grid)
+    sup_phi, inf_phi = float(np.max(vals)), float(np.min(vals))
+    if not (math.isfinite(sup_phi) and math.isfinite(inf_phi)):
+        raise ConfigurationError("potential values must be finite")
+    ends = model.psi.values[_END_NODES] + vals[_END_NODES]
     return Diagnostics(
-        sup_phi=float(np.max(vals)),
-        inf_phi=float(np.min(vals)),
+        sup_phi=sup_phi,
+        inf_phi=inf_phi,
         avg_phi=average(vals, model),
-        lelong=est,
-        mass=mass(u),
+        lelong=_pole_lelong(vals, model, rhs),
+        mass=end_mass(ends, model.grid.h, model.n),
     )
 
 

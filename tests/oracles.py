@@ -86,3 +86,120 @@ def continuum_neutral_potential(model, slope_power, s_points):
         val, _ = quad(up, s, smax, limit=400, epsabs=1e-12, epsrel=1e-12)
         out.append(anchor - val)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Per-call closed forms: the right-hand side's logistic and softplus terms
+# evaluated afresh on every call, the formulas the model's cached node-wise
+# closed forms replace. Bitwise equality against these pins that caching
+# changed no output.
+
+
+def dirac_rhs_per_call(gamma, eps, model):
+    """(values, density, c_smooth, left_flux_offset) of ``build_dirac_rhs``
+    for gamma > 0."""
+    from radialma.geometry import expit
+    from radialma.rhs import xi_eps_d1
+
+    m = model
+    n, d, h = m.n, m.degree, m.grid.h
+    xi_slopes = np.log1p(np.expm1(h) * xi_eps_d1(m.grid.nodes[:-1], eps)) / h
+    p_xi = np.zeros(m.grid.points)
+    p_xi[1:-1] = np.diff(xi_slopes ** n) / (n * h)
+    w = m.weight
+    total = float(np.sum(w[1:-1]))
+    sing = float(np.sum(p_xi[1:-1]))
+    c = max((total - gamma**n * sing) / total, 0.0)
+    density = gamma**n * p_xi + c * w
+    s = m.grid.nodes
+    a = s - 2.0 * np.log(eps)
+    ratio = (expit(a) / (d * expit(s))) ** (n - 1) * (
+        expit(a) * expit(-a) / (d * expit(s) * expit(-s)))
+    values = gamma**n * ratio + c
+    p0 = m.psi_slopes[0]
+    offset = (gamma**n * xi_slopes[0] ** n + c * p0**n) ** (1.0 / n) - p0
+    return values, density, c, float(offset)
+
+
+def log_curvature_derivs_per_call(rhs):
+    """``RhsFamily.log_curvature_derivs`` of a constant, divisor or
+    point-mass family."""
+    from radialma.geometry import expit, softplus
+    from radialma.rhs import xi_eps_d1, xi_eps_d2
+
+    m = rhs.model
+    n, d, s = m.n, m.degree, m.grid.nodes
+    sig, sigm = expit(s), expit(-s)
+    if rhs.kind == "constant":
+        return (n + 1) * sig, (n + 1) * sig * sigm
+    if rhs.kind == "divisor":
+        xs = xi_eps_d1(s, rhs.epsilon)
+        return ((n + 1) * sig + rhs.delta_prime * xs,
+                (n + 1) * sig * sigm + rhs.delta_prime * xi_eps_d2(s, rhs.epsilon))
+    a = s - 2.0 * np.log(rhs.epsilon)
+    xs, xsm = expit(a), expit(-a)
+    if rhs.c_smooth <= 0.0 or rhs.gamma <= 0.0:
+        theta = np.ones_like(s) if rhs.c_smooth <= 0.0 else np.zeros_like(s)
+    else:
+        log_sing = n * np.log(rhs.gamma) - n * softplus(-a) - softplus(a)
+        log_smooth = (np.log(rhs.c_smooth) + n * np.log(d)
+                      - n * softplus(-s) - softplus(s))
+        theta = expit(log_sing - log_smooth)
+    thp = 1.0 - theta
+    q1 = (n + 1) * (thp * sig + theta * xs)
+    q2 = ((n + 1) * (thp * sig * sigm + theta * xs * xsm)
+          - theta * thp * ((n + 1) * (sig - xs)) ** 2)
+    return q1, q2
+
+
+def lower_bound_per_call(rhs, t=0.0, phi=None):
+    """(eta, limiting_node) of ``check_lower_bound``."""
+    from radialma.geometry import expit
+    from radialma.grid import derivative, second_derivative
+
+    m = rhs.model
+    s = m.grid.nodes
+    q1, q2 = log_curvature_derivs_per_call(rhs)
+    mask = np.ones_like(s, dtype=bool)
+    if phi is not None and t != 0.0:
+        q1 = q1 - t * derivative(phi, m.grid.h)
+        q2 = q2 - t * second_derivative(phi, m.grid.h)
+        mask = expit(s) * expit(-s) >= 1e-6
+    den1, den2 = expit(s), expit(s) * expit(-s)
+    r1 = q1[mask] / den1[mask]
+    r2 = q2[mask] / den2[mask]
+    idx = np.nonzero(mask)[0]
+    i1, i2 = int(np.argmin(r1)), int(np.argmin(r2))
+    eta, node = (float(r1[i1]), int(idx[i1])) if r1[i1] <= r2[i2] \
+        else (float(r2[i2]), int(idx[i2]))
+    return (0.0, node) if eta <= 0.0 else (eta, None)
+
+
+def diagnostics_per_call(phi, model, rhs=None):
+    """``diagnostics_for`` through a validated potential u = psi + phi on the
+    whole grid: its windowed secants and its end slopes."""
+    from radialma.geometry import Diagnostics, LelongEstimate, average
+    from radialma.grid import RadialPotential
+    from radialma.solver import LELONG_CAP, LELONG_WINDOW
+
+    grid, h = model.grid, model.grid.h
+    u = RadialPotential(grid, model.psi.values + phi, model.n)
+    window, a = LELONG_WINDOW, grid.s_min
+    if rhs is not None and rhs.pole_anchor is not None:
+        cap = min(LELONG_CAP, grid.s_max - 4.0 * h)
+        a0 = max(rhs.pole_anchor, grid.s_min)
+        b = min(a0 + LELONG_WINDOW, cap)
+        anchor = max(min(a0, b - max(4.0 * h, 1.0)), grid.s_min)
+        if b - anchor >= 4.0 * h:
+            window, a = b - anchor, anchor
+
+    def secant(width):
+        i, j = grid.index_of(a), grid.index_of(a + width)
+        return float((u.values[j] - u.values[i]) / (grid.nodes[j] - grid.nodes[i]))
+
+    v, v_half = secant(window), secant(window / 2.0)
+    lelong = LelongEstimate(max(v, 0.0), window, abs(v - v_half))
+    w = u.values
+    mass = ((w[-1] - w[-2]) / h) ** model.n - ((w[1] - w[0]) / h) ** model.n
+    return Diagnostics(sup_phi=float(np.max(phi)), inf_phi=float(np.min(phi)),
+                       avg_phi=average(phi, model), lelong=lelong, mass=mass)

@@ -79,6 +79,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "[equation]" in err
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("max_iters = 50", "max_iters = 2.5", "[solver] max_iters"),
+        ("n = 1", "n = two", "[model] n"),
+        ("newton_tol = 1e-10", "newton_tol = inf", "newton_tol"),
+        ("epsilon_list = ", "epsilon_list = 1e-1,x", "[rhs] epsilon_list"),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, old, new, where):
+        # a malformed value is an invalid configuration (exit 2), not a
+        # traceback (exit 1, reserved for a barrier); newton_tol = inf
+        # reported converged = true with residual 185.66
+        path = Path(write_config(tmp_path, rhs_kind="dirac", gamma="1.0", name="bad"))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and where in err
+        assert not (tmp_path / "bad_summary.txt").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radialma import (
+    ConfigurationError,
     KahlerModel,
     PotentialSequence,
     SGrid,
@@ -120,6 +121,28 @@ class TestGermIntegral:
         g = germ_integral(0, phi, tau, model_n1)
         assert g.finite
         assert g.value == pytest.approx(1.0 / alpha, rel=1e-4)
+
+
+    def test_pole_slope_is_the_diagnostics_reading(self, model_n1):
+        # nu read at the secant nodes equals the anchored Lelong estimate of
+        # the whole potential, bit for bit
+        from radialma import magnifying, newton_solve
+        from oracles import diagnostics_per_call
+        rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
+        phi = newton_solve(model_n1, rhs, magnifying(0.6)).phi
+        nu = diagnostics_per_call(phi, model_n1, rhs).lelong.value
+        assert germ_integral(1, phi, 0.6, model_n1, rhs).tail_exponent == 1 + 1 - 0.6 * nu
+        seq = PotentialSequence(model_n1, ((phi, 0.6, rhs),))
+        assert stalk_from_sequence(seq).tau_nu_product == 0.6 * nu
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_phi_rejected(self, model_n1, bad):
+        phi = np.zeros(model_n1.grid.points)
+        phi[100] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            germ_integral(0, phi, 0.5, model_n1)
+        with pytest.raises(ConfigurationError, match="finite"):
+            stalk_from_sequence(PotentialSequence(model_n1, ((phi, 0.5, None),)))
 
 
 class TestStalk:

@@ -18,10 +18,17 @@ from radialma import (
     neutral_oracle,
     xi_eps,
 )
+from radialma.geometry import expit, softplus
 from radialma.grid import second_derivative
 from radialma.rhs import dominance_margin, xi_eps_d1, xi_eps_d2
 
-from oracles import disc_mass_quad
+from conftest import gaussian_bump
+from oracles import (
+    dirac_rhs_per_call,
+    disc_mass_quad,
+    log_curvature_derivs_per_call,
+    lower_bound_per_call,
+)
 
 
 class TestDiracDensity:
@@ -263,3 +270,55 @@ class TestLowerBound:
         psi1 = np.logaddexp(0, model_n1.grid.nodes)
         rep = check_lower_bound(rhs, t=0.5, phi=psi1)
         assert rep.eta == pytest.approx(base - 0.5, abs=1e-3)
+
+
+CLOSED_FORM_CASES = [(n, frac, eps) for n in (1, 2, 3) for frac in (0.3, 0.9)
+                     for eps in (1e-1, 1e-3, 1e-4)]
+
+
+class TestCachedClosedForms:
+    """The model's cached node-wise closed forms change no output: every
+    reader agrees bit for bit with the formulas evaluated per call."""
+
+    def test_cached_arrays_are_read_only(self, model_n1):
+        s = model_n1.grid.nodes
+        for name, ref in (("expit_s", expit(s)), ("expit_neg_s", expit(-s)),
+                          ("softplus_s", softplus(s)), ("softplus_neg_s", softplus(-s))):
+            arr = getattr(model_n1, name)
+            assert getattr(model_n1, name) is arr
+            assert np.array_equal(arr, ref)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("n,frac,eps", CLOSED_FORM_CASES)
+    def test_dirac_rhs_unchanged(self, n, frac, eps):
+        m = default_model(n, n + 1.0)
+        rhs = build_dirac_rhs(frac * m.degree, eps, m)
+        values, density, c, offset = dirac_rhs_per_call(frac * m.degree, eps, m)
+        assert np.array_equal(rhs.values, values)
+        assert np.array_equal(rhs.density, density)
+        assert np.array_equal(rhs.c_smooth, c)
+        assert np.array_equal(rhs.left_flux_offset, offset)
+
+    @pytest.mark.parametrize("n,frac,eps", CLOSED_FORM_CASES)
+    def test_curvature_margin_unchanged(self, n, frac, eps):
+        m = default_model(n, n + 1.0)
+        rhs = build_dirac_rhs(frac * m.degree, eps, m)
+        for got, want in zip(rhs.log_curvature_derivs(), log_curvature_derivs_per_call(rhs)):
+            assert np.array_equal(got, want)
+        bump = gaussian_bump(m.grid)
+        for t, phi in ((0.0, None), (0.5, bump)):
+            rep = check_lower_bound(rhs, t=t, phi=phi)
+            eta, node = lower_bound_per_call(rhs, t=t, phi=phi)
+            assert np.array_equal(rep.eta, eta)
+            assert rep.limiting_node == node
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_other_families_unchanged(self, n):
+        m = default_model(n, n + 1.0)
+        for rhs in (constant_rhs(m), build_divisor_rhs(0.5, 1e-3, m)):
+            for got, want in zip(rhs.log_curvature_derivs(),
+                                 log_curvature_derivs_per_call(rhs)):
+                assert np.array_equal(got, want)
+            assert check_lower_bound(rhs).eta == lower_bound_per_call(rhs)[0]

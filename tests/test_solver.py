@@ -34,6 +34,7 @@ from radialma.solver import (
     _dilated,
     _first_integral_map,
     _mixed,
+    _pole_lelong,
     _unmet_row,
     diagnostics_for,
     pole_slope_sample,
@@ -41,7 +42,7 @@ from radialma.solver import (
 )
 
 from conftest import gaussian_bump
-from oracles import continuum_neutral_potential
+from oracles import continuum_neutral_potential, diagnostics_per_call
 
 
 ALL_KINDS_T = [("reducing", 0.25), ("reducing", 0.5), ("reducing", 0.9),
@@ -397,6 +398,22 @@ class TestSingularSolves:
         assert not res.converged and res.iterations == 1
         assert res.message.startswith("max_iters reached")
 
+    @pytest.mark.parametrize("field,value", [
+        ("newton_tol", np.inf), ("newton_tol", np.nan), ("newton_tol", -1e-10),
+        ("max_iters", 2.5), ("max_iters", 0),
+    ])
+    def test_settings_of_the_wrong_kind_rejected(self, field, value):
+        # newton_tol = inf "converged" after 0 iterations with residual 186;
+        # nan ran to max_iters; max_iters = 2.5 never fired
+        with pytest.raises(ConfigurationError, match=field):
+            SolveConfig(**{field: value})
+
+    def test_integer_cap_of_any_integer_type(self, model_n1):
+        rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
+        res = newton_solve(model_n1, rhs, magnifying(0.5),
+                           SolveConfig(max_iters=np.int64(3)))
+        assert not res.converged and res.iterations == 3
+
 
 class TestContinuity:
     def test_time_zero_base_always_solvable(self, model_n1):
@@ -501,6 +518,27 @@ class TestContinuity:
         assert trace.verdict == ("reached_target" if step.converged else "barrier")
         assert res.kind == step.kind
         assert np.max(np.abs(res.phi - step.phi)) <= 1e-8
+
+
+class TestSmallTime:
+    """As t -> 0 the t-family tends to the neutral base minus its R-weighted
+    mean, the level at which the first-order mass budget balances."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "for n = 1 the dirac family's discrete mass budget misses the flux by "
+        "the pole mass below the cut (7.7e-10 here), and the level absorbs it "
+        "divided by t; below t = 1e-14 continuity_in_t returns the neutral base"))
+    @pytest.mark.parametrize("t_target,tol", [(1e-8, 1e-5), (1e-15, None)])
+    def test_tends_to_the_balanced_neutral_base(self, model_n1, t_target, tol):
+        rhs = build_dirac_rhs(1.8, 1e-4, model_n1)
+        base = newton_solve(model_n1, rhs, neutral()).phi
+        R = rhs.interior_density
+        limit = base - np.dot(base[1:-1], R) / np.sum(R)
+        trace, res = continuity_in_t(model_n1, rhs, magnifying(t_target), t_target)
+        assert trace.verdict == "reached_target"
+        assert res.kind == magnifying(t_target)
+        if tol is not None:
+            assert np.max(np.abs(res.phi - limit)) <= tol
 
 
 class TestRange:
@@ -716,6 +754,24 @@ class TestDiagnostics:
         # the left-edge secant cannot see the pole of a finite mollifier
         assert plain.lelong.value < 0.1
         assert anchored.lelong.value == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi_rejected(self, model_n1, bad):
+        phi = np.zeros(model_n1.grid.points)
+        phi[1234] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            diagnostics_for(phi, model_n1, build_dirac_rhs(1.0, 1e-3, model_n1))
+
+    @pytest.mark.parametrize("gamma,eps", [(0.0, 1e-3), (1.0, 1e-1), (1.8, 1e-3), (1.8, 1e-4)])
+    def test_same_as_through_the_whole_potential(self, model_n1, gamma, eps):
+        # the pole slope read at the secant nodes and the mass read at the
+        # end nodes are the same doubles as those of u = psi + phi
+        rhs = build_dirac_rhs(gamma, eps, model_n1)
+        phi = newton_solve(model_n1, rhs, magnifying(0.4)).phi
+        for family in (rhs, None):
+            d = diagnostics_for(phi, model_n1, family)
+            assert d == diagnostics_per_call(phi, model_n1, family)
+            assert d.lelong == _pole_lelong(phi, model_n1, family)
 
     @pytest.mark.parametrize("points", [1, 10])
     def test_wrong_length_phi_rejected(self, model_n1, points):
