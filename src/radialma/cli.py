@@ -5,6 +5,14 @@ run echoes its canonicalised config into the summary header so a run can be
 reproduced byte-for-byte from its own output. Numeric output is serialised
 with 17 significant digits. Exit status: 0 success, 1 solver barrier or
 non-convergence (outputs still written), 2 invalid configuration.
+
+Output takes one path. A subcommand ``cmd_*`` only computes: it takes the
+validated config and returns ``(status, summary, files)``, that is its exit
+status, its ``key = value`` summary lines and its other output files as
+lines by suffix. ``main`` writes them all: ``<experiment>_summary.txt`` (the
+config-echo header, then the summary lines), each ``<experiment>_<suffix>``
+and, for ``slope`` and ``verify``, the summary lines to stdout. A subcommand
+that raises writes nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from .rhs import (
 )
 from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_line
 from .solver import (
-    ContinuityTrace,
     EquationKind,
     SolveConfig,
     continuity_in_t,
@@ -48,6 +55,9 @@ DIAG_COLUMNS = ("step", "param", "sup_phi", "inf_phi", "avg_phi", "lelong",
 MAGNIFY_COLUMNS = DIAG_COLUMNS + ("nu_measured", "nu_bootstrap")
 
 _SECTION_ORDER = ("model", "equation", "rhs", "solver", "run")
+
+# what a subcommand returns: exit status, summary lines, other files by suffix
+_Result = tuple[int, list[str], dict[str, list[str]]]
 
 
 def fmt(x) -> str:
@@ -66,6 +76,15 @@ def _floats(text) -> list[float]:
 
 _EXPECTED = {int: "an integer", float: "a number",
              _floats: "a comma-separated list of numbers"}
+
+
+def _in_section(section, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ConfigurationError or
+    ConstraintViolationError it raises is re-raised naming ``[section]``."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigurationError, ConstraintViolationError) as exc:
+        raise ConfigurationError(f"[{section}]: {exc}") from exc
 
 
 class RunConfig:
@@ -113,37 +132,32 @@ class RunConfig:
         return default
 
     def validate_model(self):
-        try:
-            grid = SGrid(self.s_min, self.s_max, self.points)
-            return KahlerModel(self.n, self.degree, grid)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[model]: {exc}") from exc
+        grid = _in_section("model", SGrid, self.s_min, self.s_max, self.points)
+        return _in_section("model", KahlerModel, self.n, self.degree, grid)
 
     def build_rhs(self, model, epsilon=None):
         eps = self.epsilon if epsilon is None else epsilon
-        try:
-            if self.rhs_kind == "constant":
-                return constant_rhs(model)
-            if self.rhs_kind == "dirac":
-                return build_dirac_rhs(self.gamma, eps, model)
-            if self.rhs_kind == "divisor":
-                return build_divisor_rhs(self.delta_prime, eps, model)
-        except (ConfigurationError, ConstraintViolationError) as exc:
-            raise ConfigurationError(f"[rhs]: {exc}") from exc
+        if self.rhs_kind == "constant":
+            return _in_section("rhs", constant_rhs, model)
+        if self.rhs_kind == "dirac":
+            return _in_section("rhs", build_dirac_rhs, self.gamma, eps, model)
+        if self.rhs_kind == "divisor":
+            return _in_section("rhs", build_divisor_rhs, self.delta_prime, eps, model)
         raise ConfigurationError(f"[rhs] kind: unknown family {self.rhs_kind!r}")
 
     def equation(self) -> EquationKind:
         """The equation at ``t_target``, the one time of every subcommand."""
-        try:
-            return EquationKind(self.kind, self.t_target)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[equation]: {exc}") from exc
+        return _in_section("equation", EquationKind, self.kind, self.t_target)
 
     def solve_config(self) -> SolveConfig:
-        try:
-            return SolveConfig(newton_tol=self.newton_tol, max_iters=self.max_iters)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[solver]: {exc}") from exc
+        return _in_section("solver", SolveConfig, newton_tol=self.newton_tol,
+                           max_iters=self.max_iters)
+
+    def _need_eps_list(self, subcommand: str) -> None:
+        """``subcommand`` solves one member per eps of ``epsilon_list``."""
+        if not self.epsilon_list:
+            raise ConfigurationError(
+                f"[rhs] epsilon_list: {subcommand} needs a decreasing list")
 
     def canonical_lines(self) -> list[str]:
         lines = []
@@ -175,14 +189,17 @@ def _outdir(cfg: RunConfig, override: str | None) -> Path:
     return path
 
 
-def _write(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _summary_header(cfg: RunConfig, subcommand: str) -> list[str]:
     lines = [f"# radialma {subcommand}", "# config:"]
     lines += [f"#   {line}" for line in cfg.canonical_lines()]
     return lines
+
+
+def _fields(**values) -> list[str]:
+    """``key = value`` summary lines: a string as it is, a number through
+    ``fmt``; a None value writes no line."""
+    return [f"{key} = {v if isinstance(v, str) else fmt(v)}"
+            for key, v in values.items() if v is not None]
 
 
 def _diag_row(step, param, diag, iters, converged, extra=()) -> str:
@@ -193,103 +210,83 @@ def _diag_row(step, param, diag, iters, converged, extra=()) -> str:
     return ",".join(cells)
 
 
-def _write_curve(path: Path, s: np.ndarray, values: np.ndarray) -> None:
-    _write(path, [f"{fmt(a)} {fmt(b)}" for a, b in zip(s, values)])
+def _table(columns, rows) -> list[str]:
+    """A diagnostics CSV: the header, then one ``_diag_row`` per row."""
+    return [",".join(columns)] + [_diag_row(i, *row) for i, row in enumerate(rows)]
 
 
-def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
+def _curve(s: np.ndarray, values: np.ndarray) -> list[str]:
+    """Two columns written as ``fmt`` writes a float, one line per node."""
+    return list(map("%.17g %.17g".__mod__, zip(s.tolist(), values.tolist())))
+
+
+def cmd_solve(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
     rhs = cfg.build_rhs(model)
     kind = cfg.equation()
     res = newton_solve(model, rhs, kind, cfg.solve_config())
     d = res.diagnostics
-    summary = _summary_header(cfg, "solve")
-    summary += [
-        f"converged = {fmt(res.converged)}",
-        f"iterations = {res.iterations}",
-        f"residual_norm = {fmt(res.residual_norm)}",
-        f"sup_phi = {fmt(d.sup_phi)}",
-        f"inf_phi = {fmt(d.inf_phi)}",
-        f"avg_phi = {fmt(d.avg_phi)}",
-        f"lelong = {fmt(d.lelong.value)}",
-        f"lelong_sensitivity = {fmt(d.lelong.sensitivity)}",
-        f"mass = {fmt(d.mass)}",
-    ]
-    if res.message:
-        summary.append(f"message = {res.message}")
-    _write(outdir / f"{cfg.experiment}_summary.txt", summary)
-    csv = [",".join(DIAG_COLUMNS), _diag_row(0, kind.t, d, res.iterations, res.converged)]
-    _write(outdir / f"{cfg.experiment}_diagnostics.csv", csv)
-    _write_curve(outdir / f"{cfg.experiment}_potential.dat", model.grid.nodes, res.phi)
-    return 0 if res.converged else 1
+    summary = _fields(converged=res.converged, iterations=res.iterations,
+                      residual_norm=res.residual_norm, sup_phi=d.sup_phi,
+                      inf_phi=d.inf_phi, avg_phi=d.avg_phi, lelong=d.lelong.value,
+                      lelong_sensitivity=d.lelong.sensitivity, mass=d.mass,
+                      message=res.message or None)
+    files = {"diagnostics.csv": _table(DIAG_COLUMNS,
+                                       [(kind.t, d, res.iterations, res.converged)]),
+             "potential.dat": _curve(model.grid.nodes, res.phi)}
+    return (0 if res.converged else 1), summary, files
 
 
-def _trace_outputs(cfg: RunConfig, outdir: Path, subcommand: str,
-                   trace: ContinuityTrace) -> int:
-    summary = _summary_header(cfg, subcommand)
-    summary += [f"verdict = {trace.verdict}"]
-    if trace.t_star is not None:
-        summary.append(f"t_star = {fmt(trace.t_star)}")
-    if trace.barrier_param is not None:
-        summary.append(f"barrier_param = {fmt(trace.barrier_param)}")
-    _write(outdir / f"{cfg.experiment}_summary.txt", summary)
-    csv = [",".join(DIAG_COLUMNS)]
-    for i, rec in enumerate(trace.entries):
-        csv.append(_diag_row(i, rec.param, rec.diagnostics, rec.iterations,
-                             rec.converged))
-    _write(outdir / f"{cfg.experiment}_diagnostics.csv", csv)
-    return 1 if trace.verdict == "barrier" else 0
+def _trace_result(trace) -> _Result:
+    summary = _fields(verdict=trace.verdict, t_star=trace.t_star,
+                      barrier_param=trace.barrier_param)
+    rows = [(rec.param, rec.diagnostics, rec.iterations, rec.converged)
+            for rec in trace.entries]
+    status = 1 if trace.verdict == "barrier" else 0
+    return status, summary, {"diagnostics.csv": _table(DIAG_COLUMNS, rows)}
 
 
-def cmd_continuity(cfg: RunConfig, outdir: Path) -> int:
+def cmd_continuity(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
     rhs = cfg.build_rhs(model)
     if cfg.kind == "neutral":
         raise ConfigurationError("[equation] kind: continuity needs a time-dependent family")
     trace, res = continuity_in_t(model, rhs, cfg.equation(), cfg.t_target,
                                  cfg.solve_config())
-    status = _trace_outputs(cfg, outdir, "continuity", trace)
-    _write_curve(outdir / f"{cfg.experiment}_potential.dat", model.grid.nodes, res.phi)
-    return status
+    status, summary, files = _trace_result(trace)
+    files["potential.dat"] = _curve(model.grid.nodes, res.phi)
+    return status, summary, files
 
 
-def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
+def cmd_sweep(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
-    if not cfg.epsilon_list:
-        raise ConfigurationError("[rhs] epsilon_list: sweep needs a decreasing list")
+    cfg._need_eps_list("sweep")
     trace, _ = sweep_epsilon(model, cfg.gamma, cfg.equation(), cfg.t_target,
                              cfg.epsilon_list, cfg.solve_config(),
                              rhs_builder=lambda eps: cfg.build_rhs(model, epsilon=eps))
-    return _trace_outputs(cfg, outdir, "sweep", trace)
+    return _trace_result(trace)
 
 
-def cmd_magnify(cfg: RunConfig, outdir: Path) -> int:
+def cmd_magnify(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
-    if not cfg.epsilon_list:
-        raise ConfigurationError("[rhs] epsilon_list: magnify needs a decreasing list")
+    cfg._need_eps_list("magnify")
     if cfg.kind != "magnifying":
         raise ConfigurationError("[equation] kind: magnify solves the magnifying family")
     if cfg.rhs_kind != "dirac":
         raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
     report = magnification_experiment(model, cfg.gamma, cfg.t_target, cfg.epsilon_list,
                                       cfg.solve_config())
-    summary = _summary_header(cfg, "magnify")
-    summary += [f"verdict = {report.verdict}", f"eta = {fmt(report.eta)}"]
-    if report.eta_warning:
-        summary.append(f"warning = {report.eta_warning}")
-    _write(outdir / f"{cfg.experiment}_summary.txt", summary)
-    csv = [",".join(MAGNIFY_COLUMNS)]
-    for i, r in enumerate(report.rows):
-        csv.append(_diag_row(i, r.eps, r.diagnostics, r.iterations, r.converged,
-                             extra=(r.nu_measured, r.nu_bootstrap)))
-    _write(outdir / f"{cfg.experiment}_magnification.csv", csv)
-    return 0 if report.verdict != "barrier" else 1
+    summary = _fields(verdict=report.verdict, eta=report.eta,
+                      warning=report.eta_warning or None)
+    rows = [(r.eps, r.diagnostics, r.iterations, r.converged,
+             (r.nu_measured, r.nu_bootstrap)) for r in report.rows]
+    status = 0 if report.verdict != "barrier" else 1
+    return status, summary, {"magnification.csv": _table(MAGNIFY_COLUMNS, rows)}
 
 
-def cmd_multiplier(cfg: RunConfig, outdir: Path) -> int:
+def cmd_multiplier(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
-    if not cfg.epsilon_list:
-        raise ConfigurationError("[rhs] epsilon_list: multiplier needs a decreasing list")
+    cfg._need_eps_list("multiplier")
     tau0 = cfg.t_target
     if not (0.0 < tau0 < 1.0):
         raise ConfigurationError("[equation] t_target: multiplier needs 0 < t < 1")
@@ -301,49 +298,33 @@ def cmd_multiplier(cfg: RunConfig, outdir: Path) -> int:
     entries = [(res.phi, tau0, build(eps))
                for eps, res in zip(cfg.epsilon_list, results) if res.converged]
     if not entries:
-        _write(outdir / f"{cfg.experiment}_summary.txt",
-               _summary_header(cfg, "multiplier") + ["verdict = barrier",
-                                                     "error = no converged members"])
-        return 1
+        return 1, _fields(verdict="barrier", error="no converged members"), {}
     stalk = stalk_from_sequence(PotentialSequence(model, tuple(entries)))
     eta = check_lower_bound(build(cfg.epsilon_list[0])).eta
     report = trivial_lemma_report(stalk, eta)
-    summary = _summary_header(cfg, "multiplier")
-    summary += [
-        f"verdict = {trace.verdict}",
-        f"k_min = {stalk.k_min}",
-        f"nontrivial = {fmt(stalk.nontrivial)}",
-        f"equals_maximal_ideal = {fmt(stalk.equals_maximal_ideal)}",
-        f"tau_nu_product = {fmt(stalk.tau_nu_product)}",
-        f"eta = {fmt(eta)}",
-        f"hypothesis_nontrivial = {fmt(report.nontrivial_ok)}",
-        f"hypothesis_curvature_bound = {fmt(report.curvature_bound_ok)}",
-        f"hypothesis_not_maximal_ideal = {fmt(report.not_maximal_ideal_ok)}",
-        f"conclusion = {report.conclusion}",
-    ]
+    summary = _fields(
+        verdict=trace.verdict, k_min=stalk.k_min, nontrivial=stalk.nontrivial,
+        equals_maximal_ideal=stalk.equals_maximal_ideal,
+        tau_nu_product=stalk.tau_nu_product, eta=eta,
+        hypothesis_nontrivial=report.nontrivial_ok,
+        hypothesis_curvature_bound=report.curvature_bound_ok,
+        hypothesis_not_maximal_ideal=report.not_maximal_ideal_ok,
+        conclusion=report.conclusion)
     summary += [f"note = {note}" for note in report.notes]
-    _write(outdir / f"{cfg.experiment}_summary.txt", summary)
-    return 1 if trace.verdict == "barrier" else 0
+    return (1 if trace.verdict == "barrier" else 0), summary, {}
 
 
-def cmd_slope(cfg: RunConfig, outdir: Path) -> int:
+def cmd_slope(cfg: RunConfig) -> _Result:
     n = cfg.slope_n
     ambient = tangent_on_line(n)
-    summary = _summary_header(cfg, "slope")
-    lines = [f"n = {n}",
-             f"ambient_slope = {normalized_slope(ambient)}",
-             f"sub_slope = {normalized_slope(line_tangent())}"]
-    if n >= 2:
-        lines.append(f"destabilizes = {fmt(destabilizes(line_tangent(), ambient))}")
-    else:
-        lines.append("destabilizes = undefined (no proper subbundle)")
-    _write(outdir / f"{cfg.experiment}_summary.txt", summary + lines)
-    for line in lines:
-        print(line)
-    return 0
+    summary = _fields(n=n, ambient_slope=str(normalized_slope(ambient)),
+                      sub_slope=str(normalized_slope(line_tangent())),
+                      destabilizes=destabilizes(line_tangent(), ambient) if n >= 2
+                      else "undefined (no proper subbundle)")
+    return 0, summary, {}
 
 
-def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
+def cmd_verify(cfg: RunConfig) -> _Result:
     """Fast built-in cross-checks; one pass/fail line per check."""
     checks: list[tuple[str, bool, str]] = []
     model = cfg.validate_model()
@@ -385,16 +366,9 @@ def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
     checks.append(("slope_example", ok and normalized_slope(tangent_on_line(5)) ==
                    Fraction(6, 5), "2 > 6/5"))
 
-    lines = _summary_header(cfg, "verify")
-    failed = 0
-    for name, passed, detail in checks:
-        status = "PASS" if passed else "FAIL"
-        failed += 0 if passed else 1
-        line = f"{status} {name}: {detail}"
-        lines.append(line)
-        print(line)
-    _write(outdir / f"{cfg.experiment}_summary.txt", lines)
-    return 0 if failed == 0 else 1
+    lines = [f"{'PASS' if passed else 'FAIL'} {name}: {detail}"
+             for name, passed, detail in checks]
+    return (0 if all(passed for _, passed, _ in checks) else 1), lines, {}
 
 
 _COMMANDS = {
@@ -421,10 +395,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         outdir = _outdir(cfg, args.out)
-        return _COMMANDS[args.subcommand](cfg, outdir)
+        status, summary, files = _COMMANDS[args.subcommand](cfg)
     except (ConfigurationError, ConstraintViolationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    files = {"summary.txt": _summary_header(cfg, args.subcommand) + summary, **files}
+    for suffix, lines in files.items():
+        (outdir / f"{cfg.experiment}_{suffix}").write_text("\n".join(lines) + "\n")
+    if args.subcommand in ("slope", "verify"):
+        print("\n".join(summary))
+    return status
 
 
 if __name__ == "__main__":

@@ -152,11 +152,6 @@ class KahlerModel:
         """Analytic reduced volume density n (psi')^{n-1} psi''."""
         return self.n * self.psi_prime(s) ** (self.n - 1) * self.psi_second(s)
 
-    def reduced_density(self, s=None) -> np.ndarray:
-        """Analytic e^{-ns} (psi')^{n-1} psi'' = d^n (1 + e^s)^{-(n+1)}."""
-        x = self.s if s is None else s
-        return self.degree**self.n * np.exp(-(self.n + 1) * softplus(x))
-
     @cached_property
     def _trap(self) -> np.ndarray:
         w = np.full(self.grid.points, self.grid.h)

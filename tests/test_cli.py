@@ -1,6 +1,7 @@
 """CLI subcommands, config validation, deterministic output."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radialma import cli
 from radialma.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 BASE = """\
@@ -275,3 +279,104 @@ class TestDeterminism:
         data = (tmp_path / "rt_potential.dat").read_text().splitlines()
         s, phi = data[1000].split()
         assert float(s) == np.float64(s)  # exact round trip
+
+
+def readme_config(tmp_path, **changes):
+    """The README's example config, with ``key = value`` lines replaced."""
+    text = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    for key, value in changes.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    path = tmp_path / "readme.ini"
+    path.write_text(text)
+    return str(path)
+
+
+class TestPotentialWriter:
+    @pytest.mark.parametrize("subcommand,solver", [("solve", "newton_solve"),
+                                                   ("continuity", "continuity_in_t")])
+    def test_columns_are_the_nodes_and_the_returned_phi(self, tmp_path, monkeypatch,
+                                                        subcommand, solver):
+        # every node, not one: both columns read back bit for bit
+        original, returned = getattr(cli, solver), []
+
+        def spy(model, *args):
+            out = original(model, *args)
+            returned.append((model, out if solver == "newton_solve" else out[1]))
+            return out
+
+        monkeypatch.setattr(cli, solver, spy)
+        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.0", t="0.3",
+                           t_target="0.3", name="pw")
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 0
+        (model, res), = returned
+        s, phi = np.loadtxt(tmp_path / "pw_potential.dat").T
+        assert np.array_equal(s, model.grid.nodes)
+        assert np.array_equal(phi, res.phi)
+
+
+def summary_body(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+class TestOutputContract:
+    """``main`` writes every output: the summary file, the other files, and
+    the summary lines on stdout for ``slope`` and ``verify`` alone."""
+
+    @pytest.mark.parametrize("subcommand,slope_n,last", [
+        ("verify", 5, "PASS slope_example: 2 > 6/5"),
+        ("slope", 5, "destabilizes = true"),
+        ("slope", 1, "destabilizes = undefined (no proper subbundle)"),
+    ])
+    def test_stdout_is_the_summary_body(self, tmp_path, capsys, subcommand, slope_n, last):
+        cfg = write_config(tmp_path, name="so")
+        with open(cfg, "a") as fh:
+            fh.write(f"slope_n = {slope_n}\n")
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 0
+        body = summary_body(tmp_path / "so_summary.txt")
+        assert capsys.readouterr().out.splitlines() == body
+        assert body[-1] == last
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "so_summary.txt"]
+
+    @pytest.mark.parametrize("subcommand,files", [
+        ("solve", ["diagnostics.csv", "potential.dat", "summary.txt"]),
+        ("continuity", ["diagnostics.csv", "potential.dat", "summary.txt"]),
+        ("sweep", ["diagnostics.csv", "summary.txt"]),
+        ("magnify", ["magnification.csv", "summary.txt"]),
+        ("multiplier", ["summary.txt"]),
+    ])
+    def test_other_subcommands_print_nothing(self, tmp_path, capsys, subcommand, files):
+        # gamma = 0 keeps the curvature margin positive, so magnify runs
+        # without its experimental-probe warning
+        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="0.0", t="0.3",
+                           t_target="0.3", eps_list="1e-1,1e-2", name="q")
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in out.iterdir()) == [f"q_{f}" for f in files]
+
+    @pytest.mark.parametrize("subcommand,changes,where", [
+        ("magnify", dict(kind="reducing", t="0.3", t_target="0.3", rhs_kind="dirac",
+                         gamma="1.8", eps_list="1e-1,1e-2"), "[equation] kind"),
+        ("solve", dict(rhs_kind="dirac", gamma="5"), "[rhs]"),
+        ("continuity", dict(rhs_kind="dirac", gamma="5"), "[rhs]"),
+    ])
+    def test_error_in_a_command_writes_nothing(self, tmp_path, capsys, subcommand,
+                                               changes, where):
+        cfg = write_config(tmp_path, name="err", **changes)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: " + where)
+        assert list(out.iterdir()) == []
+
+    def test_multiplier_without_members_writes_only_its_summary(self, tmp_path, capsys):
+        # one fixed-point iteration converges no member of the README family
+        cfg = readme_config(tmp_path, t_target="0.9", max_iters="1")
+        out = tmp_path / "out"
+        assert main(["multiplier", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in out.iterdir()] == ["demo_summary.txt"]
+        assert summary_body(out / "demo_summary.txt") == [
+            "verdict = barrier", "error = no converged members"]
