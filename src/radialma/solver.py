@@ -27,7 +27,7 @@ first integral (``_first_integral_map``), with Anderson acceleration
 (Anderson, J. ACM 1965; Walker & Ni, SIAM J. Numer. Anal. 2011). At
 exponent rate 0, T does not depend on phi and one application is the
 quadrature ``neutral_oracle`` returns. ``residual_from_perturbation``
-evaluates the rows and judges the result.
+evaluates the rows.
 
 Positivity holds by construction, so no solve is judged on it. Every
 result is an image of T, whose slope powers are the first one, w_{1/2}^n
@@ -35,9 +35,12 @@ result is an image of T, whose slope powers are the first one, w_{1/2}^n
 R: its half-node slopes are nonnegative and nondecreasing, the discrete
 Kahler condition of the flux form. ``RhsFamily`` guarantees R >= 0 and
 w_{1/2} >= 0 for every family it admits. T is also invariant under adding
-a constant to phi, so the level of a start is no information:
-``newton_solve`` sets it itself (``_mass_balanced_shift``), and the
-drivers pass their predictors as they are.
+a constant to phi, so the level of a start is no information: the
+iteration (``_anderson``) moves its start to the level of the start's
+image, and the drivers pass their predictors as they are. The same loop
+holds the one convergence rule: a solve is converged when its
+fixed-point step is at or below ``newton_tol`` and every row passes
+``_unmet_row``.
 
 Each continuation routine decides by one rule. ``continuity_in_t``
 steps as far as the solver converges: its first attempt is at the target,
@@ -228,45 +231,27 @@ def _unmet_row(ev: Evaluation, phi: np.ndarray, model: KahlerModel, tol: float) 
 # First-integral fixed point
 
 
-def _flux_budget(rhs: RhsFamily):
-    """The cell masses n h R_i, the first slope power w_{1/2}^n the left row
-    fixes, and the flux W^n - w_{1/2}^n the right row asks them to carry."""
-    m = rhs.model
-    n, W = m.n, m.psi_slopes
-    q0 = (W[0] + rhs.left_flux_offset) ** n
-    return n * m.grid.h * rhs.interior_density, q0, W[-1] ** n - q0
-
-
-def _balanced_masses(phi: np.ndarray, cells: np.ndarray, flux: float, rate: float):
-    """The cell masses weighted by e^{rate phi}, up to a common factor, and
-    the level kappa under which e^{rate (phi + kappa)} makes them sum to
-    ``flux``."""
-    z = rate * phi[1:-1]
-    top = float(z.max())
-    z -= top  # log sum exp, stable
-    np.exp(z, out=z)
-    z *= cells
-    total = float(z.sum())
-    if not total > 0.0:
-        return z, math.nan  # a wild iterate can leave no mass: no finite level
-    return z, (math.log(flux / total) - top) / rate
-
-
 def _first_integral_map(model: KahlerModel, rhs: RhsFamily, kind: EquationKind):
     """The map T whose fixed points are the discrete solutions; its constant
     arrays are built once, here.
 
-    T(phi) weights the cell masses by phi at its balanced level phi + kappa
-    (the rule of ``_mass_balanced_shift``). From the first slope the left
-    row fixes, the slope powers accumulate them and end at psi's last, so
-    T(phi) meets both flux rows. phi's slopes are summed backwards in phi
-    itself, not in u, which would add the rounding of |u|, and end at the
-    level phi_{N-1} + kappa. A fixed point has kappa = 0, so all its rows
-    hold. At rate 0 the weights are 1 and the level is the anchor
+    Telescoped, the interior rows make the last slope power of u the first,
+    w_{1/2}^n, plus the cell masses n h e^{rate phi} R; the right row asks
+    for psi's last slope W. T(phi) weights the cell masses by phi at its
+    balanced level phi + kappa, under which they sum to W^n - w_{1/2}^n.
+    From the first slope the left row fixes, the slope powers accumulate
+    them and end at psi's last, so T(phi) meets both flux rows. phi's slopes
+    are summed backwards in phi itself, not in u, which would add the
+    rounding of |u|, and end at the level phi_{N-1} + kappa. So T ignores
+    its input's level, and a fixed point has kappa = 0: all its rows hold.
+    An iterate that leaves no mass, or one whose level overflows, has no
+    finite image. At rate 0 the weights are 1 and the level is the anchor
     phi(s_max) = 0: T(phi) is the neutral quadrature, whatever phi.
     """
     n, h, W = model.n, model.grid.h, model.psi_slopes
-    cells, q0, flux = _flux_budget(rhs)
+    cells = n * h * rhs.interior_density
+    q0 = (W[0] + rhs.left_flux_offset) ** n
+    flux = W[-1] ** n - q0
     rate = kind.exponent_rate
 
     def first_integral(phi: np.ndarray) -> np.ndarray:
@@ -276,10 +261,17 @@ def _first_integral_map(model: KahlerModel, rhs: RhsFamily, kind: EquationKind):
             np.cumsum(cells, out=q[1:])
             level = 0.0
         else:
-            masses, kappa = _balanced_masses(phi, cells, flux, rate)
-            np.cumsum(masses, out=q[1:])
+            z = rate * phi[1:-1]
+            top = float(z.max())
+            z -= top  # log sum exp, stable
+            np.exp(z, out=z)
+            z *= cells
+            total = float(z.sum())
+            if not total > 0.0:
+                total = math.nan  # a wild iterate can leave no mass: no finite level
+            np.cumsum(z, out=q[1:])
             q *= flux / q[-1]  # scaled by their own sum: exactly balanced
-            level = phi[-1] + kappa
+            level = phi[-1] + (math.log(flux / total) - top) / rate
         q += q0
         if n > 1:
             q **= 1.0 / n
@@ -308,29 +300,38 @@ def _mixed(g: np.ndarray, f: np.ndarray, gram: np.ndarray, dF: np.ndarray,
     return g - gamma @ dG
 
 
-def _anderson(T, phi: np.ndarray, tol: float, max_iters: int):
+def _anderson(T, judge, phi: np.ndarray, tol: float, max_iters: int):
     """Anderson-accelerated iteration of phi = T(phi), depth ANDERSON_DEPTH.
 
-    Each iteration mixes the stored differences of f = T(phi) - phi and of
-    T(phi) into a new phi and applies T once. Returns
-    ``(T(phi), iterations, message)``: an empty message once ||f||_inf is at
-    or below ``tol``, else why it stopped.
+    T ignores its input's level, so the start first moves to the level of
+    its image. Each iteration mixes the stored differences of
+    f = T(phi) - phi and of T(phi) into a new phi and applies T once. The
+    loop stops when ||f||_inf is at or below ``tol`` and ``judge``, the row
+    check of T(phi), passes; that is the only convergence test of a solve.
+    Returns ``(T(phi), iterations, residual_norm, message)``: an empty
+    message on convergence, else why it stopped. A non-finite map returns
+    the last finite phi (the caller's start, when its level is not finite).
     """
     depth = ANDERSON_DEPTH
     dF = np.empty((depth, phi.size))
     dG = np.empty((depth, phi.size))
     gram = np.empty((depth, depth))
     g = T(phi)
+    level = g[-1] - phi[-1]
+    if math.isfinite(level):
+        phi = phi + level
     f = g - phi
     iters = 0
     while True:
         step = float(np.abs(f).max())
         if not np.isfinite(step):
-            return phi, iters, "fixed-point map produced non-finite values"
+            return phi, iters, judge(phi)[0], "fixed-point map produced non-finite values"
         if step <= tol:
-            return g, iters, ""
-        if iters >= max_iters:
-            return g, iters, f"max_iters reached, step {step:.3g}"
+            norm, message = judge(g)
+            if not message or iters >= max_iters:
+                return g, iters, norm, message
+        elif iters >= max_iters:
+            return g, iters, judge(g)[0], f"max_iters reached, step {step:.3g}"
         k = min(iters, depth)
         phi = _mixed(g, f, gram[:k, :k], dF[:k], dG[:k]) if k else g
         g_new = T(phi)
@@ -344,19 +345,29 @@ def _anderson(T, phi: np.ndarray, tol: float, max_iters: int):
         iters += 1
 
 
+def _judged(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
+            tol: float) -> tuple[float, str]:
+    """The residual norm of phi's rows, from one evaluation, and a message
+    naming the first row that misses its tolerance (``_unmet_row``), or ""."""
+    ev = residual_from_perturbation(phi, model, rhs, kind)
+    unmet = _unmet_row(ev, phi, model, tol)
+    message = "" if unmet is None else \
+        f"row {unmet} misses its tolerance, residual {ev.residual[unmet]:.3g}"
+    return float(np.max(np.abs(ev.residual))), message
+
+
 def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                  config: SolveConfig | None = None) -> SolveResult:
     """Solve phi = T(phi) for the first-integral map T from
-    ``config.initial_guess`` (default phi = 0), first shifted to its
-    mass-balanced level (``_mass_balanced_shift``).
+    ``config.initial_guess`` (default phi = 0), whatever its level.
 
     At exponent rate 0 (the neutral family, or t = 0) one application of T
-    is the exact solution, whatever the guess, with 0 iterations. Otherwise
-    ``_anderson`` iterates until the step is at or below ``newton_tol``.
-    The result is converged when that step is met and every row is within
-    its tolerance (``_unmet_row``); otherwise ``message`` says why. It is an
-    image of T, so it is Kahler in the flux form by construction (see the
-    module docstring).
+    is the exact solution, whatever the guess, with 0 iterations, and its
+    rows are judged once. Otherwise ``_anderson`` iterates until the step is
+    at or below ``newton_tol`` and every row is within its tolerance
+    (``_unmet_row``). The result is converged when that rule is met;
+    otherwise ``message`` says why. It is an image of T, so it is Kahler in
+    the flux form by construction (see the module docstring).
     """
     cfg = config or SolveConfig()
     if (model.n, model.degree) != (rhs.model.n, rhs.model.degree):
@@ -373,15 +384,13 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     # a diverging iterate may overflow on its way out; the message reports it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         T = _first_integral_map(model, rhs, kind)
+        tol = cfg.newton_tol
         if kind.exponent_rate == 0.0:
-            phi, iters, message = T(phi), 0, ""
+            phi, iters = T(phi), 0
+            norm, message = _judged(phi, model, rhs, kind, tol)
         else:
-            phi = _mass_balanced_shift(phi, rhs, kind)
-            phi, iters, message = _anderson(T, phi, cfg.newton_tol, cfg.max_iters)
-        ev = residual_from_perturbation(phi, model, rhs, kind)
-        unmet = None if message else _unmet_row(ev, phi, model, cfg.newton_tol)
-        if unmet is not None:
-            message = f"row {unmet} misses its tolerance, residual {ev.residual[unmet]:.3g}"
+            phi, iters, norm, message = _anderson(
+                T, lambda x: _judged(x, model, rhs, kind, tol), phi, tol, cfg.max_iters)
         diagnostics = diagnostics_for(phi, model, rhs)
     return SolveResult(
         u=RadialPotential(model.grid, model.psi.values + phi, model.n),
@@ -389,7 +398,7 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
         diagnostics=diagnostics,
         converged=not message,
         iterations=iters,
-        residual_norm=float(np.max(np.abs(ev.residual))),
+        residual_norm=norm,
         kind=kind,
         message=message,
     )
@@ -473,23 +482,6 @@ def pole_slope_sample(phi, model: KahlerModel, rhs: RhsFamily) -> float:
 # Continuity drivers
 
 
-def _mass_balanced_shift(phi: np.ndarray, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
-    """Shift phi by the constant that balances the right flux row at time t.
-
-    Telescoped, the interior rows make the last slope power of u the first,
-    w_{1/2}^n, plus n h sum(e^{rate phi} R); the right row asks for psi's
-    last slope W. The shift kappa makes
-    n h sum(e^{rate (phi + kappa)} R) = W^n - w_{1/2}^n. The first-integral
-    map weights its input at this level, and ``newton_solve`` shifts every
-    start by it.
-    """
-    rate = kind.exponent_rate
-    if rate == 0.0:
-        return phi
-    cells, _, flux = _flux_budget(rhs)
-    return phi + _balanced_masses(phi, cells, flux, rate)[1]
-
-
 def _dilated(phi: np.ndarray, model: KahlerModel, prev: RhsFamily,
              rhs: RhsFamily) -> np.ndarray:
     """A family member's phi carried to the next mollifier by dilation.
@@ -543,7 +535,7 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                           step.iterations, step.residual_norm)]
     t = 0.0
     dt = t_target
-    while step.converged and t < t_target - 1e-14:
+    while step.converged and t < t_target:
         t_try = min(t + dt, t_target)
         attempt = newton_solve(model, rhs, EquationKind(kind.kind, t_try),
                                replace(cfg, initial_guess=step.phi))

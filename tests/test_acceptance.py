@@ -37,11 +37,7 @@ from radialma import (
     tangent_on_line,
 )
 from radialma.grid import second_derivative
-from radialma.solver import (
-    _first_integral_map,
-    _mass_balanced_shift,
-    residual_from_perturbation,
-)
+from radialma.solver import _first_integral_map, residual_from_perturbation
 
 from conftest import gaussian_bump
 from oracles import disc_mass_quad
@@ -195,6 +191,8 @@ def test_criterion_09_first_integral(model_n1):
     kind = magnifying(0.3)
     g = model_n1.grid
     T = _first_integral_map(model_n1, rhs, kind)
+    n, h, W = model_n1.n, g.h, model_n1.psi_slopes
+    flux = W[-1] ** n - (W[0] + rhs.left_flux_offset) ** n
     phi0 = gaussian_bump(g, 0.1)
     worst = 0.0
     for _ in range(10):
@@ -203,11 +201,13 @@ def test_criterion_09_first_integral(model_n1):
                 for k, c in enumerate(coeffs))
         v *= np.exp(-g.nodes**2 / 200.0)
         phi = phi0 + 0.1 * v
-        bal = _mass_balanced_shift(phi, rhs, kind)
         t_phi = T(phi)
+        bal = phi + (t_phi[-1] - phi[-1])  # T(phi) ends at the balanced level
+        rate, R = kind.exponent_rate, rhs.interior_density
+        # at that level the weighted cell masses carry the right row's flux
+        assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
         r = residual_from_perturbation(t_phi, model_n1, rhs, kind).residual
-        rate = kind.exponent_rate
-        change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * rhs.interior_density
+        change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * R
         rel = float(np.max(np.abs(r[1:-1] - change)) / np.max(np.abs(change)))
         worst = max(worst, rel)
         assert rel <= 1e-6

@@ -102,6 +102,19 @@ class TestSolve:
         assert err.startswith("configuration error:") and where in err
         assert not (tmp_path / "bad_summary.txt").exists()
 
+    def test_overflowing_level_is_a_failed_solve(self, tmp_path, capsys):
+        # t = 5e-324 is a valid time: the solve fails (exit 1) and writes its
+        # outputs, instead of reporting a configuration error (exit 2)
+        cfg = write_config(tmp_path, t="5e-324", t_target="5e-324", rhs_kind="dirac",
+                           gamma="1.8", name="tiny")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "configuration error" not in capsys.readouterr().err
+        summary = (tmp_path / "tiny_summary.txt").read_text()
+        assert "converged = false" in summary
+        assert "message = fixed-point map produced non-finite values" in summary
+        assert (tmp_path / "tiny_diagnostics.csv").exists()
+        assert (tmp_path / "tiny_potential.dat").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 

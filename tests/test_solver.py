@@ -31,6 +31,7 @@ from radialma import (
 from radialma import solver
 from radialma.rhs import xi_eps_d1
 from radialma.solver import (
+    _anderson,
     _dilated,
     _first_integral_map,
     _mixed,
@@ -111,24 +112,24 @@ class TestFirstIntegral:
            width=st.floats(1.0, 4.0))
     def test_map_integrates_the_rows(self, n, kind, t, amplitude, center, width):
         # T(phi) integrates the rows with the weights of phi at its balanced
-        # level: it meets both flux rows, leaves each interior row with the
-        # change of weight (e^{sigma t bal} - e^{sigma t T(phi)}) R, and keeps
-        # the balanced level at s_max
+        # level, the level it ends at: there the weighted cell masses carry
+        # the right row's flux, and T(phi) meets both flux rows and leaves
+        # each interior row with the change of weight
+        # (e^{sigma t bal} - e^{sigma t T(phi)}) R
         m = KahlerModel(n, n + 1.0, self.GRID)
         rhs = build_dirac_rhs(0.5 * (n + 1.0), 1e-1, m)
         eq = EquationKind(kind, t)
         phi = gaussian_bump(m.grid, amplitude, center, width)
-        bal = solver._mass_balanced_shift(phi, rhs, eq)
+        t_phi = _first_integral_map(m, rhs, eq)(phi)
+        bal = phi + (t_phi[-1] - phi[-1])
         W, h = m.psi_slopes, m.grid.h
         flux = W[-1] ** n - (W[0] + rhs.left_flux_offset) ** n
         rate, R = eq.exponent_rate, rhs.interior_density
         assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
-        t_phi = _first_integral_map(m, rhs, eq)(phi)
         r = residual_from_perturbation(t_phi, m, rhs, eq).residual
         change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * R
         assert np.max(np.abs(r[1:-1] - change)) <= 1e-12 * np.max(R)
         assert abs(r[0]) <= 1e-12 and abs(r[-1]) <= 1e-12
-        assert t_phi[-1] == pytest.approx(bal[-1], abs=1e-12)
         # whatever phi, the slopes of T(phi) are nonnegative and
         # nondecreasing: Kahler by construction, up to the rounding of |phi|
         w = W + np.diff(t_phi) / h
@@ -192,6 +193,66 @@ class TestFixedPoints:
         res = newton_solve(model_n1, constant_rhs(model_n1), magnifying(0.5), cfg)
         assert res.converged and np.max(np.abs(res.phi)) <= 1e-9
         assert res.residual_norm <= 1e-10
+
+    def test_non_finite_level_fails_the_solve(self, model_n1):
+        # at t = 5e-324 the balanced level, the budget gap divided by t,
+        # overflows: the solve keeps its start and reports it, it does not
+        # raise from the diagnostics of an infinite phi
+        rhs = build_dirac_rhs(1.8, 1e-4, model_n1)
+        res = newton_solve(model_n1, rhs, magnifying(5e-324))
+        assert not res.converged
+        assert res.message == "fixed-point map produced non-finite values"
+        assert res.iterations == 0
+        assert np.array_equal(res.phi, np.zeros(model_n1.grid.points))
+        assert np.isfinite(res.residual_norm)
+
+    def test_stop_rule_judges_the_rows(self, model_n1):
+        # the loop stops only when the step is met and every row passes, so
+        # a converged solve has no unmet row; a solve cut at max_iters with
+        # its step met names the row that failed
+        rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
+        kind = magnifying(0.5)
+        res = newton_solve(model_n1, rhs, kind)
+        assert res.converged and res.message == ""
+        ev = residual_from_perturbation(res.phi, model_n1, rhs, kind)
+        assert _unmet_row(ev, res.phi, model_n1, 1e-10) is None
+        assert res.residual_norm == float(np.max(np.abs(ev.residual)))
+
+    def test_anderson_stops_on_step_and_rows(self):
+        # a constant map: the start takes its image's level, the next
+        # iterate is the fixed point, and only the rows decide whether the
+        # loop stops there
+        target = np.linspace(0.0, 1.0, 9)
+        calls = []
+
+        def judge(verdict):
+            def check(phi):
+                calls.append(phi.copy())
+                return 0.25, verdict
+            return check
+
+        start = np.full(9, 5.0)
+        phi, iters, norm, message = _anderson(lambda x: target.copy(), judge(""),
+                                              start, 1e-12, 10)
+        assert np.array_equal(phi, target) and (iters, norm, message) == (1, 0.25, "")
+        assert len(calls) == 1  # the rows are judged once the step is met
+        calls.clear()
+        row = "row 3 misses its tolerance, residual 0.25"
+        phi, iters, norm, message = _anderson(lambda x: target.copy(), judge(row),
+                                              start, 1e-12, 4)
+        assert (iters, norm, message) == (4, 0.25, row)
+        assert len(calls) == 4
+        calls.clear()
+        # a step not met at max_iters names the step
+        phi, iters, _, message = _anderson(lambda x: x[::-1] + 1.0, judge(""),
+                                           target, 1e-12, 3)
+        assert iters == 3 and message.startswith("max_iters reached, step ")
+        assert len(calls) == 1
+        # a non-finite image keeps the caller's start
+        phi, iters, _, message = _anderson(lambda x: np.full(9, np.inf), judge(""),
+                                           start, 1e-12, 3)
+        assert np.array_equal(phi, start) and iters == 0
+        assert message == "fixed-point map produced non-finite values"
 
 
 class TestNeutralOracle:
@@ -519,6 +580,21 @@ class TestContinuity:
         assert res.kind == step.kind
         assert np.max(np.abs(res.phi - step.phi)) <= 1e-8
 
+    @pytest.mark.parametrize("d,gamma,eps,kind,t", [
+        (5.0, 0.05, 1e-4, "magnifying", 0.5964),
+        (6.5, 3.25, 10.0 ** -1.5, "reducing", 0.5),
+    ])
+    def test_no_creep_at_n4(self, d, gamma, eps, kind, t):
+        # where R is large a row reads about rate R times the last step; a
+        # loop that stops on the step alone left such a row unmet by chance,
+        # and the continuation alternated accepted and failed attempts for
+        # thousands of steps
+        m = KahlerModel(4, d, SGrid(-40.0, 40.0, 801))
+        trace, res = continuity_in_t(m, build_dirac_rhs(gamma, eps, m),
+                                     EquationKind(kind, t), t)
+        assert trace.verdict == "reached_target", res.message
+        assert len(trace.entries) - 1 <= 2
+
 
 class TestSmallTime:
     """As t -> 0 the t-family tends to the neutral base minus its R-weighted
@@ -527,7 +603,9 @@ class TestSmallTime:
     @pytest.mark.xfail(strict=True, reason=(
         "for n = 1 the dirac family's discrete mass budget misses the flux by "
         "the pole mass below the cut (7.7e-10 here), and the level absorbs it "
-        "divided by t; below t = 1e-14 continuity_in_t returns the neutral base"))
+        "divided by t: at t = 1e-8 phi lies 3.9e-2 from the limit, and at "
+        "t = 1e-15 row 0 misses its tolerance, so the continuation ends in a "
+        "barrier"))
     @pytest.mark.parametrize("t_target,tol", [(1e-8, 1e-5), (1e-15, None)])
     def test_tends_to_the_balanced_neutral_base(self, model_n1, t_target, tol):
         rhs = build_dirac_rhs(1.8, 1e-4, model_n1)
@@ -539,6 +617,18 @@ class TestSmallTime:
         assert res.kind == magnifying(t_target)
         if tol is not None:
             assert np.max(np.abs(res.phi - limit)) <= tol
+
+    @pytest.mark.parametrize("t_target", [1e-14, 1e-15, 5e-324])
+    def test_every_positive_target_is_attempted(self, model_n1, t_target):
+        # however small t_target, the continuation solves the requested kind
+        # at t_target: it never returns the neutral base as the target solve
+        rhs = build_dirac_rhs(1.8, 1e-4, model_n1)
+        trace, res = continuity_in_t(model_n1, rhs, magnifying(t_target), t_target)
+        assert res.kind == magnifying(t_target)
+        assert trace.entries[-1].param == t_target
+        assert res.converged == (trace.verdict == "reached_target")
+        if t_target == 1e-14:
+            assert trace.verdict == "reached_target"
 
 
 class TestRange:
