@@ -43,6 +43,8 @@ from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_lin
 from .solver import (
     EquationKind,
     SolveConfig,
+    StepRecord,
+    _eps_values,
     continuity_in_t,
     newton_solve,
     sweep_epsilon,
@@ -78,13 +80,14 @@ _EXPECTED = {int: "an integer", float: "a number",
              _floats: "a comma-separated list of numbers"}
 
 
-def _in_section(section, build, *args, **kwargs):
+def _in_section(where, build, *args, **kwargs):
     """``build(*args, **kwargs)``; a ConfigurationError or
-    ConstraintViolationError it raises is re-raised naming ``[section]``."""
+    ConstraintViolationError it raises is re-raised naming ``where``, a
+    ``[section]`` or ``[section] key``."""
     try:
         return build(*args, **kwargs)
     except (ConfigurationError, ConstraintViolationError) as exc:
-        raise ConfigurationError(f"[{section}]: {exc}") from exc
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 class RunConfig:
@@ -132,32 +135,40 @@ class RunConfig:
         return default
 
     def validate_model(self):
-        grid = _in_section("model", SGrid, self.s_min, self.s_max, self.points)
-        return _in_section("model", KahlerModel, self.n, self.degree, grid)
+        grid = _in_section("[model]", SGrid, self.s_min, self.s_max, self.points)
+        return _in_section("[model]", KahlerModel, self.n, self.degree, grid)
 
     def build_rhs(self, model, epsilon=None):
         eps = self.epsilon if epsilon is None else epsilon
         if self.rhs_kind == "constant":
-            return _in_section("rhs", constant_rhs, model)
+            return _in_section("[rhs]", constant_rhs, model)
         if self.rhs_kind == "dirac":
-            return _in_section("rhs", build_dirac_rhs, self.gamma, eps, model)
+            return _in_section("[rhs]", build_dirac_rhs, self.gamma, eps, model)
         if self.rhs_kind == "divisor":
-            return _in_section("rhs", build_divisor_rhs, self.delta_prime, eps, model)
+            return _in_section("[rhs]", build_divisor_rhs, self.delta_prime, eps, model)
         raise ConfigurationError(f"[rhs] kind: unknown family {self.rhs_kind!r}")
 
     def equation(self) -> EquationKind:
         """The equation at ``t_target``, the one time of every subcommand."""
-        return _in_section("equation", EquationKind, self.kind, self.t_target)
+        return _in_section("[equation]", EquationKind, self.kind, self.t_target)
 
     def solve_config(self) -> SolveConfig:
-        return _in_section("solver", SolveConfig, newton_tol=self.newton_tol,
+        return _in_section("[solver]", SolveConfig, newton_tol=self.newton_tol,
                            max_iters=self.max_iters)
 
-    def _need_eps_list(self, subcommand: str) -> None:
-        """``subcommand`` solves one member per eps of ``epsilon_list``."""
+    def eps_list(self, subcommand: str) -> list[float]:
+        """``epsilon_list``, one member per eps for ``subcommand``: required
+        non-empty, finite and strictly decreasing."""
         if not self.epsilon_list:
             raise ConfigurationError(
                 f"[rhs] epsilon_list: {subcommand} needs a decreasing list")
+        return _in_section("[rhs] epsilon_list", _eps_values, self.epsilon_list)
+
+    def open_time(self, subcommand: str) -> float:
+        """``t_target``, which ``subcommand`` needs in (0, 1)."""
+        if not (0.0 < self.t_target < 1.0):
+            raise ConfigurationError(f"[equation] t_target: {subcommand} needs 0 < t < 1")
+        return self.t_target
 
     def canonical_lines(self) -> list[str]:
         lines = []
@@ -202,17 +213,16 @@ def _fields(**values) -> list[str]:
             for key, v in values.items() if v is not None]
 
 
-def _diag_row(step, param, diag, iters, converged, extra=()) -> str:
-    cells = [str(step), fmt(param), fmt(diag.sup_phi), fmt(diag.inf_phi),
-             fmt(diag.avg_phi), fmt(diag.lelong.value), fmt(diag.lelong.sensitivity),
-             fmt(diag.mass), str(iters), "true" if converged else "false"]
-    cells += [fmt(x) for x in extra]
-    return ",".join(cells)
-
-
-def _table(columns, rows) -> list[str]:
-    """A diagnostics CSV: the header, then one ``_diag_row`` per row."""
-    return [",".join(columns)] + [_diag_row(i, *row) for i, row in enumerate(rows)]
+def _table(columns, records, *extra_columns) -> list[str]:
+    """A diagnostics CSV: the header, then one row per record, followed by
+    its cell of each of ``extra_columns``."""
+    lines = [",".join(columns)]
+    for step, (rec, *extra) in enumerate(zip(records, *extra_columns)):
+        d = rec.diagnostics
+        lines.append(",".join(map(fmt, (step, rec.param, d.sup_phi, d.inf_phi, d.avg_phi,
+                                        d.lelong.value, d.lelong.sensitivity, d.mass,
+                                        rec.iterations, rec.converged, *extra))))
+    return lines
 
 
 def _curve(s: np.ndarray, values: np.ndarray) -> list[str]:
@@ -231,19 +241,16 @@ def cmd_solve(cfg: RunConfig) -> _Result:
                       inf_phi=d.inf_phi, avg_phi=d.avg_phi, lelong=d.lelong.value,
                       lelong_sensitivity=d.lelong.sensitivity, mass=d.mass,
                       message=res.message or None)
-    files = {"diagnostics.csv": _table(DIAG_COLUMNS,
-                                       [(kind.t, d, res.iterations, res.converged)]),
+    files = {"diagnostics.csv": _table(DIAG_COLUMNS, [StepRecord.of(kind.t, res)]),
              "potential.dat": _curve(model.grid.nodes, res.phi)}
     return (0 if res.converged else 1), summary, files
 
 
-def _trace_result(trace) -> _Result:
-    summary = _fields(verdict=trace.verdict, t_star=trace.t_star,
-                      barrier_param=trace.barrier_param)
-    rows = [(rec.param, rec.diagnostics, rec.iterations, rec.converged)
-            for rec in trace.entries]
+def _trace_result(trace, barrier_key: str) -> _Result:
+    """The verdict, ``t_star`` written as ``barrier_key`` and the records."""
+    summary = _fields(verdict=trace.verdict, **{barrier_key: trace.t_star})
     status = 1 if trace.verdict == "barrier" else 0
-    return status, summary, {"diagnostics.csv": _table(DIAG_COLUMNS, rows)}
+    return status, summary, {"diagnostics.csv": _table(DIAG_COLUMNS, trace.entries)}
 
 
 def cmd_continuity(cfg: RunConfig) -> _Result:
@@ -253,54 +260,53 @@ def cmd_continuity(cfg: RunConfig) -> _Result:
         raise ConfigurationError("[equation] kind: continuity needs a time-dependent family")
     trace, res = continuity_in_t(model, rhs, cfg.equation(), cfg.t_target,
                                  cfg.solve_config())
-    status, summary, files = _trace_result(trace)
+    status, summary, files = _trace_result(trace, "t_star")
     files["potential.dat"] = _curve(model.grid.nodes, res.phi)
     return status, summary, files
 
 
 def cmd_sweep(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
-    cfg._need_eps_list("sweep")
+    eps_list = cfg.eps_list("sweep")
     trace, _ = sweep_epsilon(model, cfg.gamma, cfg.equation(), cfg.t_target,
-                             cfg.epsilon_list, cfg.solve_config(),
+                             eps_list, cfg.solve_config(),
                              rhs_builder=lambda eps: cfg.build_rhs(model, epsilon=eps))
-    return _trace_result(trace)
+    return _trace_result(trace, "barrier_param")
 
 
 def cmd_magnify(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
-    cfg._need_eps_list("magnify")
+    eps_list = cfg.eps_list("magnify")
     if cfg.kind != "magnifying":
         raise ConfigurationError("[equation] kind: magnify solves the magnifying family")
     if cfg.rhs_kind != "dirac":
         raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
-    report = magnification_experiment(model, cfg.gamma, cfg.t_target, cfg.epsilon_list,
-                                      cfg.solve_config())
+    report = magnification_experiment(model, cfg.gamma, cfg.open_time("magnify"),
+                                      eps_list, cfg.solve_config())
     summary = _fields(verdict=report.verdict, eta=report.eta,
                       warning=report.eta_warning or None)
-    rows = [(r.eps, r.diagnostics, r.iterations, r.converged,
-             (r.nu_measured, r.nu_bootstrap)) for r in report.rows]
+    rows = report.rows
+    table = _table(MAGNIFY_COLUMNS, [r.record for r in rows],
+                   [r.nu_measured for r in rows], [r.nu_bootstrap for r in rows])
     status = 0 if report.verdict != "barrier" else 1
-    return status, summary, {"magnification.csv": _table(MAGNIFY_COLUMNS, rows)}
+    return status, summary, {"magnification.csv": table}
 
 
 def cmd_multiplier(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
-    cfg._need_eps_list("multiplier")
-    tau0 = cfg.t_target
-    if not (0.0 < tau0 < 1.0):
-        raise ConfigurationError("[equation] t_target: multiplier needs 0 < t < 1")
+    eps_list = cfg.eps_list("multiplier")
+    tau0 = cfg.open_time("multiplier")
     kind = cfg.equation()
     # each member's RHS is built once, for the solve, the stalk and eta
     build = functools.cache(lambda eps: cfg.build_rhs(model, epsilon=eps))
-    trace, results = sweep_epsilon(model, cfg.gamma, kind, tau0, cfg.epsilon_list,
+    trace, results = sweep_epsilon(model, cfg.gamma, kind, tau0, eps_list,
                                    cfg.solve_config(), rhs_builder=build)
     entries = [(res.phi, tau0, build(eps))
-               for eps, res in zip(cfg.epsilon_list, results) if res.converged]
+               for eps, res in zip(eps_list, results) if res.converged]
     if not entries:
         return 1, _fields(verdict="barrier", error="no converged members"), {}
     stalk = stalk_from_sequence(PotentialSequence(model, tuple(entries)))
-    eta = check_lower_bound(build(cfg.epsilon_list[0])).eta
+    eta = check_lower_bound(build(eps_list[0])).eta
     report = trivial_lemma_report(stalk, eta)
     summary = _fields(
         verdict=trace.verdict, k_min=stalk.k_min, nontrivial=stalk.nontrivial,
@@ -316,7 +322,7 @@ def cmd_multiplier(cfg: RunConfig) -> _Result:
 
 def cmd_slope(cfg: RunConfig) -> _Result:
     n = cfg.slope_n
-    ambient = tangent_on_line(n)
+    ambient = _in_section("[run] slope_n", tangent_on_line, n)
     summary = _fields(n=n, ambient_slope=str(normalized_slope(ambient)),
                       sub_slope=str(normalized_slope(line_tangent())),
                       destabilizes=destabilizes(line_tangent(), ambient) if n >= 2

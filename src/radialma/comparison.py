@@ -28,6 +28,7 @@ from .grid import RadialPotential, grid_values
 from .rhs import build_dirac_rhs, check_lower_bound
 from .solver import (
     SolveConfig,
+    StepRecord,
     _eps_values,
     family_verdict,
     magnifying,
@@ -115,15 +116,22 @@ def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
 
 @dataclass(frozen=True)
 class MagnificationRow:
-    eps: float
+    """One member's record (param = eps), its pole slope, the neutral
+    control's and the bootstrap bound; a failed member's record is its last
+    continuation attempt, and its slope and bound are nan."""
+
+    record: StepRecord
     nu_measured: float
     nu_neutral: float
     nu_bootstrap: float
-    avg_phi: float
-    lelong_secant: float
-    converged: bool
-    diagnostics: object = None
-    iterations: int = 0
+
+    @property
+    def eps(self) -> float:
+        return self.record.param
+
+    @property
+    def converged(self) -> bool:
+        return self.record.converged
 
 
 @dataclass(frozen=True)
@@ -144,15 +152,18 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     to the next mollifier, else continuity from 0), measure the pole slope,
     compare with the neutral control at the same eps, and with the
     bootstrap bound taken over the pole window [s_min, layer]. A failed
-    member's row carries the diagnostics of its last continuation attempt
-    and nan slopes. The verdict is ``family_verdict`` of the amplifying
+    member's row carries the record of its last continuation attempt and
+    nan slopes. The verdict is ``family_verdict`` of the amplifying
     members: reached_target / barrier / average_blowup, the last when the
     volume averages grow by at least one unit at every mollifier step.
 
     The curvature margin eta of the family is evaluated first; tau0 >= eta
     does not stop the run (the point-mass families genuinely fail the bound,
-    which is what the probe is for) but is recorded as a warning.
+    which is what the probe is for) but is recorded as a warning. tau0
+    outside (0, 1) is rejected before anything is built.
     """
+    if not (0.0 < tau0 < 1.0):
+        raise ConfigurationError(f"tau0 must lie in (0, 1), got {tau0}")
     if gamma < 0:
         raise ConfigurationError("gamma must be nonnegative")
     eps_arr = _eps_values(eps_list)
@@ -170,30 +181,17 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
             warnings.warn(eta_warning, stacklevel=2)
 
     results = solve_family(model, magnifying(tau0), rhs_list, config)
+    s_min, s_max, h = model.grid.s_min, model.grid.s_max, model.grid.h
     rows: list[MagnificationRow] = []
     for eps, rhs, res in zip(eps_arr, rhs_list, results):
         control = neutral_oracle(model, rhs)
         nu_neutral = pole_slope_sample(control.values - model.psi.values, model, rhs)
-        if not res.converged:
-            rows.append(MagnificationRow(eps, math.nan, nu_neutral, math.nan,
-                                         math.nan, math.nan, False,
-                                         res.diagnostics, res.iterations))
-            continue
-        layer_window = max(rhs.pole_anchor - model.grid.s_min, 4.0 * model.grid.h) \
-            if rhs.pole_anchor is not None else 4.0 * model.grid.h
-        layer_window = min(layer_window, model.grid.s_max - model.grid.s_min - model.grid.h)
-        bound = bootstrap_lelong_bound(res.phi, tau0, gamma, layer_window, model) \
-            if gamma > 0 else 0.0
-        diag = res.diagnostics
-        rows.append(MagnificationRow(
-            eps=eps,
-            nu_measured=pole_slope_sample(res.phi, model, rhs),
-            nu_neutral=nu_neutral,
-            nu_bootstrap=bound,
-            avg_phi=diag.avg_phi,
-            lelong_secant=diag.lelong.value,
-            converged=True,
-            diagnostics=diag,
-            iterations=res.iterations,
-        ))
+        nu = bound = math.nan
+        if res.converged:
+            nu = pole_slope_sample(res.phi, model, rhs)
+            # gamma > 0 builds a point mass, whose layer sets the window
+            bound = 0.0 if gamma == 0.0 else bootstrap_lelong_bound(
+                res.phi, tau0, gamma, min(max(rhs.pole_anchor - s_min, 4.0 * h),
+                                          s_max - s_min - h), model)
+        rows.append(MagnificationRow(StepRecord.of(eps, res), nu, nu_neutral, bound))
     return MagnificationReport(tuple(rows), family_verdict(results), eta, eta_warning)

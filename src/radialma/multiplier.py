@@ -117,18 +117,21 @@ class PotentialSequence:
 
 @dataclass(frozen=True)
 class StalkDescriptor:
-    """Stalk of the dynamic multiplier ideal at the pole point."""
+    """Stalk of the dynamic multiplier ideal at the pole point: the least
+    integrable vanishing order and the sup of tau_nu times the pole slope."""
 
     k_min: int
-    nontrivial: bool
-    equals_maximal_ideal: bool
     tau_nu_product: float
 
-    def __post_init__(self):
-        if self.nontrivial != (self.k_min >= 1):
-            raise ConfigurationError("nontrivial flag must match k_min >= 1")
-        if self.equals_maximal_ideal and not self.nontrivial:
-            raise ConfigurationError("maximal-ideal stalk is in particular nontrivial")
+    @property
+    def nontrivial(self) -> bool:
+        """Some vanishing is forced: k_min >= 1."""
+        return self.k_min >= 1
+
+    @property
+    def equals_maximal_ideal(self) -> bool:
+        """The stalk is the maximal ideal of the pole point: k_min = 1."""
+        return self.k_min == 1
 
 
 def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
@@ -145,12 +148,7 @@ def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
     for k in range(K_CAP + 1):
         if all(germ_integral(k, vals, tau, model, rhs).finite
                for vals, tau, rhs in seq.entries):
-            return StalkDescriptor(
-                k_min=k,
-                nontrivial=k >= 1,
-                equals_maximal_ideal=k == 1,
-                tau_nu_product=product,
-            )
+            return StalkDescriptor(k_min=k, tau_nu_product=product)
     raise ConfigurationError(f"no integrable vanishing order up to k = {K_CAP}")
 
 

@@ -40,6 +40,7 @@ evaluated once per call.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -67,6 +68,14 @@ def xi_eps_d1(s, eps: float):
 def xi_eps_d2(s, eps: float):
     a = np.asarray(s, dtype=float) - 2.0 * np.log(eps)
     return expit(a) * expit(-a)
+
+
+def _require_finite(**params) -> None:
+    """Raise ConfigurationError naming the first parameter that is not
+    finite: a nan or an infinite one passes every sign check."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 def dirac_density(a: float, r2) -> float:
@@ -201,6 +210,7 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     """
     m = model
     n, d = m.n, m.degree
+    _require_finite(gamma=gamma, eps=eps)
     if gamma < 0:
         raise ConstraintViolationError(f"gamma must be nonnegative, got {gamma}")
     if gamma > d:
@@ -268,6 +278,7 @@ def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> Rhs
     the solved potential.
     """
     m = model
+    _require_finite(delta_prime=delta_prime, eps=eps)
     if delta_prime < 0:
         raise ConstraintViolationError(f"delta' must be nonnegative, got {delta_prime}")
     if delta_prime >= m.n:

@@ -51,7 +51,7 @@ below BARRIER_STEP_FLOOR = 1e-6, and returns the last solve it attempted.
 ``family_verdict`` judges blow-up across the family. The warm start is a
 predictor in eps: the point-mass mollifier is one profile translated in s,
 so the last converged member is dilated to the new mollifier
-(``_dilated``).
+(``_dilated``). Both drivers record each solved point with ``StepRecord.of``.
 """
 
 from __future__ import annotations
@@ -151,25 +151,33 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One solved point of a path, at t or eps (``param``). It keeps no
+    potential, so a trace of thousands of steps stays small."""
+
     param: float
     diagnostics: Diagnostics
     converged: bool
     iterations: int
     residual_norm: float
 
+    @classmethod
+    def of(cls, param: float, result: SolveResult) -> StepRecord:
+        """The record of ``result``, solved at ``param``."""
+        return cls(param, result.diagnostics, result.converged, result.iterations,
+                   result.residual_norm)
+
 
 @dataclass(frozen=True)
 class ContinuityTrace:
     entries: tuple[StepRecord, ...]
     verdict: str                         # reached_target / barrier; families also average_blowup
-    t_star: float | None = None
-    barrier_param: float | None = None
+    t_star: float | None = None          # a barrier: last solved t, or first failed eps
 
     def __post_init__(self):
         if self.verdict not in ("reached_target", "barrier", "average_blowup"):
             raise ConfigurationError(f"unknown verdict {self.verdict!r}")
-        if (self.verdict == "barrier") != (self.t_star is not None or self.barrier_param is not None):
-            raise ConfigurationError("barrier verdict and barrier location must be set together")
+        if (self.verdict == "barrier") != (self.t_star is not None):
+            raise ConfigurationError("barrier verdict and t_star must be set together")
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +524,10 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     Each accepted step is the predictor of the next. The first attempt is
     at ``t_target``; the step doubles after every accepted step, with no cap
     but the target, and a failed solve halves it. When the step falls below
-    BARRIER_STEP_FLOOR = 1e-6 the run is declared a barrier at the last
-    solved time. The verdict is ``reached_target`` or ``barrier``.
+    BARRIER_STEP_FLOOR = 1e-6 the run is declared a barrier, with the last
+    solved time as ``t_star``. The verdict is ``reached_target`` or
+    ``barrier``. The trace records the neutral base, each accepted step and,
+    on a barrier, the failed attempt.
 
     The returned result is the last solve attempted: the solve at
     ``t_target``, the failed attempt recorded as ``trace.entries[-1]`` on a
@@ -531,8 +541,7 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     cfg = config or SolveConfig()
 
     step = newton_solve(model, rhs, neutral(), cfg)
-    entries = [StepRecord(0.0, step.diagnostics, step.converged,
-                          step.iterations, step.residual_norm)]
+    entries = [StepRecord.of(0.0, step)]
     t = 0.0
     dt = t_target
     while step.converged and t < t_target:
@@ -541,15 +550,13 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                                replace(cfg, initial_guess=step.phi))
         if attempt.converged:
             step, t = attempt, t_try
-            entries.append(StepRecord(t, step.diagnostics, True,
-                                      step.iterations, step.residual_norm))
+            entries.append(StepRecord.of(t, step))
             dt *= 2.0
         else:
             dt *= 0.5
             if dt < BARRIER_STEP_FLOOR:
                 step = attempt
-                entries.append(StepRecord(t_try, step.diagnostics, False,
-                                          step.iterations, step.residual_norm))
+                entries.append(StepRecord.of(t_try, step))
     verdict = "reached_target" if step.converged else "barrier"
     trace = ContinuityTrace(tuple(entries), verdict,
                             t_star=(t if verdict == "barrier" else None))
@@ -560,14 +567,15 @@ def solve_family(model: KahlerModel, kind: EquationKind, rhs_list,
                  config: SolveConfig | None = None) -> list[SolveResult]:
     """Solve one equation kind for each right-hand side of a family, in order.
 
-    Neutral members are solved cold. A time-dependent member is its warm
-    start from the last converged member, dilated to the member's
-    mollifier, or, for the first member and when the warm start fails, the
-    result of continuing in t from its neutral base. Every member gets a
-    result, converged at kind.t or not.
+    At exponent rate 0 (the neutral family, or t = 0) each member is one
+    quadrature. Otherwise a member is its warm start from the last
+    converged member, dilated to the member's mollifier, or, for the first
+    member and when the warm start fails, the result of continuing in t
+    from its neutral base. Every member gets a result, converged at kind.t
+    or not.
     """
     cfg = config or SolveConfig()
-    if kind.kind == "neutral":
+    if kind.exponent_rate == 0.0:
         return [newton_solve(model, rhs, kind, cfg) for rhs in rhs_list]
     results: list[SolveResult] = []
     prev_phi = prev_rhs = None
@@ -602,11 +610,13 @@ def family_verdict(results) -> str:
 
 
 def _eps_values(eps_list) -> list[float]:
-    """A mollifier list as floats, required non-empty and strictly
+    """A mollifier list as floats, required non-empty, finite and strictly
     decreasing."""
     eps = [float(e) for e in eps_list]
     if not eps:
         raise ConfigurationError("eps list must not be empty")
+    if not all(map(math.isfinite, eps)):
+        raise ConfigurationError(f"eps list must be finite, got {eps}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigurationError("eps list must be strictly decreasing")
     return eps
@@ -618,10 +628,10 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
                   ) -> tuple[ContinuityTrace, list[SolveResult]]:
     """Solve the family at fixed time tau0 across a decreasing mollifier list.
 
-    For a time-dependent kind tau0 must equal kind.t. Per-eps results are
-    recorded in input order (failures included, the sweep continues); the
-    verdict is ``family_verdict`` of the members, and a barrier is located
-    at the first failed eps.
+    For a time-dependent kind tau0 must equal kind.t. Each member's record
+    (param = eps) is kept in input order, failures included: the sweep
+    continues. The verdict is ``family_verdict`` of the members, and
+    ``t_star`` of a barrier is the first failed eps.
     """
     if kind.kind != "neutral" and tau0 != kind.t:
         raise ConfigurationError(f"tau0 = {tau0} does not match the {kind.kind} "
@@ -629,10 +639,6 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
     eps_arr = _eps_values(eps_list)
     builder = rhs_builder or (lambda eps: build_dirac_rhs(gamma, eps, model))
     results = solve_family(model, kind, [builder(eps) for eps in eps_arr], config)
-    entries = tuple(StepRecord(eps, res.diagnostics, res.converged,
-                               res.iterations, res.residual_norm)
-                    for eps, res in zip(eps_arr, results))
-    failed = [eps for eps, res in zip(eps_arr, results) if not res.converged]
-    trace = ContinuityTrace(entries, family_verdict(results),
-                            barrier_param=failed[0] if failed else None)
-    return trace, results
+    entries = tuple(map(StepRecord.of, eps_arr, results))
+    t_star = next((rec.param for rec in entries if not rec.converged), None)
+    return ContinuityTrace(entries, family_verdict(results), t_star), results

@@ -103,7 +103,7 @@ def test_criterion_04_magnification_dichotomy(model_n1):
         assert any(not r.converged for r in rep.rows)
         report(4, "barrier verdict with recorded failure")
         return
-    avgs = [r.avg_phi for r in rep.rows]
+    avgs = [r.record.diagnostics.avg_phi for r in rep.rows]
     assert all(b > a for a, b in zip(avgs, avgs[1:])), avgs
     for r in rep.rows:
         assert r.nu_measured >= r.nu_neutral - 1e-12, r

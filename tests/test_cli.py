@@ -43,12 +43,14 @@ experiment = {name}
 """
 
 
-def write_config(tmp_path, **kw):
+def write_config(tmp_path, extra="", **kw):
+    """BASE with its fields replaced by ``kw`` and ``extra`` lines appended
+    to its ``[run]`` section."""
     defaults = dict(kind="magnifying", t="0.5", t_target="0.5", rhs_kind="constant",
                     gamma="0.0", eps_list="", name="t")
     defaults.update(kw)
     path = tmp_path / "run.ini"
-    path.write_text(BASE.format(**defaults))
+    path.write_text(BASE.format(**defaults) + extra)
     return str(path)
 
 
@@ -88,6 +90,9 @@ class TestSolve:
         ("n = 1", "n = two", "[model] n"),
         ("newton_tol = 1e-10", "newton_tol = inf", "newton_tol"),
         ("epsilon_list = ", "epsilon_list = 1e-1,x", "[rhs] epsilon_list"),
+        # a nan or an infinite parameter passes every sign check of a builder
+        ("gamma = 1.0", "gamma = nan", "[rhs]: gamma must be finite"),
+        ("epsilon = 1e-3", "epsilon = inf", "[rhs]: eps must be finite"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, old, new, where):
         # a malformed value is an invalid configuration (exit 2), not a
@@ -134,6 +139,14 @@ class TestSweep:
     def test_sweep_without_list_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.0")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_time_zero_members_are_quadratures(self, tmp_path):
+        # the default t_target = 0: every member is the rate-0 quadrature
+        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.8", t="0.0",
+                           t_target="0.0", eps_list="1e-1,1e-2,1e-3", name="s0")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "s0_diagnostics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-2:] for row in rows] == [["0", "true"]] * 3
 
 
 class TestMagnify:
@@ -373,6 +386,15 @@ class TestOutputContract:
                          gamma="1.8", eps_list="1e-1,1e-2"), "[equation] kind"),
         ("solve", dict(rhs_kind="dirac", gamma="5"), "[rhs]"),
         ("continuity", dict(rhs_kind="dirac", gamma="5"), "[rhs]"),
+        ("sweep", dict(rhs_kind="dirac", gamma="1.0", eps_list="1e-2,1e-1"),
+         "[rhs] epsilon_list: eps list must be strictly decreasing"),
+        ("magnify", dict(rhs_kind="dirac", gamma="1.0", t="0.3", t_target="0.3",
+                         eps_list="inf,1e-2"), "[rhs] epsilon_list: eps list must be finite"),
+        ("multiplier", dict(rhs_kind="dirac", gamma="1.0", t="0.3", t_target="0.3",
+                            eps_list="1e-1,nan"), "[rhs] epsilon_list: eps list must be finite"),
+        ("magnify", dict(rhs_kind="dirac", gamma="1.8", t="0.0", t_target="0.0",
+                         eps_list="1e-1,1e-2"), "[equation] t_target: magnify needs 0 < t < 1"),
+        ("slope", dict(extra="slope_n = 0\n"), "[run] slope_n: need n >= 1"),
     ])
     def test_error_in_a_command_writes_nothing(self, tmp_path, capsys, subcommand,
                                                changes, where):
@@ -393,3 +415,42 @@ class TestOutputContract:
         assert [p.name for p in out.iterdir()] == ["demo_summary.txt"]
         assert summary_body(out / "demo_summary.txt") == [
             "verdict = barrier", "error = no converged members"]
+
+
+class TestBarrierOutputs:
+    """One fixed-point iteration converges no time-dependent member of the
+    README family: every solving subcommand exits 1 and still writes where
+    it stopped."""
+
+    @staticmethod
+    def run(tmp_path, subcommand):
+        cfg = readme_config(tmp_path, max_iters="1")
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        return summary_body(out / "demo_summary.txt"), out
+
+    def test_solve(self, tmp_path):
+        summary, _ = self.run(tmp_path, "solve")
+        assert "converged = false" in summary
+
+    def test_continuity_stops_at_the_neutral_base(self, tmp_path):
+        summary, out = self.run(tmp_path, "continuity")
+        assert summary == ["verdict = barrier", "t_star = 0"]
+        rows = (out / "demo_diagnostics.csv").read_text().splitlines()
+        assert rows[1].startswith("0,0,") and rows[-1].endswith(",false")
+
+    def test_sweep_barrier_is_the_first_failed_eps(self, tmp_path):
+        summary, _ = self.run(tmp_path, "sweep")
+        assert summary == ["verdict = barrier", "barrier_param = 0.10000000000000001"]
+
+    def test_magnify_rows_are_failed_members(self, tmp_path):
+        with pytest.warns(UserWarning, match="curvature margin"):
+            summary, out = self.run(tmp_path, "magnify")
+        assert summary[0] == "verdict = barrier"
+        rows = (out / "demo_magnification.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.endswith(",1,false,nan,nan") for row in rows)
+
+    def test_multiplier(self, tmp_path):
+        summary, _ = self.run(tmp_path, "multiplier")
+        assert summary == ["verdict = barrier", "error = no converged members"]

@@ -122,7 +122,7 @@ class TestMagnificationExperiment:
         for row in report.rows:
             assert row.converged
             assert row.nu_measured == pytest.approx(0.0, abs=1e-2)
-            assert abs(row.avg_phi) <= 1e-9
+            assert abs(row.record.diagnostics.avg_phi) <= 1e-9
 
     def test_amplification_run(self, model_n1):
         with pytest.warns(UserWarning, match="curvature margin"):
@@ -130,7 +130,7 @@ class TestMagnificationExperiment:
         rows = report.rows
         assert all(r.converged for r in rows)
         # volume average strictly increasing across the mollifier list
-        avgs = [r.avg_phi for r in rows]
+        avgs = [r.record.diagnostics.avg_phi for r in rows]
         assert all(b > a for a, b in zip(avgs, avgs[1:]))
         # amplification dominates neutrality row by row
         for r in rows:
@@ -154,13 +154,18 @@ class TestMagnificationExperiment:
         with pytest.warns(UserWarning):
             report = magnification_experiment(model_n1, 1.8, 0.2, self.EPS_LIST)
         trace, _ = sweep_epsilon(model_n1, 1.8, magnifying(0.2), 0.2, self.EPS_LIST)
-        assert [r.avg_phi for r in report.rows] == \
-            [rec.diagnostics.avg_phi for rec in trace.entries]
+        assert [r.record for r in report.rows] == list(trace.entries)
         assert report.verdict == trace.verdict == "average_blowup"
 
     def test_empty_eps_list_rejected(self, model_n1):
         with pytest.raises(ConfigurationError, match="must not be empty"):
             magnification_experiment(model_n1, 1.0, 0.3, [])
+
+    @pytest.mark.parametrize("tau0", [0.0, 1.0, np.nan])
+    def test_time_outside_open_interval_rejected_first(self, model_n1, tau0):
+        # before the eps list is read, so before any member is built
+        with pytest.raises(ConfigurationError, match="tau0 must lie in"):
+            magnification_experiment(model_n1, 1.8, tau0, [])
 
     def test_magnifying_dominates_neutral_rowwise(self, model_n1):
         for gamma in (1.0, 1.5):

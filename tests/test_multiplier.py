@@ -194,24 +194,21 @@ class TestStalk:
 
 class TestTrivialLemmaReport:
     def test_all_hypotheses_pass(self):
-        stalk = StalkDescriptor(k_min=2, nontrivial=True,
-                                equals_maximal_ideal=False, tau_nu_product=2.5)
+        stalk = StalkDescriptor(k_min=2, tau_nu_product=2.5)
         rep = trivial_lemma_report(stalk, curvature_margin=1.5)
         assert rep.all_checkable_pass
         assert rep.conclusion == "deferred"
         assert rep.notes == ()
 
     def test_missing_curvature_bound(self):
-        stalk = StalkDescriptor(k_min=2, nontrivial=True,
-                                equals_maximal_ideal=False, tau_nu_product=2.5)
+        stalk = StalkDescriptor(k_min=2, tau_nu_product=2.5)
         rep = trivial_lemma_report(stalk, curvature_margin=0.0)
         assert not rep.curvature_bound_ok
         assert not rep.all_checkable_pass
         assert any("elliptic" in note for note in rep.notes)
 
     def test_maximal_ideal_caveat(self):
-        stalk = StalkDescriptor(k_min=1, nontrivial=True,
-                                equals_maximal_ideal=True, tau_nu_product=1.5)
+        stalk = StalkDescriptor(k_min=1, tau_nu_product=1.5)
         rep = trivial_lemma_report(stalk, curvature_margin=1.0)
         assert not rep.not_maximal_ideal_ok
         assert any("maximal ideal" in note for note in rep.notes)

@@ -185,6 +185,18 @@ class TestPreconditions:
                 replace(rhs, left_flux_offset=offset)
         assert replace(rhs, left_flux_offset=-W[0]).left_flux_offset == -W[0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name,build", [
+        ("gamma", lambda m, x: build_dirac_rhs(x, 1e-3, m)),
+        ("eps", lambda m, x: build_dirac_rhs(1.0, x, m)),
+        ("delta_prime", lambda m, x: build_divisor_rhs(x, 1e-3, m)),
+        ("eps", lambda m, x: build_divisor_rhs(0.5, x, m)),
+    ], ids=["dirac-gamma", "dirac-eps", "divisor-delta_prime", "divisor-eps"])
+    def test_builders_name_a_non_finite_parameter(self, model_n1, name, build, bad):
+        # nan passes every sign check of the builders, and so does an infinite eps
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            build(model_n1, bad)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_builders_meet_them(self, n):
         m = default_model(n, n + 1.0)

@@ -728,6 +728,21 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_epsilon(model_n1, 1.0, neutral(), 0.0, [1e-2, 1e-1])
 
+    @pytest.mark.parametrize("eps_list", [[np.inf, 1e-2], [1e-1, np.nan]])
+    def test_eps_list_must_be_finite(self, model_n1, eps_list):
+        # both pass the ordering check: nan compares false to everything
+        with pytest.raises(ConfigurationError, match="eps list must be finite"):
+            sweep_epsilon(model_n1, 1.0, magnifying(0.3), 0.3, eps_list)
+
+    def test_time_zero_is_the_neutral_family(self, model_n1):
+        # at rate 0 each member is one quadrature, whatever the kind's name
+        trace, results = sweep_epsilon(model_n1, 1.8, magnifying(0.0), 0.0, self.EPS_LIST)
+        _, neutral_results = sweep_epsilon(model_n1, 1.8, neutral(), 0.0, self.EPS_LIST)
+        assert trace.verdict != "barrier"
+        for res, ref in zip(results, neutral_results):
+            assert res.converged and res.iterations == 0
+            assert np.array_equal(res.phi, ref.phi)
+
     def test_empty_eps_list_rejected(self, model_n1):
         with pytest.raises(ConfigurationError, match="must not be empty"):
             sweep_epsilon(model_n1, 1.0, magnifying(0.3), 0.3, [])
