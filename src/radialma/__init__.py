@@ -8,7 +8,12 @@ coefficients, volume averages, integrability thresholds and the stalk of
 the dynamic multiplier ideal at the pole point.
 """
 
-from .errors import ConfigurationError, ConstraintViolationError, DegenerateMetricError
+from .errors import (
+    ConfigurationError,
+    ConstraintViolationError,
+    CurvatureMarginWarning,
+    DegenerateMetricError,
+)
 from .geometry import (
     Diagnostics,
     DominanceReport,

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import os
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .comparison import magnification_experiment
-from .errors import ConfigurationError, ConstraintViolationError
+from .errors import ConfigurationError, ConstraintViolationError, CurvatureMarginWarning
 from .geometry import KahlerModel
 from .grid import SGrid
 from .multiplier import PotentialSequence, stalk_from_sequence, trivial_lemma_report
@@ -258,8 +258,8 @@ def cmd_continuity(cfg: RunConfig) -> _Result:
     rhs = cfg.build_rhs(model)
     if cfg.kind == "neutral":
         raise ConfigurationError("[equation] kind: continuity needs a time-dependent family")
-    trace, res = continuity_in_t(model, rhs, cfg.equation(), cfg.t_target,
-                                 cfg.solve_config())
+    t_target = cfg.open_time("continuity")
+    trace, res = continuity_in_t(model, rhs, cfg.equation(), t_target, cfg.solve_config())
     status, summary, files = _trace_result(trace, "t_star")
     files["potential.dat"] = _curve(model.grid.nodes, res.phi)
     return status, summary, files
@@ -281,8 +281,18 @@ def cmd_magnify(cfg: RunConfig) -> _Result:
         raise ConfigurationError("[equation] kind: magnify solves the magnifying family")
     if cfg.rhs_kind != "dirac":
         raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
-    report = magnification_experiment(model, cfg.gamma, cfg.open_time("magnify"),
-                                      eps_list, cfg.solve_config())
+    tau0 = cfg.open_time("magnify")
+    with warnings.catch_warnings():
+        # the experiment builds the members and warns there; the first is
+        # built here too, so that an invalid gamma names [rhs], and is the
+        # model's memo hit in the experiment
+        warnings.simplefilter("ignore")
+        cfg.build_rhs(model, epsilon=eps_list[0])
+    with warnings.catch_warnings():
+        # the summary's warning line is the margin warning's one channel
+        warnings.simplefilter("ignore", CurvatureMarginWarning)
+        report = magnification_experiment(model, cfg.gamma, tau0, eps_list,
+                                          cfg.solve_config())
     summary = _fields(verdict=report.verdict, eta=report.eta,
                       warning=report.eta_warning or None)
     rows = report.rows
@@ -297,8 +307,9 @@ def cmd_multiplier(cfg: RunConfig) -> _Result:
     eps_list = cfg.eps_list("multiplier")
     tau0 = cfg.open_time("multiplier")
     kind = cfg.equation()
-    # each member's RHS is built once, for the solve, the stalk and eta
-    build = functools.cache(lambda eps: cfg.build_rhs(model, epsilon=eps))
+    # each member is built once, on the model, for the solve, the stalk and eta
+    def build(eps):
+        return cfg.build_rhs(model, epsilon=eps)
     trace, results = sweep_epsilon(model, cfg.gamma, kind, tau0, eps_list,
                                    cfg.solve_config(), rhs_builder=build)
     entries = [(res.phi, tau0, build(eps))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, CurvatureMarginWarning
 from .geometry import KahlerModel
 from .grid import RadialPotential, grid_values
 from .rhs import build_dirac_rhs, check_lower_bound
@@ -159,7 +159,8 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
 
     The curvature margin eta of the family is evaluated first; tau0 >= eta
     does not stop the run (the point-mass families genuinely fail the bound,
-    which is what the probe is for) but is recorded as a warning. tau0
+    which is what the probe is for) but is recorded as ``eta_warning`` and
+    issued as a ``CurvatureMarginWarning``. tau0
     outside (0, 1) is rejected before anything is built.
     """
     if not (0.0 < tau0 < 1.0):
@@ -178,7 +179,7 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
             eta_warning = (
                 f"tau0 = {tau0} is not below the curvature margin eta = {eta:.3g}; "
                 "proceeding as an experimental probe")
-            warnings.warn(eta_warning, stacklevel=2)
+            warnings.warn(eta_warning, CurvatureMarginWarning, stacklevel=2)
 
     results = solve_family(model, magnifying(tau0), rhs_list, config)
     s_min, s_max, h = model.grid.s_min, model.grid.s_max, model.grid.h

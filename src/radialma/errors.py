@@ -9,6 +9,11 @@ class ConstraintViolationError(ValueError):
     """A model constraint is violated (pole mass too large, non-normalizable family, ...)."""
 
 
+class CurvatureMarginWarning(UserWarning):
+    """A time at or above the family's curvature margin eta: the run goes on
+    as an experimental probe."""
+
+
 class DegenerateMetricError(RuntimeError):
     """A potential fails strict positivity of u' or u'' where it is required."""
 

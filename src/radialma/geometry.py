@@ -20,6 +20,7 @@ noise; grid potentials are differentiated with the central stencils from
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,8 @@ from .grid import (
     second_derivative,
     second_derivative_o4,
 )
+
+MEMO_SIZE = 16
 
 
 def softplus(x):
@@ -76,8 +79,9 @@ class KahlerModel:
     curvature ratios). The node-wise closed forms every right-hand side
     reads, ``expit_s`` = expit(s), ``expit_neg_s`` = expit(-s),
     ``softplus_s`` = softplus(s) and ``softplus_neg_s`` = softplus(-s), are
-    computed once per model, as read-only arrays. Immutable after
-    construction.
+    computed once per model, as read-only arrays. The geometry is
+    immutable after construction; the one state a model changes is its
+    memo of what was built on it (``memoized``).
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
@@ -89,6 +93,21 @@ class KahlerModel:
         self.degree = float(degree)
         self.grid = grid
         self.psi = fubini_study_potential(self.n, self.degree, grid)
+        self._memo: OrderedDict = OrderedDict()
+
+    def memoized(self, key, build):
+        """``build()``, kept on this model under ``key``, so a later call with
+        an equal key returns the same object without building it. The last
+        MEMO_SIZE entries are kept, the least recently used evicted first;
+        they live as long as the model."""
+        memo = self._memo
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        value = memo[key] = build()
+        if len(memo) > MEMO_SIZE:
+            memo.popitem(last=False)
+        return value
 
     @property
     def s(self) -> np.ndarray:

@@ -35,7 +35,15 @@ The node-wise closed forms of psi, ``KahlerModel.expit_s``,
 per model; the builders, ``RhsFamily.log_curvature_derivs``,
 ``dominance_margin`` and ``check_lower_bound`` read them. What depends on
 eps, the logistic pair expit(+-(s - 2 log eps)) of the mollified layer, is
-evaluated once per call.
+evaluated once per family.
+
+Each family is built once per model. ``build_dirac_rhs`` and
+``build_divisor_rhs`` validate their parameters and warn on every call,
+then return the family the model has memoised for (kind, parameter, eps)
+(``KahlerModel.memoized``, the last 16 kept), building it only on a miss.
+A family computes its t = 0 curvature margin once
+(``RhsFamily.curvature_margin``), which ``check_lower_bound`` returns
+when no time-dependent term is added.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -189,6 +198,13 @@ class RhsFamily:
               - theta * thp * ((n + 1) * (sig - xs)) ** 2)
         return q1, q2
 
+    @cached_property
+    def curvature_margin(self) -> LowerBoundReport:
+        """The t = 0 margin of the family, ``dominance_margin`` of
+        ``log_curvature_derivs``, computed on first use."""
+        q1, q2 = self.log_curvature_derivs()
+        return dominance_margin(q1, q2, self.model)
+
 
 def constant_rhs(model: KahlerModel) -> RhsFamily:
     """F = 1; the fixed-point family (phi = 0 solves every equation kind)."""
@@ -206,7 +222,8 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     Requires gamma <= d; pole mass equal to the full model mass is admitted
     with a warning. The mollified layer sits near s = 2 log(eps); a warning
     is emitted when it is too close to the left truncation for solves to
-    see its mass.
+    see its mass. Validates and warns on every call, then returns the
+    model's memoised family for (gamma, eps), built on a miss.
     """
     m = model
     n, d = m.n, m.degree
@@ -225,10 +242,16 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
         warnings.warn(
             "mollified pole layer sits at or below the left truncation; "
             "solver mass accounting will not see all of it", stacklevel=2)
+    gamma, eps = float(gamma), float(eps)
+    return m.memoized(("dirac_approx", gamma, eps), lambda: _dirac_family(gamma, eps, m))
 
+
+def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
+    """The point-mass family of ``build_dirac_rhs``, built from parameters
+    it has validated."""
     if gamma == 0.0:
         return constant_rhs(m)
-
+    n, d = m.n, m.degree
     # xi_eps' = expit(a) and expit(-a) at the layer coordinate a, each once
     s = m.grid.nodes
     a = s - 2.0 * np.log(eps)
@@ -275,7 +298,8 @@ def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> Rhs
     The pole order delta' at z = 0 must stay below n for the limiting mass
     to be finite; unlike the point-mass family the singularity carries no
     atom, so it satisfies the curvature lower bound but produces no pole in
-    the solved potential.
+    the solved potential. Like ``build_dirac_rhs``, returns the model's
+    memoised family for (delta', eps).
     """
     m = model
     _require_finite(delta_prime=delta_prime, eps=eps)
@@ -286,6 +310,14 @@ def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> Rhs
             f"delta' = {delta_prime} >= n = {m.n}: mass diverges in the eps -> 0 limit")
     if eps <= 0:
         raise ConfigurationError(f"eps must be positive, got {eps}")
+    delta_prime, eps = float(delta_prime), float(eps)
+    return m.memoized(("divisor", delta_prime, eps),
+                      lambda: _divisor_family(delta_prime, eps, m))
+
+
+def _divisor_family(delta_prime: float, eps: float, m: KahlerModel) -> RhsFamily:
+    """The fractional-pole family of ``build_divisor_rhs``, built from
+    parameters it has validated."""
     if delta_prime == 0.0:
         return constant_rhs(m)
     shape = np.exp(-delta_prime * xi_eps(m.grid.nodes, eps))
@@ -347,15 +379,17 @@ def check_lower_bound(rhs: RhsFamily, t: float = 0.0,
     experiment driver requires the target time below eta, and reports
     honestly when the family fails the bound (the point-mass mixtures do,
     at the crossover shoulder between pole and background profiles).
+    Without a time term (no phi, or t = 0) this is the family's own
+    ``curvature_margin``, computed once.
     """
+    if phi is None or t == 0.0:
+        return rhs.curvature_margin
     m = rhs.model
     q1, q2 = rhs.log_curvature_derivs()
-    mask = None
-    if phi is not None and t != 0.0:
-        vals = grid_values(phi, m.grid)
-        q1 = q1 - t * derivative(vals, m.grid.h)
-        q2 = q2 - t * second_derivative(vals, m.grid.h)
-        # grid curvature of phi is noise-limited; certify only where the
-        # reference curvature is resolvable against it
-        mask = m.expit_s * m.expit_neg_s >= 1e-6
+    vals = grid_values(phi, m.grid)
+    q1 = q1 - t * derivative(vals, m.grid.h)
+    q2 = q2 - t * second_derivative(vals, m.grid.h)
+    # grid curvature of phi is noise-limited; certify only where the
+    # reference curvature is resolvable against it
+    mask = m.expit_s * m.expit_neg_s >= 1e-6
     return dominance_margin(q1, q2, m, mask)

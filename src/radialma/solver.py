@@ -356,12 +356,17 @@ def _anderson(T, judge, phi: np.ndarray, tol: float, max_iters: int):
 def _judged(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             tol: float) -> tuple[float, str]:
     """The residual norm of phi's rows, from one evaluation, and a message
-    naming the first row that misses its tolerance (``_unmet_row``), or ""."""
+    naming the first row that misses its tolerance (``_unmet_row``), or "".
+    No row's tolerance is below ``tol``, so a norm within it passes every
+    row without the scan; a nan norm takes the scan."""
     ev = residual_from_perturbation(phi, model, rhs, kind)
+    norm = float(np.max(np.abs(ev.residual)))
+    if norm <= tol:
+        return norm, ""
     unmet = _unmet_row(ev, phi, model, tol)
     message = "" if unmet is None else \
         f"row {unmet} misses its tolerance, residual {ev.residual[unmet]:.3g}"
-    return float(np.max(np.abs(ev.residual))), message
+    return norm, message
 
 
 def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,9 +154,15 @@ class TestMagnify:
     def test_table_written(self, tmp_path):
         cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.5", t="0.2",
                            t_target="0.2", eps_list="1e-2,1e-3", name="mag")
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning escapes main
             status = main(["magnify", "--config", cfg, "--out", str(tmp_path)])
         assert status in (0, 1)
+        # the curvature-margin warning is reported in the summary alone
+        warning = [line for line in summary_body(tmp_path / "mag_summary.txt")
+                   if line.startswith("warning = ")]
+        assert warning == ["warning = tau0 = 0.2 is not below the curvature margin "
+                           "eta = 0; proceeding as an experimental probe"]
         lines = (tmp_path / "mag_magnification.csv").read_text().splitlines()
         assert lines[0] == ("step,param,sup_phi,inf_phi,avg_phi,lelong,"
                             "lelong_sensitivity,mass,newton_iters,converged,"
@@ -165,6 +172,17 @@ class TestMagnify:
             cells = line.split(",")
             # measured pole slope at least the secant reading and the bound
             assert float(cells[10]) >= float(cells[11]) * 0.98
+
+    def test_other_warnings_still_reach_the_caller(self, tmp_path):
+        # gamma = d warns in every build; the curvature-margin warning and
+        # the build that validates gamma up front add nothing to them
+        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="2.0", t="0.2",
+                           t_target="0.2", eps_list="1e-1,1e-2", name="mag")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main(["magnify", "--config", cfg, "--out", str(tmp_path)])
+        assert [str(w.message) for w in caught] == [
+            "pole mass equals the model mass; the smooth part of F degenerates"] * 2
 
     def test_reducing_kind_rejected(self, tmp_path):
         cfg = write_config(tmp_path, kind="reducing", rhs_kind="dirac", gamma="1.8",
@@ -395,6 +413,12 @@ class TestOutputContract:
         ("magnify", dict(rhs_kind="dirac", gamma="1.8", t="0.0", t_target="0.0",
                          eps_list="1e-1,1e-2"), "[equation] t_target: magnify needs 0 < t < 1"),
         ("slope", dict(extra="slope_n = 0\n"), "[run] slope_n: need n >= 1"),
+        ("continuity", dict(rhs_kind="dirac", gamma="1.0", t="0.0", t_target="0.0"),
+         "[equation] t_target: continuity needs 0 < t < 1"),
+        ("magnify", dict(rhs_kind="dirac", gamma="nan", t="0.3", t_target="0.3",
+                         eps_list="1e-1,1e-2"), "[rhs]: gamma must be finite, got nan"),
+        ("magnify", dict(rhs_kind="dirac", gamma="5", t="0.3", t_target="0.3",
+                         eps_list="1e-1,1e-2"), "[rhs]: pole mass gamma^n = 5 exceeds"),
     ])
     def test_error_in_a_command_writes_nothing(self, tmp_path, capsys, subcommand,
                                                changes, where):
@@ -444,9 +468,11 @@ class TestBarrierOutputs:
         assert summary == ["verdict = barrier", "barrier_param = 0.10000000000000001"]
 
     def test_magnify_rows_are_failed_members(self, tmp_path):
-        with pytest.warns(UserWarning, match="curvature margin"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning escapes main
             summary, out = self.run(tmp_path, "magnify")
         assert summary[0] == "verdict = barrier"
+        assert summary[2].startswith("warning = tau0 = 0.2 is not below the curvature margin")
         rows = (out / "demo_magnification.csv").read_text().splitlines()[1:]
         assert len(rows) == 4
         assert all(row.endswith(",1,false,nan,nan") for row in rows)

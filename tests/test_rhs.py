@@ -1,5 +1,7 @@
 """Singular right-hand-side families: mollifiers, normalisation, margins."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,7 @@ from radialma import (
     neutral_oracle,
     xi_eps,
 )
-from radialma.geometry import expit, softplus
+from radialma.geometry import MEMO_SIZE, expit, softplus
 from radialma.grid import second_derivative
 from radialma.rhs import dominance_margin, xi_eps_d1, xi_eps_d2
 
@@ -334,3 +336,91 @@ class TestCachedClosedForms:
                                  log_curvature_derivs_per_call(rhs)):
                 assert np.array_equal(got, want)
             assert check_lower_bound(rhs).eta == lower_bound_per_call(rhs)[0]
+
+
+class TestFamilyMemo:
+    """A family is built once per model and kept on it; every call still
+    validates and warns."""
+
+    @pytest.mark.parametrize("build", [
+        lambda m, eps: build_dirac_rhs(1.0, eps, m),
+        lambda m, eps: build_divisor_rhs(0.5, eps, m),
+    ])
+    def test_repeat_call_returns_the_same_family(self, build):
+        m = default_model(1, 2.0)
+        first = build(m, 1e-3)
+        assert build(m, 1e-3) is first
+        assert build(m, 1e-2) is not first
+
+    def test_every_call_warns(self):
+        m = default_model(1, 2.0)
+        families = []
+        for _ in range(3):
+            # 2 log(1e-12) lies within 8 of s_min = -40
+            with pytest.warns(UserWarning, match="left truncation"):
+                families.append(build_dirac_rhs(1.0, 1e-12, m))
+            with pytest.warns(UserWarning, match="equals the model mass"):
+                families.append(build_dirac_rhs(2.0, 1e-3, m))
+        assert families[::2] == [families[0]] * 3
+        assert families[1::2] == [families[1]] * 3
+
+    def test_invalid_parameters_raise_on_every_call(self):
+        m = default_model(1, 2.0)
+        for _ in range(2):
+            with pytest.raises(ConstraintViolationError):
+                build_dirac_rhs(2.5, 1e-3, m)
+            with pytest.raises(ConfigurationError):
+                build_divisor_rhs(0.5, float("nan"), m)
+
+    def test_models_share_no_entry(self):
+        a, b = default_model(1, 2.0), default_model(1, 2.0)
+        fa, fb = build_dirac_rhs(1.0, 1e-3, a), build_dirac_rhs(1.0, 1e-3, b)
+        assert fa is not fb
+        assert fa.model is a and fb.model is b
+        assert np.array_equal(fa.density, fb.density)
+
+    def test_seventeenth_key_evicts_the_first(self):
+        assert MEMO_SIZE == 16
+        m = default_model(1, 2.0)
+        eps = [10.0 ** (-1.0 - k / 4.0) for k in range(17)]
+        kept = [build_dirac_rhs(1.0, e, m) for e in eps[:16]]
+        assert all(build_dirac_rhs(1.0, e, m) is f for e, f in zip(eps, kept))
+        build_dirac_rhs(1.0, eps[16], m)
+        assert all(build_dirac_rhs(1.0, e, m) is f for e, f in zip(eps[1:16], kept[1:]))
+        again = build_dirac_rhs(1.0, eps[0], m)
+        assert again is not kept[0]
+        assert np.array_equal(again.density, kept[0].density)
+
+    def test_a_deleted_model_is_collected(self):
+        m = default_model(1, 2.0)
+        rhs = build_dirac_rhs(1.0, 1e-3, m)
+        check_lower_bound(rhs)
+        ref = weakref.ref(m)
+        del m, rhs
+        gc.collect()
+        assert ref() is None
+
+
+class TestCachedMargin:
+    @pytest.mark.parametrize("make", [
+        lambda m: build_dirac_rhs(1.8, 1e-3, m),
+        lambda m: build_dirac_rhs(0.5, 1e-1, m),
+        lambda m: build_divisor_rhs(0.5, 1e-3, m),
+        constant_rhs,
+    ])
+    def test_equals_a_fresh_dominance_margin(self, make):
+        m = default_model(1, 2.0)
+        rhs = make(m)
+        fresh = dominance_margin(*rhs.log_curvature_derivs(), m)
+        report = check_lower_bound(rhs)
+        assert report == fresh
+        assert report is rhs.curvature_margin
+        assert check_lower_bound(rhs, t=0.0, phi=gaussian_bump(m.grid)) is report
+
+    def test_a_time_term_is_computed_afresh(self, model_n1):
+        rhs = build_divisor_rhs(0.5, 1e-3, model_n1)
+        bump = gaussian_bump(model_n1.grid)
+        rep = check_lower_bound(rhs, t=0.5, phi=bump)
+        assert rep is not rhs.curvature_margin
+        assert rep == check_lower_bound(rhs, t=0.5, phi=bump)
+        assert rep.eta == lower_bound_per_call(rhs, t=0.5, phi=bump)[0]

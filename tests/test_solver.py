@@ -1,6 +1,7 @@
 """Fixed-point solver, neutral oracle, continuity drivers, sweeps."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from radialma.solver import (
     _anderson,
     _dilated,
     _first_integral_map,
+    _judged,
     _mixed,
     _pole_lelong,
     _unmet_row,
@@ -170,6 +172,63 @@ class TestFirstIntegral:
         assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) == 0
         r[0], r[-1] = 0.0, np.nan
         assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) == m.grid.points - 1
+
+
+SMALL_MODELS = {n: KahlerModel(n, n + 1.0, SGrid(-10.0, 10.0, 9)) for n in (1, 2, 3)}
+
+
+class TestJudgedShortcut:
+    """``_judged`` skips the row scan when the residual norm is within tol;
+    that is exact, since no row's tolerance is below tol."""
+
+    @staticmethod
+    def judged(r, phi, m, tol):
+        w = m.psi_slopes + np.diff(phi) / m.grid.h
+        ev = solver.Evaluation(np.asarray(r, dtype=float), w)
+        with mock.patch.object(solver, "residual_from_perturbation", return_value=ev):
+            return _judged(phi, m, None, None, tol), _unmet_row(ev, phi, m, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from(sorted(SMALL_MODELS)), tol=st.sampled_from([1e-10, 1e-3]),
+           data=st.data())
+    def test_matches_the_full_row_scan(self, n, tol, data):
+        m = SMALL_MODELS[n]
+        size = m.grid.points
+        # rows within tol, then a few set to anything, nan and inf included
+        r = data.draw(st.lists(st.floats(-tol, tol), min_size=size, max_size=size))
+        wild = st.one_of(
+            st.sampled_from([tol, -tol, np.nextafter(tol, 1.0), 2.0 * tol,
+                             np.nan, np.inf, -np.inf]),
+            st.floats(-4.0 * tol, 4.0 * tol),
+            st.floats(allow_nan=True, allow_infinity=True))
+        for i, value in data.draw(st.lists(st.tuples(st.integers(0, size - 1), wild),
+                                           max_size=3)):
+            r[i] = value
+        phi = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
+                                          max_size=size)))
+        (norm, message), unmet = self.judged(r, phi, m, tol)
+        np.testing.assert_equal(norm, np.max(np.abs(r)))
+        if unmet is None:
+            assert message == ""
+        else:
+            assert message.startswith(f"row {unmet} misses its tolerance")
+
+    def test_a_nan_row_takes_the_scan(self):
+        m, tol = SMALL_MODELS[2], 1e-10
+        r = np.zeros(m.grid.points)
+        r[3] = np.nan
+        (norm, message), unmet = self.judged(r, np.zeros(m.grid.points), m, tol)
+        assert np.isnan(norm) and unmet == 3
+        assert message == "row 3 misses its tolerance, residual nan"
+
+    def test_a_row_within_its_floor_passes_the_scan(self):
+        # the norm exceeds tol, so the scan runs, and finds no unmet row
+        m, tol = SMALL_MODELS[2], 1e-10
+        phi = np.full(m.grid.points, 1e6)
+        r = np.zeros(m.grid.points)
+        r[4] = 10.0 * tol
+        (norm, message), unmet = self.judged(r, phi, m, tol)
+        assert norm == r[4] and message == "" and unmet is None
 
 
 class TestFixedPoints:
