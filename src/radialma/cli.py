@@ -12,7 +12,10 @@ status, its ``key = value`` summary lines and its other output files as
 lines by suffix. ``main`` writes them all: ``<experiment>_summary.txt`` (the
 config-echo header, then the summary lines), each ``<experiment>_<suffix>``
 and, for ``slope`` and ``verify``, the summary lines to stdout. A subcommand
-that raises writes nothing.
+that raises writes nothing. ``main`` records every warning a subcommand
+raises (each ``UserWarning``, whatever the filters) and appends each
+distinct message once, in order, as a ``warning = `` summary line: the
+summary is its one report.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparison import magnification_experiment
-from .errors import ConfigurationError, ConstraintViolationError, CurvatureMarginWarning
+from .errors import ConfigurationError, ConstraintViolationError
 from .geometry import KahlerModel
 from .grid import SGrid
 from .multiplier import PotentialSequence, stalk_from_sequence, trivial_lemma_report
@@ -282,19 +285,11 @@ def cmd_magnify(cfg: RunConfig) -> _Result:
     if cfg.rhs_kind != "dirac":
         raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
     tau0 = cfg.open_time("magnify")
-    with warnings.catch_warnings():
-        # the experiment builds the members and warns there; the first is
-        # built here too, so that an invalid gamma names [rhs], and is the
-        # model's memo hit in the experiment
-        warnings.simplefilter("ignore")
-        cfg.build_rhs(model, epsilon=eps_list[0])
-    with warnings.catch_warnings():
-        # the summary's warning line is the margin warning's one channel
-        warnings.simplefilter("ignore", CurvatureMarginWarning)
-        report = magnification_experiment(model, cfg.gamma, tau0, eps_list,
-                                          cfg.solve_config())
-    summary = _fields(verdict=report.verdict, eta=report.eta,
-                      warning=report.eta_warning or None)
+    # the first member is built here too, so that an invalid gamma names
+    # [rhs]; the experiment's build of it is the model's memo hit
+    cfg.build_rhs(model, epsilon=eps_list[0])
+    report = magnification_experiment(model, cfg.gamma, tau0, eps_list, cfg.solve_config())
+    summary = _fields(verdict=report.verdict, eta=report.eta)
     rows = report.rows
     table = _table(MAGNIFY_COLUMNS, [r.record for r in rows],
                    [r.nu_measured for r in rows], [r.nu_bootstrap for r in rows])
@@ -306,18 +301,14 @@ def cmd_multiplier(cfg: RunConfig) -> _Result:
     model = cfg.validate_model()
     eps_list = cfg.eps_list("multiplier")
     tau0 = cfg.open_time("multiplier")
-    kind = cfg.equation()
-    # each member is built once, on the model, for the solve, the stalk and eta
-    def build(eps):
-        return cfg.build_rhs(model, epsilon=eps)
-    trace, results = sweep_epsilon(model, cfg.gamma, kind, tau0, eps_list,
-                                   cfg.solve_config(), rhs_builder=build)
-    entries = [(res.phi, tau0, build(eps))
-               for eps, res in zip(eps_list, results) if res.converged]
+    trace, results = sweep_epsilon(
+        model, cfg.gamma, cfg.equation(), tau0, eps_list, cfg.solve_config(),
+        rhs_builder=lambda eps: cfg.build_rhs(model, epsilon=eps))
+    entries = [(res.phi, tau0, res.rhs) for res in results if res.converged]
     if not entries:
         return 1, _fields(verdict="barrier", error="no converged members"), {}
     stalk = stalk_from_sequence(PotentialSequence(model, tuple(entries)))
-    eta = check_lower_bound(build(eps_list[0])).eta
+    eta = check_lower_bound(results[0].rhs).eta
     report = trivial_lemma_report(stalk, eta)
     summary = _fields(
         verdict=trace.verdict, k_min=stalk.k_min, nontrivial=stalk.nontrivial,
@@ -342,12 +333,20 @@ def cmd_slope(cfg: RunConfig) -> _Result:
 
 
 def cmd_verify(cfg: RunConfig) -> _Result:
-    """Fast built-in cross-checks; one pass/fail line per check."""
-    checks: list[tuple[str, bool, str]] = []
+    """Fast built-in cross-checks; one pass/fail line per check. Every
+    check is built from ``[model]``, so an error one raises names it."""
     model = cfg.validate_model()
+    checks = _in_section("[model]", _verify_checks, model, cfg.solve_config())
+    lines = [f"{'PASS' if passed else 'FAIL'} {name}: {detail}"
+             for name, passed, detail in checks]
+    return (0 if all(passed for _, passed, _ in checks) else 1), lines, {}
 
+
+def _verify_checks(model: KahlerModel, solve: SolveConfig) -> list[tuple[str, bool, str]]:
+    """``verify``'s checks on ``model``: (name, passed, detail) each."""
+    checks: list[tuple[str, bool, str]] = []
     rhs1 = constant_rhs(model)
-    res = newton_solve(model, rhs1, EquationKind("magnifying", 0.5), cfg.solve_config())
+    res = newton_solve(model, rhs1, EquationKind("magnifying", 0.5), solve)
     sup = float(np.max(np.abs(res.phi)))
     checks.append(("fixed_point_magnifying", res.converged and sup <= 1e-9,
                    f"sup|phi| = {fmt(sup)}"))
@@ -375,17 +374,14 @@ def cmd_verify(cfg: RunConfig) -> _Result:
 
     gam = min(1.0, model.degree)
     rhs = build_dirac_rhs(gam, 1e-3, model)
-    neutral = newton_solve(model, rhs, EquationKind("neutral"), cfg.solve_config())
+    neutral = newton_solve(model, rhs, EquationKind("neutral"), solve)
     checks.append(("neutral_residual", neutral.converged,
                    f"sup residual = {fmt(neutral.residual_norm)}"))
 
     ok = destabilizes(line_tangent(), tangent_on_line(5))
     checks.append(("slope_example", ok and normalized_slope(tangent_on_line(5)) ==
                    Fraction(6, 5), "2 > 6/5"))
-
-    lines = [f"{'PASS' if passed else 'FAIL'} {name}: {detail}"
-             for name, passed, detail in checks]
-    return (0 if all(passed for _, passed, _ in checks) else 1), lines, {}
+    return checks
 
 
 _COMMANDS = {
@@ -412,10 +408,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         outdir = _outdir(cfg, args.out)
-        status, summary, files = _COMMANDS[args.subcommand](cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            status, summary, files = _COMMANDS[args.subcommand](cfg)
     except (ConfigurationError, ConstraintViolationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    summary += [f"warning = {note}" for note in dict.fromkeys(str(w.message) for w in caught)]
     files = {"summary.txt": _summary_header(cfg, args.subcommand) + summary, **files}
     for suffix, lines in files.items():
         (outdir / f"{cfg.experiment}_{suffix}").write_text("\n".join(lines) + "\n")

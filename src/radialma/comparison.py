@@ -25,16 +25,14 @@ import numpy as np
 from .errors import ConfigurationError, CurvatureMarginWarning
 from .geometry import KahlerModel
 from .grid import RadialPotential, grid_values
-from .rhs import build_dirac_rhs, check_lower_bound
+from .rhs import check_lower_bound
 from .solver import (
     SolveConfig,
     StepRecord,
-    _eps_values,
-    family_verdict,
     magnifying,
     neutral_oracle,
     pole_slope_sample,
-    solve_family,
+    sweep_epsilon,
 )
 
 HOLDS_TOL = 1e-9
@@ -147,44 +145,38 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
                              ) -> MagnificationReport:
     """Per-mollifier comparison of the amplifying solve against neutrality.
 
-    For each eps: solve the amplifying equation at tau0 (``solve_family``:
-    warm-started across the eps list from the last converged member dilated
-    to the next mollifier, else continuity from 0), measure the pole slope,
-    compare with the neutral control at the same eps, and with the
-    bootstrap bound taken over the pole window [s_min, layer]. A failed
-    member's row carries the record of its last continuation attempt and
-    nan slopes. The verdict is ``family_verdict`` of the amplifying
-    members: reached_target / barrier / average_blowup, the last when the
-    volume averages grow by at least one unit at every mollifier step.
+    tau0 outside (0, 1) is rejected before anything is built. The members
+    are those of ``sweep_epsilon`` of the amplifying family at tau0 on the
+    point-mass family of pole coefficient gamma: warm-started across the
+    eps list from the last converged member dilated to the next mollifier,
+    else continued in t from 0. Each row is a member's record plus three
+    pole slopes: the member's own, its neutral control's at the same eps,
+    and the bootstrap bound taken over the pole window [s_min, layer]. A
+    failed member's row carries the record of its last continuation
+    attempt and nan slopes. The verdict is the sweep's: reached_target /
+    barrier / average_blowup, the last when the volume averages grow by at
+    least one unit at every mollifier step.
 
-    The curvature margin eta of the family is evaluated first; tau0 >= eta
-    does not stop the run (the point-mass families genuinely fail the bound,
-    which is what the probe is for) but is recorded as ``eta_warning`` and
-    issued as a ``CurvatureMarginWarning``. tau0
-    outside (0, 1) is rejected before anything is built.
+    The curvature margin eta is ``check_lower_bound`` of the first member.
+    tau0 >= eta does not stop the run (the point-mass families genuinely
+    fail the bound, which is what the probe is for) but is recorded as
+    ``eta_warning`` and issued as a ``CurvatureMarginWarning``.
     """
     if not (0.0 < tau0 < 1.0):
         raise ConfigurationError(f"tau0 must lie in (0, 1), got {tau0}")
-    if gamma < 0:
-        raise ConfigurationError("gamma must be nonnegative")
-    eps_arr = _eps_values(eps_list)
-    rhs_list = [build_dirac_rhs(gamma, eps, model) for eps in eps_arr]
-
+    trace, results = sweep_epsilon(model, gamma, magnifying(tau0), tau0, eps_list, config)
+    eta = check_lower_bound(results[0].rhs).eta
     eta_warning = None
-    if gamma == 0.0:
-        eta = float(model.n + 1)
-    else:
-        eta = check_lower_bound(rhs_list[0]).eta
-        if tau0 >= eta:
-            eta_warning = (
-                f"tau0 = {tau0} is not below the curvature margin eta = {eta:.3g}; "
-                "proceeding as an experimental probe")
-            warnings.warn(eta_warning, CurvatureMarginWarning, stacklevel=2)
+    if tau0 >= eta:
+        eta_warning = (
+            f"tau0 = {tau0} is not below the curvature margin eta = {eta:.3g}; "
+            "proceeding as an experimental probe")
+        warnings.warn(eta_warning, CurvatureMarginWarning, stacklevel=2)
 
-    results = solve_family(model, magnifying(tau0), rhs_list, config)
     s_min, s_max, h = model.grid.s_min, model.grid.s_max, model.grid.h
     rows: list[MagnificationRow] = []
-    for eps, rhs, res in zip(eps_arr, rhs_list, results):
+    for record, res in zip(trace.entries, results):
+        rhs = res.rhs
         control = neutral_oracle(model, rhs)
         nu_neutral = pole_slope_sample(control.values - model.psi.values, model, rhs)
         nu = bound = math.nan
@@ -194,5 +186,5 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
             bound = 0.0 if gamma == 0.0 else bootstrap_lelong_bound(
                 res.phi, tau0, gamma, min(max(rhs.pole_anchor - s_min, 4.0 * h),
                                           s_max - s_min - h), model)
-        rows.append(MagnificationRow(StepRecord.of(eps, res), nu, nu_neutral, bound))
-    return MagnificationReport(tuple(rows), family_verdict(results), eta, eta_warning)
+        rows.append(MagnificationRow(record, nu, nu_neutral, bound))
+    return MagnificationReport(tuple(rows), trace.verdict, eta, eta_warning)

@@ -47,10 +47,11 @@ steps as far as the solver converges: its first attempt is at the target,
 and the step doubles after every accepted step and halves after every
 failed one. It reaches its target or ends in a barrier when the step falls
 below BARRIER_STEP_FLOOR = 1e-6, and returns the last solve it attempted.
-``solve_family`` takes a member's warm start or else its continuation, and
-``family_verdict`` judges blow-up across the family. The warm start is a
-predictor in eps: the point-mass mollifier is one profile translated in s,
-so the last converged member is dilated to the new mollifier
+``sweep_epsilon`` is the one driver of an eps family: it takes a member's
+warm start or else its continuation, and judges blow-up across the family.
+The warm start is a predictor in eps: the point-mass mollifier is one
+profile translated in s, so the last converged member, whose family its
+result records (``SolveResult.rhs``), is dilated to the new mollifier
 (``_dilated``). Both drivers record each solved point with ``StepRecord.of``.
 """
 
@@ -146,6 +147,7 @@ class SolveResult:
     iterations: int
     residual_norm: float
     kind: EquationKind   # the equation solved, with its t
+    rhs: RhsFamily       # the right-hand side it was solved for
     message: str = ""
 
 
@@ -413,6 +415,7 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
         iterations=iters,
         residual_norm=norm,
         kind=kind,
+        rhs=rhs,
         message=message,
     )
 
@@ -568,52 +571,6 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     return trace, step
 
 
-def solve_family(model: KahlerModel, kind: EquationKind, rhs_list,
-                 config: SolveConfig | None = None) -> list[SolveResult]:
-    """Solve one equation kind for each right-hand side of a family, in order.
-
-    At exponent rate 0 (the neutral family, or t = 0) each member is one
-    quadrature. Otherwise a member is its warm start from the last
-    converged member, dilated to the member's mollifier, or, for the first
-    member and when the warm start fails, the result of continuing in t
-    from its neutral base. Every member gets a result, converged at kind.t
-    or not.
-    """
-    cfg = config or SolveConfig()
-    if kind.exponent_rate == 0.0:
-        return [newton_solve(model, rhs, kind, cfg) for rhs in rhs_list]
-    results: list[SolveResult] = []
-    prev_phi = prev_rhs = None
-    for rhs in rhs_list:
-        res = None
-        if prev_phi is not None:
-            guess = _dilated(prev_phi, model, prev_rhs, rhs)
-            res = newton_solve(model, rhs, kind, replace(cfg, initial_guess=guess))
-        if res is None or not res.converged:
-            _, res = continuity_in_t(model, rhs, kind, kind.t, cfg)
-        results.append(res)
-        if res.converged:
-            prev_phi, prev_rhs = res.phi, rhs
-    return results
-
-
-def family_verdict(results) -> str:
-    """The verdict of a family solved across a decreasing mollifier list.
-
-    ``barrier`` when some member failed; ``average_blowup`` when the volume
-    averages rise by at least BLOWUP_STEP at every step of the list;
-    otherwise ``reached_target``. The rule counts listed steps, so it
-    depends on the spacing of the list (one unit per decade in the
-    experiments).
-    """
-    if not all(res.converged for res in results):
-        return "barrier"
-    avgs = [res.diagnostics.avg_phi for res in results]
-    if len(avgs) >= 2 and all(b - a >= BLOWUP_STEP for a, b in zip(avgs, avgs[1:])):
-        return "average_blowup"
-    return "reached_target"
-
-
 def _eps_values(eps_list) -> list[float]:
     """A mollifier list as floats, required non-empty, finite and strictly
     decreasing."""
@@ -633,17 +590,51 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
                   ) -> tuple[ContinuityTrace, list[SolveResult]]:
     """Solve the family at fixed time tau0 across a decreasing mollifier list.
 
-    For a time-dependent kind tau0 must equal kind.t. Each member's record
-    (param = eps) is kept in input order, failures included: the sweep
-    continues. The verdict is ``family_verdict`` of the members, and
-    ``t_star`` of a barrier is the first failed eps.
+    For a time-dependent kind tau0 must equal kind.t. The members are
+    ``rhs_builder(eps)`` (default ``build_dirac_rhs(gamma, eps, model)``),
+    all built before the first solve. At exponent rate 0 (the neutral
+    family, or t = 0) each member is one quadrature. Otherwise a member is
+    its warm start from the last converged member, dilated to the member's
+    mollifier, or, for the first member and when the warm start fails, the
+    result of continuing in t from its neutral base. Every member gets a
+    result, in input order, failures included: the sweep continues.
+
+    Each member's record has param = eps. The verdict is ``barrier`` when
+    some member failed, with the first failed eps as ``t_star``;
+    ``average_blowup`` when the volume averages rise by at least
+    BLOWUP_STEP at every step of the list; otherwise ``reached_target``.
+    The rule counts listed steps, so it depends on the spacing of the list
+    (one unit per decade in the experiments).
     """
     if kind.kind != "neutral" and tau0 != kind.t:
         raise ConfigurationError(f"tau0 = {tau0} does not match the {kind.kind} "
                                  f"family's t = {kind.t}")
     eps_arr = _eps_values(eps_list)
     builder = rhs_builder or (lambda eps: build_dirac_rhs(gamma, eps, model))
-    results = solve_family(model, kind, [builder(eps) for eps in eps_arr], config)
+    rhs_list = [builder(eps) for eps in eps_arr]
+    cfg = config or SolveConfig()
+    results: list[SolveResult] = []
+    prev = None  # the last converged member
+    for rhs in rhs_list:
+        if kind.exponent_rate == 0.0:
+            res = newton_solve(model, rhs, kind, cfg)
+        else:
+            res = None
+            if prev is not None:
+                guess = _dilated(prev.phi, model, prev.rhs, rhs)
+                res = newton_solve(model, rhs, kind, replace(cfg, initial_guess=guess))
+            if res is None or not res.converged:
+                _, res = continuity_in_t(model, rhs, kind, kind.t, cfg)
+            if res.converged:
+                prev = res
+        results.append(res)
     entries = tuple(map(StepRecord.of, eps_arr, results))
     t_star = next((rec.param for rec in entries if not rec.converged), None)
-    return ContinuityTrace(entries, family_verdict(results), t_star), results
+    avgs = [rec.diagnostics.avg_phi for rec in entries]
+    if t_star is not None:
+        verdict = "barrier"
+    elif len(avgs) >= 2 and all(b - a >= BLOWUP_STEP for a, b in zip(avgs, avgs[1:])):
+        verdict = "average_blowup"
+    else:
+        verdict = "reached_target"
+    return ContinuityTrace(entries, verdict, t_star), results

@@ -173,16 +173,22 @@ class TestMagnify:
             # measured pole slope at least the secant reading and the bound
             assert float(cells[10]) >= float(cells[11]) * 0.98
 
-    def test_other_warnings_still_reach_the_caller(self, tmp_path):
-        # gamma = d warns in every build; the curvature-margin warning and
-        # the build that validates gamma up front add nothing to them
+    def test_every_warning_is_one_summary_line(self, tmp_path, capsys):
+        # gamma = d warns in every build: the up-front build and each
+        # member's. Each distinct message is one trailing summary line, the
+        # curvature-margin warning among them, and none escapes main
         cfg = write_config(tmp_path, rhs_kind="dirac", gamma="2.0", t="0.2",
                            t_target="0.2", eps_list="1e-1,1e-2", name="mag")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             main(["magnify", "--config", cfg, "--out", str(tmp_path)])
-        assert [str(w.message) for w in caught] == [
-            "pole mass equals the model mass; the smooth part of F degenerates"] * 2
+        assert capsys.readouterr().err == ""
+        warning = [line for line in summary_body(tmp_path / "mag_summary.txt")
+                   if line.startswith("warning = ")]
+        assert warning == [
+            "warning = pole mass equals the model mass; the smooth part of F degenerates",
+            "warning = tau0 = 0.2 is not below the curvature margin eta = 0.02; "
+            "proceeding as an experimental probe"]
 
     def test_reducing_kind_rejected(self, tmp_path):
         cfg = write_config(tmp_path, kind="reducing", rhs_kind="dirac", gamma="1.8",
@@ -233,6 +239,20 @@ class TestMultiplier:
         assert "hypothesis_curvature_bound = false" in summary
         assert "conclusion = deferred" in summary
 
+    def test_eta_agrees_with_magnify(self, tmp_path):
+        # at gamma = 0 both read the margin of the first member, the constant
+        # family, which is n + 1 only up to rounding at n = 2
+        cfg = Path(write_config(tmp_path, rhs_kind="dirac", gamma="0.0", t="0.3",
+                                t_target="0.3", eps_list="1e-1,1e-2", name="eta"))
+        cfg.write_text(cfg.read_text().replace("n = 1\ndegree = 2.0", "n = 2\ndegree = 3.0"))
+        eta = []
+        for subcommand in ("magnify", "multiplier"):
+            out = tmp_path / subcommand
+            assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+            eta += [line for line in summary_body(out / "eta_summary.txt")
+                    if line.startswith("eta = ")]
+        assert len(eta) == 2 and eta[0] == eta[1]
+
 
 class TestSlope:
     def test_example_row(self, tmp_path, capsys):
@@ -264,6 +284,43 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS neutral_residual" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("changes,where", [
+        (dict(points="64"), "[model]: window 5.0 is below 4h"),
+        (dict(s_min="1.0"), "[model]: first slope 2.46403 must lie in [0, 2)"),
+        (dict(newton_tol="0"), "[solver]: newton_tol must be finite and positive"),
+    ])
+    def test_errors_name_their_section(self, tmp_path, capsys, changes, where):
+        # every check is built from [model]; the solver settings keep theirs
+        cfg = readme_config(tmp_path, **changes)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: " + where)
+        assert list(out.iterdir()) == []
+
+
+class TestWarnings:
+    """Every UserWarning a subcommand raises is one trailing summary line,
+    and no warning reaches stderr."""
+
+    @pytest.mark.parametrize("subcommand", ["solve", "continuity", "sweep", "magnify",
+                                            "multiplier", "verify"])
+    def test_layer_below_the_cut_is_a_summary_line(self, tmp_path, capsys, subcommand):
+        # at s_min = -3 every mollified layer of the list sits below the cut
+        cfg = readme_config(tmp_path, s_min="-3.0", s_max="3.0", points="401")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        warning = [line for line in summary_body(out / "demo_summary.txt")
+                   if line.startswith("warning = ")]
+        assert warning[0] == ("warning = mollified pole layer sits at or below the left "
+                              "truncation; solver mass accounting will not see all of it")
+        assert len(set(warning)) == len(warning)
+        if subcommand == "verify":
+            assert captured.out.splitlines()[-1] == warning[-1]
 
 
 class TestImportPath:

@@ -17,6 +17,8 @@ from radialma import (
     sweep_epsilon,
     xi_eps,
 )
+from radialma import comparison
+from radialma.solver import pole_slope_sample
 
 
 def comparison_pair(model, gamma, eps):
@@ -148,14 +150,27 @@ class TestMagnificationExperiment:
             if row.eps <= 1e-2:
                 assert row.nu_neutral == pytest.approx(1.8, rel=0.02)
 
-    def test_agrees_with_sweep(self, model_n1):
-        # one family driver and one blow-up rule: the experiment and the
-        # sweep solve the same members and reach the same verdict
+    def test_agrees_with_sweep(self, model_n1, monkeypatch):
+        # one family driver and one blow-up rule: the experiment's members
+        # are the sweep's, bit for bit, with the same records and verdict
+        swept = []
+
+        def recording(*args, **kwargs):
+            out = sweep_epsilon(*args, **kwargs)
+            swept.append(out[1])
+            return out
+
+        monkeypatch.setattr(comparison, "sweep_epsilon", recording)
         with pytest.warns(UserWarning):
             report = magnification_experiment(model_n1, 1.8, 0.2, self.EPS_LIST)
-        trace, _ = sweep_epsilon(model_n1, 1.8, magnifying(0.2), 0.2, self.EPS_LIST)
+        trace, results = sweep_epsilon(model_n1, 1.8, magnifying(0.2), 0.2, self.EPS_LIST)
         assert [r.record for r in report.rows] == list(trace.entries)
         assert report.verdict == trace.verdict == "average_blowup"
+        [members] = swept
+        assert len(members) == len(results)
+        for member, res, row in zip(members, results, report.rows):
+            assert np.array_equal(member.phi, res.phi)
+            assert row.nu_measured == pole_slope_sample(res.phi, model_n1, res.rhs)
 
     def test_empty_eps_list_rejected(self, model_n1):
         with pytest.raises(ConfigurationError, match="must not be empty"):

@@ -845,7 +845,6 @@ class TestSweep:
         # member continues in t from its neutral base. The warm starts take
         # 8, 6 and 6 iterations; level-shifted alone, 13 each.
         kind = magnifying(0.8)
-        rhs_list = [build_dirac_rhs(1.8, eps, model_n1) for eps in self.EPS_LIST]
         continued = []
 
         def counting(model, rhs, *args):
@@ -853,12 +852,26 @@ class TestSweep:
             return continuity_in_t(model, rhs, *args)
 
         monkeypatch.setattr(solver, "continuity_in_t", counting)
-        results = solver.solve_family(model_n1, kind, rhs_list)
+        _, results = sweep_epsilon(model_n1, 1.8, kind, kind.t, self.EPS_LIST)
         assert continued == [self.EPS_LIST[0]]
         assert all(res.converged and res.iterations <= 10 for res in results[1:])
-        for rhs, res in zip(rhs_list, results):
-            _, alone = continuity_in_t(model_n1, rhs, kind, kind.t)
+        for res in results:
+            _, alone = continuity_in_t(model_n1, res.rhs, kind, kind.t)
             assert np.max(np.abs(res.phi - alone.phi)) <= 1e-8
+
+    @pytest.mark.parametrize("kind", [magnifying(0.2), neutral()])
+    def test_results_record_their_members(self, model_n1, kind):
+        # each result carries the member it solved: the model's own family
+        _, results = sweep_epsilon(model_n1, 1.8, kind, kind.t, self.EPS_LIST)
+        for eps, res in zip(self.EPS_LIST, results):
+            assert res.rhs is build_dirac_rhs(1.8, eps, model_n1)
+
+    def test_results_record_built_members(self, model_n1):
+        _, results = sweep_epsilon(
+            model_n1, 0.0, magnifying(0.3), 0.3, self.EPS_LIST,
+            rhs_builder=lambda eps: build_divisor_rhs(0.5, eps, model_n1))
+        for eps, res in zip(self.EPS_LIST, results):
+            assert res.rhs is build_divisor_rhs(0.5, eps, model_n1)
 
     def test_n2_far_left_tail_stays_kahler(self, model_n2):
         # gamma close to d = 3 at tau = 0.8: the flat far-left tail of the
