@@ -20,6 +20,7 @@ noise; grid potentials are differentiated with the central stencils from
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,10 +64,10 @@ def fubini_study_potential(n: int, degree: float, grid: SGrid) -> RadialPotentia
     Slope 0 at the far left, slope ``degree`` at the far right; strictly
     convex in between. degree = n + 1 is the anticanonical normalisation.
     """
-    if degree <= 0:
-        raise ConfigurationError(f"degree must be positive, got {degree}")
     if n < 1 or int(n) != n:
         raise ConfigurationError(f"dimension must be a positive integer, got {n}")
+    if not 0.0 < degree < math.inf:
+        raise ConfigurationError(f"degree must be finite and positive, got {degree}")
     return RadialPotential(grid, degree * softplus(grid.nodes), int(n))
 
 
@@ -85,14 +86,10 @@ class KahlerModel:
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
-        if n < 1 or int(n) != n:
-            raise ConfigurationError(f"dimension must be a positive integer, got {n}")
-        if degree <= 0:
-            raise ConfigurationError(f"degree must be positive, got {degree}")
-        self.n = int(n)
+        self.psi = fubini_study_potential(n, degree, grid)
+        self.n = self.psi.n
         self.degree = float(degree)
         self.grid = grid
-        self.psi = fubini_study_potential(self.n, self.degree, grid)
         self._memo: OrderedDict = OrderedDict()
 
     def memoized(self, key, build):

@@ -144,15 +144,10 @@ class RadialPotential:
         return RadialPotential(self.grid, self.values + c, self.n)
 
     def positivity_floor(self) -> float:
-        """Noise floor for sign checks on discrete derivatives.
-
-        Second differences of an O(|u|) array carry rounding noise of order
-        ulp(|u|)/h^2, so strict positivity can only be asserted above that
-        level. The 1e-12 base is the documented degeneracy tolerance.
-        """
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        eps = np.finfo(float).eps
-        return 1e-12 + 16.0 * eps * scale / self.grid.h**2
+        """Noise floor for sign checks on discrete derivatives: the
+        ``rounding_floor`` of the values above the documented degeneracy
+        tolerance 1e-12."""
+        return 1e-12 + rounding_floor(self.values, self.grid.h)
 
     def kahler_violation(self) -> tuple[int | None, str | None]:
         """First interior node where u' or u'' fails positivity, if any."""
@@ -173,6 +168,13 @@ class RadialPotential:
     def is_kahler(self) -> bool:
         idx, _ = self.kahler_violation()
         return idx is None
+
+
+def rounding_floor(values: np.ndarray, h: float) -> float:
+    """Rounding noise of second differences of ``values``: an O(|v|) array
+    carries noise of order ulp(|v|) / h^2, here 16 eps max(1, max|v|) / h^2,
+    so a sign or a zero can only be asserted above it."""
+    return 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(values)))) / h**2
 
 
 def grid_values(phi, grid: SGrid) -> np.ndarray:

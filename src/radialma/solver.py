@@ -40,7 +40,7 @@ iteration (``_anderson``) moves its start to the level of the start's
 image, and the drivers pass their predictors as they are. The same loop
 holds the one convergence rule: a solve is converged when its
 fixed-point step is at or below ``newton_tol`` and every row passes
-``_unmet_row``.
+``_judged``.
 
 Each continuation routine decides by one rule. ``continuity_in_t``
 steps as far as the solver converges: its first attempt is at the target,
@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +73,7 @@ from .geometry import (
     end_mass,
     lelong_secant,
 )
-from .grid import RadialPotential, derivative, grid_values
+from .grid import RadialPotential, derivative, grid_values, rounding_floor
 from .rhs import RhsFamily, build_dirac_rhs
 
 LELONG_WINDOW = 5.0
@@ -140,15 +140,26 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    u: RadialPotential
+    """A solve's perturbation phi and how it ended: converged exactly when
+    ``message`` is empty. The potential u = psi + phi is formed on first
+    use."""
+
     phi: np.ndarray
     diagnostics: Diagnostics
-    converged: bool
     iterations: int
     residual_norm: float
     kind: EquationKind   # the equation solved, with its t
     rhs: RhsFamily       # the right-hand side it was solved for
     message: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return not self.message
+
+    @cached_property
+    def u(self) -> RadialPotential:
+        model = self.rhs.model
+        return RadialPotential(model.grid, model.psi.values + self.phi, model.n)
 
 
 @dataclass(frozen=True)
@@ -186,15 +197,6 @@ class ContinuityTrace:
 # Residual
 
 
-class Evaluation(NamedTuple):
-    """The discrete operator at one perturbation: the residual and the
-    half-node slopes it was built from, which set each row's rounding
-    floor."""
-
-    residual: np.ndarray
-    w: np.ndarray    # half-node slopes of u, N - 1 of them
-
-
 def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
     """Nodewise residual; identically zero at exact discrete solutions.
 
@@ -205,11 +207,11 @@ def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.nd
     scales with |phi| rather than |u| and F = 1, phi = 0 is an exact zero.
     """
     phi = grid_values(u, model.grid) - model.psi.values
-    return residual_from_perturbation(phi, model, rhs, kind).residual
+    return residual_from_perturbation(phi, model, rhs, kind)
 
 
 def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
-                               kind: EquationKind) -> Evaluation:
+                               kind: EquationKind) -> np.ndarray:
     """The discrete operator as a function of phi = u - psi, the solver's
     native variable: representing u = psi + phi first would absorb small
     perturbations into the rounding of the large psi values."""
@@ -220,21 +222,7 @@ def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFami
     r[1:-1] = np.diff(w ** n) / (n * h) - weight * rhs.interior_density
     r[0] = (phi[1] - phi[0]) / h - rhs.left_flux_offset
     r[-1] = phi[-1] if kind.exponent_rate == 0.0 else (phi[-1] - phi[-2]) / h
-    return Evaluation(r, w)
-
-
-def _unmet_row(ev: Evaluation, phi: np.ndarray, model: KahlerModel, tol: float) -> int | None:
-    """The first row whose residual exceeds its tolerance, if any. Boundary
-    rows are held to ``tol``; interior row i to the larger of ``tol`` and its
-    rounding floor 16 eps max(1, |phi|) max(w_{i-1/2}, w_{i+1/2})^{n-1} / h^2
-    (the 16 eps of ``RadialPotential.positivity_floor``)."""
-    n, h = model.n, model.grid.h
-    limit = np.full(phi.size, tol)
-    w = np.abs(ev.w)
-    scale = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(phi)))) / h**2
-    limit[1:-1] = np.maximum(tol, scale * np.maximum(w[:-1], w[1:]) ** (n - 1))
-    unmet = np.flatnonzero(~(np.abs(ev.residual) <= limit))
-    return int(unmet[0]) if unmet.size else None
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +346,25 @@ def _anderson(T, judge, phi: np.ndarray, tol: float, max_iters: int):
 def _judged(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             tol: float) -> tuple[float, str]:
     """The residual norm of phi's rows, from one evaluation, and a message
-    naming the first row that misses its tolerance (``_unmet_row``), or "".
-    No row's tolerance is below ``tol``, so a norm within it passes every
-    row without the scan; a nan norm takes the scan."""
-    ev = residual_from_perturbation(phi, model, rhs, kind)
-    norm = float(np.max(np.abs(ev.residual)))
+    naming the first row that misses its tolerance, or "". Boundary rows are
+    held to ``tol``; interior row i to the larger of ``tol`` and its rounding
+    floor, the ``rounding_floor`` of phi times max(w_{i-1/2}, w_{i+1/2})^{n-1}
+    for the half-node slopes w of u. No row's tolerance is below ``tol``, so
+    a norm within it passes every row without the scan; a nan norm takes the
+    scan."""
+    r = residual_from_perturbation(phi, model, rhs, kind)
+    norm = float(np.max(np.abs(r)))
     if norm <= tol:
         return norm, ""
-    unmet = _unmet_row(ev, phi, model, tol)
-    message = "" if unmet is None else \
-        f"row {unmet} misses its tolerance, residual {ev.residual[unmet]:.3g}"
-    return norm, message
+    n, h = model.n, model.grid.h
+    w = np.abs(model.psi_slopes + np.diff(phi) / h)  # the residual's own slopes
+    limit = np.full(phi.size, tol)
+    limit[1:-1] = np.maximum(tol, rounding_floor(phi, h) * np.maximum(w[:-1], w[1:]) ** (n - 1))
+    unmet = np.flatnonzero(~(np.abs(r) <= limit))
+    if not unmet.size:
+        return norm, ""
+    i = int(unmet[0])
+    return norm, f"row {i} misses its tolerance, residual {r[i]:.3g}"
 
 
 def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
@@ -380,7 +376,7 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     is the exact solution, whatever the guess, with 0 iterations, and its
     rows are judged once. Otherwise ``_anderson`` iterates until the step is
     at or below ``newton_tol`` and every row is within its tolerance
-    (``_unmet_row``). The result is converged when that rule is met;
+    (``_judged``). The result is converged when that rule is met;
     otherwise ``message`` says why. It is an image of T, so it is Kahler in
     the flux form by construction (see the module docstring).
     """
@@ -394,6 +390,8 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
         phi = np.array(cfg.initial_guess, dtype=float, copy=True)
         if phi.shape != (model.grid.points,):
             raise ConfigurationError("initial guess does not live on the model grid")
+        if not np.isfinite(phi).all():
+            raise ConfigurationError("initial guess must be finite")
     else:
         phi = np.zeros(model.grid.points)
     # a diverging iterate may overflow on its way out; the message reports it
@@ -407,17 +405,7 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             phi, iters, norm, message = _anderson(
                 T, lambda x: _judged(x, model, rhs, kind, tol), phi, tol, cfg.max_iters)
         diagnostics = diagnostics_for(phi, model, rhs)
-    return SolveResult(
-        u=RadialPotential(model.grid, model.psi.values + phi, model.n),
-        phi=phi,
-        diagnostics=diagnostics,
-        converged=not message,
-        iterations=iters,
-        residual_norm=norm,
-        kind=kind,
-        rhs=rhs,
-        message=message,
-    )
+    return SolveResult(phi, diagnostics, iters, norm, kind, rhs, message)
 
 
 def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
@@ -439,13 +427,15 @@ def _pole_lelong(vals: np.ndarray, model: KahlerModel,
                  rhs: RhsFamily | None) -> LelongEstimate:
     """The Lelong secant of u = psi + phi, from u at the secant nodes only.
 
-    The secant is anchored at s_min for smooth families. For the mollified
-    point-mass families the finite-eps solution is flat below the layer at
-    2 log(eps), so the secant is anchored just above the layer (and capped
-    away from the bulk chart boundary), where the limiting slope has formed.
+    The secant is anchored at s_min for smooth families, over
+    max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves. For
+    the mollified point-mass families the finite-eps solution is flat below
+    the layer at 2 log(eps), so the secant is anchored just above the layer
+    (and capped away from the bulk chart boundary), where the limiting slope
+    has formed; where that window is shorter than 4h, the smooth rule holds.
     """
     grid, psi = model.grid, model.psi.values
-    window, anchor = LELONG_WINDOW, None
+    window, anchor = max(LELONG_WINDOW, 4.0 * grid.h), None
     if rhs is not None and rhs.pole_anchor is not None:
         # anchor just above the mollified layer, capped away from the bulk
         cap = min(LELONG_CAP, grid.s_max - 4.0 * grid.h)

@@ -206,7 +206,7 @@ def test_criterion_09_first_integral(model_n1):
         rate, R = kind.exponent_rate, rhs.interior_density
         # at that level the weighted cell masses carry the right row's flux
         assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
-        r = residual_from_perturbation(t_phi, model_n1, rhs, kind).residual
+        r = residual_from_perturbation(t_phi, model_n1, rhs, kind)
         change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * R
         rel = float(np.max(np.abs(r[1:-1] - change)) / np.max(np.abs(change)))
         worst = max(worst, rel)

@@ -94,6 +94,7 @@ class TestSolve:
         # a nan or an infinite parameter passes every sign check of a builder
         ("gamma = 1.0", "gamma = nan", "[rhs]: gamma must be finite"),
         ("epsilon = 1e-3", "epsilon = inf", "[rhs]: eps must be finite"),
+        ("degree = 2.0", "degree = inf", "[model]: degree must be finite and positive, got inf"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, old, new, where):
         # a malformed value is an invalid configuration (exit 2), not a
@@ -286,7 +287,7 @@ class TestVerify:
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("changes,where", [
-        (dict(points="64"), "[model]: window 5.0 is below 4h"),
+        (dict(degree="nan"), "[model]: degree must be finite and positive, got nan"),
         (dict(s_min="1.0"), "[model]: first slope 2.46403 must lie in [0, 2)"),
         (dict(newton_tol="0"), "[solver]: newton_tol must be finite and positive"),
     ])
@@ -297,6 +298,22 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: " + where)
         assert list(out.iterdir()) == []
+
+
+class TestCoarseGrid:
+    """A smooth family reads its pole secant over max(5, 4h), so a grid too
+    coarse for a window of 5 is still a valid configuration."""
+
+    @pytest.mark.parametrize("kind", ["constant", "divisor"])
+    @pytest.mark.parametrize("subcommand", ["solve", "continuity", "sweep", "verify"])
+    def test_smooth_family_solves(self, tmp_path, capsys, subcommand, kind):
+        # at points = 64 on [-40, 40], 4h = 5.079 > 5
+        cfg = Path(readme_config(tmp_path, points="64"))
+        rhs_line = "kind = dirac               ; constant | dirac | divisor"
+        assert rhs_line in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(rhs_line, f"kind = {kind}"))
+        assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestWarnings:

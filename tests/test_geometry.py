@@ -8,6 +8,7 @@ import pytest
 from radialma import (
     ConfigurationError,
     DegenerateMetricError,
+    KahlerModel,
     RadialPotential,
     SGrid,
     average,
@@ -22,6 +23,7 @@ from radialma import (
     ricci_potential,
 )
 from radialma.geometry import expit, ma_density_formula
+from radialma.grid import rounding_floor
 
 from oracles import complex_hessian_det, weighted_average_quad
 
@@ -70,6 +72,18 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             RadialPotential(g, np.zeros(10), 1)
 
+    def test_positivity_floor_is_the_rounding_floor(self, model_n1):
+        u = model_n1.psi
+        assert u.positivity_floor() == 1e-12 + rounding_floor(u.values, u.grid.h)
+
+    def test_earliest_violation_wins(self):
+        # u'' fails at node 3, u' at node 5: the earlier node is reported
+        u = RadialPotential(SGrid(0.0, 10.0, 11),
+                            np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 3.0, 2.0, 3.0, 5.0, 8.0]), 1)
+        assert u.d2[3] < 0.0 < u.d1[3] and u.d1[5] < 0.0
+        assert u.kahler_violation() == (3, "u''")
+        assert not u.is_kahler()
+
 
 class TestFubiniStudy:
     def test_value_at_origin(self, model_n1):
@@ -89,6 +103,15 @@ class TestFubiniStudy:
     def test_degree_must_be_positive(self, model_n1):
         with pytest.raises(ConfigurationError):
             fubini_study_potential(1, -1.0, model_n1.grid)
+
+    @pytest.mark.parametrize("degree", [np.nan, np.inf, 0.0])
+    def test_degree_must_be_finite_and_positive(self, model_n1, degree):
+        # a nan passes a sign check; the message names the degree
+        message = f"^degree must be finite and positive, got {degree}$"
+        with pytest.raises(ConfigurationError, match=message):
+            fubini_study_potential(1, degree, model_n1.grid)
+        with pytest.raises(ConfigurationError, match=message):
+            KahlerModel(1, degree)
 
     def test_reference_is_kahler(self, model_n1, model_n2):
         assert model_n1.psi.is_kahler()

@@ -38,14 +38,13 @@ from radialma.solver import (
     _judged,
     _mixed,
     _pole_lelong,
-    _unmet_row,
     diagnostics_for,
     pole_slope_sample,
     residual_from_perturbation,
 )
 
 from conftest import gaussian_bump
-from oracles import continuum_neutral_potential, diagnostics_per_call
+from oracles import continuum_neutral_potential, diagnostics_per_call, unmet_row
 
 
 ALL_KINDS_T = [("reducing", 0.25), ("reducing", 0.5), ("reducing", 0.9),
@@ -77,8 +76,8 @@ class TestResidual:
         rhs = build_dirac_rhs(0.7, 1e-2, model_n1)
         g = model_n1.grid
         bump = gaussian_bump(g, 0.2)
-        r0 = residual_from_perturbation(np.zeros(g.points), model_n1, rhs, neutral()).residual
-        r1 = residual_from_perturbation(bump, model_n1, rhs, neutral()).residual
+        r0 = residual_from_perturbation(np.zeros(g.points), model_n1, rhs, neutral())
+        r1 = residual_from_perturbation(bump, model_n1, rhs, neutral())
         from radialma.grid import second_derivative
         expected = second_derivative(bump, g.h)
         assert np.max(np.abs((r1 - r0)[1:-1] - expected[1:-1])) < 1e-11
@@ -88,7 +87,7 @@ class TestResidual:
         rhs = constant_rhs(model_n1)
         c, t = 0.8, 0.5
         phi = np.full(model_n1.grid.points, c)
-        r = residual_from_perturbation(phi, model_n1, rhs, magnifying(t)).residual
+        r = residual_from_perturbation(phi, model_n1, rhs, magnifying(t))
         w = model_n1.weight[1:-1]
         expected = w * (1.0 - np.exp(-t * c))
         assert np.max(np.abs(r[1:-1] - expected)) < 1e-14
@@ -128,7 +127,7 @@ class TestFirstIntegral:
         flux = W[-1] ** n - (W[0] + rhs.left_flux_offset) ** n
         rate, R = eq.exponent_rate, rhs.interior_density
         assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
-        r = residual_from_perturbation(t_phi, m, rhs, eq).residual
+        r = residual_from_perturbation(t_phi, m, rhs, eq)
         change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * R
         assert np.max(np.abs(r[1:-1] - change)) <= 1e-12 * np.max(R)
         assert abs(r[0]) <= 1e-12 and abs(r[-1]) <= 1e-12
@@ -164,14 +163,19 @@ class TestFirstIntegral:
         floor = 16.0 * np.finfo(float).eps * 100.0 * max(w[i - 1], w[i]) / m.grid.h**2
         assert floor > 10 * tol
         r = np.zeros(m.grid.points)
+
+        def message():
+            with mock.patch.object(solver, "residual_from_perturbation", return_value=r):
+                return _judged(phi, m, None, None, tol)[1]
+
         r[i] = 0.5 * floor
-        assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) is None
+        assert message() == ""
         r[i] = 2.0 * floor
-        assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) == i
+        assert message().startswith(f"row {i} misses its tolerance")
         r[i], r[0] = 0.0, 2.0 * tol
-        assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) == 0
+        assert message().startswith("row 0 misses its tolerance")
         r[0], r[-1] = 0.0, np.nan
-        assert _unmet_row(solver.Evaluation(r, w), phi, m, tol) == m.grid.points - 1
+        assert message() == f"row {m.grid.points - 1} misses its tolerance, residual nan"
 
 
 SMALL_MODELS = {n: KahlerModel(n, n + 1.0, SGrid(-10.0, 10.0, 9)) for n in (1, 2, 3)}
@@ -179,14 +183,14 @@ SMALL_MODELS = {n: KahlerModel(n, n + 1.0, SGrid(-10.0, 10.0, 9)) for n in (1, 2
 
 class TestJudgedShortcut:
     """``_judged`` skips the row scan when the residual norm is within tol;
-    that is exact, since no row's tolerance is below tol."""
+    that is exact, since no row's tolerance is below tol. The reference is
+    the full row scan of ``oracles.unmet_row``."""
 
     @staticmethod
     def judged(r, phi, m, tol):
-        w = m.psi_slopes + np.diff(phi) / m.grid.h
-        ev = solver.Evaluation(np.asarray(r, dtype=float), w)
-        with mock.patch.object(solver, "residual_from_perturbation", return_value=ev):
-            return _judged(phi, m, None, None, tol), _unmet_row(ev, phi, m, tol)
+        r = np.asarray(r, dtype=float)
+        with mock.patch.object(solver, "residual_from_perturbation", return_value=r):
+            return _judged(phi, m, None, None, tol), unmet_row(r, phi, m, tol)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.sampled_from(sorted(SMALL_MODELS)), tol=st.sampled_from([1e-10, 1e-3]),
@@ -265,6 +269,30 @@ class TestFixedPoints:
         assert np.array_equal(res.phi, np.zeros(model_n1.grid.points))
         assert np.isfinite(res.residual_norm)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_guess_rejected(self, model_n1, bad):
+        guess = np.zeros(model_n1.grid.points)
+        guess[100] = bad
+        with pytest.raises(ConfigurationError, match="^initial guess must be finite$"):
+            newton_solve(model_n1, constant_rhs(model_n1), magnifying(0.5),
+                         SolveConfig(initial_guess=guess))
+
+    def test_an_iterate_that_leaves_no_mass_fails_the_solve(self):
+        # far below s = 0 the constant family's cell masses underflow to 0;
+        # a start whose weight sits at one of them alone leaves no mass to
+        # balance, so the map has no finite image
+        m = KahlerModel(1, 2.0, SGrid(-800.0, 40.0, 8001))
+        rhs, kind = constant_rhs(m), magnifying(0.5)
+        phi = np.zeros(m.grid.points)
+        phi[10] = -1e4
+        assert rhs.interior_density[9] == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.isnan(_first_integral_map(m, rhs, kind)(phi)).all()
+        res = newton_solve(m, rhs, kind, SolveConfig(initial_guess=phi))
+        assert res.message == "fixed-point map produced non-finite values"
+        assert res.iterations == 0 and not res.converged
+        assert np.array_equal(res.phi, phi)
+
     def test_stop_rule_judges_the_rows(self, model_n1):
         # the loop stops only when the step is met and every row passes, so
         # a converged solve has no unmet row; a solve cut at max_iters with
@@ -273,9 +301,7 @@ class TestFixedPoints:
         kind = magnifying(0.5)
         res = newton_solve(model_n1, rhs, kind)
         assert res.converged and res.message == ""
-        ev = residual_from_perturbation(res.phi, model_n1, rhs, kind)
-        assert _unmet_row(ev, res.phi, model_n1, 1e-10) is None
-        assert res.residual_norm == float(np.max(np.abs(ev.residual)))
+        assert _judged(res.phi, model_n1, rhs, kind, 1e-10) == (res.residual_norm, "")
 
     def test_anderson_stops_on_step_and_rows(self):
         # a constant map: the start takes its image's level, the next
@@ -931,6 +957,16 @@ class TestDiagnostics:
         # the left-edge secant cannot see the pole of a finite mollifier
         assert plain.lelong.value < 0.1
         assert anchored.lelong.value == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.parametrize("points", [64, 9])
+    def test_smooth_secant_widens_to_4h_on_coarse_grids(self, points):
+        # on [-40, 40] with 64 nodes or fewer, 4h exceeds LELONG_WINDOW = 5
+        m = KahlerModel(1, 2.0, SGrid(-40.0, 40.0, points))
+        rhs = constant_rhs(m)
+        phi = newton_solve(m, rhs, magnifying(0.5)).phi
+        d = diagnostics_for(phi, m, rhs)
+        assert d.lelong.window_width == 4.0 * m.grid.h > solver.LELONG_WINDOW
+        assert d == diagnostics_per_call(phi, m, rhs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_phi_rejected(self, model_n1, bad):
