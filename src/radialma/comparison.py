@@ -4,7 +4,10 @@ The maximum principle used throughout: if u >= v on the boundary of a
 subinterval and the Monge-Ampere density of u is at most that of v inside
 it, then u >= v on the whole subinterval. ``bt_compare`` verifies the
 hypotheses before evaluating the conclusion and reports which hypothesis
-failed when they do not hold.
+failed when they do not hold. It reads the densities in the solver's flux
+form (``RadialPotential.reduced_density``), a monotone scheme for which
+the discrete comparison principle holds exactly, and holds every reading to
+its rounding (``grid.rounding_floor``) rather than to a fixed tolerance.
 
 ``bootstrap_lelong_bound`` renders the self-improvement step of the
 amplification argument: wherever the solved perturbation is bounded above
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CurvatureMarginWarning
 from .geometry import KahlerModel
-from .grid import RadialPotential, grid_values
+from .grid import RadialPotential, density_floor, grid_values, rounding_floor
 from .rhs import check_lower_bound
 from .solver import (
     SolveConfig,
@@ -34,8 +37,6 @@ from .solver import (
     pole_slope_sample,
     sweep_epsilon,
 )
-
-HOLDS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,19 @@ class ComparisonReport:
             raise ConfigurationError("conclusion cannot be claimed without hypotheses")
 
 
-def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float,
-               tol: float = HOLDS_TOL) -> ComparisonReport:
+def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float) -> ComparisonReport:
     """Maximum-principle comparison of two potentials on [a, b].
 
     Hypotheses: u >= v at both endpoints and density(u) <= density(v) on the
     open subinterval. When they hold, returns the conclusion margin
-    min(u - v); ``holds`` is margin >= -tol. When they fail, names the
-    failed hypothesis and claims nothing.
+    min(u - v); ``holds`` is margin >= minus the rounding of the values.
+    When they fail, names the failed hypothesis and claims nothing.
+
+    With F the larger ``rounding_floor`` of u and v, values are held to
+    their rounding F h^2, and the reduced densities to their
+    ``density_floor`` F max(w_{i-1/2}, w_{i+1/2})^{n-1}, w the larger
+    half-node slope magnitude of u and v: the tolerance the solver holds
+    its own rows to.
     """
     u.grid.require_same(v.grid)
     grid = u.grid
@@ -68,6 +74,9 @@ def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float,
     if ib - ia < 2:
         raise ConfigurationError("subinterval must contain interior nodes")
 
+    h = grid.h
+    floor = max(rounding_floor(u.values, h), rounding_floor(v.values, h))
+    tol = floor * h**2
     du = u.values - v.values
     if du[ia] < -tol or du[ib] < -tol:
         node = ia if du[ia] < -tol else ib
@@ -75,13 +84,13 @@ def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float,
                                 int(node), float(min(du[ia], du[ib])))
     # compare the reduced densities (u')^{n-1} u'': the coordinate-volume
     # factor e^{-ns} is common and positive, so the measure inequality is
-    # unchanged, and dropping it keeps the check at the rounding floor of
-    # the stencils instead of exponentially amplifying it at the pole side
-    n = u.n
-    red_u = u.d1 ** (n - 1) * u.d2
-    red_v = v.d1 ** (n - 1) * v.d2
-    dens_gap = red_v[ia + 1:ib] - red_u[ia + 1:ib]
-    bad = np.nonzero(dens_gap < -tol)[0]
+    # unchanged, and dropping it keeps the check at the rounding floor
+    # instead of exponentially amplifying it at the pole side. Row i of
+    # reduced_density is node i + 1.
+    limit = density_floor(floor, np.maximum(np.abs(u.slopes), np.abs(v.slopes)), u.n)
+    rows = slice(ia, ib - 1)
+    dens_gap = v.reduced_density[rows] - u.reduced_density[rows]
+    bad = np.nonzero(dens_gap < -limit[rows])[0]
     if bad.size:
         return ComparisonReport(False, False, "density domination",
                                 int(bad[0]) + ia + 1, float(dens_gap.min()))

@@ -14,8 +14,10 @@ d[(u')^n] = n (u')^{n-1} u'' ds.
 The reference metric is Fubini-Study: psi(s) = d log(1 + e^s), whose
 derivatives are logistic functions. Those closed forms are used wherever a
 quadrature weight or curvature ratio must be accurate below discretisation
-noise; grid potentials are differentiated with the central stencils from
-``grid``.
+noise. Grid potentials are differentiated as the solver differentiates
+them, through their half-node slopes and flux-form cell density
+(``RadialPotential.slopes`` and ``reduced_density``), except in
+``ricci_potential``, whose curvature identities need fourth order.
 """
 
 from __future__ import annotations
@@ -28,16 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError
-from .grid import (
-    DEFAULT_GRID,
-    RadialPotential,
-    SGrid,
-    derivative,
-    derivative_o4,
-    grid_values,
-    second_derivative,
-    second_derivative_o4,
-)
+from .grid import DEFAULT_GRID, RadialPotential, SGrid, grid_values, rounding_floor
 
 MEMO_SIZE = 16
 
@@ -192,17 +185,14 @@ def default_model(n: int, degree: float) -> KahlerModel:
 # Monge-Ampere density, mass, Ricci potential
 
 
-def ma_density_formula(n: int, s, d1, d2):
-    """Pointwise reduced density e^{-ns} (u')^{n-1} u'' from given derivatives."""
-    return np.exp(-n * np.asarray(s, dtype=float)) * np.asarray(d1) ** (n - 1) * np.asarray(d2)
-
-
 def ma_density(u: RadialPotential) -> np.ndarray:
-    """Monge-Ampere density of a grid potential against the coordinate volume.
+    """Monge-Ampere density e^{-ns} (u')^{n-1} u'' of a grid potential
+    against the coordinate volume, on the N - 2 interior nodes, from its
+    flux-form cell density.
 
     May be negative where u fails to be Kahler; callers check.
     """
-    return ma_density_formula(u.n, u.grid.nodes, u.d1, u.d2)
+    return np.exp(-u.n * u.grid.nodes[1:-1]) * u.reduced_density
 
 
 def mass(u: RadialPotential) -> float:
@@ -232,12 +222,18 @@ def ricci_potential(u: RadialPotential) -> np.ndarray:
     differences of O(|u|) doubles can resolve; such nodes saturate the log
     instead of erroring, and consumers restrict to the resolvable range.
 
-    Uses fourth-order stencils: the curvature identities this feeds are
-    checked at the 1e-8 level, below the second-order truncation term.
+    Uses fourth-order stencils, central second order at the two nodes next
+    to the ends: the curvature identities this feeds are checked at the
+    1e-8 level, below the second-order truncation term.
     """
-    d1 = derivative_o4(u.values, u.grid.h)[1:-1]
-    d2 = second_derivative_o4(u.values, u.grid.h)[1:-1]
-    floor = u.positivity_floor()
+    v, h = u.values, u.grid.h
+    d1, d2 = np.empty(v.size - 2), np.empty(v.size - 2)
+    d1[[0, -1]] = (v[[2, -1]] - v[[0, -3]]) / (2.0 * h)
+    d2[[0, -1]] = (v[[2, -1]] - 2.0 * v[[1, -2]] + v[[0, -3]]) / h**2
+    d1[1:-1] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    d2[1:-1] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2]
+                + 16.0 * v[3:-1] - v[4:]) / (12.0 * h**2)
+    floor = rounding_floor(v, h)
     for name, arr in (("u'", d1), ("u''", d2)):
         bad = np.nonzero(arr <= -floor)[0]
         if bad.size:
@@ -267,31 +263,33 @@ class DominanceReport:
     min_curvature_gap: float = 0.0
 
 
-def dominates(q: np.ndarray, p: np.ndarray, grid: SGrid, tol: float = 1e-9) -> DominanceReport:
+def dominates(q: np.ndarray, p: np.ndarray, grid: SGrid) -> DominanceReport:
     """Whether ddbar(q - p) >= 0 in the radial sense.
 
     For radial potentials the form inequality reduces to (q-p)' >= 0 and
-    (q-p)'' >= 0 at every interior node, up to ``tol`` of discretisation
-    slack.
+    (q-p)'' >= 0. They are read from the half-node slopes g of q - p: a
+    slope below minus the ``rounding_floor`` of q and p fails, reported at
+    its left node, and so does a decrease between two neighbouring slopes
+    by more than that floor times h, reported at the node between them.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape != (grid.points,) or p.shape != (grid.points,):
         raise ConfigurationError("potentials do not live on the given grid")
-    diff = q - p
-    g1 = derivative(diff, grid.h)[1:-1]
-    g2 = second_derivative(diff, grid.h)[1:-1]
-    report = DominanceReport(True, None, None, float(g1.min()), float(g2.min()))
-    bad1 = np.nonzero(g1 < -tol)[0]
-    bad2 = np.nonzero(g2 < -tol)[0]
+    h = grid.h
+    floor = max(rounding_floor(q, h), rounding_floor(p, h))
+    g1 = np.diff(q - p) / h
+    g2 = np.diff(g1) / h
+    bad1 = np.nonzero(g1 < -floor)[0]
+    bad2 = np.nonzero(g2 < -floor)[0]
     worst = None
     if bad1.size:
-        worst = (int(bad1[0]) + 1, "slope")
+        worst = (int(bad1[0]), "slope")
     if bad2.size and (worst is None or int(bad2[0]) + 1 < worst[0]):
         worst = (int(bad2[0]) + 1, "curvature")
-    if worst is not None:
-        return DominanceReport(False, worst[0], worst[1], float(g1.min()), float(g2.min()))
-    return report
+    if worst is None:
+        return DominanceReport(True, None, None, float(g1.min()), float(g2.min()))
+    return DominanceReport(False, worst[0], worst[1], float(g1.min()), float(g2.min()))
 
 
 def average(phi, model: KahlerModel) -> float:

@@ -6,12 +6,15 @@ function u(s); its complex Hessian has eigenvalue u'/e^s with multiplicity
 n-1 and u''/e^s with multiplicity 1, which is what the rest of the package
 builds on.
 
-Derivatives are second-order central differences on interior nodes with
-second-order one-sided stencils at the two ends; they serve the diagnostics
-(Kahler positivity, dominance, pole slopes). The solver works on half-node
-slopes instead (differences of neighbouring node values over h): its
-interior rows are in flux form and its two boundary rows prescribe the
-first and last of them.
+A grid potential is differentiated one way, the solver's: its half-node
+slopes (differences of neighbouring node values over h, ``slopes``) and its
+flux-form cell density, the difference of neighbouring slope powers over
+n h on interior nodes (``reduced_density``). The solver's interior rows
+are that density and its two boundary rows prescribe the first and last
+slope; the diagnostics (Kahler positivity, dominance, densities, the
+comparison principle) read the same two arrays, so the discrete comparison
+principle of the monotone flux form holds for what they check. Every sign
+check on them is made against one noise floor, ``rounding_floor``.
 """
 
 from __future__ import annotations
@@ -22,49 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-def derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """First derivative of a grid function, full-length array."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        raise ConfigurationError("need at least 3 nodes to differentiate")
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return out
-
-
-def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative of a grid function, full-length array."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 4:
-        raise ConfigurationError("need at least 4 nodes for a one-sided second derivative")
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return out
-
-
-def derivative_o4(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative; second-order fallback near the ends."""
-    v = np.asarray(values, dtype=float)
-    out = derivative(v, h)
-    if v.size >= 5:
-        out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    return out
-
-
-def second_derivative_o4(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order second derivative; second-order fallback near the ends."""
-    v = np.asarray(values, dtype=float)
-    out = second_derivative(v, h)
-    if v.size >= 5:
-        out[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2]
-                     + 16.0 * v[3:-1] - v[4:]) / (12.0 * h**2)
-    return out
 
 
 @dataclass(frozen=True)
@@ -80,8 +40,9 @@ class SGrid:
             raise ConfigurationError("grid endpoints must be finite")
         if self.s_min >= self.s_max:
             raise ConfigurationError(f"s_min={self.s_min} must be < s_max={self.s_max}")
-        if self.points < 3:
-            raise ConfigurationError(f"need at least 3 grid points, got {self.points}")
+        # the pole secant needs a window of 4h, which takes 5 nodes
+        if self.points < 5:
+            raise ConfigurationError(f"need at least 5 grid points, got {self.points}")
 
     @property
     def h(self) -> float:
@@ -129,36 +90,36 @@ class RadialPotential:
         object.__setattr__(self, "values", v)
 
     @cached_property
-    def d1(self) -> np.ndarray:
-        out = derivative(self.values, self.grid.h)
+    def slopes(self) -> np.ndarray:
+        """Half-node slopes (u_{i+1} - u_i) / h, N - 1 of them."""
+        out = np.diff(self.values) / self.grid.h
         out.flags.writeable = False
         return out
 
     @cached_property
-    def d2(self) -> np.ndarray:
-        out = second_derivative(self.values, self.grid.h)
+    def reduced_density(self) -> np.ndarray:
+        """Flux-form cell density (w_{i+1/2}^n - w_{i-1/2}^n) / (n h) of the
+        half-node slopes w, the discrete (u')^{n-1} u'', on the N - 2
+        interior nodes."""
+        out = np.diff(self.slopes ** self.n) / (self.n * self.grid.h)
         out.flags.writeable = False
         return out
 
     def shifted(self, c: float) -> "RadialPotential":
         return RadialPotential(self.grid, self.values + c, self.n)
 
-    def positivity_floor(self) -> float:
-        """Noise floor for sign checks on discrete derivatives: the
-        ``rounding_floor`` of the values above the documented degeneracy
-        tolerance 1e-12."""
-        return 1e-12 + rounding_floor(self.values, self.grid.h)
-
     def kahler_violation(self) -> tuple[int | None, str | None]:
-        """First interior node where u' or u'' fails positivity, if any."""
-        floor = self.positivity_floor()
-        d1 = self.d1[1:-1]
-        d2 = self.d2[1:-1]
-        bad1 = np.nonzero(d1 <= -floor)[0]
-        bad2 = np.nonzero(d2 <= -floor)[0]
+        """First node where u' or u'' fails positivity beyond the
+        ``rounding_floor``, if any: u' is a negative slope, reported at its
+        left node, and u'' a decrease between two neighbouring slopes,
+        reported at the node between them."""
+        w, h = self.slopes, self.grid.h
+        floor = rounding_floor(self.values, h)
+        bad1 = np.nonzero(w <= -floor)[0]
+        bad2 = np.nonzero(np.diff(w) / h <= -floor)[0]
         candidates = []
         if bad1.size:
-            candidates.append((int(bad1[0]) + 1, "u'"))
+            candidates.append((int(bad1[0]), "u'"))
         if bad2.size:
             candidates.append((int(bad2[0]) + 1, "u''"))
         if not candidates:
@@ -175,6 +136,14 @@ def rounding_floor(values: np.ndarray, h: float) -> float:
     carries noise of order ulp(|v|) / h^2, here 16 eps max(1, max|v|) / h^2,
     so a sign or a zero can only be asserted above it."""
     return 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(values)))) / h**2
+
+
+def density_floor(floor: float, slopes: np.ndarray, n: int) -> np.ndarray:
+    """Rounding noise of the flux-form cell densities of the interior
+    nodes: ``floor``, a ``rounding_floor``, times the larger neighbouring
+    half-node slope magnitude to the power n - 1, as differences of slope
+    powers w^n over n h carry it."""
+    return floor * np.maximum(slopes[:-1], slopes[1:]) ** (n - 1)
 
 
 def grid_values(phi, grid: SGrid) -> np.ndarray:

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConstraintViolationError
 from .geometry import KahlerModel, expit, softplus
-from .grid import RadialPotential, derivative, grid_values, second_derivative
+from .grid import RadialPotential, grid_values
 
 POLE_ANCHOR_OFFSET = 6.0
 
@@ -380,16 +380,20 @@ def check_lower_bound(rhs: RhsFamily, t: float = 0.0,
     honestly when the family fails the bound (the point-mass mixtures do,
     at the crossover shoulder between pole and background profiles).
     Without a time term (no phi, or t = 0) this is the family's own
-    ``curvature_margin``, computed once.
+    ``curvature_margin``, computed once. With one, phi' and phi'' on an
+    interior node are the mean and the difference over h of phi's two
+    neighbouring half-node slopes, and the end nodes are not certified.
     """
     if phi is None or t == 0.0:
         return rhs.curvature_margin
     m = rhs.model
     q1, q2 = rhs.log_curvature_derivs()
-    vals = grid_values(phi, m.grid)
-    q1 = q1 - t * derivative(vals, m.grid.h)
-    q2 = q2 - t * second_derivative(vals, m.grid.h)
-    # grid curvature of phi is noise-limited; certify only where the
-    # reference curvature is resolvable against it
+    h = m.grid.h
+    w = np.diff(grid_values(phi, m.grid)) / h  # phi's half-node slopes
+    q1[1:-1] -= t * (w[:-1] + w[1:]) / 2.0
+    q2[1:-1] -= t * np.diff(w) / h
+    # grid curvature of phi is noise-limited; certify only on interior
+    # nodes where the reference curvature is resolvable against it
     mask = m.expit_s * m.expit_neg_s >= 1e-6
+    mask[[0, -1]] = False
     return dominance_margin(q1, q2, m, mask)

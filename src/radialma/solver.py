@@ -73,7 +73,7 @@ from .geometry import (
     end_mass,
     lelong_secant,
 )
-from .grid import RadialPotential, derivative, grid_values, rounding_floor
+from .grid import RadialPotential, density_floor, grid_values, rounding_floor
 from .rhs import RhsFamily, build_dirac_rhs
 
 LELONG_WINDOW = 5.0
@@ -348,8 +348,9 @@ def _judged(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily, kind: EquationK
     """The residual norm of phi's rows, from one evaluation, and a message
     naming the first row that misses its tolerance, or "". Boundary rows are
     held to ``tol``; interior row i to the larger of ``tol`` and its rounding
-    floor, the ``rounding_floor`` of phi times max(w_{i-1/2}, w_{i+1/2})^{n-1}
-    for the half-node slopes w of u. No row's tolerance is below ``tol``, so
+    floor, the ``density_floor`` of the ``rounding_floor`` of phi and the
+    half-node slopes w of u, rounding_floor * max(w_{i-1/2}, w_{i+1/2})^{n-1}.
+    No row's tolerance is below ``tol``, so
     a norm within it passes every row without the scan; a nan norm takes the
     scan."""
     r = residual_from_perturbation(phi, model, rhs, kind)
@@ -359,7 +360,7 @@ def _judged(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily, kind: EquationK
     n, h = model.n, model.grid.h
     w = np.abs(model.psi_slopes + np.diff(phi) / h)  # the residual's own slopes
     limit = np.full(phi.size, tol)
-    limit[1:-1] = np.maximum(tol, rounding_floor(phi, h) * np.maximum(w[:-1], w[1:]) ** (n - 1))
+    limit[1:-1] = np.maximum(tol, density_floor(rounding_floor(phi, h), w, n))
     unmet = np.flatnonzero(~(np.abs(r) <= limit))
     if not unmet.size:
         return norm, ""
@@ -481,7 +482,7 @@ def pole_slope_sample(phi, model: KahlerModel, rhs: RhsFamily) -> float:
     anchor = rhs.pole_anchor if rhs.pole_anchor is not None else grid.s_min
     i = grid.index_of(min(anchor, 0.0))
     i = min(max(i, 1), grid.points - 2)
-    return float(derivative(u[i - 1:i + 2], grid.h)[1])
+    return float((u[i + 1] - u[i - 1]) / (2.0 * grid.h))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the package's own differentiation and quadrature
-paths: the complex Hessian is taken by nested real finite differences in
-the ambient coordinates, and integrals are done with adaptive quadrature or
+paths: grid functions are differentiated with central stencils, the
+complex Hessian is taken by nested real finite differences in the ambient
+coordinates, and integrals are done with adaptive quadrature or
 Richardson-extrapolated trapezoid sums on refined grids.
 """
 
@@ -10,6 +11,33 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
+
+
+def derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """Central first difference of a grid function on interior nodes, with
+    second-order one-sided stencils at the two ends; full-length array."""
+    v = np.asarray(values, dtype=float)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return out
+
+
+def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """Central second difference of a grid function on interior nodes, with
+    second-order one-sided stencils at the two ends; full-length array."""
+    v = np.asarray(values, dtype=float)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    return out
+
+
+def ma_density_formula(n: int, s, d1, d2):
+    """Pointwise reduced density e^{-ns} (u')^{n-1} u'' from given derivatives."""
+    return np.exp(-n * np.asarray(s, dtype=float)) * np.asarray(d1) ** (n - 1) * np.asarray(d2)
 
 
 def complex_hessian_det(func, z: np.ndarray, delta: float = 3e-4) -> float:
@@ -155,7 +183,6 @@ def log_curvature_derivs_per_call(rhs):
 def lower_bound_per_call(rhs, t=0.0, phi=None):
     """(eta, limiting_node) of ``check_lower_bound``."""
     from radialma.geometry import expit
-    from radialma.grid import derivative, second_derivative
 
     m = rhs.model
     s = m.grid.nodes

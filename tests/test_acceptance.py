@@ -36,11 +36,10 @@ from radialma import (
     stalk_from_sequence,
     tangent_on_line,
 )
-from radialma.grid import second_derivative
 from radialma.solver import _first_integral_map, residual_from_perturbation
 
 from conftest import gaussian_bump
-from oracles import disc_mass_quad
+from oracles import disc_mass_quad, second_derivative
 from test_geometry import resolvable_curvature
 
 

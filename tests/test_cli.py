@@ -315,6 +315,24 @@ class TestCoarseGrid:
         assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("points", [3, 4])
+    @pytest.mark.parametrize("kind", ["dirac", "constant"])
+    @pytest.mark.parametrize("subcommand", ["solve", "continuity", "sweep", "magnify",
+                                            "multiplier", "verify"])
+    def test_fewer_than_five_points_name_the_model(self, tmp_path, capsys, subcommand,
+                                                   kind, points):
+        # the pole secant's window of 4h takes 5 nodes
+        cfg = Path(readme_config(tmp_path, points=str(points)))
+        rhs_line = "kind = dirac               ; constant | dirac | divisor"
+        cfg.write_text(cfg.read_text().replace(rhs_line, f"kind = {kind}"))
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"configuration error: [model]: need at least 5 grid points, got {points}\n")
+        assert list(out.iterdir()) == []
+
 
 class TestWarnings:
     """Every UserWarning a subcommand raises is one trailing summary line,

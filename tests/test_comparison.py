@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radialma import (
     ConfigurationError,
+    EquationKind,
+    KahlerModel,
     RadialPotential,
+    SGrid,
     bootstrap_lelong_bound,
     bt_compare,
     build_dirac_rhs,
@@ -14,6 +19,7 @@ from radialma import (
     magnifying,
     continuity_in_t,
     neutral_oracle,
+    newton_solve,
     sweep_epsilon,
     xi_eps,
 )
@@ -79,6 +85,52 @@ class TestBtCompare:
     def test_subinterval_validated(self, model_n1):
         with pytest.raises(ConfigurationError):
             bt_compare(model_n1.psi, model_n1.psi, -50.0, 0.0)
+
+    @pytest.mark.parametrize("points", [4001, 16001, 64001])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reference_dominates_its_own_downward_shift(self, n, points):
+        # psi >= psi - c with equal densities: both hypotheses hold exactly,
+        # so the densities must agree to their rounding on every grid
+        psi = KahlerModel(n, n + 1.0, SGrid(-40.0, 40.0, points)).psi
+        for c in (1e-6, 1e-3, 1.0):
+            rep = bt_compare(psi, psi.shifted(-c), -30.0, 30.0)
+            assert rep.hypotheses_ok, (c, rep)
+            assert rep.holds and rep.margin == pytest.approx(c, rel=1e-6), c
+
+
+SOLVED_MODELS = {n: KahlerModel(n, n + 1.0) for n in (1, 2, 3, 4)}
+
+
+class TestComparisonPrinciple:
+    """Solutions are images of the flux-form map, so they are Kahler, and
+    the flux form is a monotone scheme: whenever ``bt_compare`` finds its
+    hypotheses met, its conclusion must hold."""
+
+    @staticmethod
+    def solution(data, m):
+        kind = data.draw(st.sampled_from(["reducing", "neutral", "magnifying"]))
+        t = 0.0 if kind == "neutral" else data.draw(st.floats(0.05, 0.9))
+        gamma = data.draw(st.floats(0.1, 0.9)) * m.degree
+        eps = 10.0 ** data.draw(st.floats(-4.0, -1.0))
+        res = newton_solve(m, build_dirac_rhs(gamma, eps, m), EquationKind(kind, t))
+        assume(res.converged)
+        assert res.u.is_kahler(), (kind, t, gamma, eps, res.u.kahler_violation())
+        return res.u
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(n=st.integers(1, 4), data=st.data())
+    def test_met_hypotheses_imply_the_conclusion(self, n, data):
+        m = SOLVED_MODELS[n]
+        u, v = self.solution(data, m), self.solution(data, m)
+        a = data.draw(st.floats(-38.0, 30.0))
+        b = data.draw(st.floats(a + 1.0, 38.0))
+        ia, ib = m.grid.index_of(a), m.grid.index_of(b)
+        # shift u to meet the boundary hypothesis with equality at one end
+        u = u.shifted(max(v.values[ia] - u.values[ia], v.values[ib] - u.values[ib]))
+        rep = bt_compare(u, v, a, b)
+        assert rep.failed_hypothesis != "boundary domination"
+        if rep.hypotheses_ok:
+            assert rep.holds, rep
 
 
 class TestBootstrap:

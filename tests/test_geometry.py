@@ -22,10 +22,10 @@ from radialma import (
     neutral_oracle,
     ricci_potential,
 )
-from radialma.geometry import expit, ma_density_formula
+from radialma.geometry import expit
 from radialma.grid import rounding_floor
 
-from oracles import complex_hessian_det, weighted_average_quad
+from oracles import complex_hessian_det, ma_density_formula, weighted_average_quad
 
 
 class TestExpit:
@@ -62,6 +62,13 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             SGrid(-1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("points", [3, 4])
+    def test_five_points_are_the_least(self, points):
+        # the pole secant's window of 4h takes 5 nodes
+        with pytest.raises(ConfigurationError, match=f"^need at least 5 grid points, got {points}$"):
+            SGrid(-1.0, 1.0, points)
+        assert SGrid(-1.0, 1.0, 5).points == 5
+
     def test_spacing(self):
         g = SGrid(-40.0, 40.0, 4001)
         assert g.h == pytest.approx(0.02)
@@ -72,17 +79,41 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             RadialPotential(g, np.zeros(10), 1)
 
-    def test_positivity_floor_is_the_rounding_floor(self, model_n1):
-        u = model_n1.psi
-        assert u.positivity_floor() == 1e-12 + rounding_floor(u.values, u.grid.h)
+    def test_slopes_and_reduced_density(self):
+        g = SGrid(0.0, 2.0, 5)
+        vals = np.array([0.0, 0.5, 2.0, 4.5, 8.0])
+        # slopes 1, 3, 5, 7; n = 1 is the central second difference, n = 2
+        # the difference of squared slopes over 2h
+        for n, density in ((1, [4.0, 4.0, 4.0]), (2, [8.0, 16.0, 24.0])):
+            u = RadialPotential(g, vals, n)
+            np.testing.assert_array_equal(u.slopes, [1.0, 3.0, 5.0, 7.0])
+            np.testing.assert_array_equal(u.reduced_density, density)
+            assert not u.slopes.flags.writeable and not u.reduced_density.flags.writeable
 
     def test_earliest_violation_wins(self):
-        # u'' fails at node 3, u' at node 5: the earlier node is reported
+        # u'' fails at node 3 (slope 1 then 0.5), u' at node 5 (the slope
+        # from node 5 to node 6 is -1): the earlier node is reported
         u = RadialPotential(SGrid(0.0, 10.0, 11),
                             np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 3.0, 2.0, 3.0, 5.0, 8.0]), 1)
-        assert u.d2[3] < 0.0 < u.d1[3] and u.d1[5] < 0.0
+        w = u.slopes
+        assert w[3] < w[2] and 0.0 < w[3] and w[5] < 0.0 <= np.min(w[:5])
         assert u.kahler_violation() == (3, "u''")
         assert not u.is_kahler()
+
+    def test_negative_slope_is_reported_at_its_left_node(self):
+        u = RadialPotential(SGrid(0.0, 4.0, 5), np.array([0.0, -1.0, -1.5, -1.75, -1.875]), 1)
+        assert u.kahler_violation() == (0, "u'")
+
+    def test_noise_below_the_rounding_floor_is_not_a_violation(self, model_n1):
+        # raising node 100 (s = -38, where psi'' is 6e-17) by x floor h^2 / 2
+        # lowers its second difference by x floor
+        u = model_n1.psi
+        floor = rounding_floor(u.values, u.grid.h)
+        raised = u.values.copy()
+        raised[100] += 0.05 * floor * u.grid.h**2
+        assert RadialPotential(u.grid, raised, 1).is_kahler()
+        raised[100] += 0.5 * floor * u.grid.h**2
+        assert RadialPotential(u.grid, raised, 1).kahler_violation() == (100, "u''")
 
 
 class TestFubiniStudy:
@@ -94,8 +125,8 @@ class TestFubiniStudy:
     def test_right_asymptotic_slope_is_degree(self):
         for n, d in [(1, 2.0), (2, 3.0), (3, 7.5)]:
             m = default_model(n, d)
-            assert m.psi.d1[-1] == pytest.approx(d, abs=1e-9)
-            assert m.psi.d1[0] == pytest.approx(0.0, abs=1e-9)
+            assert m.psi.slopes[-1] == pytest.approx(d, abs=1e-9)
+            assert m.psi.slopes[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_midpoint_slope_is_half_degree(self, model_n1):
         assert model_n1.psi_prime(0.0) == pytest.approx(1.0, abs=1e-15)
@@ -124,11 +155,13 @@ class TestMaDensity:
         u = RadialPotential(g, 0.7 * g.nodes + 3.0, 1)
         # formula path: exactly zero for vanishing curvature
         assert ma_density_formula(1, g.nodes, np.full(g.points, 0.7), 0.0) == pytest.approx(0.0)
-        # grid path: curvature is zero to rounding; the density inherits it
-        # wherever the e^{-ns} factor does not amplify the rounding floor
-        assert np.max(np.abs(u.d2)) < u.positivity_floor()
+        # grid path: the slopes are constant to rounding; the density, on the
+        # interior nodes, inherits it wherever the e^{-ns} factor does not
+        # amplify the rounding floor
+        assert np.max(np.abs(u.reduced_density)) < rounding_floor(u.values, g.h)
+        assert ma_density(u).shape == (g.points - 2,)
         right = g.nodes[1:-1] >= 0.0
-        assert np.max(np.abs(ma_density(u)[1:-1][right])) < 1e-10
+        assert np.max(np.abs(ma_density(u)[right])) < 1e-10
 
     def test_fs_density_at_origin_n1(self, model_n1):
         # sympy oracle: e^{-s} d^2/ds^2 [2 log(1+e^s)] = 2/(1+e^s)^2 -> 1/2 at s=0
@@ -136,8 +169,9 @@ class TestMaDensity:
         s = sympy.Symbol("s")
         expr = sympy.exp(-s) * sympy.diff(2 * sympy.log(1 + sympy.exp(s)), s, 2)
         assert float(expr.subs(s, 0)) == pytest.approx(0.5)
+        # row i - 1 of the interior-node density is node i
         i = model_n1.grid.index_of(0.0)
-        assert ma_density(model_n1.psi)[i] == pytest.approx(0.5, abs=1e-5)
+        assert ma_density(model_n1.psi)[i - 1] == pytest.approx(0.5, abs=1e-5)
 
     @pytest.mark.parametrize("n,d", [(1, 2.0), (2, 3.0)])
     def test_reduction_identity_against_complex_hessian(self, n, d):
@@ -191,7 +225,7 @@ def resolvable_curvature(u):
     tail (large values, exponentially small curvature) falls out first."""
     eps = np.finfo(float).eps
     floor = 4.0 * eps * (np.abs(u.values) + np.finfo(float).tiny) / u.grid.h**2
-    ok = u.d2[1:-1] >= 1e10 * floor[1:-1]
+    ok = np.diff(u.slopes) / u.grid.h >= 1e10 * floor[1:-1]
     stop = int(np.argmin(ok)) if not ok.all() else ok.size
     out = np.zeros_like(ok)
     out[:stop] = True

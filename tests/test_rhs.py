@@ -21,7 +21,6 @@ from radialma import (
     xi_eps,
 )
 from radialma.geometry import MEMO_SIZE, expit, softplus
-from radialma.grid import second_derivative
 from radialma.rhs import dominance_margin, xi_eps_d1, xi_eps_d2
 
 from conftest import gaussian_bump
@@ -30,6 +29,7 @@ from oracles import (
     disc_mass_quad,
     log_curvature_derivs_per_call,
     lower_bound_per_call,
+    second_derivative,
 )
 
 

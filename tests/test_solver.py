@@ -44,7 +44,12 @@ from radialma.solver import (
 )
 
 from conftest import gaussian_bump
-from oracles import continuum_neutral_potential, diagnostics_per_call, unmet_row
+from oracles import (
+    continuum_neutral_potential,
+    diagnostics_per_call,
+    second_derivative,
+    unmet_row,
+)
 
 
 ALL_KINDS_T = [("reducing", 0.25), ("reducing", 0.5), ("reducing", 0.9),
@@ -78,7 +83,6 @@ class TestResidual:
         bump = gaussian_bump(g, 0.2)
         r0 = residual_from_perturbation(np.zeros(g.points), model_n1, rhs, neutral())
         r1 = residual_from_perturbation(bump, model_n1, rhs, neutral())
-        from radialma.grid import second_derivative
         expected = second_derivative(bump, g.h)
         assert np.max(np.abs((r1 - r0)[1:-1] - expected[1:-1])) < 1e-11
 
