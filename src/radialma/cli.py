@@ -1,7 +1,9 @@
 """Command-line driver for the lab experiments.
 
-Configs are INI-style ``key = value`` files with bracketed sections; every
-run echoes its canonicalised config into the summary header so a run can be
+Configs are INI-style ``key = value`` files with bracketed sections; a
+section or key the run does not read is an invalid configuration, so a
+misspelt key cannot fall back to its default unnoticed. Every run echoes
+its canonicalised config into the summary header so a run can be
 reproduced byte-for-byte from its own output. Numeric output is serialised
 with 17 significant digits. Exit status: 0 success, 1 solver barrier or
 non-convergence (outputs still written), 2 invalid configuration.
@@ -59,7 +61,13 @@ DIAG_COLUMNS = ("step", "param", "sup_phi", "inf_phi", "avg_phi", "lelong",
                 "lelong_sensitivity", "mass", "newton_iters", "converged")
 MAGNIFY_COLUMNS = DIAG_COLUMNS + ("nu_measured", "nu_bootstrap")
 
-_SECTION_ORDER = ("model", "equation", "rhs", "solver", "run")
+# the keys RunConfig reads, by section, in the order the summary echoes
+# them; [equation] t is read when t_target is absent
+_KEYS = {"model": ("n", "degree", "s_min", "s_max", "points"),
+         "equation": ("kind", "t", "t_target"),
+         "rhs": ("kind", "gamma", "epsilon", "delta_prime", "epsilon_list"),
+         "solver": ("newton_tol", "max_iters"),
+         "run": ("experiment", "output_dir", "slope_n")}
 
 # what a subcommand returns: exit status, summary lines, other files by suffix
 _Result = tuple[int, list[str], dict[str, list[str]]]
@@ -95,9 +103,18 @@ def _in_section(where, build, *args, **kwargs):
 
 class RunConfig:
     """Validated run parameters; raises ConfigurationError with the
-    section.key location on any bad field."""
+    section.key location on any bad field, and on any section or key it
+    does not read."""
 
     def __init__(self, parser: configparser.ConfigParser):
+        if parser.defaults():
+            raise ConfigurationError(f"[{parser.default_section}]: unknown section")
+        for section in parser.sections():
+            if section not in _KEYS:
+                raise ConfigurationError(f"[{section}]: unknown section")
+            for key in parser.options(section):
+                if key not in _KEYS[section]:
+                    raise ConfigurationError(f"[{section}] {key}: unknown key")
         self._p = parser
         g, conv = self._get, self._convert
         self.n = conv("model", "n", 1, int)
@@ -175,7 +192,7 @@ class RunConfig:
 
     def canonical_lines(self) -> list[str]:
         lines = []
-        for section in _SECTION_ORDER:
+        for section in _KEYS:
             if not self._p.has_section(section):
                 continue
             lines.append(f"[{section}]")

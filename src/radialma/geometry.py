@@ -16,8 +16,10 @@ derivatives are logistic functions. Those closed forms are used wherever a
 quadrature weight or curvature ratio must be accurate below discretisation
 noise. Grid potentials are differentiated as the solver differentiates
 them, through their half-node slopes and flux-form cell density
-(``RadialPotential.slopes`` and ``reduced_density``), except in
-``ricci_potential``, whose curvature identities need fourth order.
+(``RadialPotential.slopes`` and ``reduced_density``), except for the
+values ``ricci_potential`` returns, whose curvature identities need fourth
+order. Positivity has one rule, ``grid.first_violation`` of the slopes:
+``kahler_violation``, ``dominates`` and ``ricci_potential`` all apply it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError
-from .grid import DEFAULT_GRID, RadialPotential, SGrid, grid_values, rounding_floor
+from .grid import (DEFAULT_GRID, RadialPotential, SGrid, first_violation, grid_values,
+                   rounding_floor)
 
 MEMO_SIZE = 16
 
@@ -70,10 +73,12 @@ class KahlerModel:
     Carries both the discrete half-node slopes of psi and its cell flux
     (used by the solver, so that F = 1 has the exact discrete fixed point
     phi = 0) and the logistic closed forms (used for quadrature weights and
-    curvature ratios). The node-wise closed forms every right-hand side
-    reads, ``expit_s`` = expit(s), ``expit_neg_s`` = expit(-s),
-    ``softplus_s`` = softplus(s) and ``softplus_neg_s`` = softplus(-s), are
-    computed once per model, as read-only arrays. The geometry is
+    curvature ratios). The closed forms are node-wise and computed once per
+    model, as read-only arrays: ``expit_s`` = expit(s) = psi' / d,
+    ``expit_neg_s`` = expit(-s), so that psi'' = psi' expit(-s),
+    ``softplus_s`` = softplus(s) = psi / d and ``softplus_neg_s`` =
+    softplus(-s); every right-hand side and the volume quadrature read
+    them, and psi', psi'' elsewhere are written from them. The geometry is
     immutable after construction; the one state a model changes is its
     memo of what was built on it (``memoized``).
     """
@@ -98,10 +103,6 @@ class KahlerModel:
         if len(memo) > MEMO_SIZE:
             memo.popitem(last=False)
         return value
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.grid.nodes
 
     # -- discrete arrays used by the solver --------------------------------
 
@@ -147,30 +148,13 @@ class KahlerModel:
         """softplus(-s) on the nodes, -log(psi' / d)."""
         return _frozen(softplus(-self.grid.nodes))
 
-    def sigma(self, s=None) -> np.ndarray:
-        return expit(self.s if s is None else s)
-
-    def psi_prime(self, s=None) -> np.ndarray:
-        return self.degree * self.sigma(s)
-
-    def psi_second(self, s=None) -> np.ndarray:
-        x = self.s if s is None else s
-        return self.degree * expit(x) * expit(-x)
-
-    def volume_weight(self, s=None) -> np.ndarray:
-        """Analytic reduced volume density n (psi')^{n-1} psi''."""
-        return self.n * self.psi_prime(s) ** (self.n - 1) * self.psi_second(s)
-
-    @cached_property
-    def _trap(self) -> np.ndarray:
-        w = np.full(self.grid.points, self.grid.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
     @cached_property
     def _volume_quadrature(self) -> np.ndarray:
-        return self._trap * self.volume_weight()
+        """Trapezoid weights times the volume density n (psi')^{n-1} psi''."""
+        trap = np.full(self.grid.points, self.grid.h)
+        trap[[0, -1]] *= 0.5
+        psi1 = self.degree * self.expit_s
+        return trap * (self.n * psi1 ** (self.n - 1) * (psi1 * self.expit_neg_s))
 
     @cached_property
     def total_volume(self) -> float:
@@ -216,9 +200,9 @@ def ricci_potential(u: RadialPotential) -> np.ndarray:
     """-log of the reduced Monge-Ampere density, on interior nodes.
 
     The curvature form of the metric defined by u is the complex Hessian of
-    this potential. Raises DegenerateMetricError, naming the first bad node,
-    when u' or u'' fails positivity beyond the rounding floor. In the far
-    tails the true curvature of a smooth potential sits below what second
+    this potential. Raises DegenerateMetricError exactly when u is not
+    Kahler, naming the node and condition of ``u.kahler_violation()``. In
+    the far tails the true curvature of a smooth potential sits below what second
     differences of O(|u|) doubles can resolve; such nodes saturate the log
     instead of erroring, and consumers restrict to the resolvable range.
 
@@ -226,6 +210,11 @@ def ricci_potential(u: RadialPotential) -> np.ndarray:
     to the ends: the curvature identities this feeds are checked at the
     1e-8 level, below the second-order truncation term.
     """
+    node, which = u.kahler_violation()
+    if node is not None:
+        s_bad = float(u.grid.nodes[node])
+        raise DegenerateMetricError(f"{which} fails positivity at node {node} (s = {s_bad:.6g})",
+                                    node=node, coordinate=s_bad)
     v, h = u.values, u.grid.h
     d1, d2 = np.empty(v.size - 2), np.empty(v.size - 2)
     d1[[0, -1]] = (v[[2, -1]] - v[[0, -3]]) / (2.0 * h)
@@ -233,17 +222,6 @@ def ricci_potential(u: RadialPotential) -> np.ndarray:
     d1[1:-1] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
     d2[1:-1] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2]
                 + 16.0 * v[3:-1] - v[4:]) / (12.0 * h**2)
-    floor = rounding_floor(v, h)
-    for name, arr in (("u'", d1), ("u''", d2)):
-        bad = np.nonzero(arr <= -floor)[0]
-        if bad.size:
-            i = int(bad[0]) + 1
-            raise DegenerateMetricError(
-                f"{name} = {arr[bad[0]]:.3e} is not positive at node {i} "
-                f"(s = {u.grid.nodes[i]:.6g})",
-                node=i,
-                coordinate=float(u.grid.nodes[i]),
-            )
     s = u.grid.nodes[1:-1]
     tiny = np.finfo(float).tiny
     return -(np.log(np.maximum(d2, tiny)) + (u.n - 1) * np.log(np.maximum(d1, tiny))
@@ -267,10 +245,9 @@ def dominates(q: np.ndarray, p: np.ndarray, grid: SGrid) -> DominanceReport:
     """Whether ddbar(q - p) >= 0 in the radial sense.
 
     For radial potentials the form inequality reduces to (q-p)' >= 0 and
-    (q-p)'' >= 0. They are read from the half-node slopes g of q - p: a
-    slope below minus the ``rounding_floor`` of q and p fails, reported at
-    its left node, and so does a decrease between two neighbouring slopes
-    by more than that floor times h, reported at the node between them.
+    (q-p)'' >= 0. They are decided by ``grid.first_violation`` of the
+    half-node slopes of q - p at the larger ``rounding_floor`` of q and p,
+    the rule ``RadialPotential.kahler_violation`` applies to one potential.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -278,18 +255,10 @@ def dominates(q: np.ndarray, p: np.ndarray, grid: SGrid) -> DominanceReport:
         raise ConfigurationError("potentials do not live on the given grid")
     h = grid.h
     floor = max(rounding_floor(q, h), rounding_floor(p, h))
-    g1 = np.diff(q - p) / h
-    g2 = np.diff(g1) / h
-    bad1 = np.nonzero(g1 < -floor)[0]
-    bad2 = np.nonzero(g2 < -floor)[0]
-    worst = None
-    if bad1.size:
-        worst = (int(bad1[0]), "slope")
-    if bad2.size and (worst is None or int(bad2[0]) + 1 < worst[0]):
-        worst = (int(bad2[0]) + 1, "curvature")
-    if worst is None:
-        return DominanceReport(True, None, None, float(g1.min()), float(g2.min()))
-    return DominanceReport(False, worst[0], worst[1], float(g1.min()), float(g2.min()))
+    g = np.diff(q - p) / h
+    node, which = first_violation(g, floor, h)
+    return DominanceReport(node is None, node, which, float(g.min()),
+                           float((np.diff(g) / h).min()))
 
 
 def average(phi, model: KahlerModel) -> float:

@@ -14,7 +14,8 @@ are that density and its two boundary rows prescribe the first and last
 slope; the diagnostics (Kahler positivity, dominance, densities, the
 comparison principle) read the same two arrays, so the discrete comparison
 principle of the monotone flux form holds for what they check. Every sign
-check on them is made against one noise floor, ``rounding_floor``.
+check on them is made against one noise floor, ``rounding_floor``, and
+Kahler positivity is decided by one scan of the slopes, ``first_violation``.
 """
 
 from __future__ import annotations
@@ -109,26 +110,32 @@ class RadialPotential:
         return RadialPotential(self.grid, self.values + c, self.n)
 
     def kahler_violation(self) -> tuple[int | None, str | None]:
-        """First node where u' or u'' fails positivity beyond the
-        ``rounding_floor``, if any: u' is a negative slope, reported at its
-        left node, and u'' a decrease between two neighbouring slopes,
-        reported at the node between them."""
-        w, h = self.slopes, self.grid.h
-        floor = rounding_floor(self.values, h)
-        bad1 = np.nonzero(w <= -floor)[0]
-        bad2 = np.nonzero(np.diff(w) / h <= -floor)[0]
-        candidates = []
-        if bad1.size:
-            candidates.append((int(bad1[0]), "u'"))
-        if bad2.size:
-            candidates.append((int(bad2[0]) + 1, "u''"))
-        if not candidates:
-            return None, None
-        return min(candidates)
+        """``first_violation`` of the slopes at their ``rounding_floor``, the
+        condition named "u'" or "u''"; (None, None) for a Kahler potential."""
+        h = self.grid.h
+        node, which = first_violation(self.slopes, rounding_floor(self.values, h), h)
+        return node, {"slope": "u'", "curvature": "u''"}.get(which)
 
     def is_kahler(self) -> bool:
         idx, _ = self.kahler_violation()
         return idx is None
+
+
+def first_violation(slopes: np.ndarray, floor: float, h: float) -> tuple[int | None, str | None]:
+    """The one positivity rule: the first node where the radial form with
+    half-node slopes ``slopes`` on spacing h fails, and the condition,
+    (node, "slope" or "curvature"), or (None, None). Against ``floor``, a
+    ``rounding_floor``, a slope fails below -floor h, the rounding of a
+    first difference, at its left node; a slope difference over h fails
+    below -floor, at the node between. A slope failure wins a tie."""
+    bad_slope = np.flatnonzero(slopes < -floor * h)
+    bad_curvature = np.flatnonzero(np.diff(slopes) / h < -floor)
+    none = slopes.size
+    i = int(bad_slope[0]) if bad_slope.size else none
+    j = int(bad_curvature[0]) + 1 if bad_curvature.size else none
+    if min(i, j) == none:
+        return None, None
+    return (i, "slope") if i <= j else (j, "curvature")
 
 
 def rounding_floor(values: np.ndarray, h: float) -> float:

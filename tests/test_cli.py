@@ -334,6 +334,43 @@ class TestCoarseGrid:
         assert list(out.iterdir()) == []
 
 
+class TestUnknownKeys:
+    """A section or key the run does not read is an invalid configuration:
+    a misspelt key would otherwise fall back to its default."""
+
+    @pytest.mark.parametrize("subcommand", ["solve", "continuity", "sweep", "magnify",
+                                            "multiplier", "verify", "slope"])
+    def test_misspelt_key_exits_2(self, tmp_path, capsys, subcommand):
+        # a misspelt t_target must not leave the default t = 0, where every
+        # solve is the neutral quadrature and exits 0
+        cfg = Path(readme_config(tmp_path, max_iters="1"))
+        cfg.write_text(cfg.read_text().replace("t_target = 0.2", "t_traget = 0.6"))
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: [equation] t_traget: unknown key\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,key", [("model", "point"), ("equation", "time"),
+                                             ("rhs", "gama"), ("solver", "max_iter"),
+                                             ("run", "output")])
+    def test_unknown_key_in_each_section(self, tmp_path, capsys, section, key):
+        path = Path(write_config(tmp_path))
+        path.write_text(path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: [{section}] {key}: unknown key\n")
+
+    @pytest.mark.parametrize("extra,where", [("[plot]\ncolor = red\n", "[plot]"),
+                                             ("[DEFAULT]\nn = 2\n", "[DEFAULT]")])
+    def test_unknown_section(self, tmp_path, capsys, extra, where):
+        path = Path(write_config(tmp_path))
+        path.write_text(path.read_text() + extra)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {where}: unknown section\n"
+
+
 class TestWarnings:
     """Every UserWarning a subcommand raises is one trailing summary line,
     and no warning reaches stderr."""

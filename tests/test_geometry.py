@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialma import (
     ConfigurationError,
@@ -23,8 +25,9 @@ from radialma import (
     ricci_potential,
 )
 from radialma.geometry import expit
-from radialma.grid import rounding_floor
+from radialma.grid import first_violation, rounding_floor
 
+from conftest import gaussian_bump
 from oracles import complex_hessian_det, ma_density_formula, weighted_average_quad
 
 
@@ -115,6 +118,44 @@ class TestGrid:
         raised[100] += 0.5 * floor * u.grid.h**2
         assert RadialPotential(u.grid, raised, 1).kahler_violation() == (100, "u''")
 
+    def test_slope_is_held_to_the_rounding_of_a_first_difference(self):
+        # h = 0.1 and max|u| < 1: the floor is 16 eps / h^2 = 3.6e-13, and a
+        # slope is held to floor h = 3.6e-14; the first slope, -1e-13, lies
+        # between the two
+        u = RadialPotential(SGrid(0.0, 0.4, 5), np.array([0.0, -1e-14, 0.1, 0.3, 0.6]), 1)
+        floor, h = rounding_floor(u.values, u.grid.h), u.grid.h
+        assert -floor < u.slopes[0] < -floor * h
+        assert u.kahler_violation() == (0, "u'")
+
+    def test_slope_failure_wins_a_tie(self):
+        # slope 1 is negative (left node 1) and so is the difference of
+        # slopes 0 and 1 (node 1)
+        assert first_violation(np.array([1.0, -1.0, 2.0]), 0.0, 1.0) == (1, "slope")
+
+
+class TestOnePositivityRule:
+    @given(n=st.integers(1, 4), points=st.sampled_from([41, 401, 4001]),
+           degree=st.floats(0.5, 6.0), a=st.floats(-1.0, 1.0),
+           center=st.floats(-5.0, 5.0), width=st.floats(0.3, 5.0))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    def test_kahler_dominates_and_ricci_agree(self, n, points, degree, a, center, width):
+        # u = psi + a bump is Kahler for some draws and not for others
+        m = KahlerModel(n, degree, SGrid(-40.0, 40.0, points))
+        u = RadialPotential(m.grid, m.psi.values + gaussian_bump(m.grid, a, center, width), n)
+        node, which = u.kahler_violation()
+        rep = dominates(u.values, 0 * u.values, m.grid)
+        assert rep.first_violation == node
+        assert rep.holds == u.is_kahler()
+        assert (which, rep.failed_condition) in {(None, None), ("u'", "slope"),
+                                                 ("u''", "curvature")}
+        if u.is_kahler():
+            ricci_potential(u)
+        else:
+            with pytest.raises(DegenerateMetricError) as err:
+                ricci_potential(u)
+            assert err.value.node == node
+            assert str(err.value).startswith(f"{which} fails positivity at node {node} ")
+
 
 class TestFubiniStudy:
     def test_value_at_origin(self, model_n1):
@@ -129,7 +170,9 @@ class TestFubiniStudy:
             assert m.psi.slopes[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_midpoint_slope_is_half_degree(self, model_n1):
-        assert model_n1.psi_prime(0.0) == pytest.approx(1.0, abs=1e-15)
+        # psi' = d expit(s), 1 at s = 0 for d = 2
+        i = model_n1.grid.index_of(0.0)
+        assert model_n1.degree * model_n1.expit_s[i] == pytest.approx(1.0, abs=1e-15)
 
     def test_degree_must_be_positive(self, model_n1):
         with pytest.raises(ConfigurationError):
@@ -273,8 +316,8 @@ class TestRicci:
         vals = model_n1.psi.values - 5e-2 * np.exp(-((g.nodes - 3.0) ** 2))
         with pytest.raises(DegenerateMetricError) as err:
             ricci_potential(RadialPotential(g, vals, 1))
-        assert err.value.node is not None
-        assert "node" in str(err.value)
+        assert err.value.node == 2200
+        assert str(err.value) == "u'' fails positivity at node 2200 (s = 4)"
 
 
 class TestDominates:
@@ -291,6 +334,26 @@ class TestDominates:
         assert not rep.holds
         assert rep.first_violation is not None
         assert rep.failed_condition in ("slope", "curvature")
+
+    def test_slopes_are_held_to_the_rounding_of_a_first_difference(self, model_n1):
+        # every slope of q - p is -0.25 expit(s) < 0; the first below the
+        # floor times h, 1.4e-11, is at s = -23.6, while the floor alone,
+        # 7.1e-10, would pass every slope up to s = -19.68
+        g = model_n1.grid
+        p = model_n1.psi.values
+        q = p - 0.25 * np.logaddexp(0, g.nodes)
+        assert np.all(np.diff(q - p) < 0.0)
+        rep = dominates(q, p, g)
+        assert (rep.first_violation, rep.failed_condition) == (820, "slope")
+        assert g.nodes[820] == pytest.approx(-23.6)
+
+    def test_curvature_failure_before_a_slope_failure(self):
+        # q - p decreases its slope at node 3 before its slope turns
+        # negative at node 5
+        g = SGrid(0.0, 10.0, 11)
+        q = np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 3.0, 2.0, 3.0, 5.0, 8.0])
+        rep = dominates(q, np.zeros(11), g)
+        assert (rep.holds, rep.first_violation, rep.failed_condition) == (False, 3, "curvature")
 
     def test_grid_mismatch_rejected(self, model_n1):
         with pytest.raises(ConfigurationError):
@@ -316,7 +379,8 @@ class TestAverage:
         psi1 = np.logaddexp(0, m.grid.nodes)
         expected = weighted_average_quad(
             lambda s: np.logaddexp(0, s),
-            lambda s: m.volume_weight(np.asarray(s)),
+            # the reduced volume density n (psi')^{n-1} psi'', psi' = d expit(s)
+            lambda s: m.n * (m.degree * expit(s)) ** (m.n - 1) * m.degree * expit(s) * expit(-s),
             m.grid.s_min, m.grid.s_max)
         assert average(psi1, m) == pytest.approx(expected, abs=1e-8)
 

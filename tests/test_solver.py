@@ -30,6 +30,7 @@ from radialma import (
     sweep_epsilon,
 )
 from radialma import solver
+from radialma.geometry import expit
 from radialma.rhs import xi_eps_d1
 from radialma.solver import (
     _anderson,
@@ -426,7 +427,7 @@ class TestNeutralOracle:
             c = rhs.c_smooth
 
             def slope_power(s, c=c, m=m):
-                return gamma**n * xi_eps_d1(s, eps) ** n + c * m.psi_prime(s) ** n
+                return gamma**n * xi_eps_d1(s, eps) ** n + c * (m.degree * expit(s)) ** n
 
             sample = np.linspace(-20.0, 10.0, 16)
             ref = continuum_neutral_potential(m, slope_power, sample)
@@ -467,7 +468,7 @@ class TestSingularSolves:
         c = rhs.c_smooth
 
         def reduced_density(s):
-            return gamma * xi_eps_d2(s, eps) + c * m.psi_second(s)
+            return gamma * xi_eps_d2(s, eps) + c * m.degree * expit(s) * expit(-s)
 
         def psi_of(s):
             return m.degree * np.logaddexp(0.0, s)
@@ -478,8 +479,8 @@ class TestSingularSolves:
             return [p, np.exp(rate) * reduced_density(s)]
 
         smin, smax = m.grid.s_min, m.grid.s_max
-        beta = float(m.psi_prime(smin))
-        target = float(m.psi_prime(smax))
+        beta = float(m.degree * expit(smin))
+        target = float(m.degree * expit(smax))
 
         def end_slope_gap(level):
             sol = solve_ivp(ode, (smin, smax), [psi_of(smin) + level, beta],

@@ -1,0 +1,109 @@
+"""Every input validator raises its documented error type, naming what it
+rejects."""
+
+import numpy as np
+import pytest
+
+from radialma import (
+    ConfigurationError,
+    ConstraintViolationError,
+    ContinuityTrace,
+    EquationKind,
+    KahlerModel,
+    PotentialSequence,
+    RadialPotential,
+    SGrid,
+    SolveConfig,
+    bootstrap_lelong_bound,
+    bt_compare,
+    build_dirac_rhs,
+    build_divisor_rhs,
+    constant_rhs,
+    continuity_in_t,
+    fubini_study_potential,
+    germ_integral,
+    magnifying,
+    neutral,
+    newton_solve,
+    xi_eps,
+)
+from radialma.geometry import lelong_secant
+
+GRID = SGrid(-10.0, 10.0, 81)
+ZEROS = np.zeros(GRID.points)
+
+# each case: the error type, the part of its message that names what is
+# rejected, and a call on the n = 1, d = 2 model on GRID
+CASES = {
+    "xi_eps eps <= 0": (ConfigurationError, "eps must be positive",
+                        lambda m: xi_eps(0.0, 0.0)),
+    "dirac gamma < 0": (ConstraintViolationError, "gamma must be nonnegative",
+                        lambda m: build_dirac_rhs(-0.1, 1e-3, m)),
+    "dirac eps <= 0": (ConfigurationError, "eps must be positive",
+                       lambda m: build_dirac_rhs(1.0, 0.0, m)),
+    "divisor delta' < 0": (ConstraintViolationError, "delta' must be nonnegative",
+                           lambda m: build_divisor_rhs(-0.1, 1e-3, m)),
+    "divisor eps <= 0": (ConfigurationError, "eps must be positive",
+                         lambda m: build_divisor_rhs(0.5, 0.0, m)),
+    "unknown equation kind": (ConfigurationError, "unknown equation kind 'sideways'",
+                              lambda m: EquationKind("sideways")),
+    "unknown verdict": (ConfigurationError, "unknown verdict 'maybe'",
+                        lambda m: ContinuityTrace((), "maybe")),
+    "barrier without t_star": (ConfigurationError, "barrier verdict and t_star",
+                               lambda m: ContinuityTrace((), "barrier")),
+    "t_star without barrier": (ConfigurationError, "barrier verdict and t_star",
+                               lambda m: ContinuityTrace((), "reached_target", 0.5)),
+    "guess of the wrong shape": (
+        ConfigurationError, "initial guess does not live on the model grid",
+        lambda m: newton_solve(m, constant_rhs(m), neutral(),
+                               SolveConfig(initial_guess=np.zeros(3)))),
+    "continuity of the neutral kind": (
+        ConfigurationError, "applies to the time-dependent families",
+        lambda m: continuity_in_t(m, constant_rhs(m), neutral(), 0.5)),
+    "t_target = 1": (ConfigurationError, "t_target must lie in (0, 1)",
+                     lambda m: continuity_in_t(m, constant_rhs(m), magnifying(0.5), 1.0)),
+    "t_target = 0": (ConfigurationError, "t_target must lie in (0, 1)",
+                     lambda m: continuity_in_t(m, constant_rhs(m), magnifying(0.5), 0.0)),
+    "infinite grid endpoint": (ConfigurationError, "grid endpoints must be finite",
+                               lambda m: SGrid(-np.inf, 1.0, 5)),
+    "nan grid endpoint": (ConfigurationError, "grid endpoints must be finite",
+                          lambda m: SGrid(0.0, np.nan, 5)),
+    "different grids": (ConfigurationError, "grids do not match",
+                        lambda m: GRID.require_same(SGrid(-10.0, 10.0, 41))),
+    "non-finite potential": (ConfigurationError, "potential values must be finite",
+                             lambda m: RadialPotential(GRID, np.full(GRID.points, np.nan), 1)),
+    "subinterval without interior node": (
+        ConfigurationError, "subinterval must contain interior nodes",
+        lambda m: bt_compare(m.psi, m.psi, 0.0, GRID.h)),
+    "bootstrap gamma <= 0": (ConfigurationError, "positive pole coefficient",
+                             lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 0.0, 5.0, m)),
+    "bootstrap tau0 = 1": (ConfigurationError, "tau0 must lie in (0, 1)",
+                           lambda m: bootstrap_lelong_bound(ZEROS, 1.0, 1.0, 5.0, m)),
+    "bootstrap tau0 = 0": (ConfigurationError, "tau0 must lie in (0, 1)",
+                           lambda m: bootstrap_lelong_bound(ZEROS, 0.0, 1.0, 5.0, m)),
+    "bootstrap window too wide": (ConfigurationError, "window does not fit",
+                                  lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, 30.0, m)),
+    "germ order k < 0": (ConfigurationError, "vanishing order must be a nonnegative integer",
+                         lambda m: germ_integral(-1, ZEROS, 0.5, m)),
+    "germ grid without s <= 0": (
+        ConfigurationError, "no pole-side nodes",
+        lambda m: germ_integral(0, ZEROS, 0.5, KahlerModel(1, 2.0, SGrid(1.0, 21.0, 81)))),
+    "empty sequence": (ConfigurationError, "sequence must be nonempty",
+                       lambda m: PotentialSequence(m, ())),
+    "sequence tau = 1": (ConfigurationError, "tau must lie in (0, 1)",
+                         lambda m: PotentialSequence(m, ((ZEROS, 1.0, None),))),
+    "dimension n < 1": (ConfigurationError, "dimension must be a positive integer",
+                        lambda m: fubini_study_potential(0, 2.0, GRID)),
+    "Lelong window outside the grid": (
+        ConfigurationError, "Lelong window falls outside the grid",
+        lambda m: lelong_secant(GRID, ZEROS.take, 5.0, anchor=GRID.s_max - 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_validator_names_what_it_rejects(case):
+    error, message, call = CASES[case]
+    with pytest.raises(error) as info:
+        call(KahlerModel(1, 2.0, GRID))
+    assert type(info.value) is error
+    assert message in str(info.value)
