@@ -63,8 +63,8 @@ def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float) -> Co
     With F the larger ``rounding_floor`` of u and v, values are held to
     their rounding F h^2, and the reduced densities to their
     ``density_floor`` F max(w_{i-1/2}, w_{i+1/2})^{n-1}, w the larger
-    half-node slope magnitude of u and v: the tolerance the solver holds
-    its own rows to.
+    half-node slope magnitude of u and v: the rounding of a flux-form
+    row.
     """
     u.grid.require_same(v.grid)
     grid = u.grid
@@ -109,7 +109,7 @@ def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
     and shrinking the window can only increase it.
     """
     if gamma <= 0:
-        raise ConfigurationError("bootstrap needs a positive pole coefficient")
+        raise ConfigurationError(f"gamma must be positive, got {gamma}")
     if not (0.0 < tau0 < 1.0):
         raise ConfigurationError(f"tau0 must lie in (0, 1), got {tau0}")
     grid = model.grid

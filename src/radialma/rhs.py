@@ -185,8 +185,8 @@ class RhsFamily:
         # dirac mixture: softmin of the two component log densities
         a = s - 2.0 * np.log(self.epsilon)
         xs, xsm = expit(a), expit(-a)
-        if self.c_smooth <= 0.0 or self.gamma <= 0.0:
-            theta = np.ones_like(s) if self.c_smooth <= 0.0 else np.zeros_like(s)
+        if self.c_smooth <= 0.0:  # gamma = d: all mass at the pole
+            theta = np.ones_like(s)
         else:
             log_sing = n * np.log(self.gamma) - n * softplus(-a) - softplus(a)
             log_smooth = (np.log(self.c_smooth) + n * np.log(d)

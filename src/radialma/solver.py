@@ -37,10 +37,10 @@ Kahler condition of the flux form. ``RhsFamily`` guarantees R >= 0 and
 w_{1/2} >= 0 for every family it admits. T is also invariant under adding
 a constant to phi, so the level of a start is no information: the
 iteration (``_anderson``) moves its start to the level of the start's
-image, and the drivers pass their predictors as they are. The same loop
-holds the one convergence rule: a solve is converged when its
-fixed-point step is at or below ``newton_tol`` and every row passes
-``_judged``.
+image, and the drivers pass their predictors as they are. The one stop
+rule is the step: a solve is converged when f = T(phi) - phi is at most
+``newton_tol``. T(phi) meets every row at the weights of phi + f_{N-1}, so
+its interior rows miss by R e^{sigma t T(phi)} (e^{-sigma t (f - f_{N-1})} - 1).
 
 Each continuation routine decides by one rule. ``continuity_in_t``
 steps as far as the solver converges: its first attempt is at the target,
@@ -73,7 +73,7 @@ from .geometry import (
     end_mass,
     lelong_secant,
 )
-from .grid import RadialPotential, density_floor, grid_values, rounding_floor
+from .grid import RadialPotential, grid_values
 from .rhs import RhsFamily, build_dirac_rhs
 
 LELONG_WINDOW = 5.0
@@ -298,15 +298,15 @@ def _mixed(g: np.ndarray, f: np.ndarray, gram: np.ndarray, dF: np.ndarray,
     return g - gamma @ dG
 
 
-def _anderson(T, judge, phi: np.ndarray, tol: float, max_iters: int):
+def _anderson(T, phi: np.ndarray, tol: float, max_iters: int):
     """Anderson-accelerated iteration of phi = T(phi), depth ANDERSON_DEPTH.
 
     T ignores its input's level, so the start first moves to the level of
     its image. Each iteration mixes the stored differences of
     f = T(phi) - phi and of T(phi) into a new phi and applies T once. The
-    loop stops when ||f||_inf is at or below ``tol`` and ``judge``, the row
-    check of T(phi), passes; that is the only convergence test of a solve.
-    Returns ``(T(phi), iterations, residual_norm, message)``: an empty
+    loop stops when the step ||f||_inf is at or below ``tol``, the only
+    convergence test of a solve, or at ``max_iters``, or when T gives
+    non-finite values. Returns ``(T(phi), iterations, message)``: an empty
     message on convergence, else why it stopped. A non-finite map returns
     the last finite phi (the caller's start, when its level is not finite).
     """
@@ -323,13 +323,11 @@ def _anderson(T, judge, phi: np.ndarray, tol: float, max_iters: int):
     while True:
         step = float(np.abs(f).max())
         if not np.isfinite(step):
-            return phi, iters, judge(phi)[0], "fixed-point map produced non-finite values"
+            return phi, iters, "fixed-point map produced non-finite values"
         if step <= tol:
-            norm, message = judge(g)
-            if not message or iters >= max_iters:
-                return g, iters, norm, message
-        elif iters >= max_iters:
-            return g, iters, judge(g)[0], f"max_iters reached, step {step:.3g}"
+            return g, iters, ""
+        if iters >= max_iters:
+            return g, iters, f"max_iters reached, step {step:.3g}"
         k = min(iters, depth)
         phi = _mixed(g, f, gram[:k, :k], dF[:k], dG[:k]) if k else g
         g_new = T(phi)
@@ -343,43 +341,18 @@ def _anderson(T, judge, phi: np.ndarray, tol: float, max_iters: int):
         iters += 1
 
 
-def _judged(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
-            tol: float) -> tuple[float, str]:
-    """The residual norm of phi's rows, from one evaluation, and a message
-    naming the first row that misses its tolerance, or "". Boundary rows are
-    held to ``tol``; interior row i to the larger of ``tol`` and its rounding
-    floor, the ``density_floor`` of the ``rounding_floor`` of phi and the
-    half-node slopes w of u, rounding_floor * max(w_{i-1/2}, w_{i+1/2})^{n-1}.
-    No row's tolerance is below ``tol``, so
-    a norm within it passes every row without the scan; a nan norm takes the
-    scan."""
-    r = residual_from_perturbation(phi, model, rhs, kind)
-    norm = float(np.max(np.abs(r)))
-    if norm <= tol:
-        return norm, ""
-    n, h = model.n, model.grid.h
-    w = np.abs(model.psi_slopes + np.diff(phi) / h)  # the residual's own slopes
-    limit = np.full(phi.size, tol)
-    limit[1:-1] = np.maximum(tol, density_floor(rounding_floor(phi, h), w, n))
-    unmet = np.flatnonzero(~(np.abs(r) <= limit))
-    if not unmet.size:
-        return norm, ""
-    i = int(unmet[0])
-    return norm, f"row {i} misses its tolerance, residual {r[i]:.3g}"
-
-
 def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                  config: SolveConfig | None = None) -> SolveResult:
     """Solve phi = T(phi) for the first-integral map T from
     ``config.initial_guess`` (default phi = 0), whatever its level.
 
     At exponent rate 0 (the neutral family, or t = 0) one application of T
-    is the exact solution, whatever the guess, with 0 iterations, and its
-    rows are judged once. Otherwise ``_anderson`` iterates until the step is
-    at or below ``newton_tol`` and every row is within its tolerance
-    (``_judged``). The result is converged when that rule is met;
-    otherwise ``message`` says why. It is an image of T, so it is Kahler in
-    the flux form by construction (see the module docstring).
+    is the exact solution, whatever the guess, with 0 iterations. Otherwise
+    ``_anderson`` iterates until the step is at or below ``newton_tol``;
+    when it stops short, ``message`` says why. ``residual_norm``, the sup
+    of the result's rows at exit, is reported and decides nothing. The
+    result is an image of T, so it is Kahler in the flux form by
+    construction (see the module docstring).
     """
     cfg = config or SolveConfig()
     if (model.n, model.degree) != (rhs.model.n, rhs.model.degree):
@@ -398,13 +371,11 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     # a diverging iterate may overflow on its way out; the message reports it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         T = _first_integral_map(model, rhs, kind)
-        tol = cfg.newton_tol
         if kind.exponent_rate == 0.0:
-            phi, iters = T(phi), 0
-            norm, message = _judged(phi, model, rhs, kind, tol)
+            phi, iters, message = T(phi), 0, ""
         else:
-            phi, iters, norm, message = _anderson(
-                T, lambda x: _judged(x, model, rhs, kind, tol), phi, tol, cfg.max_iters)
+            phi, iters, message = _anderson(T, phi, cfg.newton_tol, cfg.max_iters)
+        norm = float(np.max(np.abs(residual_from_perturbation(phi, model, rhs, kind))))
         diagnostics = diagnostics_for(phi, model, rhs)
     return SolveResult(phi, diagnostics, iters, norm, kind, rhs, message)
 
@@ -534,7 +505,8 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     the verdict is ``reached_target``.
     """
     if kind.kind == "neutral":
-        raise ConfigurationError("continuity in t applies to the time-dependent families")
+        raise ConfigurationError(
+            f"kind must be time-dependent for continuity in t, got {kind.kind!r}")
     if not (0.0 < t_target < 1.0):
         raise ConfigurationError(f"t_target must lie in (0, 1), got {t_target}")
     cfg = config or SolveConfig()

@@ -202,20 +202,6 @@ def lower_bound_per_call(rhs, t=0.0, phi=None):
     return (0.0, node) if eta <= 0.0 else (eta, None)
 
 
-def unmet_row(r, phi, model, tol):
-    """The first row of the residual ``r`` at phi that misses its tolerance,
-    or None, by a full scan. Boundary rows are held to ``tol``; interior row
-    i to the larger of ``tol`` and 16 eps max(1, |phi|) max(w_{i-1/2},
-    w_{i+1/2})^{n-1} / h^2, w the half-node slopes of u = psi + phi."""
-    n, h = model.n, model.grid.h
-    limit = np.full(phi.size, tol)
-    w = np.abs(model.psi_slopes + np.diff(phi) / h)
-    scale = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(phi)))) / h**2
-    limit[1:-1] = np.maximum(tol, scale * np.maximum(w[:-1], w[1:]) ** (n - 1))
-    unmet = np.flatnonzero(~(np.abs(r) <= limit))
-    return int(unmet[0]) if unmet.size else None
-
-
 def diagnostics_per_call(phi, model, rhs=None):
     """``diagnostics_for`` through a validated potential u = psi + phi on the
     whole grid: its windowed secants and its end slopes."""

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,11 @@ class TestSolve:
         ("gamma = 1.0", "gamma = nan", "[rhs]: gamma must be finite"),
         ("epsilon = 1e-3", "epsilon = inf", "[rhs]: eps must be finite"),
         ("degree = 2.0", "degree = inf", "[model]: degree must be finite and positive, got inf"),
+        ("kind = dirac", "kind = foo", "[rhs] kind: unknown family 'foo'"),
+        ("gamma = 1.0", "gamma = 5%", "[rhs] gamma: "),
+        # a file configparser cannot read is named by its path
+        ("n = 1\n", "n = 1\nmagnify\n", "run.ini: "),
+        ("[run]\n", "[model]\nn = 2\n\n[run]\n", "run.ini: "),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, old, new, where):
         # a malformed value is an invalid configuration (exit 2), not a
@@ -285,6 +291,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS neutral_residual" in out
         assert "FAIL" not in out
+
+    def test_neutral_rows_above_their_rounding_fail(self, tmp_path, capsys, monkeypatch):
+        # the neutral quadrature always converges, so its check reads the
+        # rows: a residual above newton_tol and the rounding floor fails it
+        solve = cli.newton_solve
+
+        def off_by_a_row(model, rhs, kind, config=None):
+            res = solve(model, rhs, kind, config)
+            return replace(res, residual_norm=1e-6) if kind.kind == "neutral" else res
+
+        monkeypatch.setattr(cli, "newton_solve", off_by_a_row)
+        cfg = readme_config(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL neutral_residual: sup residual = 9.9999999999999995e-07" in out
+        assert out.count("PASS") == 4
 
     @pytest.mark.parametrize("changes,where", [
         (dict(degree="nan"), "[model]: degree must be finite and positive, got nan"),

@@ -54,6 +54,12 @@ class TestCrucialIntegral:
         assert vals[1] / vals[0] > 5.0
         assert vals[2] / vals[1] > 5.0
 
+    def test_deep_well_reports_inf(self, model_n1):
+        # a slope of 1e4 below s = 0 puts the weight's log far past the
+        # largest double: the integral is reported divergent, not overflowed
+        phi = slope_potential(model_n1, 1e4)
+        assert crucial_integral(phi, 0.5, constant_rhs(model_n1), model_n1) == math.inf
+
 
 class TestGermIntegral:
     def test_threshold_example(self, model_n1):

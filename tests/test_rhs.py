@@ -159,6 +159,20 @@ class TestDiracFamily:
         with pytest.warns(UserWarning, match="equals the model mass"):
             build_dirac_rhs(2.0, 1e-3, model_n1)
 
+    def test_pole_mass_at_model_mass_curvature_is_the_layer_alone(self):
+        # gamma = d leaves no smooth part (c_smooth is exactly 0), so the
+        # mixture's curvature is the mollified layer's: q' = (n + 1) expit(a),
+        # q'' = (n + 1) expit(a) expit(-a), a = s - 2 log eps
+        n, eps = 2, 1e-3
+        m = default_model(n, n + 1.0)
+        with pytest.warns(UserWarning, match="equals the model mass"):
+            rhs = build_dirac_rhs(n + 1.0, eps, m)
+        assert rhs.c_smooth == 0.0
+        a = m.grid.nodes - 2.0 * np.log(eps)
+        q1, q2 = rhs.log_curvature_derivs()
+        np.testing.assert_array_equal(q1, (n + 1) * expit(a))
+        np.testing.assert_allclose(q2, (n + 1) * expit(a) * expit(-a), rtol=1e-15, atol=0)
+
 
 class TestPreconditions:
     # what makes every solve Kahler by construction is checked on the type

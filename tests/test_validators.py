@@ -58,7 +58,7 @@ CASES = {
         lambda m: newton_solve(m, constant_rhs(m), neutral(),
                                SolveConfig(initial_guess=np.zeros(3)))),
     "continuity of the neutral kind": (
-        ConfigurationError, "applies to the time-dependent families",
+        ConfigurationError, "kind must be time-dependent for continuity in t, got 'neutral'",
         lambda m: continuity_in_t(m, constant_rhs(m), neutral(), 0.5)),
     "t_target = 1": (ConfigurationError, "t_target must lie in (0, 1)",
                      lambda m: continuity_in_t(m, constant_rhs(m), magnifying(0.5), 1.0)),
@@ -75,7 +75,7 @@ CASES = {
     "subinterval without interior node": (
         ConfigurationError, "subinterval must contain interior nodes",
         lambda m: bt_compare(m.psi, m.psi, 0.0, GRID.h)),
-    "bootstrap gamma <= 0": (ConfigurationError, "positive pole coefficient",
+    "bootstrap gamma <= 0": (ConfigurationError, "gamma must be positive, got 0.0",
                              lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 0.0, 5.0, m)),
     "bootstrap tau0 = 1": (ConfigurationError, "tau0 must lie in (0, 1)",
                            lambda m: bootstrap_lelong_bound(ZEROS, 1.0, 1.0, 5.0, m)),
