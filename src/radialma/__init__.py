@@ -26,6 +26,7 @@ from .geometry import (
     lelong_estimate,
     ma_density,
     mass,
+    pole_lelong,
     ricci_potential,
 )
 from .grid import DEFAULT_GRID, RadialPotential, SGrid

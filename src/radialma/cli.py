@@ -62,7 +62,7 @@ DIAG_COLUMNS = ("step", "param", "sup_phi", "inf_phi", "avg_phi", "lelong",
 MAGNIFY_COLUMNS = DIAG_COLUMNS + ("nu_measured", "nu_bootstrap")
 
 # the keys RunConfig reads, by section, in the order the summary echoes
-# them; [equation] t is read when t_target is absent
+# them; [equation] t and t_target name one time, equal when both are given
 _KEYS = {"model": ("n", "degree", "s_min", "s_max", "points"),
          "equation": ("kind", "t", "t_target"),
          "rhs": ("kind", "gamma", "epsilon", "delta_prime", "epsilon_list"),
@@ -123,8 +123,12 @@ class RunConfig:
         self.s_max = conv("model", "s_max", 40.0, float)
         self.points = conv("model", "points", 4001, int)
         self.kind = str(g("equation", "kind", "magnifying")).strip()
-        t_key = "t_target" if parser.has_option("equation", "t_target") else "t"
-        self.t_target = conv("equation", t_key, 0.0, float)
+        t = conv("equation", "t", 0.0, float)
+        self.t_target = conv("equation", "t_target", t, float)
+        if parser.has_option("equation", "t") and parser.has_option("equation", "t_target") \
+                and t != self.t_target:
+            raise ConfigurationError(
+                f"[equation] t: {t!r} differs from [equation] t_target = {self.t_target!r}")
         self.rhs_kind = str(g("rhs", "kind", "constant")).strip()
         self.gamma = conv("rhs", "gamma", 0.0, float)
         self.epsilon = conv("rhs", "epsilon", 1e-3, float)

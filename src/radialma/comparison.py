@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, CurvatureMarginWarning
-from .geometry import KahlerModel
+from .geometry import KahlerModel, pole_lelong
 from .grid import RadialPotential, density_floor, grid_values, rounding_floor
 from .rhs import check_lower_bound
 from .solver import (
@@ -34,7 +34,6 @@ from .solver import (
     StepRecord,
     magnifying,
     neutral_oracle,
-    pole_slope_sample,
     sweep_epsilon,
 )
 
@@ -123,14 +122,18 @@ def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
 
 @dataclass(frozen=True)
 class MagnificationRow:
-    """One member's record (param = eps), its pole slope, the neutral
-    control's and the bootstrap bound; a failed member's record is its last
-    continuation attempt, and its slope and bound are nan."""
+    """One member's record (param = eps), the neutral control's pole slope
+    and the bootstrap bound; a failed member's record is its last
+    continuation attempt, and its bound is nan."""
 
     record: StepRecord
-    nu_measured: float
     nu_neutral: float
     nu_bootstrap: float
+
+    @property
+    def nu_measured(self) -> float:
+        """The member's recorded pole slope; nan when it failed."""
+        return self.record.diagnostics.lelong.value if self.converged else math.nan
 
     @property
     def eps(self) -> float:
@@ -158,13 +161,14 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     are those of ``sweep_epsilon`` of the amplifying family at tau0 on the
     point-mass family of pole coefficient gamma: warm-started across the
     eps list from the last converged member dilated to the next mollifier,
-    else continued in t from 0. Each row is a member's record plus three
-    pole slopes: the member's own, its neutral control's at the same eps,
-    and the bootstrap bound taken over the pole window [s_min, layer]. A
-    failed member's row carries the record of its last continuation
-    attempt and nan slopes. The verdict is the sweep's: reached_target /
-    barrier / average_blowup, the last when the volume averages grow by at
-    least one unit at every mollifier step.
+    else continued in t from 0. Each row is a member's record, whose pole
+    slope is ``nu_measured``, its neutral control's slope, read by the same
+    secant ``pole_lelong``, and the bootstrap bound over the pole window
+    [s_min, layer]. A failed member's row carries the record of its last
+    continuation attempt and nan for its own slope and bound. The verdict
+    is the sweep's: reached_target / barrier / average_blowup, the last
+    when the volume averages grow by at least one unit at every mollifier
+    step.
 
     The curvature margin eta is ``check_lower_bound`` of the first member.
     tau0 >= eta does not stop the run (the point-mass families genuinely
@@ -187,13 +191,12 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     for record, res in zip(trace.entries, results):
         rhs = res.rhs
         control = neutral_oracle(model, rhs)
-        nu_neutral = pole_slope_sample(control.values - model.psi.values, model, rhs)
-        nu = bound = math.nan
+        nu_neutral = pole_lelong(control.values - model.psi.values, model, rhs).value
+        bound = math.nan
         if res.converged:
-            nu = pole_slope_sample(res.phi, model, rhs)
             # gamma > 0 builds a point mass, whose layer sets the window
             bound = 0.0 if gamma == 0.0 else bootstrap_lelong_bound(
                 res.phi, tau0, gamma, min(max(rhs.pole_anchor - s_min, 4.0 * h),
                                           s_max - s_min - h), model)
-        rows.append(MagnificationRow(record, nu, nu_neutral, bound))
+        rows.append(MagnificationRow(record, nu_neutral, bound))
     return MagnificationReport(tuple(rows), trace.verdict, eta, eta_warning)

@@ -20,6 +20,9 @@ them, through their half-node slopes and flux-form cell density
 values ``ricci_potential`` returns, whose curvature identities need fourth
 order. Positivity has one rule, ``grid.first_violation`` of the slopes:
 ``kahler_violation``, ``dominates`` and ``ricci_potential`` all apply it.
+A solved pole has one reading, the windowed secant ``pole_lelong``:
+diagnostics, germ integrals, the stalk and the magnification table all
+read it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +39,12 @@ from .errors import ConfigurationError, DegenerateMetricError
 from .grid import (DEFAULT_GRID, RadialPotential, SGrid, first_violation, grid_values,
                    rounding_floor)
 
+if TYPE_CHECKING:
+    from .rhs import RhsFamily
+
 MEMO_SIZE = 16
+LELONG_WINDOW = 5.0
+LELONG_CAP = -1.0
 
 
 def softplus(x):
@@ -309,6 +318,31 @@ def lelong_secant(grid: SGrid, values_at, window: float,
     v = float((u[1] - u[0]) / (s[1] - s[0]))
     v_half = float((u[2] - u[0]) / (s[2] - s[0]))
     return LelongEstimate(max(v, 0.0), window, abs(v - v_half))
+
+
+def pole_lelong(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> LelongEstimate:
+    """The pole coefficient of u = psi + phi, the one reading of a solved
+    pole: the Lelong secant from u at the secant nodes only.
+
+    The secant is anchored at s_min for smooth families, over
+    max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves. For
+    the mollified point-mass families the finite-eps solution is flat below
+    the layer at 2 log(eps), so the secant is anchored just above the layer
+    (``rhs.pole_anchor``) and capped away from the bulk chart boundary at
+    LELONG_CAP, where the limiting slope has formed; where that window is
+    shorter than 4h, the smooth rule holds.
+    """
+    grid, psi = model.grid, model.psi.values
+    vals = grid_values(phi, grid)
+    window, anchor = max(LELONG_WINDOW, 4.0 * grid.h), None
+    if rhs is not None and rhs.pole_anchor is not None:
+        cap = min(LELONG_CAP, grid.s_max - 4.0 * grid.h)
+        a0 = max(rhs.pole_anchor, grid.s_min)
+        b = min(a0 + LELONG_WINDOW, cap)
+        a = max(min(a0, b - max(4.0 * grid.h, 1.0)), grid.s_min)
+        if b - a >= 4.0 * grid.h:
+            window, anchor = b - a, a
+    return lelong_secant(grid, lambda nodes: psi[nodes] + vals[nodes], window, anchor)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ e^{-tau*phi}, the reduced integrand near the pole behaves like
 e^{(k + n - tau*nu) s} ds, so the germ is integrable exactly when
 k + n > tau*nu (strict; the borderline diverges logarithmically).
 
-The verdict is that inequality, with the slope nu measured on the
-potential: a germ is finite iff alpha = k + n - tau*nu > BORDERLINE_TOL.
+The verdict is that inequality, with nu the one pole reading, the secant
+``pole_lelong``: a germ is finite iff alpha = k + n - tau*nu > BORDERLINE_TOL.
 Its value is the quadrature over the grid plus the exact integral of the
 slope-nu tail over (-inf, s_min].
 
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import KahlerModel, average
+from .geometry import KahlerModel, average, pole_lelong
 from .grid import grid_values
 from .rhs import RhsFamily
-from .solver import _pole_lelong
 
 K_CAP = 24
 BORDERLINE_TOL = 1e-9
@@ -65,9 +64,9 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
 
     Reduced integrand e^{ks} e^{-tau phi} e^{ns} ds over the pole-side
     chart s <= 0: the trapezoid rule on the grid plus the analytic tail
-    e^{(k+n-tau*nu)s}, continued from phi(s_min) with the measured pole
-    slope nu, on (-inf, s_min]. Finite iff k + n > tau*nu strictly (by
-    BORDERLINE_TOL) and neither part overflows.
+    e^{(k+n-tau*nu)s}, continued from phi(s_min) with the pole slope
+    nu = ``pole_lelong``, on (-inf, s_min]. Finite iff k + n > tau*nu
+    strictly (by BORDERLINE_TOL) and neither part overflows.
     """
     if k < 0 or int(k) != k:
         raise ConfigurationError(f"vanishing order must be a nonnegative integer, got {k}")
@@ -75,7 +74,7 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     vals = grid_values(phi, grid)
     if not np.all(np.isfinite(vals)):
         raise ConfigurationError("potential values must be finite")
-    nu = _pole_lelong(vals, model, rhs).value
+    nu = pole_lelong(vals, model, rhs).value
     alpha = k + model.n - tau * nu
 
     s = grid.nodes
@@ -144,7 +143,7 @@ def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
     model = seq.model
     product = 0.0
     for vals, tau, rhs in seq.entries:
-        product = max(product, tau * _pole_lelong(vals, model, rhs).value)
+        product = max(product, tau * pole_lelong(vals, model, rhs).value)
     for k in range(K_CAP + 1):
         if all(germ_integral(k, vals, tau, model, rhs).finite
                for vals, tau, rhs in seq.entries):

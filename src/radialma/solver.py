@@ -68,16 +68,13 @@ from .errors import ConfigurationError
 from .geometry import (
     Diagnostics,
     KahlerModel,
-    LelongEstimate,
     average,
     end_mass,
-    lelong_secant,
+    pole_lelong,
 )
 from .grid import RadialPotential, grid_values
 from .rhs import RhsFamily, build_dirac_rhs
 
-LELONG_WINDOW = 5.0
-LELONG_CAP = -1.0
 BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
 ANDERSON_DEPTH = 5
@@ -395,37 +392,13 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
 # Diagnostics
 
 
-def _pole_lelong(vals: np.ndarray, model: KahlerModel,
-                 rhs: RhsFamily | None) -> LelongEstimate:
-    """The Lelong secant of u = psi + phi, from u at the secant nodes only.
-
-    The secant is anchored at s_min for smooth families, over
-    max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves. For
-    the mollified point-mass families the finite-eps solution is flat below
-    the layer at 2 log(eps), so the secant is anchored just above the layer
-    (and capped away from the bulk chart boundary), where the limiting slope
-    has formed; where that window is shorter than 4h, the smooth rule holds.
-    """
-    grid, psi = model.grid, model.psi.values
-    window, anchor = max(LELONG_WINDOW, 4.0 * grid.h), None
-    if rhs is not None and rhs.pole_anchor is not None:
-        # anchor just above the mollified layer, capped away from the bulk
-        cap = min(LELONG_CAP, grid.s_max - 4.0 * grid.h)
-        a0 = max(rhs.pole_anchor, grid.s_min)
-        b = min(a0 + LELONG_WINDOW, cap)
-        a = max(min(a0, b - max(4.0 * grid.h, 1.0)), grid.s_min)
-        if b - a >= 4.0 * grid.h:
-            window, anchor = b - a, a
-    return lelong_secant(grid, lambda nodes: psi[nodes] + vals[nodes], window, anchor)
-
-
 _END_NODES = np.array([0, 1, -2, -1])
 
 
 def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Diagnostics:
-    """Diagnostics of a perturbation: extrema, volume average, pole data
-    (``_pole_lelong``) and the mass of u = psi + phi, read from its end
-    slopes. Raises ConfigurationError when phi is not finite."""
+    """Diagnostics of a perturbation: extrema, volume average, the pole
+    reading ``geometry.pole_lelong`` and the mass of u = psi + phi, read
+    from its end slopes. Raises ConfigurationError when phi is not finite."""
     vals = grid_values(phi, model.grid)
     sup_phi, inf_phi = float(np.max(vals)), float(np.min(vals))
     if not (math.isfinite(sup_phi) and math.isfinite(inf_phi)):
@@ -435,25 +408,9 @@ def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Di
         sup_phi=sup_phi,
         inf_phi=inf_phi,
         avg_phi=average(vals, model),
-        lelong=_pole_lelong(vals, model, rhs),
+        lelong=pole_lelong(vals, model, rhs),
         mass=end_mass(ends, model.grid.h, model.n),
     )
-
-
-def pole_slope_sample(phi, model: KahlerModel, rhs: RhsFamily) -> float:
-    """u' sampled at the pole-adjacent node, the per-eps pole-mass reading.
-
-    The derivative of the solved potential just above the mollified layer
-    (capped at s = 0, the chart's unit sphere) measures the slope the
-    singular mass has produced; comparisons across equation kinds at equal
-    eps use this common sample point.
-    """
-    grid = model.grid
-    u = model.psi.values + grid_values(phi, grid)
-    anchor = rhs.pole_anchor if rhs.pole_anchor is not None else grid.s_min
-    i = grid.index_of(min(anchor, 0.0))
-    i = min(max(i, 1), grid.points - 2)
-    return float((u[i + 1] - u[i - 1]) / (2.0 * grid.h))
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def diagnostics_per_call(phi, model, rhs=None):
     whole grid: its windowed secants and its end slopes."""
     from radialma.geometry import Diagnostics, LelongEstimate, average
     from radialma.grid import RadialPotential
-    from radialma.solver import LELONG_CAP, LELONG_WINDOW
+    from radialma.geometry import LELONG_CAP, LELONG_WINDOW
 
     grid, h = model.grid, model.grid.h
     u = RadialPotential(grid, model.psi.values + phi, model.n)

@@ -47,10 +47,11 @@ experiment = {name}
 
 def write_config(tmp_path, extra="", **kw):
     """BASE with its fields replaced by ``kw`` and ``extra`` lines appended
-    to its ``[run]`` section."""
-    defaults = dict(kind="magnifying", t="0.5", t_target="0.5", rhs_kind="constant",
+    to its ``[run]`` section; ``t`` follows ``t_target`` unless given."""
+    defaults = dict(kind="magnifying", t_target="0.5", rhs_kind="constant",
                     gamma="0.0", eps_list="", name="t")
     defaults.update(kw)
+    defaults.setdefault("t", defaults["t_target"])
     path = tmp_path / "run.ini"
     path.write_text(BASE.format(**defaults) + extra)
     return str(path)
@@ -80,6 +81,25 @@ class TestSolve:
         row = (tmp_path / "tt_diagnostics.csv").read_text().splitlines()[1].split(",")
         assert float(row[1]) == 0.2
         assert int(row[8]) >= 1
+
+    @pytest.mark.parametrize("t,message", [
+        ("0.9", "[equation] t: 0.9 differs from [equation] t_target = 0.2"),
+        ("banana", "[equation] t: expected a number, got 'banana'"),
+    ])
+    def test_t_must_agree_with_t_target(self, tmp_path, capsys, t, message):
+        # both keys name the one time: a second value is not silently dropped
+        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.8", t=t,
+                           t_target="0.2", name="tt")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "tt_summary.txt").exists()
+
+    def test_equal_t_and_t_target_solve_there(self, tmp_path):
+        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.8", t="0.20",
+                           t_target="0.2", name="tt")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "tt_diagnostics.csv").read_text().splitlines()[1].split(",")
+        assert float(row[1]) == 0.2
 
     def test_invalid_field_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, t="1.5", t_target="1.5")
@@ -245,6 +265,23 @@ class TestMultiplier:
         assert "equals_maximal_ideal = true" in summary
         assert "hypothesis_curvature_bound = false" in summary
         assert "conclusion = deferred" in summary
+
+    def test_one_pole_reading_for_magnify_and_multiplier(self, tmp_path):
+        # the magnify table and the stalk read one secant: nu_measured is the
+        # lelong column, and tau_nu_product is t_target times its largest
+        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.8", t_target="0.2",
+                           eps_list="1e-1,1e-2,1e-3", name="one")
+        assert main(["magnify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["multiplier", "--config", cfg, "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "one_magnification.csv").read_text().splitlines()
+        columns = header.split(",")
+        cells = [dict(zip(columns, row.split(","))) for row in rows]
+        assert len(cells) == 3 and all(c["converged"] == "true" for c in cells)
+        assert [c["nu_measured"] for c in cells] == [c["lelong"] for c in cells]
+        product = [line for line in summary_body(tmp_path / "one_summary.txt")
+                   if line.startswith("tau_nu_product = ")]
+        assert product == [f"tau_nu_product = "
+                           f"{0.2 * max(float(c['nu_measured']) for c in cells):.17g}"]
 
     def test_eta_agrees_with_magnify(self, tmp_path):
         # at gamma = 0 both read the margin of the first member, the constant

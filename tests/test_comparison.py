@@ -24,7 +24,6 @@ from radialma import (
     xi_eps,
 )
 from radialma import comparison
-from radialma.solver import pole_slope_sample
 
 
 def comparison_pair(model, gamma, eps):
@@ -222,7 +221,8 @@ class TestMagnificationExperiment:
         assert len(members) == len(results)
         for member, res, row in zip(members, results, report.rows):
             assert np.array_equal(member.phi, res.phi)
-            assert row.nu_measured == pole_slope_sample(res.phi, model_n1, res.rhs)
+            # one pole reading: the member's recorded secant
+            assert row.nu_measured == member.diagnostics.lelong.value
 
     def test_empty_eps_list_rejected(self, model_n1):
         with pytest.raises(ConfigurationError, match="must not be empty"):
