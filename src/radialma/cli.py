@@ -182,7 +182,7 @@ class RunConfig:
 
     def eps_list(self, subcommand: str) -> list[float]:
         """``epsilon_list``, one member per eps for ``subcommand``: required
-        non-empty, finite and strictly decreasing."""
+        non-empty, finite, positive and strictly decreasing."""
         if not self.epsilon_list:
             raise ConfigurationError(
                 f"[rhs] epsilon_list: {subcommand} needs a decreasing list")

@@ -6,10 +6,9 @@ e^{-tau*phi}, the reduced integrand near the pole behaves like
 e^{(k + n - tau*nu) s} ds, so the germ is integrable exactly when
 k + n > tau*nu (strict; the borderline diverges logarithmically).
 
-The verdict is that inequality, with nu the one pole reading, the secant
-``pole_lelong``: a germ is finite iff alpha = k + n - tau*nu > BORDERLINE_TOL.
-Its value is the quadrature over the grid plus the exact integral of the
-slope-nu tail over (-inf, s_min].
+The one rule is that inequality, with nu the secant ``pole_lelong``: a germ
+is finite iff alpha = k + n - tau*nu > BORDERLINE_TOL, whatever its value
+(which may pass the double range), and the stalk solves it for k.
 
 Germ integrals are taken over the pole-side chart s <= 0 (|z| <= 1), which
 is what makes them monotone in the vanishing order.
@@ -27,7 +26,6 @@ from .geometry import KahlerModel, average, pole_lelong
 from .grid import grid_values
 from .rhs import RhsFamily
 
-K_CAP = 24
 BORDERLINE_TOL = 1e-9
 
 
@@ -49,13 +47,21 @@ def crucial_integral(phi, tau: float, rhs: RhsFamily, model: KahlerModel) -> flo
     return float(np.exp(peak) * np.sum(np.exp(logs - peak)))
 
 
+def _integrable(alpha: float) -> bool:
+    """The one integrability rule: e^{alpha s} on (-inf, 0], alpha > 0 by the tolerance."""
+    return alpha > BORDERLINE_TOL
+
+
 @dataclass(frozen=True)
 class GermIntegral:
     """Outcome of a weighted germ integrability test."""
 
-    value: float                 # math.inf when divergent
-    finite: bool
+    value: float                 # math.inf when divergent or past the double range
     tail_exponent: float         # k + n - tau * nu_measured
+
+    @property
+    def finite(self) -> bool:
+        return _integrable(self.tail_exponent)
 
 
 def germ_integral(k: int, phi, tau: float, model: KahlerModel,
@@ -66,7 +72,7 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     chart s <= 0: the trapezoid rule on the grid plus the analytic tail
     e^{(k+n-tau*nu)s}, continued from phi(s_min) with the pole slope
     nu = ``pole_lelong``, on (-inf, s_min]. Finite iff k + n > tau*nu
-    strictly (by BORDERLINE_TOL) and neither part overflows.
+    strictly (by BORDERLINE_TOL); the value is inf when not, or past 1e308.
     """
     if k < 0 or int(k) != k:
         raise ConfigurationError(f"vanishing order must be a nonnegative integer, got {k}")
@@ -91,9 +97,8 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     # exact tail on (-inf, s_min] of the slope-nu continuation of phi
     tail_peak = (k + model.n) * grid.s_min - tau * float(vals[0])
     tail = math.exp(tail_peak) / alpha \
-        if alpha > BORDERLINE_TOL and tail_peak <= 700.0 else math.inf
-    value = base + tail
-    return GermIntegral(value=value, finite=math.isfinite(value), tail_exponent=alpha)
+        if _integrable(alpha) and tail_peak <= 700.0 else math.inf
+    return GermIntegral(value=base + tail, tail_exponent=alpha)
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,10 @@ class PotentialSequence:
         for vals, tau, rhs in self.entries:
             if not (0.0 < tau < 1.0):
                 raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
-            norm.append((grid_values(vals, self.model.grid), float(tau), rhs))
+            vals = grid_values(vals, self.model.grid)
+            if not np.all(np.isfinite(vals)):
+                raise ConfigurationError("potential values must be finite")
+            norm.append((vals, float(tau), rhs))
         object.__setattr__(self, "entries", tuple(norm))
 
 
@@ -134,21 +142,22 @@ class StalkDescriptor:
 
 
 def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
-    """Least vanishing order whose germ integral is bounded over the sequence.
-
-    Insensitive to the ordering of the entries. The reported
-    ``tau_nu_product`` is the supremum of tau_nu times the measured pole
-    slope, whose excess over n is what forces vanishing.
+    """Least vanishing order integrable against every entry: the least
+    k >= 0 with k + n - tau_nu_product > BORDERLINE_TOL, found in O(1) for
+    any product. ``tau_nu_product`` is the supremum of tau_nu times the pole
+    slope ``pole_lelong``. Insensitive to the ordering of the entries.
     """
-    model = seq.model
+    model, n = seq.model, seq.model.n
+    if model.grid.s_min > 0.0:
+        raise ConfigurationError("grid has no pole-side nodes (s <= 0)")
     product = 0.0
     for vals, tau, rhs in seq.entries:
         product = max(product, tau * pole_lelong(vals, model, rhs).value)
-    for k in range(K_CAP + 1):
-        if all(germ_integral(k, vals, tau, model, rhs).finite
-               for vals, tau, rhs in seq.entries):
-            return StalkDescriptor(k_min=k, tau_nu_product=product)
-    raise ConfigurationError(f"no integrable vanishing order up to k = {K_CAP}")
+    # the least such k is floor(product) + 1 - n, or one more when product
+    # lies within BORDERLINE_TOL below an integer
+    k = max(0, math.floor(product) + 1 - n)
+    k_min = k if _integrable(k + n - product) else k + 1
+    return StalkDescriptor(k_min=k_min, tau_nu_product=product)
 
 
 @dataclass(frozen=True)

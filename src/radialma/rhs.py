@@ -288,7 +288,7 @@ def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
         epsilon=float(eps),
         c_smooth=c,
         left_flux_offset=float(offset),
-        pole_anchor=2.0 * np.log(eps) + POLE_ANCHOR_OFFSET,
+        pole_anchor=float(2.0 * np.log(eps) + POLE_ANCHOR_OFFSET),
     )
 
 

@@ -449,10 +449,10 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     """Adaptive continuation in t from the neutral base to ``t_target``.
 
     Each accepted step is the predictor of the next. The first attempt is
-    at ``t_target``; the step doubles after every accepted step, with no cap
-    but the target, and a failed solve halves it. When the step falls below
-    BARRIER_STEP_FLOOR = 1e-6 the run is declared a barrier, with the last
-    solved time as ``t_star``. The verdict is ``reached_target`` or
+    at ``t_target``, which must be ``kind.t``; the step doubles after every
+    accepted step, with no cap but the target, and a failed solve halves
+    it. Below BARRIER_STEP_FLOOR = 1e-6 the run is declared a barrier, with
+    the last solved time as ``t_star``. The verdict is ``reached_target`` or
     ``barrier``. The trace records the neutral base, each accepted step and,
     on a barrier, the failed attempt.
 
@@ -466,6 +466,9 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             f"kind must be time-dependent for continuity in t, got {kind.kind!r}")
     if not (0.0 < t_target < 1.0):
         raise ConfigurationError(f"t_target must lie in (0, 1), got {t_target}")
+    if kind.t != t_target:
+        raise ConfigurationError(f"t_target = {t_target} does not match the {kind.kind} "
+                                 f"family's t = {kind.t}")
     cfg = config or SolveConfig()
 
     step = newton_solve(model, rhs, neutral(), cfg)
@@ -492,13 +495,15 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
 
 
 def _eps_values(eps_list) -> list[float]:
-    """A mollifier list as floats, required non-empty, finite and strictly
-    decreasing."""
+    """A mollifier list as floats, required non-empty, finite, positive and
+    strictly decreasing."""
     eps = [float(e) for e in eps_list]
     if not eps:
         raise ConfigurationError("eps list must not be empty")
     if not all(map(math.isfinite, eps)):
         raise ConfigurationError(f"eps list must be finite, got {eps}")
+    if not all(e > 0.0 for e in eps):
+        raise ConfigurationError(f"eps list must be positive, got {eps}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigurationError("eps list must be strictly decreasing")
     return eps

@@ -9,6 +9,8 @@ Richardson-extrapolated trapezoid sums on refined grids.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -230,3 +232,24 @@ def diagnostics_per_call(phi, model, rhs=None):
     mass = ((w[-1] - w[-2]) / h) ** model.n - ((w[1] - w[0]) / h) ** model.n
     return Diagnostics(sup_phi=float(np.max(phi)), inf_phi=float(np.min(phi)),
                        avg_phi=average(phi, model), lelong=lelong, mass=mass)
+
+
+K_CAP = 24
+
+
+def stalk_per_germ(seq):
+    """``stalk_from_sequence`` as a search through germ integrals: the
+    least k <= K_CAP whose germ integral has a finite value against every
+    entry, or None when no k up to K_CAP has."""
+    from radialma.geometry import pole_lelong
+    from radialma.multiplier import StalkDescriptor, germ_integral
+
+    model = seq.model
+    product = 0.0
+    for vals, tau, rhs in seq.entries:
+        product = max(product, tau * pole_lelong(vals, model, rhs).value)
+    for k in range(K_CAP + 1):
+        if all(math.isfinite(germ_integral(k, vals, tau, model, rhs).value)
+               for vals, tau, rhs in seq.entries):
+            return StalkDescriptor(k_min=k, tau_nu_product=product)
+    return None

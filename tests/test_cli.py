@@ -283,6 +283,21 @@ class TestMultiplier:
         assert product == [f"tau_nu_product = "
                            f"{0.2 * max(float(c['nu_measured']) for c in cells):.17g}"]
 
+    def test_stalk_past_order_24(self, tmp_path, capsys):
+        # neutral members of the README family at d = 40: tau nu is about
+        # 0.9 * 36 = 32.8, so the least integrable order is 32, with no cap
+        cfg = Path(readme_config(tmp_path, degree="40", t_target="0.9", gamma="36"))
+        kind_line = "kind = magnifying          ; reducing | neutral | magnifying"
+        assert cfg.read_text().count(kind_line) == 1
+        cfg.write_text(cfg.read_text().replace(kind_line, "kind = neutral"))
+        out = tmp_path / "out"
+        assert main(["multiplier", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        body = summary_body(out / "demo_summary.txt")
+        product = float(next(l for l in body if l.startswith("tau_nu_product = "))
+                        .split("=")[1])
+        assert "k_min = 32" in body and 32 < product < 33
+
     def test_eta_agrees_with_magnify(self, tmp_path):
         # at gamma = 0 both read the margin of the first member, the constant
         # family, which is n + 1 only up to rounding at n = 2
@@ -607,6 +622,11 @@ class TestOutputContract:
                          eps_list="1e-1,1e-2"), "[rhs]: gamma must be finite, got nan"),
         ("magnify", dict(rhs_kind="dirac", gamma="5", t="0.3", t_target="0.3",
                          eps_list="1e-1,1e-2"), "[rhs]: pole mass gamma^n = 5 exceeds"),
+        # a later nonpositive eps is rejected by the list's own check, before
+        # any member is built
+        *[(cmd, dict(rhs_kind="dirac", gamma="1.0", t="0.3", t_target="0.3",
+                     eps_list="1e-1,-1e-2"), "[rhs] epsilon_list: eps list must be positive")
+          for cmd in ("sweep", "magnify", "multiplier")],
     ])
     def test_error_in_a_command_writes_nothing(self, tmp_path, capsys, subcommand,
                                                changes, where):

@@ -15,6 +15,7 @@ from radialma import (
     SGrid,
     average,
     build_dirac_rhs,
+    constant_rhs,
     default_model,
     dominates,
     fubini_study_potential,
@@ -22,6 +23,7 @@ from radialma import (
     ma_density,
     mass,
     neutral_oracle,
+    pole_lelong,
     ricci_potential,
 )
 from radialma.geometry import expit
@@ -411,6 +413,16 @@ class TestLelong:
         u = neutral_oracle(model_n1, rhs)
         est = lelong_estimate(u, window=5.0)
         assert est.value == pytest.approx(gamma, rel=0.02)
+
+
+    @pytest.mark.parametrize("family", ["constant", "dirac"])
+    def test_window_width_is_a_float_on_both_branches(self, model_n1, family):
+        # the point-mass branch reads its window off rhs.pole_anchor
+        rhs = constant_rhs(model_n1) if family == "constant" \
+            else build_dirac_rhs(1.2, 1e-2, model_n1)
+        est = pole_lelong(np.zeros(model_n1.grid.points), model_n1, rhs)
+        assert (est.window_width == 5.0) == (family == "constant")
+        assert type(est.window_width) is float
 
 
 class TestDiagnosticsInvariants:

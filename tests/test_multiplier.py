@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialma import (
     ConfigurationError,
@@ -14,10 +16,19 @@ from radialma import (
     build_dirac_rhs,
     constant_rhs,
     crucial_integral,
+    default_model,
     germ_integral,
+    magnifying,
+    neutral,
     stalk_from_sequence,
+    sweep_epsilon,
     trivial_lemma_report,
 )
+from radialma import multiplier
+from radialma.geometry import LelongEstimate
+from radialma.multiplier import BORDERLINE_TOL
+
+from oracles import stalk_per_germ
 
 
 def slope_potential(model, nu, pivot=0.0):
@@ -141,6 +152,16 @@ class TestGermIntegral:
         seq = PotentialSequence(model_n1, ((phi, 0.6, rhs),))
         assert stalk_from_sequence(seq).tau_nu_product == 0.6 * nu
 
+    def test_integrable_past_the_double_range(self, model_n1):
+        # phi = -1e4 puts e^{-tau phi} past the largest double, but the pole
+        # slope is 0, so alpha = 1: the germ is integrable with value inf
+        phi = np.full(model_n1.grid.points, -1e4)
+        g = germ_integral(0, phi, 0.5, model_n1)
+        assert g.finite and g.value == math.inf
+        assert g.tail_exponent == pytest.approx(1.0, abs=1e-9)
+        seq = PotentialSequence(model_n1, ((phi, 0.5, None),))
+        assert stalk_from_sequence(seq).k_min == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_phi_rejected(self, model_n1, bad):
         phi = np.zeros(model_n1.grid.points)
@@ -186,7 +207,6 @@ class TestStalk:
     def test_solved_sequence(self, model_n1):
         # a real amplifying sweep at small tau produces a trivial stalk: the
         # slope saturates at the model mass and tau stays below 1/d
-        from radialma import magnifying, sweep_epsilon
         trace, results = sweep_epsilon(model_n1, 1.8, magnifying(0.2), 0.2,
                                        (1e-2, 1e-3))
         entries = []
@@ -196,6 +216,76 @@ class TestStalk:
         stalk = stalk_from_sequence(PotentialSequence(model_n1, tuple(entries)))
         assert stalk.k_min == 0
         assert stalk.tau_nu_product == pytest.approx(0.4, abs=0.02)
+
+
+MODELS = {n: default_model(n, n + 1.0) for n in (1, 2, 3, 4)}
+
+
+class TestOneIntegrabilityRule:
+    """The stalk is solved from k + n > tau nu, not searched for through
+    germ integrals; where the search through k <= 24 returns, both agree."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 4), data=st.data())
+    def test_agrees_with_the_germ_search_on_slope_potentials(self, n, data):
+        model = MODELS[n]
+        # half-integer slopes at tau = 0.5 put tau nu on the integer borderline
+        nu = st.one_of(st.floats(0.0, 50.0), st.integers(0, 100).map(lambda k: k / 2.0))
+        tau = st.one_of(st.floats(0.01, 0.99), st.just(0.5))
+        entries = data.draw(st.lists(st.tuples(nu, tau, st.floats(-5.0, 5.0)),
+                                     min_size=1, max_size=4))
+        seq = PotentialSequence(model, tuple(
+            (slope_potential(model, v, pivot), t, None) for v, t, pivot in entries))
+        stalk = stalk_from_sequence(seq)
+        reference = stalk_per_germ(seq)
+        if reference is not None:
+            assert stalk == reference
+        else:
+            assert stalk.k_min > 24
+
+    @pytest.mark.parametrize("n,d,gamma,kind", [
+        (1, 2.0, 1.8, magnifying(0.2)), (1, 2.0, 1.8, magnifying(0.6)),
+        (1, 2.0, 1.8, magnifying(0.9)), (2, 3.0, 2.7, magnifying(0.5)),
+        (2, 3.0, 2.7, magnifying(0.9)),
+        # neutral members solve at every tau, so tau nu passes n + 1
+        (1, 8.0, 7.2, neutral()), (2, 8.0, 7.2, neutral()), (3, 4.0, 3.6, neutral()),
+    ])
+    def test_agrees_with_the_germ_search_on_a_solved_sweep(self, n, d, gamma, kind):
+        model = default_model(n, d)
+        tau = kind.t or 0.9
+        _, results = sweep_epsilon(model, gamma, kind, tau, (1e-2, 1e-3))
+        assert all(res.converged for res in results)
+        seq = PotentialSequence(model, tuple((res.phi, tau, res.rhs) for res in results))
+        assert stalk_from_sequence(seq) == stalk_per_germ(seq)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(1, 4), whole=st.integers(0, 60),
+           offset=st.sampled_from([-3e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 3e-9]),
+           ulps=st.integers(-2, 2))
+    def test_least_order_is_exact_at_the_borderline(self, n, whole, offset, ulps):
+        # the pole reading is set so that tau nu is exactly the drawn product
+        product = float(whole) + offset
+        for _ in range(abs(ulps)):
+            product = np.nextafter(product, math.copysign(math.inf, ulps))
+        product = max(float(product), 0.0)
+        least = next(k for k in range(100) if k + n - product > BORDERLINE_TOL)
+        reading = LelongEstimate(2.0 * product, 5.0, 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multiplier, "pole_lelong", lambda *args: reading)
+            seq = PotentialSequence(MODELS[n], ((np.zeros(MODELS[n].grid.points), 0.5, None),))
+            stalk = stalk_from_sequence(seq)
+        assert stalk == StalkDescriptor(k_min=least, tau_nu_product=product)
+
+    def test_huge_pole_slope_needs_no_germ_integral(self, model_n1, monkeypatch):
+        # tau nu = 5e8: the least order is solved, not searched for
+        def no_quadrature(*args):
+            raise AssertionError("the stalk evaluated a germ integral")
+        monkeypatch.setattr(multiplier, "germ_integral", no_quadrature)
+        seq = PotentialSequence(model_n1, ((slope_potential(model_n1, 1e9), 0.5, None),))
+        stalk = stalk_from_sequence(seq)
+        p = stalk.tau_nu_product
+        assert p == pytest.approx(5e8, rel=1e-9)
+        assert stalk.k_min + 1 - p > BORDERLINE_TOL >= stalk.k_min - 1 + 1 - p
 
 
 class TestTrivialLemmaReport:

@@ -25,6 +25,8 @@ from radialma import (
     magnifying,
     neutral,
     newton_solve,
+    stalk_from_sequence,
+    sweep_epsilon,
     xi_eps,
 )
 from radialma.geometry import lelong_secant
@@ -64,6 +66,16 @@ CASES = {
                      lambda m: continuity_in_t(m, constant_rhs(m), magnifying(0.5), 1.0)),
     "t_target = 0": (ConfigurationError, "t_target must lie in (0, 1)",
                      lambda m: continuity_in_t(m, constant_rhs(m), magnifying(0.5), 0.0)),
+    "t_target against kind.t": (
+        ConfigurationError, "t_target = 0.2 does not match the magnifying family's t = 0.5",
+        lambda m: continuity_in_t(m, constant_rhs(m), magnifying(0.5), 0.2)),
+    "later eps < 0": (ConfigurationError, "eps list must be positive, got [0.1, -0.01]",
+                      lambda m: sweep_epsilon(m, 1.0, magnifying(0.5), 0.5, (1e-1, -1e-2))),
+    # the constant family ignores eps, but the list is still a mollifier list
+    "constant family over eps = 0": (
+        ConfigurationError, "eps list must be positive, got [0.1, 0.0]",
+        lambda m: sweep_epsilon(m, 0.0, neutral(), 0.0, (1e-1, 0.0),
+                                rhs_builder=lambda eps: constant_rhs(m))),
     "infinite grid endpoint": (ConfigurationError, "grid endpoints must be finite",
                                lambda m: SGrid(-np.inf, 1.0, 5)),
     "nan grid endpoint": (ConfigurationError, "grid endpoints must be finite",
@@ -88,6 +100,10 @@ CASES = {
     "germ grid without s <= 0": (
         ConfigurationError, "no pole-side nodes",
         lambda m: germ_integral(0, ZEROS, 0.5, KahlerModel(1, 2.0, SGrid(1.0, 21.0, 81)))),
+    "stalk grid without s <= 0": (
+        ConfigurationError, "no pole-side nodes",
+        lambda m: stalk_from_sequence(PotentialSequence(
+            KahlerModel(1, 2.0, SGrid(1.0, 21.0, 81)), ((ZEROS, 0.5, None),)))),
     "empty sequence": (ConfigurationError, "sequence must be nonempty",
                        lambda m: PotentialSequence(m, ())),
     "sequence tau = 1": (ConfigurationError, "tau must lie in (0, 1)",
