@@ -12,22 +12,14 @@ from .errors import (
     ConfigurationError,
     ConstraintViolationError,
     CurvatureMarginWarning,
-    DegenerateMetricError,
 )
 from .geometry import (
     Diagnostics,
-    DominanceReport,
     KahlerModel,
     LelongEstimate,
     average,
-    default_model,
-    dominates,
     fubini_study_potential,
-    lelong_estimate,
-    ma_density,
-    mass,
     pole_lelong,
-    ricci_potential,
 )
 from .grid import DEFAULT_GRID, RadialPotential, SGrid
 from .rhs import (
@@ -52,7 +44,6 @@ from .solver import (
     neutral_oracle,
     newton_solve,
     reducing,
-    residual,
     sweep_epsilon,
 )
 from .multiplier import (

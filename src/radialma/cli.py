@@ -14,10 +14,10 @@ status, its ``key = value`` summary lines and its other output files as
 lines by suffix. ``main`` writes them all: ``<experiment>_summary.txt`` (the
 config-echo header, then the summary lines), each ``<experiment>_<suffix>``
 and, for ``slope`` and ``verify``, the summary lines to stdout. A subcommand
-that raises writes nothing. ``main`` records every warning a subcommand
-raises (each ``UserWarning``, whatever the filters) and appends each
-distinct message once, in order, as a ``warning = `` summary line: the
-summary is its one report.
+that raises writes nothing, not even the output directory. ``main``
+records every warning a subcommand raises (each ``UserWarning``, whatever
+the filters) and appends each distinct message once, in order, as a
+``warning = `` summary line: the summary is its one report.
 """
 
 from __future__ import annotations
@@ -215,13 +215,6 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return RunConfig(parser)
-
-
-def _outdir(cfg: RunConfig, override: str | None) -> Path:
-    root = override or cfg.output_dir or os.environ.get(OUTPUT_ENV, ".")
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _summary_header(cfg: RunConfig, subcommand: str) -> list[str]:
@@ -431,7 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        outdir = _outdir(cfg, args.out)
+        outdir = Path(args.out or cfg.output_dir or os.environ.get(OUTPUT_ENV, "."))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
             status, summary, files = _COMMANDS[args.subcommand](cfg)
@@ -440,6 +433,7 @@ def main(argv=None) -> int:
         return 2
     summary += [f"warning = {note}" for note in dict.fromkeys(str(w.message) for w in caught)]
     files = {"summary.txt": _summary_header(cfg, args.subcommand) + summary, **files}
+    outdir.mkdir(parents=True, exist_ok=True)
     for suffix, lines in files.items():
         (outdir / f"{cfg.experiment}_{suffix}").write_text("\n".join(lines) + "\n")
     if args.subcommand in ("slope", "verify"):

@@ -13,11 +13,3 @@ class CurvatureMarginWarning(UserWarning):
     """A time at or above the family's curvature margin eta: the run goes on
     as an experimental probe."""
 
-
-class DegenerateMetricError(RuntimeError):
-    """A potential fails strict positivity of u' or u'' where it is required."""
-
-    def __init__(self, message: str, node: int | None = None, coordinate: float | None = None):
-        super().__init__(message)
-        self.node = node
-        self.coordinate = coordinate

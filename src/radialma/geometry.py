@@ -16,13 +16,11 @@ derivatives are logistic functions. Those closed forms are used wherever a
 quadrature weight or curvature ratio must be accurate below discretisation
 noise. Grid potentials are differentiated as the solver differentiates
 them, through their half-node slopes and flux-form cell density
-(``RadialPotential.slopes`` and ``reduced_density``), except for the
-values ``ricci_potential`` returns, whose curvature identities need fourth
-order. Positivity has one rule, ``grid.first_violation`` of the slopes:
-``kahler_violation``, ``dominates`` and ``ricci_potential`` all apply it.
-A solved pole has one reading, the windowed secant ``pole_lelong``:
-diagnostics, germ integrals, the stalk and the magnification table all
-read it.
+(``RadialPotential.slopes`` and ``reduced_density``). Positivity has one
+rule, ``grid.first_violation`` of the slopes, which
+``RadialPotential.kahler_violation`` applies. A solved pole has one
+reading, the windowed secant ``pole_lelong``: diagnostics, germ integrals,
+the stalk and the magnification table all read it.
 """
 
 from __future__ import annotations
@@ -35,9 +33,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateMetricError
-from .grid import (DEFAULT_GRID, RadialPotential, SGrid, first_violation, grid_values,
-                   rounding_floor)
+from .errors import ConfigurationError
+from .grid import DEFAULT_GRID, RadialPotential, SGrid, grid_values
 
 if TYPE_CHECKING:
     from .rhs import RhsFamily
@@ -170,104 +167,20 @@ class KahlerModel:
         return float(np.sum(self._volume_quadrature))
 
 
-def default_model(n: int, degree: float) -> KahlerModel:
-    return KahlerModel(n, degree, DEFAULT_GRID)
-
-
 # ---------------------------------------------------------------------------
-# Monge-Ampere density, mass, Ricci potential
+# Mass, averages, Lelong numbers
 
 
-def ma_density(u: RadialPotential) -> np.ndarray:
-    """Monge-Ampere density e^{-ns} (u')^{n-1} u'' of a grid potential
-    against the coordinate volume, on the N - 2 interior nodes, from its
-    flux-form cell density.
-
-    May be negative where u fails to be Kahler; callers check.
-    """
-    return np.exp(-u.n * u.grid.nodes[1:-1]) * u.reduced_density
-
-
-def mass(u: RadialPotential) -> float:
-    """Total reduced Monge-Ampere mass (u'(s_max))^n - (u'(s_min))^n.
+def end_mass(v, h: float, n: int):
+    """Total reduced Monge-Ampere mass (u'(s_max))^n - (u'(s_min))^n of the
+    dimension-n potential u with node values v on spacing h.
 
     The end slopes are the first and last half-node slopes, the fluxes of
     the solver's boundary rows, so the mass of a discrete solution is the
     exact sum of its cell masses. In slope units an admissible solution on
-    the degree-d model carries mass d^n.
-    """
-    return end_mass(u.values, u.grid.h, u.n)
-
-
-def end_mass(v, h: float, n: int):
-    """``mass`` of the dimension-n potential with node values v on spacing
-    h. Reads only v[:2] and v[-2:], so the four end values suffice."""
+    the degree-d model carries mass d^n. Reads only v[:2] and v[-2:], so
+    the four end values suffice."""
     return ((v[-1] - v[-2]) / h) ** n - ((v[1] - v[0]) / h) ** n
-
-
-def ricci_potential(u: RadialPotential) -> np.ndarray:
-    """-log of the reduced Monge-Ampere density, on interior nodes.
-
-    The curvature form of the metric defined by u is the complex Hessian of
-    this potential. Raises DegenerateMetricError exactly when u is not
-    Kahler, naming the node and condition of ``u.kahler_violation()``. In
-    the far tails the true curvature of a smooth potential sits below what second
-    differences of O(|u|) doubles can resolve; such nodes saturate the log
-    instead of erroring, and consumers restrict to the resolvable range.
-
-    Uses fourth-order stencils, central second order at the two nodes next
-    to the ends: the curvature identities this feeds are checked at the
-    1e-8 level, below the second-order truncation term.
-    """
-    node, which = u.kahler_violation()
-    if node is not None:
-        s_bad = float(u.grid.nodes[node])
-        raise DegenerateMetricError(f"{which} fails positivity at node {node} (s = {s_bad:.6g})",
-                                    node=node, coordinate=s_bad)
-    v, h = u.values, u.grid.h
-    d1, d2 = np.empty(v.size - 2), np.empty(v.size - 2)
-    d1[[0, -1]] = (v[[2, -1]] - v[[0, -3]]) / (2.0 * h)
-    d2[[0, -1]] = (v[[2, -1]] - 2.0 * v[[1, -2]] + v[[0, -3]]) / h**2
-    d1[1:-1] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    d2[1:-1] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2]
-                + 16.0 * v[3:-1] - v[4:]) / (12.0 * h**2)
-    s = u.grid.nodes[1:-1]
-    tiny = np.finfo(float).tiny
-    return -(np.log(np.maximum(d2, tiny)) + (u.n - 1) * np.log(np.maximum(d1, tiny))
-             - u.n * s)
-
-
-# ---------------------------------------------------------------------------
-# Positivity comparison of (1,1)-forms, averages, Lelong numbers
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    holds: bool
-    first_violation: int | None = None
-    failed_condition: str | None = None
-    min_slope_gap: float = 0.0
-    min_curvature_gap: float = 0.0
-
-
-def dominates(q: np.ndarray, p: np.ndarray, grid: SGrid) -> DominanceReport:
-    """Whether ddbar(q - p) >= 0 in the radial sense.
-
-    For radial potentials the form inequality reduces to (q-p)' >= 0 and
-    (q-p)'' >= 0. They are decided by ``grid.first_violation`` of the
-    half-node slopes of q - p at the larger ``rounding_floor`` of q and p,
-    the rule ``RadialPotential.kahler_violation`` applies to one potential.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.shape != (grid.points,) or p.shape != (grid.points,):
-        raise ConfigurationError("potentials do not live on the given grid")
-    h = grid.h
-    floor = max(rounding_floor(q, h), rounding_floor(p, h))
-    g = np.diff(q - p) / h
-    node, which = first_violation(g, floor, h)
-    return DominanceReport(node is None, node, which, float(g.min()),
-                           float((np.diff(g) / h).min()))
 
 
 def average(phi, model: KahlerModel) -> float:
@@ -291,22 +204,16 @@ class LelongEstimate:
     sensitivity: float
 
 
-def lelong_estimate(u: RadialPotential, window: float, anchor: float | None = None) -> LelongEstimate:
-    """Secant slope of u over [anchor, anchor + window].
+def lelong_secant(grid: SGrid, values_at, window: float,
+                  anchor: float | None = None) -> LelongEstimate:
+    """Secant slope over [anchor, anchor + window] of the potential u whose
+    values at an array of node indices ``values_at`` returns.
 
     The pole coefficient of a singular radial potential is its asymptotic
     left slope; on a truncated grid it is estimated by a secant, by default
     anchored at s_min. ``sensitivity`` reports the change under halving the
-    window, as the resolution-limit diagnostic.
-    """
-    return lelong_secant(u.grid, u.values.take, window, anchor)
-
-
-def lelong_secant(grid: SGrid, values_at, window: float,
-                  anchor: float | None = None) -> LelongEstimate:
-    """``lelong_estimate`` of the potential u whose values at an array of
-    node indices ``values_at`` returns: only the three secant nodes are
-    read, so u need not be formed on the whole grid."""
+    window, as the resolution-limit diagnostic. Only the three secant nodes
+    are read, so u need not be formed on the whole grid."""
     if window < 4 * grid.h:
         raise ConfigurationError(f"window {window} is below 4h = {4 * grid.h}")
     a = grid.s_min if anchor is None else float(anchor)

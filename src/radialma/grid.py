@@ -11,8 +11,8 @@ slopes (differences of neighbouring node values over h, ``slopes``) and its
 flux-form cell density, the difference of neighbouring slope powers over
 n h on interior nodes (``reduced_density``). The solver's interior rows
 are that density and its two boundary rows prescribe the first and last
-slope; the diagnostics (Kahler positivity, dominance, densities, the
-comparison principle) read the same two arrays, so the discrete comparison
+slope; the diagnostics (Kahler positivity, densities, the comparison
+principle) read the same two arrays, so the discrete comparison
 principle of the monotone flux form holds for what they check. Every sign
 check on them is made against one noise floor, ``rounding_floor``, and
 Kahler positivity is decided by one scan of the slopes, ``first_violation``.
@@ -105,9 +105,6 @@ class RadialPotential:
         out = np.diff(self.slopes ** self.n) / (self.n * self.grid.h)
         out.flags.writeable = False
         return out
-
-    def shifted(self, c: float) -> "RadialPotential":
-        return RadialPotential(self.grid, self.values + c, self.n)
 
     def kahler_violation(self) -> tuple[int | None, str | None]:
         """``first_violation`` of the slopes at their ``rounding_floor``, the

@@ -32,8 +32,8 @@ integral holds exactly on every face.
 
 The node-wise closed forms of psi, ``KahlerModel.expit_s``,
 ``expit_neg_s``, ``softplus_s`` and ``softplus_neg_s``, are computed once
-per model; the builders, ``RhsFamily.log_curvature_derivs``,
-``dominance_margin`` and ``check_lower_bound`` read them. What depends on
+per model; the builders, ``RhsFamily.log_curvature_derivs`` and
+``dominance_margin`` read them. What depends on
 eps, the logistic pair expit(+-(s - 2 log eps)) of the mollified layer, is
 evaluated once per family.
 
@@ -41,9 +41,8 @@ Each family is built once per model. ``build_dirac_rhs`` and
 ``build_divisor_rhs`` validate their parameters and warn on every call,
 then return the family the model has memoised for (kind, parameter, eps)
 (``KahlerModel.memoized``, the last 16 kept), building it only on a miss.
-A family computes its t = 0 curvature margin once
-(``RhsFamily.curvature_margin``), which ``check_lower_bound`` returns
-when no time-dependent term is added.
+A family computes its curvature margin once
+(``RhsFamily.curvature_margin``), which ``check_lower_bound`` returns.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ConstraintViolationError
 from .geometry import KahlerModel, expit, softplus
-from .grid import RadialPotential, grid_values
 
 POLE_ANCHOR_OFFSET = 6.0
 
@@ -200,7 +198,7 @@ class RhsFamily:
 
     @cached_property
     def curvature_margin(self) -> LowerBoundReport:
-        """The t = 0 margin of the family, ``dominance_margin`` of
+        """The curvature margin of the family, ``dominance_margin`` of
         ``log_curvature_derivs``, computed on first use."""
         q1, q2 = self.log_curvature_derivs()
         return dominance_margin(q1, q2, self.model)
@@ -341,7 +339,7 @@ def _divisor_family(delta_prime: float, eps: float, m: KahlerModel) -> RhsFamily
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Largest eta >= 0 such that the log-density curvature dominates eta
+    """Largest eta >= 0 such that the log-density curvature is at least eta
     times the degree-1 reference form, with the binding node."""
 
     eta: float
@@ -350,50 +348,28 @@ class LowerBoundReport:
     limiting_condition: str | None
 
 
-def dominance_margin(q1: np.ndarray, q2: np.ndarray, model: KahlerModel,
-                     mask: np.ndarray | None = None) -> LowerBoundReport:
+def dominance_margin(q1: np.ndarray, q2: np.ndarray, model: KahlerModel) -> LowerBoundReport:
     """Largest eta with (q1, q2) >= eta * (psi_1', psi_1'') nodewise."""
     den1 = model.expit_s
-    den2 = den1 * model.expit_neg_s
-    if mask is None:
-        mask = np.ones_like(den1, dtype=bool)
-    r1 = q1[mask] / den1[mask]
-    r2 = q2[mask] / den2[mask]
-    idx = np.nonzero(mask)[0]
+    r1 = q1 / den1
+    r2 = q2 / (den1 * model.expit_neg_s)
     i1, i2 = int(np.argmin(r1)), int(np.argmin(r2))
     if r1[i1] <= r2[i2]:
-        eta, node, cond = float(r1[i1]), int(idx[i1]), "slope"
+        eta, node, cond = float(r1[i1]), i1, "slope"
     else:
-        eta, node, cond = float(r2[i2]), int(idx[i2]), "curvature"
+        eta, node, cond = float(r2[i2]), i2, "curvature"
     if eta <= 0.0:
         return LowerBoundReport(0.0, False, node, cond)
     return LowerBoundReport(eta, True, None, None)
 
 
-def check_lower_bound(rhs: RhsFamily, t: float = 0.0,
-                      phi: RadialPotential | np.ndarray | None = None) -> LowerBoundReport:
-    """Margin eta of the curvature lower bound for the family, optionally
-    with the time-dependent term -t*phi added to the log density.
+def check_lower_bound(rhs: RhsFamily) -> LowerBoundReport:
+    """Margin eta of the curvature lower bound for the family, its
+    ``curvature_margin``, computed once.
 
     eta > 0 is the hypothesis the magnification argument needs; the
     experiment driver requires the target time below eta, and reports
     honestly when the family fails the bound (the point-mass mixtures do,
     at the crossover shoulder between pole and background profiles).
-    Without a time term (no phi, or t = 0) this is the family's own
-    ``curvature_margin``, computed once. With one, phi' and phi'' on an
-    interior node are the mean and the difference over h of phi's two
-    neighbouring half-node slopes, and the end nodes are not certified.
     """
-    if phi is None or t == 0.0:
-        return rhs.curvature_margin
-    m = rhs.model
-    q1, q2 = rhs.log_curvature_derivs()
-    h = m.grid.h
-    w = np.diff(grid_values(phi, m.grid)) / h  # phi's half-node slopes
-    q1[1:-1] -= t * (w[:-1] + w[1:]) / 2.0
-    q2[1:-1] -= t * np.diff(w) / h
-    # grid curvature of phi is noise-limited; certify only on interior
-    # nodes where the reference curvature is resolvable against it
-    mask = m.expit_s * m.expit_neg_s >= 1e-6
-    mask[[0, -1]] = False
-    return dominance_margin(q1, q2, m, mask)
+    return rhs.curvature_margin

@@ -194,24 +194,18 @@ class ContinuityTrace:
 # Residual
 
 
-def residual(u, model: KahlerModel, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
-    """Nodewise residual; identically zero at exact discrete solutions.
+def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
+                               kind: EquationKind) -> np.ndarray:
+    """Nodewise residual of phi = u - psi, the solver's native variable;
+    identically zero at exact discrete solutions.
 
     Interior rows are the flux differences of the half-node slope powers
     minus e^{sigma t phi} times the cell masses; the first and last rows are
     the flux rows on phi (at rate 0 the last is the anchor phi(s_max) = 0).
     The slopes of psi and of phi are differenced separately, so rounding
-    scales with |phi| rather than |u| and F = 1, phi = 0 is an exact zero.
-    """
-    phi = grid_values(u, model.grid) - model.psi.values
-    return residual_from_perturbation(phi, model, rhs, kind)
-
-
-def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
-                               kind: EquationKind) -> np.ndarray:
-    """The discrete operator as a function of phi = u - psi, the solver's
-    native variable: representing u = psi + phi first would absorb small
-    perturbations into the rounding of the large psi values."""
+    scales with |phi| rather than |u| and F = 1, phi = 0 is an exact zero:
+    representing u = psi + phi first would absorb small perturbations into
+    the rounding of the large psi values."""
     n, h = model.n, model.grid.h
     w = model.psi_slopes + np.diff(phi) / h
     r = np.empty_like(phi)

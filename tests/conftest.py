@@ -6,17 +6,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from radialma import default_model
+from radialma import KahlerModel
 
 
 @pytest.fixture(scope="session")
 def model_n1():
-    return default_model(1, 2.0)
+    return KahlerModel(1, 2.0)
 
 
 @pytest.fixture(scope="session")
 def model_n2():
-    return default_model(2, 3.0)
+    return KahlerModel(2, 3.0)
 
 
 def gaussian_bump(grid, amplitude=0.3, center=0.0, width=3.0):

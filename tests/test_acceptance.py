@@ -14,6 +14,7 @@ import pytest
 from radialma import (
     ConfigurationError,
     EquationKind,
+    KahlerModel,
     PotentialSequence,
     SolveConfig,
     bt_compare,
@@ -21,7 +22,6 @@ from radialma import (
     check_lower_bound,
     constant_rhs,
     continuity_in_t,
-    default_model,
     destabilizes,
     dirac_density,
     germ_integral,
@@ -32,14 +32,13 @@ from radialma import (
     newton_solve,
     normalized_slope,
     reducing,
-    ricci_potential,
     stalk_from_sequence,
     tangent_on_line,
 )
 from radialma.solver import _first_integral_map, residual_from_perturbation
 
 from conftest import gaussian_bump
-from oracles import disc_mass_quad, second_derivative
+from oracles import disc_mass_quad, ricci_potential, second_derivative
 from test_geometry import resolvable_curvature
 
 
@@ -51,7 +50,7 @@ def test_criterion_01_fixed_point_suite():
     t0 = time.monotonic()
     worst_iters, worst_sup = 0, 0.0
     for n, d in ((1, 2.0), (2, 3.0)):
-        m = default_model(n, d)
+        m = KahlerModel(n, d)
         rhs = constant_rhs(m)
         bump = gaussian_bump(m.grid, 0.3)
         for kind in ("reducing", "neutral", "magnifying"):
@@ -117,7 +116,7 @@ def test_criterion_04_magnification_dichotomy(model_n1):
 def test_criterion_05_comparison_suite():
     from test_comparison import comparison_pair
     rng = np.random.default_rng(20240612)
-    models = {1: default_model(1, 2.0), 2: default_model(2, 3.0)}
+    models = {1: KahlerModel(1, 2.0), 2: KahlerModel(2, 3.0)}
     worst = math.inf
     for _ in range(50):
         n = int(rng.integers(1, 3))
@@ -151,7 +150,7 @@ def test_criterion_06_point_mass_suite(model_n1):
 def test_criterion_07_curvature_suite():
     etas = []
     for n in (1, 2):
-        m = default_model(n, float(n + 1))
+        m = KahlerModel(n, float(n + 1))
         rho = ricci_potential(m.psi)
         gap = (rho - m.psi.values[1:-1])[resolvable_curvature(m.psi)]
         assert np.max(np.abs(np.diff(gap, 2))) <= 1e-8

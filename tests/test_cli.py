@@ -1,4 +1,4 @@
-"""CLI subcommands, config validation, deterministic output."""
+"""CLI subcommands, config validation, deterministic output, the README examples."""
 
 import os
 import re
@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radialma import cli
+from radialma import CurvatureMarginWarning, cli
 from radialma.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SUBCOMMANDS = ["solve", "continuity", "sweep", "magnify", "multiplier", "verify", "slope"]
 
 
 BASE = """\
@@ -336,13 +337,14 @@ class TestVerify:
     def test_builtin_checks_pass_at_n3(self, tmp_path, capsys):
         # the flux-form neutral solve is exact for every n, so the neutral
         # residual check holds where the central stencils did not telescope
-        cfg = Path(write_config(tmp_path, name="vf3", rhs_kind="dirac", gamma="1.8"))
-        cfg.write_text(cfg.read_text().replace("n = 1\ndegree = 2.0", "n = 3\ndegree = 4.0")
-                       .replace("points = 2001", "points = 4001"))
-        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "PASS neutral_residual" in out
-        assert "FAIL" not in out
+        for points in (401, 4001):
+            cfg = Path(write_config(tmp_path, name="vf3", rhs_kind="dirac", gamma="1.8"))
+            cfg.write_text(cfg.read_text().replace("n = 1\ndegree = 2.0", "n = 3\ndegree = 4.0")
+                           .replace("points = 2001", f"points = {points}"))
+            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0, points
+            out = capsys.readouterr().out
+            assert "PASS neutral_residual" in out, points
+            assert "FAIL" not in out, points
 
     def test_neutral_rows_above_their_rounding_fail(self, tmp_path, capsys, monkeypatch):
         # the neutral quadrature always converges, so its check reads the
@@ -371,7 +373,7 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: " + where)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestCoarseGrid:
@@ -405,15 +407,14 @@ class TestCoarseGrid:
         assert captured.out == ""
         assert captured.err == (
             f"configuration error: [model]: need at least 5 grid points, got {points}\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestUnknownKeys:
     """A section or key the run does not read is an invalid configuration:
     a misspelt key would otherwise fall back to its default."""
 
-    @pytest.mark.parametrize("subcommand", ["solve", "continuity", "sweep", "magnify",
-                                            "multiplier", "verify", "slope"])
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
     def test_misspelt_key_exits_2(self, tmp_path, capsys, subcommand):
         # a misspelt t_target must not leave the default t = 0, where every
         # solve is the neutral quadrature and exits 0
@@ -493,15 +494,23 @@ class TestImportPath:
 
 
 class TestDeterminism:
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.0", kind="neutral",
-                           t="0.0", t_target="0.0", name="det")
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
-        for name in ("det_summary.txt", "det_diagnostics.csv", "det_potential.dat"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    def test_rerun_is_byte_identical(self, tmp_path, capsys):
+        # a neutral solve, then every subcommand on the README's example
+        # config, each twice: the same files, byte for byte, the same
+        # stdout, and nothing on stderr
+        neutral = write_config(tmp_path, rhs_kind="dirac", gamma="1.0", kind="neutral",
+                               t="0.0", t_target="0.0", name="det")
+        readme = readme_config(tmp_path)
+        cases = [("solve", neutral, "det")] + [(c, readme, "demo") for c in SUBCOMMANDS]
+        for i, (subcommand, cfg, name) in enumerate(cases):
+            runs = []
+            for out in (tmp_path / str(i) / "a", tmp_path / str(i) / "b"):
+                assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0, subcommand
+                captured = capsys.readouterr()
+                assert captured.err == "", subcommand
+                runs.append((captured.out, {p.name: p.read_bytes() for p in out.iterdir()}))
+            assert runs[0] == runs[1], subcommand
+            assert f"{name}_summary.txt" in runs[0][1], subcommand
 
     def test_header_echo_reproduces_run(self, tmp_path):
         # the canonicalised config echoed into the summary header, written
@@ -537,6 +546,18 @@ def readme_config(tmp_path, **changes):
     path = tmp_path / "readme.ini"
     path.write_text(text)
     return str(path)
+
+
+class TestReadme:
+    def test_library_quick_start(self):
+        # the first python block runs as written and ends on the verdict
+        # its last comment names; tau0 = 0.2 is above the point-mass
+        # family's margin 0, so the experiment runs as a probe
+        code = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+        namespace = {}
+        with pytest.warns(CurvatureMarginWarning, match="experimental probe"):
+            exec(code, namespace)
+        assert namespace["report"].verdict == "average_blowup"
 
 
 class TestPotentialWriter:
@@ -636,7 +657,7 @@ class TestOutputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error: " + where)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_multiplier_without_members_writes_only_its_summary(self, tmp_path, capsys):
         # one fixed-point iteration converges no member of the README family

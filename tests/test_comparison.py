@@ -14,7 +14,6 @@ from radialma import (
     bootstrap_lelong_bound,
     bt_compare,
     build_dirac_rhs,
-    default_model,
     magnification_experiment,
     magnifying,
     continuity_in_t,
@@ -47,7 +46,7 @@ class TestBtCompare:
         assert rep.margin == 0.0
 
     def test_constant_shift(self, model_n1):
-        u = model_n1.psi.shifted(0.7)
+        u = RadialPotential(model_n1.grid, model_n1.psi.values + 0.7, 1)
         rep = bt_compare(u, model_n1.psi, -10.0, 10.0)
         assert rep.holds
         assert rep.margin == pytest.approx(0.7)
@@ -62,7 +61,7 @@ class TestBtCompare:
     def test_randomized_instances_all_hold(self):
         # acceptance: 50 randomized (gamma, eps) comparison instances
         rng = np.random.default_rng(20240612)
-        models = {1: default_model(1, 2.0), 2: default_model(2, 3.0)}
+        models = {1: KahlerModel(1, 2.0), 2: KahlerModel(2, 3.0)}
         for _ in range(50):
             n = int(rng.integers(1, 3))
             m = models[n]
@@ -92,7 +91,7 @@ class TestBtCompare:
         # so the densities must agree to their rounding on every grid
         psi = KahlerModel(n, n + 1.0, SGrid(-40.0, 40.0, points)).psi
         for c in (1e-6, 1e-3, 1.0):
-            rep = bt_compare(psi, psi.shifted(-c), -30.0, 30.0)
+            rep = bt_compare(psi, RadialPotential(psi.grid, psi.values - c, n), -30.0, 30.0)
             assert rep.hypotheses_ok, (c, rep)
             assert rep.holds and rep.margin == pytest.approx(c, rel=1e-6), c
 
@@ -125,7 +124,8 @@ class TestComparisonPrinciple:
         b = data.draw(st.floats(a + 1.0, 38.0))
         ia, ib = m.grid.index_of(a), m.grid.index_of(b)
         # shift u to meet the boundary hypothesis with equality at one end
-        u = u.shifted(max(v.values[ia] - u.values[ia], v.values[ib] - u.values[ib]))
+        c = max(v.values[ia] - u.values[ia], v.values[ib] - u.values[ib])
+        u = RadialPotential(m.grid, u.values + c, n)
         rep = bt_compare(u, v, a, b)
         assert rep.failed_hypothesis != "boundary domination"
         if rep.hypotheses_ok:

@@ -9,28 +9,28 @@ from hypothesis import strategies as st
 
 from radialma import (
     ConfigurationError,
-    DegenerateMetricError,
     KahlerModel,
     RadialPotential,
     SGrid,
     average,
     build_dirac_rhs,
     constant_rhs,
-    default_model,
-    dominates,
     fubini_study_potential,
-    lelong_estimate,
-    ma_density,
-    mass,
     neutral_oracle,
     pole_lelong,
-    ricci_potential,
 )
-from radialma.geometry import expit
+from radialma.geometry import end_mass, expit, lelong_secant
 from radialma.grid import first_violation, rounding_floor
 
 from conftest import gaussian_bump
-from oracles import complex_hessian_det, ma_density_formula, weighted_average_quad
+from oracles import (
+    DegenerateMetricError,
+    complex_hessian_det,
+    ma_density_formula,
+    ricci_potential,
+    weighted_average_quad,
+)
+
 
 
 class TestExpit:
@@ -145,11 +145,13 @@ class TestOnePositivityRule:
         m = KahlerModel(n, degree, SGrid(-40.0, 40.0, points))
         u = RadialPotential(m.grid, m.psi.values + gaussian_bump(m.grid, a, center, width), n)
         node, which = u.kahler_violation()
-        rep = dominates(u.values, 0 * u.values, m.grid)
-        assert rep.first_violation == node
-        assert rep.holds == u.is_kahler()
-        assert (which, rep.failed_condition) in {(None, None), ("u'", "slope"),
-                                                 ("u''", "curvature")}
+        # ddbar(u - p) >= 0 for p = 0, read off the slopes of u - p
+        p, h = 0 * u.values, m.grid.h
+        floor = max(rounding_floor(u.values, h), rounding_floor(p, h))
+        dominance_node, condition = first_violation(np.diff(u.values - p) / h, floor, h)
+        assert dominance_node == node
+        assert (dominance_node is None) == u.is_kahler()
+        assert (which, condition) in {(None, None), ("u'", "slope"), ("u''", "curvature")}
         if u.is_kahler():
             ricci_potential(u)
         else:
@@ -167,7 +169,7 @@ class TestFubiniStudy:
 
     def test_right_asymptotic_slope_is_degree(self):
         for n, d in [(1, 2.0), (2, 3.0), (3, 7.5)]:
-            m = default_model(n, d)
+            m = KahlerModel(n, d)
             assert m.psi.slopes[-1] == pytest.approx(d, abs=1e-9)
             assert m.psi.slopes[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -204,9 +206,10 @@ class TestMaDensity:
         # interior nodes, inherits it wherever the e^{-ns} factor does not
         # amplify the rounding floor
         assert np.max(np.abs(u.reduced_density)) < rounding_floor(u.values, g.h)
-        assert ma_density(u).shape == (g.points - 2,)
+        density = np.exp(-g.nodes[1:-1]) * u.reduced_density
+        assert density.shape == (g.points - 2,)
         right = g.nodes[1:-1] >= 0.0
-        assert np.max(np.abs(ma_density(u)[right])) < 1e-10
+        assert np.max(np.abs(density[right])) < 1e-10
 
     def test_fs_density_at_origin_n1(self, model_n1):
         # sympy oracle: e^{-s} d^2/ds^2 [2 log(1+e^s)] = 2/(1+e^s)^2 -> 1/2 at s=0
@@ -214,9 +217,9 @@ class TestMaDensity:
         s = sympy.Symbol("s")
         expr = sympy.exp(-s) * sympy.diff(2 * sympy.log(1 + sympy.exp(s)), s, 2)
         assert float(expr.subs(s, 0)) == pytest.approx(0.5)
-        # row i - 1 of the interior-node density is node i
+        # row i - 1 of the interior-node density is node i, where e^{-s} = 1
         i = model_n1.grid.index_of(0.0)
-        assert ma_density(model_n1.psi)[i - 1] == pytest.approx(0.5, abs=1e-5)
+        assert model_n1.psi.reduced_density[i - 1] == pytest.approx(0.5, abs=1e-5)
 
     @pytest.mark.parametrize("n,d", [(1, 2.0), (2, 3.0)])
     def test_reduction_identity_against_complex_hessian(self, n, d):
@@ -248,19 +251,19 @@ class TestMaDensity:
 
 class TestMass:
     def test_reference_mass_is_degree_power(self, model_n1, model_n2):
-        assert mass(model_n1.psi) == pytest.approx(2.0, abs=1e-9)
-        assert mass(model_n2.psi) == pytest.approx(9.0, abs=1e-9)
+        for m, want in ((model_n1, 2.0), (model_n2, 9.0)):
+            assert end_mass(m.psi.values, m.grid.h, m.n) == pytest.approx(want, abs=1e-9)
 
     def test_constant_shift_preserves_mass(self, model_n1):
-        shifted = model_n1.psi.shifted(17.0)
-        assert mass(shifted) == mass(model_n1.psi)
+        psi, h = model_n1.psi.values, model_n1.grid.h
+        assert end_mass(psi + 17.0, h, 1) == end_mass(psi, h, 1)
 
     def test_two_slope_potential(self, model_n1):
         # left slope gamma, right slope d: mass d^n - gamma^n exactly
         g = model_n1.grid
         gamma, d = 0.6, 2.0
         u = RadialPotential(g, gamma * g.nodes + (d - gamma) * np.logaddexp(0, g.nodes), 1)
-        assert mass(u) == pytest.approx(d - gamma, abs=1e-9)
+        assert end_mass(u.values, g.h, 1) == pytest.approx(d - gamma, abs=1e-9)
 
 
 def resolvable_curvature(u):
@@ -301,14 +304,14 @@ class TestRicci:
     def test_fs_curvature_proportional_to_reference(self, n):
         # curvature form of FS(d) equals ((n+1)/d) times its Kahler form
         d = n + 2.5
-        m = default_model(n, d)
+        m = KahlerModel(n, d)
         rho = ricci_potential(m.psi)
         gap = (rho - ((n + 1) / d) * m.psi.values[1:-1])[resolvable_curvature(m.psi)]
         assert np.max(np.abs(np.diff(gap, 2))) < 1e-8
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_anticanonical_einstein_residual(self, n):
-        m = default_model(n, float(n + 1))
+        m = KahlerModel(n, float(n + 1))
         rho = ricci_potential(m.psi)
         gap = (rho - m.psi.values[1:-1])[resolvable_curvature(m.psi)]
         assert np.max(np.abs(np.diff(gap, 2))) < 1e-8
@@ -323,19 +326,8 @@ class TestRicci:
 
 
 class TestDominates:
-    def test_reflexive(self, model_n1):
-        q = model_n1.psi.values
-        assert dominates(q, q, model_n1.grid).holds
-
-    def test_adding_reference_potential(self, model_n1):
-        g = model_n1.grid
-        p = model_n1.psi.values
-        psi1 = np.logaddexp(0, g.nodes)
-        assert dominates(p + 0.25 * psi1, p, g).holds
-        rep = dominates(p - 0.25 * psi1, p, g)
-        assert not rep.holds
-        assert rep.first_violation is not None
-        assert rep.failed_condition in ("slope", "curvature")
+    """ddbar(q - p) >= 0 is decided by ``first_violation`` of the slopes of
+    q - p, the rule ``kahler_violation`` applies to one potential."""
 
     def test_slopes_are_held_to_the_rounding_of_a_first_difference(self, model_n1):
         # every slope of q - p is -0.25 expit(s) < 0; the first below the
@@ -345,8 +337,8 @@ class TestDominates:
         p = model_n1.psi.values
         q = p - 0.25 * np.logaddexp(0, g.nodes)
         assert np.all(np.diff(q - p) < 0.0)
-        rep = dominates(q, p, g)
-        assert (rep.first_violation, rep.failed_condition) == (820, "slope")
+        floor = max(rounding_floor(q, g.h), rounding_floor(p, g.h))
+        assert first_violation(np.diff(q - p) / g.h, floor, g.h) == (820, "slope")
         assert g.nodes[820] == pytest.approx(-23.6)
 
     def test_curvature_failure_before_a_slope_failure(self):
@@ -354,12 +346,9 @@ class TestDominates:
         # negative at node 5
         g = SGrid(0.0, 10.0, 11)
         q = np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 3.0, 2.0, 3.0, 5.0, 8.0])
-        rep = dominates(q, np.zeros(11), g)
-        assert (rep.holds, rep.first_violation, rep.failed_condition) == (False, 3, "curvature")
-
-    def test_grid_mismatch_rejected(self, model_n1):
-        with pytest.raises(ConfigurationError):
-            dominates(np.zeros(11), np.zeros(11), model_n1.grid)
+        p = np.zeros(11)
+        floor = max(rounding_floor(q, g.h), rounding_floor(p, g.h))
+        assert first_violation(np.diff(q - p) / g.h, floor, g.h) == (3, "curvature")
 
 
 class TestAverage:
@@ -389,20 +378,20 @@ class TestAverage:
 
 class TestLelong:
     def test_smooth_reference_has_no_pole(self, model_n1):
-        est = lelong_estimate(model_n1.psi, window=5.0)
+        est = lelong_secant(model_n1.grid, model_n1.psi.values.take, 5.0)
         assert est.value == pytest.approx(0.0, abs=1e-6)
 
     def test_affine_left_slope_exact(self, model_n1):
         g = model_n1.grid
         nu0 = 0.735
         u = RadialPotential(g, nu0 * (g.nodes - g.s_min), 1)
-        est = lelong_estimate(u, window=5.0)
+        est = lelong_secant(u.grid, u.values.take, 5.0)
         assert est.value == pytest.approx(nu0, abs=1e-13)
         assert est.sensitivity < 1e-13
 
     def test_window_too_small_rejected(self, model_n1):
         with pytest.raises(ConfigurationError):
-            lelong_estimate(model_n1.psi, window=3 * model_n1.grid.h)
+            lelong_secant(model_n1.grid, model_n1.psi.values.take, 3 * model_n1.grid.h)
 
     def test_neutral_solution_with_submerged_pole(self, model_n1):
         # mollifier small enough that the pole layer sits below the cut:
@@ -411,7 +400,7 @@ class TestLelong:
         with pytest.warns(UserWarning, match="below the left truncation"):
             rhs = build_dirac_rhs(gamma, 1e-10, model_n1)
         u = neutral_oracle(model_n1, rhs)
-        est = lelong_estimate(u, window=5.0)
+        est = lelong_secant(u.grid, u.values.take, 5.0)
         assert est.value == pytest.approx(gamma, rel=0.02)
 
 

@@ -16,7 +16,6 @@ from radialma import (
     build_dirac_rhs,
     constant_rhs,
     crucial_integral,
-    default_model,
     germ_integral,
     magnifying,
     neutral,
@@ -218,7 +217,7 @@ class TestStalk:
         assert stalk.tau_nu_product == pytest.approx(0.4, abs=0.02)
 
 
-MODELS = {n: default_model(n, n + 1.0) for n in (1, 2, 3, 4)}
+MODELS = {n: KahlerModel(n, n + 1.0) for n in (1, 2, 3, 4)}
 
 
 class TestOneIntegrabilityRule:
@@ -251,7 +250,7 @@ class TestOneIntegrabilityRule:
         (1, 8.0, 7.2, neutral()), (2, 8.0, 7.2, neutral()), (3, 4.0, 3.6, neutral()),
     ])
     def test_agrees_with_the_germ_search_on_a_solved_sweep(self, n, d, gamma, kind):
-        model = default_model(n, d)
+        model = KahlerModel(n, d)
         tau = kind.t or 0.9
         _, results = sweep_epsilon(model, gamma, kind, tau, (1e-2, 1e-3))
         assert all(res.converged for res in results)

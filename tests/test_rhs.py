@@ -10,20 +10,18 @@ import pytest
 from radialma import (
     ConfigurationError,
     ConstraintViolationError,
+    KahlerModel,
     build_dirac_rhs,
     build_divisor_rhs,
     check_lower_bound,
     constant_rhs,
-    default_model,
     dirac_density,
-    lelong_estimate,
     neutral_oracle,
     xi_eps,
 )
-from radialma.geometry import MEMO_SIZE, expit, softplus
+from radialma.geometry import MEMO_SIZE, expit, lelong_secant, softplus
 from radialma.rhs import dominance_margin, xi_eps_d1, xi_eps_d2
 
-from conftest import gaussian_bump
 from oracles import (
     dirac_rhs_per_call,
     disc_mass_quad,
@@ -123,7 +121,7 @@ class TestDiracFamily:
 
     @pytest.mark.parametrize("n,d,gamma", [(1, 2.0, 1.0), (1, 2.0, 1.8), (2, 3.0, 1.3)])
     def test_normalised_mass_is_model_mass(self, n, d, gamma):
-        m = default_model(n, d)
+        m = KahlerModel(n, d)
         rhs = build_dirac_rhs(gamma, 1e-3, m)
         assert rhs.reduced_mass() == pytest.approx(d**n, abs=1e-8)
 
@@ -138,7 +136,7 @@ class TestDiracFamily:
         # cell masses and the point-mass family built on them are >= 0 in
         # the flat right tail too, where differences of node values carry
         # the rounding of |psi|
-        m = default_model(n, n + 1.0)
+        m = KahlerModel(n, n + 1.0)
         assert np.all(np.diff(m.psi_slopes) >= 0.0)
         assert np.min(m.weight) >= 0.0
         for eps in (1e-1, 1e-3, 1e-5):
@@ -147,7 +145,7 @@ class TestDiracFamily:
     def test_closed_form_slopes_match_node_differences(self):
         # the closed form moves the slopes by rounding only
         for n in (1, 4):
-            m = default_model(n, n + 1.0)
+            m = KahlerModel(n, n + 1.0)
             diffs = np.diff(m.psi.values) / m.grid.h
             assert np.max(np.abs(m.psi_slopes - diffs)) <= 1e-11
 
@@ -164,7 +162,7 @@ class TestDiracFamily:
         # mixture's curvature is the mollified layer's: q' = (n + 1) expit(a),
         # q'' = (n + 1) expit(a) expit(-a), a = s - 2 log eps
         n, eps = 2, 1e-3
-        m = default_model(n, n + 1.0)
+        m = KahlerModel(n, n + 1.0)
         with pytest.warns(UserWarning, match="equals the model mass"):
             rhs = build_dirac_rhs(n + 1.0, eps, m)
         assert rhs.c_smooth == 0.0
@@ -215,7 +213,7 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_builders_meet_them(self, n):
-        m = default_model(n, n + 1.0)
+        m = KahlerModel(n, n + 1.0)
         for eps in (1e-1, 1e-3, 1e-5):
             build_dirac_rhs(0.5 * (n + 1.0), eps, m)
             build_dirac_rhs(0.99 * (n + 1.0), eps, m)
@@ -242,7 +240,7 @@ class TestDivisorFamily:
         for dp in (0.3, 0.1, 0.03):
             rhs = build_divisor_rhs(dp, 1e-6, model_n1)
             u = neutral_oracle(model_n1, rhs)
-            est = lelong_estimate(u, window=5.0)
+            est = lelong_secant(u.grid, u.values.take, 5.0)
             assert est.value < 1e-3
 
     def test_margin_positive_up_to_reported_order(self, model_n1):
@@ -259,7 +257,7 @@ class TestDivisorFamily:
 class TestLowerBound:
     @pytest.mark.parametrize("n", [1, 2])
     def test_unit_rhs_anticanonical_margin(self, n):
-        m = default_model(n, float(n + 1))
+        m = KahlerModel(n, float(n + 1))
         report = check_lower_bound(constant_rhs(m))
         assert report.positive
         assert report.eta == pytest.approx(n + 1, abs=1e-6)
@@ -291,14 +289,6 @@ class TestLowerBound:
         assert rep.eta == 0.0
         assert rep.limiting_condition == "curvature"
 
-    def test_time_term_lowers_margin(self, model_n1):
-        rhs = constant_rhs(model_n1)
-        base = check_lower_bound(rhs).eta
-        # add -t*phi with phi = psi_1 (a positive form): margin drops by t
-        psi1 = np.logaddexp(0, model_n1.grid.nodes)
-        rep = check_lower_bound(rhs, t=0.5, phi=psi1)
-        assert rep.eta == pytest.approx(base - 0.5, abs=1e-3)
-
 
 CLOSED_FORM_CASES = [(n, frac, eps) for n in (1, 2, 3) for frac in (0.3, 0.9)
                      for eps in (1e-1, 1e-3, 1e-4)]
@@ -321,7 +311,7 @@ class TestCachedClosedForms:
 
     @pytest.mark.parametrize("n,frac,eps", CLOSED_FORM_CASES)
     def test_dirac_rhs_unchanged(self, n, frac, eps):
-        m = default_model(n, n + 1.0)
+        m = KahlerModel(n, n + 1.0)
         rhs = build_dirac_rhs(frac * m.degree, eps, m)
         values, density, c, offset = dirac_rhs_per_call(frac * m.degree, eps, m)
         assert np.array_equal(rhs.values, values)
@@ -331,20 +321,18 @@ class TestCachedClosedForms:
 
     @pytest.mark.parametrize("n,frac,eps", CLOSED_FORM_CASES)
     def test_curvature_margin_unchanged(self, n, frac, eps):
-        m = default_model(n, n + 1.0)
+        m = KahlerModel(n, n + 1.0)
         rhs = build_dirac_rhs(frac * m.degree, eps, m)
         for got, want in zip(rhs.log_curvature_derivs(), log_curvature_derivs_per_call(rhs)):
             assert np.array_equal(got, want)
-        bump = gaussian_bump(m.grid)
-        for t, phi in ((0.0, None), (0.5, bump)):
-            rep = check_lower_bound(rhs, t=t, phi=phi)
-            eta, node = lower_bound_per_call(rhs, t=t, phi=phi)
-            assert np.array_equal(rep.eta, eta)
-            assert rep.limiting_node == node
+        rep = check_lower_bound(rhs)
+        eta, node = lower_bound_per_call(rhs)
+        assert np.array_equal(rep.eta, eta)
+        assert rep.limiting_node == node
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_other_families_unchanged(self, n):
-        m = default_model(n, n + 1.0)
+        m = KahlerModel(n, n + 1.0)
         for rhs in (constant_rhs(m), build_divisor_rhs(0.5, 1e-3, m)):
             for got, want in zip(rhs.log_curvature_derivs(),
                                  log_curvature_derivs_per_call(rhs)):
@@ -361,13 +349,13 @@ class TestFamilyMemo:
         lambda m, eps: build_divisor_rhs(0.5, eps, m),
     ])
     def test_repeat_call_returns_the_same_family(self, build):
-        m = default_model(1, 2.0)
+        m = KahlerModel(1, 2.0)
         first = build(m, 1e-3)
         assert build(m, 1e-3) is first
         assert build(m, 1e-2) is not first
 
     def test_every_call_warns(self):
-        m = default_model(1, 2.0)
+        m = KahlerModel(1, 2.0)
         families = []
         for _ in range(3):
             # 2 log(1e-12) lies within 8 of s_min = -40
@@ -379,7 +367,7 @@ class TestFamilyMemo:
         assert families[1::2] == [families[1]] * 3
 
     def test_invalid_parameters_raise_on_every_call(self):
-        m = default_model(1, 2.0)
+        m = KahlerModel(1, 2.0)
         for _ in range(2):
             with pytest.raises(ConstraintViolationError):
                 build_dirac_rhs(2.5, 1e-3, m)
@@ -387,7 +375,7 @@ class TestFamilyMemo:
                 build_divisor_rhs(0.5, float("nan"), m)
 
     def test_models_share_no_entry(self):
-        a, b = default_model(1, 2.0), default_model(1, 2.0)
+        a, b = KahlerModel(1, 2.0), KahlerModel(1, 2.0)
         fa, fb = build_dirac_rhs(1.0, 1e-3, a), build_dirac_rhs(1.0, 1e-3, b)
         assert fa is not fb
         assert fa.model is a and fb.model is b
@@ -395,7 +383,7 @@ class TestFamilyMemo:
 
     def test_seventeenth_key_evicts_the_first(self):
         assert MEMO_SIZE == 16
-        m = default_model(1, 2.0)
+        m = KahlerModel(1, 2.0)
         eps = [10.0 ** (-1.0 - k / 4.0) for k in range(17)]
         kept = [build_dirac_rhs(1.0, e, m) for e in eps[:16]]
         assert all(build_dirac_rhs(1.0, e, m) is f for e, f in zip(eps, kept))
@@ -406,7 +394,7 @@ class TestFamilyMemo:
         assert np.array_equal(again.density, kept[0].density)
 
     def test_a_deleted_model_is_collected(self):
-        m = default_model(1, 2.0)
+        m = KahlerModel(1, 2.0)
         rhs = build_dirac_rhs(1.0, 1e-3, m)
         check_lower_bound(rhs)
         ref = weakref.ref(m)
@@ -423,18 +411,9 @@ class TestCachedMargin:
         constant_rhs,
     ])
     def test_equals_a_fresh_dominance_margin(self, make):
-        m = default_model(1, 2.0)
+        m = KahlerModel(1, 2.0)
         rhs = make(m)
         fresh = dominance_margin(*rhs.log_curvature_derivs(), m)
         report = check_lower_bound(rhs)
         assert report == fresh
         assert report is rhs.curvature_margin
-        assert check_lower_bound(rhs, t=0.0, phi=gaussian_bump(m.grid)) is report
-
-    def test_a_time_term_is_computed_afresh(self, model_n1):
-        rhs = build_divisor_rhs(0.5, 1e-3, model_n1)
-        bump = gaussian_bump(model_n1.grid)
-        rep = check_lower_bound(rhs, t=0.5, phi=bump)
-        assert rep is not rhs.curvature_margin
-        assert rep == check_lower_bound(rhs, t=0.5, phi=bump)
-        assert rep.eta == lower_bound_per_call(rhs, t=0.5, phi=bump)[0]
