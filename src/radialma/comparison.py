@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, CurvatureMarginWarning
+from .errors import ConfigurationError, CurvatureMarginWarning, require_finite
 from .geometry import KahlerModel, pole_lelong
 from .grid import RadialPotential, density_floor, grid_values, rounding_floor
 from .rhs import check_lower_bound
@@ -67,6 +67,7 @@ def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float) -> Co
     """
     u.grid.require_same(v.grid)
     grid = u.grid
+    require_finite(a=a, b=b)
     if a < grid.s_min - 1e-12 or b > grid.s_max + 1e-12 or a >= b:
         raise ConfigurationError(f"subinterval [{a}, {b}] is not inside the grid")
     ia, ib = grid.index_of(a), grid.index_of(b)
@@ -107,6 +108,7 @@ def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
     bound is at least gamma whenever the perturbation is nonpositive there,
     and shrinking the window can only increase it.
     """
+    require_finite(gamma=gamma, window=window)
     if gamma <= 0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
     if not (0.0 < tau0 < 1.0):

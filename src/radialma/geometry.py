@@ -26,6 +26,7 @@ the stalk and the magnification table all read it.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 from .grid import DEFAULT_GRID, RadialPotential, SGrid, grid_values
 
 if TYPE_CHECKING:
@@ -85,8 +86,9 @@ class KahlerModel:
     ``softplus_s`` = softplus(s) = psi / d and ``softplus_neg_s`` =
     softplus(-s); every right-hand side and the volume quadrature read
     them, and psi', psi'' elsewhere are written from them. The geometry is
-    immutable after construction; the one state a model changes is its
-    memo of what was built on it (``memoized``).
+    immutable after construction; the one state a model changes is what was
+    built on it: the families it memoises (``memoized``) and the mollifier
+    profiles they share (``shared``).
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
@@ -95,6 +97,7 @@ class KahlerModel:
         self.degree = float(degree)
         self.grid = grid
         self._memo: OrderedDict = OrderedDict()
+        self._shared = weakref.WeakValueDictionary()
 
     def memoized(self, key, build):
         """``build()``, kept on this model under ``key``, so a later call with
@@ -108,6 +111,16 @@ class KahlerModel:
         value = memo[key] = build()
         if len(memo) > MEMO_SIZE:
             memo.popitem(last=False)
+        return value
+
+    def shared(self, key, build):
+        """``build()``, kept on this model under ``key`` for as long as
+        anything else holds it, so that every object built from it while it
+        lives shares one copy. It takes no ``memoized`` slot: it is freed
+        with the last object that holds it."""
+        value = self._shared.get(key)
+        if value is None:
+            value = self._shared[key] = build()
         return value
 
     # -- discrete arrays used by the solver --------------------------------
@@ -214,9 +227,10 @@ def lelong_secant(grid: SGrid, values_at, window: float,
     anchored at s_min. ``sensitivity`` reports the change under halving the
     window, as the resolution-limit diagnostic. Only the three secant nodes
     are read, so u need not be formed on the whole grid."""
+    a = grid.s_min if anchor is None else float(anchor)
+    require_finite(window=window, anchor=a)
     if window < 4 * grid.h:
         raise ConfigurationError(f"window {window} is below 4h = {4 * grid.h}")
-    a = grid.s_min if anchor is None else float(anchor)
     if a < grid.s_min or a + window > grid.s_max + 1e-12:
         raise ConfigurationError("Lelong window falls outside the grid")
     nodes = np.array([grid.index_of(a), grid.index_of(a + window),

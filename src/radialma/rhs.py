@@ -33,9 +33,17 @@ integral holds exactly on every face.
 The node-wise closed forms of psi, ``KahlerModel.expit_s``,
 ``expit_neg_s``, ``softplus_s`` and ``softplus_neg_s``, are computed once
 per model; the builders, ``RhsFamily.log_curvature_derivs`` and
-``dominance_margin`` read them. What depends on
-eps, the logistic pair expit(+-(s - 2 log eps)) of the mollified layer, is
-evaluated once per family.
+``dominance_margin`` read them.
+
+A family holds scalars, not grid arrays. Its cell masses are a P + c w,
+where w is the model's ``weight`` and P a ``MollifierProfile``: the cell
+masses of xi_eps's half-node slopes for the point-mass family (a =
+gamma^n), of e^{-delta' xi_eps} w for the divisor family (a its
+normalisation, c = 0); the constant family is w itself. The point-mass
+profile depends on the model and eps only, so the families of every gamma
+at one eps share one: the model keeps it (``KahlerModel.shared``) for as
+long as a family holds it. ``density`` and F (``values``) are evaluated on
+access.
 
 Each family is built once per model. ``build_dirac_rhs`` and
 ``build_divisor_rhs`` validate their parameters and warn on every call,
@@ -47,14 +55,13 @@ A family computes its curvature margin once
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstraintViolationError
+from .errors import ConfigurationError, ConstraintViolationError, require_finite
 from .geometry import KahlerModel, expit, softplus
 
 POLE_ANCHOR_OFFSET = 6.0
@@ -77,14 +84,6 @@ def xi_eps_d2(s, eps: float):
     return expit(a) * expit(-a)
 
 
-def _require_finite(**params) -> None:
-    """Raise ConfigurationError naming the first parameter that is not
-    finite: a nan or an infinite one passes every sign check."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-
-
 def dirac_density(a: float, r2) -> float:
     """Point-mass mollifier a^2 / (pi (|z|^2 + a^2)^2) on the complex line.
 
@@ -100,17 +99,32 @@ def dirac_density(a: float, r2) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class MollifierProfile:
+    """Cell masses P of a mollified pole on one model's grid, zero on the
+    two boundary nodes (read-only), with their sum ``total`` and, for the
+    point mass, the first half-node slope of xi_eps (``first_slope``), the
+    flux its mass sends through the first face. Families share it."""
+
+    cells: np.ndarray
+    total: float
+    first_slope: float = 0.0
+
+
+@dataclass(frozen=True, eq=False)
 class RhsFamily:
     """A normalised positive density F on the model grid.
 
-    ``values`` is F itself; ``density`` is the reduced mass density
-    R = F (psi')^{n-1} psi'' as cell masses of the solver's flux form, zero
-    on the two boundary nodes (the object the solver actually consumes).
+    ``density`` is the reduced mass density R = F (psi')^{n-1} psi'' as
+    cell masses of the solver's flux form, zero on the two boundary nodes
+    (the object the solver actually consumes): ``profile_scale`` times the
+    ``profile`` cells plus ``c_smooth`` times ``model.weight``, or the
+    weight itself when there is no profile. ``values`` is F. Both are
+    evaluated on each access, so a family holds no grid array of its own.
     ``left_flux_offset`` is the prescribed excess of the first half-node
     slope of u over psi's, the flux that mass below the truncation cut
     sends through it; nonzero only for the point-mass family.
 
-    Construction enforces what makes every solution Kahler: finite
+    Construction enforces what makes every solution Kahler: F > 0, finite
     nonnegative cell masses that vanish on the boundary nodes, and a first
     half-node slope 0 <= psi_slopes[0] + left_flux_offset below psi's last,
     so that the cell masses carry a positive flux.
@@ -118,28 +132,24 @@ class RhsFamily:
 
     kind: str
     model: KahlerModel
-    values: np.ndarray
-    density: np.ndarray
     gamma: float = 0.0
     epsilon: float = 0.0
     delta_prime: float = 0.0
     c_smooth: float = 1.0
     left_flux_offset: float = 0.0
     pole_anchor: float | None = None
+    profile: MollifierProfile | None = None
+    profile_scale: float = 0.0
 
     def __post_init__(self):
-        for name in ("values", "density"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.model.grid.points,):
-                raise ConfigurationError(f"{name} does not live on the model grid")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if self.profile is not None and self.profile.cells.shape != (self.model.grid.points,):
+            raise ConfigurationError("profile does not live on the model grid")
         if np.any(self.values <= 0.0):
             raise ConstraintViolationError("F must be strictly positive")
-        if not np.all(np.isfinite(self.density) & (self.density >= 0.0)):
+        density = self.density
+        if not np.all(np.isfinite(density) & (density >= 0.0)):
             raise ConstraintViolationError("cell masses must be finite and nonnegative")
-        if self.density[0] != 0.0 or self.density[-1] != 0.0:
+        if density[0] != 0.0 or density[-1] != 0.0:
             raise ConstraintViolationError("cell masses must vanish on the boundary nodes")
         W = self.model.psi_slopes
         if not 0.0 <= W[0] + self.left_flux_offset < W[-1]:
@@ -148,21 +158,35 @@ class RhsFamily:
                 f"[0, {W[-1]:.6g}), the last slope of psi")
 
     @property
+    def density(self) -> np.ndarray:
+        w = self.model.weight
+        if self.profile is None:
+            return w
+        density = self.profile_scale * self.profile.cells
+        density += self.c_smooth * w
+        return density
+
+    @property
     def interior_density(self) -> np.ndarray:
         return self.density[1:-1]
 
-    def reduced_mass(self) -> float:
-        """Quadrature of the reduced mass element n R ds over the domain."""
+    @property
+    def values(self) -> np.ndarray:
         m = self.model
-        return float(m.n * m.grid.h * np.sum(self.interior_density))
-
-    def singular_mass(self) -> float:
-        """Mass carried by the point-mass part, in slope units."""
-        if self.kind != "dirac_approx":
-            return 0.0
-        m = self.model
-        xp = xi_eps_d1(m.grid.nodes[[0, -1]], self.epsilon)
-        return self.gamma**m.n * float(xp[1] ** m.n - xp[0] ** m.n)
+        if self.kind == "constant":
+            return np.ones(m.grid.points)
+        if self.kind == "divisor":
+            shape = np.exp(-self.delta_prime * xi_eps(m.grid.nodes, self.epsilon))
+            return self.profile_scale * shape
+        # the point mass from the logistic closed forms: the discrete weight
+        # ratio is rounding noise in the far tails where both curvatures
+        # underflow
+        n, d = m.n, m.degree
+        a = m.grid.nodes - 2.0 * np.log(self.epsilon)
+        xa, xam = expit(a), expit(-a)
+        sig = m.expit_s
+        ratio = (xa / (d * sig)) ** (n - 1) * (xa * xam / (d * sig * m.expit_neg_s))
+        return self.profile_scale * ratio + self.c_smooth
 
     def log_curvature_derivs(self) -> tuple[np.ndarray, np.ndarray]:
         """Analytic (q', q'') for q = -log(F e^{-ns} (psi')^{n-1} psi'').
@@ -206,12 +230,7 @@ class RhsFamily:
 
 def constant_rhs(model: KahlerModel) -> RhsFamily:
     """F = 1; the fixed-point family (phi = 0 solves every equation kind)."""
-    return RhsFamily(
-        kind="constant",
-        model=model,
-        values=np.ones(model.grid.points),
-        density=model.weight.copy(),
-    )
+    return RhsFamily(kind="constant", model=model)
 
 
 def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
@@ -225,7 +244,7 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     """
     m = model
     n, d = m.n, m.degree
-    _require_finite(gamma=gamma, eps=eps)
+    require_finite(gamma=gamma, eps=eps)
     if gamma < 0:
         raise ConstraintViolationError(f"gamma must be nonnegative, got {gamma}")
     if gamma > d:
@@ -249,45 +268,40 @@ def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
     it has validated."""
     if gamma == 0.0:
         return constant_rhs(m)
-    n, d = m.n, m.degree
-    # xi_eps' = expit(a) and expit(-a) at the layer coordinate a, each once
-    s = m.grid.nodes
-    a = s - 2.0 * np.log(eps)
-    xa, xam = expit(a), expit(-a)
-    # cell masses of the singular part: exact half-node slopes of xi_eps,
-    # (xi(s + h) - xi(s)) / h = log1p(expm1(h) xi'(s)) / h, which increase,
-    # so every cell mass is nonnegative
-    h = m.grid.h
-    xi_slopes = np.log1p(np.expm1(h) * xa[:-1]) / h
-    p_xi = np.zeros(m.grid.points)
-    p_xi[1:-1] = np.diff(xi_slopes ** n) / (n * h)
+    n = m.n
+    profile = m.shared(("dirac_approx", eps), lambda: _pole_profile(eps, m))
     w = m.weight
     total = float(np.sum(w[1:-1]))
-    sing = float(np.sum(p_xi[1:-1]))
-    c = max((total - gamma**n * sing) / total, 0.0)
-    density = gamma**n * p_xi + c * w
-    # F itself from the logistic closed forms: the discrete weight ratio is
-    # rounding noise in the far tails where both curvatures underflow
-    sig = m.expit_s
-    ratio = (xa / (d * sig)) ** (n - 1) * (xa * xam / (d * sig * m.expit_neg_s))
-    values = gamma**n * ratio + c
+    c = max((total - gamma**n * profile.total) / total, 0.0)
     # the full-line first integral u'^n = gamma^n xi'^n + c psi'^n on the
     # first face: what it already carries at s_min enters the truncated
     # problem as a left flux, not as interior mass (negligible when the
     # layer is well inside the domain)
     p0 = m.psi_slopes[0]
-    offset = (gamma**n * xi_slopes[0] ** n + c * p0**n) ** (1.0 / n) - p0
+    offset = (gamma**n * profile.first_slope ** n + c * p0**n) ** (1.0 / n) - p0
     return RhsFamily(
         kind="dirac_approx",
         model=m,
-        values=values,
-        density=density,
         gamma=float(gamma),
         epsilon=float(eps),
         c_smooth=c,
         left_flux_offset=float(offset),
         pole_anchor=float(2.0 * np.log(eps) + POLE_ANCHOR_OFFSET),
+        profile=profile,
+        profile_scale=gamma**n,
     )
+
+
+def _pole_profile(eps: float, m: KahlerModel) -> MollifierProfile:
+    """Cell masses of the point mass at scale eps: exact half-node slopes
+    of xi_eps, (xi(s + h) - xi(s)) / h = log1p(expm1(h) xi'(s)) / h, which
+    increase, so every cell mass is nonnegative."""
+    n, h = m.n, m.grid.h
+    xi_slopes = np.log1p(np.expm1(h) * expit(m.grid.nodes[:-1] - 2.0 * np.log(eps))) / h
+    cells = np.zeros(m.grid.points)
+    cells[1:-1] = np.diff(xi_slopes ** n) / (n * h)
+    cells.flags.writeable = False
+    return MollifierProfile(cells, float(np.sum(cells[1:-1])), xi_slopes[0])
 
 
 def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> RhsFamily:
@@ -300,7 +314,7 @@ def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> Rhs
     memoised family for (delta', eps).
     """
     m = model
-    _require_finite(delta_prime=delta_prime, eps=eps)
+    require_finite(delta_prime=delta_prime, eps=eps)
     if delta_prime < 0:
         raise ConstraintViolationError(f"delta' must be nonnegative, got {delta_prime}")
     if delta_prime >= m.n:
@@ -318,19 +332,24 @@ def _divisor_family(delta_prime: float, eps: float, m: KahlerModel) -> RhsFamily
     parameters it has validated."""
     if delta_prime == 0.0:
         return constant_rhs(m)
-    shape = np.exp(-delta_prime * xi_eps(m.grid.nodes, eps))
-    w = m.weight
-    scale = float(np.sum(w[1:-1]) / np.sum(shape[1:-1] * w[1:-1]))
-    values = scale * shape
+    profile = _divisor_profile(delta_prime, eps, m)
     return RhsFamily(
         kind="divisor",
         model=m,
-        values=values,
-        density=values * w,
         delta_prime=float(delta_prime),
         epsilon=float(eps),
-        c_smooth=scale,
+        c_smooth=0.0,
+        profile=profile,
+        profile_scale=float(np.sum(m.weight[1:-1])) / profile.total,
     )
+
+
+def _divisor_profile(delta_prime: float, eps: float, m: KahlerModel) -> MollifierProfile:
+    """Cell masses e^{-delta' xi_eps} w of the fractional pole, before
+    normalisation."""
+    cells = np.exp(-delta_prime * xi_eps(m.grid.nodes, eps)) * m.weight
+    cells.flags.writeable = False
+    return MollifierProfile(cells, float(np.sum(cells[1:-1])))
 
 
 # ---------------------------------------------------------------------------

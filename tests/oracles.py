@@ -183,6 +183,24 @@ def dirac_rhs_per_call(gamma, eps, model):
     return values, density, c, float(offset)
 
 
+def reduced_mass(rhs) -> float:
+    """Quadrature of the reduced mass element n R ds of a family over the
+    domain."""
+    m = rhs.model
+    return float(m.n * m.grid.h * np.sum(rhs.interior_density))
+
+
+def singular_mass(rhs) -> float:
+    """Mass carried by the point-mass part of a family, in slope units."""
+    from radialma.rhs import xi_eps_d1
+
+    if rhs.kind != "dirac_approx":
+        return 0.0
+    m = rhs.model
+    xp = xi_eps_d1(m.grid.nodes[[0, -1]], rhs.epsilon)
+    return rhs.gamma**m.n * float(xp[1] ** m.n - xp[0] ** m.n)
+
+
 def log_curvature_derivs_per_call(rhs):
     """``RhsFamily.log_curvature_derivs`` of a constant, divisor or
     point-mass family."""

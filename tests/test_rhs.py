@@ -1,7 +1,9 @@
 """Singular right-hand-side families: mollifiers, normalisation, margins."""
 
 import gc
+import tracemalloc
 import weakref
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -20,14 +22,16 @@ from radialma import (
     xi_eps,
 )
 from radialma.geometry import MEMO_SIZE, expit, lelong_secant, softplus
-from radialma.rhs import dominance_margin, xi_eps_d1, xi_eps_d2
+from radialma.rhs import MollifierProfile, dominance_margin, xi_eps_d1, xi_eps_d2
 
 from oracles import (
     dirac_rhs_per_call,
     disc_mass_quad,
     log_curvature_derivs_per_call,
     lower_bound_per_call,
+    reduced_mass,
     second_derivative,
+    singular_mass,
 )
 
 
@@ -117,13 +121,13 @@ class TestDiracFamily:
 
     def test_singular_part_mass(self, model_n1):
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
-        assert rhs.singular_mass() == pytest.approx(1.0, abs=1e-6)
+        assert singular_mass(rhs) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("n,d,gamma", [(1, 2.0, 1.0), (1, 2.0, 1.8), (2, 3.0, 1.3)])
     def test_normalised_mass_is_model_mass(self, n, d, gamma):
         m = KahlerModel(n, d)
         rhs = build_dirac_rhs(gamma, 1e-3, m)
-        assert rhs.reduced_mass() == pytest.approx(d**n, abs=1e-8)
+        assert reduced_mass(rhs) == pytest.approx(d**n, abs=1e-8)
 
     def test_positive_everywhere(self, model_n1):
         for eps in (1e-1, 1e-3, 1e-4):
@@ -172,8 +176,20 @@ class TestDiracFamily:
         np.testing.assert_allclose(q2, (n + 1) * expit(a) * expit(-a), rtol=1e-15, atol=0)
 
 
+def with_cell_masses(rhs, density):
+    """``rhs`` with cell masses ``density``: a profile of unit scale and no
+    smooth part."""
+    profile = MollifierProfile(density, float(np.sum(density[1:-1])))
+    return replace(rhs, profile=profile, profile_scale=1.0, c_smooth=0.0)
+
+
 class TestPreconditions:
     # what makes every solve Kahler by construction is checked on the type
+
+    def test_f_strictly_positive(self, model_n1):
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        with pytest.raises(ConstraintViolationError, match="F must be strictly positive"):
+            replace(rhs, c_smooth=-float(np.max(rhs.values)))
 
     @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
     def test_cell_masses_finite_and_nonnegative(self, model_n1, bad):
@@ -181,7 +197,7 @@ class TestPreconditions:
         density = rhs.density.copy()
         density[2000] = bad
         with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
-            replace(rhs, density=density)
+            with_cell_masses(rhs, density)
 
     @pytest.mark.parametrize("node", [0, -1])
     def test_boundary_cell_masses_vanish(self, model_n1, node):
@@ -189,7 +205,7 @@ class TestPreconditions:
         density = rhs.density.copy()
         density[node] = 1e-3
         with pytest.raises(ConstraintViolationError, match="boundary nodes"):
-            replace(rhs, density=density)
+            with_cell_masses(rhs, density)
 
     def test_first_slope_within_psi_slopes(self, model_n1):
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
@@ -228,7 +244,7 @@ class TestDivisorFamily:
     def test_normalised(self, model_n1, model_n2):
         for m, dp in ((model_n1, 0.3), (model_n2, 1.2)):
             rhs = build_divisor_rhs(dp, 1e-3, m)
-            assert rhs.reduced_mass() == pytest.approx(m.degree**m.n, abs=1e-8)
+            assert reduced_mass(rhs) == pytest.approx(m.degree**m.n, abs=1e-8)
 
     def test_pole_order_at_dimension_rejected(self, model_n1):
         with pytest.raises(ConstraintViolationError):
@@ -292,6 +308,9 @@ class TestLowerBound:
 
 CLOSED_FORM_CASES = [(n, frac, eps) for n in (1, 2, 3) for frac in (0.3, 0.9)
                      for eps in (1e-1, 1e-3, 1e-4)]
+# gamma from a small pole to the whole model mass, where no smooth part is left
+SHARED_PROFILE_CASES = [(n, frac, eps) for n in (1, 2, 3) for frac in (0.1, 0.5, 1.0)
+                        for eps in (1e-1, 1e-4)]
 
 
 class TestCachedClosedForms:
@@ -309,10 +328,12 @@ class TestCachedClosedForms:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    @pytest.mark.parametrize("n,frac,eps", CLOSED_FORM_CASES)
+    @pytest.mark.parametrize("n,frac,eps", CLOSED_FORM_CASES + SHARED_PROFILE_CASES)
     def test_dirac_rhs_unchanged(self, n, frac, eps):
         m = KahlerModel(n, n + 1.0)
-        rhs = build_dirac_rhs(frac * m.degree, eps, m)
+        with (pytest.warns(UserWarning, match="equals the model mass") if frac == 1.0
+              else nullcontext()):
+            rhs = build_dirac_rhs(frac * m.degree, eps, m)
         values, density, c, offset = dirac_rhs_per_call(frac * m.degree, eps, m)
         assert np.array_equal(rhs.values, values)
         assert np.array_equal(rhs.density, density)
@@ -401,6 +422,48 @@ class TestFamilyMemo:
         del m, rhs
         gc.collect()
         assert ref() is None
+
+
+class TestSharedProfile:
+    """The families at one (model, eps) share one mollifier profile and hold
+    no grid array of their own."""
+
+    def test_every_gamma_shares_one_profile(self):
+        m = KahlerModel(2, 3.0)
+        families = [build_dirac_rhs(frac * m.degree, 1e-3, m) for frac in (0.1, 0.5, 0.9)]
+        divisor = build_divisor_rhs(0.5, 1e-3, m)
+        for rhs in (*families, divisor, constant_rhs(m)):
+            assert not [v for v in vars(rhs).values() if isinstance(v, np.ndarray)]
+        assert all(rhs.profile is families[0].profile for rhs in families)
+        assert build_dirac_rhs(1.5, 1e-2, m).profile is not families[0].profile
+        assert divisor.profile is not families[0].profile
+        assert constant_rhs(m).density is m.weight
+
+    def test_a_profile_lives_as_long_as_a_family_holds_it(self):
+        m = KahlerModel(1, 2.0)
+        others = [10.0 ** (-1.0 - k / 8.0) for k in range(MEMO_SIZE)]
+        kept = build_dirac_rhs(1.0, 1e-3, m)
+        for eps in others:  # evicts it from the model's memo
+            build_dirac_rhs(1.0, eps, m)
+        assert build_dirac_rhs(0.5, 1e-3, m).profile is kept.profile
+        profile = weakref.ref(kept.profile)
+        del kept
+        for eps in others:
+            build_dirac_rhs(0.8, eps, m)
+        gc.collect()
+        assert profile() is None
+
+    def test_sixty_four_families_hold_less_than_two_grid_arrays(self):
+        m = KahlerModel(1, 2.0)
+        build_dirac_rhs(1.0, 1e-2, m)  # builds the model's cached arrays before tracing
+        tracemalloc.start()
+        try:
+            families = [build_dirac_rhs(g, 1e-3, m) for g in np.linspace(0.02, 1.98, 64)]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len({id(rhs.profile) for rhs in families}) == 1
+        assert held < 2 * m.grid.points * 8
 
 
 class TestCachedMargin:

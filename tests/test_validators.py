@@ -12,6 +12,7 @@ from radialma import (
     KahlerModel,
     PotentialSequence,
     RadialPotential,
+    RhsFamily,
     SGrid,
     SolveConfig,
     bootstrap_lelong_bound,
@@ -30,6 +31,7 @@ from radialma import (
     xi_eps,
 )
 from radialma.geometry import lelong_secant
+from radialma.rhs import MollifierProfile
 
 GRID = SGrid(-10.0, 10.0, 81)
 ZEROS = np.zeros(GRID.points)
@@ -47,6 +49,9 @@ CASES = {
                            lambda m: build_divisor_rhs(-0.1, 1e-3, m)),
     "divisor eps <= 0": (ConfigurationError, "eps must be positive",
                          lambda m: build_divisor_rhs(0.5, 0.0, m)),
+    "profile off the model grid": (
+        ConfigurationError, "profile does not live on the model grid",
+        lambda m: RhsFamily("dirac_approx", m, profile=MollifierProfile(np.zeros(5), 0.0))),
     "unknown equation kind": (ConfigurationError, "unknown equation kind 'sideways'",
                               lambda m: EquationKind("sideways")),
     "unknown verdict": (ConfigurationError, "unknown verdict 'maybe'",
@@ -87,8 +92,18 @@ CASES = {
     "subinterval without interior node": (
         ConfigurationError, "subinterval must contain interior nodes",
         lambda m: bt_compare(m.psi, m.psi, 0.0, GRID.h)),
+    "bt_compare a = nan": (ConfigurationError, "a must be finite, got nan",
+                           lambda m: bt_compare(m.psi, m.psi, np.nan, 5.0)),
+    "bt_compare b = nan": (ConfigurationError, "b must be finite, got nan",
+                           lambda m: bt_compare(m.psi, m.psi, -5.0, np.nan)),
     "bootstrap gamma <= 0": (ConfigurationError, "gamma must be positive, got 0.0",
                              lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 0.0, 5.0, m)),
+    "bootstrap gamma = nan": (ConfigurationError, "gamma must be finite, got nan",
+                              lambda m: bootstrap_lelong_bound(ZEROS, 0.5, np.nan, 5.0, m)),
+    "bootstrap gamma = inf": (ConfigurationError, "gamma must be finite, got inf",
+                              lambda m: bootstrap_lelong_bound(ZEROS, 0.5, np.inf, 5.0, m)),
+    "bootstrap window = nan": (ConfigurationError, "window must be finite, got nan",
+                               lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, np.nan, m)),
     "bootstrap tau0 = 1": (ConfigurationError, "tau0 must lie in (0, 1)",
                            lambda m: bootstrap_lelong_bound(ZEROS, 1.0, 1.0, 5.0, m)),
     "bootstrap tau0 = 0": (ConfigurationError, "tau0 must lie in (0, 1)",
@@ -113,6 +128,10 @@ CASES = {
     "Lelong window outside the grid": (
         ConfigurationError, "Lelong window falls outside the grid",
         lambda m: lelong_secant(GRID, ZEROS.take, 5.0, anchor=GRID.s_max - 1.0)),
+    "Lelong window = nan": (ConfigurationError, "window must be finite, got nan",
+                            lambda m: lelong_secant(GRID, ZEROS.take, np.nan)),
+    "Lelong anchor = nan": (ConfigurationError, "anchor must be finite, got nan",
+                            lambda m: lelong_secant(GRID, ZEROS.take, 5.0, anchor=np.nan)),
 }
 
 
