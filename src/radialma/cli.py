@@ -24,36 +24,22 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import numbers
 import os
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .comparison import magnification_experiment
 from .errors import ConfigurationError, ConstraintViolationError
-from .geometry import KahlerModel
-from .grid import SGrid, rounding_floor
-from .multiplier import PotentialSequence, stalk_from_sequence, trivial_lemma_report
-from .rhs import (
-    build_dirac_rhs,
-    build_divisor_rhs,
-    check_lower_bound,
-    constant_rhs,
-    dirac_density,
-)
-from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_line
-from .solver import (
-    EquationKind,
-    SolveConfig,
-    StepRecord,
-    _eps_values,
-    continuity_in_t,
-    newton_solve,
-    sweep_epsilon,
-)
+
+# each subcommand imports what it runs, so a cold request loads no module it
+# does not need and ``slope`` loads no numpy
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .geometry import KahlerModel
+    from .solver import EquationKind, SolveConfig
 
 OUTPUT_ENV = "RADIALMA_OUT"
 
@@ -77,7 +63,7 @@ def fmt(x) -> str:
     """Serialise a number with 17 significant digits (lossless doubles)."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     return f"{float(x):.17g}"
 
@@ -159,10 +145,13 @@ class RunConfig:
         return default
 
     def validate_model(self):
+        from .geometry import KahlerModel
+        from .grid import SGrid
         grid = _in_section("[model]", SGrid, self.s_min, self.s_max, self.points)
         return _in_section("[model]", KahlerModel, self.n, self.degree, grid)
 
     def build_rhs(self, model, epsilon=None):
+        from .rhs import build_dirac_rhs, build_divisor_rhs, constant_rhs
         eps = self.epsilon if epsilon is None else epsilon
         if self.rhs_kind == "constant":
             return _in_section("[rhs]", constant_rhs, model)
@@ -174,15 +163,18 @@ class RunConfig:
 
     def equation(self) -> EquationKind:
         """The equation at ``t_target``, the one time of every subcommand."""
+        from .solver import EquationKind
         return _in_section("[equation]", EquationKind, self.kind, self.t_target)
 
     def solve_config(self) -> SolveConfig:
+        from .solver import SolveConfig
         return _in_section("[solver]", SolveConfig, newton_tol=self.newton_tol,
                            max_iters=self.max_iters)
 
     def eps_list(self, subcommand: str) -> list[float]:
         """``epsilon_list``, one member per eps for ``subcommand``: required
         non-empty, finite, positive and strictly decreasing."""
+        from .solver import _eps_values
         if not self.epsilon_list:
             raise ConfigurationError(
                 f"[rhs] epsilon_list: {subcommand} needs a decreasing list")
@@ -248,6 +240,7 @@ def _curve(s: np.ndarray, values: np.ndarray) -> list[str]:
 
 
 def cmd_solve(cfg: RunConfig) -> _Result:
+    from .solver import StepRecord, newton_solve
     model = cfg.validate_model()
     rhs = cfg.build_rhs(model)
     kind = cfg.equation()
@@ -271,6 +264,7 @@ def _trace_result(trace, barrier_key: str) -> _Result:
 
 
 def cmd_continuity(cfg: RunConfig) -> _Result:
+    from .solver import continuity_in_t
     model = cfg.validate_model()
     rhs = cfg.build_rhs(model)
     if cfg.kind == "neutral":
@@ -283,6 +277,7 @@ def cmd_continuity(cfg: RunConfig) -> _Result:
 
 
 def cmd_sweep(cfg: RunConfig) -> _Result:
+    from .solver import sweep_epsilon
     model = cfg.validate_model()
     eps_list = cfg.eps_list("sweep")
     trace, _ = sweep_epsilon(model, cfg.gamma, cfg.equation(), cfg.t_target,
@@ -292,6 +287,7 @@ def cmd_sweep(cfg: RunConfig) -> _Result:
 
 
 def cmd_magnify(cfg: RunConfig) -> _Result:
+    from .comparison import magnification_experiment
     model = cfg.validate_model()
     eps_list = cfg.eps_list("magnify")
     if cfg.kind != "magnifying":
@@ -312,6 +308,9 @@ def cmd_magnify(cfg: RunConfig) -> _Result:
 
 
 def cmd_multiplier(cfg: RunConfig) -> _Result:
+    from .multiplier import PotentialSequence, stalk_from_sequence, trivial_lemma_report
+    from .rhs import check_lower_bound
+    from .solver import sweep_epsilon
     model = cfg.validate_model()
     eps_list = cfg.eps_list("multiplier")
     tau0 = cfg.open_time("multiplier")
@@ -337,6 +336,7 @@ def cmd_multiplier(cfg: RunConfig) -> _Result:
 
 
 def cmd_slope(cfg: RunConfig) -> _Result:
+    from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_line
     n = cfg.slope_n
     ambient = _in_section("[run] slope_n", tangent_on_line, n)
     summary = _fields(n=n, ambient_slope=str(normalized_slope(ambient)),
@@ -358,6 +358,15 @@ def cmd_verify(cfg: RunConfig) -> _Result:
 
 def _verify_checks(model: KahlerModel, solve: SolveConfig) -> list[tuple[str, bool, str]]:
     """``verify``'s checks on ``model``: (name, passed, detail) each."""
+    from fractions import Fraction
+
+    import numpy as np
+
+    from .geometry import KahlerModel
+    from .grid import rounding_floor
+    from .rhs import build_dirac_rhs, check_lower_bound, constant_rhs, dirac_density
+    from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_line
+    from .solver import EquationKind, newton_solve
     checks: list[tuple[str, bool, str]] = []
     rhs1 = constant_rhs(model)
     res = newton_solve(model, rhs1, EquationKind("magnifying", 0.5), solve)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 from .geometry import KahlerModel, average, pole_lelong
 from .grid import grid_values
 from .rhs import RhsFamily
@@ -35,6 +35,7 @@ def crucial_integral(phi, tau: float, rhs: RhsFamily, model: KahlerModel) -> flo
     Computed in mass units (the measure of the whole model is d^n) and in
     log space, so deep potential wells report inf instead of overflowing.
     """
+    require_finite(tau=tau)
     vals = grid_values(phi, model.grid)
     phat = average(vals, model)
     # R >= 0 is an invariant of RhsFamily; the floor only keeps exact zeros
@@ -76,6 +77,7 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     """
     if k < 0 or int(k) != k:
         raise ConfigurationError(f"vanishing order must be a nonnegative integer, got {k}")
+    require_finite(tau=tau)
     grid = model.grid
     vals = grid_values(phi, grid)
     if not np.all(np.isfinite(vals)):

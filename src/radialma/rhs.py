@@ -69,6 +69,7 @@ POLE_ANCHOR_OFFSET = 6.0
 
 def xi_eps(s, eps: float):
     """Mollified log pole log(e^s + eps^2); decreases to s as eps -> 0."""
+    require_finite(eps=eps)
     if eps <= 0:
         raise ConfigurationError(f"eps must be positive, got {eps}")
     return np.logaddexp(s, 2.0 * np.log(eps))
@@ -92,6 +93,7 @@ def dirac_density(a: float, r2) -> float:
     1-dimensional form of the curvature lower bound the magnifying
     construction needs.
     """
+    require_finite(a=a)
     if a <= 0:
         raise ConfigurationError(f"scale a must be positive, got {a}")
     r2 = np.asarray(r2, dtype=float)

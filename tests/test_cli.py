@@ -1,5 +1,6 @@
 """CLI subcommands, config validation, deterministic output, the README examples."""
 
+import ast
 import os
 import re
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radialma import CurvatureMarginWarning, cli
+import radialma.solver
+from radialma import CurvatureMarginWarning
 from radialma.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -349,13 +351,13 @@ class TestVerify:
     def test_neutral_rows_above_their_rounding_fail(self, tmp_path, capsys, monkeypatch):
         # the neutral quadrature always converges, so its check reads the
         # rows: a residual above newton_tol and the rounding floor fails it
-        solve = cli.newton_solve
+        solve = radialma.solver.newton_solve
 
         def off_by_a_row(model, rhs, kind, config=None):
             res = solve(model, rhs, kind, config)
             return replace(res, residual_norm=1e-6) if kind.kind == "neutral" else res
 
-        monkeypatch.setattr(cli, "newton_solve", off_by_a_row)
+        monkeypatch.setattr(radialma.solver, "newton_solve", off_by_a_row)
         cfg = readme_config(tmp_path)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
         out = capsys.readouterr().out
@@ -470,6 +472,20 @@ class TestWarnings:
             assert captured.out.splitlines()[-1] == warning[-1]
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports radialma from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# what a solve-path request leaves unloaded: the experiments it does not run
+SOLVE_PATH_UNLOADED = ("radialma.comparison", "radialma.multiplier", "radialma.slopes",
+                       "fractions")
+
+
 class TestImportPath:
     def test_no_heavy_scipy_subpackages(self, tmp_path):
         # a fresh interpreter: importing the CLI and running verify in
@@ -485,12 +501,29 @@ class TestImportPath:
             f"assert main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
             "assert not loaded(), loaded()\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_fresh(code)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("subcommand,unloaded", [
+        ("slope", ("numpy", "radialma.solver")),
+        ("solve", SOLVE_PATH_UNLOADED),
+        ("continuity", SOLVE_PATH_UNLOADED),
+        ("sweep", SOLVE_PATH_UNLOADED),
+    ])
+    def test_a_request_loads_only_what_it_runs(self, tmp_path, subcommand, unloaded):
+        # the request runs in process, in a fresh interpreter, which then
+        # prints every module it holds on its last stdout line
+        cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.0", t_target="0.3",
+                           eps_list="1e-1, 1e-2", name="lazy")
+        proc = run_fresh(
+            "import sys\n"
+            "from radialma.cli import main\n"
+            f"status = main([{subcommand!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(status, sorted(sys.modules))\n")
+        assert proc.returncode == 0, proc.stderr
+        status, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert status == "0"
+        assert not set(unloaded) & set(ast.literal_eval(loaded))
 
 
 class TestDeterminism:
@@ -566,14 +599,14 @@ class TestPotentialWriter:
     def test_columns_are_the_nodes_and_the_returned_phi(self, tmp_path, monkeypatch,
                                                         subcommand, solver):
         # every node, not one: both columns read back bit for bit
-        original, returned = getattr(cli, solver), []
+        original, returned = getattr(radialma.solver, solver), []
 
         def spy(model, *args):
             out = original(model, *args)
             returned.append((model, out if solver == "newton_solve" else out[1]))
             return out
 
-        monkeypatch.setattr(cli, solver, spy)
+        monkeypatch.setattr(radialma.solver, solver, spy)
         cfg = write_config(tmp_path, rhs_kind="dirac", gamma="1.0", t="0.3",
                            t_target="0.3", name="pw")
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 0

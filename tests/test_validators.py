@@ -21,6 +21,8 @@ from radialma import (
     build_divisor_rhs,
     constant_rhs,
     continuity_in_t,
+    crucial_integral,
+    dirac_density,
     fubini_study_potential,
     germ_integral,
     magnifying,
@@ -41,6 +43,10 @@ ZEROS = np.zeros(GRID.points)
 CASES = {
     "xi_eps eps <= 0": (ConfigurationError, "eps must be positive",
                         lambda m: xi_eps(0.0, 0.0)),
+    "xi_eps eps = nan": (ConfigurationError, "eps must be finite, got nan",
+                         lambda m: xi_eps(0.0, np.nan)),
+    "dirac_density a = nan": (ConfigurationError, "a must be finite, got nan",
+                              lambda m: dirac_density(np.nan, 1.0)),
     "dirac gamma < 0": (ConstraintViolationError, "gamma must be nonnegative",
                         lambda m: build_dirac_rhs(-0.1, 1e-3, m)),
     "dirac eps <= 0": (ConfigurationError, "eps must be positive",
@@ -112,6 +118,10 @@ CASES = {
                                   lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, 30.0, m)),
     "germ order k < 0": (ConfigurationError, "vanishing order must be a nonnegative integer",
                          lambda m: germ_integral(-1, ZEROS, 0.5, m)),
+    "germ tau = nan": (ConfigurationError, "tau must be finite, got nan",
+                       lambda m: germ_integral(0, ZEROS, np.nan, m)),
+    "crucial integral tau = nan": (ConfigurationError, "tau must be finite, got nan",
+                                   lambda m: crucial_integral(ZEROS, np.nan, constant_rhs(m), m)),
     "germ grid without s <= 0": (
         ConfigurationError, "no pole-side nodes",
         lambda m: germ_integral(0, ZEROS, 0.5, KahlerModel(1, 2.0, SGrid(1.0, 21.0, 81)))),
