@@ -31,8 +31,8 @@ _EXPORTS = {
     "solver": ("ContinuityTrace", "EquationKind", "SolveConfig", "SolveResult",
                "continuity_in_t", "diagnostics_for", "magnifying", "neutral",
                "neutral_oracle", "newton_solve", "reducing", "sweep_epsilon"),
-    "multiplier": ("GermIntegral", "PotentialSequence", "StalkDescriptor", "crucial_integral",
-                   "germ_integral", "stalk_from_sequence", "trivial_lemma_report"),
+    "multiplier": ("GermIntegral", "PotentialSequence", "StalkDescriptor", "germ_integral",
+                   "stalk_from_sequence", "trivial_lemma_report"),
     "comparison": ("ComparisonReport", "MagnificationReport", "bootstrap_lelong_bound",
                    "bt_compare", "magnification_experiment"),
     "slopes": ("BundleSpec", "destabilizes", "line_tangent", "normalized_slope",

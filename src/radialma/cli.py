@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import numbers
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -40,8 +39,6 @@ if TYPE_CHECKING:
 
     from .geometry import KahlerModel
     from .solver import EquationKind, SolveConfig
-
-OUTPUT_ENV = "RADIALMA_OUT"
 
 DIAG_COLUMNS = ("step", "param", "sup_phi", "inf_phi", "avg_phi", "lelong",
                 "lelong_sensitivity", "mass", "newton_iters", "converged")
@@ -122,7 +119,10 @@ class RunConfig:
         self.epsilon_list = conv("rhs", "epsilon_list", "", _floats)
         self.newton_tol = conv("solver", "newton_tol", 1e-10, float)
         self.max_iters = conv("solver", "max_iters", 50, int)
-        self.experiment = str(g("run", "experiment", "run")).strip()
+        # the experiment names files inside the output directory
+        name = self.experiment = str(g("run", "experiment", "run")).strip()
+        if not name or "\0" in name or Path(name).name != name:
+            raise ConfigurationError(f"[run] experiment: expected a file name, got {name!r}")
         self.output_dir = str(g("run", "output_dir", "")).strip()
         self.slope_n = conv("run", "slope_n", 5, int)
 
@@ -429,11 +429,11 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI-style run configuration")
     parser.add_argument("--out", default=None,
-                        help=f"output directory (default: [run] output_dir, then ${OUTPUT_ENV})")
+                        help="output directory (default: [run] output_dir, then .)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        outdir = Path(args.out or cfg.output_dir or os.environ.get(OUTPUT_ENV, "."))
+        outdir = Path(args.out or cfg.output_dir or ".")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
             status, summary, files = _COMMANDS[args.subcommand](cfg)

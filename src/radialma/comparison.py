@@ -151,7 +151,6 @@ class MagnificationReport:
     rows: tuple[MagnificationRow, ...]
     verdict: str
     eta: float
-    eta_warning: str | None
 
 
 def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
@@ -174,19 +173,17 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
 
     The curvature margin eta is ``check_lower_bound`` of the first member.
     tau0 >= eta does not stop the run (the point-mass families genuinely
-    fail the bound, which is what the probe is for) but is recorded as
-    ``eta_warning`` and issued as a ``CurvatureMarginWarning``.
+    fail the bound, which is what the probe is for) but is issued as a
+    ``CurvatureMarginWarning``.
     """
     if not (0.0 < tau0 < 1.0):
         raise ConfigurationError(f"tau0 must lie in (0, 1), got {tau0}")
     trace, results = sweep_epsilon(model, gamma, magnifying(tau0), tau0, eps_list, config)
     eta = check_lower_bound(results[0].rhs).eta
-    eta_warning = None
     if tau0 >= eta:
-        eta_warning = (
+        warnings.warn(
             f"tau0 = {tau0} is not below the curvature margin eta = {eta:.3g}; "
-            "proceeding as an experimental probe")
-        warnings.warn(eta_warning, CurvatureMarginWarning, stacklevel=2)
+            "proceeding as an experimental probe", CurvatureMarginWarning, stacklevel=2)
 
     s_min, s_max, h = model.grid.s_min, model.grid.s_max, model.grid.h
     rows: list[MagnificationRow] = []
@@ -201,4 +198,4 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
                 res.phi, tau0, gamma, min(max(rhs.pole_anchor - s_min, 4.0 * h),
                                           s_max - s_min - h), model)
         rows.append(MagnificationRow(record, nu_neutral, bound))
-    return MagnificationReport(tuple(rows), trace.verdict, eta, eta_warning)
+    return MagnificationReport(tuple(rows), trace.verdict, eta)

@@ -26,7 +26,6 @@ the stalk and the magnification table all read it.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,8 +86,8 @@ class KahlerModel:
     softplus(-s); every right-hand side and the volume quadrature read
     them, and psi', psi'' elsewhere are written from them. The geometry is
     immutable after construction; the one state a model changes is what was
-    built on it: the families it memoises (``memoized``) and the mollifier
-    profiles they share (``shared``).
+    built on it, kept in one cache (``memoized``): its families and the
+    mollifier profiles they share.
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
@@ -97,7 +96,6 @@ class KahlerModel:
         self.degree = float(degree)
         self.grid = grid
         self._memo: OrderedDict = OrderedDict()
-        self._shared = weakref.WeakValueDictionary()
 
     def memoized(self, key, build):
         """``build()``, kept on this model under ``key``, so a later call with
@@ -111,16 +109,6 @@ class KahlerModel:
         value = memo[key] = build()
         if len(memo) > MEMO_SIZE:
             memo.popitem(last=False)
-        return value
-
-    def shared(self, key, build):
-        """``build()``, kept on this model under ``key`` for as long as
-        anything else holds it, so that every object built from it while it
-        lives shares one copy. It takes no ``memoized`` slot: it is freed
-        with the last object that holds it."""
-        value = self._shared.get(key)
-        if value is None:
-            value = self._shared[key] = build()
         return value
 
     # -- discrete arrays used by the solver --------------------------------

@@ -20,6 +20,7 @@ Kahler positivity is decided by one scan of the slopes, ``first_violation``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +42,8 @@ class SGrid:
             raise ConfigurationError("grid endpoints must be finite")
         if self.s_min >= self.s_max:
             raise ConfigurationError(f"s_min={self.s_min} must be < s_max={self.s_max}")
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
+            raise ConfigurationError(f"grid points must be an integer, got {self.points!r}")
         # the pole secant needs a window of 4h, which takes 5 nodes
         if self.points < 5:
             raise ConfigurationError(f"need at least 5 grid points, got {self.points}")

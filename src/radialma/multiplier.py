@@ -22,30 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, require_finite
-from .geometry import KahlerModel, average, pole_lelong
+from .geometry import KahlerModel, pole_lelong
 from .grid import grid_values
 from .rhs import RhsFamily
 
 BORDERLINE_TOL = 1e-9
-
-
-def crucial_integral(phi, tau: float, rhs: RhsFamily, model: KahlerModel) -> float:
-    """The normalised closedness integral: int e^{-tau (phi - avg)} F dmu.
-
-    Computed in mass units (the measure of the whole model is d^n) and in
-    log space, so deep potential wells report inf instead of overflowing.
-    """
-    require_finite(tau=tau)
-    vals = grid_values(phi, model.grid)
-    phat = average(vals, model)
-    # R >= 0 is an invariant of RhsFamily; the floor only keeps exact zeros
-    # (cells where the density underflows) out of the log
-    dens = np.maximum(model.n * model.grid.h * rhs.interior_density, np.finfo(float).tiny)
-    logs = -tau * (vals[1:-1] - phat) + np.log(dens)
-    peak = float(np.max(logs))
-    if peak > 700.0:
-        return math.inf
-    return float(np.exp(peak) * np.sum(np.exp(logs - peak)))
 
 
 def _integrable(alpha: float) -> bool:
@@ -174,7 +155,6 @@ class TrivialLemmaReport:
     nontrivial_ok: bool
     curvature_bound_ok: bool
     not_maximal_ideal_ok: bool
-    all_checkable_pass: bool
     conclusion: str
     notes: tuple[str, ...]
 
@@ -182,24 +162,21 @@ class TrivialLemmaReport:
 def trivial_lemma_report(stalk: StalkDescriptor, curvature_margin: float) -> TrivialLemmaReport:
     """Evaluate the checkable hypotheses against a stalk and a margin eta."""
     notes: list[str] = []
-    nontrivial_ok = stalk.nontrivial
-    if not nontrivial_ok:
-        notes.append("stalk is trivial: no vanishing is forced at the pole point")
     curvature_ok = curvature_margin > 0.0
+    if not stalk.nontrivial:
+        notes.append("stalk is trivial: no vanishing is forced at the pole point")
     if not curvature_ok:
         notes.append(
             "no common positive curvature lower bound (eta = 0): without it the "
             "collapse locus can be a smooth elliptic curve, so rationality fails")
-    not_maximal = stalk.nontrivial and not stalk.equals_maximal_ideal
     if stalk.equals_maximal_ideal:
         notes.append(
             "stalk equals the maximal ideal of the pole point; the rationality "
             "argument needs strict containment or a second point")
     return TrivialLemmaReport(
-        nontrivial_ok=nontrivial_ok,
+        nontrivial_ok=stalk.nontrivial,
         curvature_bound_ok=curvature_ok,
-        not_maximal_ideal_ok=not_maximal,
-        all_checkable_pass=nontrivial_ok and curvature_ok and not_maximal,
+        not_maximal_ideal_ok=stalk.nontrivial and not stalk.equals_maximal_ideal,
         conclusion="deferred",
         notes=tuple(notes),
     )

@@ -41,15 +41,14 @@ masses of xi_eps's half-node slopes for the point-mass family (a =
 gamma^n), of e^{-delta' xi_eps} w for the divisor family (a its
 normalisation, c = 0); the constant family is w itself. The point-mass
 profile depends on the model and eps only, so the families of every gamma
-at one eps share one: the model keeps it (``KahlerModel.shared``) for as
-long as a family holds it. ``density`` and F (``values``) are evaluated on
-access.
+at one eps share one. ``density`` and F (``values``) are evaluated on access.
 
 Each family is built once per model. ``build_dirac_rhs`` and
 ``build_divisor_rhs`` validate their parameters and warn on every call,
-then return the family the model has memoised for (kind, parameter, eps)
-(``KahlerModel.memoized``, the last 16 kept), building it only on a miss.
-A family computes its curvature margin once
+then return the family the model has memoised for (kind, parameter, eps),
+building it only on a miss; the point-mass profile is memoised beside the
+families under ("profile", eps). ``KahlerModel.memoized`` keeps the last
+16 entries of both. A family computes its curvature margin once
 (``RhsFamily.curvature_margin``), which ``check_lower_bound`` returns.
 """
 
@@ -271,7 +270,7 @@ def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
     if gamma == 0.0:
         return constant_rhs(m)
     n = m.n
-    profile = m.shared(("dirac_approx", eps), lambda: _pole_profile(eps, m))
+    profile = m.memoized(("profile", eps), lambda: _pole_profile(eps, m))
     w = m.weight
     total = float(np.sum(w[1:-1]))
     c = max((total - gamma**n * profile.total) / total, 0.0)

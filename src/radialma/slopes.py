@@ -59,10 +59,10 @@ def destabilizes(sub: BundleSpec, ambient: BundleSpec) -> bool:
 
 
 def tangent_on_line(n: int) -> BundleSpec:
-    """Tangent bundle of projective n-space restricted to a line."""
+    """Tangent bundle of projective n-space on a line: O(2) + O(1)^(n-1)."""
     if n < 1:
         raise ConfigurationError(f"need n >= 1, got {n}")
-    return BundleSpec(((Fraction(2), 1),) + ((Fraction(1), 1),) * (n - 1))
+    return BundleSpec(((Fraction(2), 1),) + (((Fraction(1), n - 1),) if n > 1 else ()))
 
 
 def line_tangent() -> BundleSpec:

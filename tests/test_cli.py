@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import radialma.solver
-from radialma import CurvatureMarginWarning
-from radialma.cli import main
+from radialma import DEFAULT_GRID, CurvatureMarginWarning, SolveConfig
+from radialma.cli import load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SUBCOMMANDS = ["solve", "continuity", "sweep", "magnify", "multiplier", "verify", "slope"]
@@ -327,6 +327,16 @@ class TestSlope:
         assert "sub_slope = 2" in out
         assert "destabilizes = true" in out
 
+    @pytest.mark.parametrize("n", [10**4, 10**12])
+    def test_time_does_not_grow_with_n(self, tmp_path, capsys, n):
+        # the ambient bundle holds at most two summands, not n: at n = 1e4
+        # the output is that of the n-summand build, which at n = 1e12 would
+        # need terabytes of summands
+        cfg = write_config(tmp_path, name="sl", extra=f"slope_n = {n}\n")
+        assert main(["slope", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"n = {n}", f"ambient_slope = {n + 1}/{n}", "sub_slope = 2", "destabilizes = true"]
+
 
 class TestVerify:
     def test_builtin_checks_pass(self, tmp_path, capsys):
@@ -446,6 +456,19 @@ class TestUnknownKeys:
         path.write_text(path.read_text() + extra)
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"configuration error: {where}: unknown section\n"
+
+
+class TestDefaults:
+    def test_an_empty_config_takes_the_library_defaults(self):
+        # the CLI writes its defaults out, since importing SolveConfig or
+        # DEFAULT_GRID would load numpy on the slope path
+        cfg = load_config(os.devnull)
+        solve = SolveConfig()
+        assert (cfg.newton_tol, cfg.max_iters) == (solve.newton_tol, solve.max_iters)
+        assert (cfg.s_min, cfg.s_max, cfg.points) == (
+            DEFAULT_GRID.s_min, DEFAULT_GRID.s_max, DEFAULT_GRID.points)
+        assert cfg.solve_config() == solve
+        assert cfg.validate_model().grid == DEFAULT_GRID
 
 
 class TestWarnings:
@@ -681,16 +704,21 @@ class TestOutputContract:
         *[(cmd, dict(rhs_kind="dirac", gamma="1.0", t="0.3", t_target="0.3",
                      eps_list="1e-1,-1e-2"), "[rhs] epsilon_list: eps list must be positive")
           for cmd in ("sweep", "magnify", "multiplier")],
+        # the experiment names files inside the output directory
+        ("slope", dict(name="sub/err"), "[run] experiment: expected a file name, got 'sub/err'"),
+        ("solve", dict(name="sub/err"), "[run] experiment: expected a file name, got 'sub/err'"),
+        ("verify", dict(name=""), "[run] experiment: expected a file name, got ''"),
+        ("slope", dict(name="../err"), "[run] experiment: expected a file name, got '../err'"),
     ])
     def test_error_in_a_command_writes_nothing(self, tmp_path, capsys, subcommand,
                                                changes, where):
-        cfg = write_config(tmp_path, name="err", **changes)
+        cfg = write_config(tmp_path, **{"name": "err", **changes})
         out = tmp_path / "out"
         assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error: " + where)
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_multiplier_without_members_writes_only_its_summary(self, tmp_path, capsys):
         # one fixed-point iteration converges no member of the README family

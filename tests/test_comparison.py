@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from radialma import (
     ConfigurationError,
+    CurvatureMarginWarning,
     EquationKind,
     KahlerModel,
     RadialPotential,
@@ -178,7 +179,10 @@ class TestMagnificationExperiment:
             assert abs(row.record.diagnostics.avg_phi) <= 1e-9
 
     def test_amplification_run(self, model_n1):
-        with pytest.warns(UserWarning, match="curvature margin"):
+        # the point-mass family fails the curvature bound: the run goes on as
+        # a probe, and the warning is its one report of that
+        with pytest.warns(CurvatureMarginWarning,
+                          match="tau0 = 0.2 is not below the curvature margin eta = 0;"):
             report = magnification_experiment(model_n1, 1.8, 0.2, self.EPS_LIST)
         rows = report.rows
         assert all(r.converged for r in rows)
@@ -190,7 +194,7 @@ class TestMagnificationExperiment:
             assert r.nu_measured >= r.nu_neutral
             assert r.nu_measured >= r.nu_bootstrap - 0.02 * r.nu_bootstrap
         assert report.verdict == "average_blowup"
-        assert report.eta == 0.0 and report.eta_warning is not None
+        assert report.eta == 0.0
 
     def test_neutral_control_reads_fed_pole_mass(self, model_n1):
         # the neutral rows return what is fed in, once the layer separates

@@ -9,8 +9,7 @@ import pytest
 
 import radialma
 
-# every name the package exported when its __init__ imported each submodule
-# eagerly, submodules included
+# every name the package exports, submodules included
 EXPORTS = {
     "BundleSpec", "ComparisonReport", "ConfigurationError", "ConstraintViolationError",
     "ContinuityTrace", "CurvatureMarginWarning", "DEFAULT_GRID", "Diagnostics",
@@ -18,7 +17,7 @@ EXPORTS = {
     "MagnificationReport", "PotentialSequence", "RadialPotential", "RhsFamily", "SGrid",
     "SolveConfig", "SolveResult", "StalkDescriptor", "average", "bootstrap_lelong_bound",
     "bt_compare", "build_dirac_rhs", "build_divisor_rhs", "check_lower_bound", "comparison",
-    "constant_rhs", "continuity_in_t", "crucial_integral", "destabilizes", "diagnostics_for",
+    "constant_rhs", "continuity_in_t", "destabilizes", "diagnostics_for",
     "dirac_density", "errors", "fubini_study_potential", "geometry", "germ_integral", "grid",
     "line_tangent", "magnification_experiment", "magnifying", "multiplier", "neutral",
     "neutral_oracle", "newton_solve", "normalized_slope", "pole_lelong", "reducing", "rhs",

@@ -21,6 +21,7 @@ from radialma import (
     neutral_oracle,
     xi_eps,
 )
+from radialma import rhs as rhs_module
 from radialma.geometry import MEMO_SIZE, expit, lelong_secant, softplus
 from radialma.rhs import MollifierProfile, dominance_margin, xi_eps_d1, xi_eps_d2
 
@@ -403,15 +404,35 @@ class TestFamilyMemo:
         assert np.array_equal(fa.density, fb.density)
 
     def test_seventeenth_key_evicts_the_first(self):
+        # a divisor family takes one entry, its profile none
         assert MEMO_SIZE == 16
         m = KahlerModel(1, 2.0)
         eps = [10.0 ** (-1.0 - k / 4.0) for k in range(17)]
-        kept = [build_dirac_rhs(1.0, e, m) for e in eps[:16]]
-        assert all(build_dirac_rhs(1.0, e, m) is f for e, f in zip(eps, kept))
-        build_dirac_rhs(1.0, eps[16], m)
-        assert all(build_dirac_rhs(1.0, e, m) is f for e, f in zip(eps[1:16], kept[1:]))
-        again = build_dirac_rhs(1.0, eps[0], m)
+        kept = [build_divisor_rhs(0.5, e, m) for e in eps[:16]]
+        assert all(build_divisor_rhs(0.5, e, m) is f for e, f in zip(eps, kept))
+        build_divisor_rhs(0.5, eps[16], m)
+        assert all(build_divisor_rhs(0.5, e, m) is f for e, f in zip(eps[1:16], kept[1:]))
+        again = build_divisor_rhs(0.5, eps[0], m)
         assert again is not kept[0]
+        assert np.array_equal(again.density, kept[0].density)
+
+    def test_a_point_mass_profile_takes_an_entry(self, monkeypatch):
+        # a point-mass family and its profile are two entries of the one
+        # cache: eight eps fill it, a ninth evicts the first family and its
+        # profile
+        builds = []
+        original = rhs_module._pole_profile
+        monkeypatch.setattr(rhs_module, "_pole_profile",
+                            lambda eps, m: builds.append(eps) or original(eps, m))
+        m = KahlerModel(1, 2.0)
+        eps = [10.0 ** (-1.0 - k / 4.0) for k in range(MEMO_SIZE // 2 + 1)]
+        kept = [build_dirac_rhs(1.0, e, m) for e in eps[:-1]]
+        build_dirac_rhs(1.0, eps[-1], m)
+        assert builds == eps
+        assert all(build_dirac_rhs(1.0, e, m) is f for e, f in zip(eps[1:-1], kept[1:]))
+        again = build_dirac_rhs(1.0, eps[0], m)
+        assert again is not kept[0] and again.profile is not kept[0].profile
+        assert builds == [*eps, eps[0]]
         assert np.array_equal(again.density, kept[0].density)
 
     def test_a_deleted_model_is_collected(self):
@@ -439,19 +460,20 @@ class TestSharedProfile:
         assert divisor.profile is not families[0].profile
         assert constant_rhs(m).density is m.weight
 
-    def test_a_profile_lives_as_long_as_a_family_holds_it(self):
+    def test_an_evicted_profile_is_built_again(self):
+        # the model keeps a profile as it keeps a family, not for as long
+        # as a family holds it: after eviction a new family at that eps
+        # builds its own
         m = KahlerModel(1, 2.0)
-        others = [10.0 ** (-1.0 - k / 8.0) for k in range(MEMO_SIZE)]
         kept = build_dirac_rhs(1.0, 1e-3, m)
-        for eps in others:  # evicts it from the model's memo
-            build_dirac_rhs(1.0, eps, m)
         assert build_dirac_rhs(0.5, 1e-3, m).profile is kept.profile
-        profile = weakref.ref(kept.profile)
-        del kept
-        for eps in others:
-            build_dirac_rhs(0.8, eps, m)
-        gc.collect()
-        assert profile() is None
+        for k in range(MEMO_SIZE // 2):  # sixteen new entries evict those three
+            build_dirac_rhs(1.0, 10.0 ** (-1.0 - k / 8.0), m)
+        again = build_dirac_rhs(0.8, 1e-3, m)
+        assert again.profile is not kept.profile
+        assert np.array_equal(again.profile.cells, kept.profile.cells)
+        assert again.profile.total == kept.profile.total
+        assert again.profile.first_slope == kept.profile.first_slope
 
     def test_sixty_four_families_hold_less_than_two_grid_arrays(self):
         m = KahlerModel(1, 2.0)

@@ -21,7 +21,6 @@ from radialma import (
     build_divisor_rhs,
     constant_rhs,
     continuity_in_t,
-    crucial_integral,
     dirac_density,
     fubini_study_potential,
     germ_integral,
@@ -91,6 +90,14 @@ CASES = {
                                lambda m: SGrid(-np.inf, 1.0, 5)),
     "nan grid endpoint": (ConfigurationError, "grid endpoints must be finite",
                           lambda m: SGrid(0.0, np.nan, 5)),
+    "fractional grid points": (ConfigurationError, "grid points must be an integer, got 4001.5",
+                               lambda m: SGrid(-10.0, 10.0, 4001.5)),
+    "float grid points": (ConfigurationError, "grid points must be an integer, got 4001.0",
+                          lambda m: SGrid(-10.0, 10.0, 4001.0)),
+    "numpy float grid points": (ConfigurationError, "grid points must be an integer",
+                                lambda m: SGrid(-10.0, 10.0, np.float64(81))),
+    "bool grid points": (ConfigurationError, "grid points must be an integer, got True",
+                         lambda m: SGrid(-10.0, 10.0, True)),
     "different grids": (ConfigurationError, "grids do not match",
                         lambda m: GRID.require_same(SGrid(-10.0, 10.0, 41))),
     "non-finite potential": (ConfigurationError, "potential values must be finite",
@@ -120,8 +127,6 @@ CASES = {
                          lambda m: germ_integral(-1, ZEROS, 0.5, m)),
     "germ tau = nan": (ConfigurationError, "tau must be finite, got nan",
                        lambda m: germ_integral(0, ZEROS, np.nan, m)),
-    "crucial integral tau = nan": (ConfigurationError, "tau must be finite, got nan",
-                                   lambda m: crucial_integral(ZEROS, np.nan, constant_rhs(m), m)),
     "germ grid without s <= 0": (
         ConfigurationError, "no pole-side nodes",
         lambda m: germ_integral(0, ZEROS, 0.5, KahlerModel(1, 2.0, SGrid(1.0, 21.0, 81)))),
@@ -152,3 +157,8 @@ def test_validator_names_what_it_rejects(case):
         call(KahlerModel(1, 2.0, GRID))
     assert type(info.value) is error
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("points", [81, np.int64(81)])
+def test_grid_points_of_any_integer_type(points):
+    assert SGrid(-10.0, 10.0, points) == GRID
