@@ -14,7 +14,8 @@ status, its ``key = value`` summary lines and its other output files as
 lines by suffix. ``main`` writes them all: ``<experiment>_summary.txt`` (the
 config-echo header, then the summary lines), each ``<experiment>_<suffix>``
 and, for ``slope`` and ``verify``, the summary lines to stdout. A subcommand
-that raises writes nothing, not even the output directory. ``main``
+that raises writes nothing, not even the output directory; an output that
+cannot be written exits 2 and leaves no file or directory it made. ``main``
 records every warning a subcommand raises (each ``UserWarning``, whatever
 the filters) and appends each distinct message once, in order, as a
 ``warning = `` summary line: the summary is its one report.
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import numbers
+import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -437,17 +440,36 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
             status, summary, files = _COMMANDS[args.subcommand](cfg)
+        summary += [f"warning = {note}"
+                    for note in dict.fromkeys(str(w.message) for w in caught)]
+        files = {"summary.txt": _summary_header(cfg, args.subcommand) + summary, **files}
+        _write(outdir, cfg.experiment, files)
     except (ConfigurationError, ConstraintViolationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    summary += [f"warning = {note}" for note in dict.fromkeys(str(w.message) for w in caught)]
-    files = {"summary.txt": _summary_header(cfg, args.subcommand) + summary, **files}
-    outdir.mkdir(parents=True, exist_ok=True)
-    for suffix, lines in files.items():
-        (outdir / f"{cfg.experiment}_{suffix}").write_text("\n".join(lines) + "\n")
     if args.subcommand in ("slope", "verify"):
         print("\n".join(summary))
     return status
+
+
+def _write(outdir: Path, experiment: str, files: dict[str, list[str]]) -> None:
+    """Write each file as ``<experiment>_<suffix>`` in ``outdir``; an OSError
+    removes what this call made and raises ConfigurationError."""
+    made = [p for p in (outdir, *outdir.parents) if not p.exists()]
+    written: list[Path] = []
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for suffix, lines in files.items():
+            written.append(outdir / f"{experiment}_{suffix}")
+            written[-1].write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise ConfigurationError(
+            f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from exc
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ The maximum principle used throughout: if u >= v on the boundary of a
 subinterval and the Monge-Ampere density of u is at most that of v inside
 it, then u >= v on the whole subinterval. ``bt_compare`` verifies the
 hypotheses before evaluating the conclusion and reports which hypothesis
-failed when they do not hold. It reads the densities in the solver's flux
-form (``RadialPotential.reduced_density``), a monotone scheme for which
-the discrete comparison principle holds exactly, and holds every reading to
-its rounding (``grid.rounding_floor``) rather than to a fixed tolerance.
+failed when they do not hold. It reads the densities as the solver does,
+the ``grid.cell_masses`` of the half-node slopes, a monotone scheme for
+which the discrete comparison principle holds exactly, and holds every
+reading to its rounding (``grid.rounding_floor``), not to a tolerance.
 
 ``bootstrap_lelong_bound`` renders the self-improvement step of the
 amplification argument: wherever the solved perturbation is bounded above
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CurvatureMarginWarning, require_finite
 from .geometry import KahlerModel, pole_lelong
-from .grid import RadialPotential, density_floor, grid_values, rounding_floor
+from .grid import RadialPotential, cell_masses, density_floor, grid_values, rounding_floor
 from .rhs import check_lower_bound
 from .solver import (
     SolveConfig,
@@ -85,12 +85,12 @@ def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float) -> Co
     # compare the reduced densities (u')^{n-1} u'': the coordinate-volume
     # factor e^{-ns} is common and positive, so the measure inequality is
     # unchanged, and dropping it keeps the check at the rounding floor
-    # instead of exponentially amplifying it at the pole side. Row i of
-    # reduced_density is node i + 1.
-    limit = density_floor(floor, np.maximum(np.abs(u.slopes), np.abs(v.slopes)), u.n)
-    rows = slice(ia, ib - 1)
-    dens_gap = v.reduced_density[rows] - u.reduced_density[rows]
-    bad = np.nonzero(dens_gap < -limit[rows])[0]
+    # instead of exponentially amplifying it at the pole side. The slopes
+    # ia .. ib - 1 give the cell masses of the nodes ia + 1 .. ib - 1.
+    wu, wv = u.slopes[ia:ib], v.slopes[ia:ib]
+    limit = density_floor(floor, np.maximum(np.abs(wu), np.abs(wv)), u.n)
+    dens_gap = cell_masses(wv, v.n, h) - cell_masses(wu, u.n, h)
+    bad = np.nonzero(dens_gap < -limit)[0]
     if bad.size:
         return ComparisonReport(False, False, "density domination",
                                 int(bad[0]) + ia + 1, float(dens_gap.min()))

@@ -14,10 +14,10 @@ d[(u')^n] = n (u')^{n-1} u'' ds.
 The reference metric is Fubini-Study: psi(s) = d log(1 + e^s), whose
 derivatives are logistic functions. Those closed forms are used wherever a
 quadrature weight or curvature ratio must be accurate below discretisation
-noise. Grid potentials are differentiated as the solver differentiates
-them, through their half-node slopes and flux-form cell density
-(``RadialPotential.slopes`` and ``reduced_density``). Positivity has one
-rule, ``grid.first_violation`` of the slopes, which
+noise; the half-node slopes of psi and of the mollified pole are exact
+softplus steps, ``softplus_step``. Grid potentials are differentiated as
+the solver does, through their half-node slopes and ``grid.cell_masses``.
+Positivity has one rule, ``grid.first_violation`` of the slopes, which
 ``RadialPotential.kahler_violation`` applies. A solved pole has one
 reading, the windowed secant ``pole_lelong``: diagnostics, germ integrals,
 the stalk and the magnification table all read it.
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError, require_finite
-from .grid import DEFAULT_GRID, RadialPotential, SGrid, grid_values
+from .grid import DEFAULT_GRID, RadialPotential, SGrid, cell_masses, grid_values
 
 if TYPE_CHECKING:
     from .rhs import RhsFamily
@@ -53,6 +53,11 @@ def expit(x):
     """Logistic 1 / (1 + e^{-x}); e^{-x} overflowing to inf gives 0."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def softplus_step(x, h: float):
+    """softplus(x + h) - softplus(x) without its cancellation; increasing in x."""
+    return np.log1p(np.expm1(h) * expit(x))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -116,22 +121,16 @@ class KahlerModel:
     @cached_property
     def psi_slopes(self) -> np.ndarray:
         """Half-node slopes (psi_{i+1} - psi_i) / h, N - 1 of them, in the
-        closed form d log1p(expm1(h) expit(s_i)) / h: free of the rounding of
+        closed form d ``softplus_step``(s_i, h) / h: free of the rounding of
         |psi|, they increase, so every cell mass in ``weight`` is >= 0."""
         h = self.grid.h
-        w = self.degree * np.log1p(np.expm1(h) * self.expit_s[:-1]) / h
-        w.flags.writeable = False
-        return w
+        return _frozen(self.degree * softplus_step(self.grid.nodes[:-1], h) / h)
 
     @cached_property
     def weight(self) -> np.ndarray:
-        """Discrete cell flux of psi, the reduced density (psi')^{n-1} psi''
-        of the flux form: ((W_{i+1/2})^n - (W_{i-1/2})^n) / (n h) on interior
-        nodes with W = ``psi_slopes``, and 0 on the two boundary nodes."""
-        w = np.zeros(self.grid.points)
-        w[1:-1] = np.diff(self.psi_slopes ** self.n) / (self.n * self.grid.h)
-        w.flags.writeable = False
-        return w
+        """The ``cell_masses`` of ``psi_slopes``, the flux form's reduced
+        density (psi')^{n-1} psi'' on the N - 2 interior nodes."""
+        return _frozen(cell_masses(self.psi_slopes, self.n, self.grid.h))
 
     # -- logistic closed forms ---------------------------------------------
 

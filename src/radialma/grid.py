@@ -7,15 +7,14 @@ n-1 and u''/e^s with multiplicity 1, which is what the rest of the package
 builds on.
 
 A grid potential is differentiated one way, the solver's: its half-node
-slopes (differences of neighbouring node values over h, ``slopes``) and its
-flux-form cell density, the difference of neighbouring slope powers over
-n h on interior nodes (``reduced_density``). The solver's interior rows
-are that density and its two boundary rows prescribe the first and last
-slope; the diagnostics (Kahler positivity, densities, the comparison
-principle) read the same two arrays, so the discrete comparison
-principle of the monotone flux form holds for what they check. Every sign
-check on them is made against one noise floor, ``rounding_floor``, and
-Kahler positivity is decided by one scan of the slopes, ``first_violation``.
+slopes (differences of neighbouring node values over h, ``slopes``) and
+the flux form's cell masses on the N - 2 interior nodes (``cell_masses``).
+The model's weight, every right-hand side, the solver's interior rows and
+the comparison principle read ``cell_masses``, so the discrete comparison
+principle of the monotone flux form holds for what they check; the two
+boundary rows prescribe the first and last slope. Every sign check is made
+against one noise floor, ``rounding_floor``, and Kahler positivity is
+decided by one scan of the slopes, ``first_violation``.
 """
 
 from __future__ import annotations
@@ -100,15 +99,6 @@ class RadialPotential:
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def reduced_density(self) -> np.ndarray:
-        """Flux-form cell density (w_{i+1/2}^n - w_{i-1/2}^n) / (n h) of the
-        half-node slopes w, the discrete (u')^{n-1} u'', on the N - 2
-        interior nodes."""
-        out = np.diff(self.slopes ** self.n) / (self.n * self.grid.h)
-        out.flags.writeable = False
-        return out
-
     def kahler_violation(self) -> tuple[int | None, str | None]:
         """``first_violation`` of the slopes at their ``rounding_floor``, the
         condition named "u'" or "u''"; (None, None) for a Kahler potential."""
@@ -119,6 +109,12 @@ class RadialPotential:
     def is_kahler(self) -> bool:
         idx, _ = self.kahler_violation()
         return idx is None
+
+
+def cell_masses(slopes: np.ndarray, n: int, h: float) -> np.ndarray:
+    """Cell masses (w_{i+1/2}^n - w_{i-1/2}^n) / (n h) of half-node slopes w, the
+    flux form's (u')^{n-1} u'' on the N - 2 interior nodes (i is node i + 1)."""
+    return np.diff(slopes ** n) / (n * h)
 
 
 def first_violation(slopes: np.ndarray, floor: float, h: float) -> tuple[int | None, str | None]:
@@ -146,10 +142,9 @@ def rounding_floor(values: np.ndarray, h: float) -> float:
 
 
 def density_floor(floor: float, slopes: np.ndarray, n: int) -> np.ndarray:
-    """Rounding noise of the flux-form cell densities of the interior
-    nodes: ``floor``, a ``rounding_floor``, times the larger neighbouring
-    half-node slope magnitude to the power n - 1, as differences of slope
-    powers w^n over n h carry it."""
+    """Rounding noise of the ``cell_masses`` of ``slopes``: ``floor``, a
+    ``rounding_floor``, times the larger neighbouring slope magnitude to the
+    power n - 1, as differences of slope powers w^n over n h carry it."""
     return floor * np.maximum(slopes[:-1], slopes[1:]) ** (n - 1)
 
 

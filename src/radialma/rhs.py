@@ -21,11 +21,12 @@ Three families of positive densities F on the model are supported:
     analogue of dividing by |section|^2 of a small multi-valued power of
     the polarisation. Normalisable only for delta' < n.
 
-The reduced densities are cell masses of the solver's flux form:
-differences of half-node slope powers over n h, of psi for the smooth part
-(``KahlerModel.weight``) and of xi_eps for the point-mass part. Discrete
-mass sums therefore telescope exactly, the point-mass cell masses are
-nonnegative, and F = 1 remains an exact fixed point at gamma = 0 /
+The reduced densities are cell masses of the solver's flux form,
+``grid.cell_masses`` of half-node slopes, on the N - 2 interior nodes: of
+psi for the smooth part (``KahlerModel.weight``) and of xi_eps for the
+point-mass part, whose slopes are exact steps ``geometry.softplus_step``.
+Discrete mass sums therefore telescope exactly, the point-mass cell masses
+are nonnegative, and F = 1 remains an exact fixed point at gamma = 0 /
 delta' = 0. The point-mass family's left flux comes from the same
 half-node slopes at the first face, so the discrete neutral first
 integral holds exactly on every face.
@@ -46,10 +47,11 @@ at one eps share one. ``density`` and F (``values``) are evaluated on access.
 Each family is built once per model. ``build_dirac_rhs`` and
 ``build_divisor_rhs`` validate their parameters and warn on every call,
 then return the family the model has memoised for (kind, parameter, eps),
-building it only on a miss; the point-mass profile is memoised beside the
-families under ("profile", eps). ``KahlerModel.memoized`` keeps the last
-16 entries of both. A family computes its curvature margin once
-(``RhsFamily.curvature_margin``), which ``check_lower_bound`` returns.
+building it only on a miss. ``KahlerModel.memoized`` keeps the last 16
+families and point-mass profiles, the latter under ("profile", eps),
+refreshed whenever a family holding it is returned, so it outlives them.
+A family computes its curvature margin once (``curvature_margin``), which
+``check_lower_bound`` returns.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ConstraintViolationError, require_finite
-from .geometry import KahlerModel, expit, softplus
+from .geometry import KahlerModel, expit, softplus, softplus_step
+from .grid import cell_masses
 
 POLE_ANCHOR_OFFSET = 6.0
 
@@ -101,10 +104,10 @@ def dirac_density(a: float, r2) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MollifierProfile:
-    """Cell masses P of a mollified pole on one model's grid, zero on the
-    two boundary nodes (read-only), with their sum ``total`` and, for the
-    point mass, the first half-node slope of xi_eps (``first_slope``), the
-    flux its mass sends through the first face. Families share it."""
+    """Cell masses P of a mollified pole on one model's interior nodes
+    (read-only), their sum ``total`` and, for the point mass, the first
+    half-node slope of xi_eps (``first_slope``), the flux its mass sends
+    through the first face. Families share it."""
 
     cells: np.ndarray
     total: float
@@ -116,8 +119,8 @@ class RhsFamily:
     """A normalised positive density F on the model grid.
 
     ``density`` is the reduced mass density R = F (psi')^{n-1} psi'' as
-    cell masses of the solver's flux form, zero on the two boundary nodes
-    (the object the solver actually consumes): ``profile_scale`` times the
+    cell masses of the solver's flux form on the N - 2 interior nodes (the
+    object the solver actually consumes): ``profile_scale`` times the
     ``profile`` cells plus ``c_smooth`` times ``model.weight``, or the
     weight itself when there is no profile. ``values`` is F. Both are
     evaluated on each access, so a family holds no grid array of its own.
@@ -126,9 +129,8 @@ class RhsFamily:
     sends through it; nonzero only for the point-mass family.
 
     Construction enforces what makes every solution Kahler: F > 0, finite
-    nonnegative cell masses that vanish on the boundary nodes, and a first
-    half-node slope 0 <= psi_slopes[0] + left_flux_offset below psi's last,
-    so that the cell masses carry a positive flux.
+    nonnegative cell masses, and a first half-node slope 0 <= psi_slopes[0]
+    + left_flux_offset below psi's last, so that they carry a positive flux.
     """
 
     kind: str
@@ -143,15 +145,13 @@ class RhsFamily:
     profile_scale: float = 0.0
 
     def __post_init__(self):
-        if self.profile is not None and self.profile.cells.shape != (self.model.grid.points,):
+        if self.profile is not None and self.profile.cells.shape != self.model.weight.shape:
             raise ConfigurationError("profile does not live on the model grid")
-        if np.any(self.values <= 0.0):
+        if not np.all(self.values > 0.0):
             raise ConstraintViolationError("F must be strictly positive")
         density = self.density
         if not np.all(np.isfinite(density) & (density >= 0.0)):
             raise ConstraintViolationError("cell masses must be finite and nonnegative")
-        if density[0] != 0.0 or density[-1] != 0.0:
-            raise ConstraintViolationError("cell masses must vanish on the boundary nodes")
         W = self.model.psi_slopes
         if not 0.0 <= W[0] + self.left_flux_offset < W[-1]:
             raise ConstraintViolationError(
@@ -168,10 +168,6 @@ class RhsFamily:
         return density
 
     @property
-    def interior_density(self) -> np.ndarray:
-        return self.density[1:-1]
-
-    @property
     def values(self) -> np.ndarray:
         m = self.model
         if self.kind == "constant":
@@ -179,15 +175,13 @@ class RhsFamily:
         if self.kind == "divisor":
             shape = np.exp(-self.delta_prime * xi_eps(m.grid.nodes, self.epsilon))
             return self.profile_scale * shape
-        # the point mass from the logistic closed forms: the discrete weight
-        # ratio is rounding noise in the far tails where both curvatures
-        # underflow
+        # the point mass over psi's form, (xi'/psi')^{n-1} xi''/psi'', from
+        # the softplus closed forms: a difference of logs, finite where both
+        # curvatures underflow
         n, d = m.n, m.degree
         a = m.grid.nodes - 2.0 * np.log(self.epsilon)
-        xa, xam = expit(a), expit(-a)
-        sig = m.expit_s
-        ratio = (xa / (d * sig)) ** (n - 1) * (xa * xam / (d * sig * m.expit_neg_s))
-        return self.profile_scale * ratio + self.c_smooth
+        log_ratio = n * (m.softplus_neg_s - softplus(-a)) + m.softplus_s - softplus(a)
+        return self.profile_scale * np.exp(log_ratio) / d**n + self.c_smooth
 
     def log_curvature_derivs(self) -> tuple[np.ndarray, np.ndarray]:
         """Analytic (q', q'') for q = -log(F e^{-ns} (psi')^{n-1} psi'').
@@ -261,7 +255,10 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
             "mollified pole layer sits at or below the left truncation; "
             "solver mass accounting will not see all of it", stacklevel=2)
     gamma, eps = float(gamma), float(eps)
-    return m.memoized(("dirac_approx", gamma, eps), lambda: _dirac_family(gamma, eps, m))
+    family = m.memoized(("dirac_approx", gamma, eps), lambda: _dirac_family(gamma, eps, m))
+    if family.profile is not None:  # younger than every family that holds it
+        m.memoized(("profile", eps), lambda: family.profile)
+    return family
 
 
 def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
@@ -271,8 +268,7 @@ def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
         return constant_rhs(m)
     n = m.n
     profile = m.memoized(("profile", eps), lambda: _pole_profile(eps, m))
-    w = m.weight
-    total = float(np.sum(w[1:-1]))
+    total = float(np.sum(m.weight))
     c = max((total - gamma**n * profile.total) / total, 0.0)
     # the full-line first integral u'^n = gamma^n xi'^n + c psi'^n on the
     # first face: what it already carries at s_min enters the truncated
@@ -295,14 +291,13 @@ def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
 
 def _pole_profile(eps: float, m: KahlerModel) -> MollifierProfile:
     """Cell masses of the point mass at scale eps: exact half-node slopes
-    of xi_eps, (xi(s + h) - xi(s)) / h = log1p(expm1(h) xi'(s)) / h, which
-    increase, so every cell mass is nonnegative."""
+    of xi_eps = 2 log eps + softplus(s - 2 log eps), ``softplus_step`` over
+    h, which increase, so every cell mass is nonnegative."""
     n, h = m.n, m.grid.h
-    xi_slopes = np.log1p(np.expm1(h) * expit(m.grid.nodes[:-1] - 2.0 * np.log(eps))) / h
-    cells = np.zeros(m.grid.points)
-    cells[1:-1] = np.diff(xi_slopes ** n) / (n * h)
+    xi_slopes = softplus_step(m.grid.nodes[:-1] - 2.0 * np.log(eps), h) / h
+    cells = cell_masses(xi_slopes, n, h)
     cells.flags.writeable = False
-    return MollifierProfile(cells, float(np.sum(cells[1:-1])), xi_slopes[0])
+    return MollifierProfile(cells, float(np.sum(cells)), xi_slopes[0])
 
 
 def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> RhsFamily:
@@ -329,11 +324,13 @@ def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> Rhs
 
 
 def _divisor_family(delta_prime: float, eps: float, m: KahlerModel) -> RhsFamily:
-    """The fractional-pole family of ``build_divisor_rhs``, built from
-    parameters it has validated."""
+    """The fractional-pole family of ``build_divisor_rhs``, from parameters
+    it has validated: the cell masses e^{-delta' xi_eps} w, normalised."""
     if delta_prime == 0.0:
         return constant_rhs(m)
-    profile = _divisor_profile(delta_prime, eps, m)
+    cells = np.exp(-delta_prime * xi_eps(m.grid.nodes[1:-1], eps)) * m.weight
+    cells.flags.writeable = False
+    profile = MollifierProfile(cells, float(np.sum(cells)))
     return RhsFamily(
         kind="divisor",
         model=m,
@@ -341,16 +338,8 @@ def _divisor_family(delta_prime: float, eps: float, m: KahlerModel) -> RhsFamily
         epsilon=float(eps),
         c_smooth=0.0,
         profile=profile,
-        profile_scale=float(np.sum(m.weight[1:-1])) / profile.total,
+        profile_scale=float(np.sum(m.weight)) / profile.total,
     )
-
-
-def _divisor_profile(delta_prime: float, eps: float, m: KahlerModel) -> MollifierProfile:
-    """Cell masses e^{-delta' xi_eps} w of the fractional pole, before
-    normalisation."""
-    cells = np.exp(-delta_prime * xi_eps(m.grid.nodes, eps)) * m.weight
-    cells.flags.writeable = False
-    return MollifierProfile(cells, float(np.sum(cells[1:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +349,29 @@ def _divisor_profile(delta_prime: float, eps: float, m: KahlerModel) -> Mollifie
 @dataclass(frozen=True)
 class LowerBoundReport:
     """Largest eta >= 0 such that the log-density curvature is at least eta
-    times the degree-1 reference form, with the binding node."""
+    times the degree-1 reference form, with the binding node when eta = 0."""
 
     eta: float
-    positive: bool
     limiting_node: int | None
     limiting_condition: str | None
 
 
 def dominance_margin(q1: np.ndarray, q2: np.ndarray, model: KahlerModel) -> LowerBoundReport:
-    """Largest eta with (q1, q2) >= eta * (psi_1', psi_1'') nodewise."""
+    """Largest eta with (q1, q2) >= eta * (psi_1', psi_1'') nodewise. Beyond
+    |s| ~ 709 the reference form underflows to 0 with the family's, and a
+    node where it is 0 bounds nothing; a NaN ratio binds, at eta = 0."""
     den1 = model.expit_s
-    r1 = q1 / den1
-    r2 = q2 / (den1 * model.expit_neg_s)
+    den2 = den1 * model.expit_neg_s
+    r1 = np.divide(q1, den1, out=np.full(den1.shape, np.inf), where=den1 > 0.0)
+    r2 = np.divide(q2, den2, out=np.full(den2.shape, np.inf), where=den2 > 0.0)
     i1, i2 = int(np.argmin(r1)), int(np.argmin(r2))
-    if r1[i1] <= r2[i2]:
+    if r1[i1] <= r2[i2] or np.isnan(r1[i1]):
         eta, node, cond = float(r1[i1]), i1, "slope"
     else:
         eta, node, cond = float(r2[i2]), i2, "curvature"
-    if eta <= 0.0:
-        return LowerBoundReport(0.0, False, node, cond)
-    return LowerBoundReport(eta, True, None, None)
+    if not eta > 0.0:
+        return LowerBoundReport(0.0, node, cond)
+    return LowerBoundReport(eta, None, None)
 
 
 def check_lower_bound(rhs: RhsFamily) -> LowerBoundReport:

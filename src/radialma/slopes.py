@@ -40,10 +40,6 @@ class BundleSpec:
     def rank(self) -> int:
         return sum(r for _, r in self.summands)
 
-    def scaled(self, factor) -> "BundleSpec":
-        f = Fraction(factor)
-        return BundleSpec(tuple((d * f, r) for d, r in self.summands))
-
 
 def normalized_slope(bundle: BundleSpec) -> Fraction:
     """Total degree over total rank, exactly."""

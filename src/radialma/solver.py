@@ -12,7 +12,8 @@ w_{i+1/2} = (u_{i+1} - u_i) / h = ``psi_slopes`` + (phi_{i+1} - phi_i) / h,
 
     ((w_{i+1/2})^n - (w_{i-1/2})^n) / (n h) = e^{sigma t phi_i} R_i,
 
-where R is the cell mass of the right-hand side (``RhsFamily.density``).
+the ``grid.cell_masses`` of w against those of the right-hand side, R
+(``RhsFamily.density``), both on the N - 2 interior nodes.
 The two boundary rows are flux rows on the end half-node slopes of phi:
 (phi_1 - phi_0) / h = ``RhsFamily.left_flux_offset`` and
 (phi_{N-1} - phi_{N-2}) / h = 0. They pin the total reduced mass of every
@@ -72,7 +73,7 @@ from .geometry import (
     end_mass,
     pole_lelong,
 )
-from .grid import RadialPotential, grid_values
+from .grid import RadialPotential, cell_masses, grid_values
 from .rhs import RhsFamily, build_dirac_rhs
 
 BLOWUP_STEP = 1.0
@@ -96,13 +97,9 @@ class EquationKind:
             raise ConfigurationError(f"t must lie in [0, 1), got {self.t}")
 
     @property
-    def sign(self) -> float:
-        return _SIGNS[self.kind]
-
-    @property
     def exponent_rate(self) -> float:
         """Coefficient of phi in the exponent (0 for the neutral family)."""
-        return self.sign * (0.0 if self.kind == "neutral" else self.t)
+        return _SIGNS[self.kind] * (0.0 if self.kind == "neutral" else self.t)
 
 
 def reducing(t: float) -> EquationKind:
@@ -199,9 +196,9 @@ def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFami
     """Nodewise residual of phi = u - psi, the solver's native variable;
     identically zero at exact discrete solutions.
 
-    Interior rows are the flux differences of the half-node slope powers
-    minus e^{sigma t phi} times the cell masses; the first and last rows are
-    the flux rows on phi (at rate 0 the last is the anchor phi(s_max) = 0).
+    Interior rows are the ``cell_masses`` of the half-node slopes minus
+    e^{sigma t phi} R, R = ``rhs.density``; the first and last rows are the
+    flux rows on phi (at rate 0 the last is the anchor phi(s_max) = 0).
     The slopes of psi and of phi are differenced separately, so rounding
     scales with |phi| rather than |u| and F = 1, phi = 0 is an exact zero:
     representing u = psi + phi first would absorb small perturbations into
@@ -209,8 +206,7 @@ def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFami
     n, h = model.n, model.grid.h
     w = model.psi_slopes + np.diff(phi) / h
     r = np.empty_like(phi)
-    weight = np.exp(kind.exponent_rate * phi[1:-1])
-    r[1:-1] = np.diff(w ** n) / (n * h) - weight * rhs.interior_density
+    r[1:-1] = cell_masses(w, n, h) - np.exp(kind.exponent_rate * phi[1:-1]) * rhs.density
     r[0] = (phi[1] - phi[0]) / h - rhs.left_flux_offset
     r[-1] = phi[-1] if kind.exponent_rate == 0.0 else (phi[-1] - phi[-2]) / h
     return r
@@ -238,7 +234,7 @@ def _first_integral_map(model: KahlerModel, rhs: RhsFamily, kind: EquationKind):
     phi(s_max) = 0: T(phi) is the neutral quadrature, whatever phi.
     """
     n, h, W = model.n, model.grid.h, model.psi_slopes
-    cells = n * h * rhs.interior_density
+    cells = n * h * rhs.density
     q0 = (W[0] + rhs.left_flux_offset) ** n
     flux = W[-1] ** n - q0
     rate = kind.exponent_rate

@@ -160,24 +160,24 @@ def continuum_neutral_potential(model, slope_power, s_points):
 def dirac_rhs_per_call(gamma, eps, model):
     """(values, density, c_smooth, left_flux_offset) of ``build_dirac_rhs``
     for gamma > 0."""
-    from radialma.geometry import expit
+    from radialma.geometry import softplus
     from radialma.rhs import xi_eps_d1
 
     m = model
     n, d, h = m.n, m.degree, m.grid.h
     xi_slopes = np.log1p(np.expm1(h) * xi_eps_d1(m.grid.nodes[:-1], eps)) / h
-    p_xi = np.zeros(m.grid.points)
-    p_xi[1:-1] = np.diff(xi_slopes ** n) / (n * h)
+    p_xi = np.diff(xi_slopes ** n) / (n * h)
     w = m.weight
-    total = float(np.sum(w[1:-1]))
-    sing = float(np.sum(p_xi[1:-1]))
+    total = float(np.sum(w))
+    sing = float(np.sum(p_xi))
     c = max((total - gamma**n * sing) / total, 0.0)
     density = gamma**n * p_xi + c * w
     s = m.grid.nodes
     a = s - 2.0 * np.log(eps)
-    ratio = (expit(a) / (d * expit(s))) ** (n - 1) * (
-        expit(a) * expit(-a) / (d * expit(s) * expit(-s)))
-    values = gamma**n * ratio + c
+    # (xi'/psi')^{n-1} xi''/psi'' = (expit(a)/(d expit(s)))^n expit(-a)/expit(-s)
+    # as the exponential of a difference of softplus terms
+    log_ratio = n * (softplus(-s) - softplus(-a)) + softplus(s) - softplus(a)
+    values = gamma**n * np.exp(log_ratio) / d**n + c
     p0 = m.psi_slopes[0]
     offset = (gamma**n * xi_slopes[0] ** n + c * p0**n) ** (1.0 / n) - p0
     return values, density, c, float(offset)
@@ -187,7 +187,7 @@ def reduced_mass(rhs) -> float:
     """Quadrature of the reduced mass element n R ds of a family over the
     domain."""
     m = rhs.model
-    return float(m.n * m.grid.h * np.sum(rhs.interior_density))
+    return float(m.n * m.grid.h * np.sum(rhs.density))
 
 
 def singular_mass(rhs) -> float:

@@ -201,7 +201,7 @@ def test_criterion_09_first_integral(model_n1):
         phi = phi0 + 0.1 * v
         t_phi = T(phi)
         bal = phi + (t_phi[-1] - phi[-1])  # T(phi) ends at the balanced level
-        rate, R = kind.exponent_rate, rhs.interior_density
+        rate, R = kind.exponent_rate, rhs.density
         # at that level the weighted cell masses carry the right row's flux
         assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
         r = residual_from_perturbation(t_phi, model_n1, rhs, kind)

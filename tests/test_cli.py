@@ -358,6 +358,17 @@ class TestVerify:
             assert "PASS neutral_residual" in out, points
             assert "FAIL" not in out, points
 
+    def test_wide_grid_passes(self, tmp_path, capsys):
+        # beyond |s| ~ 709 the reference curvature underflows to 0; the
+        # margin reads the nodes where it does not
+        cfg = Path(write_config(tmp_path, name="wide"))
+        cfg.write_text(cfg.read_text().replace("s_min = -40.0", "s_min = -800")
+                       .replace("points = 2001", "points = 8001"))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS anticanonical_margin: eta = 2\n" in out
+        assert out.count("PASS") == 5 and "warning" not in out
+
     def test_neutral_rows_above_their_rounding_fail(self, tmp_path, capsys, monkeypatch):
         # the neutral quadrature always converges, so its check reads the
         # rows: a residual above newton_tol and the rounding floor fails it
@@ -719,6 +730,25 @@ class TestOutputContract:
         assert captured.out == ""
         assert captured.err.startswith("configuration error: " + where)
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    @pytest.mark.parametrize("subcommand,out,name,target", [
+        # the output directory is an existing file
+        ("slope", "afile", "err", "afile"),
+        # a file name longer than the file system takes, under a directory
+        # the run makes
+        ("slope", "new/sub", "x" * 300, "new/sub/" + "x" * 300 + "_summary.txt"),
+        # in an existing directory: the summary's name fits, the next does not
+        ("solve", ".", "x" * 240, "x" * 240 + "_diagnostics.csv"),
+    ], ids=["out-is-a-file", "long-name-new-dir", "long-name-existing-dir"])
+    def test_an_unwritable_output_writes_nothing(self, tmp_path, capsys, subcommand, out,
+                                                 name, target):
+        cfg = write_config(tmp_path, name=name)
+        (tmp_path / "afile").write_text("")
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: cannot write {tmp_path / target}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.ini"]
 
     def test_multiplier_without_members_writes_only_its_summary(self, tmp_path, capsys):
         # one fixed-point iteration converges no member of the README family

@@ -19,8 +19,8 @@ from radialma import (
     neutral_oracle,
     pole_lelong,
 )
-from radialma.geometry import end_mass, expit, lelong_secant
-from radialma.grid import first_violation, rounding_floor
+from radialma.geometry import end_mass, expit, lelong_secant, softplus, softplus_step
+from radialma.grid import cell_masses, first_violation, rounding_floor
 
 from conftest import gaussian_bump
 from oracles import (
@@ -60,6 +60,18 @@ class TestExpit:
             expit(-1e308)
 
 
+def test_softplus_step_is_the_step_of_softplus():
+    # one closed form for the half-node slopes of psi and of xi_eps: the
+    # difference softplus(x + h) - softplus(x), free of its cancellation,
+    # increasing in x
+    x = np.linspace(-60.0, 60.0, 12001)
+    for h in (1e-3, 0.02, 1.0):
+        step = softplus_step(x, h)
+        np.testing.assert_allclose(step, softplus(x + h) - softplus(x), rtol=1e-9, atol=0)
+        assert np.all(np.diff(step) >= 0.0)
+    assert softplus_step(-800.0, 0.1) == 0.0 and softplus_step(800.0, 0.1) == pytest.approx(0.1)
+
+
 class TestGrid:
     def test_invalid_grids_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -84,16 +96,16 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             RadialPotential(g, np.zeros(10), 1)
 
-    def test_slopes_and_reduced_density(self):
+    def test_slopes_and_cell_masses(self):
         g = SGrid(0.0, 2.0, 5)
         vals = np.array([0.0, 0.5, 2.0, 4.5, 8.0])
         # slopes 1, 3, 5, 7; n = 1 is the central second difference, n = 2
-        # the difference of squared slopes over 2h
+        # the difference of squared slopes over 2h, one per interior node
         for n, density in ((1, [4.0, 4.0, 4.0]), (2, [8.0, 16.0, 24.0])):
             u = RadialPotential(g, vals, n)
             np.testing.assert_array_equal(u.slopes, [1.0, 3.0, 5.0, 7.0])
-            np.testing.assert_array_equal(u.reduced_density, density)
-            assert not u.slopes.flags.writeable and not u.reduced_density.flags.writeable
+            np.testing.assert_array_equal(cell_masses(u.slopes, n, g.h), density)
+            assert not u.slopes.flags.writeable
 
     def test_earliest_violation_wins(self):
         # u'' fails at node 3 (slope 1 then 0.5), u' at node 5 (the slope
@@ -205,8 +217,9 @@ class TestMaDensity:
         # grid path: the slopes are constant to rounding; the density, on the
         # interior nodes, inherits it wherever the e^{-ns} factor does not
         # amplify the rounding floor
-        assert np.max(np.abs(u.reduced_density)) < rounding_floor(u.values, g.h)
-        density = np.exp(-g.nodes[1:-1]) * u.reduced_density
+        cells = cell_masses(u.slopes, 1, g.h)
+        assert np.max(np.abs(cells)) < rounding_floor(u.values, g.h)
+        density = np.exp(-g.nodes[1:-1]) * cells
         assert density.shape == (g.points - 2,)
         right = g.nodes[1:-1] >= 0.0
         assert np.max(np.abs(density[right])) < 1e-10
@@ -217,9 +230,10 @@ class TestMaDensity:
         s = sympy.Symbol("s")
         expr = sympy.exp(-s) * sympy.diff(2 * sympy.log(1 + sympy.exp(s)), s, 2)
         assert float(expr.subs(s, 0)) == pytest.approx(0.5)
-        # row i - 1 of the interior-node density is node i, where e^{-s} = 1
-        i = model_n1.grid.index_of(0.0)
-        assert model_n1.psi.reduced_density[i - 1] == pytest.approx(0.5, abs=1e-5)
+        # row i - 1 of the interior-node cell masses is node i, where e^{-s} = 1
+        g = model_n1.grid
+        i = g.index_of(0.0)
+        assert cell_masses(model_n1.psi.slopes, 1, g.h)[i - 1] == pytest.approx(0.5, abs=1e-5)
 
     @pytest.mark.parametrize("n,d", [(1, 2.0), (2, 3.0)])
     def test_reduction_identity_against_complex_hessian(self, n, d):

@@ -1,6 +1,7 @@
 """Singular right-hand-side families: mollifiers, normalisation, margins."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 from contextlib import nullcontext
@@ -13,6 +14,8 @@ from radialma import (
     ConfigurationError,
     ConstraintViolationError,
     KahlerModel,
+    RhsFamily,
+    SGrid,
     build_dirac_rhs,
     build_divisor_rhs,
     check_lower_bound,
@@ -23,6 +26,7 @@ from radialma import (
 )
 from radialma import rhs as rhs_module
 from radialma.geometry import MEMO_SIZE, expit, lelong_secant, softplus
+from radialma.grid import cell_masses
 from radialma.rhs import MollifierProfile, dominance_margin, xi_eps_d1, xi_eps_d2
 
 from oracles import (
@@ -180,7 +184,7 @@ class TestDiracFamily:
 def with_cell_masses(rhs, density):
     """``rhs`` with cell masses ``density``: a profile of unit scale and no
     smooth part."""
-    profile = MollifierProfile(density, float(np.sum(density[1:-1])))
+    profile = MollifierProfile(density, float(np.sum(density)))
     return replace(rhs, profile=profile, profile_scale=1.0, c_smooth=0.0)
 
 
@@ -192,20 +196,30 @@ class TestPreconditions:
         with pytest.raises(ConstraintViolationError, match="F must be strictly positive"):
             replace(rhs, c_smooth=-float(np.max(rhs.values)))
 
+    def test_nan_f_rejected(self, model_n1):
+        # a NaN F is no positive density, whatever its cell masses
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        with pytest.raises(ConstraintViolationError, match="F must be strictly positive"):
+            replace(rhs, c_smooth=math.nan)
+
+    def test_cell_masses_live_on_the_interior_nodes(self):
+        m = KahlerModel(2, 3.0)
+        interior = (m.grid.points - 2,)
+        assert np.array_equal(m.weight, cell_masses(m.psi_slopes, m.n, m.grid.h))
+        assert m.weight.shape == interior
+        for rhs in (constant_rhs(m), build_dirac_rhs(1.5, 1e-3, m),
+                    build_divisor_rhs(0.5, 1e-3, m)):
+            assert rhs.density.shape == interior
+            assert rhs.profile is None or rhs.profile.cells.shape == interior
+        with pytest.raises(ConfigurationError, match="profile does not live on the model grid"):
+            RhsFamily("dirac_approx", m, profile=MollifierProfile(np.ones(m.grid.points), 1.0))
+
     @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
     def test_cell_masses_finite_and_nonnegative(self, model_n1, bad):
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
         density = rhs.density.copy()
         density[2000] = bad
         with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
-            with_cell_masses(rhs, density)
-
-    @pytest.mark.parametrize("node", [0, -1])
-    def test_boundary_cell_masses_vanish(self, model_n1, node):
-        rhs = constant_rhs(model_n1)
-        density = rhs.density.copy()
-        density[node] = 1e-3
-        with pytest.raises(ConstraintViolationError, match="boundary nodes"):
             with_cell_masses(rhs, density)
 
     def test_first_slope_within_psi_slopes(self, model_n1):
@@ -276,8 +290,33 @@ class TestLowerBound:
     def test_unit_rhs_anticanonical_margin(self, n):
         m = KahlerModel(n, float(n + 1))
         report = check_lower_bound(constant_rhs(m))
-        assert report.positive
         assert report.eta == pytest.approx(n + 1, abs=1e-6)
+        assert report.limiting_node is None
+
+    @pytest.mark.parametrize("grid", [SGrid(-800.0, 40.0, 8001), SGrid(-40.0, 720.0, 4001),
+                                      SGrid(-1000.0, 1000.0, 2001)])
+    def test_margin_finite_on_wide_grids(self, grid):
+        # beyond |s| ~ 709 the reference form underflows to 0 with the
+        # family's own; those nodes bound nothing, and F stays finite
+        for n in (1, 2):
+            m = KahlerModel(n, n + 1.0, grid)
+            report = check_lower_bound(constant_rhs(m))
+            assert report.eta == pytest.approx(n + 1, abs=1e-6)
+            assert report.limiting_node is None
+            for rhs in (build_dirac_rhs(0.9 * m.degree, 1e-3, m),
+                        build_divisor_rhs(0.5, 1e-3, m)):
+                assert np.all(np.isfinite(rhs.values))
+                eta = check_lower_bound(rhs).eta
+                assert math.isfinite(eta) and eta >= 0.0
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_nan_ratio_binds(self, model_n1, which):
+        s = model_n1.grid.nodes
+        q = [2.0 * expit(s), 2.0 * expit(s) * expit(-s)]
+        q[which][7] = np.nan
+        rep = dominance_margin(*q, model_n1)
+        assert (rep.eta, rep.limiting_node) == (0.0, 7)
+        assert rep.limiting_condition == ("slope", "curvature")[which]
 
     def test_reference_multiple_recovered_exactly(self, model_n1):
         # q with derivative pair eta0 * (psi_1', psi_1'') returns eta0
@@ -302,8 +341,8 @@ class TestLowerBound:
         # probe outcome: the mixture of pole and background profiles has a
         # concave shoulder in its log density, so no positive margin exists
         rep = check_lower_bound(build_dirac_rhs(1.8, 1e-3, model_n1))
-        assert not rep.positive
         assert rep.eta == 0.0
+        assert rep.limiting_node is not None
         assert rep.limiting_condition == "curvature"
 
 
@@ -434,6 +473,18 @@ class TestFamilyMemo:
         assert again is not kept[0] and again.profile is not kept[0].profile
         assert builds == [*eps, eps[0]]
         assert np.array_equal(again.density, kept[0].density)
+
+    def test_a_profile_outlives_its_families(self):
+        # eight gamma = 1 families, each fetched again, then a ninth eps:
+        # a family the model still keeps shares its profile with a new
+        # gamma at its eps
+        m = KahlerModel(1, 2.0)
+        eps = [10.0 ** (-1.0 - k / 4.0) for k in range(MEMO_SIZE // 2 + 1)]
+        kept = [build_dirac_rhs(1.0, e, m) for e in eps[:-1]]
+        assert all(build_dirac_rhs(1.0, e, m) is f for e, f in zip(eps, kept))
+        build_dirac_rhs(1.0, eps[-1], m)
+        other = build_dirac_rhs(0.5, eps[0], m)
+        assert build_dirac_rhs(1.0, eps[0], m).profile is other.profile
 
     def test_a_deleted_model_is_collected(self):
         m = KahlerModel(1, 2.0)

@@ -90,7 +90,7 @@ class TestResidual:
         c, t = 0.8, 0.5
         phi = np.full(model_n1.grid.points, c)
         r = residual_from_perturbation(phi, model_n1, rhs, magnifying(t))
-        w = model_n1.weight[1:-1]
+        w = model_n1.weight
         expected = w * (1.0 - np.exp(-t * c))
         assert np.max(np.abs(r[1:-1] - expected)) < 1e-14
         # sign check: positive wherever the weight is resolvable
@@ -129,7 +129,7 @@ class TestFirstIntegral:
         bal = phi + (t_phi[-1] - phi[-1])
         W, h = m.psi_slopes, m.grid.h
         flux = W[-1] ** n - (W[0] + rhs.left_flux_offset) ** n
-        rate, R = eq.exponent_rate, rhs.interior_density
+        rate, R = eq.exponent_rate, rhs.density
         assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
         r = residual_from_perturbation(t_phi, m, rhs, eq)
         change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * R
@@ -208,7 +208,7 @@ class TestFixedPoints:
         rhs, kind = constant_rhs(m), magnifying(0.5)
         phi = np.zeros(m.grid.points)
         phi[10] = -1e4
-        assert rhs.interior_density[9] == 0.0
+        assert rhs.density[9] == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             assert np.isnan(_first_integral_map(m, rhs, kind)(phi)).all()
         res = newton_solve(m, rhs, kind, SolveConfig(initial_guess=phi))
@@ -273,7 +273,7 @@ class TestStopRule:
         floor = rounding_floor(g, h)
         w = np.abs(m.psi_slopes + np.diff(g) / h)
         limit = np.maximum(tau, np.expm1(2.0 * abs(rho) * tau) * np.exp(rho * g[1:-1])
-                           * rhs.interior_density + density_floor(floor, w, n))
+                           * rhs.density + density_floor(floor, w, n))
         assert np.all(np.abs(r[1:-1]) <= limit)
         assert max(abs(r[0]), abs(r[-1])) <= floor * h
 
@@ -643,7 +643,7 @@ class TestSmallTime:
     def test_tends_to_the_balanced_neutral_base(self, model_n1, t_target, tol):
         rhs = build_dirac_rhs(1.8, 1e-4, model_n1)
         base = newton_solve(model_n1, rhs, neutral()).phi
-        R = rhs.interior_density
+        R = rhs.density
         limit = base - np.dot(base[1:-1], R) / np.sum(R)
         trace, res = continuity_in_t(model_n1, rhs, magnifying(t_target), t_target)
         assert trace.verdict == "reached_target"
