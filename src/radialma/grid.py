@@ -27,6 +27,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+MAX_SPACING = float(np.log(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class SGrid:
@@ -46,6 +48,11 @@ class SGrid:
         # the pole secant needs a window of 4h, which takes 5 nodes
         if self.points < 5:
             raise ConfigurationError(f"need at least 5 grid points, got {self.points}")
+        # the exact softplus steps of psi and the pole take e^h - 1
+        if self.h >= MAX_SPACING:
+            raise ConfigurationError(
+                f"grid spacing h = {self.h:.6g} must be below log(DBL_MAX) = "
+                f"{MAX_SPACING:.6g}; add points")
 
     @property
     def h(self) -> float:

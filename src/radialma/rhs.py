@@ -19,7 +19,8 @@ Three families of positive densities F on the model are supported:
 ``divisor``
     A fractional pole F proportional to e^{-delta' xi_eps}, the radial
     analogue of dividing by |section|^2 of a small multi-valued power of
-    the polarisation. Normalisable only for delta' < n.
+    the polarisation. Normalisable only for delta' < n. Its cell masses are
+    formed in log space, so they never underflow to a zero total.
 
 The reduced densities are cell masses of the solver's flux form,
 ``grid.cell_masses`` of half-node slopes, on the N - 2 interior nodes: of
@@ -33,8 +34,8 @@ integral holds exactly on every face.
 
 The node-wise closed forms of psi, ``KahlerModel.expit_s``,
 ``expit_neg_s``, ``softplus_s`` and ``softplus_neg_s``, are computed once
-per model; the builders, ``RhsFamily.log_curvature_derivs`` and
-``dominance_margin`` read them.
+per model; ``RhsFamily.log_curvature_derivs`` and ``dominance_margin``
+read them.
 
 A family holds scalars, not grid arrays. Its cell masses are a P + c w,
 where w is the model's ``weight`` and P a ``MollifierProfile``: the cell
@@ -42,7 +43,11 @@ masses of xi_eps's half-node slopes for the point-mass family (a =
 gamma^n), of e^{-delta' xi_eps} w for the divisor family (a its
 normalisation, c = 0); the constant family is w itself. The point-mass
 profile depends on the model and eps only, so the families of every gamma
-at one eps share one. ``density`` and F (``values``) are evaluated on access.
+at one eps share one. ``density`` is evaluated on access, and F itself
+never is: a family is its cell masses and its left flux, and
+``RhsFamily`` has one gate, on those (see there). ``build_dirac_rhs``
+names the cause when a narrow grid fails it: a pole flux above psi's
+last slope.
 
 Each family is built once per model. ``build_dirac_rhs`` and
 ``build_divisor_rhs`` validate their parameters and warn on every call,
@@ -77,16 +82,6 @@ def xi_eps(s, eps: float):
     return np.logaddexp(s, 2.0 * np.log(eps))
 
 
-def xi_eps_d1(s, eps: float):
-    """d/ds xi_eps = logistic of s - 2 log eps."""
-    return expit(np.asarray(s, dtype=float) - 2.0 * np.log(eps))
-
-
-def xi_eps_d2(s, eps: float):
-    a = np.asarray(s, dtype=float) - 2.0 * np.log(eps)
-    return expit(a) * expit(-a)
-
-
 def dirac_density(a: float, r2) -> float:
     """Point-mass mollifier a^2 / (pi (|z|^2 + a^2)^2) on the complex line.
 
@@ -116,21 +111,23 @@ class MollifierProfile:
 
 @dataclass(frozen=True, eq=False)
 class RhsFamily:
-    """A normalised positive density F on the model grid.
+    """A normalised positive density F on the model grid, held as what the
+    solver reads of it.
 
     ``density`` is the reduced mass density R = F (psi')^{n-1} psi'' as
-    cell masses of the solver's flux form on the N - 2 interior nodes (the
-    object the solver actually consumes): ``profile_scale`` times the
-    ``profile`` cells plus ``c_smooth`` times ``model.weight``, or the
-    weight itself when there is no profile. ``values`` is F. Both are
+    cell masses of the solver's flux form on the N - 2 interior nodes:
+    ``profile_scale`` times the ``profile`` cells plus ``c_smooth`` times
+    ``model.weight``, or the weight itself when there is no profile. It is
     evaluated on each access, so a family holds no grid array of its own.
     ``left_flux_offset`` is the prescribed excess of the first half-node
     slope of u over psi's, the flux that mass below the truncation cut
     sends through it; nonzero only for the point-mass family.
 
-    Construction enforces what makes every solution Kahler: F > 0, finite
-    nonnegative cell masses, and a first half-node slope 0 <= psi_slopes[0]
-    + left_flux_offset below psi's last, so that they carry a positive flux.
+    Construction has one gate, on those two, and it makes every solution
+    Kahler: the cell masses are finite and nonnegative with a positive
+    total (F > 0 as the solver sees it), and the first half-node slope
+    0 <= psi_slopes[0] + left_flux_offset lies below psi's last, so that
+    they carry a positive flux.
     """
 
     kind: str
@@ -147,11 +144,11 @@ class RhsFamily:
     def __post_init__(self):
         if self.profile is not None and self.profile.cells.shape != self.model.weight.shape:
             raise ConfigurationError("profile does not live on the model grid")
-        if not np.all(self.values > 0.0):
-            raise ConstraintViolationError("F must be strictly positive")
         density = self.density
         if not np.all(np.isfinite(density) & (density >= 0.0)):
             raise ConstraintViolationError("cell masses must be finite and nonnegative")
+        if not np.sum(density) > 0.0:
+            raise ConstraintViolationError("cell masses must have a positive total")
         W = self.model.psi_slopes
         if not 0.0 <= W[0] + self.left_flux_offset < W[-1]:
             raise ConstraintViolationError(
@@ -167,22 +164,6 @@ class RhsFamily:
         density += self.c_smooth * w
         return density
 
-    @property
-    def values(self) -> np.ndarray:
-        m = self.model
-        if self.kind == "constant":
-            return np.ones(m.grid.points)
-        if self.kind == "divisor":
-            shape = np.exp(-self.delta_prime * xi_eps(m.grid.nodes, self.epsilon))
-            return self.profile_scale * shape
-        # the point mass over psi's form, (xi'/psi')^{n-1} xi''/psi'', from
-        # the softplus closed forms: a difference of logs, finite where both
-        # curvatures underflow
-        n, d = m.n, m.degree
-        a = m.grid.nodes - 2.0 * np.log(self.epsilon)
-        log_ratio = n * (m.softplus_neg_s - softplus(-a)) + m.softplus_s - softplus(a)
-        return self.profile_scale * np.exp(log_ratio) / d**n + self.c_smooth
-
     def log_curvature_derivs(self) -> tuple[np.ndarray, np.ndarray]:
         """Analytic (q', q'') for q = -log(F e^{-ns} (psi')^{n-1} psi'').
 
@@ -195,13 +176,13 @@ class RhsFamily:
         sig, sigm = m.expit_s, m.expit_neg_s
         if self.kind == "constant":
             return (n + 1) * sig, (n + 1) * sig * sigm
-        if self.kind == "divisor":
-            xs = xi_eps_d1(s, self.epsilon)
-            return ((n + 1) * sig + self.delta_prime * xs,
-                    (n + 1) * sig * sigm + self.delta_prime * xi_eps_d2(s, self.epsilon))
-        # dirac mixture: softmin of the two component log densities
+        # the mollified pole: xi_eps' = expit(a), xi_eps'' = expit(a) expit(-a)
         a = s - 2.0 * np.log(self.epsilon)
         xs, xsm = expit(a), expit(-a)
+        if self.kind == "divisor":
+            return ((n + 1) * sig + self.delta_prime * xs,
+                    (n + 1) * sig * sigm + self.delta_prime * (xs * xsm))
+        # dirac mixture: softmin of the two component log densities
         if self.c_smooth <= 0.0:  # gamma = d: all mass at the pole
             theta = np.ones_like(s)
         else:
@@ -274,8 +255,13 @@ def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
     # first face: what it already carries at s_min enters the truncated
     # problem as a left flux, not as interior mass (negligible when the
     # layer is well inside the domain)
-    p0 = m.psi_slopes[0]
+    p0, w_last = m.psi_slopes[0], m.psi_slopes[-1]
     offset = (gamma**n * profile.first_slope ** n + c * p0**n) ** (1.0 / n) - p0
+    if not p0 + offset < w_last:
+        raise ConstraintViolationError(
+            f"first slope {p0 + offset:.6g} must lie in [0, {w_last:.6g}), the last slope "
+            f"of psi at s_max = {m.grid.s_max:.6g}: the grid is too narrow for pole mass "
+            f"gamma = {gamma:.6g}, whose flux enters through the first face; widen s_max")
     return RhsFamily(
         kind="dirac_approx",
         model=m,
@@ -325,20 +311,25 @@ def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> Rhs
 
 def _divisor_family(delta_prime: float, eps: float, m: KahlerModel) -> RhsFamily:
     """The fractional-pole family of ``build_divisor_rhs``, from parameters
-    it has validated: the cell masses e^{-delta' xi_eps} w, normalised."""
+    it has validated: the cell masses e^{-delta' xi_eps} w, formed in log
+    space and normalised by their sum, so that no total underflows to 0
+    where delta' xi_eps is large. A grid whose weight has no mass gives NaN
+    cells, which the family rejects."""
     if delta_prime == 0.0:
         return constant_rhs(m)
-    cells = np.exp(-delta_prime * xi_eps(m.grid.nodes[1:-1], eps)) * m.weight
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_cells = np.log(m.weight) - delta_prime * xi_eps(m.grid.nodes[1:-1], eps)
+        cells = np.exp(log_cells - np.max(log_cells))
+        cells /= np.sum(cells)
     cells.flags.writeable = False
-    profile = MollifierProfile(cells, float(np.sum(cells)))
     return RhsFamily(
         kind="divisor",
         model=m,
         delta_prime=float(delta_prime),
         epsilon=float(eps),
         c_smooth=0.0,
-        profile=profile,
-        profile_scale=float(np.sum(m.weight)) / profile.total,
+        profile=MollifierProfile(cells, 1.0),
+        profile_scale=float(np.sum(m.weight)),
     )
 
 

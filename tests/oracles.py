@@ -157,14 +157,26 @@ def continuum_neutral_potential(model, slope_power, s_points):
 # changed no output.
 
 
-def dirac_rhs_per_call(gamma, eps, model):
-    """(values, density, c_smooth, left_flux_offset) of ``build_dirac_rhs``
-    for gamma > 0."""
-    from radialma.geometry import softplus
-    from radialma.rhs import xi_eps_d1
+def xi_eps_d1(s, eps):
+    """d/ds xi_eps = logistic of s - 2 log eps."""
+    from radialma.geometry import expit
 
+    return expit(np.asarray(s, dtype=float) - 2.0 * np.log(eps))
+
+
+def xi_eps_d2(s, eps):
+    """d^2/ds^2 xi_eps = expit(a) expit(-a), a = s - 2 log eps."""
+    from radialma.geometry import expit
+
+    a = np.asarray(s, dtype=float) - 2.0 * np.log(eps)
+    return expit(a) * expit(-a)
+
+
+def dirac_rhs_per_call(gamma, eps, model):
+    """(density, c_smooth, left_flux_offset) of ``build_dirac_rhs`` for
+    gamma > 0."""
     m = model
-    n, d, h = m.n, m.degree, m.grid.h
+    n, h = m.n, m.grid.h
     xi_slopes = np.log1p(np.expm1(h) * xi_eps_d1(m.grid.nodes[:-1], eps)) / h
     p_xi = np.diff(xi_slopes ** n) / (n * h)
     w = m.weight
@@ -172,15 +184,9 @@ def dirac_rhs_per_call(gamma, eps, model):
     sing = float(np.sum(p_xi))
     c = max((total - gamma**n * sing) / total, 0.0)
     density = gamma**n * p_xi + c * w
-    s = m.grid.nodes
-    a = s - 2.0 * np.log(eps)
-    # (xi'/psi')^{n-1} xi''/psi'' = (expit(a)/(d expit(s)))^n expit(-a)/expit(-s)
-    # as the exponential of a difference of softplus terms
-    log_ratio = n * (softplus(-s) - softplus(-a)) + softplus(s) - softplus(a)
-    values = gamma**n * np.exp(log_ratio) / d**n + c
     p0 = m.psi_slopes[0]
     offset = (gamma**n * xi_slopes[0] ** n + c * p0**n) ** (1.0 / n) - p0
-    return values, density, c, float(offset)
+    return density, c, float(offset)
 
 
 def reduced_mass(rhs) -> float:
@@ -192,8 +198,6 @@ def reduced_mass(rhs) -> float:
 
 def singular_mass(rhs) -> float:
     """Mass carried by the point-mass part of a family, in slope units."""
-    from radialma.rhs import xi_eps_d1
-
     if rhs.kind != "dirac_approx":
         return 0.0
     m = rhs.model
@@ -205,7 +209,6 @@ def log_curvature_derivs_per_call(rhs):
     """``RhsFamily.log_curvature_derivs`` of a constant, divisor or
     point-mass family."""
     from radialma.geometry import expit, softplus
-    from radialma.rhs import xi_eps_d1, xi_eps_d2
 
     m = rhs.model
     n, d, s = m.n, m.degree, m.grid.nodes

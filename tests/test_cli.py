@@ -433,6 +433,28 @@ class TestCoarseGrid:
         assert not out.exists()
 
 
+    def test_grid_spacing_above_log_dbl_max_names_the_model(self, tmp_path, capsys):
+        # h = 1650: e^h - 1 overflows in the exact softplus steps of psi
+        cfg = readme_config(tmp_path, s_min="-800.0", s_max="5800.0", points="5")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [model]: grid spacing h = 1650 must be below "
+            "log(DBL_MAX) = 709.783; add points\n")
+        assert not out.exists()
+
+    def test_pole_mass_above_the_grid_names_the_rhs(self, tmp_path, capsys):
+        # psi's last slope on [-5, 0.5] is 1.23, below gamma = 1.8
+        cfg = readme_config(tmp_path, s_min="-5.0", s_max="0.5", points="101")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [rhs]: first slope 1.8135 must lie in "
+                              "[0, 1.23194), the last slope of psi at s_max = 0.5")
+        assert "too narrow for pole mass gamma = 1.8" in err and "widen s_max" in err
+        assert not out.exists()
+
+
 class TestUnknownKeys:
     """A section or key the run does not read is an invalid configuration:
     a misspelt key would otherwise fall back to its default."""

@@ -27,7 +27,7 @@ from radialma import (
 from radialma import rhs as rhs_module
 from radialma.geometry import MEMO_SIZE, expit, lelong_secant, softplus
 from radialma.grid import cell_masses
-from radialma.rhs import MollifierProfile, dominance_margin, xi_eps_d1, xi_eps_d2
+from radialma.rhs import MollifierProfile, dominance_margin
 
 from oracles import (
     dirac_rhs_per_call,
@@ -37,6 +37,8 @@ from oracles import (
     reduced_mass,
     second_derivative,
     singular_mass,
+    xi_eps_d1,
+    xi_eps_d2,
 )
 
 
@@ -121,7 +123,7 @@ class TestDiracFamily:
     def test_zero_pole_mass_gives_unit_rhs(self, model_n1):
         rhs = build_dirac_rhs(0.0, 1e-3, model_n1)
         assert rhs.kind == "constant"
-        assert np.all(rhs.values == 1.0)
+        assert rhs.density is model_n1.weight
         assert rhs.left_flux_offset == 0.0
 
     def test_singular_part_mass(self, model_n1):
@@ -135,9 +137,12 @@ class TestDiracFamily:
         assert reduced_mass(rhs) == pytest.approx(d**n, abs=1e-8)
 
     def test_positive_everywhere(self, model_n1):
+        # F > 0 as the solver reads it: every cell mass is positive where
+        # the model's weight is
+        smooth = model_n1.weight > 0.0
         for eps in (1e-1, 1e-3, 1e-4):
             rhs = build_dirac_rhs(1.5, eps, model_n1)
-            assert np.min(rhs.values) > 0.0
+            assert np.min(rhs.density[smooth]) > 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cell_masses_nonnegative(self, n):
@@ -192,15 +197,23 @@ class TestPreconditions:
     # what makes every solve Kahler by construction is checked on the type
 
     def test_f_strictly_positive(self, model_n1):
+        # F is read through its cell masses: a negative smooth part leaves
+        # negative ones in the right tail, where the pole's vanish
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
-        with pytest.raises(ConstraintViolationError, match="F must be strictly positive"):
-            replace(rhs, c_smooth=-float(np.max(rhs.values)))
+        with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
+            replace(rhs, c_smooth=-1.0)
 
     def test_nan_f_rejected(self, model_n1):
-        # a NaN F is no positive density, whatever its cell masses
+        # a NaN F is no positive density: its cell masses are NaN
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
-        with pytest.raises(ConstraintViolationError, match="F must be strictly positive"):
+        with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
             replace(rhs, c_smooth=math.nan)
+
+    def test_cell_masses_carry_mass(self, model_n1):
+        # F = 0 is nonnegative everywhere but no density
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        with pytest.raises(ConstraintViolationError, match="positive total"):
+            with_cell_masses(rhs, np.zeros_like(rhs.density))
 
     def test_cell_masses_live_on_the_interior_nodes(self):
         m = KahlerModel(2, 3.0)
@@ -254,12 +267,25 @@ class TestPreconditions:
 class TestDivisorFamily:
     def test_zero_order_gives_unit_rhs(self, model_n1):
         rhs = build_divisor_rhs(0.0, 1e-3, model_n1)
-        assert np.all(rhs.values == 1.0)
+        assert rhs.kind == "constant"
+        assert rhs.density is model_n1.weight
 
     def test_normalised(self, model_n1, model_n2):
         for m, dp in ((model_n1, 0.3), (model_n2, 1.2)):
             rhs = build_divisor_rhs(dp, 1e-3, m)
             assert reduced_mass(rhs) == pytest.approx(m.degree**m.n, abs=1e-8)
+
+    @pytest.mark.parametrize("delta_prime,eps,n,d,grid", [
+        (3.0, 1e-6, 4, 2.5, SGrid(-190.0, 1934.0, 5)),
+        (0.5, 1e-3, 1, 2.0, SGrid(-40.0, 1500.0, 4001)),
+    ])
+    def test_builds_where_the_pole_factor_underflows(self, delta_prime, eps, n, d, grid):
+        # e^{-delta' xi_eps} underflows to 0 where delta' s > ~745; the cell
+        # masses, formed in log space, still carry the grid's whole mass
+        m = KahlerModel(n, d, grid)
+        rhs = build_divisor_rhs(delta_prime, eps, m)
+        W = m.psi_slopes
+        assert reduced_mass(rhs) == pytest.approx(W[-1] ** n - W[0] ** n, rel=1e-12)
 
     def test_pole_order_at_dimension_rejected(self, model_n1):
         with pytest.raises(ConstraintViolationError):
@@ -297,7 +323,7 @@ class TestLowerBound:
                                       SGrid(-1000.0, 1000.0, 2001)])
     def test_margin_finite_on_wide_grids(self, grid):
         # beyond |s| ~ 709 the reference form underflows to 0 with the
-        # family's own; those nodes bound nothing, and F stays finite
+        # family's own; those nodes bound nothing, and the cell masses stay finite
         for n in (1, 2):
             m = KahlerModel(n, n + 1.0, grid)
             report = check_lower_bound(constant_rhs(m))
@@ -305,7 +331,7 @@ class TestLowerBound:
             assert report.limiting_node is None
             for rhs in (build_dirac_rhs(0.9 * m.degree, 1e-3, m),
                         build_divisor_rhs(0.5, 1e-3, m)):
-                assert np.all(np.isfinite(rhs.values))
+                assert np.all(np.isfinite(rhs.density))
                 eta = check_lower_bound(rhs).eta
                 assert math.isfinite(eta) and eta >= 0.0
 
@@ -374,8 +400,7 @@ class TestCachedClosedForms:
         with (pytest.warns(UserWarning, match="equals the model mass") if frac == 1.0
               else nullcontext()):
             rhs = build_dirac_rhs(frac * m.degree, eps, m)
-        values, density, c, offset = dirac_rhs_per_call(frac * m.degree, eps, m)
-        assert np.array_equal(rhs.values, values)
+        density, c, offset = dirac_rhs_per_call(frac * m.degree, eps, m)
         assert np.array_equal(rhs.density, density)
         assert np.array_equal(rhs.c_smooth, c)
         assert np.array_equal(rhs.left_flux_offset, offset)

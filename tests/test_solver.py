@@ -31,7 +31,6 @@ from radialma import (
 from radialma import solver
 from radialma.geometry import LELONG_WINDOW, expit, pole_lelong
 from radialma.grid import density_floor, rounding_floor
-from radialma.rhs import xi_eps_d1
 from radialma.solver import (
     _anderson,
     _dilated,
@@ -46,6 +45,8 @@ from oracles import (
     continuum_neutral_potential,
     diagnostics_per_call,
     second_derivative,
+    xi_eps_d1,
+    xi_eps_d2,
 )
 
 
@@ -402,7 +403,6 @@ class TestSingularSolves:
         # right flux, and compare with the Newton path
         from scipy.integrate import solve_ivp
         from scipy.optimize import brentq
-        from radialma.rhs import xi_eps_d2
 
         m = model_n1
         gamma, eps, t = 1.0, 1e-3, 0.5

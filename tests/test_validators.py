@@ -37,6 +37,15 @@ from radialma.rhs import MollifierProfile
 GRID = SGrid(-10.0, 10.0, 81)
 ZEROS = np.zeros(GRID.points)
 
+
+def pole_on_a_narrow_grid(m):
+    """gamma = 1.8 on [-5, 0.5], where psi's last slope is 1.23: the layer
+    at 2 log eps = -13.8 lies below s_min, which warns, so the whole pole
+    flux enters through the first face."""
+    with pytest.warns(UserWarning, match="below the left truncation"):
+        return build_dirac_rhs(1.8, 1e-3, KahlerModel(1, 2.0, SGrid(-5.0, 0.5, 101)))
+
+
 # each case: the error type, the part of its message that names what is
 # rejected, and a call on the n = 1, d = 2 model on GRID
 CASES = {
@@ -50,6 +59,12 @@ CASES = {
                         lambda m: build_dirac_rhs(-0.1, 1e-3, m)),
     "dirac eps <= 0": (ConfigurationError, "eps must be positive",
                        lambda m: build_dirac_rhs(1.0, 0.0, m)),
+    "dirac grid too narrow for the pole": (
+        ConstraintViolationError,
+        "first slope 1.8135 must lie in [0, 1.23194), the last slope of psi at s_max = 0.5: "
+        "the grid is too narrow for pole mass gamma = 1.8, whose flux enters through the "
+        "first face; widen s_max",
+        pole_on_a_narrow_grid),
     "divisor delta' < 0": (ConstraintViolationError, "delta' must be nonnegative",
                            lambda m: build_divisor_rhs(-0.1, 1e-3, m)),
     "divisor eps <= 0": (ConfigurationError, "eps must be positive",
@@ -98,6 +113,11 @@ CASES = {
                                 lambda m: SGrid(-10.0, 10.0, np.float64(81))),
     "bool grid points": (ConfigurationError, "grid points must be an integer, got True",
                          lambda m: SGrid(-10.0, 10.0, True)),
+    # e^h - 1 overflows in the exact softplus steps of psi
+    "grid spacing above log(DBL_MAX)": (
+        ConfigurationError,
+        "grid spacing h = 1650 must be below log(DBL_MAX) = 709.783; add points",
+        lambda m: SGrid(-800.0, 5800.0, 5)),
     "different grids": (ConfigurationError, "grids do not match",
                         lambda m: GRID.require_same(SGrid(-10.0, 10.0, 41))),
     "non-finite potential": (ConfigurationError, "potential values must be finite",
