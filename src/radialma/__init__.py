@@ -23,8 +23,7 @@ __version__ = "0.1.0"
 # each public submodule and the names the package exports from it
 _EXPORTS = {
     "errors": ("ConfigurationError", "ConstraintViolationError", "CurvatureMarginWarning"),
-    "geometry": ("Diagnostics", "KahlerModel", "LelongEstimate", "average",
-                 "fubini_study_potential", "pole_lelong"),
+    "geometry": ("Diagnostics", "KahlerModel", "LelongEstimate", "average", "pole_lelong"),
     "grid": ("DEFAULT_GRID", "RadialPotential", "SGrid"),
     "rhs": ("LowerBoundReport", "RhsFamily", "build_dirac_rhs", "build_divisor_rhs",
             "check_lower_bound", "constant_rhs", "dirac_density", "xi_eps"),

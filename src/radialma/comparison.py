@@ -52,7 +52,8 @@ class ComparisonReport:
 
 
 def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float) -> ComparisonReport:
-    """Maximum-principle comparison of two potentials on [a, b].
+    """Maximum-principle comparison of two potentials on [a, b], which
+    must share one grid and one dimension n.
 
     Hypotheses: u >= v at both endpoints and density(u) <= density(v) on the
     open subinterval. When they hold, returns the conclusion margin
@@ -65,6 +66,9 @@ def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float) -> Co
     half-node slope magnitude of u and v: the rounding of a flux-form
     row.
     """
+    if u.n != v.n:
+        raise ConfigurationError(f"potentials of dimension n = {u.n} and n = {v.n} "
+                                 "cannot be compared")
     u.grid.require_same(v.grid)
     grid = u.grid
     require_finite(a=a, b=b)

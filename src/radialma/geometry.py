@@ -12,12 +12,13 @@ are normalised away. The reduced mass element of a potential u is
 d[(u')^n] = n (u')^{n-1} u'' ds.
 
 The reference metric is Fubini-Study: psi(s) = d log(1 + e^s), whose
-derivatives are logistic functions. Those closed forms are used wherever a
-quadrature weight or curvature ratio must be accurate below discretisation
-noise; the half-node slopes of psi and of the mollified pole are exact
-softplus steps, ``softplus_step``. Grid potentials are differentiated as
-the solver does, through their half-node slopes and ``grid.cell_masses``.
-Positivity has one rule, ``grid.first_violation`` of the slopes, which
+derivatives are logistic functions. Those closed forms are evaluated
+where a quadrature weight or curvature ratio that must be accurate below
+discretisation noise reads them; the half-node slopes of psi and of the
+mollified pole are exact softplus steps, ``softplus_step``. Grid
+potentials are differentiated as the solver does, through their half-node
+slopes and ``grid.cell_masses``. Positivity has one rule,
+``grid.first_violation`` of the slopes, which
 ``RadialPotential.kahler_violation`` applies. A solved pole has one
 reading, the windowed secant ``pole_lelong``: diagnostics, germ integrals,
 the stalk and the magnification table all read it.
@@ -34,7 +35,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError, require_finite
-from .grid import DEFAULT_GRID, RadialPotential, SGrid, cell_masses, grid_values
+from .grid import (DEFAULT_GRID, LOG_DBL_MAX, RadialPotential, SGrid, cell_masses,
+                   grid_values)
 
 if TYPE_CHECKING:
     from .rhs import RhsFamily
@@ -65,41 +67,47 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def fubini_study_potential(n: int, degree: float, grid: SGrid) -> RadialPotential:
-    """Reference potential psi(s) = degree * log(1 + e^s).
-
-    Slope 0 at the far left, slope ``degree`` at the far right; strictly
-    convex in between. degree = n + 1 is the anticanonical normalisation.
-    """
-    if n < 1 or int(n) != n:
-        raise ConfigurationError(f"dimension must be a positive integer, got {n}")
-    if not 0.0 < degree < math.inf:
-        raise ConfigurationError(f"degree must be finite and positive, got {degree}")
-    return RadialPotential(grid, degree * softplus(grid.nodes), int(n))
-
-
 class KahlerModel:
-    """Reference geometry: dimension n, polarisation degree d, grid, psi.
+    """Reference geometry: dimension n, polarisation degree d, grid, and the
+    Fubini-Study potential psi(s) = d log(1 + e^s) on it.
 
-    Carries both the discrete half-node slopes of psi and its cell flux
-    (used by the solver, so that F = 1 has the exact discrete fixed point
-    phi = 0) and the logistic closed forms (used for quadrature weights and
-    curvature ratios). The closed forms are node-wise and computed once per
-    model, as read-only arrays: ``expit_s`` = expit(s) = psi' / d,
-    ``expit_neg_s`` = expit(-s), so that psi'' = psi' expit(-s),
-    ``softplus_s`` = softplus(s) = psi / d and ``softplus_neg_s`` =
-    softplus(-s); every right-hand side and the volume quadrature read
-    them, and psi', psi'' elsewhere are written from them. The geometry is
-    immutable after construction; the one state a model changes is what was
-    built on it, kept in one cache (``memoized``): its families and the
-    mollifier profiles they share.
+    psi has slope 0 at the far left and slope d at the far right, strictly
+    convex in between; d = n + 1 is the anticanonical normalisation. A model
+    holds psi and its flux form: the half-node slopes ``psi_slopes`` and
+    their cell masses ``weight`` (used by the solver, so that F = 1 has the
+    exact discrete fixed point phi = 0), and the volume weights ``average``
+    reads. The logistic closed forms of psi' and psi'' are evaluated where
+    they are read, by the volume quadrature and the curvature margin.
+
+    A model is rejected unless the model mass d^n is a finite double and
+    the grid holds a positive, finite mass of psi: a grid far left of
+    s = 0, where psi' underflows to 0, or far right, where every slope is
+    d, carries none. The geometry is immutable after construction; the
+    one state a model changes is what was built on it, kept in one cache
+    (``memoized``): its families and the mollifier profiles they share.
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
-        self.psi = fubini_study_potential(n, degree, grid)
-        self.n = self.psi.n
-        self.degree = float(degree)
-        self.grid = grid
+        if n < 1 or int(n) != n:
+            raise ConfigurationError(f"dimension must be a positive integer, got {n}")
+        if not 0.0 < degree < math.inf:
+            raise ConfigurationError(f"degree must be finite and positive, got {degree}")
+        self.n, self.degree, self.grid = int(n), float(degree), grid
+        self.psi = RadialPotential(grid, degree * softplus(grid.nodes), self.n)
+        where = (f"n = {self.n}, d = {self.degree:.6g} on the grid [{grid.s_min:.6g}, "
+                 f"{grid.s_max:.6g}] of {grid.points} points")
+        log_mass = self.n * math.log(self.degree)
+        if log_mass >= LOG_DBL_MAX:
+            raise ConfigurationError(
+                f"model mass d^n overflows at {where}: n log d = {log_mass:.6g} must be "
+                f"below log(DBL_MAX) = {LOG_DBL_MAX:.6g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(self.weight))
+        # the cell masses are nonnegative, so a finite total makes each finite
+        if not 0.0 < total < math.inf:
+            raise ConfigurationError(
+                f"psi has no finite mass at {where}: its cell masses "
+                f"total {total:.6g}; the grid must reach where psi' rises, near s = 0")
         self._memo: OrderedDict = OrderedDict()
 
     def memoized(self, key, build):
@@ -116,8 +124,6 @@ class KahlerModel:
             memo.popitem(last=False)
         return value
 
-    # -- discrete arrays used by the solver --------------------------------
-
     @cached_property
     def psi_slopes(self) -> np.ndarray:
         """Half-node slopes (psi_{i+1} - psi_i) / h, N - 1 of them, in the
@@ -132,35 +138,15 @@ class KahlerModel:
         density (psi')^{n-1} psi'' on the N - 2 interior nodes."""
         return _frozen(cell_masses(self.psi_slopes, self.n, self.grid.h))
 
-    # -- logistic closed forms ---------------------------------------------
-
-    @cached_property
-    def expit_s(self) -> np.ndarray:
-        """expit(s) on the nodes, psi' / d."""
-        return _frozen(expit(self.grid.nodes))
-
-    @cached_property
-    def expit_neg_s(self) -> np.ndarray:
-        """expit(-s) on the nodes; expit_s * expit_neg_s is psi'' / d."""
-        return _frozen(expit(-self.grid.nodes))
-
-    @cached_property
-    def softplus_s(self) -> np.ndarray:
-        """softplus(s) on the nodes, psi / d."""
-        return _frozen(softplus(self.grid.nodes))
-
-    @cached_property
-    def softplus_neg_s(self) -> np.ndarray:
-        """softplus(-s) on the nodes, -log(psi' / d)."""
-        return _frozen(softplus(-self.grid.nodes))
-
     @cached_property
     def _volume_quadrature(self) -> np.ndarray:
-        """Trapezoid weights times the volume density n (psi')^{n-1} psi''."""
+        """Trapezoid weights times the volume density n (psi')^{n-1} psi'',
+        with psi' = d expit(s) and psi'' = psi' expit(-s)."""
+        s = self.grid.nodes
         trap = np.full(self.grid.points, self.grid.h)
         trap[[0, -1]] *= 0.5
-        psi1 = self.degree * self.expit_s
-        return trap * (self.n * psi1 ** (self.n - 1) * (psi1 * self.expit_neg_s))
+        psi1 = self.degree * expit(s)
+        return trap * (self.n * psi1 ** (self.n - 1) * (psi1 * expit(-s)))
 
     @cached_property
     def total_volume(self) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-MAX_SPACING = float(np.log(np.finfo(float).max))
+LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ class SGrid:
         if self.points < 5:
             raise ConfigurationError(f"need at least 5 grid points, got {self.points}")
         # the exact softplus steps of psi and the pole take e^h - 1
-        if self.h >= MAX_SPACING:
+        if self.h >= LOG_DBL_MAX:
             raise ConfigurationError(
                 f"grid spacing h = {self.h:.6g} must be below log(DBL_MAX) = "
-                f"{MAX_SPACING:.6g}; add points")
+                f"{LOG_DBL_MAX:.6g}; add points")
 
     @property
     def h(self) -> float:

@@ -32,10 +32,9 @@ delta' = 0. The point-mass family's left flux comes from the same
 half-node slopes at the first face, so the discrete neutral first
 integral holds exactly on every face.
 
-The node-wise closed forms of psi, ``KahlerModel.expit_s``,
-``expit_neg_s``, ``softplus_s`` and ``softplus_neg_s``, are computed once
-per model; ``RhsFamily.log_curvature_derivs`` and ``dominance_margin``
-read them.
+The logistic closed forms of psi' and psi'' are evaluated where they are
+read, by ``RhsFamily.log_curvature_derivs`` and ``dominance_margin``, once
+per family.
 
 A family holds scalars, not grid arrays. Its cell masses are a P + c w,
 where w is the model's ``weight`` and P a ``MollifierProfile``: the cell
@@ -55,12 +54,13 @@ then return the family the model has memoised for (kind, parameter, eps),
 building it only on a miss. ``KahlerModel.memoized`` keeps the last 16
 families and point-mass profiles, the latter under ("profile", eps),
 refreshed whenever a family holding it is returned, so it outlives them.
-A family computes its curvature margin once (``curvature_margin``), which
-``check_lower_bound`` returns.
+A family's curvature margin has one name, ``check_lower_bound``, which
+computes it on the first call and returns the same report after.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConstraintViolationError, require_finite
 from .geometry import KahlerModel, expit, softplus, softplus_step
-from .grid import cell_masses
+from .grid import LOG_DBL_MAX, cell_masses
 
 POLE_ANCHOR_OFFSET = 6.0
 
@@ -173,7 +173,7 @@ class RhsFamily:
         """
         m = self.model
         n, d, s = m.n, m.degree, m.grid.nodes
-        sig, sigm = m.expit_s, m.expit_neg_s
+        sig, sigm = expit(s), expit(-s)
         if self.kind == "constant":
             return (n + 1) * sig, (n + 1) * sig * sigm
         # the mollified pole: xi_eps' = expit(a), xi_eps'' = expit(a) expit(-a)
@@ -188,7 +188,7 @@ class RhsFamily:
         else:
             log_sing = n * np.log(self.gamma) - n * softplus(-a) - softplus(a)
             log_smooth = (np.log(self.c_smooth) + n * np.log(d)
-                          - n * m.softplus_neg_s - m.softplus_s)
+                          - n * softplus(-s) - softplus(s))
             theta = expit(log_sing - log_smooth)
         thp = 1.0 - theta
         q1 = (n + 1) * (thp * sig + theta * xs)
@@ -197,9 +197,9 @@ class RhsFamily:
         return q1, q2
 
     @cached_property
-    def curvature_margin(self) -> LowerBoundReport:
-        """The curvature margin of the family, ``dominance_margin`` of
-        ``log_curvature_derivs``, computed on first use."""
+    def _lower_bound(self) -> LowerBoundReport:
+        """``dominance_margin`` of ``log_curvature_derivs``, computed on
+        first use; ``check_lower_bound`` is its one public name."""
         q1, q2 = self.log_curvature_derivs()
         return dominance_margin(q1, q2, self.model)
 
@@ -224,8 +224,12 @@ def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     if gamma < 0:
         raise ConstraintViolationError(f"gamma must be nonnegative, got {gamma}")
     if gamma > d:
+        # the model keeps d^n finite, but gamma^n can overflow
+        log_mass = n * math.log(gamma)
+        mass = f"{gamma**n:.6g}" if log_mass < LOG_DBL_MAX else f"e^{log_mass:.6g}"
         raise ConstraintViolationError(
-            f"pole mass gamma^n = {gamma**n:.6g} exceeds the model mass {d**n:.6g}")
+            f"pole mass gamma^n = {mass} exceeds the model mass {d**n:.6g}: "
+            f"gamma = {gamma:.6g} > d = {d:.6g}")
     if gamma == d:
         warnings.warn("pole mass equals the model mass; the smooth part of F degenerates",
                       stacklevel=2)
@@ -313,11 +317,11 @@ def _divisor_family(delta_prime: float, eps: float, m: KahlerModel) -> RhsFamily
     """The fractional-pole family of ``build_divisor_rhs``, from parameters
     it has validated: the cell masses e^{-delta' xi_eps} w, formed in log
     space and normalised by their sum, so that no total underflows to 0
-    where delta' xi_eps is large. A grid whose weight has no mass gives NaN
-    cells, which the family rejects."""
+    where delta' xi_eps is large; a cell of zero weight has log weight
+    -inf and mass 0."""
     if delta_prime == 0.0:
         return constant_rhs(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         log_cells = np.log(m.weight) - delta_prime * xi_eps(m.grid.nodes[1:-1], eps)
         cells = np.exp(log_cells - np.max(log_cells))
         cells /= np.sum(cells)
@@ -351,8 +355,9 @@ def dominance_margin(q1: np.ndarray, q2: np.ndarray, model: KahlerModel) -> Lowe
     """Largest eta with (q1, q2) >= eta * (psi_1', psi_1'') nodewise. Beyond
     |s| ~ 709 the reference form underflows to 0 with the family's, and a
     node where it is 0 bounds nothing; a NaN ratio binds, at eta = 0."""
-    den1 = model.expit_s
-    den2 = den1 * model.expit_neg_s
+    s = model.grid.nodes
+    den1 = expit(s)
+    den2 = den1 * expit(-s)
     r1 = np.divide(q1, den1, out=np.full(den1.shape, np.inf), where=den1 > 0.0)
     r2 = np.divide(q2, den2, out=np.full(den2.shape, np.inf), where=den2 > 0.0)
     i1, i2 = int(np.argmin(r1)), int(np.argmin(r2))
@@ -366,12 +371,12 @@ def dominance_margin(q1: np.ndarray, q2: np.ndarray, model: KahlerModel) -> Lowe
 
 
 def check_lower_bound(rhs: RhsFamily) -> LowerBoundReport:
-    """Margin eta of the curvature lower bound for the family, its
-    ``curvature_margin``, computed once.
+    """Margin eta of the curvature lower bound for the family, computed on
+    the first call; later calls return the same report.
 
     eta > 0 is the hypothesis the magnification argument needs; the
     experiment driver requires the target time below eta, and reports
     honestly when the family fails the bound (the point-mass mixtures do,
     at the crossover shoulder between pole and background profiles).
     """
-    return rhs.curvature_margin
+    return rhs._lower_bound

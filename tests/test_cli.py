@@ -454,6 +454,35 @@ class TestCoarseGrid:
         assert "too narrow for pole mass gamma = 1.8" in err and "widen s_max" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("changes,message", [
+        # psi' underflows to 0 on the whole grid, or is d on all of it
+        (dict(s_min="-2000.0", s_max="-1000.0", points="101"),
+         "psi has no finite mass at n = 1, d = 2 on the grid [-2000, -1000] of 101 points"),
+        (dict(s_min="800.0", s_max="1000.0", points="101"),
+         "psi has no finite mass at n = 1, d = 2 on the grid [800, 1000] of 101 points"),
+        (dict(n="400", degree="401.0"),
+         "model mass d^n overflows at n = 400, d = 401 on the grid [-40, 40] of 4001 points"),
+    ])
+    def test_model_without_finite_mass_names_the_model(self, tmp_path, capsys, changes,
+                                                       message):
+        cfg = readme_config(tmp_path, gamma="1.0", **changes)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: [model]: {message}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    def test_overflowing_pole_mass_names_the_rhs(self, tmp_path, capsys):
+        # d^n = 1e300 is finite, gamma^n = 20^300 is not
+        cfg = readme_config(tmp_path, n="300", degree="10.0", gamma="20.0")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [rhs]: pole mass gamma^n = e^898.72 exceeds the model "
+            "mass 1e+300: gamma = 20 > d = 10\n")
+        assert not out.exists()
+
 
 class TestUnknownKeys:
     """A section or key the run does not read is an invalid configuration:

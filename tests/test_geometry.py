@@ -15,7 +15,6 @@ from radialma import (
     average,
     build_dirac_rhs,
     constant_rhs,
-    fubini_study_potential,
     neutral_oracle,
     pole_lelong,
 )
@@ -188,20 +187,19 @@ class TestFubiniStudy:
     def test_midpoint_slope_is_half_degree(self, model_n1):
         # psi' = d expit(s), 1 at s = 0 for d = 2
         i = model_n1.grid.index_of(0.0)
-        assert model_n1.degree * model_n1.expit_s[i] == pytest.approx(1.0, abs=1e-15)
+        s = model_n1.grid.nodes[i]
+        assert model_n1.degree * expit(s) == pytest.approx(1.0, abs=1e-15)
 
     def test_degree_must_be_positive(self, model_n1):
         with pytest.raises(ConfigurationError):
-            fubini_study_potential(1, -1.0, model_n1.grid)
+            KahlerModel(1, -1.0, model_n1.grid)
 
     @pytest.mark.parametrize("degree", [np.nan, np.inf, 0.0])
     def test_degree_must_be_finite_and_positive(self, model_n1, degree):
         # a nan passes a sign check; the message names the degree
         message = f"^degree must be finite and positive, got {degree}$"
         with pytest.raises(ConfigurationError, match=message):
-            fubini_study_potential(1, degree, model_n1.grid)
-        with pytest.raises(ConfigurationError, match=message):
-            KahlerModel(1, degree)
+            KahlerModel(1, degree, model_n1.grid)
 
     def test_reference_is_kahler(self, model_n1, model_n2):
         assert model_n1.psi.is_kahler()

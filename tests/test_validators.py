@@ -22,7 +22,6 @@ from radialma import (
     constant_rhs,
     continuity_in_t,
     dirac_density,
-    fubini_study_potential,
     germ_integral,
     magnifying,
     neutral,
@@ -65,6 +64,11 @@ CASES = {
         "the grid is too narrow for pole mass gamma = 1.8, whose flux enters through the "
         "first face; widen s_max",
         pole_on_a_narrow_grid),
+    # d^n = 1e300 is finite, gamma^n = 20^300 is not
+    "dirac pole mass above a finite model mass overflows": (
+        ConstraintViolationError,
+        "pole mass gamma^n = e^898.72 exceeds the model mass 1e+300: gamma = 20 > d = 10",
+        lambda m: build_dirac_rhs(20.0, 1e-3, KahlerModel(300, 10.0))),
     "divisor delta' < 0": (ConstraintViolationError, "delta' must be nonnegative",
                            lambda m: build_divisor_rhs(-0.1, 1e-3, m)),
     "divisor eps <= 0": (ConfigurationError, "eps must be positive",
@@ -125,6 +129,9 @@ CASES = {
     "subinterval without interior node": (
         ConfigurationError, "subinterval must contain interior nodes",
         lambda m: bt_compare(m.psi, m.psi, 0.0, GRID.h)),
+    "bt_compare of different dimensions": (
+        ConfigurationError, "potentials of dimension n = 1 and n = 2 cannot be compared",
+        lambda m: bt_compare(m.psi, KahlerModel(2, 2.0, GRID).psi, -5.0, 5.0)),
     "bt_compare a = nan": (ConfigurationError, "a must be finite, got nan",
                            lambda m: bt_compare(m.psi, m.psi, np.nan, 5.0)),
     "bt_compare b = nan": (ConfigurationError, "b must be finite, got nan",
@@ -159,7 +166,23 @@ CASES = {
     "sequence tau = 1": (ConfigurationError, "tau must lie in (0, 1)",
                          lambda m: PotentialSequence(m, ((ZEROS, 1.0, None),))),
     "dimension n < 1": (ConfigurationError, "dimension must be a positive integer",
-                        lambda m: fubini_study_potential(0, 2.0, GRID)),
+                        lambda m: KahlerModel(0, 2.0, GRID)),
+    # psi' underflows to 0 left of s ~ -745; right of s ~ 37 every slope is d
+    "model grid left of psi's mass": (
+        ConfigurationError,
+        "psi has no finite mass at n = 1, d = 2 on the grid [-2000, -1000] of 101 points: "
+        "its cell masses total 0",
+        lambda m: KahlerModel(1, 2.0, SGrid(-2000.0, -1000.0, 101))),
+    "model grid right of psi's mass": (
+        ConfigurationError,
+        "psi has no finite mass at n = 1, d = 2 on the grid [800, 1000] of 101 points: "
+        "its cell masses total 0",
+        lambda m: KahlerModel(1, 2.0, SGrid(800.0, 1000.0, 101))),
+    "model mass d^n overflows": (
+        ConfigurationError,
+        "model mass d^n overflows at n = 400, d = 401 on the grid [-40, 40] of 4001 points: "
+        "n log d = 2397.58 must be below log(DBL_MAX) = 709.783",
+        lambda m: KahlerModel(400, 401.0)),
     "Lelong window outside the grid": (
         ConfigurationError, "Lelong window falls outside the grid",
         lambda m: lelong_secant(GRID, ZEROS.take, 5.0, anchor=GRID.s_max - 1.0)),
