@@ -311,10 +311,12 @@ def cmd_magnify(cfg: RunConfig) -> _Result:
 
 
 def cmd_multiplier(cfg: RunConfig) -> _Result:
-    from .multiplier import PotentialSequence, stalk_from_sequence, trivial_lemma_report
+    from .multiplier import (PotentialSequence, _require_pole_side, stalk_from_sequence,
+                             trivial_lemma_report)
     from .rhs import check_lower_bound
     from .solver import sweep_epsilon
     model = cfg.validate_model()
+    _in_section("[model]", _require_pole_side, model.grid)
     eps_list = cfg.eps_list("multiplier")
     tau0 = cfg.open_time("multiplier")
     trace, results = sweep_epsilon(

@@ -9,7 +9,9 @@ d_i d_jbar u has eigenvalues u'(s)/e^s (multiplicity n-1) and u''(s)/e^s
 Mass and volume are reported in slope units: the reference line bundle of
 degree d carries total Monge-Ampere mass d^n, i.e. dimensional 2*pi factors
 are normalised away. The reduced mass element of a potential u is
-d[(u')^n] = n (u')^{n-1} u'' ds.
+d[(u')^n] = n (u')^{n-1} u'' ds; a solution's total is read where its
+fluxes are, from the solver's two boundary slopes
+(``solver.diagnostics_for``).
 
 The reference metric is Fubini-Study: psi(s) = d log(1 + e^s), whose
 derivatives are logistic functions. Those closed forms are evaluated
@@ -20,8 +22,9 @@ potentials are differentiated as the solver does, through their half-node
 slopes and ``grid.cell_masses``. Positivity has one rule,
 ``grid.first_violation`` of the slopes, which
 ``RadialPotential.kahler_violation`` applies. A solved pole has one
-reading, the windowed secant ``pole_lelong``: diagnostics, germ integrals,
-the stalk and the magnification table all read it.
+reading, the windowed secant ``pole_lelong`` of u at three nodes:
+diagnostics, germ integrals, the stalk and the magnification table all
+read it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, require_finite
+from .errors import ConfigurationError
 from .grid import (DEFAULT_GRID, LOG_DBL_MAX, RadialPotential, SGrid, cell_masses,
                    grid_values)
 
@@ -154,19 +157,7 @@ class KahlerModel:
 
 
 # ---------------------------------------------------------------------------
-# Mass, averages, Lelong numbers
-
-
-def end_mass(v, h: float, n: int):
-    """Total reduced Monge-Ampere mass (u'(s_max))^n - (u'(s_min))^n of the
-    dimension-n potential u with node values v on spacing h.
-
-    The end slopes are the first and last half-node slopes, the fluxes of
-    the solver's boundary rows, so the mass of a discrete solution is the
-    exact sum of its cell masses. In slope units an admissible solution on
-    the degree-d model carries mass d^n. Reads only v[:2] and v[-2:], so
-    the four end values suffice."""
-    return ((v[-1] - v[-2]) / h) ** n - ((v[1] - v[0]) / h) ** n
+# Averages, Lelong numbers
 
 
 def average(phi, model: KahlerModel) -> float:
@@ -190,53 +181,38 @@ class LelongEstimate:
     sensitivity: float
 
 
-def lelong_secant(grid: SGrid, values_at, window: float,
-                  anchor: float | None = None) -> LelongEstimate:
-    """Secant slope over [anchor, anchor + window] of the potential u whose
-    values at an array of node indices ``values_at`` returns.
-
-    The pole coefficient of a singular radial potential is its asymptotic
-    left slope; on a truncated grid it is estimated by a secant, by default
-    anchored at s_min. ``sensitivity`` reports the change under halving the
-    window, as the resolution-limit diagnostic. Only the three secant nodes
-    are read, so u need not be formed on the whole grid."""
-    a = grid.s_min if anchor is None else float(anchor)
-    require_finite(window=window, anchor=a)
-    if window < 4 * grid.h:
-        raise ConfigurationError(f"window {window} is below 4h = {4 * grid.h}")
-    if a < grid.s_min or a + window > grid.s_max + 1e-12:
-        raise ConfigurationError("Lelong window falls outside the grid")
-    nodes = np.array([grid.index_of(a), grid.index_of(a + window),
-                      grid.index_of(a + window / 2.0)])
-    u, s = values_at(nodes), grid.nodes[nodes]
-    v = float((u[1] - u[0]) / (s[1] - s[0]))
-    v_half = float((u[2] - u[0]) / (s[2] - s[0]))
-    return LelongEstimate(max(v, 0.0), window, abs(v - v_half))
-
-
 def pole_lelong(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> LelongEstimate:
-    """The pole coefficient of u = psi + phi, the one reading of a solved
-    pole: the Lelong secant from u at the secant nodes only.
+    """The pole coefficient of u = psi + phi, its asymptotic left slope, and
+    the one reading of a solved pole: the secant slope of u over a window
+    [a, a + window], read at its three nodes only.
 
-    The secant is anchored at s_min for smooth families, over
-    max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves. For
-    the mollified point-mass families the finite-eps solution is flat below
-    the layer at 2 log(eps), so the secant is anchored just above the layer
+    For smooth families the secant is anchored at s_min, over
+    max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves, or
+    over the whole grid where that is narrower. For the mollified
+    point-mass families the finite-eps solution is flat below the layer at
+    2 log(eps), so the secant is anchored just above the layer
     (``rhs.pole_anchor``) and capped away from the bulk chart boundary at
     LELONG_CAP, where the limiting slope has formed; where that window is
-    shorter than 4h, the smooth rule holds.
+    shorter than 4h, the smooth rule holds. ``sensitivity`` is the change
+    under halving the window, the resolution-limit diagnostic.
     """
-    grid, psi = model.grid, model.psi.values
+    grid = model.grid
     vals = grid_values(phi, grid)
-    window, anchor = max(LELONG_WINDOW, 4.0 * grid.h), None
+    window = min(max(LELONG_WINDOW, 4.0 * grid.h), float(grid.s_max - grid.s_min))
+    a = grid.s_min
     if rhs is not None and rhs.pole_anchor is not None:
         cap = min(LELONG_CAP, grid.s_max - 4.0 * grid.h)
         a0 = max(rhs.pole_anchor, grid.s_min)
         b = min(a0 + LELONG_WINDOW, cap)
-        a = max(min(a0, b - max(4.0 * grid.h, 1.0)), grid.s_min)
-        if b - a >= 4.0 * grid.h:
-            window, anchor = b - a, a
-    return lelong_secant(grid, lambda nodes: psi[nodes] + vals[nodes], window, anchor)
+        anchor = max(min(a0, b - max(4.0 * grid.h, 1.0)), grid.s_min)
+        if b - anchor >= 4.0 * grid.h:
+            window, a = b - anchor, anchor
+    nodes = np.array([grid.index_of(a), grid.index_of(a + window),
+                      grid.index_of(a + window / 2.0)])
+    u, s = model.psi.values[nodes] + vals[nodes], grid.nodes[nodes]
+    v = float((u[1] - u[0]) / (s[1] - s[0]))
+    v_half = float((u[2] - u[0]) / (s[2] - s[0]))
+    return LelongEstimate(max(v, 0.0), window, abs(v - v_half))
 
 
 @dataclass(frozen=True)

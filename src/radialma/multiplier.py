@@ -34,6 +34,12 @@ def _integrable(alpha: float) -> bool:
     return alpha > BORDERLINE_TOL
 
 
+def _require_pole_side(grid) -> None:
+    """Germs live on the pole-side chart s <= 0, which the grid must reach."""
+    if grid.s_min > 0.0:
+        raise ConfigurationError("grid has no pole-side nodes (s <= 0)")
+
+
 @dataclass(frozen=True)
 class GermIntegral:
     """Outcome of a weighted germ integrability test."""
@@ -63,13 +69,12 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     vals = grid_values(phi, grid)
     if not np.all(np.isfinite(vals)):
         raise ConfigurationError("potential values must be finite")
+    _require_pole_side(grid)
     nu = pole_lelong(vals, model, rhs).value
     alpha = k + model.n - tau * nu
 
     s = grid.nodes
     cut = s <= 0.0
-    if not np.any(cut):
-        raise ConfigurationError("grid has no pole-side nodes (s <= 0)")
     exponents = (k + model.n) * s[cut] - tau * vals[cut]
     peak = float(np.max(exponents))
     w = np.full(cut.sum(), grid.h)
@@ -131,8 +136,7 @@ def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
     slope ``pole_lelong``. Insensitive to the ordering of the entries.
     """
     model, n = seq.model, seq.model.n
-    if model.grid.s_min > 0.0:
-        raise ConfigurationError("grid has no pole-side nodes (s <= 0)")
+    _require_pole_side(model.grid)
     product = 0.0
     for vals, tau, rhs in seq.entries:
         product = max(product, tau * pole_lelong(vals, model, rhs).value)

@@ -45,8 +45,9 @@ profile depends on the model and eps only, so the families of every gamma
 at one eps share one. ``density`` is evaluated on access, and F itself
 never is: a family is its cell masses and its left flux, and
 ``RhsFamily`` has one gate, on those (see there). ``build_dirac_rhs``
-names the cause when a narrow grid fails it: a pole flux above psi's
-last slope.
+names the cause when a grid fails it: a pole flux above psi's last slope
+asks for a wider s_max, or, once it reaches d, which psi's slope never
+does, for an s_min below the pole layer.
 
 Each family is built once per model. ``build_dirac_rhs`` and
 ``build_divisor_rhs`` validate their parameters and warn on every call,
@@ -262,10 +263,15 @@ def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
     p0, w_last = m.psi_slopes[0], m.psi_slopes[-1]
     offset = (gamma**n * profile.first_slope ** n + c * p0**n) ** (1.0 / n) - p0
     if not p0 + offset < w_last:
+        # psi's last slope stays below d for every s_max
+        cause = (f"it is at or above d = {m.degree:.6g}, which no s_max reaches; lower "
+                 f"s_min below the pole layer at 2 log eps = {2.0 * math.log(eps):.6g}"
+                 if p0 + offset >= m.degree else
+                 f"the grid is too narrow for pole mass gamma = {gamma:.6g}, whose flux "
+                 f"enters through the first face; widen s_max")
         raise ConstraintViolationError(
             f"first slope {p0 + offset:.6g} must lie in [0, {w_last:.6g}), the last slope "
-            f"of psi at s_max = {m.grid.s_max:.6g}: the grid is too narrow for pole mass "
-            f"gamma = {gamma:.6g}, whose flux enters through the first face; widen s_max")
+            f"of psi at s_max = {m.grid.s_max:.6g}: {cause}")
     return RhsFamily(
         kind="dirac_approx",
         model=m,

@@ -17,7 +17,8 @@ the ``grid.cell_masses`` of w against those of the right-hand side, R
 The two boundary rows are flux rows on the end half-node slopes of phi:
 (phi_1 - phi_0) / h = ``RhsFamily.left_flux_offset`` and
 (phi_{N-1} - phi_{N-2}) / h = 0. They pin the total reduced mass of every
-solution to the model mass and leave the additive level to the equation.
+solution to the model mass and leave the additive level to the equation;
+``diagnostics_for`` reports that mass from the same two end fluxes.
 The neutral family is level-invariant, so its right row is replaced by the
 anchor phi(s_max) = 0.
 
@@ -66,13 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (
-    Diagnostics,
-    KahlerModel,
-    average,
-    end_mass,
-    pole_lelong,
-)
+from .geometry import Diagnostics, KahlerModel, average, pole_lelong
 from .grid import RadialPotential, cell_masses, grid_values
 from .rhs import RhsFamily, build_dirac_rhs
 
@@ -382,24 +377,25 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
 # Diagnostics
 
 
-_END_NODES = np.array([0, 1, -2, -1])
-
-
 def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Diagnostics:
     """Diagnostics of a perturbation: extrema, volume average, the pole
-    reading ``geometry.pole_lelong`` and the mass of u = psi + phi, read
-    from its end slopes. Raises ConfigurationError when phi is not finite."""
+    reading ``geometry.pole_lelong`` and the mass of u = psi + phi,
+    last^n - first^n of its end fluxes as the boundary rows read them:
+    ``psi_slopes`` plus phi's own end differences. Raises
+    ConfigurationError when phi is not finite."""
     vals = grid_values(phi, model.grid)
     sup_phi, inf_phi = float(np.max(vals)), float(np.min(vals))
     if not (math.isfinite(sup_phi) and math.isfinite(inf_phi)):
         raise ConfigurationError("potential values must be finite")
-    ends = model.psi.values[_END_NODES] + vals[_END_NODES]
+    W, h, n = model.psi_slopes, model.grid.h, model.n
+    first = W[0] + (vals[1] - vals[0]) / h
+    last = W[-1] + (vals[-1] - vals[-2]) / h
     return Diagnostics(
         sup_phi=sup_phi,
         inf_phi=inf_phi,
         avg_phi=average(vals, model),
         lelong=pole_lelong(vals, model, rhs),
-        mass=end_mass(ends, model.grid.h, model.n),
+        mass=last**n - first**n,
     )
 
 

@@ -250,14 +250,15 @@ def lower_bound_per_call(rhs):
 
 def diagnostics_per_call(phi, model, rhs=None):
     """``diagnostics_for`` through a validated potential u = psi + phi on the
-    whole grid: its windowed secants and its end slopes."""
+    whole grid: its windowed secants, and the mass from the whole array of
+    the solver's half-node slopes psi_slopes + diff(phi) / h."""
     from radialma.geometry import Diagnostics, LelongEstimate, average
     from radialma.grid import RadialPotential
     from radialma.geometry import LELONG_CAP, LELONG_WINDOW
 
     grid, h = model.grid, model.grid.h
     u = RadialPotential(grid, model.psi.values + phi, model.n)
-    window, a = max(LELONG_WINDOW, 4.0 * h), grid.s_min
+    window, a = min(max(LELONG_WINDOW, 4.0 * h), grid.s_max - grid.s_min), grid.s_min
     if rhs is not None and rhs.pole_anchor is not None:
         cap = min(LELONG_CAP, grid.s_max - 4.0 * h)
         a0 = max(rhs.pole_anchor, grid.s_min)
@@ -272,8 +273,8 @@ def diagnostics_per_call(phi, model, rhs=None):
 
     v, v_half = secant(window), secant(window / 2.0)
     lelong = LelongEstimate(max(v, 0.0), window, abs(v - v_half))
-    w = u.values
-    mass = ((w[-1] - w[-2]) / h) ** model.n - ((w[1] - w[0]) / h) ** model.n
+    w = model.psi_slopes + np.diff(phi) / h
+    mass = w[-1] ** model.n - w[0] ** model.n
     return Diagnostics(sup_phi=float(np.max(phi)), inf_phi=float(np.min(phi)),
                        avg_phi=average(phi, model), lelong=lelong, mass=mass)
 

@@ -36,7 +36,7 @@ def grid_mass(rhs) -> float:
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(n=st.integers(1, 6), d=log_uniform(0.5, 40.0), width=log_uniform(5.0, 3000.0),
+@given(n=st.integers(1, 6), d=log_uniform(0.5, 40.0), width=log_uniform(0.01, 3000.0),
        left=st.floats(0.0, 1.0), points=st.sampled_from([5, 9, 101, 401, 1601, 4001]),
        family=st.sampled_from(["constant", "dirac", "divisor"]),
        strength=st.floats(0.0, 1.0, exclude_max=True),

@@ -400,8 +400,9 @@ class TestVerify:
 
 
 class TestCoarseGrid:
-    """A smooth family reads its pole secant over max(5, 4h), so a grid too
-    coarse for a window of 5 is still a valid configuration."""
+    """A smooth family reads its pole secant over max(5, 4h), clamped to the
+    grid, so a grid too coarse or too narrow for a window of 5 is still a
+    valid configuration."""
 
     @pytest.mark.parametrize("kind", ["constant", "divisor"])
     @pytest.mark.parametrize("subcommand", ["solve", "continuity", "sweep", "verify"])
@@ -411,6 +412,15 @@ class TestCoarseGrid:
         rhs_line = "kind = dirac               ; constant | dirac | divisor"
         assert rhs_line in cfg.read_text()
         cfg.write_text(cfg.read_text().replace(rhs_line, f"kind = {kind}"))
+        assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("subcommand", ["solve", "continuity"])
+    def test_grid_narrower_than_the_window_solves(self, tmp_path, capsys, subcommand):
+        # [-2, 2] is narrower than LELONG_WINDOW = 5: the secant spans the grid
+        cfg = Path(readme_config(tmp_path, s_min="-2", s_max="2", points="401"))
+        rhs_line = "kind = dirac               ; constant | dirac | divisor"
+        cfg.write_text(cfg.read_text().replace(rhs_line, "kind = constant"))
         assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
@@ -452,6 +462,33 @@ class TestCoarseGrid:
         assert err.startswith("configuration error: [rhs]: first slope 1.8135 must lie in "
                               "[0, 1.23194), the last slope of psi at s_max = 0.5")
         assert "too narrow for pole mass gamma = 1.8" in err and "widen s_max" in err
+        assert not out.exists()
+
+    def test_pole_flux_at_d_names_s_min(self, tmp_path, capsys):
+        # psi's last slope is below d = 2 for every s_max, so only a lower
+        # s_min, below the layer at 2 log eps, can hold this first slope
+        cfg = readme_config(tmp_path, s_min="1", s_max="41", points="2001", gamma="1.0",
+                            epsilon="0.1")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [rhs]: first slope 2.45244 must lie in [0, 2), the last "
+            "slope of psi at s_max = 41: it is at or above d = 2, which no s_max reaches; "
+            "lower s_min below the pole layer at 2 log eps = -4.60517\n")
+        assert not out.exists()
+
+    def test_grid_without_pole_side_names_the_model_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        # the stalk's germs live on s <= 0, which [1, 41] does not reach
+        cfg = Path(readme_config(tmp_path, s_min="1", s_max="41", points="2001",
+                                 t_target="0.3", epsilon_list="1e-1, 1e-2"))
+        rhs_line = "kind = dirac               ; constant | dirac | divisor"
+        cfg.write_text(cfg.read_text().replace(rhs_line, "kind = constant"))
+        monkeypatch.setattr(radialma.solver, "sweep_epsilon", None)
+        out = tmp_path / "out"
+        assert main(["multiplier", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [model]: grid has no pole-side nodes (s <= 0)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("changes,message", [

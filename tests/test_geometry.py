@@ -15,10 +15,14 @@ from radialma import (
     average,
     build_dirac_rhs,
     constant_rhs,
+    diagnostics_for,
+    magnifying,
+    neutral,
     neutral_oracle,
+    newton_solve,
     pole_lelong,
 )
-from radialma.geometry import end_mass, expit, lelong_secant, softplus, softplus_step
+from radialma.geometry import expit, softplus, softplus_step
 from radialma.grid import cell_masses, first_violation, rounding_floor
 
 from conftest import gaussian_bump
@@ -264,18 +268,29 @@ class TestMaDensity:
 class TestMass:
     def test_reference_mass_is_degree_power(self, model_n1, model_n2):
         for m, want in ((model_n1, 2.0), (model_n2, 9.0)):
-            assert end_mass(m.psi.values, m.grid.h, m.n) == pytest.approx(want, abs=1e-9)
+            zero = np.zeros(m.grid.points)
+            assert diagnostics_for(zero, m).mass == pytest.approx(want, abs=1e-9)
 
     def test_constant_shift_preserves_mass(self, model_n1):
-        psi, h = model_n1.psi.values, model_n1.grid.h
-        assert end_mass(psi + 17.0, h, 1) == end_mass(psi, h, 1)
+        phi = newton_solve(model_n1, build_dirac_rhs(1.0, 1e-3, model_n1), magnifying(0.5)).phi
+        mass = diagnostics_for(phi, model_n1).mass
+        assert diagnostics_for(phi + 17.0, model_n1).mass == pytest.approx(mass, rel=1e-12)
 
     def test_two_slope_potential(self, model_n1):
-        # left slope gamma, right slope d: mass d^n - gamma^n exactly
-        g = model_n1.grid
+        # u = gamma s + (d - gamma) softplus(s), left slope gamma, right slope
+        # d: mass d^n - gamma^n exactly; phi = u - psi = -gamma softplus(-s)
         gamma, d = 0.6, 2.0
-        u = RadialPotential(g, gamma * g.nodes + (d - gamma) * np.logaddexp(0, g.nodes), 1)
-        assert end_mass(u.values, g.h, 1) == pytest.approx(d - gamma, abs=1e-9)
+        phi = -gamma * np.logaddexp(0, -model_n1.grid.nodes)
+        assert diagnostics_for(phi, model_n1).mass == pytest.approx(d - gamma, abs=1e-9)
+
+    def test_grid_mass_where_psi_is_large(self):
+        # on [e^3, 2 e^3] |psi| reaches 40, whose rounding the end values of
+        # u carry; the solver's end fluxes read the grid's own mass
+        # W_last - W_first (1.3e-6 relative off through u)
+        m = KahlerModel(1, 1.0, SGrid(np.e**3, 2 * np.e**3, 9))
+        res = newton_solve(m, constant_rhs(m), neutral())
+        want = m.psi_slopes[-1] - m.psi_slopes[0]
+        assert abs(res.diagnostics.mass - want) <= 4 * np.finfo(float).eps * want
 
 
 def resolvable_curvature(u):
@@ -390,20 +405,15 @@ class TestAverage:
 
 class TestLelong:
     def test_smooth_reference_has_no_pole(self, model_n1):
-        est = lelong_secant(model_n1.grid, model_n1.psi.values.take, 5.0)
+        est = pole_lelong(np.zeros(model_n1.grid.points), model_n1)
         assert est.value == pytest.approx(0.0, abs=1e-6)
 
     def test_affine_left_slope_exact(self, model_n1):
         g = model_n1.grid
         nu0 = 0.735
-        u = RadialPotential(g, nu0 * (g.nodes - g.s_min), 1)
-        est = lelong_secant(u.grid, u.values.take, 5.0)
+        est = pole_lelong(nu0 * (g.nodes - g.s_min) - model_n1.psi.values, model_n1)
         assert est.value == pytest.approx(nu0, abs=1e-13)
         assert est.sensitivity < 1e-13
-
-    def test_window_too_small_rejected(self, model_n1):
-        with pytest.raises(ConfigurationError):
-            lelong_secant(model_n1.grid, model_n1.psi.values.take, 3 * model_n1.grid.h)
 
     def test_neutral_solution_with_submerged_pole(self, model_n1):
         # mollifier small enough that the pole layer sits below the cut:
@@ -412,9 +422,18 @@ class TestLelong:
         with pytest.warns(UserWarning, match="below the left truncation"):
             rhs = build_dirac_rhs(gamma, 1e-10, model_n1)
         u = neutral_oracle(model_n1, rhs)
-        est = lelong_secant(u.grid, u.values.take, 5.0)
+        est = pole_lelong(u.values - model_n1.psi.values, model_n1)
         assert est.value == pytest.approx(gamma, rel=0.02)
 
+    @pytest.mark.parametrize("s_max,points", [(2.0, 401), (-1.0, 5), (0.5, 9)])
+    def test_window_is_clamped_to_a_narrow_grid(self, s_max, points):
+        # a grid narrower than LELONG_WINDOW = 5 reads the secant over all of it
+        m = KahlerModel(1, 2.0, SGrid(-2.0, s_max, points))
+        g = m.grid
+        est = pole_lelong(0.5 * (g.nodes - g.s_min) - m.psi.values, m)
+        assert est.window_width == g.s_max - g.s_min
+        assert type(est.window_width) is float
+        assert est.value == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("family", ["constant", "dirac"])
     def test_window_width_is_a_float_on_both_branches(self, model_n1, family):

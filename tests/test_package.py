@@ -1,6 +1,8 @@
 """The package namespace: the names it exports, resolved on first use."""
 
+import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +72,13 @@ def test_a_bare_import_loads_nothing_until_a_name_is_used():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer wraps these by name; a deleted or renamed one
+    # would only fail its traced run. spans.py imports the standard library
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    functions = runpy.run_path(str(spans))["FUNCTIONS"]
+    assert functions
+    for name, (module, _) in functions.items():
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)

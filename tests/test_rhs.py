@@ -25,7 +25,7 @@ from radialma import (
     xi_eps,
 )
 from radialma import rhs as rhs_module
-from radialma.geometry import MEMO_SIZE, expit, lelong_secant
+from radialma.geometry import MEMO_SIZE, expit, pole_lelong
 from radialma.grid import cell_masses
 from radialma.rhs import MollifierProfile, dominance_margin
 
@@ -297,7 +297,7 @@ class TestDivisorFamily:
         for dp in (0.3, 0.1, 0.03):
             rhs = build_divisor_rhs(dp, 1e-6, model_n1)
             u = neutral_oracle(model_n1, rhs)
-            est = lelong_secant(u.grid, u.values.take, 5.0)
+            est = pole_lelong(u.values - model_n1.psi.values, model_n1, rhs)
             assert est.value < 1e-3
 
     def test_margin_positive_up_to_reported_order(self, model_n1):

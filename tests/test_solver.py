@@ -925,14 +925,29 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("gamma,eps", [(0.0, 1e-3), (1.0, 1e-1), (1.8, 1e-3), (1.8, 1e-4)])
     def test_same_as_through_the_whole_potential(self, model_n1, gamma, eps):
-        # the pole slope read at the secant nodes and the mass read at the
-        # end nodes are the same doubles as those of u = psi + phi
+        # the pole slope read at the secant nodes is the same double as the
+        # secant of the whole u = psi + phi, and the mass read from the two
+        # end fluxes the same as from the whole array of half-node slopes
         rhs = build_dirac_rhs(gamma, eps, model_n1)
         phi = newton_solve(model_n1, rhs, magnifying(0.4)).phi
         for family in (rhs, None):
             d = diagnostics_for(phi, model_n1, family)
             assert d == diagnostics_per_call(phi, model_n1, family)
             assert d.lelong == pole_lelong(phi, model_n1, family)
+
+    def test_point_mass_solves_carry_the_grid_mass(self):
+        # the printed mass is the solver's own: within 2e-13 relative of the
+        # grid's mass W_last^n - (W_0 + offset)^n at n = 1..3 (4.4e-14 at
+        # worst; differencing psi + phi at the end nodes missed by 8.7e-13)
+        for n, kind, frac, eps in itertools.product(
+                (1, 2, 3), (magnifying, reducing), (0.3, 0.9), (1e-1, 1e-2, 1e-3)):
+            m = KahlerModel(n, n + 1.0)
+            rhs = build_dirac_rhs(frac * m.degree, eps, m)
+            _, res = continuity_in_t(m, rhs, kind(0.5), 0.5)
+            assert res.converged
+            W = m.psi_slopes
+            want = W[-1] ** n - (W[0] + rhs.left_flux_offset) ** n
+            assert abs(res.diagnostics.mass - want) <= 2e-13 * want, (n, kind, frac, eps)
 
     @pytest.mark.parametrize("points", [1, 10])
     def test_wrong_length_phi_rejected(self, model_n1, points):

@@ -30,7 +30,6 @@ from radialma import (
     sweep_epsilon,
     xi_eps,
 )
-from radialma.geometry import lelong_secant
 from radialma.rhs import MollifierProfile
 
 GRID = SGrid(-10.0, 10.0, 81)
@@ -183,13 +182,6 @@ CASES = {
         "model mass d^n overflows at n = 400, d = 401 on the grid [-40, 40] of 4001 points: "
         "n log d = 2397.58 must be below log(DBL_MAX) = 709.783",
         lambda m: KahlerModel(400, 401.0)),
-    "Lelong window outside the grid": (
-        ConfigurationError, "Lelong window falls outside the grid",
-        lambda m: lelong_secant(GRID, ZEROS.take, 5.0, anchor=GRID.s_max - 1.0)),
-    "Lelong window = nan": (ConfigurationError, "window must be finite, got nan",
-                            lambda m: lelong_secant(GRID, ZEROS.take, np.nan)),
-    "Lelong anchor = nan": (ConfigurationError, "anchor must be finite, got nan",
-                            lambda m: lelong_secant(GRID, ZEROS.take, 5.0, anchor=np.nan)),
 }
 
 
