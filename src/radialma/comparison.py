@@ -100,7 +100,7 @@ def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float) -> Co
                                 int(bad[0]) + ia + 1, float(dens_gap.min()))
     margin = float(du[ia:ib + 1].min())
     node = int(np.argmin(du[ia:ib + 1])) + ia
-    return ComparisonReport(margin >= -tol, True, None,
+    return ComparisonReport(bool(margin >= -tol), True, None,
                             None if margin >= -tol else node, margin)
 
 
@@ -108,7 +108,7 @@ def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
                            model: KahlerModel) -> float:
     """Implied pole-coefficient lower bound e^{-tau0 * A_W / n} * gamma.
 
-    A_W is the sup of the perturbation over [s_min, s_min + window]. The
+    A_W is the sup of phi (``grid_values``) over [s_min, s_min + window]. The
     bound is at least gamma whenever the perturbation is nonpositive there,
     and shrinking the window can only increase it.
     """

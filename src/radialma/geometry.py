@@ -82,8 +82,9 @@ class KahlerModel:
     reads. The logistic closed forms of psi' and psi'' are evaluated where
     they are read, by the volume quadrature and the curvature margin.
 
-    A model is rejected unless the model mass d^n is a finite double and
-    the grid holds a positive, finite mass of psi: a grid far left of
+    A model is rejected unless psi admits n (``RadialPotential``), d is
+    finite and positive, the model mass d^n is a finite double and the grid
+    holds a positive, finite mass of psi: a grid far left of
     s = 0, where psi' underflows to 0, or far right, where every slope is
     d, carries none. The geometry is immutable after construction; the
     one state a model changes is what was built on it, kept in one cache
@@ -91,12 +92,10 @@ class KahlerModel:
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
-        if n < 1 or int(n) != n:
-            raise ConfigurationError(f"dimension must be a positive integer, got {n}")
         if not 0.0 < degree < math.inf:
             raise ConfigurationError(f"degree must be finite and positive, got {degree}")
-        self.n, self.degree, self.grid = int(n), float(degree), grid
-        self.psi = RadialPotential(grid, degree * softplus(grid.nodes), self.n)
+        self.psi = RadialPotential(grid, degree * softplus(grid.nodes), n)
+        self.n, self.degree, self.grid = self.psi.n, float(degree), grid
         where = (f"n = {self.n}, d = {self.degree:.6g} on the grid [{grid.s_min:.6g}, "
                  f"{grid.s_max:.6g}] of {grid.points} points")
         log_mass = self.n * math.log(self.degree)
@@ -161,7 +160,7 @@ class KahlerModel:
 
 
 def average(phi, model: KahlerModel) -> float:
-    """Volume-weighted average of a perturbation over the model.
+    """Volume-weighted average of a perturbation phi, which passes ``grid_values``.
 
     Trapezoid rule against the analytic reduced volume density; exact for
     constants by construction. The integrand decays like e^{-|s|} at both
@@ -184,7 +183,7 @@ class LelongEstimate:
 def pole_lelong(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> LelongEstimate:
     """The pole coefficient of u = psi + phi, its asymptotic left slope, and
     the one reading of a solved pole: the secant slope of u over a window
-    [a, a + window], read at its three nodes only.
+    [a, a + window], read at its three nodes only; phi passes ``grid_values``.
 
     For smooth families the secant is anchored at s_min, over
     max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves, or

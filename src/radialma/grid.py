@@ -14,7 +14,8 @@ the comparison principle read ``cell_masses``, so the discrete comparison
 principle of the monotone flux form holds for what they check; the two
 boundary rows prescribe the first and last slope. Every sign check is made
 against one noise floor, ``rounding_floor``, and Kahler positivity is
-decided by one scan of the slopes, ``first_violation``.
+decided by one scan of the slopes, ``first_violation``. A grid function
+passes one gate, ``grid_values``; ``RadialPotential`` adds the one dimension rule.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ DEFAULT_GRID = SGrid(-40.0, 40.0, 4001)
 class RadialPotential:
     """A grid function u(s) together with the dimension it lives on.
 
-    Values are treated as immutable after construction; concurrent readers
-    are safe.
+    The values pass ``grid_values`` and are copied; n must be a positive
+    integer. Immutable after construction; concurrent readers are safe.
     """
 
     grid: SGrid
@@ -90,14 +91,12 @@ class RadialPotential:
     n: int
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.shape != (self.grid.points,):
-            raise ConfigurationError(
-                f"values shape {v.shape} does not match grid with {self.grid.points} points")
-        if not np.all(np.isfinite(v)):
-            raise ConfigurationError("potential values must be finite")
+        if not (self.n >= 1 and float(self.n).is_integer()):
+            raise ConfigurationError(f"dimension must be a positive integer, got {self.n}")
+        v = grid_values(self.values, self.grid).copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "n", int(self.n))
 
     @cached_property
     def slopes(self) -> np.ndarray:
@@ -155,11 +154,14 @@ def density_floor(floor: float, slopes: np.ndarray, n: int) -> np.ndarray:
     return floor * np.maximum(slopes[:-1], slopes[1:]) ** (n - 1)
 
 
-def grid_values(phi, grid: SGrid) -> np.ndarray:
-    """Node values of a potential or array on ``grid``; any other shape is
-    rejected rather than broadcast."""
-    vals = phi.values if isinstance(phi, RadialPotential) else np.asarray(phi, dtype=float)
+def grid_values(values, grid: SGrid) -> np.ndarray:
+    """The one gate for a grid function: ``values`` as one finite double per
+    node of ``grid``, never broadcast. A ``RadialPotential`` u is no array and
+    fails the conversion (TypeError), so u is never read as phi."""
+    vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.points,):
         raise ConfigurationError(
             f"values shape {vals.shape} does not match grid with {grid.points} points")
+    if not np.isfinite(vals).all():
+        raise ConfigurationError("potential values must be finite")
     return vals

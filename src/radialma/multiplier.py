@@ -61,14 +61,13 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     e^{(k+n-tau*nu)s}, continued from phi(s_min) with the pole slope
     nu = ``pole_lelong``, on (-inf, s_min]. Finite iff k + n > tau*nu
     strictly (by BORDERLINE_TOL); the value is inf when not, or past 1e308.
+    phi passes ``grid_values``.
     """
     if k < 0 or int(k) != k:
         raise ConfigurationError(f"vanishing order must be a nonnegative integer, got {k}")
     require_finite(tau=tau)
     grid = model.grid
     vals = grid_values(phi, grid)
-    if not np.all(np.isfinite(vals)):
-        raise ConfigurationError("potential values must be finite")
     _require_pole_side(grid)
     nu = pole_lelong(vals, model, rhs).value
     alpha = k + model.n - tau * nu
@@ -91,7 +90,8 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
 
 @dataclass(frozen=True)
 class PotentialSequence:
-    """A recorded sequence (phi_nu, tau_nu, F_nu) on a common model."""
+    """A recorded sequence (phi_nu, tau_nu, F_nu) on a common model; each
+    phi_nu passes ``grid_values`` and each tau_nu lies in (0, 1)."""
 
     model: KahlerModel
     entries: tuple[tuple[np.ndarray, float, RhsFamily | None], ...]
@@ -103,10 +103,7 @@ class PotentialSequence:
         for vals, tau, rhs in self.entries:
             if not (0.0 < tau < 1.0):
                 raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
-            vals = grid_values(vals, self.model.grid)
-            if not np.all(np.isfinite(vals)):
-                raise ConfigurationError("potential values must be finite")
-            norm.append((vals, float(tau), rhs))
+            norm.append((grid_values(vals, self.model.grid), float(tau), rhs))
         object.__setattr__(self, "entries", tuple(norm))
 
 
@@ -164,7 +161,8 @@ class TrivialLemmaReport:
 
 
 def trivial_lemma_report(stalk: StalkDescriptor, curvature_margin: float) -> TrivialLemmaReport:
-    """Evaluate the checkable hypotheses against a stalk and a margin eta."""
+    """The checkable hypotheses against a stalk and a finite margin eta."""
+    require_finite(curvature_margin=curvature_margin)
     notes: list[str] = []
     curvature_ok = curvature_margin > 0.0
     if not stalk.nontrivial:

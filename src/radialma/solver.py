@@ -378,24 +378,20 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
 
 
 def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Diagnostics:
-    """Diagnostics of a perturbation: extrema, volume average, the pole
-    reading ``geometry.pole_lelong`` and the mass of u = psi + phi,
-    last^n - first^n of its end fluxes as the boundary rows read them:
-    ``psi_slopes`` plus phi's own end differences. Raises
-    ConfigurationError when phi is not finite."""
+    """Diagnostics of a perturbation phi (``grid_values``, so never u):
+    extrema, volume average, the pole reading ``geometry.pole_lelong`` and
+    the mass of u = psi + phi, last^n - first^n of its end fluxes as the
+    boundary rows read them: ``psi_slopes`` plus phi's own end differences."""
     vals = grid_values(phi, model.grid)
-    sup_phi, inf_phi = float(np.max(vals)), float(np.min(vals))
-    if not (math.isfinite(sup_phi) and math.isfinite(inf_phi)):
-        raise ConfigurationError("potential values must be finite")
     W, h, n = model.psi_slopes, model.grid.h, model.n
     first = W[0] + (vals[1] - vals[0]) / h
     last = W[-1] + (vals[-1] - vals[-2]) / h
     return Diagnostics(
-        sup_phi=sup_phi,
-        inf_phi=inf_phi,
+        sup_phi=float(np.max(vals)),
+        inf_phi=float(np.min(vals)),
         avg_phi=average(vals, model),
         lelong=pole_lelong(vals, model, rhs),
-        mass=last**n - first**n,
+        mass=float(last**n - first**n),
     )
 
 

@@ -81,6 +81,20 @@ class TestBtCompare:
         assert rep.failed_hypothesis in ("boundary domination", "density domination")
         assert not rep.holds
 
+    def test_report_fields_are_python_scalars(self, model_n1):
+        # u = psi + 1 - e^{-s^2} carries more mass than psi near s = 0, less
+        # on [-10, -5], and lies above it at both ends of [-10, 10]
+        psi, s = model_n1.psi, model_n1.grid.nodes
+        u = RadialPotential(psi.grid, psi.values + 1.0 - np.exp(-s**2), 1)
+        reports = [bt_compare(u, psi, -10.0, -5.0), bt_compare(u, psi, -10.0, 10.0),
+                   bt_compare(psi, u, -10.0, 10.0)]
+        assert [rep.failed_hypothesis for rep in reports] == \
+            [None, "density domination", "boundary domination"]
+        for rep in reports:
+            assert (type(rep.holds), type(rep.hypotheses_ok), type(rep.margin)) == \
+                (bool, bool, float)
+            assert rep.first_violation_node is None or type(rep.first_violation_node) is int
+
     def test_subinterval_validated(self, model_n1):
         with pytest.raises(ConfigurationError):
             bt_compare(model_n1.psi, model_n1.psi, -50.0, 0.0)

@@ -1,5 +1,6 @@
 """The package namespace: the names it exports, resolved on first use."""
 
+import ast
 import importlib
 import os
 import runpy
@@ -28,6 +29,7 @@ EXPORTS = {
 }
 SUBMODULES = {"comparison", "errors", "geometry", "grid", "multiplier", "rhs", "slopes",
               "solver"}
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "radialma").glob("*.py"))
 
 
 def test_all_is_the_export_list():
@@ -82,3 +84,18 @@ def test_every_traced_name_exists():
     assert functions
     for name, (module, _) in functions.items():
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    # a deletion can leave its import behind; a name used only under
+    # TYPE_CHECKING is read by the annotations, which parse to Name nodes
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, sorted(imported - used)

@@ -3,7 +3,7 @@
 import functools
 import itertools
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from radialma import (
     sweep_epsilon,
 )
 from radialma import solver
-from radialma.geometry import LELONG_WINDOW, expit, pole_lelong
+from radialma.geometry import LELONG_WINDOW, LelongEstimate, expit, pole_lelong
 from radialma.grid import density_floor, rounding_floor
 from radialma.solver import (
     _anderson,
@@ -915,6 +915,13 @@ class TestDiagnostics:
         d = diagnostics_for(phi, m, rhs)
         assert d.lelong.window_width == 4.0 * m.grid.h > LELONG_WINDOW
         assert d == diagnostics_per_call(phi, m, rhs)
+
+    def test_fields_are_python_scalars(self, model_n1):
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        d = newton_solve(model_n1, rhs, magnifying(0.4)).diagnostics
+        assert [type(getattr(d, f.name)) for f in fields(d)] == \
+            [float, float, float, LelongEstimate, float]
+        assert {type(getattr(d.lelong, f.name)) for f in fields(d.lelong)} == {float}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_phi_rejected(self, model_n1, bad):

@@ -15,25 +15,37 @@ from radialma import (
     RhsFamily,
     SGrid,
     SolveConfig,
+    StalkDescriptor,
+    average,
     bootstrap_lelong_bound,
     bt_compare,
     build_dirac_rhs,
     build_divisor_rhs,
     constant_rhs,
     continuity_in_t,
+    diagnostics_for,
     dirac_density,
     germ_integral,
     magnifying,
     neutral,
     newton_solve,
+    pole_lelong,
     stalk_from_sequence,
     sweep_epsilon,
+    trivial_lemma_report,
     xi_eps,
 )
 from radialma.rhs import MollifierProfile
 
 GRID = SGrid(-10.0, 10.0, 81)
 ZEROS = np.zeros(GRID.points)
+
+
+def with_node_3(value):
+    """ZEROS with ``value`` at node 3, a node no smooth pole secant reads."""
+    phi = ZEROS.copy()
+    phi[3] = value
+    return phi
 
 
 def pole_on_a_narrow_grid(m):
@@ -125,6 +137,30 @@ CASES = {
                         lambda m: GRID.require_same(SGrid(-10.0, 10.0, 41))),
     "non-finite potential": (ConfigurationError, "potential values must be finite",
                              lambda m: RadialPotential(GRID, np.full(GRID.points, np.nan), 1)),
+    # every reader of phi passes grid_values, whatever nodes it reads
+    "average of a nan phi": (ConfigurationError, "potential values must be finite",
+                             lambda m: average(with_node_3(np.nan), m)),
+    "pole_lelong of a nan phi": (ConfigurationError, "potential values must be finite",
+                                 lambda m: pole_lelong(with_node_3(np.nan), m)),
+    "bootstrap of a nan phi": (
+        ConfigurationError, "potential values must be finite",
+        lambda m: bootstrap_lelong_bound(with_node_3(np.nan), 0.5, 1.0, 5.0, m)),
+    "bootstrap of a +inf phi": (
+        ConfigurationError, "potential values must be finite",
+        lambda m: bootstrap_lelong_bound(with_node_3(np.inf), 0.5, 1.0, 5.0, m)),
+    # a potential u is no array of node values: it is not read as phi
+    "diagnostics_for of a potential": (TypeError, "RadialPotential",
+                                       lambda m: diagnostics_for(m.psi, m)),
+    "average of a potential": (TypeError, "RadialPotential", lambda m: average(m.psi, m)),
+    "pole_lelong of a potential": (TypeError, "RadialPotential",
+                                   lambda m: pole_lelong(m.psi, m)),
+    "germ_integral of a potential": (TypeError, "RadialPotential",
+                                     lambda m: germ_integral(0, m.psi, 0.5, m)),
+    "potential of dimension 0": (ConfigurationError, "dimension must be a positive integer, got 0",
+                                 lambda m: RadialPotential(GRID, ZEROS, 0)),
+    "potential of dimension 2.5": (
+        ConfigurationError, "dimension must be a positive integer, got 2.5",
+        lambda m: RadialPotential(GRID, ZEROS, 2.5)),
     "subinterval without interior node": (
         ConfigurationError, "subinterval must contain interior nodes",
         lambda m: bt_compare(m.psi, m.psi, 0.0, GRID.h)),
@@ -166,6 +202,11 @@ CASES = {
                          lambda m: PotentialSequence(m, ((ZEROS, 1.0, None),))),
     "dimension n < 1": (ConfigurationError, "dimension must be a positive integer",
                         lambda m: KahlerModel(0, 2.0, GRID)),
+    "dimension n = nan": (ConfigurationError, "dimension must be a positive integer, got nan",
+                          lambda m: KahlerModel(np.nan, 2.0, GRID)),
+    "lemma curvature margin = nan": (
+        ConfigurationError, "curvature_margin must be finite, got nan",
+        lambda m: trivial_lemma_report(StalkDescriptor(1, 1.5), np.nan)),
     # psi' underflows to 0 left of s ~ -745; right of s ~ 37 every slope is d
     "model grid left of psi's mass": (
         ConfigurationError,
