@@ -33,7 +33,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConfigurationError, ConstraintViolationError
+from .errors import ConfigurationError
 
 # each subcommand imports what it runs, so a cold request loads no module it
 # does not need and ``slope`` loads no numpy
@@ -78,12 +78,11 @@ _EXPECTED = {int: "an integer", float: "a number",
 
 
 def _in_section(where, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ConfigurationError or
-    ConstraintViolationError it raises is re-raised naming ``where``, a
-    ``[section]`` or ``[section] key``."""
+    """``build(*args, **kwargs)``; a ConfigurationError it raises is
+    re-raised naming ``where``, a ``[section]`` or ``[section] key``."""
     try:
         return build(*args, **kwargs)
-    except (ConfigurationError, ConstraintViolationError) as exc:
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
@@ -298,9 +297,10 @@ def cmd_magnify(cfg: RunConfig) -> _Result:
     if cfg.rhs_kind != "dirac":
         raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
     tau0 = cfg.open_time("magnify")
-    # the first member is built here too, so that an invalid gamma names
-    # [rhs]; the experiment's build of it is the model's memo hit
-    cfg.build_rhs(model, epsilon=eps_list[0])
+    # every member is built here too, so that an invalid one names [rhs];
+    # the experiment's builds are the model's memo hits
+    for eps in eps_list:
+        cfg.build_rhs(model, epsilon=eps)
     report = magnification_experiment(model, cfg.gamma, tau0, eps_list, cfg.solve_config())
     summary = _fields(verdict=report.verdict, eta=report.eta)
     rows = report.rows
@@ -367,7 +367,6 @@ def _verify_checks(model: KahlerModel, solve: SolveConfig) -> list[tuple[str, bo
 
     import numpy as np
 
-    from .geometry import KahlerModel
     from .grid import rounding_floor
     from .rhs import build_dirac_rhs, check_lower_bound, constant_rhs, dirac_density
     from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_line
@@ -395,8 +394,8 @@ def _verify_checks(model: KahlerModel, solve: SolveConfig) -> list[tuple[str, bo
         ok = ok and abs(val + tail - 1.0) <= 1e-6
     checks.append(("dirac_unit_mass", ok, f"max deviation = {fmt(worst)}"))
 
-    eta = check_lower_bound(constant_rhs(KahlerModel(model.n, model.n + 1.0,
-                                                     model.grid))).eta
+    # F = 1 has log-curvature (n + 1) (sigma, sigma (1 - sigma)) for every d
+    eta = check_lower_bound(rhs1).eta
     checks.append(("anticanonical_margin", abs(eta - (model.n + 1)) <= 1e-6,
                    f"eta = {fmt(eta)}"))
 
@@ -446,7 +445,7 @@ def main(argv=None) -> int:
                     for note in dict.fromkeys(str(w.message) for w in caught)]
         files = {"summary.txt": _summary_header(cfg, args.subcommand) + summary, **files}
         _write(outdir, cfg.experiment, files)
-    except (ConfigurationError, ConstraintViolationError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if args.subcommand in ("slope", "verify"):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, CurvatureMarginWarning, require_finite
+from .errors import (ConfigurationError, CurvatureMarginWarning, require_finite,
+                     require_open_unit, require_positive)
 from .geometry import KahlerModel, pole_lelong
 from .grid import RadialPotential, cell_masses, density_floor, grid_values, rounding_floor
 from .rhs import check_lower_bound
@@ -112,11 +113,9 @@ def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
     bound is at least gamma whenever the perturbation is nonpositive there,
     and shrinking the window can only increase it.
     """
-    require_finite(gamma=gamma, window=window)
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    if not (0.0 < tau0 < 1.0):
-        raise ConfigurationError(f"tau0 must lie in (0, 1), got {tau0}")
+    require_positive(gamma=gamma)
+    require_finite(window=window)
+    require_open_unit(tau0=tau0)
     grid = model.grid
     vals = grid_values(phi, grid)
     if window <= 0 or grid.s_min + window > grid.s_max:
@@ -180,8 +179,7 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     fail the bound, which is what the probe is for) but is issued as a
     ``CurvatureMarginWarning``.
     """
-    if not (0.0 < tau0 < 1.0):
-        raise ConfigurationError(f"tau0 must lie in (0, 1), got {tau0}")
+    require_open_unit(tau0=tau0)
     trace, results = sweep_epsilon(model, gamma, magnifying(tau0), tau0, eps_list, config)
     eta = check_lower_bound(results[0].rhs).eta
     if tau0 >= eta:

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_positive
 from .grid import (DEFAULT_GRID, LOG_DBL_MAX, RadialPotential, SGrid, cell_masses,
                    grid_values)
 
@@ -92,8 +92,7 @@ class KahlerModel:
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
-        if not 0.0 < degree < math.inf:
-            raise ConfigurationError(f"degree must be finite and positive, got {degree}")
+        require_positive(degree=degree)
         self.psi = RadialPotential(grid, degree * softplus(grid.nodes), n)
         self.n, self.degree, self.grid = self.psi.n, float(degree), grid
         where = (f"n = {self.n}, d = {self.degree:.6g} on the grid [{grid.s_min:.6g}, "

@@ -20,35 +20,31 @@ passes one gate, ``grid_values``; ``RadialPotential`` adds the one dimension rul
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite, require_integer
 
 LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
 class SGrid:
-    """Uniform nodes in s = log|z|^2 on a truncated interval."""
+    """Uniform nodes in s = log|z|^2 on a finite interval s_min < s_max; the
+    number of ``points`` is an integer >= 5 (``require_integer``)."""
 
     s_min: float
     s_max: float
     points: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.s_min) and np.isfinite(self.s_max)):
-            raise ConfigurationError("grid endpoints must be finite")
+        require_finite(s_min=self.s_min, s_max=self.s_max)
         if self.s_min >= self.s_max:
             raise ConfigurationError(f"s_min={self.s_min} must be < s_max={self.s_max}")
-        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
-            raise ConfigurationError(f"grid points must be an integer, got {self.points!r}")
         # the pole secant needs a window of 4h, which takes 5 nodes
-        if self.points < 5:
-            raise ConfigurationError(f"need at least 5 grid points, got {self.points}")
+        require_integer(5, points=self.points)
         # the exact softplus steps of psi and the pole take e^h - 1
         if self.h >= LOG_DBL_MAX:
             raise ConfigurationError(
@@ -82,8 +78,8 @@ DEFAULT_GRID = SGrid(-40.0, 40.0, 4001)
 class RadialPotential:
     """A grid function u(s) together with the dimension it lives on.
 
-    The values pass ``grid_values`` and are copied; n must be a positive
-    integer. Immutable after construction; concurrent readers are safe.
+    The values pass ``grid_values`` and are copied; the dimension n is an
+    integer >= 1. Immutable after construction; concurrent readers are safe.
     """
 
     grid: SGrid
@@ -91,12 +87,10 @@ class RadialPotential:
     n: int
 
     def __post_init__(self):
-        if not (self.n >= 1 and float(self.n).is_integer()):
-            raise ConfigurationError(f"dimension must be a positive integer, got {self.n}")
+        require_integer(1, dimension=self.n)
         v = grid_values(self.values, self.grid).copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "n", int(self.n))
 
     @cached_property
     def slopes(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, require_finite
+from .errors import ConfigurationError, require_finite, require_integer, require_open_unit
 from .geometry import KahlerModel, pole_lelong
 from .grid import grid_values
 from .rhs import RhsFamily
@@ -61,10 +61,9 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
     e^{(k+n-tau*nu)s}, continued from phi(s_min) with the pole slope
     nu = ``pole_lelong``, on (-inf, s_min]. Finite iff k + n > tau*nu
     strictly (by BORDERLINE_TOL); the value is inf when not, or past 1e308.
-    phi passes ``grid_values``.
+    k is an integer >= 0, tau finite and phi passes ``grid_values``.
     """
-    if k < 0 or int(k) != k:
-        raise ConfigurationError(f"vanishing order must be a nonnegative integer, got {k}")
+    require_integer(0, k=k)
     require_finite(tau=tau)
     grid = model.grid
     vals = grid_values(phi, grid)
@@ -91,7 +90,7 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
 @dataclass(frozen=True)
 class PotentialSequence:
     """A recorded sequence (phi_nu, tau_nu, F_nu) on a common model; each
-    phi_nu passes ``grid_values`` and each tau_nu lies in (0, 1)."""
+    phi_nu passes ``grid_values``, each tau_nu ``require_open_unit``."""
 
     model: KahlerModel
     entries: tuple[tuple[np.ndarray, float, RhsFamily | None], ...]
@@ -101,8 +100,7 @@ class PotentialSequence:
             raise ConfigurationError("sequence must be nonempty")
         norm = []
         for vals, tau, rhs in self.entries:
-            if not (0.0 < tau < 1.0):
-                raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
+            require_open_unit(tau=tau)
             norm.append((grid_values(vals, self.model.grid), float(tau), rhs))
         object.__setattr__(self, "entries", tuple(norm))
 

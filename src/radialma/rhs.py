@@ -68,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstraintViolationError, require_finite
+from .errors import ConfigurationError, require_finite, require_positive
 from .geometry import KahlerModel, expit, softplus, softplus_step
 from .grid import LOG_DBL_MAX, cell_masses
 
@@ -76,10 +76,8 @@ POLE_ANCHOR_OFFSET = 6.0
 
 
 def xi_eps(s, eps: float):
-    """Mollified log pole log(e^s + eps^2); decreases to s as eps -> 0."""
-    require_finite(eps=eps)
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    """Mollified log pole log(e^s + eps^2), eps > 0; decreases to s as eps -> 0."""
+    require_positive(eps=eps)
     return np.logaddexp(s, 2.0 * np.log(eps))
 
 
@@ -91,9 +89,7 @@ def dirac_density(a: float, r2) -> float:
     1-dimensional form of the curvature lower bound the magnifying
     construction needs.
     """
-    require_finite(a=a)
-    if a <= 0:
-        raise ConfigurationError(f"scale a must be positive, got {a}")
+    require_positive(a=a)
     r2 = np.asarray(r2, dtype=float)
     return a**2 / (np.pi * (r2 + a**2) ** 2)
 
@@ -147,12 +143,12 @@ class RhsFamily:
             raise ConfigurationError("profile does not live on the model grid")
         density = self.density
         if not np.all(np.isfinite(density) & (density >= 0.0)):
-            raise ConstraintViolationError("cell masses must be finite and nonnegative")
+            raise ConfigurationError("cell masses must be finite and nonnegative")
         if not np.sum(density) > 0.0:
-            raise ConstraintViolationError("cell masses must have a positive total")
+            raise ConfigurationError("cell masses must have a positive total")
         W = self.model.psi_slopes
         if not 0.0 <= W[0] + self.left_flux_offset < W[-1]:
-            raise ConstraintViolationError(
+            raise ConfigurationError(
                 f"first slope {W[0] + self.left_flux_offset:.6g} must lie in "
                 f"[0, {W[-1]:.6g}), the last slope of psi")
 
@@ -213,29 +209,29 @@ def constant_rhs(model: KahlerModel) -> RhsFamily:
 def build_dirac_rhs(gamma: float, eps: float, model: KahlerModel) -> RhsFamily:
     """Point-mass family of pole mass gamma^n, mollified at scale eps.
 
-    Requires gamma <= d; pole mass equal to the full model mass is admitted
-    with a warning. The mollified layer sits near s = 2 log(eps); a warning
-    is emitted when it is too close to the left truncation for solves to
-    see its mass. Validates and warns on every call, then returns the
-    model's memoised family for (gamma, eps), built on a miss.
+    Requires a finite 0 <= gamma <= d and a finite positive eps
+    (``require_positive``); pole mass equal to the full model mass is
+    admitted with a warning. The mollified layer sits near s = 2 log(eps);
+    a warning is emitted when it is too close to the left truncation for
+    solves to see its mass. Validates and warns on every call, then
+    returns the model's memoised family for (gamma, eps), built on a miss.
     """
     m = model
     n, d = m.n, m.degree
-    require_finite(gamma=gamma, eps=eps)
+    require_finite(gamma=gamma)
+    require_positive(eps=eps)
     if gamma < 0:
-        raise ConstraintViolationError(f"gamma must be nonnegative, got {gamma}")
+        raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
     if gamma > d:
         # the model keeps d^n finite, but gamma^n can overflow
         log_mass = n * math.log(gamma)
         mass = f"{gamma**n:.6g}" if log_mass < LOG_DBL_MAX else f"e^{log_mass:.6g}"
-        raise ConstraintViolationError(
+        raise ConfigurationError(
             f"pole mass gamma^n = {mass} exceeds the model mass {d**n:.6g}: "
             f"gamma = {gamma:.6g} > d = {d:.6g}")
     if gamma == d:
         warnings.warn("pole mass equals the model mass; the smooth part of F degenerates",
                       stacklevel=2)
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
     if gamma > 0 and 2.0 * np.log(eps) < m.grid.s_min + 8.0:
         warnings.warn(
             "mollified pole layer sits at or below the left truncation; "
@@ -269,7 +265,7 @@ def _dirac_family(gamma: float, eps: float, m: KahlerModel) -> RhsFamily:
                  if p0 + offset >= m.degree else
                  f"the grid is too narrow for pole mass gamma = {gamma:.6g}, whose flux "
                  f"enters through the first face; widen s_max")
-        raise ConstraintViolationError(
+        raise ConfigurationError(
             f"first slope {p0 + offset:.6g} must lie in [0, {w_last:.6g}), the last slope "
             f"of psi at s_max = {m.grid.s_max:.6g}: {cause}")
     return RhsFamily(
@@ -302,18 +298,18 @@ def build_divisor_rhs(delta_prime: float, eps: float, model: KahlerModel) -> Rhs
     The pole order delta' at z = 0 must stay below n for the limiting mass
     to be finite; unlike the point-mass family the singularity carries no
     atom, so it satisfies the curvature lower bound but produces no pole in
-    the solved potential. Like ``build_dirac_rhs``, returns the model's
+    the solved potential. delta' is finite and eps finite and positive
+    (``require_positive``). Like ``build_dirac_rhs``, returns the model's
     memoised family for (delta', eps).
     """
     m = model
-    require_finite(delta_prime=delta_prime, eps=eps)
+    require_finite(delta_prime=delta_prime)
+    require_positive(eps=eps)
     if delta_prime < 0:
-        raise ConstraintViolationError(f"delta' must be nonnegative, got {delta_prime}")
+        raise ConfigurationError(f"delta' must be nonnegative, got {delta_prime}")
     if delta_prime >= m.n:
-        raise ConstraintViolationError(
+        raise ConfigurationError(
             f"delta' = {delta_prime} >= n = {m.n}: mass diverges in the eps -> 0 limit")
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
     delta_prime, eps = float(delta_prime), float(eps)
     return m.memoized(("divisor", delta_prime, eps),
                       lambda: _divisor_family(delta_prime, eps, m))

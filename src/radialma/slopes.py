@@ -12,25 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer
 
 
 @dataclass(frozen=True)
 class BundleSpec:
-    """A direct sum of (degree, rank) summands."""
+    """A direct sum of (degree, rank) summands: each degree is read as a
+    ``Fraction``, each rank is an integer >= 1 (``require_integer``)."""
 
     summands: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
         if not self.summands:
             raise ConfigurationError("bundle needs at least one summand")
-        norm = []
-        for degree, rank in self.summands:
-            rank = int(rank)
-            if rank <= 0:
-                raise ConfigurationError(f"ranks must be positive, got {rank}")
-            norm.append((Fraction(degree), rank))
-        object.__setattr__(self, "summands", tuple(norm))
+        for _, rank in self.summands:
+            require_integer(1, rank=rank)
+        object.__setattr__(self, "summands", tuple((Fraction(d), r) for d, r in self.summands))
 
     @property
     def degree(self) -> Fraction:
@@ -55,9 +52,8 @@ def destabilizes(sub: BundleSpec, ambient: BundleSpec) -> bool:
 
 
 def tangent_on_line(n: int) -> BundleSpec:
-    """Tangent bundle of projective n-space on a line: O(2) + O(1)^(n-1)."""
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1, got {n}")
+    """Tangent bundle of projective n-space on a line, n >= 1: O(2) + O(1)^(n-1)."""
+    require_integer(1, n=n)
     return BundleSpec(((Fraction(2), 1),) + (((Fraction(1), n - 1),) if n > 1 else ()))
 
 

@@ -60,13 +60,12 @@ result records (``SolveResult.rhs``), is dilated to the new mollifier
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer, require_open_unit, require_positive
 from .geometry import Diagnostics, KahlerModel, average, pole_lelong
 from .grid import RadialPotential, cell_masses, grid_values
 from .rhs import RhsFamily, build_dirac_rhs
@@ -80,7 +79,8 @@ _SIGNS = {"reducing": 1.0, "neutral": 0.0, "magnifying": -1.0}
 
 @dataclass(frozen=True)
 class EquationKind:
-    """Which exponential factor multiplies F, and at what time t."""
+    """Which exponential factor multiplies F, and at what time t, which lies
+    in [0, 1) for every kind; the neutral factor reads no t."""
 
     kind: str
     t: float = 0.0
@@ -88,13 +88,13 @@ class EquationKind:
     def __post_init__(self):
         if self.kind not in _SIGNS:
             raise ConfigurationError(f"unknown equation kind {self.kind!r}")
-        if self.kind != "neutral" and not (0.0 <= self.t < 1.0):
+        if not 0.0 <= self.t < 1.0:
             raise ConfigurationError(f"t must lie in [0, 1), got {self.t}")
 
     @property
     def exponent_rate(self) -> float:
         """Coefficient of phi in the exponent (0 for the neutral family)."""
-        return _SIGNS[self.kind] * (0.0 if self.kind == "neutral" else self.t)
+        return _SIGNS[self.kind] * self.t
 
 
 def reducing(t: float) -> EquationKind:
@@ -111,20 +111,17 @@ def magnifying(t: float) -> EquationKind:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping rule and start of ``newton_solve``: a finite positive
-    ``newton_tol`` and an integer ``max_iters`` >= 1. ``initial_guess`` is
-    any predictor of phi on the model grid; the solver resets its level."""
+    """Stopping rule and start of ``newton_solve``: ``newton_tol`` finite and
+    positive, ``max_iters`` an integer >= 1. ``initial_guess`` is any
+    predictor of phi on the model grid; the solver resets its level."""
 
     newton_tol: float = 1e-10
     max_iters: int = 50
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
-        tol, iters = self.newton_tol, self.max_iters
-        if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
-            raise ConfigurationError(f"newton_tol must be finite and positive, got {tol!r}")
-        if not (isinstance(iters, numbers.Integral) and iters >= 1):
-            raise ConfigurationError(f"max_iters must be an integer >= 1, got {iters!r}")
+        require_positive(newton_tol=self.newton_tol)
+        require_integer(1, max_iters=self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -446,8 +443,7 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     if kind.kind == "neutral":
         raise ConfigurationError(
             f"kind must be time-dependent for continuity in t, got {kind.kind!r}")
-    if not (0.0 < t_target < 1.0):
-        raise ConfigurationError(f"t_target must lie in (0, 1), got {t_target}")
+    require_open_unit(t_target=t_target)
     if kind.t != t_target:
         raise ConfigurationError(f"t_target = {t_target} does not match the {kind.kind} "
                                  f"family's t = {kind.t}")

@@ -118,7 +118,7 @@ class TestSolve:
         # a nan or an infinite parameter passes every sign check of a builder
         ("gamma = 1.0", "gamma = nan", "[rhs]: gamma must be finite"),
         ("epsilon = 1e-3", "epsilon = inf", "[rhs]: eps must be finite"),
-        ("degree = 2.0", "degree = inf", "[model]: degree must be finite and positive, got inf"),
+        ("degree = 2.0", "degree = inf", "[model]: degree must be finite, got inf"),
         ("kind = dirac", "kind = foo", "[rhs] kind: unknown family 'foo'"),
         ("gamma = 1.0", "gamma = 5%", "[rhs] gamma: "),
         # a file configparser cannot read is named by its path
@@ -153,6 +153,15 @@ class TestSolve:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    def test_neutral_time_outside_the_unit_interval_exits_2(self, tmp_path, capsys):
+        # the neutral factor reads no t, but its t lies in [0, 1) as every
+        # kind's does; t = 7 was solved and written as param 7
+        cfg = write_config(tmp_path, kind="neutral", t_target="7", name="nt")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [equation]: t must lie in [0, 1), got 7.0\n")
+        assert not (tmp_path / "nt_summary.txt").exists()
 
 
 class TestSweep:
@@ -386,9 +395,9 @@ class TestVerify:
         assert out.count("PASS") == 4
 
     @pytest.mark.parametrize("changes,where", [
-        (dict(degree="nan"), "[model]: degree must be finite and positive, got nan"),
+        (dict(degree="nan"), "[model]: degree must be finite, got nan"),
         (dict(s_min="1.0"), "[model]: first slope 2.46403 must lie in [0, 2)"),
-        (dict(newton_tol="0"), "[solver]: newton_tol must be finite and positive"),
+        (dict(newton_tol="0"), "[solver]: newton_tol must be positive, got 0.0"),
     ])
     def test_errors_name_their_section(self, tmp_path, capsys, changes, where):
         # every check is built from [model]; the solver settings keep theirs
@@ -439,7 +448,7 @@ class TestCoarseGrid:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"configuration error: [model]: need at least 5 grid points, got {points}\n")
+            f"configuration error: [model]: points must be an integer >= 5, got {points}\n")
         assert not out.exists()
 
 
@@ -508,6 +517,20 @@ class TestCoarseGrid:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: [model]: {message}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    def test_every_magnify_member_names_the_rhs(self, tmp_path, capsys):
+        # the first member, eps = 1e-1, fits the grid [-20, 1]; the second,
+        # whose pole flux enters through the first face, does not, and is
+        # named as sweep and multiplier name it
+        cfg = readme_config(tmp_path, s_min="-20.0", s_max="1.0", points="2001",
+                            t_target="0.3", gamma="1.9", epsilon_list="1e-1, 1e-5")
+        out = tmp_path / "out"
+        assert main(["magnify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [rhs]: first slope 1.81252 must lie in [0, 1.46005), the "
+            "last slope of psi at s_max = 1: the grid is too narrow for pole mass gamma = 1.9, "
+            "whose flux enters through the first face; widen s_max\n")
         assert not out.exists()
 
     def test_overflowing_pole_mass_names_the_rhs(self, tmp_path, capsys):
@@ -791,7 +814,7 @@ class TestOutputContract:
                             eps_list="1e-1,nan"), "[rhs] epsilon_list: eps list must be finite"),
         ("magnify", dict(rhs_kind="dirac", gamma="1.8", t="0.0", t_target="0.0",
                          eps_list="1e-1,1e-2"), "[equation] t_target: magnify needs 0 < t < 1"),
-        ("slope", dict(extra="slope_n = 0\n"), "[run] slope_n: need n >= 1"),
+        ("slope", dict(extra="slope_n = 0\n"), "[run] slope_n: n must be an integer >= 1, got 0"),
         ("continuity", dict(rhs_kind="dirac", gamma="1.0", t="0.0", t_target="0.0"),
          "[equation] t_target: continuity needs 0 < t < 1"),
         ("magnify", dict(rhs_kind="dirac", gamma="nan", t="0.3", t_target="0.3",

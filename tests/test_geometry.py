@@ -85,7 +85,8 @@ class TestGrid:
     @pytest.mark.parametrize("points", [3, 4])
     def test_five_points_are_the_least(self, points):
         # the pole secant's window of 4h takes 5 nodes
-        with pytest.raises(ConfigurationError, match=f"^need at least 5 grid points, got {points}$"):
+        message = f"^points must be an integer >= 5, got {points}$"
+        with pytest.raises(ConfigurationError, match=message):
             SGrid(-1.0, 1.0, points)
         assert SGrid(-1.0, 1.0, 5).points == 5
 
@@ -201,7 +202,7 @@ class TestFubiniStudy:
     @pytest.mark.parametrize("degree", [np.nan, np.inf, 0.0])
     def test_degree_must_be_finite_and_positive(self, model_n1, degree):
         # a nan passes a sign check; the message names the degree
-        message = f"^degree must be finite and positive, got {degree}$"
+        message = f"^degree must be {'positive' if degree == 0 else 'finite'}, got {degree}$"
         with pytest.raises(ConfigurationError, match=message):
             KahlerModel(1, degree, model_n1.grid)
 

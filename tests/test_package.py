@@ -1,6 +1,7 @@
 """The package namespace: the names it exports, resolved on first use."""
 
 import ast
+import builtins
 import importlib
 import os
 import runpy
@@ -14,8 +15,8 @@ import radialma
 
 # every name the package exports, submodules included
 EXPORTS = {
-    "BundleSpec", "ComparisonReport", "ConfigurationError", "ConstraintViolationError",
-    "ContinuityTrace", "CurvatureMarginWarning", "DEFAULT_GRID", "Diagnostics",
+    "BundleSpec", "ComparisonReport", "ConfigurationError", "ContinuityTrace",
+    "CurvatureMarginWarning", "DEFAULT_GRID", "Diagnostics",
     "EquationKind", "GermIntegral", "KahlerModel", "LelongEstimate", "LowerBoundReport",
     "MagnificationReport", "PotentialSequence", "RadialPotential", "RhsFamily", "SGrid",
     "SolveConfig", "SolveResult", "StalkDescriptor", "average", "bootstrap_lelong_bound",
@@ -99,3 +100,31 @@ def test_every_imported_name_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, sorted(imported - used)
+
+
+def test_the_rules_stay_in_errors():
+    # one module states the exception types and the scalar rules: no other
+    # defines an exception or warning class or imports numbers, which the
+    # rules use (and cli.fmt, to format integers), and every ValueError a
+    # module raises is the one ConfigurationError
+    types = {**vars(builtins), **vars(radialma.errors)}
+    defines, imports, raises = set(), set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(b, "id", getattr(b, "attr", "")).endswith(
+                        ("Error", "Exception", "Warning")) for b in node.bases):
+                defines.add(path.name)
+            elif isinstance(node, ast.Import) and "numbers" in (a.name for a in node.names):
+                imports.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                imports.add(path.name)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised = types.get(getattr(exc, "id", None))
+                if isinstance(raised, type) and issubclass(raised, ValueError) \
+                        and raised is not radialma.errors.ConfigurationError:
+                    raises.add(f"{path.name}: {raised.__name__}")
+    assert defines == {"errors.py"}
+    assert imports == {"cli.py", "errors.py"}
+    assert not raises, sorted(raises)

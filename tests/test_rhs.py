@@ -12,7 +12,6 @@ import pytest
 
 from radialma import (
     ConfigurationError,
-    ConstraintViolationError,
     KahlerModel,
     RhsFamily,
     SGrid,
@@ -164,7 +163,7 @@ class TestDiracFamily:
             assert np.max(np.abs(m.psi_slopes - diffs)) <= 1e-11
 
     def test_pole_mass_above_model_mass_rejected(self, model_n1):
-        with pytest.raises(ConstraintViolationError):
+        with pytest.raises(ConfigurationError):
             build_dirac_rhs(2.5, 1e-3, model_n1)
 
     def test_pole_mass_at_model_mass_warns(self, model_n1):
@@ -200,19 +199,19 @@ class TestPreconditions:
         # F is read through its cell masses: a negative smooth part leaves
         # negative ones in the right tail, where the pole's vanish
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
-        with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
             replace(rhs, c_smooth=-1.0)
 
     def test_nan_f_rejected(self, model_n1):
         # a NaN F is no positive density: its cell masses are NaN
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
-        with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
             replace(rhs, c_smooth=math.nan)
 
     def test_cell_masses_carry_mass(self, model_n1):
         # F = 0 is nonnegative everywhere but no density
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
-        with pytest.raises(ConstraintViolationError, match="positive total"):
+        with pytest.raises(ConfigurationError, match="positive total"):
             with_cell_masses(rhs, np.zeros_like(rhs.density))
 
     def test_cell_masses_live_on_the_interior_nodes(self):
@@ -232,14 +231,14 @@ class TestPreconditions:
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
         density = rhs.density.copy()
         density[2000] = bad
-        with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
             with_cell_masses(rhs, density)
 
     def test_first_slope_within_psi_slopes(self, model_n1):
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
         W = model_n1.psi_slopes
         for offset in (-W[0] - 1e-3, W[-1] - W[0], 3.0):
-            with pytest.raises(ConstraintViolationError, match="first slope"):
+            with pytest.raises(ConfigurationError, match="first slope"):
                 replace(rhs, left_flux_offset=offset)
         assert replace(rhs, left_flux_offset=-W[0]).left_flux_offset == -W[0]
 
@@ -288,7 +287,7 @@ class TestDivisorFamily:
         assert reduced_mass(rhs) == pytest.approx(W[-1] ** n - W[0] ** n, rel=1e-12)
 
     def test_pole_order_at_dimension_rejected(self, model_n1):
-        with pytest.raises(ConstraintViolationError):
+        with pytest.raises(ConfigurationError):
             build_divisor_rhs(1.0, 1e-3, model_n1)
 
     def test_fractional_pole_leaves_no_lelong(self, model_n1):
@@ -446,7 +445,7 @@ class TestFamilyMemo:
     def test_invalid_parameters_raise_on_every_call(self):
         m = KahlerModel(1, 2.0)
         for _ in range(2):
-            with pytest.raises(ConstraintViolationError):
+            with pytest.raises(ConfigurationError):
                 build_dirac_rhs(2.5, 1e-3, m)
             with pytest.raises(ConfigurationError):
                 build_divisor_rhs(0.5, float("nan"), m)

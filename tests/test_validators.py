@@ -1,12 +1,14 @@
 """Every input validator raises its documented error type, naming what it
-rejects."""
+rejects, and each scalar rule of ``errors`` holds at every site that states it."""
+
+import math
 
 import numpy as np
 import pytest
 
 from radialma import (
+    BundleSpec,
     ConfigurationError,
-    ConstraintViolationError,
     ContinuityTrace,
     EquationKind,
     KahlerModel,
@@ -26,12 +28,14 @@ from radialma import (
     diagnostics_for,
     dirac_density,
     germ_integral,
+    magnification_experiment,
     magnifying,
     neutral,
     newton_solve,
     pole_lelong,
     stalk_from_sequence,
     sweep_epsilon,
+    tangent_on_line,
     trivial_lemma_report,
     xi_eps,
 )
@@ -65,22 +69,22 @@ CASES = {
                          lambda m: xi_eps(0.0, np.nan)),
     "dirac_density a = nan": (ConfigurationError, "a must be finite, got nan",
                               lambda m: dirac_density(np.nan, 1.0)),
-    "dirac gamma < 0": (ConstraintViolationError, "gamma must be nonnegative",
+    "dirac gamma < 0": (ConfigurationError, "gamma must be nonnegative",
                         lambda m: build_dirac_rhs(-0.1, 1e-3, m)),
     "dirac eps <= 0": (ConfigurationError, "eps must be positive",
                        lambda m: build_dirac_rhs(1.0, 0.0, m)),
     "dirac grid too narrow for the pole": (
-        ConstraintViolationError,
+        ConfigurationError,
         "first slope 1.8135 must lie in [0, 1.23194), the last slope of psi at s_max = 0.5: "
         "the grid is too narrow for pole mass gamma = 1.8, whose flux enters through the "
         "first face; widen s_max",
         pole_on_a_narrow_grid),
     # d^n = 1e300 is finite, gamma^n = 20^300 is not
     "dirac pole mass above a finite model mass overflows": (
-        ConstraintViolationError,
+        ConfigurationError,
         "pole mass gamma^n = e^898.72 exceeds the model mass 1e+300: gamma = 20 > d = 10",
         lambda m: build_dirac_rhs(20.0, 1e-3, KahlerModel(300, 10.0))),
-    "divisor delta' < 0": (ConstraintViolationError, "delta' must be nonnegative",
+    "divisor delta' < 0": (ConfigurationError, "delta' must be nonnegative",
                            lambda m: build_divisor_rhs(-0.1, 1e-3, m)),
     "divisor eps <= 0": (ConfigurationError, "eps must be positive",
                          lambda m: build_divisor_rhs(0.5, 0.0, m)),
@@ -89,6 +93,11 @@ CASES = {
         lambda m: RhsFamily("dirac_approx", m, profile=MollifierProfile(np.zeros(5), 0.0))),
     "unknown equation kind": (ConfigurationError, "unknown equation kind 'sideways'",
                               lambda m: EquationKind("sideways")),
+    # the neutral factor reads no t, but t lies in [0, 1) for every kind
+    "neutral kind at t = 7": (ConfigurationError, "t must lie in [0, 1), got 7.0",
+                              lambda m: EquationKind("neutral", 7.0)),
+    "neutral kind at t = nan": (ConfigurationError, "t must lie in [0, 1), got nan",
+                                lambda m: EquationKind("neutral", np.nan)),
     "unknown verdict": (ConfigurationError, "unknown verdict 'maybe'",
                         lambda m: ContinuityTrace((), "maybe")),
     "barrier without t_star": (ConfigurationError, "barrier verdict and t_star",
@@ -116,17 +125,18 @@ CASES = {
         ConfigurationError, "eps list must be positive, got [0.1, 0.0]",
         lambda m: sweep_epsilon(m, 0.0, neutral(), 0.0, (1e-1, 0.0),
                                 rhs_builder=lambda eps: constant_rhs(m))),
-    "infinite grid endpoint": (ConfigurationError, "grid endpoints must be finite",
+    "infinite grid endpoint": (ConfigurationError, "s_min must be finite, got -inf",
                                lambda m: SGrid(-np.inf, 1.0, 5)),
-    "nan grid endpoint": (ConfigurationError, "grid endpoints must be finite",
+    "nan grid endpoint": (ConfigurationError, "s_max must be finite, got nan",
                           lambda m: SGrid(0.0, np.nan, 5)),
-    "fractional grid points": (ConfigurationError, "grid points must be an integer, got 4001.5",
+    "fractional grid points": (ConfigurationError, "points must be an integer >= 5, got 4001.5",
                                lambda m: SGrid(-10.0, 10.0, 4001.5)),
-    "float grid points": (ConfigurationError, "grid points must be an integer, got 4001.0",
+    "float grid points": (ConfigurationError, "points must be an integer >= 5, got 4001.0",
                           lambda m: SGrid(-10.0, 10.0, 4001.0)),
-    "numpy float grid points": (ConfigurationError, "grid points must be an integer",
-                                lambda m: SGrid(-10.0, 10.0, np.float64(81))),
-    "bool grid points": (ConfigurationError, "grid points must be an integer, got True",
+    "numpy float grid points": (
+        ConfigurationError, f"points must be an integer >= 5, got {np.float64(81)!r}",
+        lambda m: SGrid(-10.0, 10.0, np.float64(81))),
+    "bool grid points": (ConfigurationError, "points must be an integer >= 5, got True",
                          lambda m: SGrid(-10.0, 10.0, True)),
     # e^h - 1 overflows in the exact softplus steps of psi
     "grid spacing above log(DBL_MAX)": (
@@ -156,10 +166,10 @@ CASES = {
                                    lambda m: pole_lelong(m.psi, m)),
     "germ_integral of a potential": (TypeError, "RadialPotential",
                                      lambda m: germ_integral(0, m.psi, 0.5, m)),
-    "potential of dimension 0": (ConfigurationError, "dimension must be a positive integer, got 0",
+    "potential of dimension 0": (ConfigurationError, "dimension must be an integer >= 1, got 0",
                                  lambda m: RadialPotential(GRID, ZEROS, 0)),
     "potential of dimension 2.5": (
-        ConfigurationError, "dimension must be a positive integer, got 2.5",
+        ConfigurationError, "dimension must be an integer >= 1, got 2.5",
         lambda m: RadialPotential(GRID, ZEROS, 2.5)),
     "subinterval without interior node": (
         ConfigurationError, "subinterval must contain interior nodes",
@@ -185,7 +195,7 @@ CASES = {
                            lambda m: bootstrap_lelong_bound(ZEROS, 0.0, 1.0, 5.0, m)),
     "bootstrap window too wide": (ConfigurationError, "window does not fit",
                                   lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, 30.0, m)),
-    "germ order k < 0": (ConfigurationError, "vanishing order must be a nonnegative integer",
+    "germ order k < 0": (ConfigurationError, "k must be an integer >= 0, got -1",
                          lambda m: germ_integral(-1, ZEROS, 0.5, m)),
     "germ tau = nan": (ConfigurationError, "tau must be finite, got nan",
                        lambda m: germ_integral(0, ZEROS, np.nan, m)),
@@ -200,9 +210,9 @@ CASES = {
                        lambda m: PotentialSequence(m, ())),
     "sequence tau = 1": (ConfigurationError, "tau must lie in (0, 1)",
                          lambda m: PotentialSequence(m, ((ZEROS, 1.0, None),))),
-    "dimension n < 1": (ConfigurationError, "dimension must be a positive integer",
+    "dimension n < 1": (ConfigurationError, "dimension must be an integer >= 1, got 0",
                         lambda m: KahlerModel(0, 2.0, GRID)),
-    "dimension n = nan": (ConfigurationError, "dimension must be a positive integer, got nan",
+    "dimension n = nan": (ConfigurationError, "dimension must be an integer >= 1, got nan",
                           lambda m: KahlerModel(np.nan, 2.0, GRID)),
     "lemma curvature margin = nan": (
         ConfigurationError, "curvature_margin must be finite, got nan",
@@ -238,3 +248,77 @@ def test_validator_names_what_it_rejects(case):
 @pytest.mark.parametrize("points", [81, np.int64(81)])
 def test_grid_points_of_any_integer_type(points):
     assert SGrid(-10.0, 10.0, points) == GRID
+
+
+# every site of each scalar rule of ``errors``: the parameter's name as the
+# rule reports it, for an integer the least value, and a call of a value on
+# the n = 1, d = 2 model on GRID
+INTEGER_SITES = {
+    "SGrid points": ("points", 5, lambda m, v: SGrid(-10.0, 10.0, v)),
+    "RadialPotential dimension": ("dimension", 1, lambda m, v: RadialPotential(GRID, ZEROS, v)),
+    "KahlerModel dimension": ("dimension", 1, lambda m, v: KahlerModel(v, 2.0, GRID)),
+    "SolveConfig max_iters": ("max_iters", 1, lambda m, v: SolveConfig(max_iters=v)),
+    "germ_integral k": ("k", 0, lambda m, v: germ_integral(v, ZEROS, 0.5, m)),
+    "BundleSpec rank": ("rank", 1, lambda m, v: BundleSpec(((2, v),))),
+    "tangent_on_line n": ("n", 1, lambda m, v: tangent_on_line(v)),
+}
+OPEN_UNIT_SITES = {
+    "continuity_in_t t_target": (
+        "t_target", lambda m, v: continuity_in_t(m, constant_rhs(m), magnifying(0.5), v)),
+    "PotentialSequence tau": ("tau", lambda m, v: PotentialSequence(m, ((ZEROS, v, None),))),
+    "bootstrap_lelong_bound tau0": (
+        "tau0", lambda m, v: bootstrap_lelong_bound(ZEROS, v, 1.0, 5.0, m)),
+    "magnification_experiment tau0": (
+        "tau0", lambda m, v: magnification_experiment(m, 1.0, v, (1e-1,))),
+}
+POSITIVE_SITES = {
+    "xi_eps eps": ("eps", lambda m, v: xi_eps(0.0, v)),
+    "dirac_density a": ("a", lambda m, v: dirac_density(v, 1.0)),
+    "build_dirac_rhs eps": ("eps", lambda m, v: build_dirac_rhs(1.0, v, m)),
+    "build_divisor_rhs eps": ("eps", lambda m, v: build_divisor_rhs(0.5, v, m)),
+    "bootstrap_lelong_bound gamma": (
+        "gamma", lambda m, v: bootstrap_lelong_bound(ZEROS, 0.5, v, 5.0, m)),
+    "KahlerModel degree": ("degree", lambda m, v: KahlerModel(1, v, GRID)),
+    "SolveConfig newton_tol": ("newton_tol", lambda m, v: SolveConfig(newton_tol=v)),
+}
+
+
+def rejection(call, value) -> str:
+    """The message of the ConfigurationError, of no other type, that
+    ``call`` raises for ``value``."""
+    with pytest.raises(ConfigurationError) as info:
+        call(KahlerModel(1, 2.0, GRID), value)
+    assert type(info.value) is ConfigurationError
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["True", "2.0", "nan", "inf", "least - 1"])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_integer_rule_at_every_site(site, bad):
+    # a bool and an integral float are no integers, at every site alike
+    name, least, call = INTEGER_SITES[site]
+    value = {"True": True, "2.0": 2.0, "nan": math.nan, "inf": math.inf,
+             "least - 1": least - 1}[bad]
+    assert rejection(call, value) == f"{name} must be an integer >= {least}, got {value!r}"
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_integer_rule_admits_a_numpy_integer(site):
+    _, least, call = INTEGER_SITES[site]
+    call(KahlerModel(1, 2.0, GRID), np.int64(least))
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, math.nan, "x"])
+@pytest.mark.parametrize("site", OPEN_UNIT_SITES)
+def test_open_unit_rule_at_every_site(site, value):
+    name, call = OPEN_UNIT_SITES[site]
+    assert rejection(call, value) == f"{name} must lie in (0, 1), got {value}"
+
+
+@pytest.mark.parametrize("value,rule", [(0.0, "positive"), (-1.0, "positive"),
+                                        (math.nan, "finite"), (math.inf, "finite"),
+                                        ("x", "finite")])
+@pytest.mark.parametrize("site", POSITIVE_SITES)
+def test_positive_rule_at_every_site(site, value, rule):
+    name, call = POSITIVE_SITES[site]
+    assert rejection(call, value) == f"{name} must be {rule}, got {value}"
