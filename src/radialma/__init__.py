@@ -26,14 +26,14 @@ _EXPORTS = {
     "geometry": ("Diagnostics", "KahlerModel", "LelongEstimate", "average", "pole_lelong"),
     "grid": ("DEFAULT_GRID", "RadialPotential", "SGrid"),
     "rhs": ("LowerBoundReport", "RhsFamily", "build_dirac_rhs", "build_divisor_rhs",
-            "check_lower_bound", "constant_rhs", "dirac_density", "xi_eps"),
+            "check_lower_bound", "constant_rhs", "xi_eps"),
     "solver": ("ContinuityTrace", "EquationKind", "SolveConfig", "SolveResult",
                "continuity_in_t", "diagnostics_for", "magnifying", "neutral",
                "neutral_oracle", "newton_solve", "reducing", "sweep_epsilon"),
     "multiplier": ("GermIntegral", "PotentialSequence", "StalkDescriptor", "germ_integral",
                    "stalk_from_sequence", "trivial_lemma_report"),
-    "comparison": ("ComparisonReport", "MagnificationReport", "bootstrap_lelong_bound",
-                   "bt_compare", "magnification_experiment"),
+    "comparison": ("MagnificationReport", "bootstrap_lelong_bound",
+                   "magnification_experiment"),
     "slopes": ("BundleSpec", "destabilizes", "line_tangent", "normalized_slope",
                "tangent_on_line"),
 }

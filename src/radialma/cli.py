@@ -368,7 +368,7 @@ def _verify_checks(model: KahlerModel, solve: SolveConfig) -> list[tuple[str, bo
     import numpy as np
 
     from .grid import rounding_floor
-    from .rhs import build_dirac_rhs, check_lower_bound, constant_rhs, dirac_density
+    from .rhs import build_dirac_rhs, check_lower_bound, constant_rhs
     from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_line
     from .solver import EquationKind, newton_solve
     checks: list[tuple[str, bool, str]] = []
@@ -377,22 +377,6 @@ def _verify_checks(model: KahlerModel, solve: SolveConfig) -> list[tuple[str, bo
     sup = float(np.max(np.abs(res.phi)))
     checks.append(("fixed_point_magnifying", res.converged and sup <= 1e-9,
                    f"sup|phi| = {fmt(sup)}"))
-
-    # composite Simpson in x = log r over [log a - 40, log 50]; the cut-off
-    # below carries mass ~ e^{-80}
-    panels = 4000
-    simpson = np.ones(panels + 1)
-    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
-    ok = True
-    worst = 0.0
-    for a in (1.0, 0.1, 0.01):
-        x = np.linspace(np.log(a) - 40.0, np.log(50.0), panels + 1)
-        r2 = np.exp(2.0 * x)
-        val = (x[1] - x[0]) / 3.0 * float(simpson @ (dirac_density(a, r2) * 2 * np.pi * r2))
-        tail = a * a / (50.0**2 + a * a)
-        worst = max(worst, abs(val + tail - 1.0))
-        ok = ok and abs(val + tail - 1.0) <= 1e-6
-    checks.append(("dirac_unit_mass", ok, f"max deviation = {fmt(worst)}"))
 
     # F = 1 has log-curvature (n + 1) (sigma, sigma (1 - sigma)) for every d
     eta = check_lower_bound(rhs1).eta

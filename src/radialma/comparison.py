@@ -1,20 +1,15 @@
-"""Comparison-principle checks and the pole-amplification experiment.
+"""The pole-amplification experiment.
 
-The maximum principle used throughout: if u >= v on the boundary of a
-subinterval and the Monge-Ampere density of u is at most that of v inside
-it, then u >= v on the whole subinterval. ``bt_compare`` verifies the
-hypotheses before evaluating the conclusion and reports which hypothesis
-failed when they do not hold. It reads the densities as the solver does,
-the ``grid.cell_masses`` of the half-node slopes, a monotone scheme for
-which the discrete comparison principle holds exactly, and holds every
-reading to its rounding (``grid.rounding_floor``), not to a tolerance.
+``magnification_experiment`` runs the amplifying family across a mollifier
+list and sets each member beside its neutral control and the bootstrap
+bound, the table the lab prints for the pole-amplification argument.
 
-``bootstrap_lelong_bound`` renders the self-improvement step of the
-amplification argument: wherever the solved perturbation is bounded above
-by A on a pole neighbourhood, the density inequality pushes the pole
-coefficient up to e^{-tau*A/n} * gamma. The bound is only valid on windows
-containing the mollified mass; on smaller windows it overshoots, which is
-the finite-mollification shadow of the blow-up contradiction.
+``bootstrap_lelong_bound`` renders the self-improvement step of that
+argument: wherever the solved perturbation is bounded above by A on a pole
+neighbourhood, the density inequality pushes the pole coefficient up to
+e^{-tau*A/n} * gamma. The bound is only valid on windows containing the
+mollified mass; on smaller windows it overshoots, which is the
+finite-mollification shadow of the blow-up contradiction.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import numpy as np
 from .errors import (ConfigurationError, CurvatureMarginWarning, require_finite,
                      require_open_unit, require_positive)
 from .geometry import KahlerModel, pole_lelong
-from .grid import RadialPotential, cell_masses, density_floor, grid_values, rounding_floor
+from .grid import grid_values
 from .rhs import check_lower_bound
 from .solver import (
     SolveConfig,
@@ -37,72 +32,6 @@ from .solver import (
     neutral_oracle,
     sweep_epsilon,
 )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    holds: bool
-    hypotheses_ok: bool
-    failed_hypothesis: str | None
-    first_violation_node: int | None
-    margin: float
-
-    def __post_init__(self):
-        if self.holds and not self.hypotheses_ok:
-            raise ConfigurationError("conclusion cannot be claimed without hypotheses")
-
-
-def bt_compare(u: RadialPotential, v: RadialPotential, a: float, b: float) -> ComparisonReport:
-    """Maximum-principle comparison of two potentials on [a, b], which
-    must share one grid and one dimension n.
-
-    Hypotheses: u >= v at both endpoints and density(u) <= density(v) on the
-    open subinterval. When they hold, returns the conclusion margin
-    min(u - v); ``holds`` is margin >= minus the rounding of the values.
-    When they fail, names the failed hypothesis and claims nothing.
-
-    With F the larger ``rounding_floor`` of u and v, values are held to
-    their rounding F h^2, and the reduced densities to their
-    ``density_floor`` F max(w_{i-1/2}, w_{i+1/2})^{n-1}, w the larger
-    half-node slope magnitude of u and v: the rounding of a flux-form
-    row.
-    """
-    if u.n != v.n:
-        raise ConfigurationError(f"potentials of dimension n = {u.n} and n = {v.n} "
-                                 "cannot be compared")
-    u.grid.require_same(v.grid)
-    grid = u.grid
-    require_finite(a=a, b=b)
-    if a < grid.s_min - 1e-12 or b > grid.s_max + 1e-12 or a >= b:
-        raise ConfigurationError(f"subinterval [{a}, {b}] is not inside the grid")
-    ia, ib = grid.index_of(a), grid.index_of(b)
-    if ib - ia < 2:
-        raise ConfigurationError("subinterval must contain interior nodes")
-
-    h = grid.h
-    floor = max(rounding_floor(u.values, h), rounding_floor(v.values, h))
-    tol = floor * h**2
-    du = u.values - v.values
-    if du[ia] < -tol or du[ib] < -tol:
-        node = ia if du[ia] < -tol else ib
-        return ComparisonReport(False, False, "boundary domination",
-                                int(node), float(min(du[ia], du[ib])))
-    # compare the reduced densities (u')^{n-1} u'': the coordinate-volume
-    # factor e^{-ns} is common and positive, so the measure inequality is
-    # unchanged, and dropping it keeps the check at the rounding floor
-    # instead of exponentially amplifying it at the pole side. The slopes
-    # ia .. ib - 1 give the cell masses of the nodes ia + 1 .. ib - 1.
-    wu, wv = u.slopes[ia:ib], v.slopes[ia:ib]
-    limit = density_floor(floor, np.maximum(np.abs(wu), np.abs(wv)), u.n)
-    dens_gap = cell_masses(wv, v.n, h) - cell_masses(wu, u.n, h)
-    bad = np.nonzero(dens_gap < -limit)[0]
-    if bad.size:
-        return ComparisonReport(False, False, "density domination",
-                                int(bad[0]) + ia + 1, float(dens_gap.min()))
-    margin = float(du[ia:ib + 1].min())
-    node = int(np.argmin(du[ia:ib + 1])) + ia
-    return ComparisonReport(bool(margin >= -tol), True, None,
-                            None if margin >= -tol else node, margin)
 
 
 def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,

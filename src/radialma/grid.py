@@ -9,9 +9,10 @@ builds on.
 A grid potential is differentiated one way, the solver's: its half-node
 slopes (differences of neighbouring node values over h, ``slopes``) and
 the flux form's cell masses on the N - 2 interior nodes (``cell_masses``).
-The model's weight, every right-hand side, the solver's interior rows and
-the comparison principle read ``cell_masses``, so the discrete comparison
-principle of the monotone flux form holds for what they check; the two
+The model's weight, every right-hand side and the solver's interior rows
+read ``cell_masses``. The flux form is monotone, so the discrete comparison
+principle holds for it: boundary domination and cell-mass domination on a
+subinterval, each to its rounding, imply domination inside. The two
 boundary rows prescribe the first and last slope. Every sign check is made
 against one noise floor, ``rounding_floor``, and Kahler positivity is
 decided by one scan of the slopes, ``first_violation``. A grid function
@@ -139,13 +140,6 @@ def rounding_floor(values: np.ndarray, h: float) -> float:
     carries noise of order ulp(|v|) / h^2, here 16 eps max(1, max|v|) / h^2,
     so a sign or a zero can only be asserted above it."""
     return 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(values)))) / h**2
-
-
-def density_floor(floor: float, slopes: np.ndarray, n: int) -> np.ndarray:
-    """Rounding noise of the ``cell_masses`` of ``slopes``: ``floor``, a
-    ``rounding_floor``, times the larger neighbouring slope magnitude to the
-    power n - 1, as differences of slope powers w^n over n h carry it."""
-    return floor * np.maximum(slopes[:-1], slopes[1:]) ** (n - 1)
 
 
 def grid_values(values, grid: SGrid) -> np.ndarray:

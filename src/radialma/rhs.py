@@ -81,19 +81,6 @@ def xi_eps(s, eps: float):
     return np.logaddexp(s, 2.0 * np.log(eps))
 
 
-def dirac_density(a: float, r2) -> float:
-    """Point-mass mollifier a^2 / (pi (|z|^2 + a^2)^2) on the complex line.
-
-    Integrates to 1 over C for every a > 0 and concentrates at the origin
-    as a -> 0. Its negative log has positive Laplacian, which is the
-    1-dimensional form of the curvature lower bound the magnifying
-    construction needs.
-    """
-    require_positive(a=a)
-    r2 = np.asarray(r2, dtype=float)
-    return a**2 / (np.pi * (r2 + a**2) ** 2)
-
-
 @dataclass(frozen=True, eq=False)
 class MollifierProfile:
     """Cell masses P of a mollified pole on one model's interior nodes

@@ -12,20 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigurationError, require_integer
+from .errors import ConfigurationError, require_finite, require_integer
 
 
 @dataclass(frozen=True)
 class BundleSpec:
-    """A direct sum of (degree, rank) summands: each degree is read as a
-    ``Fraction``, each rank is an integer >= 1 (``require_integer``)."""
+    """A direct sum of (degree, rank) summands: each degree is a finite real
+    (``require_finite``) read as a ``Fraction``, each rank is an integer
+    >= 1 (``require_integer``)."""
 
     summands: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
         if not self.summands:
             raise ConfigurationError("bundle needs at least one summand")
-        for _, rank in self.summands:
+        for degree, rank in self.summands:
+            require_finite(degree=degree)
             require_integer(1, rank=rank)
         object.__setattr__(self, "summands", tuple((Fraction(d), r) for d, r in self.summands))
 

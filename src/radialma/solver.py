@@ -65,7 +65,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, require_integer, require_open_unit, require_positive
+from .errors import (ConfigurationError, require_finite, require_integer, require_open_unit,
+                     require_positive)
 from .geometry import Diagnostics, KahlerModel, average, pole_lelong
 from .grid import RadialPotential, cell_masses, grid_values
 from .rhs import RhsFamily, build_dirac_rhs
@@ -88,6 +89,7 @@ class EquationKind:
     def __post_init__(self):
         if self.kind not in _SIGNS:
             raise ConfigurationError(f"unknown equation kind {self.kind!r}")
+        require_finite(t=self.t)
         if not 0.0 <= self.t < 1.0:
             raise ConfigurationError(f"t must lie in [0, 1), got {self.t}")
 

@@ -10,6 +10,7 @@ Richardson-extrapolated trapezoid sums on refined grids.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -121,6 +122,19 @@ def weighted_average_quad(f, weight, a: float, b: float) -> float:
     num, _ = quad(lambda s: f(s) * weight(s), a, b, limit=400)
     den, _ = quad(weight, a, b, limit=400)
     return num / den
+
+
+def dirac_density(a: float, r2) -> float:
+    """Point-mass mollifier a^2 / (pi (|z|^2 + a^2)^2) on the complex line,
+    a > 0.
+
+    Integrates to 1 over C for every a and concentrates at the origin as
+    a -> 0. Its negative log has positive Laplacian, which is the
+    1-dimensional form of the curvature lower bound the magnifying
+    construction needs.
+    """
+    r2 = np.asarray(r2, dtype=float)
+    return a**2 / (np.pi * (r2 + a**2) ** 2)
 
 
 def disc_mass_quad(density, radius: float) -> float:
@@ -298,3 +312,63 @@ def stalk_per_germ(seq):
                for vals, tau, rhs in seq.entries):
             return StalkDescriptor(k_min=k, tau_nu_product=product)
     return None
+
+
+# ---------------------------------------------------------------------------
+# The discrete comparison principle, a property of the package's own flux
+# form, ``grid.cell_masses``, which these checks therefore read. The flux
+# form is a monotone scheme, so for two grid potentials u, v of one
+# dimension n on one grid and a subinterval [a, b]: u >= v at both ends and
+# cell masses of u at most those of v inside imply u >= v on [a, b]. Every
+# reading is held to its rounding, ``grid.rounding_floor``, never to a
+# tolerance.
+
+
+def density_floor(floor: float, slopes: np.ndarray, n: int) -> np.ndarray:
+    """Rounding noise of the ``cell_masses`` of ``slopes``: ``floor``, a
+    ``rounding_floor``, times the larger neighbouring slope magnitude to the
+    power n - 1, as differences of slope powers w^n over n h carry it."""
+    return floor * np.maximum(slopes[:-1], slopes[1:]) ** (n - 1)
+
+
+class Comparison(NamedTuple):
+    """``failed_hypothesis`` is None, "boundary domination" or "density
+    domination"; ``holds`` claims the conclusion, and only when both
+    hypotheses hold; ``margin`` is min(u - v) over [a, b], or at the
+    failure."""
+
+    failed_hypothesis: str | None
+    holds: bool
+    margin: float
+
+    @property
+    def hypotheses_ok(self) -> bool:
+        return self.failed_hypothesis is None
+
+
+def bt_compare(u, v, a: float, b: float) -> Comparison:
+    """The comparison principle of u against v on [a, b] (nodes included).
+
+    With F the larger ``rounding_floor`` of u and v, values are held to
+    their rounding F h^2 and cell masses to their ``density_floor``, w the
+    larger half-node slope magnitude of u and v. The reduced densities
+    (u')^{n-1} u'' are compared without the common positive factor e^{-ns},
+    which would amplify the floor exponentially at the pole side.
+    """
+    from radialma.grid import cell_masses, rounding_floor
+
+    grid, h, n = u.grid, u.grid.h, u.n
+    ia, ib = grid.index_of(a), grid.index_of(b)
+    floor = max(rounding_floor(u.values, h), rounding_floor(v.values, h))
+    tol = floor * h**2
+    du = u.values - v.values
+    if min(du[ia], du[ib]) < -tol:
+        return Comparison("boundary domination", False, float(min(du[ia], du[ib])))
+    # the slopes ia .. ib - 1 give the cell masses of the nodes ia + 1 .. ib - 1
+    wu, wv = u.slopes[ia:ib], v.slopes[ia:ib]
+    limit = density_floor(floor, np.maximum(np.abs(wu), np.abs(wv)), n)
+    gap = cell_masses(wv, n, h) - cell_masses(wu, n, h)
+    if np.any(gap < -limit):
+        return Comparison("density domination", False, float(gap.min()))
+    margin = float(du[ia:ib + 1].min())
+    return Comparison(None, margin >= -tol, margin)

@@ -17,13 +17,11 @@ from radialma import (
     KahlerModel,
     PotentialSequence,
     SolveConfig,
-    bt_compare,
     build_dirac_rhs,
     check_lower_bound,
     constant_rhs,
     continuity_in_t,
     destabilizes,
-    dirac_density,
     germ_integral,
     line_tangent,
     magnification_experiment,
@@ -38,7 +36,8 @@ from radialma import (
 from radialma.solver import _first_integral_map, residual_from_perturbation
 
 from conftest import gaussian_bump
-from oracles import disc_mass_quad, ricci_potential, second_derivative
+from oracles import (bt_compare, dirac_density, disc_mass_quad, ricci_potential,
+                     second_derivative)
 from test_geometry import resolvable_curvature
 
 

@@ -15,14 +15,14 @@ import radialma
 
 # every name the package exports, submodules included
 EXPORTS = {
-    "BundleSpec", "ComparisonReport", "ConfigurationError", "ContinuityTrace",
+    "BundleSpec", "ConfigurationError", "ContinuityTrace",
     "CurvatureMarginWarning", "DEFAULT_GRID", "Diagnostics",
     "EquationKind", "GermIntegral", "KahlerModel", "LelongEstimate", "LowerBoundReport",
     "MagnificationReport", "PotentialSequence", "RadialPotential", "RhsFamily", "SGrid",
     "SolveConfig", "SolveResult", "StalkDescriptor", "average", "bootstrap_lelong_bound",
-    "bt_compare", "build_dirac_rhs", "build_divisor_rhs", "check_lower_bound", "comparison",
+    "build_dirac_rhs", "build_divisor_rhs", "check_lower_bound", "comparison",
     "constant_rhs", "continuity_in_t", "destabilizes", "diagnostics_for",
-    "dirac_density", "errors", "geometry", "germ_integral", "grid",
+    "errors", "geometry", "germ_integral", "grid",
     "line_tangent", "magnification_experiment", "magnifying", "multiplier", "neutral",
     "neutral_oracle", "newton_solve", "normalized_slope", "pole_lelong", "reducing", "rhs",
     "slopes", "solver", "stalk_from_sequence", "sweep_epsilon", "tangent_on_line",

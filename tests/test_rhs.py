@@ -19,7 +19,6 @@ from radialma import (
     build_divisor_rhs,
     check_lower_bound,
     constant_rhs,
-    dirac_density,
     neutral_oracle,
     xi_eps,
 )
@@ -29,6 +28,7 @@ from radialma.grid import cell_masses
 from radialma.rhs import MollifierProfile, dominance_margin
 
 from oracles import (
+    dirac_density,
     dirac_rhs_per_call,
     disc_mass_quad,
     log_curvature_derivs_per_call,
@@ -42,6 +42,10 @@ from oracles import (
 
 
 class TestDiracDensity:
+    """The continuum point-mass mollifier on the complex line,
+    ``oracles.dirac_density``: at a = eps it is dd^c of xi_eps, the pole
+    the point-mass family mollifies."""
+
     @pytest.mark.parametrize("a", [1.0, 0.1, 0.01])
     def test_unit_mass_over_plane(self, a):
         # closed-form tail beyond R: a^2/(R^2+a^2)
@@ -80,10 +84,6 @@ class TestDiracDensity:
         lhs = -sympy.diff(sympy.log(f), z, zb)
         rhs = 2 * a**2 / (z * zb + a**2) ** 2
         assert sympy.simplify(lhs - rhs) == 0
-
-    def test_invalid_scale(self):
-        with pytest.raises(ConfigurationError):
-            dirac_density(0.0, 1.0)
 
 
 class TestXiEps:

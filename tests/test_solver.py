@@ -30,7 +30,7 @@ from radialma import (
 )
 from radialma import solver
 from radialma.geometry import LELONG_WINDOW, LelongEstimate, expit, pole_lelong
-from radialma.grid import density_floor, rounding_floor
+from radialma.grid import rounding_floor
 from radialma.solver import (
     _anderson,
     _dilated,
@@ -43,6 +43,7 @@ from radialma.solver import (
 from conftest import gaussian_bump
 from oracles import (
     continuum_neutral_potential,
+    density_floor,
     diagnostics_per_call,
     second_derivative,
     xi_eps_d1,

@@ -20,13 +20,11 @@ from radialma import (
     StalkDescriptor,
     average,
     bootstrap_lelong_bound,
-    bt_compare,
     build_dirac_rhs,
     build_divisor_rhs,
     constant_rhs,
     continuity_in_t,
     diagnostics_for,
-    dirac_density,
     germ_integral,
     magnification_experiment,
     magnifying,
@@ -67,8 +65,6 @@ CASES = {
                         lambda m: xi_eps(0.0, 0.0)),
     "xi_eps eps = nan": (ConfigurationError, "eps must be finite, got nan",
                          lambda m: xi_eps(0.0, np.nan)),
-    "dirac_density a = nan": (ConfigurationError, "a must be finite, got nan",
-                              lambda m: dirac_density(np.nan, 1.0)),
     "dirac gamma < 0": (ConfigurationError, "gamma must be nonnegative",
                         lambda m: build_dirac_rhs(-0.1, 1e-3, m)),
     "dirac eps <= 0": (ConfigurationError, "eps must be positive",
@@ -96,8 +92,15 @@ CASES = {
     # the neutral factor reads no t, but t lies in [0, 1) for every kind
     "neutral kind at t = 7": (ConfigurationError, "t must lie in [0, 1), got 7.0",
                               lambda m: EquationKind("neutral", 7.0)),
-    "neutral kind at t = nan": (ConfigurationError, "t must lie in [0, 1), got nan",
+    "neutral kind at t = nan": (ConfigurationError, "t must be finite, got nan",
                                 lambda m: EquationKind("neutral", np.nan)),
+    "magnifying kind at t = 'x'": (ConfigurationError, "t must be finite, got x",
+                                   lambda m: EquationKind("magnifying", "x")),
+    # a degree is read as a Fraction, which neither nan nor inf has
+    "BundleSpec degree = nan": (ConfigurationError, "degree must be finite, got nan",
+                                lambda m: BundleSpec(((math.nan, 1),))),
+    "BundleSpec degree = inf": (ConfigurationError, "degree must be finite, got inf",
+                                lambda m: BundleSpec(((math.inf, 1),))),
     "unknown verdict": (ConfigurationError, "unknown verdict 'maybe'",
                         lambda m: ContinuityTrace((), "maybe")),
     "barrier without t_star": (ConfigurationError, "barrier verdict and t_star",
@@ -171,16 +174,6 @@ CASES = {
     "potential of dimension 2.5": (
         ConfigurationError, "dimension must be an integer >= 1, got 2.5",
         lambda m: RadialPotential(GRID, ZEROS, 2.5)),
-    "subinterval without interior node": (
-        ConfigurationError, "subinterval must contain interior nodes",
-        lambda m: bt_compare(m.psi, m.psi, 0.0, GRID.h)),
-    "bt_compare of different dimensions": (
-        ConfigurationError, "potentials of dimension n = 1 and n = 2 cannot be compared",
-        lambda m: bt_compare(m.psi, KahlerModel(2, 2.0, GRID).psi, -5.0, 5.0)),
-    "bt_compare a = nan": (ConfigurationError, "a must be finite, got nan",
-                           lambda m: bt_compare(m.psi, m.psi, np.nan, 5.0)),
-    "bt_compare b = nan": (ConfigurationError, "b must be finite, got nan",
-                           lambda m: bt_compare(m.psi, m.psi, -5.0, np.nan)),
     "bootstrap gamma <= 0": (ConfigurationError, "gamma must be positive, got 0.0",
                              lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 0.0, 5.0, m)),
     "bootstrap gamma = nan": (ConfigurationError, "gamma must be finite, got nan",
@@ -273,7 +266,6 @@ OPEN_UNIT_SITES = {
 }
 POSITIVE_SITES = {
     "xi_eps eps": ("eps", lambda m, v: xi_eps(0.0, v)),
-    "dirac_density a": ("a", lambda m, v: dirac_density(v, 1.0)),
     "build_dirac_rhs eps": ("eps", lambda m, v: build_dirac_rhs(1.0, v, m)),
     "build_divisor_rhs eps": ("eps", lambda m, v: build_divisor_rhs(0.5, v, m)),
     "bootstrap_lelong_bound gamma": (
