@@ -33,7 +33,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_open_unit
 
 # each subcommand imports what it runs, so a cold request loads no module it
 # does not need and ``slope`` loads no numpy
@@ -173,19 +173,14 @@ class RunConfig:
         return _in_section("[solver]", SolveConfig, newton_tol=self.newton_tol,
                            max_iters=self.max_iters)
 
-    def eps_list(self, subcommand: str) -> list[float]:
-        """``epsilon_list``, one member per eps for ``subcommand``: required
-        non-empty, finite, positive and strictly decreasing."""
+    def eps_list(self) -> list[float]:
+        """``epsilon_list`` as a mollifier list (``solver._eps_values``)."""
         from .solver import _eps_values
-        if not self.epsilon_list:
-            raise ConfigurationError(
-                f"[rhs] epsilon_list: {subcommand} needs a decreasing list")
         return _in_section("[rhs] epsilon_list", _eps_values, self.epsilon_list)
 
-    def open_time(self, subcommand: str) -> float:
-        """``t_target``, which ``subcommand`` needs in (0, 1)."""
-        if not (0.0 < self.t_target < 1.0):
-            raise ConfigurationError(f"[equation] t_target: {subcommand} needs 0 < t < 1")
+    def open_time(self) -> float:
+        """``t_target``, required in (0, 1) (``require_open_unit``)."""
+        _in_section("[equation]", require_open_unit, t_target=self.t_target)
         return self.t_target
 
     def canonical_lines(self) -> list[str]:
@@ -271,7 +266,7 @@ def cmd_continuity(cfg: RunConfig) -> _Result:
     rhs = cfg.build_rhs(model)
     if cfg.kind == "neutral":
         raise ConfigurationError("[equation] kind: continuity needs a time-dependent family")
-    t_target = cfg.open_time("continuity")
+    t_target = cfg.open_time()
     trace, res = continuity_in_t(model, rhs, cfg.equation(), t_target, cfg.solve_config())
     status, summary, files = _trace_result(trace, "t_star")
     files["potential.dat"] = _curve(model.grid.nodes, res.phi)
@@ -281,7 +276,7 @@ def cmd_continuity(cfg: RunConfig) -> _Result:
 def cmd_sweep(cfg: RunConfig) -> _Result:
     from .solver import sweep_epsilon
     model = cfg.validate_model()
-    eps_list = cfg.eps_list("sweep")
+    eps_list = cfg.eps_list()
     trace, _ = sweep_epsilon(model, cfg.gamma, cfg.equation(), cfg.t_target,
                              eps_list, cfg.solve_config(),
                              rhs_builder=lambda eps: cfg.build_rhs(model, epsilon=eps))
@@ -291,12 +286,12 @@ def cmd_sweep(cfg: RunConfig) -> _Result:
 def cmd_magnify(cfg: RunConfig) -> _Result:
     from .comparison import magnification_experiment
     model = cfg.validate_model()
-    eps_list = cfg.eps_list("magnify")
+    eps_list = cfg.eps_list()
     if cfg.kind != "magnifying":
         raise ConfigurationError("[equation] kind: magnify solves the magnifying family")
     if cfg.rhs_kind != "dirac":
         raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
-    tau0 = cfg.open_time("magnify")
+    tau0 = cfg.open_time()
     # every member is built here too, so that an invalid one names [rhs];
     # the experiment's builds are the model's memo hits
     for eps in eps_list:
@@ -317,8 +312,8 @@ def cmd_multiplier(cfg: RunConfig) -> _Result:
     from .solver import sweep_epsilon
     model = cfg.validate_model()
     _in_section("[model]", _require_pole_side, model.grid)
-    eps_list = cfg.eps_list("multiplier")
-    tau0 = cfg.open_time("multiplier")
+    eps_list = cfg.eps_list()
+    tau0 = cfg.open_time()
     trace, results = sweep_epsilon(
         model, cfg.gamma, cfg.equation(), tau0, eps_list, cfg.solve_config(),
         rhs_builder=lambda eps: cfg.build_rhs(model, epsilon=eps))
@@ -386,9 +381,10 @@ def _verify_checks(model: KahlerModel, solve: SolveConfig) -> list[tuple[str, bo
     gam = min(1.0, model.degree)
     rhs = build_dirac_rhs(gam, 1e-3, model)
     neutral = newton_solve(model, rhs, EquationKind("neutral"), solve)
-    # the quadrature is exact up to the rounding of its slope powers
-    limit = max(solve.newton_tol, float(rounding_floor(neutral.phi, model.grid.h)
-                * max(1.0, model.grid.h, model.psi_slopes[-1] ** (model.n - 1))))
+    # the rows' rounding: slope powers up to W^n (W psi's last slope), phi's times W^(n-1)
+    W, h, n = float(model.psi_slopes[-1]), model.grid.h, model.n
+    limit = max(solve.newton_tol, 16.0 * np.finfo(float).eps * W**n / h
+                + rounding_floor(neutral.phi, h) * max(1.0, W ** (n - 1)))
     checks.append(("neutral_residual", neutral.converged and neutral.residual_norm <= limit,
                    f"sup residual = {fmt(neutral.residual_norm)}"))
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, CurvatureMarginWarning, require_finite,
-                     require_open_unit, require_positive)
+from .errors import (ConfigurationError, CurvatureMarginWarning, require_open_unit,
+                     require_positive)
 from .geometry import KahlerModel, pole_lelong
 from .grid import grid_values
 from .rhs import check_lower_bound
@@ -38,16 +38,16 @@ def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
                            model: KahlerModel) -> float:
     """Implied pole-coefficient lower bound e^{-tau0 * A_W / n} * gamma.
 
-    A_W is the sup of phi (``grid_values``) over [s_min, s_min + window]. The
+    A_W is the sup of phi (``grid_values``) over [s_min, s_min + window],
+    a positive window that fits the grid (``require_positive``). The
     bound is at least gamma whenever the perturbation is nonpositive there,
     and shrinking the window can only increase it.
     """
-    require_positive(gamma=gamma)
-    require_finite(window=window)
+    require_positive(gamma=gamma, window=window)
     require_open_unit(tau0=tau0)
     grid = model.grid
     vals = grid_values(phi, grid)
-    if window <= 0 or grid.s_min + window > grid.s_max:
+    if grid.s_min + window > grid.s_max:
         raise ConfigurationError("window does not fit the grid")
     j = grid.index_of(grid.s_min + window)
     a_w = float(np.max(vals[:j + 1]))

@@ -1,6 +1,6 @@
 """The one exception type for a rejected input, the one warning, and the
-rules that admit a scalar parameter: each rule raises ConfigurationError
-naming the first parameter it rejects."""
+rules that admit a scalar parameter, a real number that is no bool: each
+rule raises ConfigurationError naming the first parameter it rejects."""
 
 import math
 import numbers
@@ -16,10 +16,11 @@ class CurvatureMarginWarning(UserWarning):
 
 
 def require_finite(**params) -> None:
-    """Each parameter a finite real number: a nan or an infinite one passes
-    every sign check."""
+    """Each parameter a finite real number and no bool: a nan or an infinite
+    one passes every sign check, and True would be read as 1."""
     for name, value in params.items():
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
@@ -40,7 +41,7 @@ def require_integer(least: int, **params) -> None:
 
 
 def require_open_unit(**params) -> None:
-    """Each parameter a real number strictly between 0 and 1."""
+    """Each parameter a real number strictly between 0 and 1, which no bool is."""
     for name, value in params.items():
         if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
             raise ConfigurationError(f"{name} must lie in (0, 1), got {value}")

@@ -144,9 +144,17 @@ def rounding_floor(values: np.ndarray, h: float) -> float:
 
 def grid_values(values, grid: SGrid) -> np.ndarray:
     """The one gate for a grid function: ``values`` as one finite double per
-    node of ``grid``, never broadcast. A ``RadialPotential`` u is no array and
-    fails the conversion (TypeError), so u is never read as phi."""
-    vals = np.asarray(values, dtype=float)
+    node of ``grid``, never broadcast, read from an integer or float array
+    alone. A string, complex, bool or object array is rejected by its type:
+    a ``RadialPotential`` u is an object array, never read as phi."""
+    try:
+        vals = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise ConfigurationError(f"potential values must be an array: {exc}") from None
+    if vals.dtype.kind not in "iuf":
+        raise ConfigurationError(f"potential values must be integers or floats, got "
+                                 f"{type(values).__name__} of dtype {vals.dtype}")
+    vals = vals.astype(float, copy=False)
     if vals.shape != (grid.points,):
         raise ConfigurationError(
             f"values shape {vals.shape} does not match grid with {grid.points} points")

@@ -114,8 +114,8 @@ def magnifying(t: float) -> EquationKind:
 @dataclass(frozen=True)
 class SolveConfig:
     """Stopping rule and start of ``newton_solve``: ``newton_tol`` finite and
-    positive, ``max_iters`` an integer >= 1. ``initial_guess`` is any
-    predictor of phi on the model grid; the solver resets its level."""
+    positive, ``max_iters`` an integer >= 1. ``initial_guess`` is any predictor
+    of phi that passes ``grid_values``; the solver resets its level."""
 
     newton_tol: float = 1e-10
     max_iters: int = 50
@@ -341,14 +341,8 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             f"right-hand side built for n = {rhs.model.n}, d = {rhs.model.degree:g}, "
             f"solved on n = {model.n}, d = {model.degree:g}")
     model.grid.require_same(rhs.model.grid)
-    if cfg.initial_guess is not None:
-        phi = np.array(cfg.initial_guess, dtype=float, copy=True)
-        if phi.shape != (model.grid.points,):
-            raise ConfigurationError("initial guess does not live on the model grid")
-        if not np.isfinite(phi).all():
-            raise ConfigurationError("initial guess must be finite")
-    else:
-        phi = np.zeros(model.grid.points)
+    phi = (np.zeros(model.grid.points) if cfg.initial_guess is None
+           else grid_values(cfg.initial_guess, model.grid).copy())
     # a diverging iterate may overflow on its way out; the message reports it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         T = _first_integral_map(model, rhs, kind)
@@ -475,18 +469,17 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
 
 
 def _eps_values(eps_list) -> list[float]:
-    """A mollifier list as floats, required non-empty, finite, positive and
-    strictly decreasing."""
-    eps = [float(e) for e in eps_list]
+    """A mollifier list as floats: a non-empty sequence, no bare number or string,
+    of members ``eps[i]`` that pass ``require_positive`` and decrease strictly."""
+    if isinstance(eps_list, (str, bytes)) or not np.iterable(eps_list):
+        raise ConfigurationError(f"eps list must be a sequence of numbers, got {eps_list!r}")
+    eps = list(eps_list)
     if not eps:
         raise ConfigurationError("eps list must not be empty")
-    if not all(map(math.isfinite, eps)):
-        raise ConfigurationError(f"eps list must be finite, got {eps}")
-    if not all(e > 0.0 for e in eps):
-        raise ConfigurationError(f"eps list must be positive, got {eps}")
+    require_positive(**{f"eps[{i}]": e for i, e in enumerate(eps)})
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigurationError("eps list must be strictly decreasing")
-    return eps
+    return [float(e) for e in eps]
 
 
 def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
@@ -495,7 +488,7 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
                   ) -> tuple[ContinuityTrace, list[SolveResult]]:
     """Solve the family at fixed time tau0 across a decreasing mollifier list.
 
-    For a time-dependent kind tau0 must equal kind.t. The members are
+    tau0 must be finite and equal kind.t, for every kind. The members are
     ``rhs_builder(eps)`` (default ``build_dirac_rhs(gamma, eps, model)``),
     all built before the first solve. At exponent rate 0 (the neutral
     family, or t = 0) each member is one quadrature. Otherwise a member is
@@ -511,7 +504,8 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
     The rule counts listed steps, so it depends on the spacing of the list
     (one unit per decade in the experiments).
     """
-    if kind.kind != "neutral" and tau0 != kind.t:
+    require_finite(tau0=tau0)
+    if tau0 != kind.t:
         raise ConfigurationError(f"tau0 = {tau0} does not match the {kind.kind} "
                                  f"family's t = {kind.t}")
     eps_arr = _eps_values(eps_list)

@@ -405,6 +405,51 @@ class TestVerify:
         assert "FAIL neutral_residual: sup residual = 9.9999999999999995e-07" in out
         assert out.count("PASS") == 3
 
+    @staticmethod
+    def model_config(tmp_path, n, degree) -> str:
+        path = tmp_path / "model.ini"
+        path.write_text(f"[model]\nn = {n}\ndegree = {degree}\n")
+        return str(path)
+
+    def test_neutral_residual_holds_at_a_large_degree(self, tmp_path, capsys):
+        # the rows difference slope powers up to d^n = 1e8: an exact
+        # quadrature leaves 9.3e-07, within their rounding
+        cfg = self.model_config(tmp_path, 2, "1e4")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS neutral_residual: sup residual = 9.3006383394822478e-07" in out
+        assert out.count("PASS") == 4
+
+    def test_neutral_residual_holds_at_degree_1e8(self, tmp_path, capsys):
+        # fixed_point_magnifying still fails here: the absolute newton_tol
+        # stop rule ends the magnifying solve away from phi = 0
+        cfg = self.model_config(tmp_path, 1, "1e8")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "PASS neutral_residual: sup residual = 3.7252902984619141e-07" in out
+        assert "FAIL fixed_point_magnifying" in out
+
+    def test_a_moved_node_fails_at_a_large_degree(self, tmp_path, capsys, monkeypatch):
+        # the limit follows the rounding of the rows, not a fraction of d^n:
+        # phi moved by 1e-6 at one interior node breaks its rows
+        solve, rows = radialma.solver.newton_solve, radialma.solver.residual_from_perturbation
+
+        def moved_node(model, rhs, kind, config=None):
+            res = solve(model, rhs, kind, config)
+            if kind.kind != "neutral":
+                return res
+            phi = res.phi.copy()
+            phi[model.grid.points // 2] += 1e-6
+            norm = float(np.max(np.abs(rows(phi, model, rhs, kind))))
+            return replace(res, phi=phi, residual_norm=norm)
+
+        monkeypatch.setattr(radialma.solver, "newton_solve", moved_node)
+        cfg = self.model_config(tmp_path, 2, "1e4")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL neutral_residual" in out
+        assert out.count("PASS") == 3
+
     @pytest.mark.parametrize("changes,where", [
         (dict(degree="nan"), "[model]: degree must be finite, got nan"),
         (dict(s_min="1.0"), "[model]: first slope 2.46403 must lie in [0, 2)"),
@@ -820,14 +865,16 @@ class TestOutputContract:
         ("sweep", dict(rhs_kind="dirac", gamma="1.0", eps_list="1e-2,1e-1"),
          "[rhs] epsilon_list: eps list must be strictly decreasing"),
         ("magnify", dict(rhs_kind="dirac", gamma="1.0", t="0.3", t_target="0.3",
-                         eps_list="inf,1e-2"), "[rhs] epsilon_list: eps list must be finite"),
+                         eps_list="inf,1e-2"),
+         "[rhs] epsilon_list: eps[0] must be finite, got inf"),
         ("multiplier", dict(rhs_kind="dirac", gamma="1.0", t="0.3", t_target="0.3",
-                            eps_list="1e-1,nan"), "[rhs] epsilon_list: eps list must be finite"),
+                            eps_list="1e-1,nan"),
+         "[rhs] epsilon_list: eps[1] must be finite, got nan"),
         ("magnify", dict(rhs_kind="dirac", gamma="1.8", t="0.0", t_target="0.0",
-                         eps_list="1e-1,1e-2"), "[equation] t_target: magnify needs 0 < t < 1"),
+                         eps_list="1e-1,1e-2"), "[equation]: t_target must lie in (0, 1), got 0.0"),
         ("slope", dict(extra="slope_n = 0\n"), "[run] slope_n: n must be an integer >= 1, got 0"),
         ("continuity", dict(rhs_kind="dirac", gamma="1.0", t="0.0", t_target="0.0"),
-         "[equation] t_target: continuity needs 0 < t < 1"),
+         "[equation]: t_target must lie in (0, 1), got 0.0"),
         ("magnify", dict(rhs_kind="dirac", gamma="nan", t="0.3", t_target="0.3",
                          eps_list="1e-1,1e-2"), "[rhs]: gamma must be finite, got nan"),
         ("magnify", dict(rhs_kind="dirac", gamma="5", t="0.3", t_target="0.3",
@@ -835,7 +882,8 @@ class TestOutputContract:
         # a later nonpositive eps is rejected by the list's own check, before
         # any member is built
         *[(cmd, dict(rhs_kind="dirac", gamma="1.0", t="0.3", t_target="0.3",
-                     eps_list="1e-1,-1e-2"), "[rhs] epsilon_list: eps list must be positive")
+                     eps_list="1e-1,-1e-2"),
+          "[rhs] epsilon_list: eps[1] must be positive, got -0.01")
           for cmd in ("sweep", "magnify", "multiplier")],
         # the experiment names files inside the output directory
         ("slope", dict(name="sub/err"), "[run] experiment: expected a file name, got 'sub/err'"),

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from radialma import (
     ConfigurationError,
+    EquationKind,
     KahlerModel,
     PotentialSequence,
     StalkDescriptor,
     build_dirac_rhs,
     germ_integral,
     magnifying,
-    neutral,
     stalk_from_sequence,
     sweep_epsilon,
     trivial_lemma_report,
@@ -209,11 +209,11 @@ class TestOneIntegrabilityRule:
         (1, 2.0, 1.8, magnifying(0.9)), (2, 3.0, 2.7, magnifying(0.5)),
         (2, 3.0, 2.7, magnifying(0.9)),
         # neutral members solve at every tau, so tau nu passes n + 1
-        (1, 8.0, 7.2, neutral()), (2, 8.0, 7.2, neutral()), (3, 4.0, 3.6, neutral()),
+        *[(n, d, 0.9 * d, EquationKind("neutral", 0.9)) for n, d in ((1, 8.0), (2, 8.0), (3, 4.0))],
     ])
     def test_agrees_with_the_germ_search_on_a_solved_sweep(self, n, d, gamma, kind):
         model = KahlerModel(n, d)
-        tau = kind.t or 0.9
+        tau = kind.t
         _, results = sweep_epsilon(model, gamma, kind, tau, (1e-2, 1e-3))
         assert all(res.converged for res in results)
         seq = PotentialSequence(model, tuple((res.phi, tau, res.rhs) for res in results))

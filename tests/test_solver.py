@@ -198,7 +198,7 @@ class TestFixedPoints:
     def test_non_finite_guess_rejected(self, model_n1, bad):
         guess = np.zeros(model_n1.grid.points)
         guess[100] = bad
-        with pytest.raises(ConfigurationError, match="^initial guess must be finite$"):
+        with pytest.raises(ConfigurationError, match="^potential values must be finite$"):
             newton_solve(model_n1, constant_rhs(model_n1), magnifying(0.5),
                          SolveConfig(initial_guess=guess))
 
@@ -765,7 +765,7 @@ class TestSweep:
     @pytest.mark.parametrize("eps_list", [[np.inf, 1e-2], [1e-1, np.nan]])
     def test_eps_list_must_be_finite(self, model_n1, eps_list):
         # both pass the ordering check: nan compares false to everything
-        with pytest.raises(ConfigurationError, match="eps list must be finite"):
+        with pytest.raises(ConfigurationError, match=r"eps\[\d\] must be finite"):
             sweep_epsilon(model_n1, 1.0, magnifying(0.3), 0.3, eps_list)
 
     def test_time_zero_is_the_neutral_family(self, model_n1):

@@ -108,7 +108,7 @@ CASES = {
     "t_star without barrier": (ConfigurationError, "barrier verdict and t_star",
                                lambda m: ContinuityTrace((), "reached_target", 0.5)),
     "guess of the wrong shape": (
-        ConfigurationError, "initial guess does not live on the model grid",
+        ConfigurationError, "values shape (3,) does not match grid with 81 points",
         lambda m: newton_solve(m, constant_rhs(m), neutral(),
                                SolveConfig(initial_guess=np.zeros(3)))),
     "continuity of the neutral kind": (
@@ -121,11 +121,11 @@ CASES = {
     "t_target against kind.t": (
         ConfigurationError, "t_target = 0.2 does not match the magnifying family's t = 0.5",
         lambda m: continuity_in_t(m, constant_rhs(m), magnifying(0.5), 0.2)),
-    "later eps < 0": (ConfigurationError, "eps list must be positive, got [0.1, -0.01]",
+    "later eps < 0": (ConfigurationError, "eps[1] must be positive, got -0.01",
                       lambda m: sweep_epsilon(m, 1.0, magnifying(0.5), 0.5, (1e-1, -1e-2))),
     # the constant family ignores eps, but the list is still a mollifier list
     "constant family over eps = 0": (
-        ConfigurationError, "eps list must be positive, got [0.1, 0.0]",
+        ConfigurationError, "eps[1] must be positive, got 0.0",
         lambda m: sweep_epsilon(m, 0.0, neutral(), 0.0, (1e-1, 0.0),
                                 rhs_builder=lambda eps: constant_rhs(m))),
     "infinite grid endpoint": (ConfigurationError, "s_min must be finite, got -inf",
@@ -162,12 +162,13 @@ CASES = {
         ConfigurationError, "potential values must be finite",
         lambda m: bootstrap_lelong_bound(with_node_3(np.inf), 0.5, 1.0, 5.0, m)),
     # a potential u is no array of node values: it is not read as phi
-    "diagnostics_for of a potential": (TypeError, "RadialPotential",
+    "diagnostics_for of a potential": (ConfigurationError, "RadialPotential",
                                        lambda m: diagnostics_for(m.psi, m)),
-    "average of a potential": (TypeError, "RadialPotential", lambda m: average(m.psi, m)),
-    "pole_lelong of a potential": (TypeError, "RadialPotential",
+    "average of a potential": (ConfigurationError, "RadialPotential",
+                               lambda m: average(m.psi, m)),
+    "pole_lelong of a potential": (ConfigurationError, "RadialPotential",
                                    lambda m: pole_lelong(m.psi, m)),
-    "germ_integral of a potential": (TypeError, "RadialPotential",
+    "germ_integral of a potential": (ConfigurationError, "RadialPotential",
                                      lambda m: germ_integral(0, m.psi, 0.5, m)),
     "potential of dimension 0": (ConfigurationError, "dimension must be an integer >= 1, got 0",
                                  lambda m: RadialPotential(GRID, ZEROS, 0)),
@@ -314,3 +315,67 @@ def test_open_unit_rule_at_every_site(site, value):
 def test_positive_rule_at_every_site(site, value, rule):
     name, call = POSITIVE_SITES[site]
     assert rejection(call, value) == f"{name} must be {rule}, got {value}"
+
+
+# values that are no real number, each rejected wherever a scalar, a grid
+# function or an eps list member is read; for grid functions also arrays a
+# conversion to float would misread, for eps lists also a bare number or a
+# string named as the list. Left out: RhsFamily and the result records,
+# which the library builds, and xi_eps's s, a coordinate array.
+NOT_A_NUMBER = {"'x'": "x", "None": None, "True": True, "1+0j": 1 + 0j, "[0.5]": [0.5]}
+NOT_A_GRID_FUNCTION = {
+    **NOT_A_NUMBER,
+    "numeric strings": np.full(GRID.points, "0.5"),
+    "complex array": ZEROS + 0j,
+    "list holding 'x'": [0.0] * (GRID.points - 1) + ["x"],
+    "RadialPotential": RadialPotential(GRID, ZEROS, 1),
+}
+NOT_AN_EPS_LIST = {**{f"[{key}]": [value] for key, value in NOT_A_NUMBER.items()},
+                   "['1e-2']": ["1e-2"], "bare float": 0.5, "'x'": "x"}
+# the sites of each rule above, and every site that reads a finite number
+SCALAR_SITES = {
+    **{site: call for site, (_, _, call) in INTEGER_SITES.items()},
+    **{site: call for site, (_, call) in OPEN_UNIT_SITES.items()},
+    **{site: call for site, (_, call) in POSITIVE_SITES.items()},
+    "SGrid s_min": lambda m, v: SGrid(v, 10.0, 81),
+    "SGrid s_max": lambda m, v: SGrid(-10.0, v, 81),
+    "build_dirac_rhs gamma": lambda m, v: build_dirac_rhs(v, 1e-1, m),
+    "build_divisor_rhs delta_prime": lambda m, v: build_divisor_rhs(v, 1e-1, m),
+    "magnifying t": lambda m, v: EquationKind("magnifying", v),
+    "neutral t": lambda m, v: EquationKind("neutral", v),
+    "sweep_epsilon gamma": lambda m, v: sweep_epsilon(m, v, magnifying(0.5), 0.5, (1e-1,)),
+    "sweep_epsilon tau0": lambda m, v: sweep_epsilon(m, 1.0, magnifying(0.5), v, (1e-1,)),
+    "neutral sweep_epsilon tau0": lambda m, v: sweep_epsilon(m, 1.0, neutral(), v, (1e-1,)),
+    "magnification_experiment gamma": lambda m, v: magnification_experiment(m, v, 0.5, (1e-1,)),
+    "bootstrap_lelong_bound window": lambda m, v: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, v, m),
+    "germ_integral tau": lambda m, v: germ_integral(0, ZEROS, v, m),
+    "trivial_lemma_report eta": lambda m, v: trivial_lemma_report(StalkDescriptor(1, 1.5), v),
+    "BundleSpec degree": lambda m, v: BundleSpec(((v, 1),)),
+}
+GRID_FUNCTION_SITES = {
+    "RadialPotential values": lambda m, v: RadialPotential(GRID, v, 1),
+    # None is the default guess, phi = 0
+    "newton_solve initial_guess": lambda m, v: newton_solve(
+        m, constant_rhs(m), magnifying(0.5), SolveConfig(initial_guess=v)),
+    "average phi": lambda m, v: average(v, m),
+    "pole_lelong phi": lambda m, v: pole_lelong(v, m),
+    "diagnostics_for phi": lambda m, v: diagnostics_for(v, m),
+    "germ_integral phi": lambda m, v: germ_integral(0, v, 0.5, m),
+    "bootstrap_lelong_bound phi": lambda m, v: bootstrap_lelong_bound(v, 0.5, 1.0, 5.0, m),
+    "PotentialSequence phi": lambda m, v: PotentialSequence(m, ((v, 0.5, None),)),
+}
+EPS_LIST_SITES = {
+    "sweep_epsilon eps_list": lambda m, v: sweep_epsilon(m, 1.0, magnifying(0.5), 0.5, v),
+    "magnification_experiment eps_list": lambda m, v: magnification_experiment(m, 1.0, 0.5, v),
+}
+PROBES = [pytest.param(sites[site], inputs[key], id=f"{site}-{key}")
+          for sites, inputs in ((SCALAR_SITES, NOT_A_NUMBER),
+                                (GRID_FUNCTION_SITES, NOT_A_GRID_FUNCTION),
+                                (EPS_LIST_SITES, NOT_AN_EPS_LIST))
+          for site in sites for key in inputs
+          if not (site == "newton_solve initial_guess" and key == "None")]
+
+
+@pytest.mark.parametrize("call,value", PROBES)
+def test_a_non_number_is_a_configuration_error(call, value):
+    rejection(call, value)
