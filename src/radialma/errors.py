@@ -1,6 +1,8 @@
 """The one exception type for a rejected input, the one warning, and the
 rules that admit a scalar parameter, a real number that is no bool: each
-rule raises ConfigurationError naming the first parameter it rejects."""
+rule raises ConfigurationError naming the first parameter it rejects. A
+rejected real number is printed in its str form, so a numpy float reads
+0.5; any other value by repr, so the string '1e-2' reads as a string."""
 
 import math
 import numbers
@@ -15,13 +17,17 @@ class CurvatureMarginWarning(UserWarning):
     as an experimental probe."""
 
 
+def _shown(value) -> str:
+    return str(value) if isinstance(value, numbers.Real) else repr(value)
+
+
 def require_finite(**params) -> None:
     """Each parameter a finite real number and no bool: a nan or an infinite
     one passes every sign check, and True would be read as 1."""
     for name, value in params.items():
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if not (real and math.isfinite(value)):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
+            raise ConfigurationError(f"{name} must be finite, got {_shown(value)}")
 
 
 def require_positive(**params) -> None:
@@ -44,4 +50,4 @@ def require_open_unit(**params) -> None:
     """Each parameter a real number strictly between 0 and 1, which no bool is."""
     for name, value in params.items():
         if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
-            raise ConfigurationError(f"{name} must lie in (0, 1), got {value}")
+            raise ConfigurationError(f"{name} must lie in (0, 1), got {_shown(value)}")

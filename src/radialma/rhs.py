@@ -107,9 +107,11 @@ class RhsFamily:
     slope of u over psi's, the flux that mass below the truncation cut
     sends through it; nonzero only for the point-mass family.
 
-    Construction has one gate, on those two, and it makes every solution
-    Kahler: the cell masses are finite and nonnegative with a positive
-    total (F > 0 as the solver sees it), and the first half-node slope
+    Construction has one gate. Each scalar field is a finite real number
+    (``require_finite``; ``pole_anchor`` may also be None), and on
+    ``density`` and ``left_flux_offset`` it makes every solution Kahler:
+    the cell masses are finite and nonnegative with a positive total
+    (F > 0 as the solver sees it), and the first half-node slope
     0 <= psi_slopes[0] + left_flux_offset lies below psi's last, so that
     they carry a positive flux.
     """
@@ -126,6 +128,11 @@ class RhsFamily:
     profile_scale: float = 0.0
 
     def __post_init__(self):
+        require_finite(gamma=self.gamma, epsilon=self.epsilon, delta_prime=self.delta_prime,
+                       c_smooth=self.c_smooth, left_flux_offset=self.left_flux_offset,
+                       profile_scale=self.profile_scale)
+        if self.pole_anchor is not None:
+            require_finite(pole_anchor=self.pole_anchor)
         if self.profile is not None and self.profile.cells.shape != self.model.weight.shape:
             raise ConfigurationError("profile does not live on the model grid")
         density = self.density

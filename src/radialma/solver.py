@@ -60,7 +60,7 @@ result records (``SolveResult.rhs``), is dilated to the new mollifier
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -113,13 +113,11 @@ def magnifying(t: float) -> EquationKind:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping rule and start of ``newton_solve``: ``newton_tol`` finite and
-    positive, ``max_iters`` an integer >= 1. ``initial_guess`` is any predictor
-    of phi that passes ``grid_values``; the solver resets its level."""
+    """Stopping rule of ``newton_solve``, the CLI's ``[solver]`` section:
+    ``newton_tol`` finite and positive, ``max_iters`` an integer >= 1."""
 
     newton_tol: float = 1e-10
     max_iters: int = 50
-    initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
         require_positive(newton_tol=self.newton_tol)
@@ -323,12 +321,13 @@ def _anderson(T, phi: np.ndarray, tol: float, max_iters: int):
 
 
 def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
-                 config: SolveConfig | None = None) -> SolveResult:
-    """Solve phi = T(phi) for the first-integral map T from
-    ``config.initial_guess`` (default phi = 0), whatever its level.
+                 config: SolveConfig | None = None, start=None) -> SolveResult:
+    """Solve phi = T(phi) for the first-integral map T from ``start``, any
+    predictor of phi that passes ``grid_values`` (default phi = 0), whatever
+    its level.
 
     At exponent rate 0 (the neutral family, or t = 0) one application of T
-    is the exact solution, whatever the guess, with 0 iterations. Otherwise
+    is the exact solution, whatever the start, with 0 iterations. Otherwise
     ``_anderson`` iterates until the step is at or below ``newton_tol``;
     when it stops short, ``message`` says why. ``residual_norm``, the sup
     of the result's rows at exit, is reported and decides nothing. The
@@ -341,8 +340,8 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
             f"right-hand side built for n = {rhs.model.n}, d = {rhs.model.degree:g}, "
             f"solved on n = {model.n}, d = {model.degree:g}")
     model.grid.require_same(rhs.model.grid)
-    phi = (np.zeros(model.grid.points) if cfg.initial_guess is None
-           else grid_values(cfg.initial_guess, model.grid).copy())
+    phi = (np.zeros(model.grid.points) if start is None
+           else grid_values(start, model.grid).copy())
     # a diverging iterate may overflow on its way out; the message reports it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         T = _first_integral_map(model, rhs, kind)
@@ -451,8 +450,7 @@ def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     dt = t_target
     while step.converged and t < t_target:
         t_try = min(t + dt, t_target)
-        attempt = newton_solve(model, rhs, EquationKind(kind.kind, t_try),
-                               replace(cfg, initial_guess=step.phi))
+        attempt = newton_solve(model, rhs, EquationKind(kind.kind, t_try), cfg, step.phi)
         if attempt.converged:
             step, t = attempt, t_try
             entries.append(StepRecord.of(t, step))
@@ -520,8 +518,8 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
         else:
             res = None
             if prev is not None:
-                guess = _dilated(prev.phi, model, prev.rhs, rhs)
-                res = newton_solve(model, rhs, kind, replace(cfg, initial_guess=guess))
+                res = newton_solve(model, rhs, kind, cfg,
+                                   _dilated(prev.phi, model, prev.rhs, rhs))
             if res is None or not res.converged:
                 _, res = continuity_in_t(model, rhs, kind, kind.t, cfg)
             if res.converged:

@@ -55,8 +55,8 @@ def test_criterion_01_fixed_point_suite():
         for kind in ("reducing", "neutral", "magnifying"):
             for t in (0.0, 0.25, 0.5, 0.9):
                 tt = 0.0 if kind == "neutral" else t
-                cfg = SolveConfig(newton_tol=1e-13, max_iters=50, initial_guess=bump)
-                res = newton_solve(m, rhs, EquationKind(kind, tt), cfg)
+                cfg = SolveConfig(newton_tol=1e-13, max_iters=50)
+                res = newton_solve(m, rhs, EquationKind(kind, tt), cfg, bump)
                 assert res.converged, (n, kind, t, res.message)
                 assert res.iterations <= 25, (n, kind, t, res.iterations)
                 sup = float(np.max(np.abs(res.phi)))

@@ -7,14 +7,14 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import radialma.solver
-from radialma import DEFAULT_GRID, CurvatureMarginWarning, SolveConfig
+from radialma import DEFAULT_GRID, CurvatureMarginWarning, SolveConfig, cli
 from radialma.cli import load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -647,6 +647,10 @@ class TestDefaults:
             DEFAULT_GRID.s_min, DEFAULT_GRID.s_max, DEFAULT_GRID.points)
         assert cfg.solve_config() == solve
         assert cfg.validate_model().grid == DEFAULT_GRID
+
+    def test_solve_config_is_the_solver_section(self):
+        # a solve's start is an argument of newton_solve, not a setting
+        assert {f.name for f in fields(SolveConfig)} == set(cli._KEYS["solver"])
 
 
 class TestWarnings:

@@ -203,9 +203,9 @@ class TestPreconditions:
             replace(rhs, c_smooth=-1.0)
 
     def test_nan_f_rejected(self, model_n1):
-        # a NaN F is no positive density: its cell masses are NaN
+        # a NaN F is no positive density: its smooth part is rejected by name
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
-        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+        with pytest.raises(ConfigurationError, match="^c_smooth must be finite, got nan$"):
             replace(rhs, c_smooth=math.nan)
 
     def test_cell_masses_carry_mass(self, model_n1):

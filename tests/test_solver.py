@@ -166,9 +166,8 @@ class TestFixedPoints:
     def test_unit_rhs_fixed_point_from_perturbed_start(self, n, d, kind, t):
         m = KahlerModel(n, d)
         rhs = constant_rhs(m)
-        cfg = SolveConfig(newton_tol=1e-13, max_iters=50,
-                          initial_guess=gaussian_bump(m.grid, 0.3))
-        res = newton_solve(m, rhs, EquationKind(kind, t), cfg)
+        cfg = SolveConfig(newton_tol=1e-13, max_iters=50)
+        res = newton_solve(m, rhs, EquationKind(kind, t), cfg, gaussian_bump(m.grid, 0.3))
         assert res.converged
         assert res.iterations <= 25
         assert np.max(np.abs(res.phi)) <= 1e-9
@@ -177,8 +176,7 @@ class TestFixedPoints:
         # full-domain sine perturbation, the classical smoke case for n = 1
         g = model_n1.grid
         bump = 0.3 * np.sin(np.pi * (g.nodes - g.s_min) / (g.s_max - g.s_min))
-        cfg = SolveConfig(initial_guess=bump)
-        res = newton_solve(model_n1, constant_rhs(model_n1), magnifying(0.5), cfg)
+        res = newton_solve(model_n1, constant_rhs(model_n1), magnifying(0.5), start=bump)
         assert res.converged and np.max(np.abs(res.phi)) <= 1e-9
         assert res.residual_norm <= 1e-10
 
@@ -199,8 +197,7 @@ class TestFixedPoints:
         guess = np.zeros(model_n1.grid.points)
         guess[100] = bad
         with pytest.raises(ConfigurationError, match="^potential values must be finite$"):
-            newton_solve(model_n1, constant_rhs(model_n1), magnifying(0.5),
-                         SolveConfig(initial_guess=guess))
+            newton_solve(model_n1, constant_rhs(model_n1), magnifying(0.5), start=guess)
 
     def test_an_iterate_that_leaves_no_mass_fails_the_solve(self):
         # far below s = 0 the constant family's cell masses underflow to 0;
@@ -213,7 +210,7 @@ class TestFixedPoints:
         assert rhs.density[9] == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             assert np.isnan(_first_integral_map(m, rhs, kind)(phi)).all()
-        res = newton_solve(m, rhs, kind, SolveConfig(initial_guess=phi))
+        res = newton_solve(m, rhs, kind, start=phi)
         assert res.message == "fixed-point map produced non-finite values"
         assert res.iterations == 0 and not res.converged
         assert np.array_equal(res.phi, phi)
@@ -323,8 +320,7 @@ class TestNeutralOracle:
         # the point-mass cell masses are nonnegative: adding them to the
         # smooth part never lowers a density value
         assert np.all(rhs.density >= rhs.c_smooth * m.weight)
-        res = newton_solve(m, rhs, neutral(),
-                           SolveConfig(initial_guess=gaussian_bump(m.grid)))
+        res = newton_solve(m, rhs, neutral(), start=gaussian_bump(m.grid))
         assert res.converged and res.iterations == 0
         assert res.residual_norm <= 1e-10
         assert np.array_equal(res.u.values, neutral_oracle(m, rhs).values)
@@ -588,7 +584,7 @@ class TestContinuity:
         """Warm-started solve at t1 from the solve at t0; a failing interval
         is bisected, as continuation halves a failing step."""
         at = EquationKind(kind, t1)
-        res = newton_solve(m, rhs, at, SolveConfig(initial_guess=step.phi))
+        res = newton_solve(m, rhs, at, start=step.phi)
         if res.converged or t1 - t0 < solver.BARRIER_STEP_FLOOR:
             return res
         mid = TestContinuity._chain_step(m, rhs, kind, step, t0, 0.5 * (t0 + t1))
@@ -725,7 +721,7 @@ class TestRoundingFloor:
         rhs = build_dirac_rhs(1.5, 1e-3, model_n2)
         trace, base = continuity_in_t(model_n2, rhs, magnifying(t0), t0)
         assert trace.verdict == "reached_target"
-        res = newton_solve(model_n2, rhs, magnifying(0.4), SolveConfig(initial_guess=base.phi))
+        res = newton_solve(model_n2, rhs, magnifying(0.4), start=base.phi)
         assert res.converged, res.message
 
     @pytest.mark.parametrize("t", np.linspace(0.8194, 0.8906, 8).round(4).tolist())

@@ -2,6 +2,7 @@
 rejects, and each scalar rule of ``errors`` holds at every site that states it."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,12 @@ def with_node_3(value):
     return phi
 
 
+def family_with(field):
+    """A call that sets ``field`` of a point-mass family on the model, whose
+    layer at 2 log eps = -1.4 lies well inside GRID."""
+    return lambda m, v: replace(build_dirac_rhs(1.0, 0.5, m), **{field: v})
+
+
 def pole_on_a_narrow_grid(m):
     """gamma = 1.8 on [-5, 0.5], where psi's last slope is 1.23: the layer
     at 2 log eps = -13.8 lies below s_min, which warns, so the whole pole
@@ -94,7 +101,7 @@ CASES = {
                               lambda m: EquationKind("neutral", 7.0)),
     "neutral kind at t = nan": (ConfigurationError, "t must be finite, got nan",
                                 lambda m: EquationKind("neutral", np.nan)),
-    "magnifying kind at t = 'x'": (ConfigurationError, "t must be finite, got x",
+    "magnifying kind at t = 'x'": (ConfigurationError, "t must be finite, got 'x'",
                                    lambda m: EquationKind("magnifying", "x")),
     # a degree is read as a Fraction, which neither nan nor inf has
     "BundleSpec degree = nan": (ConfigurationError, "degree must be finite, got nan",
@@ -109,8 +116,7 @@ CASES = {
                                lambda m: ContinuityTrace((), "reached_target", 0.5)),
     "guess of the wrong shape": (
         ConfigurationError, "values shape (3,) does not match grid with 81 points",
-        lambda m: newton_solve(m, constant_rhs(m), neutral(),
-                               SolveConfig(initial_guess=np.zeros(3)))),
+        lambda m: newton_solve(m, constant_rhs(m), neutral(), start=np.zeros(3))),
     "continuity of the neutral kind": (
         ConfigurationError, "kind must be time-dependent for continuity in t, got 'neutral'",
         lambda m: continuity_in_t(m, constant_rhs(m), neutral(), 0.5)),
@@ -305,7 +311,8 @@ def test_integer_rule_admits_a_numpy_integer(site):
 @pytest.mark.parametrize("site", OPEN_UNIT_SITES)
 def test_open_unit_rule_at_every_site(site, value):
     name, call = OPEN_UNIT_SITES[site]
-    assert rejection(call, value) == f"{name} must lie in (0, 1), got {value}"
+    shown = repr(value) if isinstance(value, str) else value
+    assert rejection(call, value) == f"{name} must lie in (0, 1), got {shown}"
 
 
 @pytest.mark.parametrize("value,rule", [(0.0, "positive"), (-1.0, "positive"),
@@ -314,14 +321,15 @@ def test_open_unit_rule_at_every_site(site, value):
 @pytest.mark.parametrize("site", POSITIVE_SITES)
 def test_positive_rule_at_every_site(site, value, rule):
     name, call = POSITIVE_SITES[site]
-    assert rejection(call, value) == f"{name} must be {rule}, got {value}"
+    shown = repr(value) if isinstance(value, str) else value
+    assert rejection(call, value) == f"{name} must be {rule}, got {shown}"
 
 
 # values that are no real number, each rejected wherever a scalar, a grid
 # function or an eps list member is read; for grid functions also arrays a
 # conversion to float would misread, for eps lists also a bare number or a
-# string named as the list. Left out: RhsFamily and the result records,
-# which the library builds, and xi_eps's s, a coordinate array.
+# string named as the list. Left out: the result records, which the
+# library builds, and xi_eps's s, a coordinate array.
 NOT_A_NUMBER = {"'x'": "x", "None": None, "True": True, "1+0j": 1 + 0j, "[0.5]": [0.5]}
 NOT_A_GRID_FUNCTION = {
     **NOT_A_NUMBER,
@@ -351,12 +359,14 @@ SCALAR_SITES = {
     "germ_integral tau": lambda m, v: germ_integral(0, ZEROS, v, m),
     "trivial_lemma_report eta": lambda m, v: trivial_lemma_report(StalkDescriptor(1, 1.5), v),
     "BundleSpec degree": lambda m, v: BundleSpec(((v, 1),)),
+    **{f"RhsFamily {field}": family_with(field)
+       for field in ("gamma", "epsilon", "delta_prime", "c_smooth", "left_flux_offset",
+                     "pole_anchor", "profile_scale")},
 }
 GRID_FUNCTION_SITES = {
     "RadialPotential values": lambda m, v: RadialPotential(GRID, v, 1),
-    # None is the default guess, phi = 0
-    "newton_solve initial_guess": lambda m, v: newton_solve(
-        m, constant_rhs(m), magnifying(0.5), SolveConfig(initial_guess=v)),
+    "newton_solve start": lambda m, v: newton_solve(m, constant_rhs(m), magnifying(0.5),
+                                                    start=v),
     "average phi": lambda m, v: average(v, m),
     "pole_lelong phi": lambda m, v: pole_lelong(v, m),
     "diagnostics_for phi": lambda m, v: diagnostics_for(v, m),
@@ -373,7 +383,8 @@ PROBES = [pytest.param(sites[site], inputs[key], id=f"{site}-{key}")
                                 (GRID_FUNCTION_SITES, NOT_A_GRID_FUNCTION),
                                 (EPS_LIST_SITES, NOT_AN_EPS_LIST))
           for site in sites for key in inputs
-          if not (site == "newton_solve initial_guess" and key == "None")]
+          # None is the default start, phi = 0, and a family without a pole anchor
+          if not (site in ("newton_solve start", "RhsFamily pole_anchor") and key == "None")]
 
 
 @pytest.mark.parametrize("call,value", PROBES)
