@@ -121,7 +121,7 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     for record, res in zip(trace.entries, results):
         rhs = res.rhs
         control = neutral_oracle(model, rhs)
-        nu_neutral = pole_lelong(control.values - model.psi.values, model, rhs).value
+        nu_neutral = pole_lelong(control.values - model.psi.values, rhs).value
         bound = math.nan
         if res.converged:
             # gamma > 0 builds a point mass, whose layer sets the window

@@ -43,7 +43,7 @@ def require_integer(least: int, **params) -> None:
     integers included, that is no bool, so True and 2.0 are rejected."""
     for name, value in params.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+            raise ConfigurationError(f"{name} must be an integer >= {least}, got {_shown(value)}")
 
 
 def require_open_unit(**params) -> None:

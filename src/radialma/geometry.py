@@ -22,9 +22,9 @@ potentials are differentiated as the solver does, through their half-node
 slopes and ``grid.cell_masses``. Positivity has one rule,
 ``grid.first_violation`` of the slopes, which
 ``RadialPotential.kahler_violation`` applies. A solved pole has one
-reading, the windowed secant ``pole_lelong`` of u at three nodes:
-diagnostics, germ integrals, the stalk and the magnification table all
-read it.
+reading, the windowed secant ``pole_lelong`` of u at three nodes, taken
+with the family u solves for, whose model it reads: diagnostics, germ
+integrals, the stalk and the magnification table all read it.
 """
 
 from __future__ import annotations
@@ -179,26 +179,26 @@ class LelongEstimate:
     sensitivity: float
 
 
-def pole_lelong(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> LelongEstimate:
+def pole_lelong(phi, rhs: RhsFamily) -> LelongEstimate:
     """The pole coefficient of u = psi + phi, its asymptotic left slope, and
     the one reading of a solved pole: the secant slope of u over a window
-    [a, a + window], read at its three nodes only; phi passes ``grid_values``.
+    [a, a + window], read at its three nodes only. phi passes ``grid_values``
+    and solves for ``rhs``, the family whose model gives psi and the grid.
 
-    For smooth families the secant is anchored at s_min, over
-    max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves, or
-    over the whole grid where that is narrower. For the mollified
-    point-mass families the finite-eps solution is flat below the layer at
-    2 log(eps), so the secant is anchored just above the layer
-    (``rhs.pole_anchor``) and capped away from the bulk chart boundary at
-    LELONG_CAP, where the limiting slope has formed; where that window is
+    Without a pole anchor (the smooth families) the secant starts at s_min,
+    over max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves,
+    or over the whole grid where that is narrower. The mollified point-mass
+    solution is flat below its layer at 2 log(eps), so the secant starts just
+    above it (``rhs.pole_anchor``), capped away from the bulk chart boundary
+    at LELONG_CAP, where the limiting slope has formed; where that window is
     shorter than 4h, the smooth rule holds. ``sensitivity`` is the change
     under halving the window, the resolution-limit diagnostic.
     """
-    grid = model.grid
+    model, grid = rhs.model, rhs.model.grid
     vals = grid_values(phi, grid)
     window = min(max(LELONG_WINDOW, 4.0 * grid.h), float(grid.s_max - grid.s_min))
     a = grid.s_min
-    if rhs is not None and rhs.pole_anchor is not None:
+    if rhs.pole_anchor is not None:
         cap = min(LELONG_CAP, grid.s_max - 4.0 * grid.h)
         a0 = max(rhs.pole_anchor, grid.s_min)
         b = min(a0 + LELONG_WINDOW, cap)

@@ -67,10 +67,6 @@ class SGrid:
         i = int(round((s - self.s_min) / self.h))
         return min(max(i, 0), self.points - 1)
 
-    def require_same(self, other: "SGrid") -> None:
-        if self != other:
-            raise ConfigurationError("grids do not match")
-
 
 DEFAULT_GRID = SGrid(-40.0, 40.0, 4001)
 

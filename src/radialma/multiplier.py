@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, require_finite, require_integer, require_open_unit
 from .geometry import KahlerModel, pole_lelong
 from .grid import grid_values
-from .rhs import RhsFamily
+from .rhs import RhsFamily, require_built_on
 
 BORDERLINE_TOL = 1e-9
 
@@ -52,23 +52,22 @@ class GermIntegral:
         return _integrable(self.tail_exponent)
 
 
-def germ_integral(k: int, phi, tau: float, model: KahlerModel,
-                  rhs: RhsFamily | None = None) -> GermIntegral:
+def germ_integral(k: int, phi, tau: float, rhs: RhsFamily) -> GermIntegral:
     """Integrability of a germ of vanishing order k against e^{-tau phi}.
 
     Reduced integrand e^{ks} e^{-tau phi} e^{ns} ds over the pole-side
-    chart s <= 0: the trapezoid rule on the grid plus the analytic tail
-    e^{(k+n-tau*nu)s}, continued from phi(s_min) with the pole slope
-    nu = ``pole_lelong``, on (-inf, s_min]. Finite iff k + n > tau*nu
-    strictly (by BORDERLINE_TOL); the value is inf when not, or past 1e308.
-    k is an integer >= 0, tau finite and phi passes ``grid_values``.
+    chart s <= 0 of ``rhs``'s model: the trapezoid rule on the grid plus
+    the analytic tail e^{(k+n-tau*nu)s}, continued from phi(s_min) with the
+    pole slope nu = ``pole_lelong``, on (-inf, s_min]. Finite iff k + n >
+    tau*nu strictly (by BORDERLINE_TOL); the value is inf when not, or past
+    1e308. k is an integer >= 0, tau finite and phi passes ``grid_values``.
     """
     require_integer(0, k=k)
     require_finite(tau=tau)
-    grid = model.grid
+    model, grid = rhs.model, rhs.model.grid
     vals = grid_values(phi, grid)
     _require_pole_side(grid)
-    nu = pole_lelong(vals, model, rhs).value
+    nu = pole_lelong(vals, rhs).value
     alpha = k + model.n - tau * nu
 
     s = grid.nodes
@@ -90,18 +89,20 @@ def germ_integral(k: int, phi, tau: float, model: KahlerModel,
 @dataclass(frozen=True)
 class PotentialSequence:
     """A recorded sequence (phi_nu, tau_nu, F_nu) on a common model; each
-    phi_nu passes ``grid_values``, each tau_nu ``require_open_unit``."""
+    tau_nu passes ``require_open_unit``, each phi_nu ``grid_values``, and each
+    F_nu, the family phi_nu solves for, ``require_built_on`` the model."""
 
     model: KahlerModel
-    entries: tuple[tuple[np.ndarray, float, RhsFamily | None], ...]
+    entries: tuple[tuple[np.ndarray, float, RhsFamily], ...]
 
     def __post_init__(self):
         if not self.entries:
             raise ConfigurationError("sequence must be nonempty")
         norm = []
-        for vals, tau, rhs in self.entries:
+        for i, (vals, tau, rhs) in enumerate(self.entries):
             require_open_unit(tau=tau)
             norm.append((grid_values(vals, self.model.grid), float(tau), rhs))
+            require_built_on(rhs, self.model, f"entry {i}: ")
         object.__setattr__(self, "entries", tuple(norm))
 
 
@@ -134,7 +135,7 @@ def stalk_from_sequence(seq: PotentialSequence) -> StalkDescriptor:
     _require_pole_side(model.grid)
     product = 0.0
     for vals, tau, rhs in seq.entries:
-        product = max(product, tau * pole_lelong(vals, model, rhs).value)
+        product = max(product, tau * pole_lelong(vals, rhs).value)
     # the least such k is floor(product) + 1 - n, or one more when product
     # lies within BORDERLINE_TOL below an integer
     k = max(0, math.floor(product) + 1 - n)

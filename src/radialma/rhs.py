@@ -195,6 +195,20 @@ class RhsFamily:
         return dominance_margin(q1, q2, self.model)
 
 
+def require_built_on(family, model: KahlerModel, entry: str = "") -> None:
+    """The one model check of a family: ``family`` is an ``RhsFamily`` built
+    on ``model``'s n, d and grid. ``entry`` prefixes the error it raises."""
+    if not isinstance(family, RhsFamily):
+        raise ConfigurationError(f"{entry}right-hand side must be an RhsFamily, got {family!r}")
+    built = family.model
+    if (model.n, model.degree) != (built.n, built.degree):
+        raise ConfigurationError(
+            f"{entry}right-hand side built for n = {built.n}, d = {built.degree:g}, "
+            f"solved on n = {model.n}, d = {model.degree:g}")
+    if model.grid != built.grid:
+        raise ConfigurationError(f"{entry}grids do not match")
+
+
 def constant_rhs(model: KahlerModel) -> RhsFamily:
     """F = 1; the fixed-point family (phi = 0 solves every equation kind)."""
     return RhsFamily(kind="constant", model=model)

@@ -13,14 +13,13 @@ w_{i+1/2} = (u_{i+1} - u_i) / h = ``psi_slopes`` + (phi_{i+1} - phi_i) / h,
     ((w_{i+1/2})^n - (w_{i-1/2})^n) / (n h) = e^{sigma t phi_i} R_i,
 
 the ``grid.cell_masses`` of w against those of the right-hand side, R
-(``RhsFamily.density``), both on the N - 2 interior nodes.
-The two boundary rows are flux rows on the end half-node slopes of phi:
+(``RhsFamily.density``), both on the N - 2 interior nodes. The two boundary
+rows are flux rows on the end half-node slopes of phi:
 (phi_1 - phi_0) / h = ``RhsFamily.left_flux_offset`` and
 (phi_{N-1} - phi_{N-2}) / h = 0. They pin the total reduced mass of every
 solution to the model mass and leave the additive level to the equation;
-``diagnostics_for`` reports that mass from the same two end fluxes.
-The neutral family is level-invariant, so its right row is replaced by the
-anchor phi(s_max) = 0.
+``diagnostics_for`` reports that mass from the same two end fluxes. The
+neutral family is level-invariant: its right row is the anchor phi(s_max) = 0.
 
 The rows telescope for every n: from the first slope the left row fixes,
 the slope powers accumulate the cell masses n h e^{sigma t phi_i} R_i.
@@ -29,7 +28,8 @@ first integral (``_first_integral_map``), with Anderson acceleration
 (Anderson, J. ACM 1965; Walker & Ni, SIAM J. Numer. Anal. 2011). At
 exponent rate 0, T does not depend on phi and one application is the
 quadrature ``neutral_oracle`` returns. ``residual_from_perturbation``
-evaluates the rows.
+evaluates the rows. T, the rows and each reading take the family, which
+carries its model; ``rhs.require_built_on`` holds a driver's model to it.
 
 Positivity holds by construction, so no solve is judged on it. Every
 result is an image of T, whose slope powers are the first one, w_{1/2}^n
@@ -69,7 +69,7 @@ from .errors import (ConfigurationError, require_finite, require_integer, requir
                      require_positive)
 from .geometry import Diagnostics, KahlerModel, average, pole_lelong
 from .grid import RadialPotential, cell_masses, grid_values
-from .rhs import RhsFamily, build_dirac_rhs
+from .rhs import RhsFamily, build_dirac_rhs, require_built_on
 
 BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
@@ -183,10 +183,9 @@ class ContinuityTrace:
 # Residual
 
 
-def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFamily,
-                               kind: EquationKind) -> np.ndarray:
-    """Nodewise residual of phi = u - psi, the solver's native variable;
-    identically zero at exact discrete solutions.
+def residual_from_perturbation(phi: np.ndarray, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
+    """Nodewise residual of phi = u - psi, the solver's native variable, for
+    the family ``rhs`` on its model; zero at exact discrete solutions.
 
     Interior rows are the ``cell_masses`` of the half-node slopes minus
     e^{sigma t phi} R, R = ``rhs.density``; the first and last rows are the
@@ -195,8 +194,8 @@ def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFami
     scales with |phi| rather than |u| and F = 1, phi = 0 is an exact zero:
     representing u = psi + phi first would absorb small perturbations into
     the rounding of the large psi values."""
-    n, h = model.n, model.grid.h
-    w = model.psi_slopes + np.diff(phi) / h
+    n, h = rhs.model.n, rhs.model.grid.h
+    w = rhs.model.psi_slopes + np.diff(phi) / h
     r = np.empty_like(phi)
     r[1:-1] = cell_masses(w, n, h) - np.exp(kind.exponent_rate * phi[1:-1]) * rhs.density
     r[0] = (phi[1] - phi[0]) / h - rhs.left_flux_offset
@@ -208,9 +207,9 @@ def residual_from_perturbation(phi: np.ndarray, model: KahlerModel, rhs: RhsFami
 # First-integral fixed point
 
 
-def _first_integral_map(model: KahlerModel, rhs: RhsFamily, kind: EquationKind):
-    """The map T whose fixed points are the discrete solutions; its constant
-    arrays are built once, here.
+def _first_integral_map(rhs: RhsFamily, kind: EquationKind):
+    """The map T whose fixed points are the discrete solutions for ``rhs`` on
+    its model; its constant arrays are built once, here.
 
     Telescoped, the interior rows make the last slope power of u the first,
     w_{1/2}^n, plus the cell masses n h e^{rate phi} R; the right row asks
@@ -225,7 +224,7 @@ def _first_integral_map(model: KahlerModel, rhs: RhsFamily, kind: EquationKind):
     finite image. At rate 0 the weights are 1 and the level is the anchor
     phi(s_max) = 0: T(phi) is the neutral quadrature, whatever phi.
     """
-    n, h, W = model.n, model.grid.h, model.psi_slopes
+    n, h, W = rhs.model.n, rhs.model.grid.h, rhs.model.psi_slopes
     cells = n * h * rhs.density
     q0 = (W[0] + rhs.left_flux_offset) ** n
     flux = W[-1] ** n - q0
@@ -322,9 +321,9 @@ def _anderson(T, phi: np.ndarray, tol: float, max_iters: int):
 
 def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
                  config: SolveConfig | None = None, start=None) -> SolveResult:
-    """Solve phi = T(phi) for the first-integral map T from ``start``, any
-    predictor of phi that passes ``grid_values`` (default phi = 0), whatever
-    its level.
+    """Solve phi = T(phi) for the first-integral map T of ``rhs``, a family
+    ``require_built_on`` the model, from ``start``, any predictor of phi that
+    passes ``grid_values`` (default phi = 0), whatever its level.
 
     At exponent rate 0 (the neutral family, or t = 0) one application of T
     is the exact solution, whatever the start, with 0 iterations. Otherwise
@@ -335,33 +334,29 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
     construction (see the module docstring).
     """
     cfg = config or SolveConfig()
-    if (model.n, model.degree) != (rhs.model.n, rhs.model.degree):
-        raise ConfigurationError(
-            f"right-hand side built for n = {rhs.model.n}, d = {rhs.model.degree:g}, "
-            f"solved on n = {model.n}, d = {model.degree:g}")
-    model.grid.require_same(rhs.model.grid)
-    phi = (np.zeros(model.grid.points) if start is None
-           else grid_values(start, model.grid).copy())
+    require_built_on(rhs, model)
+    phi = np.zeros(model.grid.points) if start is None else grid_values(start, model.grid).copy()
     # a diverging iterate may overflow on its way out; the message reports it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        T = _first_integral_map(model, rhs, kind)
+        T = _first_integral_map(rhs, kind)
         if kind.exponent_rate == 0.0:
             phi, iters, message = T(phi), 0, ""
         else:
             phi, iters, message = _anderson(T, phi, cfg.newton_tol, cfg.max_iters)
-        norm = float(np.max(np.abs(residual_from_perturbation(phi, model, rhs, kind))))
-        diagnostics = diagnostics_for(phi, model, rhs)
+        norm = float(np.max(np.abs(residual_from_perturbation(phi, rhs, kind))))
+        diagnostics = diagnostics_for(phi, rhs)
     return SolveResult(phi, diagnostics, iters, norm, kind, rhs, message)
 
 
 def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
-    """Direct quadrature solution of the neutral equation.
+    """Direct quadrature solution of the neutral equation of ``rhs``.
 
     The exact discrete solution of the flux-form rows for every n: one
     application of the first-integral map at rate 0, which ``newton_solve``
     returns for the rate-0 kinds.
     """
-    phi = _first_integral_map(model, rhs, neutral())(np.zeros(model.grid.points))
+    require_built_on(rhs, model)
+    phi = _first_integral_map(rhs, neutral())(np.zeros(model.grid.points))
     return RadialPotential(model.grid, model.psi.values + phi, model.n)
 
 
@@ -369,12 +364,12 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
 # Diagnostics
 
 
-def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Diagnostics:
-    """Diagnostics of a perturbation phi (``grid_values``, so never u):
-    extrema, volume average, the pole reading ``geometry.pole_lelong`` and
+def diagnostics_for(phi, rhs: RhsFamily) -> Diagnostics:
+    """Diagnostics of a perturbation phi of ``rhs`` (``grid_values``, so
+    never u): extrema, volume average, the pole reading ``pole_lelong`` and
     the mass of u = psi + phi, last^n - first^n of its end fluxes as the
     boundary rows read them: ``psi_slopes`` plus phi's own end differences."""
-    vals = grid_values(phi, model.grid)
+    model, vals = rhs.model, grid_values(phi, rhs.model.grid)
     W, h, n = model.psi_slopes, model.grid.h, model.n
     first = W[0] + (vals[1] - vals[0]) / h
     last = W[-1] + (vals[-1] - vals[-2]) / h
@@ -382,7 +377,7 @@ def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Di
         sup_phi=float(np.max(vals)),
         inf_phi=float(np.min(vals)),
         avg_phi=average(vals, model),
-        lelong=pole_lelong(vals, model, rhs),
+        lelong=pole_lelong(vals, rhs),
         mass=float(last**n - first**n),
     )
 
@@ -391,9 +386,8 @@ def diagnostics_for(phi, model: KahlerModel, rhs: RhsFamily | None = None) -> Di
 # Continuity drivers
 
 
-def _dilated(phi: np.ndarray, model: KahlerModel, prev: RhsFamily,
-             rhs: RhsFamily) -> np.ndarray:
-    """A family member's phi carried to the next mollifier by dilation.
+def _dilated(phi: np.ndarray, prev: RhsFamily, rhs: RhsFamily) -> np.ndarray:
+    """A member's phi, of the family ``prev``, dilated to the mollifier of ``rhs``.
 
     The point-mass mollifier is one profile under translation in s,
     xi_eps(s) = 2 log eps + xi_1(s - 2 log eps), so the pole layer and the
@@ -408,13 +402,13 @@ def _dilated(phi: np.ndarray, model: KahlerModel, prev: RhsFamily,
     shift = prev.pole_anchor - rhs.pole_anchor
     if shift == 0.0:
         return phi
-    s, h = model.grid.nodes, model.grid.h
-    u = model.psi.values + phi
+    s, h, psi = rhs.model.grid.nodes, rhs.model.grid.h, rhs.model.psi.values
+    u = psi + phi
     x = s + shift
     moved = np.interp(x, s, u)
     beyond = x > s[-1]
     moved[beyond] = u[-1] + (u[-1] - u[-2]) / h * (x[beyond] - s[-1])
-    return moved - model.psi.values
+    return moved - psi
 
 
 def continuity_in_t(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
@@ -519,7 +513,7 @@ def sweep_epsilon(model: KahlerModel, gamma: float, kind: EquationKind,
             res = None
             if prev is not None:
                 res = newton_solve(model, rhs, kind, cfg,
-                                   _dilated(prev.phi, model, prev.rhs, rhs))
+                                   _dilated(prev.phi, prev.rhs, rhs))
             if res is None or not res.converged:
                 _, res = continuity_in_t(model, rhs, kind, kind.t, cfg)
             if res.converged:

@@ -203,6 +203,29 @@ def dirac_rhs_per_call(gamma, eps, model):
     return density, c, float(offset)
 
 
+def manufactured_rhs(model, phi_star, kind):
+    """The family whose discrete equation of ``kind`` has the exact solution
+    phi_star, up to its level: a manufactured discrete solution of the
+    package's own flux form, so it reads ``grid.cell_masses``.
+
+    The cell masses are those of the half-node slopes w* of u* = psi +
+    phi_star times e^{-sigma t phi_star}, rescaled so that n h sum R =
+    W_last^n - w*_{1/2}^n, the flux the right row asks for; the left flux
+    offset is phi_star's first slope, which u*'s first slope has over psi's.
+    The rescaling moves the level only: with e^{sigma t kappa} times the
+    scale equal to 1, phi_star + kappa meets every row."""
+    from radialma.grid import cell_masses
+    from radialma.rhs import MollifierProfile, RhsFamily
+
+    n, h, W = model.n, model.grid.h, model.psi_slopes
+    w = W + np.diff(phi_star) / h
+    cells = cell_masses(w, n, h) * np.exp(-kind.exponent_rate * phi_star[1:-1])
+    cells *= (W[-1] ** n - w[0] ** n) / (n * h * np.sum(cells))
+    return RhsFamily(kind="manufactured", model=model,
+                     profile=MollifierProfile(cells, float(np.sum(cells))),
+                     profile_scale=1.0, c_smooth=0.0, left_flux_offset=float(w[0] - W[0]))
+
+
 def reduced_mass(rhs) -> float:
     """Quadrature of the reduced mass element n R ds of a family over the
     domain."""
@@ -262,7 +285,7 @@ def lower_bound_per_call(rhs):
     return (0.0, node) if eta <= 0.0 else (eta, None)
 
 
-def diagnostics_per_call(phi, model, rhs=None):
+def diagnostics_per_call(phi, rhs):
     """``diagnostics_for`` through a validated potential u = psi + phi on the
     whole grid: its windowed secants, and the mass from the whole array of
     the solver's half-node slopes psi_slopes + diff(phi) / h."""
@@ -270,10 +293,11 @@ def diagnostics_per_call(phi, model, rhs=None):
     from radialma.grid import RadialPotential
     from radialma.geometry import LELONG_CAP, LELONG_WINDOW
 
+    model = rhs.model
     grid, h = model.grid, model.grid.h
     u = RadialPotential(grid, model.psi.values + phi, model.n)
     window, a = min(max(LELONG_WINDOW, 4.0 * h), grid.s_max - grid.s_min), grid.s_min
-    if rhs is not None and rhs.pole_anchor is not None:
+    if rhs.pole_anchor is not None:
         cap = min(LELONG_CAP, grid.s_max - 4.0 * h)
         a0 = max(rhs.pole_anchor, grid.s_min)
         b = min(a0 + LELONG_WINDOW, cap)
@@ -303,12 +327,11 @@ def stalk_per_germ(seq):
     from radialma.geometry import pole_lelong
     from radialma.multiplier import StalkDescriptor, germ_integral
 
-    model = seq.model
     product = 0.0
     for vals, tau, rhs in seq.entries:
-        product = max(product, tau * pole_lelong(vals, model, rhs).value)
+        product = max(product, tau * pole_lelong(vals, rhs).value)
     for k in range(K_CAP + 1):
-        if all(math.isfinite(germ_integral(k, vals, tau, model, rhs).value)
+        if all(math.isfinite(germ_integral(k, vals, tau, rhs).value)
                for vals, tau, rhs in seq.entries):
             return StalkDescriptor(k_min=k, tau_nu_product=product)
     return None

@@ -169,9 +169,10 @@ def test_criterion_08_multiplier_thresholds(model_n1):
     s = model_n1.grid.nodes
     for k, p in cases:
         phi = (p / tau) * np.minimum(s, 0.0)
-        g = germ_integral(k, phi, tau, model_n1)
+        g = germ_integral(k, phi, tau, constant_rhs(model_n1))
         assert g.finite == (k + 1 > p), (k, p)
-    entries = tuple(((3.5 / t) * np.minimum(s, 0.0), t, None) for t in (0.4, 0.5))
+    entries = tuple(((3.5 / t) * np.minimum(s, 0.0), t, constant_rhs(model_n1))
+                    for t in (0.4, 0.5))
     stalk = stalk_from_sequence(PotentialSequence(model_n1, entries))
     assert stalk.k_min == 3
     report(8, "20-point lattice classified exactly; tau*nu = 3.5 at n = 1 "
@@ -187,7 +188,7 @@ def test_criterion_09_first_integral(model_n1):
     rhs = build_dirac_rhs(1.0, 1e-2, model_n1)
     kind = magnifying(0.3)
     g = model_n1.grid
-    T = _first_integral_map(model_n1, rhs, kind)
+    T = _first_integral_map(rhs, kind)
     n, h, W = model_n1.n, g.h, model_n1.psi_slopes
     flux = W[-1] ** n - (W[0] + rhs.left_flux_offset) ** n
     phi0 = gaussian_bump(g, 0.1)
@@ -203,7 +204,7 @@ def test_criterion_09_first_integral(model_n1):
         rate, R = kind.exponent_rate, rhs.density
         # at that level the weighted cell masses carry the right row's flux
         assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
-        r = residual_from_perturbation(t_phi, model_n1, rhs, kind)
+        r = residual_from_perturbation(t_phi, rhs, kind)
         change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * R
         rel = float(np.max(np.abs(r[1:-1] - change)) / np.max(np.abs(change)))
         worst = max(worst, rel)

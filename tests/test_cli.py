@@ -440,7 +440,7 @@ class TestVerify:
                 return res
             phi = res.phi.copy()
             phi[model.grid.points // 2] += 1e-6
-            norm = float(np.max(np.abs(rows(phi, model, rhs, kind))))
+            norm = float(np.max(np.abs(rows(phi, rhs, kind))))
             return replace(res, phi=phi, residual_norm=norm)
 
         monkeypatch.setattr(radialma.solver, "newton_solve", moved_node)

@@ -270,19 +270,21 @@ class TestMass:
     def test_reference_mass_is_degree_power(self, model_n1, model_n2):
         for m, want in ((model_n1, 2.0), (model_n2, 9.0)):
             zero = np.zeros(m.grid.points)
-            assert diagnostics_for(zero, m).mass == pytest.approx(want, abs=1e-9)
+            assert diagnostics_for(zero, constant_rhs(m)).mass == pytest.approx(want, abs=1e-9)
 
     def test_constant_shift_preserves_mass(self, model_n1):
-        phi = newton_solve(model_n1, build_dirac_rhs(1.0, 1e-3, model_n1), magnifying(0.5)).phi
-        mass = diagnostics_for(phi, model_n1).mass
-        assert diagnostics_for(phi + 17.0, model_n1).mass == pytest.approx(mass, rel=1e-12)
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        phi = newton_solve(model_n1, rhs, magnifying(0.5)).phi
+        mass = diagnostics_for(phi, rhs).mass
+        assert diagnostics_for(phi + 17.0, rhs).mass == pytest.approx(mass, rel=1e-12)
 
     def test_two_slope_potential(self, model_n1):
         # u = gamma s + (d - gamma) softplus(s), left slope gamma, right slope
         # d: mass d^n - gamma^n exactly; phi = u - psi = -gamma softplus(-s)
         gamma, d = 0.6, 2.0
         phi = -gamma * np.logaddexp(0, -model_n1.grid.nodes)
-        assert diagnostics_for(phi, model_n1).mass == pytest.approx(d - gamma, abs=1e-9)
+        mass = diagnostics_for(phi, constant_rhs(model_n1)).mass
+        assert mass == pytest.approx(d - gamma, abs=1e-9)
 
     def test_grid_mass_where_psi_is_large(self):
         # on [e^3, 2 e^3] |psi| reaches 40, whose rounding the end values of
@@ -406,13 +408,14 @@ class TestAverage:
 
 class TestLelong:
     def test_smooth_reference_has_no_pole(self, model_n1):
-        est = pole_lelong(np.zeros(model_n1.grid.points), model_n1)
+        est = pole_lelong(np.zeros(model_n1.grid.points), constant_rhs(model_n1))
         assert est.value == pytest.approx(0.0, abs=1e-6)
 
     def test_affine_left_slope_exact(self, model_n1):
         g = model_n1.grid
         nu0 = 0.735
-        est = pole_lelong(nu0 * (g.nodes - g.s_min) - model_n1.psi.values, model_n1)
+        est = pole_lelong(nu0 * (g.nodes - g.s_min) - model_n1.psi.values,
+                          constant_rhs(model_n1))
         assert est.value == pytest.approx(nu0, abs=1e-13)
         assert est.sensitivity < 1e-13
 
@@ -423,7 +426,7 @@ class TestLelong:
         with pytest.warns(UserWarning, match="below the left truncation"):
             rhs = build_dirac_rhs(gamma, 1e-10, model_n1)
         u = neutral_oracle(model_n1, rhs)
-        est = pole_lelong(u.values - model_n1.psi.values, model_n1)
+        est = pole_lelong(u.values - model_n1.psi.values, rhs)
         assert est.value == pytest.approx(gamma, rel=0.02)
 
     @pytest.mark.parametrize("s_max,points", [(2.0, 401), (-1.0, 5), (0.5, 9)])
@@ -431,7 +434,7 @@ class TestLelong:
         # a grid narrower than LELONG_WINDOW = 5 reads the secant over all of it
         m = KahlerModel(1, 2.0, SGrid(-2.0, s_max, points))
         g = m.grid
-        est = pole_lelong(0.5 * (g.nodes - g.s_min) - m.psi.values, m)
+        est = pole_lelong(0.5 * (g.nodes - g.s_min) - m.psi.values, constant_rhs(m))
         assert est.window_width == g.s_max - g.s_min
         assert type(est.window_width) is float
         assert est.value == pytest.approx(0.5, abs=1e-14)
@@ -441,7 +444,7 @@ class TestLelong:
         # the point-mass branch reads its window off rhs.pole_anchor
         rhs = constant_rhs(model_n1) if family == "constant" \
             else build_dirac_rhs(1.2, 1e-2, model_n1)
-        est = pole_lelong(np.zeros(model_n1.grid.points), model_n1, rhs)
+        est = pole_lelong(np.zeros(model_n1.grid.points), rhs)
         assert (est.window_width == 5.0) == (family == "constant")
         assert type(est.window_width) is float
 

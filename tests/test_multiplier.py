@@ -12,10 +12,13 @@ from radialma import (
     EquationKind,
     KahlerModel,
     PotentialSequence,
+    SGrid,
     StalkDescriptor,
     build_dirac_rhs,
+    constant_rhs,
     germ_integral,
     magnifying,
+    newton_solve,
     stalk_from_sequence,
     sweep_epsilon,
     trivial_lemma_report,
@@ -37,8 +40,8 @@ class TestGermIntegral:
     def test_threshold_example(self, model_n1):
         # left slope 3.5 at tau = 1: order 3 integrable, order 2 not
         phi = slope_potential(model_n1, 3.5)
-        g3 = germ_integral(3, phi, 1.0, model_n1)
-        g2 = germ_integral(2, phi, 1.0, model_n1)
+        g3 = germ_integral(3, phi, 1.0, constant_rhs(model_n1))
+        g2 = germ_integral(2, phi, 1.0, constant_rhs(model_n1))
         assert g3.finite and math.isfinite(g3.value)
         assert not g2.finite and g2.value == math.inf
         assert g3.tail_exponent == pytest.approx(0.5)
@@ -47,12 +50,12 @@ class TestGermIntegral:
     def test_weak_singularity_keeps_unit_germ(self, model_n1):
         # tau * nu < n: the trivial germ (order 0) is already integrable
         phi = slope_potential(model_n1, 1.2)
-        assert germ_integral(0, phi, 0.5, model_n1).finite
+        assert germ_integral(0, phi, 0.5, constant_rhs(model_n1)).finite
 
     def test_borderline_is_divergent(self, model_n1):
         # tau * nu = n exactly: log-divergent, classified divergent
         phi = slope_potential(model_n1, 2.0)
-        g = germ_integral(0, phi, 0.5, model_n1)
+        g = germ_integral(0, phi, 0.5, constant_rhs(model_n1))
         assert not g.finite
         assert g.tail_exponent == pytest.approx(0.0, abs=1e-12)
 
@@ -60,7 +63,7 @@ class TestGermIntegral:
         phi = slope_potential(model_n1, 2.5)
         vals = []
         for k in range(4):
-            g = germ_integral(k, phi, 0.7, model_n1)
+            g = germ_integral(k, phi, 0.7, constant_rhs(model_n1))
             vals.append(g.value)
         finite = [v for v in vals if math.isfinite(v)]
         assert all(b <= a for a, b in zip(finite, finite[1:]))
@@ -71,8 +74,8 @@ class TestGermIntegral:
         phi = slope_potential(model_n1, 2.5)
         for k in (0, 1, 2, 3):
             for t1, t2 in ((0.2, 0.5), (0.3, 0.8)):
-                if germ_integral(k, phi, t2, model_n1).finite:
-                    assert germ_integral(k, phi, t1, model_n1).finite
+                if germ_integral(k, phi, t2, constant_rhs(model_n1)).finite:
+                    assert germ_integral(k, phi, t1, constant_rhs(model_n1)).finite
 
     def test_lattice_classification_exact(self, model_n1):
         # 20-point (k, tau*nu) lattice, classification matches k + n > tau*nu
@@ -86,7 +89,7 @@ class TestGermIntegral:
         for k, p in cases:
             nu = p / tau
             phi = slope_potential(model_n1, nu)
-            g = germ_integral(k, phi, tau, model_n1)
+            g = germ_integral(k, phi, tau, constant_rhs(model_n1))
             assert g.finite == (k + 1 > p), (k, p)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5])
@@ -96,7 +99,7 @@ class TestGermIntegral:
         # misses e^{-3} of it
         tau = 0.5
         phi = slope_potential(model_n1, (model_n1.n - alpha) / tau)
-        g = germ_integral(0, phi, tau, model_n1)
+        g = germ_integral(0, phi, tau, constant_rhs(model_n1))
         assert g.finite
         assert g.value == pytest.approx(1.0 / alpha, rel=1e-4)
 
@@ -104,12 +107,11 @@ class TestGermIntegral:
     def test_pole_slope_is_the_diagnostics_reading(self, model_n1):
         # nu read at the secant nodes equals the anchored Lelong estimate of
         # the whole potential, bit for bit
-        from radialma import magnifying, newton_solve
         from oracles import diagnostics_per_call
         rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
         phi = newton_solve(model_n1, rhs, magnifying(0.6)).phi
-        nu = diagnostics_per_call(phi, model_n1, rhs).lelong.value
-        assert germ_integral(1, phi, 0.6, model_n1, rhs).tail_exponent == 1 + 1 - 0.6 * nu
+        nu = diagnostics_per_call(phi, rhs).lelong.value
+        assert germ_integral(1, phi, 0.6, rhs).tail_exponent == 1 + 1 - 0.6 * nu
         seq = PotentialSequence(model_n1, ((phi, 0.6, rhs),))
         assert stalk_from_sequence(seq).tau_nu_product == 0.6 * nu
 
@@ -117,26 +119,28 @@ class TestGermIntegral:
         # phi = -1e4 puts e^{-tau phi} past the largest double, but the pole
         # slope is 0, so alpha = 1: the germ is integrable with value inf
         phi = np.full(model_n1.grid.points, -1e4)
-        g = germ_integral(0, phi, 0.5, model_n1)
+        g = germ_integral(0, phi, 0.5, constant_rhs(model_n1))
         assert g.finite and g.value == math.inf
         assert g.tail_exponent == pytest.approx(1.0, abs=1e-9)
-        seq = PotentialSequence(model_n1, ((phi, 0.5, None),))
+        seq = PotentialSequence(model_n1, ((phi, 0.5, constant_rhs(model_n1)),))
         assert stalk_from_sequence(seq).k_min == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_phi_rejected(self, model_n1, bad):
         phi = np.zeros(model_n1.grid.points)
         phi[100] = bad
+        flat = constant_rhs(model_n1)
         with pytest.raises(ConfigurationError, match="finite"):
-            germ_integral(0, phi, 0.5, model_n1)
+            germ_integral(0, phi, 0.5, flat)
         with pytest.raises(ConfigurationError, match="finite"):
-            stalk_from_sequence(PotentialSequence(model_n1, ((phi, 0.5, None),)))
+            stalk_from_sequence(PotentialSequence(model_n1, ((phi, 0.5, flat),)))
 
 
 class TestStalk:
     def test_flat_sequence_is_trivial(self, model_n1):
         zero = np.zeros(model_n1.grid.points)
-        seq = PotentialSequence(model_n1, tuple((zero, t, None) for t in (0.3, 0.5, 0.7)))
+        flat = constant_rhs(model_n1)
+        seq = PotentialSequence(model_n1, tuple((zero, t, flat) for t in (0.3, 0.5, 0.7)))
         stalk = stalk_from_sequence(seq)
         assert stalk.k_min == 0
         assert not stalk.nontrivial
@@ -146,7 +150,7 @@ class TestStalk:
         # tau * nu -> 3.5 with n = 1 forces vanishing to order 3
         entries = []
         for tau, nu in ((0.5, 6.6), (0.5, 6.9), (0.5, 7.0)):
-            entries.append((slope_potential(model_n1, nu), tau, None))
+            entries.append((slope_potential(model_n1, nu), tau, constant_rhs(model_n1)))
         stalk = stalk_from_sequence(PotentialSequence(model_n1, tuple(entries)))
         assert stalk.k_min == 3
         assert stalk.nontrivial
@@ -154,13 +158,14 @@ class TestStalk:
         assert stalk.tau_nu_product == pytest.approx(3.5, rel=1e-6)
 
     def test_maximal_ideal_case_flagged(self, model_n1):
-        entries = [(slope_potential(model_n1, 3.0), 0.5, None)]
+        entries = [(slope_potential(model_n1, 3.0), 0.5, constant_rhs(model_n1))]
         stalk = stalk_from_sequence(PotentialSequence(model_n1, tuple(entries)))
         assert stalk.k_min == 1
         assert stalk.equals_maximal_ideal
 
     def test_reordering_invariance(self, model_n1):
-        entries = [(slope_potential(model_n1, nu), 0.5, None) for nu in (2.0, 5.0, 3.0)]
+        flat = constant_rhs(model_n1)
+        entries = [(slope_potential(model_n1, nu), 0.5, flat) for nu in (2.0, 5.0, 3.0)]
         a = stalk_from_sequence(PotentialSequence(model_n1, tuple(entries)))
         b = stalk_from_sequence(PotentialSequence(model_n1, tuple(reversed(entries))))
         assert a == b
@@ -177,6 +182,35 @@ class TestStalk:
         stalk = stalk_from_sequence(PotentialSequence(model_n1, tuple(entries)))
         assert stalk.k_min == 0
         assert stalk.tau_nu_product == pytest.approx(0.4, abs=0.02)
+
+
+class TestSequenceFamilies:
+    """Each entry carries the family its phi solves for, built on the
+    sequence's model, and the stalk reads each pole with that family."""
+
+    def test_a_pole_is_read_with_its_own_family(self, model_n1):
+        # n = 1, d = 2, gamma = 1, eps = 1e-3, magnifying at tau = 0.8: read
+        # above its layer the pole gives tau nu = 1.6 and k_min = 1, while
+        # the smooth window at s_min reads the flat part below the layer
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        phi = newton_solve(model_n1, rhs, magnifying(0.8)).phi
+        stalk = stalk_from_sequence(PotentialSequence(model_n1, ((phi, 0.8, rhs),)))
+        assert stalk.k_min == 1
+        assert stalk.tau_nu_product == pytest.approx(1.6, abs=0.01)
+        with pytest.raises(ConfigurationError,
+                           match="entry 0: right-hand side must be an RhsFamily, got None"):
+            PotentialSequence(model_n1, ((phi, 0.8, None),))
+
+    @pytest.mark.parametrize("other,message", [
+        (KahlerModel(2, 2.0), "right-hand side built for n = 2, d = 2, solved on n = 1"),
+        (KahlerModel(1, 3.0), "right-hand side built for n = 1, d = 3, solved on n = 1"),
+        (KahlerModel(1, 2.0, SGrid(-40.0, 40.0, 2001)), "grids do not match")],
+        ids=["n", "d", "grid"])
+    def test_entry_of_another_model_rejected(self, model_n1, other, message):
+        zero = np.zeros(model_n1.grid.points)
+        flat = constant_rhs(model_n1)
+        with pytest.raises(ConfigurationError, match=f"^entry 1: {message}"):
+            PotentialSequence(model_n1, ((zero, 0.5, flat), (zero, 0.5, constant_rhs(other))))
 
 
 MODELS = {n: KahlerModel(n, n + 1.0) for n in (1, 2, 3, 4)}
@@ -196,7 +230,7 @@ class TestOneIntegrabilityRule:
         entries = data.draw(st.lists(st.tuples(nu, tau, st.floats(-5.0, 5.0)),
                                      min_size=1, max_size=4))
         seq = PotentialSequence(model, tuple(
-            (slope_potential(model, v, pivot), t, None) for v, t, pivot in entries))
+            (slope_potential(model, v, pivot), t, constant_rhs(model)) for v, t, pivot in entries))
         stalk = stalk_from_sequence(seq)
         reference = stalk_per_germ(seq)
         if reference is not None:
@@ -233,7 +267,9 @@ class TestOneIntegrabilityRule:
         reading = LelongEstimate(2.0 * product, 5.0, 0.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multiplier, "pole_lelong", lambda *args: reading)
-            seq = PotentialSequence(MODELS[n], ((np.zeros(MODELS[n].grid.points), 0.5, None),))
+            model = MODELS[n]
+            seq = PotentialSequence(model, ((np.zeros(model.grid.points), 0.5,
+                                             constant_rhs(model)),))
             stalk = stalk_from_sequence(seq)
         assert stalk == StalkDescriptor(k_min=least, tau_nu_product=product)
 
@@ -242,7 +278,8 @@ class TestOneIntegrabilityRule:
         def no_quadrature(*args):
             raise AssertionError("the stalk evaluated a germ integral")
         monkeypatch.setattr(multiplier, "germ_integral", no_quadrature)
-        seq = PotentialSequence(model_n1, ((slope_potential(model_n1, 1e9), 0.5, None),))
+        seq = PotentialSequence(model_n1, ((slope_potential(model_n1, 1e9), 0.5,
+                                            constant_rhs(model_n1)),))
         stalk = stalk_from_sequence(seq)
         p = stalk.tau_nu_product
         assert p == pytest.approx(5e8, rel=1e-9)

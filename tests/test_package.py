@@ -102,6 +102,35 @@ def test_every_imported_name_is_used(path):
     assert not imported - used, sorted(imported - used)
 
 
+# the benchmark calls these positionally, model first, and its tracer reads
+# the model's grid from the first argument (perfbench/workloads.py, spans.py)
+MODEL_BESIDE_FAMILY = {"newton_solve", "continuity_in_t", "neutral_oracle"}
+
+
+def test_a_reading_takes_its_family():
+    # a family carries its model: no parameter annotated RhsFamily defaults
+    # to None, and only the drivers the benchmark calls take a model beside it
+    defaults, both = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            # positional defaults belong to the last positional parameters
+            given = [None] * (len(positional) - len(a.defaults)) + a.defaults + a.kw_defaults
+            params = positional + a.kwonlyargs
+            for param, default in zip(params, given):
+                family = param.annotation is not None and "RhsFamily" in ast.unparse(
+                    param.annotation)
+                if family and isinstance(default, ast.Constant) and default.value is None:
+                    defaults.add(f"{path.name}: {node.name}({param.arg})")
+            if {"model", "rhs"} <= {param.arg for param in params}:
+                both.add(node.name)
+    assert not defaults, sorted(defaults)
+    assert both == MODEL_BESIDE_FAMILY, sorted(both ^ MODEL_BESIDE_FAMILY)
+
+
 def test_the_rules_stay_in_errors():
     # one module states the exception types and the scalar rules: no other
     # defines an exception or warning class or imports numbers, which the

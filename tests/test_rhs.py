@@ -296,7 +296,7 @@ class TestDivisorFamily:
         for dp in (0.3, 0.1, 0.03):
             rhs = build_divisor_rhs(dp, 1e-6, model_n1)
             u = neutral_oracle(model_n1, rhs)
-            est = pole_lelong(u.values - model_n1.psi.values, model_n1, rhs)
+            est = pole_lelong(u.values - model_n1.psi.values, rhs)
             assert est.value < 1e-3
 
     def test_margin_positive_up_to_reported_order(self, model_n1):

@@ -14,6 +14,7 @@ from radialma import (
     ConfigurationError,
     EquationKind,
     KahlerModel,
+    PotentialSequence,
     SGrid,
     SolveConfig,
     bootstrap_lelong_bound,
@@ -45,6 +46,7 @@ from oracles import (
     continuum_neutral_potential,
     density_floor,
     diagnostics_per_call,
+    manufactured_rhs,
     second_derivative,
     xi_eps_d1,
     xi_eps_d2,
@@ -71,8 +73,7 @@ class TestResidual:
     @pytest.mark.parametrize("kind,t", ALL_KINDS_T)
     def test_reference_is_exact_zero_for_unit_rhs(self, model_n1, kind, t):
         rhs = constant_rhs(model_n1)
-        r = residual_from_perturbation(np.zeros(model_n1.grid.points), model_n1, rhs,
-                                       EquationKind(kind, t))
+        r = residual_from_perturbation(np.zeros(model_n1.grid.points), rhs, EquationKind(kind, t))
         assert np.max(np.abs(r)) == 0.0
 
     def test_neutral_n1_is_linear_in_curvature(self, model_n1):
@@ -81,8 +82,8 @@ class TestResidual:
         rhs = build_dirac_rhs(0.7, 1e-2, model_n1)
         g = model_n1.grid
         bump = gaussian_bump(g, 0.2)
-        r0 = residual_from_perturbation(np.zeros(g.points), model_n1, rhs, neutral())
-        r1 = residual_from_perturbation(bump, model_n1, rhs, neutral())
+        r0 = residual_from_perturbation(np.zeros(g.points), rhs, neutral())
+        r1 = residual_from_perturbation(bump, rhs, neutral())
         expected = second_derivative(bump, g.h)
         assert np.max(np.abs((r1 - r0)[1:-1] - expected[1:-1])) < 1e-11
 
@@ -91,7 +92,7 @@ class TestResidual:
         rhs = constant_rhs(model_n1)
         c, t = 0.8, 0.5
         phi = np.full(model_n1.grid.points, c)
-        r = residual_from_perturbation(phi, model_n1, rhs, magnifying(t))
+        r = residual_from_perturbation(phi, rhs, magnifying(t))
         w = model_n1.weight
         expected = w * (1.0 - np.exp(-t * c))
         assert np.max(np.abs(r[1:-1] - expected)) < 1e-14
@@ -102,7 +103,7 @@ class TestResidual:
         # phi read back from u = psi + c agrees up to the representation
         # rounding of u
         phi_u = (model_n1.psi.values + c) - model_n1.psi.values
-        r_u = residual_from_perturbation(phi_u, model_n1, rhs, magnifying(t))
+        r_u = residual_from_perturbation(phi_u, rhs, magnifying(t))
         assert np.max(np.abs(r_u[1:-1] - expected)) < 1e-9
 
 
@@ -127,13 +128,13 @@ class TestFirstIntegral:
         rhs = build_dirac_rhs(0.5 * (n + 1.0), 1e-1, m)
         eq = EquationKind(kind, t)
         phi = gaussian_bump(m.grid, amplitude, center, width)
-        t_phi = _first_integral_map(m, rhs, eq)(phi)
+        t_phi = _first_integral_map(rhs, eq)(phi)
         bal = phi + (t_phi[-1] - phi[-1])
         W, h = m.psi_slopes, m.grid.h
         flux = W[-1] ** n - (W[0] + rhs.left_flux_offset) ** n
         rate, R = eq.exponent_rate, rhs.density
         assert n * h * np.sum(np.exp(rate * bal[1:-1]) * R) == pytest.approx(flux, rel=1e-12)
-        r = residual_from_perturbation(t_phi, m, rhs, eq)
+        r = residual_from_perturbation(t_phi, rhs, eq)
         change = (np.exp(rate * bal[1:-1]) - np.exp(rate * t_phi[1:-1])) * R
         assert np.max(np.abs(r[1:-1] - change)) <= 1e-12 * np.max(R)
         assert abs(r[0]) <= 1e-12 and abs(r[-1]) <= 1e-12
@@ -209,7 +210,7 @@ class TestFixedPoints:
         phi[10] = -1e4
         assert rhs.density[9] == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.isnan(_first_integral_map(m, rhs, kind)(phi)).all()
+            assert np.isnan(_first_integral_map(rhs, kind)(phi)).all()
         res = newton_solve(m, rhs, kind, start=phi)
         assert res.message == "fixed-point map produced non-finite values"
         assert res.iterations == 0 and not res.converged
@@ -267,7 +268,7 @@ class TestStopRule:
         res = newton_solve(m, rhs, eq)
         assume(res.converged)
         g, h, tau, rho = res.phi, m.grid.h, SolveConfig().newton_tol, eq.exponent_rate
-        r = residual_from_perturbation(g, m, rhs, eq)
+        r = residual_from_perturbation(g, rhs, eq)
         assert res.residual_norm == np.max(np.abs(r))
         floor = rounding_floor(g, h)
         w = np.abs(m.psi_slopes + np.diff(g) / h)
@@ -292,14 +293,14 @@ class TestNeutralOracle:
             m = KahlerModel(n, n + 1.0)
             rhs = build_dirac_rhs(frac * m.degree, eps, m)
             u = neutral_oracle(m, rhs)
-            est = pole_lelong(u.values - m.psi.values, m, rhs)
+            est = pole_lelong(u.values - m.psi.values, rhs)
             assert abs(est.value - frac * m.degree) <= 3.0 * est.sensitivity, (n, frac, eps)
         # once the layer separates from the bulk it reads gamma to 1 %: a
         # relative error of 0.0072 at eps = 1e-3 and 0.0004 at 1e-4
         for eps in (1e-3, 1e-4):
             rhs = build_dirac_rhs(1.2, eps, model_n1)
             u = neutral_oracle(model_n1, rhs)
-            nu = pole_lelong(u.values - model_n1.psi.values, model_n1, rhs).value
+            nu = pole_lelong(u.values - model_n1.psi.values, rhs).value
             assert nu == pytest.approx(1.2, rel=0.01)
 
     # gamma = d/2 for n in 1..4 (n = 4 only at eps = 1e-1: below it the
@@ -343,7 +344,7 @@ class TestNeutralOracle:
         m = KahlerModel(n, n + 1.0)
         rhs = constant_rhs(m) if eps is None else build_dirac_rhs(1.0, eps, m)
         phi = neutral_oracle(m, rhs).values - m.psi.values
-        assert abs(residual_from_perturbation(phi, m, rhs, neutral())[0]) <= 1e-12
+        assert abs(residual_from_perturbation(phi, rhs, neutral())[0]) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_left_flux_row_solved_at_zero_slope(self, n):
@@ -353,7 +354,7 @@ class TestNeutralOracle:
         rhs = constant_rhs(m)
         u = neutral_oracle(m, rhs)
         assert u.values[1] == u.values[0]
-        assert residual_from_perturbation(u.values - m.psi.values, m, rhs, neutral())[0] == 0.0
+        assert residual_from_perturbation(u.values - m.psi.values, rhs, neutral())[0] == 0.0
 
     def test_grid_convergence_second_order(self):
         # against adaptive quadrature of the continuum first integral;
@@ -481,6 +482,22 @@ class TestSingularSolves:
             newton_solve(KahlerModel(n, d), rhs, magnifying(0.3))
         with pytest.raises(ConfigurationError, match="right-hand side built for"):
             continuity_in_t(KahlerModel(n, d), rhs, magnifying(0.3), 0.3)
+
+    @pytest.mark.parametrize("other,message", [
+        (KahlerModel(2, 3.0), "right-hand side built for n = 1, d = 2, solved on n = 2, d = 3"),
+        (KahlerModel(1, 2.0, SGrid(-40.0, 40.0, 2001)), "grids do not match")])
+    def test_one_model_check_for_solves_and_sequences(self, model_n1, other, message):
+        # one rule, stated once: the drivers and a sequence's entries alike
+        rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
+        for call in (lambda: newton_solve(other, rhs, magnifying(0.3)),
+                     lambda: continuity_in_t(other, rhs, magnifying(0.3), 0.3),
+                     lambda: neutral_oracle(other, rhs)):
+            with pytest.raises(ConfigurationError) as info:
+                call()
+            assert str(info.value) == message
+        with pytest.raises(ConfigurationError) as info:
+            PotentialSequence(other, ((np.zeros(other.grid.points), 0.3, rhs),))
+        assert str(info.value) == f"entry 0: {message}"
 
     def test_max_iters_stop_gives_reason(self, model_n1):
         rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
@@ -860,6 +877,67 @@ class TestSweep:
             assert a.diagnostics.lelong.value == b.diagnostics.lelong.value
 
 
+@functools.cache
+def manufactured_model(n):
+    return KahlerModel(n, n + 1.0)
+
+
+def manufactured_phi(model, amplitude):
+    """phi* = A e^{-s^2/20}, shifted so that phi*(s_max) = 0."""
+    phi = amplitude * np.exp(-model.grid.nodes ** 2 / 20.0)
+    return phi - phi[-1]
+
+
+def off_level(phi, phi_star):
+    """sup |phi - phi*| with both read at their level at s_max."""
+    gap = phi - phi_star
+    return float(np.max(np.abs(gap - gap[-1])))
+
+
+MANUFACTURED = [(n, amplitude, t) for n in (1, 2, 3, 4) for amplitude in (0.5, 3.0)
+                for t in (0.3, 0.9, 0.99)]
+
+
+class TestKnownAnswers:
+    """Manufactured discrete solutions (``oracles.manufactured_rhs``): each
+    family's equation has the known solution phi* up to its level, at d = n + 1."""
+
+    CONFIG = SolveConfig(newton_tol=1e-12)
+
+    @pytest.mark.parametrize("n,amplitude,t", MANUFACTURED)
+    def test_reducing_solves_end_on_the_known_answer(self, n, amplitude, t):
+        # the comparison principle makes the e^{+t phi} solution unique:
+        # the cold solve and the continuation both find phi* (7e-13 at worst)
+        m = manufactured_model(n)
+        phi_star, kind = manufactured_phi(m, amplitude), reducing(t)
+        rhs = manufactured_rhs(m, phi_star, kind)
+        cold = newton_solve(m, rhs, kind, self.CONFIG)
+        trace, path = continuity_in_t(m, rhs, kind, t, self.CONFIG)
+        assert cold.converged and trace.verdict == "reached_target"
+        assert off_level(cold.phi, phi_star) <= 1e-8
+        assert off_level(path.phi, phi_star) <= 1e-8
+
+    @pytest.mark.parametrize("n,amplitude,t", MANUFACTURED)
+    def test_magnifying_known_answer_is_a_fixed_point(self, n, amplitude, t):
+        m = manufactured_model(n)
+        phi_star, kind = manufactured_phi(m, amplitude), magnifying(t)
+        res = newton_solve(m, manufactured_rhs(m, phi_star, kind), kind, self.CONFIG,
+                           phi_star)
+        assert res.converged and res.iterations == 0
+        assert off_level(res.phi, phi_star) <= 1e-8
+
+    def test_magnifying_equation_has_a_second_fixed_point(self):
+        # n = 2, A = 3, t = 0.9: the cold solve converges to a fixed point
+        # 33.7 from phi*, so which solution a magnifying solve finds depends
+        # on its start
+        m = manufactured_model(2)
+        phi_star, kind = manufactured_phi(m, 3.0), magnifying(0.9)
+        rhs = manufactured_rhs(m, phi_star, kind)
+        cold = newton_solve(m, rhs, kind, replace(self.CONFIG, max_iters=500))
+        assert cold.converged
+        assert off_level(cold.phi, phi_star) > 1.0
+
+
 class TestDilation:
     GRID = SGrid(-40.0, 40.0, 2561)  # h = 1/32: nodes and whole-step shifts are exact
 
@@ -869,7 +947,7 @@ class TestDilation:
         for prev, rhs in [(constant_rhs(model_n1), dirac),
                           (dirac, build_divisor_rhs(0.5, 1e-3, model_n1)),
                           (dirac, build_dirac_rhs(1.0, 1e-2, model_n1))]:
-            assert _dilated(phi, model_n1, prev, rhs) is phi
+            assert _dilated(phi, prev, rhs) is phi
 
     def test_whole_step_shift_resamples_nodes(self):
         m = KahlerModel(1, 2.0, self.GRID)
@@ -878,7 +956,7 @@ class TestDilation:
         rhs = build_dirac_rhs(1.8, 1e-2, m)
         steps = 16
         prev, new = replace(rhs, pole_anchor=-8.0), replace(rhs, pole_anchor=-8.0 - steps * h)
-        moved = _dilated(phi, m, prev, new)
+        moved = _dilated(phi, prev, new)
         u = psi + phi
         assert np.array_equal(moved[:-steps], u[steps:] - psi[:-steps])
         beyond = u[-1] + (u[-1] - u[-2]) * np.arange(1, steps + 1)
@@ -897,9 +975,10 @@ class TestDiagnostics:
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
         u = neutral_oracle(model_n1, rhs)
         phi = u.values - model_n1.psi.values
-        anchored = diagnostics_for(phi, model_n1, rhs)
-        plain = diagnostics_for(phi, model_n1, None)
-        # the left-edge secant cannot see the pole of a finite mollifier
+        anchored = diagnostics_for(phi, rhs)
+        plain = diagnostics_for(phi, constant_rhs(model_n1))
+        # the smooth family's left-edge secant cannot see the pole of a
+        # finite mollifier
         assert plain.lelong.value < 0.1
         assert anchored.lelong.value == pytest.approx(1.0, rel=0.02)
 
@@ -909,9 +988,14 @@ class TestDiagnostics:
         m = KahlerModel(1, 2.0, SGrid(-40.0, 40.0, points))
         rhs = constant_rhs(m)
         phi = newton_solve(m, rhs, magnifying(0.5)).phi
-        d = diagnostics_for(phi, m, rhs)
+        d = diagnostics_for(phi, rhs)
         assert d.lelong.window_width == 4.0 * m.grid.h > LELONG_WINDOW
-        assert d == diagnostics_per_call(phi, m, rhs)
+        assert d == diagnostics_per_call(phi, rhs)
+
+    def test_a_solve_reports_the_reading_of_its_family(self, model_n1):
+        rhs = build_dirac_rhs(1.8, 1e-3, model_n1)
+        res = newton_solve(model_n1, rhs, magnifying(0.6))
+        assert diagnostics_for(res.phi, res.rhs) == res.diagnostics
 
     def test_fields_are_python_scalars(self, model_n1):
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
@@ -925,7 +1009,7 @@ class TestDiagnostics:
         phi = np.zeros(model_n1.grid.points)
         phi[1234] = bad
         with pytest.raises(ConfigurationError, match="finite"):
-            diagnostics_for(phi, model_n1, build_dirac_rhs(1.0, 1e-3, model_n1))
+            diagnostics_for(phi, build_dirac_rhs(1.0, 1e-3, model_n1))
 
     @pytest.mark.parametrize("gamma,eps", [(0.0, 1e-3), (1.0, 1e-1), (1.8, 1e-3), (1.8, 1e-4)])
     def test_same_as_through_the_whole_potential(self, model_n1, gamma, eps):
@@ -934,10 +1018,10 @@ class TestDiagnostics:
         # end fluxes the same as from the whole array of half-node slopes
         rhs = build_dirac_rhs(gamma, eps, model_n1)
         phi = newton_solve(model_n1, rhs, magnifying(0.4)).phi
-        for family in (rhs, None):
-            d = diagnostics_for(phi, model_n1, family)
-            assert d == diagnostics_per_call(phi, model_n1, family)
-            assert d.lelong == pole_lelong(phi, model_n1, family)
+        for family in (rhs, constant_rhs(model_n1)):
+            d = diagnostics_for(phi, family)
+            assert d == diagnostics_per_call(phi, family)
+            assert d.lelong == pole_lelong(phi, family)
 
     def test_point_mass_solves_carry_the_grid_mass(self):
         # the printed mass is the solver's own: within 2e-13 relative of the
@@ -959,6 +1043,6 @@ class TestDiagnostics:
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
         phi = np.full(points, 0.5)
         with pytest.raises(ConfigurationError):
-            pole_lelong(phi, model_n1, rhs)
+            pole_lelong(phi, rhs)
         with pytest.raises(ConfigurationError):
             bootstrap_lelong_bound(phi, 0.2, 1.0, 5.0, model_n1)

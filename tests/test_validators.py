@@ -42,6 +42,8 @@ from radialma.rhs import MollifierProfile
 
 GRID = SGrid(-10.0, 10.0, 81)
 ZEROS = np.zeros(GRID.points)
+# a model on the grid [1, 21] of 81 points: it holds no pole-side node s <= 0
+POSITIVE_CHART = KahlerModel(1, 2.0, SGrid(1.0, 21.0, 81))
 
 
 def with_node_3(value):
@@ -143,7 +145,7 @@ CASES = {
     "float grid points": (ConfigurationError, "points must be an integer >= 5, got 4001.0",
                           lambda m: SGrid(-10.0, 10.0, 4001.0)),
     "numpy float grid points": (
-        ConfigurationError, f"points must be an integer >= 5, got {np.float64(81)!r}",
+        ConfigurationError, "points must be an integer >= 5, got 81.0",
         lambda m: SGrid(-10.0, 10.0, np.float64(81))),
     "bool grid points": (ConfigurationError, "points must be an integer >= 5, got True",
                          lambda m: SGrid(-10.0, 10.0, True)),
@@ -152,15 +154,17 @@ CASES = {
         ConfigurationError,
         "grid spacing h = 1650 must be below log(DBL_MAX) = 709.783; add points",
         lambda m: SGrid(-800.0, 5800.0, 5)),
-    "different grids": (ConfigurationError, "grids do not match",
-                        lambda m: GRID.require_same(SGrid(-10.0, 10.0, 41))),
+    "different grids": (
+        ConfigurationError, "grids do not match",
+        lambda m: newton_solve(m, constant_rhs(KahlerModel(1, 2.0, SGrid(-10.0, 10.0, 41))),
+                               neutral())),
     "non-finite potential": (ConfigurationError, "potential values must be finite",
                              lambda m: RadialPotential(GRID, np.full(GRID.points, np.nan), 1)),
     # every reader of phi passes grid_values, whatever nodes it reads
     "average of a nan phi": (ConfigurationError, "potential values must be finite",
                              lambda m: average(with_node_3(np.nan), m)),
     "pole_lelong of a nan phi": (ConfigurationError, "potential values must be finite",
-                                 lambda m: pole_lelong(with_node_3(np.nan), m)),
+                                 lambda m: pole_lelong(with_node_3(np.nan), constant_rhs(m))),
     "bootstrap of a nan phi": (
         ConfigurationError, "potential values must be finite",
         lambda m: bootstrap_lelong_bound(with_node_3(np.nan), 0.5, 1.0, 5.0, m)),
@@ -169,13 +173,13 @@ CASES = {
         lambda m: bootstrap_lelong_bound(with_node_3(np.inf), 0.5, 1.0, 5.0, m)),
     # a potential u is no array of node values: it is not read as phi
     "diagnostics_for of a potential": (ConfigurationError, "RadialPotential",
-                                       lambda m: diagnostics_for(m.psi, m)),
+                                       lambda m: diagnostics_for(m.psi, constant_rhs(m))),
     "average of a potential": (ConfigurationError, "RadialPotential",
                                lambda m: average(m.psi, m)),
     "pole_lelong of a potential": (ConfigurationError, "RadialPotential",
-                                   lambda m: pole_lelong(m.psi, m)),
+                                   lambda m: pole_lelong(m.psi, constant_rhs(m))),
     "germ_integral of a potential": (ConfigurationError, "RadialPotential",
-                                     lambda m: germ_integral(0, m.psi, 0.5, m)),
+                                     lambda m: germ_integral(0, m.psi, 0.5, constant_rhs(m))),
     "potential of dimension 0": (ConfigurationError, "dimension must be an integer >= 1, got 0",
                                  lambda m: RadialPotential(GRID, ZEROS, 0)),
     "potential of dimension 2.5": (
@@ -196,20 +200,20 @@ CASES = {
     "bootstrap window too wide": (ConfigurationError, "window does not fit",
                                   lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, 30.0, m)),
     "germ order k < 0": (ConfigurationError, "k must be an integer >= 0, got -1",
-                         lambda m: germ_integral(-1, ZEROS, 0.5, m)),
+                         lambda m: germ_integral(-1, ZEROS, 0.5, constant_rhs(m))),
     "germ tau = nan": (ConfigurationError, "tau must be finite, got nan",
-                       lambda m: germ_integral(0, ZEROS, np.nan, m)),
+                       lambda m: germ_integral(0, ZEROS, np.nan, constant_rhs(m))),
     "germ grid without s <= 0": (
         ConfigurationError, "no pole-side nodes",
-        lambda m: germ_integral(0, ZEROS, 0.5, KahlerModel(1, 2.0, SGrid(1.0, 21.0, 81)))),
+        lambda m: germ_integral(0, ZEROS, 0.5, constant_rhs(POSITIVE_CHART))),
     "stalk grid without s <= 0": (
         ConfigurationError, "no pole-side nodes",
         lambda m: stalk_from_sequence(PotentialSequence(
-            KahlerModel(1, 2.0, SGrid(1.0, 21.0, 81)), ((ZEROS, 0.5, None),)))),
+            POSITIVE_CHART, ((ZEROS, 0.5, constant_rhs(POSITIVE_CHART)),)))),
     "empty sequence": (ConfigurationError, "sequence must be nonempty",
                        lambda m: PotentialSequence(m, ())),
     "sequence tau = 1": (ConfigurationError, "tau must lie in (0, 1)",
-                         lambda m: PotentialSequence(m, ((ZEROS, 1.0, None),))),
+                         lambda m: PotentialSequence(m, ((ZEROS, 1.0, constant_rhs(m)),))),
     "dimension n < 1": (ConfigurationError, "dimension must be an integer >= 1, got 0",
                         lambda m: KahlerModel(0, 2.0, GRID)),
     "dimension n = nan": (ConfigurationError, "dimension must be an integer >= 1, got nan",
@@ -258,14 +262,15 @@ INTEGER_SITES = {
     "RadialPotential dimension": ("dimension", 1, lambda m, v: RadialPotential(GRID, ZEROS, v)),
     "KahlerModel dimension": ("dimension", 1, lambda m, v: KahlerModel(v, 2.0, GRID)),
     "SolveConfig max_iters": ("max_iters", 1, lambda m, v: SolveConfig(max_iters=v)),
-    "germ_integral k": ("k", 0, lambda m, v: germ_integral(v, ZEROS, 0.5, m)),
+    "germ_integral k": ("k", 0, lambda m, v: germ_integral(v, ZEROS, 0.5, constant_rhs(m))),
     "BundleSpec rank": ("rank", 1, lambda m, v: BundleSpec(((2, v),))),
     "tangent_on_line n": ("n", 1, lambda m, v: tangent_on_line(v)),
 }
 OPEN_UNIT_SITES = {
     "continuity_in_t t_target": (
         "t_target", lambda m, v: continuity_in_t(m, constant_rhs(m), magnifying(0.5), v)),
-    "PotentialSequence tau": ("tau", lambda m, v: PotentialSequence(m, ((ZEROS, v, None),))),
+    "PotentialSequence tau": (
+        "tau", lambda m, v: PotentialSequence(m, ((ZEROS, v, constant_rhs(m)),))),
     "bootstrap_lelong_bound tau0": (
         "tau0", lambda m, v: bootstrap_lelong_bound(ZEROS, v, 1.0, 5.0, m)),
     "magnification_experiment tau0": (
@@ -356,7 +361,7 @@ SCALAR_SITES = {
     "neutral sweep_epsilon tau0": lambda m, v: sweep_epsilon(m, 1.0, neutral(), v, (1e-1,)),
     "magnification_experiment gamma": lambda m, v: magnification_experiment(m, v, 0.5, (1e-1,)),
     "bootstrap_lelong_bound window": lambda m, v: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, v, m),
-    "germ_integral tau": lambda m, v: germ_integral(0, ZEROS, v, m),
+    "germ_integral tau": lambda m, v: germ_integral(0, ZEROS, v, constant_rhs(m)),
     "trivial_lemma_report eta": lambda m, v: trivial_lemma_report(StalkDescriptor(1, 1.5), v),
     "BundleSpec degree": lambda m, v: BundleSpec(((v, 1),)),
     **{f"RhsFamily {field}": family_with(field)
@@ -368,11 +373,11 @@ GRID_FUNCTION_SITES = {
     "newton_solve start": lambda m, v: newton_solve(m, constant_rhs(m), magnifying(0.5),
                                                     start=v),
     "average phi": lambda m, v: average(v, m),
-    "pole_lelong phi": lambda m, v: pole_lelong(v, m),
-    "diagnostics_for phi": lambda m, v: diagnostics_for(v, m),
-    "germ_integral phi": lambda m, v: germ_integral(0, v, 0.5, m),
+    "pole_lelong phi": lambda m, v: pole_lelong(v, constant_rhs(m)),
+    "diagnostics_for phi": lambda m, v: diagnostics_for(v, constant_rhs(m)),
+    "germ_integral phi": lambda m, v: germ_integral(0, v, 0.5, constant_rhs(m)),
     "bootstrap_lelong_bound phi": lambda m, v: bootstrap_lelong_bound(v, 0.5, 1.0, 5.0, m),
-    "PotentialSequence phi": lambda m, v: PotentialSequence(m, ((v, 0.5, None),)),
+    "PotentialSequence phi": lambda m, v: PotentialSequence(m, ((v, 0.5, constant_rhs(m)),)),
 }
 EPS_LIST_SITES = {
     "sweep_epsilon eps_list": lambda m, v: sweep_epsilon(m, 1.0, magnifying(0.5), 0.5, v),
