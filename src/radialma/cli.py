@@ -1,8 +1,10 @@
 """Command-line driver for the lab experiments.
 
-Configs are INI-style ``key = value`` files with bracketed sections; a
-section or key the run does not read is an invalid configuration, so a
-misspelt key cannot fall back to its default unnoticed. Every run echoes
+Configs are INI-style ``key = value`` files with bracketed sections; an
+unknown section or key is an invalid configuration, so a misspelt key
+cannot fall back to its default unnoticed. A known key that a subcommand
+does not read, such as ``[rhs] epsilon_list`` on ``solve``, is accepted,
+so one config serves every subcommand. Every run echoes
 its canonicalised config into the summary header so a run can be
 reproduced byte-for-byte from its own output. Numeric output is serialised
 with 17 significant digits. Exit status: 0 success, 1 solver barrier or
@@ -264,10 +266,9 @@ def cmd_continuity(cfg: RunConfig) -> _Result:
     from .solver import continuity_in_t
     model = cfg.validate_model()
     rhs = cfg.build_rhs(model)
-    if cfg.kind == "neutral":
-        raise ConfigurationError("[equation] kind: continuity needs a time-dependent family")
     t_target = cfg.open_time()
-    trace, res = continuity_in_t(model, rhs, cfg.equation(), t_target, cfg.solve_config())
+    kind, config = cfg.equation(), cfg.solve_config()
+    trace, res = _in_section("[equation]", continuity_in_t, model, rhs, kind, t_target, config)
     status, summary, files = _trace_result(trace, "t_star")
     files["potential.dat"] = _curve(model.grid.nodes, res.phi)
     return status, summary, files
@@ -291,12 +292,10 @@ def cmd_magnify(cfg: RunConfig) -> _Result:
         raise ConfigurationError("[equation] kind: magnify solves the magnifying family")
     if cfg.rhs_kind != "dirac":
         raise ConfigurationError("[rhs] kind: magnify solves the dirac family")
-    tau0 = cfg.open_time()
-    # every member is built here too, so that an invalid one names [rhs];
-    # the experiment's builds are the model's memo hits
-    for eps in eps_list:
-        cfg.build_rhs(model, epsilon=eps)
-    report = magnification_experiment(model, cfg.gamma, tau0, eps_list, cfg.solve_config())
+    tau0, config = cfg.open_time(), cfg.solve_config()
+    # past the gates above, the one error left is a member build's
+    report = _in_section("[rhs]", magnification_experiment, model, cfg.gamma, tau0,
+                         eps_list, config)
     summary = _fields(verdict=report.verdict, eta=report.eta)
     rows = report.rows
     table = _table(MAGNIFY_COLUMNS, [r.record for r in rows],

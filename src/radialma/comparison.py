@@ -8,7 +8,8 @@ bound, the table the lab prints for the pole-amplification argument.
 argument: wherever the solved perturbation is bounded above by A on a pole
 neighbourhood, the density inequality pushes the pole coefficient up to
 e^{-tau*A/n} * gamma. The bound is only valid on windows containing the
-mollified mass; on smaller windows it overshoots, which is the
+mollified mass, so it reads its one window, and gamma and n, from the
+family phi solves for; on smaller windows it would overshoot, which is the
 finite-mollification shadow of the blow-up contradiction.
 """
 
@@ -20,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, CurvatureMarginWarning, require_open_unit,
-                     require_positive)
+from .errors import CurvatureMarginWarning, require_open_unit
 from .geometry import KahlerModel, pole_lelong
 from .grid import grid_values
-from .rhs import check_lower_bound
+from .rhs import RhsFamily, check_lower_bound
 from .solver import (
     SolveConfig,
     StepRecord,
@@ -34,24 +34,25 @@ from .solver import (
 )
 
 
-def bootstrap_lelong_bound(phi, tau0: float, gamma: float, window: float,
-                           model: KahlerModel) -> float:
-    """Implied pole-coefficient lower bound e^{-tau0 * A_W / n} * gamma.
+def bootstrap_lelong_bound(phi, tau0: float, rhs: RhsFamily) -> float:
+    """Implied pole-coefficient lower bound e^{-tau0 * A / n} * gamma of
+    the family ``rhs`` that phi solves for.
 
-    A_W is the sup of phi (``grid_values``) over [s_min, s_min + window],
-    a positive window that fits the grid (``require_positive``). The
-    bound is at least gamma whenever the perturbation is nonpositive there,
-    and shrinking the window can only increase it.
+    A is the sup of phi (``grid_values``) over the one valid window, which
+    holds the mollified mass: from s_min to the node nearest the pole
+    anchor, its width clamped to [4h, s_max - s_min - h]. A family without
+    a pole anchor (gamma = 0: the constant and divisor families) bounds 0.
     """
-    require_positive(gamma=gamma, window=window)
     require_open_unit(tau0=tau0)
-    grid = model.grid
+    model, grid = rhs.model, rhs.model.grid
     vals = grid_values(phi, grid)
-    if grid.s_min + window > grid.s_max:
-        raise ConfigurationError("window does not fit the grid")
-    j = grid.index_of(grid.s_min + window)
+    if rhs.pole_anchor is None:
+        return 0.0
+    s_min, s_max, h = grid.s_min, grid.s_max, grid.h
+    window = min(max(rhs.pole_anchor - s_min, 4.0 * h), s_max - s_min - h)
+    j = grid.index_of(s_min + window)
     a_w = float(np.max(vals[:j + 1]))
-    return math.exp(-tau0 * a_w / model.n) * gamma
+    return math.exp(-tau0 * a_w / model.n) * rhs.gamma
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     eps list from the last converged member dilated to the next mollifier,
     else continued in t from 0. Each row is a member's record, whose pole
     slope is ``nu_measured``, its neutral control's slope, read by the same
-    secant ``pole_lelong``, and the bootstrap bound over the pole window
-    [s_min, layer]. A failed member's row carries the record of its last
+    secant ``pole_lelong``, and the member's ``bootstrap_lelong_bound``,
+    0 at gamma = 0. A failed member's row carries the record of its last
     continuation attempt and nan for its own slope and bound. The verdict
     is the sweep's: reached_target / barrier / average_blowup, the last
     when the volume averages grow by at least one unit at every mollifier
@@ -116,17 +117,10 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
             f"tau0 = {tau0} is not below the curvature margin eta = {eta:.3g}; "
             "proceeding as an experimental probe", CurvatureMarginWarning, stacklevel=2)
 
-    s_min, s_max, h = model.grid.s_min, model.grid.s_max, model.grid.h
     rows: list[MagnificationRow] = []
     for record, res in zip(trace.entries, results):
-        rhs = res.rhs
-        control = neutral_oracle(model, rhs)
-        nu_neutral = pole_lelong(control.values - model.psi.values, rhs).value
-        bound = math.nan
-        if res.converged:
-            # gamma > 0 builds a point mass, whose layer sets the window
-            bound = 0.0 if gamma == 0.0 else bootstrap_lelong_bound(
-                res.phi, tau0, gamma, min(max(rhs.pole_anchor - s_min, 4.0 * h),
-                                          s_max - s_min - h), model)
+        control = neutral_oracle(model, res.rhs)
+        nu_neutral = pole_lelong(control.values - model.psi.values, res.rhs).value
+        bound = bootstrap_lelong_bound(res.phi, tau0, res.rhs) if res.converged else math.nan
         rows.append(MagnificationRow(record, nu_neutral, bound))
     return MagnificationReport(tuple(rows), trace.verdict, eta)

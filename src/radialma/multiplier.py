@@ -74,7 +74,9 @@ def germ_integral(k: int, phi, tau: float, rhs: RhsFamily) -> GermIntegral:
     cut = s <= 0.0
     exponents = (k + model.n) * s[cut] - tau * vals[cut]
     peak = float(np.max(exponents))
-    w = np.full(cut.sum(), grid.h)
+    # one pole-side node spans no interval: its weight is 0
+    count = int(cut.sum())
+    w = np.full(count, grid.h if count > 1 else 0.0)
     w[0] *= 0.5
     w[-1] *= 0.5
     base = float(np.exp(peak) * np.sum(w * np.exp(exponents - peak))) if peak <= 700.0 else math.inf

@@ -267,9 +267,14 @@ class TestContinuity:
         assert params[0] == 0.0 and params[-1] == pytest.approx(0.3)
         assert params == sorted(params)
 
-    def test_neutral_kind_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, kind="neutral", t="0.0", t_target="0.0")
-        assert main(["continuity", "--config", cfg, "--out", str(tmp_path)]) == 2
+    def test_neutral_kind_rejected(self, tmp_path, capsys):
+        # the library's rule, named [equation]: the CLI states none of its own
+        cfg = write_config(tmp_path, kind="neutral", t_target="0.5")
+        assert main(["continuity", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [equation]: kind must be time-dependent for continuity "
+            "in t, got 'neutral'\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestMultiplier:
@@ -904,6 +909,20 @@ class TestOutputContract:
         assert captured.out == ""
         assert captured.err.startswith("configuration error: " + where)
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    @pytest.mark.parametrize("subcommand,changes", [
+        ("continuity", dict(kind="neutral")),
+        ("magnify", dict(rhs_kind="dirac", gamma="5", eps_list="1e-1,1e-2")),
+    ])
+    def test_solver_keys_are_read_before_the_library_call(self, tmp_path, capsys,
+                                                           subcommand, changes):
+        # a neutral kind or a member that cannot be built is the library
+        # call's error, so an invalid [solver] key is reported first
+        path = Path(write_config(tmp_path, t_target="0.3", **changes))
+        path.write_text(path.read_text().replace("newton_tol = 1e-10", "newton_tol = -1"))
+        assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [solver]: newton_tol must be positive, got -1.0\n")
 
     @pytest.mark.parametrize("subcommand,out,name,target", [
         # the output directory is an existing file

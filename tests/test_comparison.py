@@ -14,6 +14,8 @@ from radialma import (
     SGrid,
     bootstrap_lelong_bound,
     build_dirac_rhs,
+    build_divisor_rhs,
+    constant_rhs,
     magnification_experiment,
     magnifying,
     continuity_in_t,
@@ -142,37 +144,53 @@ class TestComparisonPrinciple:
 
 
 class TestBootstrap:
+    """The bound of the family phi solves for: its gamma, n and window."""
+
     def test_zero_sup_returns_gamma(self, model_n1):
         phi = np.zeros(model_n1.grid.points)
-        assert bootstrap_lelong_bound(phi, 0.3, 1.4, 5.0, model_n1) == pytest.approx(1.4)
+        rhs = build_dirac_rhs(1.4, 1e-3, model_n1)
+        assert bootstrap_lelong_bound(phi, 0.3, rhs) == pytest.approx(1.4)
 
     def test_negative_sup_amplifies(self, model_n1):
         # sup phi = -B on the window: bound e^{tau0 B / n} gamma
         B, tau0, gamma = 2.0, 0.3, 1.4
         phi = np.full(model_n1.grid.points, -B)
-        bound = bootstrap_lelong_bound(phi, tau0, gamma, 5.0, model_n1)
+        bound = bootstrap_lelong_bound(phi, tau0, build_dirac_rhs(gamma, 1e-3, model_n1))
         assert bound == pytest.approx(np.exp(tau0 * B) * gamma)
 
     def test_monotone_in_window_sup(self, model_n1):
         tau0, gamma = 0.25, 1.0
+        rhs = build_dirac_rhs(gamma, 1e-3, model_n1)
         sups = np.linspace(-3.0, 3.0, 13)
-        bounds = [bootstrap_lelong_bound(np.full(model_n1.grid.points, a),
-                                         tau0, gamma, 5.0, model_n1)
+        bounds = [bootstrap_lelong_bound(np.full(model_n1.grid.points, a), tau0, rhs)
                   for a in sups]
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
         assert bounds[6] == pytest.approx(gamma)
 
-    def test_two_pass_window_shrink_improves_bound(self, model_n1):
-        # on a solved amplifying potential, halving the window from one that
-        # reaches past the mollified layer onto the flat dip raises the bound
-        eps, tau0, gamma = 1e-3, 0.2, 1.0
-        rhs = build_dirac_rhs(gamma, eps, model_n1)
-        _, res = continuity_in_t(model_n1, rhs, magnifying(tau0), tau0)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_window_reaches_the_pole_anchor(self, n):
+        # on a solved amplifying potential the bound reads phi up to the
+        # node nearest the layer's anchor: raising phi right of it changes
+        # no bit, raising it by delta up to there scales the bound by
+        # e^{-tau0 delta / n}
+        m = KahlerModel(n, n + 1.0)
+        eps, tau0, delta = 1e-3, 0.2, 0.7
+        rhs = build_dirac_rhs(0.5 * m.degree, eps, m)
+        _, res = continuity_in_t(m, rhs, magnifying(tau0), tau0)
         assert res.converged
-        w1 = rhs.pole_anchor - model_n1.grid.s_min
-        pass1 = bootstrap_lelong_bound(res.phi, tau0, gamma, w1, model_n1)
-        pass2 = bootstrap_lelong_bound(res.phi, tau0, gamma, w1 / 2.0, model_n1)
-        assert pass2 > pass1
+        window = m.grid.nodes <= rhs.pole_anchor + 0.5 * m.grid.h
+        bound = bootstrap_lelong_bound(res.phi, tau0, rhs)
+        outside = res.phi + np.where(window, 0.0, 5.0)
+        assert bootstrap_lelong_bound(outside, tau0, rhs) == bound
+        inside = res.phi + np.where(window, delta, 0.0)
+        assert bootstrap_lelong_bound(inside, tau0, rhs) == \
+            pytest.approx(bound * np.exp(-tau0 * delta / n), rel=1e-12)
+
+    def test_a_family_without_a_pole_bounds_zero(self, model_n1):
+        phi = np.full(model_n1.grid.points, -3.0)
+        for rhs in (constant_rhs(model_n1), build_divisor_rhs(0.5, 1e-3, model_n1),
+                    build_dirac_rhs(0.0, 1e-3, model_n1)):
+            assert bootstrap_lelong_bound(phi, 0.3, rhs) == 0.0, rhs.kind
 
 
 class TestMagnificationExperiment:
@@ -235,6 +253,7 @@ class TestMagnificationExperiment:
             assert np.array_equal(member.phi, res.phi)
             # one pole reading: the member's recorded secant
             assert row.nu_measured == member.diagnostics.lelong.value
+            assert row.nu_bootstrap == bootstrap_lelong_bound(member.phi, 0.2, member.rhs)
 
     def test_empty_eps_list_rejected(self, model_n1):
         with pytest.raises(ConfigurationError, match="must not be empty"):

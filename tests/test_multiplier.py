@@ -103,6 +103,16 @@ class TestGermIntegral:
         assert g.finite
         assert g.value == pytest.approx(1.0 / alpha, rel=1e-4)
 
+    @pytest.mark.parametrize("s_min", [0.0, -0.25])
+    def test_pole_side_of_one_node_spans_no_interval(self, s_min):
+        # phi = 0 from s_min on a grid of step 0.25: the tail e^{n s_min} /
+        # alpha, plus the trapezoid over the pole-side nodes, which is empty
+        # for the one node s = 0, not that node's h halved at both ends
+        m = KahlerModel(1, 2.0, SGrid(s_min, s_min + 20.0, 81))
+        g = germ_integral(0, np.zeros(81), 0.5, constant_rhs(m))
+        tail = math.exp(s_min) / g.tail_exponent
+        trapezoid = 0.125 * (math.exp(s_min) + 1.0) if s_min < 0.0 else 0.0
+        assert g.value == pytest.approx(tail + trapezoid, rel=1e-15)
 
     def test_pole_slope_is_the_diagnostics_reading(self, model_n1):
         # nu read at the secant nodes equals the anchored Lelong estimate of

@@ -131,6 +131,22 @@ def test_a_reading_takes_its_family():
     assert both == MODEL_BESIDE_FAMILY, sorted(both ^ MODEL_BESIDE_FAMILY)
 
 
+def test_a_reading_of_phi_takes_its_family():
+    # every public function of a perturbation phi reads the family phi
+    # solves for, which carries the model, gamma and pole window; the one
+    # exception is the volume average, an integral of any grid function
+    loose = set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            a = node.args
+            params = {param.arg for param in a.posonlyargs + a.args + a.kwonlyargs}
+            if "phi" in params and not ("rhs" in params and "model" not in params):
+                loose.add(node.name)
+    assert loose == {"average"}, sorted(loose)
+
+
 def test_the_rules_stay_in_errors():
     # one module states the exception types and the scalar rules: no other
     # defines an exception or warning class or imports numbers, which the

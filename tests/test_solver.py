@@ -1045,4 +1045,4 @@ class TestDiagnostics:
         with pytest.raises(ConfigurationError):
             pole_lelong(phi, rhs)
         with pytest.raises(ConfigurationError):
-            bootstrap_lelong_bound(phi, 0.2, 1.0, 5.0, model_n1)
+            bootstrap_lelong_bound(phi, 0.2, rhs)

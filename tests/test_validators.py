@@ -53,10 +53,15 @@ def with_node_3(value):
     return phi
 
 
+def point_mass(m):
+    """A point-mass family on the model, whose layer at 2 log eps = -1.4
+    lies well inside GRID."""
+    return build_dirac_rhs(1.0, 0.5, m)
+
+
 def family_with(field):
-    """A call that sets ``field`` of a point-mass family on the model, whose
-    layer at 2 log eps = -1.4 lies well inside GRID."""
-    return lambda m, v: replace(build_dirac_rhs(1.0, 0.5, m), **{field: v})
+    """A call that sets ``field`` of the ``point_mass`` family."""
+    return lambda m, v: replace(point_mass(m), **{field: v})
 
 
 def pole_on_a_narrow_grid(m):
@@ -167,10 +172,10 @@ CASES = {
                                  lambda m: pole_lelong(with_node_3(np.nan), constant_rhs(m))),
     "bootstrap of a nan phi": (
         ConfigurationError, "potential values must be finite",
-        lambda m: bootstrap_lelong_bound(with_node_3(np.nan), 0.5, 1.0, 5.0, m)),
+        lambda m: bootstrap_lelong_bound(with_node_3(np.nan), 0.5, point_mass(m))),
     "bootstrap of a +inf phi": (
         ConfigurationError, "potential values must be finite",
-        lambda m: bootstrap_lelong_bound(with_node_3(np.inf), 0.5, 1.0, 5.0, m)),
+        lambda m: bootstrap_lelong_bound(with_node_3(np.inf), 0.5, point_mass(m))),
     # a potential u is no array of node values: it is not read as phi
     "diagnostics_for of a potential": (ConfigurationError, "RadialPotential",
                                        lambda m: diagnostics_for(m.psi, constant_rhs(m))),
@@ -185,20 +190,10 @@ CASES = {
     "potential of dimension 2.5": (
         ConfigurationError, "dimension must be an integer >= 1, got 2.5",
         lambda m: RadialPotential(GRID, ZEROS, 2.5)),
-    "bootstrap gamma <= 0": (ConfigurationError, "gamma must be positive, got 0.0",
-                             lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 0.0, 5.0, m)),
-    "bootstrap gamma = nan": (ConfigurationError, "gamma must be finite, got nan",
-                              lambda m: bootstrap_lelong_bound(ZEROS, 0.5, np.nan, 5.0, m)),
-    "bootstrap gamma = inf": (ConfigurationError, "gamma must be finite, got inf",
-                              lambda m: bootstrap_lelong_bound(ZEROS, 0.5, np.inf, 5.0, m)),
-    "bootstrap window = nan": (ConfigurationError, "window must be finite, got nan",
-                               lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, np.nan, m)),
     "bootstrap tau0 = 1": (ConfigurationError, "tau0 must lie in (0, 1)",
-                           lambda m: bootstrap_lelong_bound(ZEROS, 1.0, 1.0, 5.0, m)),
+                           lambda m: bootstrap_lelong_bound(ZEROS, 1.0, point_mass(m))),
     "bootstrap tau0 = 0": (ConfigurationError, "tau0 must lie in (0, 1)",
-                           lambda m: bootstrap_lelong_bound(ZEROS, 0.0, 1.0, 5.0, m)),
-    "bootstrap window too wide": (ConfigurationError, "window does not fit",
-                                  lambda m: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, 30.0, m)),
+                           lambda m: bootstrap_lelong_bound(ZEROS, 0.0, point_mass(m))),
     "germ order k < 0": (ConfigurationError, "k must be an integer >= 0, got -1",
                          lambda m: germ_integral(-1, ZEROS, 0.5, constant_rhs(m))),
     "germ tau = nan": (ConfigurationError, "tau must be finite, got nan",
@@ -272,7 +267,7 @@ OPEN_UNIT_SITES = {
     "PotentialSequence tau": (
         "tau", lambda m, v: PotentialSequence(m, ((ZEROS, v, constant_rhs(m)),))),
     "bootstrap_lelong_bound tau0": (
-        "tau0", lambda m, v: bootstrap_lelong_bound(ZEROS, v, 1.0, 5.0, m)),
+        "tau0", lambda m, v: bootstrap_lelong_bound(ZEROS, v, point_mass(m))),
     "magnification_experiment tau0": (
         "tau0", lambda m, v: magnification_experiment(m, 1.0, v, (1e-1,))),
 }
@@ -280,8 +275,6 @@ POSITIVE_SITES = {
     "xi_eps eps": ("eps", lambda m, v: xi_eps(0.0, v)),
     "build_dirac_rhs eps": ("eps", lambda m, v: build_dirac_rhs(1.0, v, m)),
     "build_divisor_rhs eps": ("eps", lambda m, v: build_divisor_rhs(0.5, v, m)),
-    "bootstrap_lelong_bound gamma": (
-        "gamma", lambda m, v: bootstrap_lelong_bound(ZEROS, 0.5, v, 5.0, m)),
     "KahlerModel degree": ("degree", lambda m, v: KahlerModel(1, v, GRID)),
     "SolveConfig newton_tol": ("newton_tol", lambda m, v: SolveConfig(newton_tol=v)),
 }
@@ -360,7 +353,6 @@ SCALAR_SITES = {
     "sweep_epsilon tau0": lambda m, v: sweep_epsilon(m, 1.0, magnifying(0.5), v, (1e-1,)),
     "neutral sweep_epsilon tau0": lambda m, v: sweep_epsilon(m, 1.0, neutral(), v, (1e-1,)),
     "magnification_experiment gamma": lambda m, v: magnification_experiment(m, v, 0.5, (1e-1,)),
-    "bootstrap_lelong_bound window": lambda m, v: bootstrap_lelong_bound(ZEROS, 0.5, 1.0, v, m),
     "germ_integral tau": lambda m, v: germ_integral(0, ZEROS, v, constant_rhs(m)),
     "trivial_lemma_report eta": lambda m, v: trivial_lemma_report(StalkDescriptor(1, 1.5), v),
     "BundleSpec degree": lambda m, v: BundleSpec(((v, 1),)),
@@ -376,7 +368,7 @@ GRID_FUNCTION_SITES = {
     "pole_lelong phi": lambda m, v: pole_lelong(v, constant_rhs(m)),
     "diagnostics_for phi": lambda m, v: diagnostics_for(v, constant_rhs(m)),
     "germ_integral phi": lambda m, v: germ_integral(0, v, 0.5, constant_rhs(m)),
-    "bootstrap_lelong_bound phi": lambda m, v: bootstrap_lelong_bound(v, 0.5, 1.0, 5.0, m),
+    "bootstrap_lelong_bound phi": lambda m, v: bootstrap_lelong_bound(v, 0.5, point_mass(m)),
     "PotentialSequence phi": lambda m, v: PotentialSequence(m, ((v, 0.5, constant_rhs(m)),)),
 }
 EPS_LIST_SITES = {
