@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CurvatureMarginWarning, require_open_unit
 from .geometry import KahlerModel, pole_lelong
 from .grid import grid_values
-from .rhs import RhsFamily, check_lower_bound
+from .rhs import RhsFamily, check_lower_bound, require_family
 from .solver import (
     SolveConfig,
     StepRecord,
@@ -44,6 +44,7 @@ def bootstrap_lelong_bound(phi, tau0: float, rhs: RhsFamily) -> float:
     a pole anchor (gamma = 0: the constant and divisor families) bounds 0.
     """
     require_open_unit(tau0=tau0)
+    require_family(rhs)
     model, grid = rhs.model, rhs.model.grid
     vals = grid_values(phi, grid)
     if rhs.pole_anchor is None:
@@ -120,7 +121,7 @@ def magnification_experiment(model: KahlerModel, gamma: float, tau0: float,
     rows: list[MagnificationRow] = []
     for record, res in zip(trace.entries, results):
         control = neutral_oracle(model, res.rhs)
-        nu_neutral = pole_lelong(control.values - model.psi.values, res.rhs).value
+        nu_neutral = pole_lelong(control.values - model.psi, res.rhs).value
         bound = bootstrap_lelong_bound(res.phi, tau0, res.rhs) if res.converged else math.nan
         rows.append(MagnificationRow(record, nu_neutral, bound))
     return MagnificationReport(tuple(rows), trace.verdict, eta)

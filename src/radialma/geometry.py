@@ -14,17 +14,21 @@ fluxes are, from the solver's two boundary slopes
 (``solver.diagnostics_for``).
 
 The reference metric is Fubini-Study: psi(s) = d log(1 + e^s), whose
-derivatives are logistic functions. Those closed forms are evaluated
+derivatives are logistic functions. psi is the model's fixed reference, a
+read-only array of node values, not a potential the lab solves for: the
+continuity path is a sequence of perturbations phi = u - psi, and a solved
+u is a ``RadialPotential``, built only where a caller asks for one
+(``SolveResult.u``, ``neutral_oracle``). Those closed forms are evaluated
 where a quadrature weight or curvature ratio that must be accurate below
 discretisation noise reads them; the half-node slopes of psi and of the
 mollified pole are exact softplus steps, ``softplus_step``. Grid
 potentials are differentiated as the solver does, through their half-node
 slopes and ``grid.cell_masses``. Positivity has one rule,
 ``grid.first_violation`` of the slopes, which
-``RadialPotential.kahler_violation`` applies. A solved pole has one
-reading, the windowed secant ``pole_lelong`` of u at three nodes, taken
-with the family u solves for, whose model it reads: diagnostics, germ
-integrals, the stalk and the magnification table all read it.
+``RadialPotential.kahler_violation`` applies to a solved u. A solved pole
+has one reading, the windowed secant ``pole_lelong`` of u at three nodes,
+taken with the family u solves for, whose model it reads: diagnostics,
+germ integrals, the stalk and the magnification table all read it.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, require_positive
-from .grid import (DEFAULT_GRID, LOG_DBL_MAX, RadialPotential, SGrid, cell_masses,
-                   grid_values)
+from .errors import ConfigurationError, require_integer, require_positive
+from .grid import DEFAULT_GRID, LOG_DBL_MAX, SGrid, cell_masses, grid_values
 
 if TYPE_CHECKING:
     from .rhs import RhsFamily
@@ -76,25 +79,31 @@ class KahlerModel:
 
     psi has slope 0 at the far left and slope d at the far right, strictly
     convex in between; d = n + 1 is the anticanonical normalisation. A model
-    holds psi and its flux form: the half-node slopes ``psi_slopes`` and
-    their cell masses ``weight`` (used by the solver, so that F = 1 has the
-    exact discrete fixed point phi = 0), and the volume weights ``average``
-    reads. The logistic closed forms of psi' and psi'' are evaluated where
-    they are read, by the volume quadrature and the curvature margin.
+    holds psi, a read-only float64 array of its node values, and its flux
+    form: the half-node slopes ``psi_slopes`` and their cell masses
+    ``weight`` (used by the solver, so that F = 1 has the exact discrete
+    fixed point phi = 0), and the volume weights ``average`` reads. The
+    logistic closed forms of psi' and psi'' are evaluated where they are
+    read, by the volume quadrature and the curvature margin.
 
-    A model is rejected unless psi admits n (``RadialPotential``), d is
-    finite and positive, the model mass d^n is a finite double and the grid
-    holds a positive, finite mass of psi: a grid far left of
-    s = 0, where psi' underflows to 0, or far right, where every slope is
-    d, carries none. The geometry is immutable after construction; the
-    one state a model changes is what was built on it, kept in one cache
-    (``memoized``): its families and the mollifier profiles they share.
+    A model is rejected unless d is finite and positive, n is an integer
+    >= 1 (``require_integer``), psi passes ``grid_values``, the model mass
+    d^n is a finite double and the grid holds a positive, finite mass of
+    psi: a grid far left of s = 0, where psi' underflows to 0, or far
+    right, where every slope is d, carries none. The geometry is immutable
+    after construction; the one state a model changes is what was built on
+    it, kept in one cache (``memoized``): its families and the mollifier
+    profiles they share.
     """
 
     def __init__(self, n: int, degree: float, grid: SGrid = DEFAULT_GRID):
         require_positive(degree=degree)
-        self.psi = RadialPotential(grid, degree * softplus(grid.nodes), n)
-        self.n, self.degree, self.grid = self.psi.n, float(degree), grid
+        require_integer(1, dimension=n)
+        # a copy, not the product itself: keeping the product buffer for the
+        # model's lifetime moved t_continuation's p50 by +10 % through glibc
+        # heap trimming (ROADMAP item 18)
+        self.psi = _frozen(grid_values(degree * softplus(grid.nodes), grid).copy())
+        self.n, self.degree, self.grid = n, float(degree), grid
         where = (f"n = {self.n}, d = {self.degree:.6g} on the grid [{grid.s_min:.6g}, "
                  f"{grid.s_max:.6g}] of {grid.points} points")
         log_mass = self.n * math.log(self.degree)
@@ -194,6 +203,9 @@ def pole_lelong(phi, rhs: RhsFamily) -> LelongEstimate:
     shorter than 4h, the smooth rule holds. ``sensitivity`` is the change
     under halving the window, the resolution-limit diagnostic.
     """
+    from .rhs import require_family  # rhs builds on this module
+
+    require_family(rhs)
     model, grid = rhs.model, rhs.model.grid
     vals = grid_values(phi, grid)
     window = min(max(LELONG_WINDOW, 4.0 * grid.h), float(grid.s_max - grid.s_min))
@@ -207,7 +219,7 @@ def pole_lelong(phi, rhs: RhsFamily) -> LelongEstimate:
             window, a = b - anchor, anchor
     nodes = np.array([grid.index_of(a), grid.index_of(a + window),
                       grid.index_of(a + window / 2.0)])
-    u, s = model.psi.values[nodes] + vals[nodes], grid.nodes[nodes]
+    u, s = model.psi[nodes] + vals[nodes], grid.nodes[nodes]
     v = float((u[1] - u[0]) / (s[1] - s[0]))
     v_half = float((u[2] - u[0]) / (s[2] - s[0]))
     return LelongEstimate(max(v, 0.0), window, abs(v - v_half))

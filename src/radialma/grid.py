@@ -16,7 +16,9 @@ subinterval, each to its rounding, imply domination inside. The two
 boundary rows prescribe the first and last slope. Every sign check is made
 against one noise floor, ``rounding_floor``, and Kahler positivity is
 decided by one scan of the slopes, ``first_violation``. A grid function
-passes one gate, ``grid_values``; ``RadialPotential`` adds the one dimension rule.
+passes one gate, ``grid_values``: the model's reference psi and every
+perturbation phi are such arrays. ``RadialPotential`` is a solved potential
+u = psi + phi, which adds the one dimension rule and the positivity check.
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ DEFAULT_GRID = SGrid(-40.0, 40.0, 4001)
 
 @dataclass(frozen=True, eq=False)
 class RadialPotential:
-    """A grid function u(s) together with the dimension it lives on.
+    """A solved potential u(s) = psi + phi together with the dimension it
+    lives on; the package builds one only where a caller asks for a solved u
+    (``SolveResult.u``, ``neutral_oracle``).
 
     The values pass ``grid_values`` and are copied; the dimension n is an
     integer >= 1. Immutable after construction; concurrent readers are safe.

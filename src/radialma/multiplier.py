@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, require_finite, require_integer, require_open_unit
 from .geometry import KahlerModel, pole_lelong
 from .grid import grid_values
-from .rhs import RhsFamily, require_built_on
+from .rhs import RhsFamily, require_built_on, require_family
 
 BORDERLINE_TOL = 1e-9
 
@@ -64,6 +64,7 @@ def germ_integral(k: int, phi, tau: float, rhs: RhsFamily) -> GermIntegral:
     """
     require_integer(0, k=k)
     require_finite(tau=tau)
+    require_family(rhs)
     model, grid = rhs.model, rhs.model.grid
     vals = grid_values(phi, grid)
     _require_pole_side(grid)

@@ -195,11 +195,19 @@ class RhsFamily:
         return dominance_margin(q1, q2, self.model)
 
 
-def require_built_on(family, model: KahlerModel, entry: str = "") -> None:
-    """The one model check of a family: ``family`` is an ``RhsFamily`` built
-    on ``model``'s n, d and grid. ``entry`` prefixes the error it raises."""
+def require_family(family, entry: str = "") -> None:
+    """The one type check of a family, made before any of it is read: a
+    reading of phi takes its model from ``family``, which must be an
+    ``RhsFamily``. ``entry`` prefixes the error it raises."""
     if not isinstance(family, RhsFamily):
         raise ConfigurationError(f"{entry}right-hand side must be an RhsFamily, got {family!r}")
+
+
+def require_built_on(family, model: KahlerModel, entry: str = "") -> None:
+    """The one model check of a family: ``family`` passes ``require_family``
+    and is built on ``model``'s n, d and grid. ``entry`` prefixes the error
+    it raises."""
+    require_family(family, entry)
     built = family.model
     if (model.n, model.degree) != (built.n, built.degree):
         raise ConfigurationError(

@@ -29,7 +29,8 @@ first integral (``_first_integral_map``), with Anderson acceleration
 exponent rate 0, T does not depend on phi and one application is the
 quadrature ``neutral_oracle`` returns. ``residual_from_perturbation``
 evaluates the rows. T, the rows and each reading take the family, which
-carries its model; ``rhs.require_built_on`` holds a driver's model to it.
+carries its model; a reading checks its type first (``rhs.require_family``),
+and ``rhs.require_built_on`` holds a driver's model to it.
 
 Positivity holds by construction, so no solve is judged on it. Every
 result is an image of T, whose slope powers are the first one, w_{1/2}^n
@@ -69,7 +70,7 @@ from .errors import (ConfigurationError, require_finite, require_integer, requir
                      require_positive)
 from .geometry import Diagnostics, KahlerModel, average, pole_lelong
 from .grid import RadialPotential, cell_masses, grid_values
-from .rhs import RhsFamily, build_dirac_rhs, require_built_on
+from .rhs import RhsFamily, build_dirac_rhs, require_built_on, require_family
 
 BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
@@ -145,7 +146,7 @@ class SolveResult:
     @cached_property
     def u(self) -> RadialPotential:
         model = self.rhs.model
-        return RadialPotential(model.grid, model.psi.values + self.phi, model.n)
+        return RadialPotential(model.grid, model.psi + self.phi, model.n)
 
 
 @dataclass(frozen=True)
@@ -183,9 +184,10 @@ class ContinuityTrace:
 # Residual
 
 
-def residual_from_perturbation(phi: np.ndarray, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
-    """Nodewise residual of phi = u - psi, the solver's native variable, for
-    the family ``rhs`` on its model; zero at exact discrete solutions.
+def residual_from_perturbation(phi, rhs: RhsFamily, kind: EquationKind) -> np.ndarray:
+    """Nodewise residual of phi = u - psi, the solver's native variable,
+    which passes ``grid_values``, for the family ``rhs`` on its model; zero
+    at exact discrete solutions.
 
     Interior rows are the ``cell_masses`` of the half-node slopes minus
     e^{sigma t phi} R, R = ``rhs.density``; the first and last rows are the
@@ -193,8 +195,10 @@ def residual_from_perturbation(phi: np.ndarray, rhs: RhsFamily, kind: EquationKi
     The slopes of psi and of phi are differenced separately, so rounding
     scales with |phi| rather than |u| and F = 1, phi = 0 is an exact zero:
     representing u = psi + phi first would absorb small perturbations into
-    the rounding of the large psi values."""
+    the rounding of the large values of psi."""
+    require_family(rhs)
     n, h = rhs.model.n, rhs.model.grid.h
+    phi = grid_values(phi, rhs.model.grid)
     w = rhs.model.psi_slopes + np.diff(phi) / h
     r = np.empty_like(phi)
     r[1:-1] = cell_masses(w, n, h) - np.exp(kind.exponent_rate * phi[1:-1]) * rhs.density
@@ -357,7 +361,7 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
     """
     require_built_on(rhs, model)
     phi = _first_integral_map(rhs, neutral())(np.zeros(model.grid.points))
-    return RadialPotential(model.grid, model.psi.values + phi, model.n)
+    return RadialPotential(model.grid, model.psi + phi, model.n)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +373,7 @@ def diagnostics_for(phi, rhs: RhsFamily) -> Diagnostics:
     never u): extrema, volume average, the pole reading ``pole_lelong`` and
     the mass of u = psi + phi, last^n - first^n of its end fluxes as the
     boundary rows read them: ``psi_slopes`` plus phi's own end differences."""
+    require_family(rhs)
     model, vals = rhs.model, grid_values(phi, rhs.model.grid)
     W, h, n = model.psi_slopes, model.grid.h, model.n
     first = W[0] + (vals[1] - vals[0]) / h
@@ -402,7 +407,7 @@ def _dilated(phi: np.ndarray, prev: RhsFamily, rhs: RhsFamily) -> np.ndarray:
     shift = prev.pole_anchor - rhs.pole_anchor
     if shift == 0.0:
         return phi
-    s, h, psi = rhs.model.grid.nodes, rhs.model.grid.h, rhs.model.psi.values
+    s, h, psi = rhs.model.grid.nodes, rhs.model.grid.h, rhs.model.psi
     u = psi + phi
     x = s + shift
     moved = np.interp(x, s, u)

@@ -295,7 +295,7 @@ def diagnostics_per_call(phi, rhs):
 
     model = rhs.model
     grid, h = model.grid, model.grid.h
-    u = RadialPotential(grid, model.psi.values + phi, model.n)
+    u = RadialPotential(grid, model.psi + phi, model.n)
     window, a = min(max(LELONG_WINDOW, 4.0 * h), grid.s_max - grid.s_min), grid.s_min
     if rhs.pole_anchor is not None:
         cap = min(LELONG_CAP, grid.s_max - 4.0 * h)

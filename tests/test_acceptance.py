@@ -16,6 +16,7 @@ from radialma import (
     EquationKind,
     KahlerModel,
     PotentialSequence,
+    RadialPotential,
     SolveConfig,
     build_dirac_rhs,
     check_lower_bound,
@@ -150,8 +151,8 @@ def test_criterion_07_curvature_suite():
     etas = []
     for n in (1, 2):
         m = KahlerModel(n, float(n + 1))
-        rho = ricci_potential(m.psi)
-        gap = (rho - m.psi.values[1:-1])[resolvable_curvature(m.psi)]
+        u = RadialPotential(m.grid, m.psi, n)
+        gap = (ricci_potential(u) - m.psi[1:-1])[resolvable_curvature(u)]
         assert np.max(np.abs(np.diff(gap, 2))) <= 1e-8
         eta = check_lower_bound(constant_rhs(m)).eta
         assert abs(eta - (n + 1)) <= 1e-6

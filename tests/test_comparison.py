@@ -48,13 +48,14 @@ class TestBtCompare:
     hypotheses are known to hold or fail."""
 
     def test_equal_potentials(self, model_n1):
-        rep = bt_compare(model_n1.psi, model_n1.psi, -10.0, 10.0)
+        psi = RadialPotential(model_n1.grid, model_n1.psi, 1)
+        rep = bt_compare(psi, psi, -10.0, 10.0)
         assert rep.holds and rep.hypotheses_ok
         assert rep.margin == 0.0
 
     def test_constant_shift(self, model_n1):
-        u = RadialPotential(model_n1.grid, model_n1.psi.values + 0.7, 1)
-        rep = bt_compare(u, model_n1.psi, -10.0, 10.0)
+        u = RadialPotential(model_n1.grid, model_n1.psi + 0.7, 1)
+        rep = bt_compare(u, RadialPotential(model_n1.grid, model_n1.psi, 1), -10.0, 10.0)
         assert rep.holds
         assert rep.margin == pytest.approx(0.7)
 
@@ -88,7 +89,7 @@ class TestBtCompare:
         assert not rep.holds
         # u = psi + 1 - e^{-s^2} carries more mass than psi near s = 0, less
         # on [-10, -5], and lies above it at both ends of [-10, 10]
-        psi, s = model_n1.psi, model_n1.grid.nodes
+        psi, s = RadialPotential(model_n1.grid, model_n1.psi, 1), model_n1.grid.nodes
         u = RadialPotential(psi.grid, psi.values + 1.0 - np.exp(-s**2), 1)
         reports = [bt_compare(u, psi, -10.0, -5.0), bt_compare(u, psi, -10.0, 10.0),
                    bt_compare(psi, u, -10.0, 10.0)]
@@ -100,7 +101,8 @@ class TestBtCompare:
     def test_reference_dominates_its_own_downward_shift(self, n, points):
         # psi >= psi - c with equal densities: both hypotheses hold exactly,
         # so the densities must agree to their rounding on every grid
-        psi = KahlerModel(n, n + 1.0, SGrid(-40.0, 40.0, points)).psi
+        m = KahlerModel(n, n + 1.0, SGrid(-40.0, 40.0, points))
+        psi = RadialPotential(m.grid, m.psi, n)
         for c in (1e-6, 1e-3, 1.0):
             rep = bt_compare(psi, RadialPotential(psi.grid, psi.values - c, n), -30.0, 30.0)
             assert rep.hypotheses_ok, (c, rep)

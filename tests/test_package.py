@@ -147,6 +147,19 @@ def test_a_reading_of_phi_takes_its_family():
     assert loose == {"average"}, sorted(loose)
 
 
+def test_only_a_solved_potential_is_a_radial_potential():
+    # psi is the model's array; a RadialPotential is built only where a
+    # caller asks for a solved u
+    callers = set()
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                    == "RadialPotential" for node in ast.walk(func)):
+                callers.add(f"{path.name}: {func.name}")
+    assert callers == {"solver.py: u", "solver.py: neutral_oracle"}, sorted(callers)
+
+
 def test_the_rules_stay_in_errors():
     # one module states the exception types and the scalar rules: no other
     # defines an exception or warning class or imports numbers, which the

@@ -159,7 +159,7 @@ class TestDiracFamily:
         # the closed form moves the slopes by rounding only
         for n in (1, 4):
             m = KahlerModel(n, n + 1.0)
-            diffs = np.diff(m.psi.values) / m.grid.h
+            diffs = np.diff(m.psi) / m.grid.h
             assert np.max(np.abs(m.psi_slopes - diffs)) <= 1e-11
 
     def test_pole_mass_above_model_mass_rejected(self, model_n1):
@@ -296,7 +296,7 @@ class TestDivisorFamily:
         for dp in (0.3, 0.1, 0.03):
             rhs = build_divisor_rhs(dp, 1e-6, model_n1)
             u = neutral_oracle(model_n1, rhs)
-            est = pole_lelong(u.values - model_n1.psi.values, rhs)
+            est = pole_lelong(u.values - model_n1.psi, rhs)
             assert est.value < 1e-3
 
     def test_margin_positive_up_to_reported_order(self, model_n1):

@@ -102,7 +102,7 @@ class TestResidual:
         assert np.min(r[1:-1]) > -1e-9
         # phi read back from u = psi + c agrees up to the representation
         # rounding of u
-        phi_u = (model_n1.psi.values + c) - model_n1.psi.values
+        phi_u = (model_n1.psi + c) - model_n1.psi
         r_u = residual_from_perturbation(phi_u, rhs, magnifying(t))
         assert np.max(np.abs(r_u[1:-1] - expected)) < 1e-9
 
@@ -282,7 +282,7 @@ class TestNeutralOracle:
     def test_unit_rhs_reproduces_reference(self, model_n1, model_n2):
         for m in (model_n1, model_n2):
             u = neutral_oracle(m, constant_rhs(m))
-            assert np.max(np.abs(u.values - m.psi.values)) < 1e-10
+            assert np.max(np.abs(u.values - m.psi)) < 1e-10
 
     def test_left_slope_is_pole_mass_in_the_limit(self, model_n1):
         # the secant above the layer reads the prescribed pole mass within
@@ -293,14 +293,14 @@ class TestNeutralOracle:
             m = KahlerModel(n, n + 1.0)
             rhs = build_dirac_rhs(frac * m.degree, eps, m)
             u = neutral_oracle(m, rhs)
-            est = pole_lelong(u.values - m.psi.values, rhs)
+            est = pole_lelong(u.values - m.psi, rhs)
             assert abs(est.value - frac * m.degree) <= 3.0 * est.sensitivity, (n, frac, eps)
         # once the layer separates from the bulk it reads gamma to 1 %: a
         # relative error of 0.0072 at eps = 1e-3 and 0.0004 at 1e-4
         for eps in (1e-3, 1e-4):
             rhs = build_dirac_rhs(1.2, eps, model_n1)
             u = neutral_oracle(model_n1, rhs)
-            nu = pole_lelong(u.values - model_n1.psi.values, rhs).value
+            nu = pole_lelong(u.values - model_n1.psi, rhs).value
             assert nu == pytest.approx(1.2, rel=0.01)
 
     # gamma = d/2 for n in 1..4 (n = 4 only at eps = 1e-1: below it the
@@ -343,7 +343,7 @@ class TestNeutralOracle:
         # the closed-form first slope zeroes the left row
         m = KahlerModel(n, n + 1.0)
         rhs = constant_rhs(m) if eps is None else build_dirac_rhs(1.0, eps, m)
-        phi = neutral_oracle(m, rhs).values - m.psi.values
+        phi = neutral_oracle(m, rhs).values - m.psi
         assert abs(residual_from_perturbation(phi, rhs, neutral())[0]) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -354,7 +354,7 @@ class TestNeutralOracle:
         rhs = constant_rhs(m)
         u = neutral_oracle(m, rhs)
         assert u.values[1] == u.values[0]
-        assert residual_from_perturbation(u.values - m.psi.values, rhs, neutral())[0] == 0.0
+        assert residual_from_perturbation(u.values - m.psi, rhs, neutral())[0] == 0.0
 
     def test_grid_convergence_second_order(self):
         # against adaptive quadrature of the continuum first integral;
@@ -951,7 +951,7 @@ class TestDilation:
 
     def test_whole_step_shift_resamples_nodes(self):
         m = KahlerModel(1, 2.0, self.GRID)
-        h, psi = m.grid.h, m.psi.values
+        h, psi = m.grid.h, m.psi
         phi = gaussian_bump(m.grid, center=-5.0) + 0.1 * np.tanh(m.grid.nodes)
         rhs = build_dirac_rhs(1.8, 1e-2, m)
         steps = 16
@@ -974,7 +974,7 @@ class TestDiagnostics:
     def test_pole_anchor_used_for_singular_families(self, model_n1):
         rhs = build_dirac_rhs(1.0, 1e-3, model_n1)
         u = neutral_oracle(model_n1, rhs)
-        phi = u.values - model_n1.psi.values
+        phi = u.values - model_n1.psi
         anchored = diagnostics_for(phi, rhs)
         plain = diagnostics_for(phi, constant_rhs(model_n1))
         # the smooth family's left-edge secant cannot see the pole of a

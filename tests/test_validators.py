@@ -39,6 +39,7 @@ from radialma import (
     xi_eps,
 )
 from radialma.rhs import MollifierProfile
+from radialma.solver import residual_from_perturbation
 
 GRID = SGrid(-10.0, 10.0, 81)
 ZEROS = np.zeros(GRID.points)
@@ -57,6 +58,11 @@ def point_mass(m):
     """A point-mass family on the model, whose layer at 2 log eps = -1.4
     lies well inside GRID."""
     return build_dirac_rhs(1.0, 0.5, m)
+
+
+def reference(m):
+    """The model's psi as a potential, an object no reading takes as phi."""
+    return RadialPotential(m.grid, m.psi, m.n)
 
 
 def family_with(field):
@@ -178,13 +184,18 @@ CASES = {
         lambda m: bootstrap_lelong_bound(with_node_3(np.inf), 0.5, point_mass(m))),
     # a potential u is no array of node values: it is not read as phi
     "diagnostics_for of a potential": (ConfigurationError, "RadialPotential",
-                                       lambda m: diagnostics_for(m.psi, constant_rhs(m))),
+                                       lambda m: diagnostics_for(reference(m), constant_rhs(m))),
     "average of a potential": (ConfigurationError, "RadialPotential",
-                               lambda m: average(m.psi, m)),
+                               lambda m: average(reference(m), m)),
     "pole_lelong of a potential": (ConfigurationError, "RadialPotential",
-                                   lambda m: pole_lelong(m.psi, constant_rhs(m))),
-    "germ_integral of a potential": (ConfigurationError, "RadialPotential",
-                                     lambda m: germ_integral(0, m.psi, 0.5, constant_rhs(m))),
+                                   lambda m: pole_lelong(reference(m), constant_rhs(m))),
+    "germ_integral of a potential": (
+        ConfigurationError, "RadialPotential",
+        lambda m: germ_integral(0, reference(m), 0.5, constant_rhs(m))),
+    # phi passes grid_values before the rows read it, never broadcast
+    "residual_from_perturbation of a short phi": (
+        ConfigurationError, "values shape (3,) does not match grid with 81 points",
+        lambda m: residual_from_perturbation(np.zeros(3), constant_rhs(m), neutral())),
     "potential of dimension 0": (ConfigurationError, "dimension must be an integer >= 1, got 0",
                                  lambda m: RadialPotential(GRID, ZEROS, 0)),
     "potential of dimension 2.5": (
@@ -370,6 +381,19 @@ GRID_FUNCTION_SITES = {
     "germ_integral phi": lambda m, v: germ_integral(0, v, 0.5, constant_rhs(m)),
     "bootstrap_lelong_bound phi": lambda m, v: bootstrap_lelong_bound(v, 0.5, point_mass(m)),
     "PotentialSequence phi": lambda m, v: PotentialSequence(m, ((v, 0.5, constant_rhs(m)),)),
+    "residual_from_perturbation phi": lambda m, v: residual_from_perturbation(
+        v, constant_rhs(m), neutral()),
+}
+# a family is checked by its type before a reading takes its model from it
+NOT_A_FAMILY = {"None": None, "'x'": "x", "KahlerModel": KahlerModel(1, 2.0, GRID)}
+FAMILY_SITES = {
+    "newton_solve rhs": lambda m, v: newton_solve(m, v, neutral()),
+    "pole_lelong rhs": lambda m, v: pole_lelong(ZEROS, v),
+    "diagnostics_for rhs": lambda m, v: diagnostics_for(ZEROS, v),
+    "germ_integral rhs": lambda m, v: germ_integral(0, ZEROS, 0.5, v),
+    "bootstrap_lelong_bound rhs": lambda m, v: bootstrap_lelong_bound(ZEROS, 0.5, v),
+    "residual_from_perturbation rhs": lambda m, v: residual_from_perturbation(
+        ZEROS, v, neutral()),
 }
 EPS_LIST_SITES = {
     "sweep_epsilon eps_list": lambda m, v: sweep_epsilon(m, 1.0, magnifying(0.5), 0.5, v),
@@ -378,7 +402,8 @@ EPS_LIST_SITES = {
 PROBES = [pytest.param(sites[site], inputs[key], id=f"{site}-{key}")
           for sites, inputs in ((SCALAR_SITES, NOT_A_NUMBER),
                                 (GRID_FUNCTION_SITES, NOT_A_GRID_FUNCTION),
-                                (EPS_LIST_SITES, NOT_AN_EPS_LIST))
+                                (EPS_LIST_SITES, NOT_AN_EPS_LIST),
+                                (FAMILY_SITES, NOT_A_FAMILY))
           for site in sites for key in inputs
           # None is the default start, phi = 0, and a family without a pole anchor
           if not (site in ("newton_solve start", "RhsFamily pole_anchor") and key == "None")]
@@ -387,3 +412,11 @@ PROBES = [pytest.param(sites[site], inputs[key], id=f"{site}-{key}")
 @pytest.mark.parametrize("call,value", PROBES)
 def test_a_non_number_is_a_configuration_error(call, value):
     rejection(call, value)
+
+
+@pytest.mark.parametrize("key", NOT_A_FAMILY)
+@pytest.mark.parametrize("site", FAMILY_SITES)
+def test_every_reading_rejects_a_non_family_as_the_drivers_do(site, key):
+    value = NOT_A_FAMILY[key]
+    assert rejection(FAMILY_SITES[site], value) == \
+        f"right-hand side must be an RhsFamily, got {value!r}"
