@@ -23,11 +23,10 @@ __version__ = "0.1.0"
 # each public submodule and the names the package exports from it
 _EXPORTS = {
     "errors": ("ConfigurationError", "CurvatureMarginWarning"),
-    "geometry": ("Diagnostics", "KahlerModel", "LelongEstimate", "average", "pole_lelong"),
-    "grid": ("DEFAULT_GRID", "RadialPotential", "SGrid"),
-    "rhs": ("LowerBoundReport", "RhsFamily", "build_dirac_rhs", "build_divisor_rhs",
-            "check_lower_bound", "constant_rhs", "xi_eps"),
-    "solver": ("ContinuityTrace", "EquationKind", "SolveConfig", "SolveResult",
+    "grid": ("DEFAULT_GRID", "KahlerModel", "RadialPotential", "SGrid", "average"),
+    "rhs": ("LelongEstimate", "LowerBoundReport", "RhsFamily", "build_dirac_rhs",
+            "build_divisor_rhs", "check_lower_bound", "constant_rhs", "pole_lelong", "xi_eps"),
+    "solver": ("ContinuityTrace", "Diagnostics", "EquationKind", "SolveConfig", "SolveResult",
                "continuity_in_t", "diagnostics_for", "magnifying", "neutral",
                "neutral_oracle", "newton_solve", "reducing", "sweep_epsilon"),
     "multiplier": ("GermIntegral", "PotentialSequence", "StalkDescriptor", "germ_integral",

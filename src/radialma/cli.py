@@ -42,7 +42,7 @@ from .errors import ConfigurationError, require_open_unit
 if TYPE_CHECKING:
     import numpy as np
 
-    from .geometry import KahlerModel
+    from .grid import KahlerModel
     from .solver import EquationKind, SolveConfig
 
 DIAG_COLUMNS = ("step", "param", "sup_phi", "inf_phi", "avg_phi", "lelong",
@@ -149,8 +149,7 @@ class RunConfig:
         return default
 
     def validate_model(self):
-        from .geometry import KahlerModel
-        from .grid import SGrid
+        from .grid import KahlerModel, SGrid
         grid = _in_section("[model]", SGrid, self.s_min, self.s_max, self.points)
         return _in_section("[model]", KahlerModel, self.n, self.degree, grid)
 
@@ -364,12 +363,14 @@ def _verify_checks(model: KahlerModel, solve: SolveConfig) -> list[tuple[str, bo
     from .grid import rounding_floor
     from .rhs import build_dirac_rhs, check_lower_bound, constant_rhs
     from .slopes import destabilizes, line_tangent, normalized_slope, tangent_on_line
-    from .solver import EquationKind, newton_solve
+    from .solver import EquationKind, map_rounding, newton_solve
     checks: list[tuple[str, bool, str]] = []
     rhs1 = constant_rhs(model)
     res = newton_solve(model, rhs1, EquationKind("magnifying", 0.5), solve)
     sup = float(np.max(np.abs(res.phi)))
-    checks.append(("fixed_point_magnifying", res.converged and sup <= 1e-9,
+    # phi = 0 is the fixed point, read to the rounding of the map's image
+    checks.append(("fixed_point_magnifying",
+                   res.converged and sup <= max(1e-9, map_rounding(model)),
                    f"sup|phi| = {fmt(sup)}"))
 
     # F = 1 has log-curvature (n + 1) (sigma, sigma (1 - sigma)) for every d

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureMarginWarning, require_open_unit
-from .geometry import KahlerModel, pole_lelong
-from .grid import grid_values
-from .rhs import RhsFamily, check_lower_bound, require_family
+from .grid import KahlerModel, grid_values
+from .rhs import RhsFamily, check_lower_bound, pole_lelong, require_family
 from .solver import (
     SolveConfig,
     StepRecord,

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, require_finite, require_integer, require_open_unit
-from .geometry import KahlerModel, pole_lelong
-from .grid import grid_values
-from .rhs import RhsFamily, require_built_on, require_family
+from .grid import KahlerModel, grid_values
+from .rhs import RhsFamily, pole_lelong, require_built_on, require_family
 
 BORDERLINE_TOL = 1e-9
 

@@ -25,7 +25,7 @@ Three families of positive densities F on the model are supported:
 The reduced densities are cell masses of the solver's flux form,
 ``grid.cell_masses`` of half-node slopes, on the N - 2 interior nodes: of
 psi for the smooth part (``KahlerModel.weight``) and of xi_eps for the
-point-mass part, whose slopes are exact steps ``geometry.softplus_step``.
+point-mass part, whose slopes are exact steps ``grid.softplus_step``.
 Discrete mass sums therefore telescope exactly, the point-mass cell masses
 are nonnegative, and F = 1 remains an exact fixed point at gamma = 0 /
 delta' = 0. The point-mass family's left flux comes from the same
@@ -57,6 +57,14 @@ families and point-mass profiles, the latter under ("profile", eps),
 refreshed whenever a family holding it is returned, so it outlives them.
 A family's curvature margin has one name, ``check_lower_bound``, which
 computes it on the first call and returns the same report after.
+
+The family places the pole, so it also reads it. A solved pole has one
+reading, ``pole_lelong``: the windowed secant of u = psi + phi at three
+nodes, taken with the family phi solves for, whose model gives psi and the
+grid. The point-mass family's ``pole_anchor`` sits POLE_ANCHOR_OFFSET above
+its layer at 2 log eps, where the secant starts; its window is
+LELONG_WINDOW wide and ends at LELONG_CAP at the latest. Diagnostics, germ
+integrals, the stalk and the magnification table all read it.
 """
 
 from __future__ import annotations
@@ -69,10 +77,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, require_finite, require_positive
-from .geometry import KahlerModel, expit, softplus, softplus_step
-from .grid import LOG_DBL_MAX, cell_masses
+from .grid import (LOG_DBL_MAX, KahlerModel, cell_masses, expit, grid_values, softplus,
+                   softplus_step)
 
 POLE_ANCHOR_OFFSET = 6.0
+LELONG_WINDOW = 5.0
+LELONG_CAP = -1.0
 
 
 def xi_eps(s, eps: float):
@@ -353,6 +363,54 @@ def _divisor_family(delta_prime: float, eps: float, m: KahlerModel) -> RhsFamily
         profile=MollifierProfile(cells, 1.0),
         profile_scale=float(np.sum(m.weight)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Pole reading
+
+
+@dataclass(frozen=True)
+class LelongEstimate:
+    """Windowed secant estimate of the pole coefficient of a potential."""
+
+    value: float
+    window_width: float
+    sensitivity: float
+
+
+def pole_lelong(phi, rhs: RhsFamily) -> LelongEstimate:
+    """The pole coefficient of u = psi + phi, its asymptotic left slope, and
+    the one reading of a solved pole: the secant slope of u over a window
+    [a, a + window], read at its three nodes only. phi passes ``grid_values``
+    and solves for ``rhs``, the family whose model gives psi and the grid.
+
+    Without a pole anchor (the smooth families) the secant starts at s_min,
+    over max(LELONG_WINDOW, 4h), the shortest window a coarse grid resolves,
+    or over the whole grid where that is narrower. The mollified point-mass
+    solution is flat below its layer at 2 log(eps), so the secant starts just
+    above it (``rhs.pole_anchor``), capped away from the bulk chart boundary
+    at LELONG_CAP, where the limiting slope has formed; where that window is
+    shorter than 4h, the smooth rule holds. ``sensitivity`` is the change
+    under halving the window, the resolution-limit diagnostic.
+    """
+    require_family(rhs)
+    model, grid = rhs.model, rhs.model.grid
+    vals = grid_values(phi, grid)
+    window = min(max(LELONG_WINDOW, 4.0 * grid.h), float(grid.s_max - grid.s_min))
+    a = grid.s_min
+    if rhs.pole_anchor is not None:
+        cap = min(LELONG_CAP, grid.s_max - 4.0 * grid.h)
+        a0 = max(rhs.pole_anchor, grid.s_min)
+        b = min(a0 + LELONG_WINDOW, cap)
+        anchor = max(min(a0, b - max(4.0 * grid.h, 1.0)), grid.s_min)
+        if b - anchor >= 4.0 * grid.h:
+            window, a = b - anchor, anchor
+    nodes = np.array([grid.index_of(a), grid.index_of(a + window),
+                      grid.index_of(a + window / 2.0)])
+    u, s = model.psi[nodes] + vals[nodes], grid.nodes[nodes]
+    v = float((u[1] - u[0]) / (s[1] - s[0]))
+    v_half = float((u[2] - u[0]) / (s[2] - s[0]))
+    return LelongEstimate(max(v, 0.0), window, abs(v - v_half))
 
 
 # ---------------------------------------------------------------------------

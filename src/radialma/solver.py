@@ -42,8 +42,15 @@ a constant to phi, so the level of a start is no information: the
 iteration (``_anderson``) moves its start to the level of the start's
 image, and the drivers pass their predictors as they are. The one stop
 rule is the step: a solve is converged when f = T(phi) - phi is at most
-``newton_tol``. T(phi) meets every row at the weights of phi + f_{N-1}, so
-its interior rows miss by R e^{sigma t T(phi)} (e^{-sigma t (f - f_{N-1})} - 1).
+``newton_tol``, or the rounding of an image of T where that is larger
+(``map_rounding``), as it is at a large degree d. T(phi) meets
+every row at the weights of phi + f_{N-1}, so its interior rows miss by
+R e^{sigma t T(phi)} (e^{-sigma t (f - f_{N-1})} - 1).
+
+Each solve is summarised by one ``Diagnostics``, which ``diagnostics_for``
+alone produces: the extrema and volume average (``grid.average``) of phi,
+the pole reading of its family (``rhs.pole_lelong``) and the mass of u
+from its two end fluxes.
 
 Each continuation routine decides by one rule. ``continuity_in_t``
 steps as far as the solver converges: its first attempt is at the target,
@@ -68,9 +75,9 @@ import numpy as np
 
 from .errors import (ConfigurationError, require_finite, require_integer, require_open_unit,
                      require_positive)
-from .geometry import Diagnostics, KahlerModel, average, pole_lelong
-from .grid import RadialPotential, cell_masses, grid_values
-from .rhs import RhsFamily, build_dirac_rhs, require_built_on, require_family
+from .grid import KahlerModel, RadialPotential, average, cell_masses, grid_values
+from .rhs import (LelongEstimate, RhsFamily, build_dirac_rhs, pole_lelong, require_built_on,
+                  require_family)
 
 BLOWUP_STEP = 1.0
 BARRIER_STEP_FLOOR = 1e-6
@@ -266,6 +273,14 @@ def _first_integral_map(rhs: RhsFamily, kind: EquationKind):
     return first_integral
 
 
+def map_rounding(model: KahlerModel) -> float:
+    """The rounding of an image of the first-integral map T on ``model``,
+    16 eps max(1, max|psi|): its slopes are differences of slopes up to d,
+    rounded at eps d each and summed across the grid, so a step below it is
+    noise, and the stop rule asks for no less."""
+    return 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(model.psi))))
+
+
 def _mixed(g: np.ndarray, f: np.ndarray, gram: np.ndarray, dF: np.ndarray,
            dG: np.ndarray) -> np.ndarray:
     """The Anderson iterate g - dG^T gamma, gamma the least-squares fit of f
@@ -331,11 +346,11 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
 
     At exponent rate 0 (the neutral family, or t = 0) one application of T
     is the exact solution, whatever the start, with 0 iterations. Otherwise
-    ``_anderson`` iterates until the step is at or below ``newton_tol``;
-    when it stops short, ``message`` says why. ``residual_norm``, the sup
-    of the result's rows at exit, is reported and decides nothing. The
-    result is an image of T, so it is Kahler in the flux form by
-    construction (see the module docstring).
+    ``_anderson`` iterates until the step is at or below ``newton_tol``, or
+    ``map_rounding`` where that is larger; when it stops short, ``message``
+    says why. ``residual_norm``, the sup of the result's rows at exit, is
+    reported and decides nothing. The result is an image of T, so it is
+    Kahler in the flux form by construction (see the module docstring).
     """
     cfg = config or SolveConfig()
     require_built_on(rhs, model)
@@ -346,7 +361,8 @@ def newton_solve(model: KahlerModel, rhs: RhsFamily, kind: EquationKind,
         if kind.exponent_rate == 0.0:
             phi, iters, message = T(phi), 0, ""
         else:
-            phi, iters, message = _anderson(T, phi, cfg.newton_tol, cfg.max_iters)
+            tol = max(cfg.newton_tol, map_rounding(model))
+            phi, iters, message = _anderson(T, phi, tol, cfg.max_iters)
         norm = float(np.max(np.abs(residual_from_perturbation(phi, rhs, kind))))
         diagnostics = diagnostics_for(phi, rhs)
     return SolveResult(phi, diagnostics, iters, norm, kind, rhs, message)
@@ -366,6 +382,22 @@ def neutral_oracle(model: KahlerModel, rhs: RhsFamily) -> RadialPotential:
 
 # ---------------------------------------------------------------------------
 # Diagnostics
+
+
+@dataclass(frozen=True)
+class Diagnostics:
+    """Summary of a solved perturbation phi = u - psi."""
+
+    sup_phi: float
+    inf_phi: float
+    avg_phi: float
+    lelong: LelongEstimate
+    mass: float
+
+    def __post_init__(self):
+        slack = 1e-9 * max(1.0, abs(self.sup_phi), abs(self.inf_phi))
+        if not (self.inf_phi - slack <= self.avg_phi <= self.sup_phi + slack):
+            raise ConfigurationError("average fell outside [inf, sup]")
 
 
 def diagnostics_for(phi, rhs: RhsFamily) -> Diagnostics:

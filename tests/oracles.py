@@ -3,8 +3,7 @@
 These deliberately avoid the package's own differentiation and quadrature
 paths: grid functions are differentiated with central stencils, the
 complex Hessian is taken by nested real finite differences in the ambient
-coordinates, and integrals are done with adaptive quadrature or
-Richardson-extrapolated trapezoid sums on refined grids.
+coordinates, and integrals are done with adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -107,16 +106,6 @@ def complex_hessian_det(func, z: np.ndarray, delta: float = 3e-4) -> float:
     return float(np.linalg.det(cmplx).real)
 
 
-def richardson_trapezoid(f, a: float, b: float, base_points: int = 2001) -> float:
-    """Trapezoid value Richardson-extrapolated over two refinements (h^4)."""
-    def trap(npts):
-        x = np.linspace(a, b, npts)
-        return float(np.trapezoid(f(x), x))
-    t1 = trap(base_points)
-    t2 = trap(2 * base_points - 1)
-    return t2 + (t2 - t1) / 3.0
-
-
 def weighted_average_quad(f, weight, a: float, b: float) -> float:
     """Adaptive-quadrature weighted mean of f against a positive weight."""
     num, _ = quad(lambda s: f(s) * weight(s), a, b, limit=400)
@@ -164,6 +153,20 @@ def continuum_neutral_potential(model, slope_power, s_points):
     return np.array(out)
 
 
+
+def orbit_phi(model, c: float) -> np.ndarray:
+    """The perturbation of psi pulled back by the dilation s -> s + c, a
+    solution of the magnifying equation for F = 1 at the Kahler-Einstein
+    time t_b = (n + 1) / d, for every c:
+
+        phi_c = d (softplus(s + c) - softplus(s)) - n c / t_b.
+
+    The density of psi(s + c) is e^{nc - (n + 1) (softplus(s + c) -
+    softplus(s))} times psi's, which the level -n c / t_b makes e^{-t_b phi_c}."""
+    s, n, d = model.grid.nodes, model.n, model.degree
+    t_b = (n + 1) / d
+    return d * (np.logaddexp(0.0, s + c) - np.logaddexp(0.0, s)) - n * c / t_b
+
 # ---------------------------------------------------------------------------
 # Per-call closed forms: the right-hand side's logistic and softplus terms
 # evaluated afresh on every call, the formulas the model's cached node-wise
@@ -173,14 +176,14 @@ def continuum_neutral_potential(model, slope_power, s_points):
 
 def xi_eps_d1(s, eps):
     """d/ds xi_eps = logistic of s - 2 log eps."""
-    from radialma.geometry import expit
+    from radialma.grid import expit
 
     return expit(np.asarray(s, dtype=float) - 2.0 * np.log(eps))
 
 
 def xi_eps_d2(s, eps):
     """d^2/ds^2 xi_eps = expit(a) expit(-a), a = s - 2 log eps."""
-    from radialma.geometry import expit
+    from radialma.grid import expit
 
     a = np.asarray(s, dtype=float) - 2.0 * np.log(eps)
     return expit(a) * expit(-a)
@@ -245,7 +248,7 @@ def singular_mass(rhs) -> float:
 def log_curvature_derivs_per_call(rhs):
     """``RhsFamily.log_curvature_derivs`` of a constant, divisor or
     point-mass family."""
-    from radialma.geometry import expit, softplus
+    from radialma.grid import expit, softplus
 
     m = rhs.model
     n, d, s = m.n, m.degree, m.grid.nodes
@@ -274,7 +277,7 @@ def log_curvature_derivs_per_call(rhs):
 
 def lower_bound_per_call(rhs):
     """(eta, limiting_node) of ``check_lower_bound``."""
-    from radialma.geometry import expit
+    from radialma.grid import expit
 
     s = rhs.model.grid.nodes
     q1, q2 = log_curvature_derivs_per_call(rhs)
@@ -289,9 +292,9 @@ def diagnostics_per_call(phi, rhs):
     """``diagnostics_for`` through a validated potential u = psi + phi on the
     whole grid: its windowed secants, and the mass from the whole array of
     the solver's half-node slopes psi_slopes + diff(phi) / h."""
-    from radialma.geometry import Diagnostics, LelongEstimate, average
-    from radialma.grid import RadialPotential
-    from radialma.geometry import LELONG_CAP, LELONG_WINDOW
+    from radialma.grid import RadialPotential, average
+    from radialma.rhs import LELONG_CAP, LELONG_WINDOW, LelongEstimate
+    from radialma.solver import Diagnostics
 
     model = rhs.model
     grid, h = model.grid, model.grid.h
@@ -324,7 +327,7 @@ def stalk_per_germ(seq):
     """``stalk_from_sequence`` as a search through germ integrals: the
     least k <= K_CAP whose germ integral has a finite value against every
     entry, or None when no k up to K_CAP has."""
-    from radialma.geometry import pole_lelong
+    from radialma.rhs import pole_lelong
     from radialma.multiplier import StalkDescriptor, germ_integral
 
     product = 0.0

@@ -426,13 +426,32 @@ class TestVerify:
         assert out.count("PASS") == 4
 
     def test_neutral_residual_holds_at_degree_1e8(self, tmp_path, capsys):
-        # fixed_point_magnifying still fails here: the absolute newton_tol
-        # stop rule ends the magnifying solve away from phi = 0
+        # the magnifying solve stops at phi = 0 to the rounding of the map's
+        # image, 1.4e-05 here, and its check reads phi to that rounding
         cfg = self.model_config(tmp_path, 1, "1e8")
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "PASS neutral_residual: sup residual = 3.7252902984619141e-07" in out
-        assert "FAIL fixed_point_magnifying" in out
+        assert "PASS fixed_point_magnifying: sup|phi| = " in out
+        assert out.count("PASS") == 4
+
+    @pytest.mark.parametrize("n,degree,passes", [
+        (1, "2.0", False),   # the map's image rounds at 2.8e-13: the bound is 1e-9
+        (1, "1e5", True),    # it rounds at 1.4e-08, the bound
+    ])
+    def test_the_fixed_point_is_read_to_the_larger_of_1e_9_and_the_rounding(
+            self, tmp_path, capsys, monkeypatch, n, degree, passes):
+        solve = radialma.solver.newton_solve
+
+        def lifted(model, rhs, kind, config=None):
+            res = solve(model, rhs, kind, config)
+            return replace(res, phi=res.phi + 5e-9) if kind.kind == "magnifying" else res
+
+        monkeypatch.setattr(radialma.solver, "newton_solve", lifted)
+        cfg = self.model_config(tmp_path, n, degree)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == (0 if passes else 1)
+        out = capsys.readouterr().out
+        assert f"{'PASS' if passes else 'FAIL'} fixed_point_magnifying" in out
 
     def test_a_moved_node_fails_at_a_large_degree(self, tmp_path, capsys, monkeypatch):
         # the limit follows the rounding of the rows, not a fraction of d^n:

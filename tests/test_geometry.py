@@ -22,8 +22,8 @@ from radialma import (
     newton_solve,
     pole_lelong,
 )
-from radialma.geometry import expit, softplus, softplus_step
-from radialma.grid import cell_masses, first_violation, rounding_floor
+from radialma.grid import (cell_masses, expit, first_violation, rounding_floor, softplus,
+                           softplus_step)
 
 from conftest import gaussian_bump
 from oracles import (

@@ -24,7 +24,7 @@ from radialma import (
     trivial_lemma_report,
 )
 from radialma import multiplier
-from radialma.geometry import LelongEstimate
+from radialma.rhs import LelongEstimate
 from radialma.multiplier import BORDERLINE_TOL
 
 from oracles import stalk_per_germ

@@ -22,14 +22,13 @@ EXPORTS = {
     "SolveConfig", "SolveResult", "StalkDescriptor", "average", "bootstrap_lelong_bound",
     "build_dirac_rhs", "build_divisor_rhs", "check_lower_bound", "comparison",
     "constant_rhs", "continuity_in_t", "destabilizes", "diagnostics_for",
-    "errors", "geometry", "germ_integral", "grid",
+    "errors", "germ_integral", "grid",
     "line_tangent", "magnification_experiment", "magnifying", "multiplier", "neutral",
     "neutral_oracle", "newton_solve", "normalized_slope", "pole_lelong", "reducing", "rhs",
     "slopes", "solver", "stalk_from_sequence", "sweep_epsilon", "tangent_on_line",
     "trivial_lemma_report", "xi_eps",
 }
-SUBMODULES = {"comparison", "errors", "geometry", "grid", "multiplier", "rhs", "slopes",
-              "solver"}
+SUBMODULES = {"comparison", "errors", "grid", "multiplier", "rhs", "slopes", "solver"}
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "radialma").glob("*.py"))
 
 
@@ -100,6 +99,30 @@ def test_every_imported_name_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, sorted(imported - used)
+
+
+def test_the_modules_import_one_way():
+    # every relative import, at module level or inside a function, is an
+    # edge; a cycle would make one module's import wait on its own
+    graph = {}
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        graph[path.stem] = {node.module for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) and node.level == 1
+                            and node.module}
+    done = set()  # modules whose imports are known to end
+
+    def visit(module, path=()):
+        assert module not in path, " -> ".join((*path, module))
+        if module not in done:
+            for imported in sorted(graph.get(module, ())):
+                visit(imported, (*path, module))
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
 
 
 # the benchmark calls these positionally, model first, and its tracer reads

@@ -23,9 +23,8 @@ from radialma import (
     xi_eps,
 )
 from radialma import rhs as rhs_module
-from radialma.geometry import MEMO_SIZE, expit, pole_lelong
-from radialma.grid import cell_masses
-from radialma.rhs import MollifierProfile, dominance_margin
+from radialma.grid import MEMO_SIZE, cell_masses, expit
+from radialma.rhs import MollifierProfile, dominance_margin, pole_lelong
 
 from oracles import (
     dirac_density,

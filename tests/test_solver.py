@@ -30,14 +30,15 @@ from radialma import (
     sweep_epsilon,
 )
 from radialma import solver
-from radialma.geometry import LELONG_WINDOW, LelongEstimate, expit, pole_lelong
-from radialma.grid import rounding_floor
+from radialma.grid import expit, rounding_floor
+from radialma.rhs import LELONG_WINDOW, LelongEstimate, pole_lelong
 from radialma.solver import (
     _anderson,
     _dilated,
     _first_integral_map,
     _mixed,
     diagnostics_for,
+    map_rounding,
     residual_from_perturbation,
 )
 
@@ -47,6 +48,7 @@ from oracles import (
     density_floor,
     diagnostics_per_call,
     manufactured_rhs,
+    orbit_phi,
     second_derivative,
     xi_eps_d1,
     xi_eps_d2,
@@ -276,6 +278,18 @@ class TestStopRule:
                            * rhs.density + density_floor(floor, w, n))
         assert np.all(np.abs(r[1:-1]) <= limit)
         assert max(abs(r[0]), abs(r[-1])) <= floor * h
+
+    @pytest.mark.parametrize("degree", [1e8, 1e10])
+    @pytest.mark.parametrize("kind", [magnifying(0.5), reducing(0.5)])
+    def test_a_large_degree_stops_at_the_rounding_of_the_map(self, degree, kind):
+        # an image of T rounds at 16 eps max|psi|, above newton_tol once d is
+        # large: the exact fixed point phi = 0 is accepted at once
+        m = KahlerModel(1, degree)
+        limit = map_rounding(m)
+        assert limit > SolveConfig().newton_tol
+        res = newton_solve(m, constant_rhs(m), kind)
+        assert res.converged and res.iterations == 0
+        assert np.max(np.abs(res.phi)) <= limit
 
 
 class TestNeutralOracle:
@@ -936,6 +950,24 @@ class TestKnownAnswers:
         cold = newton_solve(m, rhs, kind, replace(self.CONFIG, max_iters=500))
         assert cold.converged
         assert off_level(cold.phi, phi_star) > 1.0
+
+
+class TestKahlerEinsteinOrbit:
+    """At t_b = (n + 1) / d the magnifying equation for F = 1 is solved by
+    the whole orbit of psi under dilation (``oracles.orbit_phi``), so its
+    rows at phi_c are the discretisation error alone: second order in h."""
+
+    @pytest.mark.parametrize("n,d", [(1, 4.0), (2, 4.5), (3, 6.0)])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_rows_on_the_orbit_fall_by_16_per_4x_refinement(self, n, d, c):
+        sups = []
+        for points in (1001, 4001, 16001):
+            m = KahlerModel(n, d, SGrid(-40.0, 40.0, points))
+            r = residual_from_perturbation(orbit_phi(m, c), constant_rhs(m),
+                                           magnifying((n + 1) / d))
+            sups.append(float(np.max(np.abs(r))))
+        ratios = np.array(sups[:-1]) / np.array(sups[1:])
+        assert np.all(np.abs(ratios - 16.0) <= 0.5), ratios
 
 
 class TestDilation:
